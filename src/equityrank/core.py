@@ -13,6 +13,7 @@ ingested from files, the original external ids are kept in a side lookup
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -94,6 +95,8 @@ class ProviderProfile:
     gain_target: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.exposure_value, self.purchase_value, self.gain_target)):
+            raise ValueError("gain weights and gain_target must be finite")
         if self.exposure_value < 0 or self.purchase_value < 0:
             raise ValueError("gain weights must be nonnegative")
         if not self.gain_target > 0:
@@ -156,7 +159,7 @@ class RankList:
     user: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(i) for i in self.positions))
+        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
         if len(self.positions) == 0:
             raise ValueError("rank list must not be empty")
         if len(set(self.positions)) != len(self.positions):

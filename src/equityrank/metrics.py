@@ -12,7 +12,7 @@ respect to each provider's gain drives the gradient-based rankers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,9 +28,11 @@ __all__ = [
     "andcg",
     "cndcg_update",
     "dcg",
+    "discounted_sum",
     "expected_gain",
     "exposure_unfairness",
     "fairness_gradient",
+    "fairness_gradient_unchecked",
     "format_float",
     "ideal_dcg",
     "ndcg",
@@ -41,20 +43,19 @@ __all__ = [
 
 @dataclass
 class GainLedger:
-    """Running accumulators for provider gains and item exposure.
+    """Running accumulators for provider gains.
 
     A ledger is owned and mutated by exactly one simulation run; metric code
     only reads it. ``exposure_gain`` and ``purchase_gain`` accrue the two
     gain components per provider, ``group_exposure`` the raw examination
-    mass per provider, and the per-(user, item) dicts back the online
-    relevance estimator. ``step_count`` counts served lists.
+    mass per provider, and ``step_count`` counts served lists. The online
+    relevance estimator's per-(user, candidate) counters are not provider
+    quantities; they live on ``sim.OnlineState``.
     """
 
     exposure_gain: np.ndarray
     purchase_gain: np.ndarray
     group_exposure: np.ndarray
-    item_exposure: dict[tuple[int, int], float] = field(default_factory=dict)
-    item_purchases: dict[tuple[int, int], int] = field(default_factory=dict)
     step_count: int = 0
 
     @classmethod
@@ -78,14 +79,6 @@ class GainLedger:
             raise ValueError("ledger has no served lists yet")
         return self.raw_gains() / self.step_count
 
-    def add_item_exposure(self, user: int, item: int, amount: float) -> None:
-        key = (int(user), int(item))
-        self.item_exposure[key] = self.item_exposure.get(key, 0.0) + amount
-
-    def add_item_purchase(self, user: int, item: int) -> None:
-        key = (int(user), int(item))
-        self.item_purchases[key] = self.item_purchases.get(key, 0) + 1
-
 
 # ---------------------------------------------------------------------------
 # Effectiveness
@@ -96,9 +89,20 @@ def dcg(ranklist: RankList, rel: RelevanceTable, k_c: int, pm: PositionModel) ->
     """Position-discounted gain of the top ``k_c`` positions of one list."""
     if not 1 <= k_c <= pm.list_size:
         raise ValueError(f"cutoff {k_c} must lie in [1, {pm.list_size}]")
+    values = [rel.get(ranklist.user, item) for item in ranklist.positions[:k_c]]
+    return discounted_sum(values, pm.probs, k_c)
+
+
+def discounted_sum(values: Sequence[float], probs: Sequence[float], k_c: int) -> float:
+    """DCG of already-read relevances ``values``, listed in position order.
+
+    ``probs`` are the examination probabilities (``PositionModel.probs``, or
+    the same values as a list). Adds one position at a time, top first, so
+    the result does not depend on where the relevances were read from.
+    """
     total = 0.0
-    for k0 in range(min(k_c, len(ranklist.positions))):
-        total += rel.get(ranklist.user, ranklist.positions[k0]) * pm.probs[k0]
+    for k0 in range(min(k_c, len(values))):
+        total += values[k0] * probs[k0]
     return total
 
 
@@ -197,9 +201,16 @@ def fairness_gradient(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     gains, targets = _check_gain_args(gains, targets)
     m = gains.size
-    gy = float(gains @ targets)
-    yy = float(targets @ targets)
-    return (4.0 / (m * (m - 1))) * (targets * gy - gains * yy)
+    return fairness_gradient_unchecked(gains, targets, float(targets @ targets), 4.0 / (m * (m - 1)))
+
+
+def fairness_gradient_unchecked(gains: np.ndarray, targets: np.ndarray, target_sq: float, scale: float) -> np.ndarray:
+    """The closed form of ``fairness_gradient`` without argument checks.
+
+    ``target_sq`` is y . y and ``scale`` is 4 / (m (m-1)); a caller that
+    validated the targets once precomputes both and calls this per step.
+    """
+    return scale * (targets * float(gains @ targets) - gains * target_sq)
 
 
 def exposure_unfairness(ledger: GainLedger, catalog: Catalog, rel: RelevanceTable) -> float:

@@ -16,7 +16,13 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 
 Rankers read raw cumulative gains (no per-step averaging) and recompute the
 fairness gradient from scratch on every request; the provider count is small
-compared to the item count, so this is cheap.
+compared to the item count, so this is cheap. The per-run provider constants
+come from a ``ProviderContext``: the simulation loops build one per run and
+pass it as ``ctx``; a ranker called without one builds it, and checks its
+candidate ids, at its own boundary. A caller passing ``ctx`` must pass
+candidate ids it has already checked against the catalog (the loops check
+each candidate set once, when they build it): with ``ctx`` the ids are only
+converted to int64, not bounds-checked.
 
 Tie-breaking is deterministic everywhere: score descending, then relevance
 descending, then item id ascending ("relevance_then_id"); the "id" rule
@@ -25,6 +31,7 @@ skips the relevance key.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,12 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import Catalog, PositionModel, ProviderProfile, RankList, provider_arrays
-from .metrics import GainLedger, fairness_gradient
+from .metrics import GainLedger, fairness_gradient_unchecked
 
 __all__ = [
     "POLICY_KINDS",
     "TIE_BREAK_RULES",
     "PolicyConfig",
+    "ProviderContext",
     "ScoreVector",
     "allocate_vertical",
     "equityrank_scores",
@@ -47,11 +55,19 @@ __all__ = [
     "rank_fairco_star",
     "rank_mmf_star",
     "rank_poork",
-    "relevance_scores",
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
 TIE_BREAK_RULES = ("relevance_then_id", "id")
+# Below this many candidates one full sort is cheaper than narrowing the
+# field with a partition first (measured for k = 5: the two cost the same
+# near 200 candidates); both select the same list.
+PARTITION_MIN_CANDIDATES = 200
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -65,10 +81,44 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        _check_alpha(self.alpha)
         if self.tie_break not in TIE_BREAK_RULES:
             raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
+
+
+@dataclass(frozen=True)
+class ProviderContext:
+    """Per-run provider constants that every ranking step reads.
+
+    Built once from the provider profiles, so the step loops neither rebuild
+    the provider arrays nor recompute the gradient's constants. ``target_sq`` is y . y and
+    ``gradient_scale`` is 4 / (m (m-1)): the constants of the fairness
+    gradient (NaN for a single provider, which has no gradient).
+    """
+
+    exposure_value: np.ndarray
+    purchase_value: np.ndarray
+    gain_target: np.ndarray
+    target_sq: float
+    gradient_scale: float
+
+    @classmethod
+    def of(cls, profiles: Sequence[ProviderProfile]) -> ProviderContext:
+        ve, vb, y = provider_arrays(profiles)
+        m = y.size
+        return cls(
+            exposure_value=ve,
+            purchase_value=vb,
+            gain_target=y,
+            target_sq=float(y @ y),
+            gradient_scale=4.0 / (m * (m - 1)) if m > 1 else math.nan,
+        )
+
+    def fairness_gradient(self, gains: np.ndarray) -> np.ndarray:
+        """``metrics.fairness_gradient`` of raw gains against these targets."""
+        if self.gain_target.size < 2:
+            raise ValueError("pairwise unfairness needs at least two providers")
+        return fairness_gradient_unchecked(gains, self.gain_target, self.target_sq, self.gradient_scale)
 
 
 @dataclass(frozen=True)
@@ -82,7 +132,7 @@ class ScoreVector:
     def __post_init__(self) -> None:
         if not (self.item_ids.shape == self.scores.shape == self.relevance.shape):
             raise ValueError("item_ids, scores, and relevance must align")
-        if not np.all(np.isfinite(self.scores)):
+        if not np.isfinite(self.scores).all():
             raise ValueError("scores must be finite")
 
 
@@ -95,33 +145,47 @@ def _candidate_array(candidates: Sequence[int] | np.ndarray, catalog: Catalog) -
     return ids
 
 
-def _sorted_order(sv: ScoreVector, tie_break: str) -> np.ndarray:
+def _context(
+    candidates, catalog: Catalog, profiles: Sequence[ProviderProfile], ctx: ProviderContext | None
+) -> tuple[np.ndarray, ProviderContext]:
+    """Candidate ids and provider context at a public ranker's boundary.
+
+    A caller passing ``ctx`` (a simulation loop) checked its candidate ids
+    once, when it built its candidate sets, so they are only converted here;
+    for any other caller the ids are checked and the context built here.
+    """
+    if ctx is None:
+        return _candidate_array(candidates, catalog), ProviderContext.of(profiles)
+    return np.asarray(candidates, dtype=np.int64), ctx
+
+
+def _sorted_order(ids: np.ndarray, scores: np.ndarray, rel: np.ndarray, tie_break: str) -> np.ndarray:
     # np.lexsort sorts by the last key first, so keys are listed least
     # significant to most significant.
     if tie_break == "relevance_then_id":
-        return np.lexsort((sv.item_ids, -sv.relevance, -sv.scores))
+        return np.lexsort((ids, -rel, -scores))
     if tie_break == "id":
-        return np.lexsort((sv.item_ids, -sv.scores))
+        return np.lexsort((ids, -scores))
     raise ValueError(f"unknown tie-break rule {tie_break!r}")
 
 
 def rank_by_scores(sv: ScoreVector, k: int, tie_break: str = "relevance_then_id") -> np.ndarray:
     """Top-``k`` item ids by descending score with deterministic tie-breaking.
 
-    When k is small relative to the candidate count, an O(n) partition
+    When k is small relative to a large candidate count, an O(n) partition
     narrows the field to the candidates at or above the k-th score (ties
     included) before the full sort, without changing the selected list.
     """
-    size = sv.item_ids.size
+    ids, scores, rel = sv.item_ids, sv.scores, sv.relevance
+    size = ids.size
     if size < k:
         raise ValueError(f"need at least {k} candidates, got {size}")
-    if 4 * k <= size:
-        neg = -sv.scores
+    if size >= PARTITION_MIN_CANDIDATES and 4 * k <= size:
+        neg = -scores
         kth = np.partition(neg, k - 1)[k - 1]
         keep = np.flatnonzero(neg <= kth)
-        sv = ScoreVector(sv.item_ids[keep], sv.scores[keep], sv.relevance[keep])
-    order = _sorted_order(sv, tie_break)
-    return sv.item_ids[order[:k]]
+        ids, scores, rel = ids[keep], scores[keep], rel[keep]
+    return ids[_sorted_order(ids, scores, rel, tie_break)[:k]]
 
 
 def _argbest(ids: np.ndarray, scores: np.ndarray, rel: np.ndarray) -> int:
@@ -133,9 +197,8 @@ def _argbest(ids: np.ndarray, scores: np.ndarray, rel: np.ndarray) -> int:
     return int(sub[0])
 
 
-def relevance_scores(candidates, user: int, rel_source, catalog: Catalog) -> ScoreVector:
-    """TopK scoring: the score of an item is its relevance."""
-    ids = _candidate_array(candidates, catalog)
+def _relevance_scores(ids: np.ndarray, user: int, rel_source) -> ScoreVector:
+    """TopK scoring of checked candidate ids: the score of an item is its relevance."""
     rel = rel_source.relevance_of(user, ids)
     return ScoreVector(item_ids=ids, scores=rel, relevance=rel)
 
@@ -146,18 +209,12 @@ def relevance_scores(candidates, user: int, rel_source, catalog: Catalog) -> Sco
 
 
 def _equity_score_values(
-    rel: np.ndarray,
-    groups: np.ndarray,
-    raw_gains: np.ndarray,
-    ve: np.ndarray,
-    vb: np.ndarray,
-    y: np.ndarray,
-    alpha: float,
+    rel: np.ndarray, groups: np.ndarray, raw_gains: np.ndarray, ctx: ProviderContext, alpha: float
 ) -> np.ndarray:
     if alpha == 0.0:
         return rel.copy()
-    b = fairness_gradient(raw_gains, y)
-    return rel + alpha * b[groups] * (ve[groups] + rel * vb[groups])
+    b = ctx.fairness_gradient(raw_gains)
+    return rel + alpha * b[groups] * (ctx.exposure_value[groups] + rel * ctx.purchase_value[groups])
 
 
 def equityrank_scores(
@@ -168,20 +225,21 @@ def equityrank_scores(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     alpha: float,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> ScoreVector:
     """Gradient scores: relevance plus the provider's fairness gradient scaled
     by the item's marginal gain per unit exposure.
 
     The fairness gradient is computed once per call from the ledger's raw
     cumulative gains, then broadcast to candidates through their groups.
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    ids = _candidate_array(candidates, catalog)
+    _check_alpha(alpha)
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    ve, vb, y = provider_arrays(profiles)
-    scores = _equity_score_values(rel, groups, ledger.raw_gains(), ve, vb, y, alpha)
+    scores = _equity_score_values(rel, catalog.group_of[ids], ledger.raw_gains(), ctx, alpha)
     return ScoreVector(item_ids=ids, scores=scores, relevance=rel)
 
 
@@ -198,6 +256,8 @@ def rank_poork(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     pm: PositionModel,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Serve the poorest provider first.
 
@@ -207,14 +267,16 @@ def rank_poork(
     item id). The placed item's expected gain, weighted by the slot's
     examination probability, is added to a slot-local gain copy before the
     next slot is decided.
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    ids = _candidate_array(candidates, catalog)
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     k_slots = pm.list_size
     if ids.size < k_slots:
         raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
     rel = rel_source.relevance_of(user, ids)
     groups = catalog.group_of[ids]
-    ve, vb, y = provider_arrays(profiles)
+    ve, vb, y = ctx.exposure_value, ctx.purchase_value, ctx.gain_target
     gains = ledger.raw_gains().copy()
 
     queues: dict[int, deque[int]] = {}
@@ -242,23 +304,25 @@ def rank_fairco_star(
     alpha: float,
     pm: PositionModel,
     tie_break: str = "relevance_then_id",
+    *,
+    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Proportional-controller scoring under the gain-to-target metric.
 
     A provider lagging behind the currently best-served provider gets its
     items boosted by alpha times the ratio shortfall; the error term is
     clipped at zero so no item scores below its own relevance.
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    ids = _candidate_array(candidates, catalog)
+    _check_alpha(alpha)
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     rel = rel_source.relevance_of(user, ids)
     groups = catalog.group_of[ids]
-    _, _, y = provider_arrays(profiles)
-    ratios = ledger.raw_gains() / y
+    ratios = ledger.raw_gains() / ctx.gain_target
     err = np.maximum(0.0, ratios.max() - ratios)
     sv = ScoreVector(item_ids=ids, scores=rel + alpha * err[groups], relevance=rel)
-    return RankList(tuple(rank_by_scores(sv, pm.list_size, tie_break)), user)
+    return _rank_scored(sv, user, pm, tie_break)
 
 
 def rank_mmf_star(
@@ -270,6 +334,8 @@ def rank_mmf_star(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Per-slot blend of normalized relevance and a worst-off provider bonus.
 
@@ -277,16 +343,18 @@ def rank_mmf_star(
     recomputed per slot over the remaining candidates with the same
     slot-local gain updates as PoorK. alpha = 0 reproduces TopK; alpha = 1
     reproduces PoorK.
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1] for this policy")
-    ids = _candidate_array(candidates, catalog)
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     k_slots = pm.list_size
     if ids.size < k_slots:
         raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
     rel = rel_source.relevance_of(user, ids)
     groups = catalog.group_of[ids]
-    ve, vb, y = provider_arrays(profiles)
+    ve, vb, y = ctx.exposure_value, ctx.purchase_value, ctx.gain_target
     gains = ledger.raw_gains().copy()
     avail = np.ones(ids.size, dtype=bool)
 
@@ -307,23 +375,22 @@ def rank_mmf_star(
 
 
 def _rank_equityrank_slotwise(
-    candidates,
+    ids: np.ndarray,
     user: int,
     rel_source,
     ledger: GainLedger,
     catalog: Catalog,
-    profiles: Sequence[ProviderProfile],
+    ctx: ProviderContext,
     alpha: float,
     pm: PositionModel,
 ) -> RankList:
     """Offline EquityRank: refresh the gradient after every filled slot."""
-    ids = _candidate_array(candidates, catalog)
     k_slots = pm.list_size
     if ids.size < k_slots:
         raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
     rel = rel_source.relevance_of(user, ids)
     groups = catalog.group_of[ids]
-    ve, vb, y = provider_arrays(profiles)
+    ve, vb = ctx.exposure_value, ctx.purchase_value
     gains = ledger.raw_gains().copy()
     avail = np.ones(ids.size, dtype=bool)
 
@@ -331,7 +398,7 @@ def _rank_equityrank_slotwise(
     for k0 in range(k_slots):
         idxs = np.flatnonzero(avail)
         r = rel[idxs]
-        scores = _equity_score_values(r, groups[idxs], gains, ve, vb, y, alpha)
+        scores = _equity_score_values(r, groups[idxs], gains, ctx, alpha)
         pick = int(idxs[_argbest(ids[idxs], scores, r)])
         chosen.append(int(ids[pick]))
         gains[groups[pick]] += pm.probs[k0] * (ve[groups[pick]] + rel[pick] * vb[groups[pick]])
@@ -352,6 +419,8 @@ def allocate_vertical(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> list[RankList]:
     """Fill slot k for every user before any slot k+1 (offline only).
 
@@ -362,15 +431,16 @@ def allocate_vertical(
     examination probability) to the ledger, so later assignments see the
     updated provider balance. Returns one list per user, in input order.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
     n = catalog.item_count
     if n < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} items, got {n}")
     user_ids = [int(u) for u in users]
     rows = {u: rel.relevance_of(u, np.arange(n, dtype=np.int64)) for u in user_ids}
     groups = catalog.group_of
-    ve, vb, y = provider_arrays(profiles)
+    if ctx is None:
+        ctx = ProviderContext.of(profiles)
+    ve, vb = ctx.exposure_value, ctx.purchase_value
     avail = {u: np.ones(n, dtype=bool) for u in user_ids}
     slots: dict[int, list[int]] = {u: [] for u in user_ids}
 
@@ -379,14 +449,13 @@ def allocate_vertical(
         for u in user_ids:
             idxs = np.flatnonzero(avail[u])
             r = rows[u][idxs]
-            scores = _equity_score_values(r, groups[idxs], ledger.raw_gains(), ve, vb, y, alpha)
+            scores = _equity_score_values(r, groups[idxs], ledger.raw_gains(), ctx, alpha)
             item = int(idxs[_argbest(idxs, scores, r)])
             g = int(groups[item])
             r_item = float(rows[u][item])
             ledger.exposure_gain[g] += p_k * ve[g]
             ledger.purchase_gain[g] += p_k * r_item * vb[g]
             ledger.group_exposure[g] += p_k
-            ledger.add_item_exposure(u, item, p_k)
             avail[u][item] = False
             slots[u].append(item)
     ledger.step_count += len(user_ids)
@@ -399,7 +468,7 @@ def allocate_vertical(
 
 
 def _rank_scored(sv: ScoreVector, user: int, pm: PositionModel, tie_break: str) -> RankList:
-    return RankList(tuple(rank_by_scores(sv, pm.list_size, tie_break)), user)
+    return RankList(tuple(rank_by_scores(sv, pm.list_size, tie_break).tolist()), user)
 
 
 def online_step_rank(
@@ -411,21 +480,30 @@ def online_step_rank(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     pm: PositionModel,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> RankList:
-    """Rank one user's candidates with estimated relevance (online mode)."""
+    """Rank one user's candidates with estimated relevance (online mode).
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
+    """
     if policy.kind == "EquityRankV":
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     if policy.kind == "TopK":
-        return _rank_scored(relevance_scores(candidates, user, estimator, catalog), user, pm, policy.tie_break)
+        sv = _relevance_scores(ids, user, estimator)
+        return _rank_scored(sv, user, pm, policy.tie_break)
     if policy.kind == "EquityRank":
-        sv = equityrank_scores(candidates, user, estimator, ledger, catalog, profiles, policy.alpha)
+        sv = equityrank_scores(ids, user, estimator, ledger, catalog, profiles, policy.alpha, ctx=ctx)
         return _rank_scored(sv, user, pm, policy.tie_break)
     if policy.kind == "FairCoStar":
-        return rank_fairco_star(candidates, user, estimator, ledger, catalog, profiles, policy.alpha, pm, policy.tie_break)
+        return rank_fairco_star(
+            ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, policy.tie_break, ctx=ctx
+        )
     if policy.kind == "PoorK":
-        return rank_poork(candidates, user, estimator, ledger, catalog, profiles, pm)
+        return rank_poork(ids, user, estimator, ledger, catalog, profiles, pm, ctx=ctx)
     if policy.kind == "MMFStar":
-        return rank_mmf_star(candidates, user, estimator, ledger, catalog, profiles, policy.alpha, pm)
+        return rank_mmf_star(ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, ctx=ctx)
     raise ValueError(f"unknown policy kind {policy.kind!r}")
 
 
@@ -438,14 +516,19 @@ def offline_rank_user(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     pm: PositionModel,
+    *,
+    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Rank one user's candidates with true relevance (offline mode).
 
     EquityRank refreshes its gradient per slot here; the other policies
     behave exactly as in the online dispatch.
+
+    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
     if policy.kind == "EquityRankV":
         raise ValueError("EquityRankV lists are built jointly; use allocate_vertical")
+    ids, ctx = _context(candidates, catalog, profiles, ctx)
     if policy.kind == "EquityRank":
-        return _rank_equityrank_slotwise(candidates, user, rel, ledger, catalog, profiles, policy.alpha, pm)
-    return online_step_rank(policy, candidates, user, rel, ledger, catalog, profiles, pm)
+        return _rank_equityrank_slotwise(ids, user, rel, ledger, catalog, ctx, policy.alpha, pm)
+    return online_step_rank(policy, ids, user, rel, ledger, catalog, profiles, pm, ctx=ctx)

@@ -7,6 +7,13 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
+An online run fixes each user's prefiltered candidate set when it starts, so
+the estimator's counters are (users x candidates) arrays on ``OnlineState``,
+indexed by candidate slot: the position of an item in its user's sorted
+candidate set. Per-run constants (provider arrays and the fairness
+gradient's constants) are built once per run into a ``ProviderContext`` that
+the step loop passes to the rankers.
+
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
 """
@@ -21,18 +28,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable
 from .metrics import (
     GainLedger,
     RunResult,
     alignment_diagnostics,
     andcg,
     cndcg_update,
-    dcg,
+    discounted_sum,
     ideal_dcg,
     unfairness,
 )
-from .rankers import PolicyConfig, allocate_vertical, offline_rank_user, online_step_rank
+from .rankers import PolicyConfig, ProviderContext, allocate_vertical, offline_rank_user, online_step_rank
 
 __all__ = [
     "OnlineState",
@@ -80,8 +87,8 @@ class SimConfig:
             raise ValueError("cutoff must lie in [1, list_size]")
         if self.prefilter_size < self.list_size:
             raise ValueError("prefilter_size must be at least list_size")
-        if self.prefilter_noise < 0:
-            raise ValueError("prefilter_noise must be nonnegative")
+        if not (math.isfinite(self.prefilter_noise) and self.prefilter_noise >= 0):
+            raise ValueError("prefilter_noise must be finite and nonnegative")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
         if self.mode not in ("offline", "online"):
@@ -94,42 +101,75 @@ class SimConfig:
 
 @dataclass
 class OnlineState:
-    """Mutable state of one online run: ledger, estimator counters, rng.
+    """Mutable state of one online run: ledger, candidate sets, estimator, rng.
 
-    The estimator's per-(user, item) exposure and purchase counters are the
-    ledger's; this object adds the candidate sets, the running discounted
-    effectiveness, and the step counter.
+    ``candidate_sets`` holds one row of distinct item ids per user, all rows
+    the same length; the constructor sorts each row ascending, and an item's
+    index in its user's row is its candidate slot (see ``slot``). The
+    estimator's counters are arrays of the same (users x candidates) shape,
+    indexed by slot: ``exposure`` accumulates examination probability and
+    ``purchases`` counts purchases. The provider-level gains live on the
+    ledger; this object adds the running discounted effectiveness and the
+    step counter.
+
+    Item-to-slot lookups go through one small dict per user, built once:
+    a served list has only a handful of items, and a dict lookup per item
+    costs less than any vectorised search does at that size.
     """
 
     ledger: GainLedger
-    candidate_sets: list[np.ndarray]
+    candidate_sets: np.ndarray
     rng: np.random.Generator
     cndcg: float = 0.0
     step: int = 0
     ideal_cache: np.ndarray | None = None
+    exposure: np.ndarray = field(init=False, repr=False)
+    purchases: np.ndarray = field(init=False, repr=False)
+    _slot_of: list[dict[int, int]] = field(init=False, repr=False)
 
-    @property
-    def estimator_exposure(self) -> dict[tuple[int, int], float]:
-        return self.ledger.item_exposure
+    def __post_init__(self) -> None:
+        sets = np.asarray(self.candidate_sets, dtype=np.int64)
+        if sets.ndim != 2 or sets.shape[1] == 0:
+            raise ValueError("candidate sets must be nonempty rows of equal length, one per user")
+        sets = np.sort(sets, axis=1)
+        if sets[:, 0].min() < 0:
+            raise ValueError("candidate sets contain a negative item id")
+        if np.any(sets[:, 1:] == sets[:, :-1]):
+            raise ValueError("a candidate set repeats an item id")
+        self.candidate_sets = sets
+        self.exposure = np.zeros(sets.shape, dtype=np.float64)
+        self.purchases = np.zeros(sets.shape, dtype=np.int64)
+        self._slot_of = [{item: slot for slot, item in enumerate(row)} for row in sets.tolist()]
 
-    @property
-    def estimator_purchases(self) -> dict[tuple[int, int], int]:
-        return self.ledger.item_purchases
+    def slots(self, user: int, items) -> list[int]:
+        """Candidate slots of ``items`` (a sequence of item ids) for ``user``.
 
-    def relevance_of(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Estimated relevance for a candidate vector (see estimate_relevance)."""
-        exposure = self.ledger.item_exposure
-        purchases = self.ledger.item_purchases
-        user = int(user)
-        out = np.empty(len(items), dtype=np.float64)
-        for j, item in enumerate(items):
-            key = (user, int(item))
-            e = exposure.get(key, 0.0)
-            if e <= 0.0:
-                out[j] = 1.0
-            else:
-                out[j] = min(1.0, purchases.get(key, 0) / e)
-        return out
+        Raises ValueError if any item is not one of the user's candidates.
+        """
+        slot_of = self._slot_of[user]
+        if isinstance(items, np.ndarray):
+            items = items.tolist()
+        try:
+            return [slot_of[item] for item in items]
+        except KeyError as err:
+            raise ValueError(f"item {err.args[0]} is not a candidate of user {user}") from None
+
+    def slot(self, user: int, item: int) -> int:
+        """Candidate slot of one item (the scalar view of ``slots``)."""
+        return self.slots(user, [item])[0]
+
+    def relevance_of(self, user: int, items) -> np.ndarray:
+        """Estimated relevance of candidate ``items`` (see estimate_relevance)."""
+        exposure, purchases = self.exposure[user], self.purchases[user]
+        row = self.candidate_sets[user]
+        # a ranker reading all of the user's candidates, in slot order, needs
+        # no slot lookup
+        if not (isinstance(items, np.ndarray) and items.shape == row.shape and (items == row).all()):
+            slots = self.slots(user, items)
+            exposure, purchases = exposure.take(slots), purchases.take(slots)
+        estimate = np.ones(exposure.size, dtype=np.float64)
+        np.divide(purchases, exposure, out=estimate, where=exposure > 0.0)
+        return np.minimum(estimate, 1.0, out=estimate)
 
 
 def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
@@ -139,13 +179,11 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     every candidate is eventually tried without an explicit exploration
     bonus. The clamp is needed because exposure accrues in fractional
     examination-probability units while purchases are whole events, so the
-    raw ratio can transiently exceed 1.
+    raw ratio can transiently exceed 1. This is the scalar view of
+    ``OnlineState.relevance_of``; ``item`` must be one of the user's
+    candidates.
     """
-    key = (int(user), int(item))
-    e = state.ledger.item_exposure.get(key, 0.0)
-    if e <= 0.0:
-        return 1.0
-    return min(1.0, state.ledger.item_purchases.get(key, 0) / e)
+    return float(state.relevance_of(user, [item])[0])
 
 
 def apply_feedback(
@@ -156,30 +194,46 @@ def apply_feedback(
     catalog: Catalog,
     state: OnlineState,
     pm: PositionModel,
+    *,
+    relevance: np.ndarray | None = None,
 ) -> np.ndarray:
     """Simulate one user's interaction with a served list.
 
     Exposure gain accrues deterministically (examination probability times
     the provider's exposure value); purchases are Bernoulli draws with
-    probability p_k * relevance, paying the provider's purchase value and
-    feeding the estimator's counters. Returns the per-position purchase
-    outcomes.
+    probability p_k * relevance, paying the provider's purchase value. The
+    estimator's counters grow at the served items' candidate slots; serving
+    an item that is not one of the user's candidates raises ValueError.
+    ``relevance`` is the served items' true relevance, one per position, for
+    a caller that already read it. Returns the per-position purchase outcomes.
     """
-    ledger = state.ledger
     user = int(user)
-    draws = state.rng.random(len(ranklist.positions))
-    bought = np.zeros(len(ranklist.positions), dtype=bool)
-    for k0, item in enumerate(ranklist.positions):
-        p_k = float(pm.probs[k0])
-        g = int(catalog.group_of[item])
+    items = ranklist.positions
+    if len(items) > pm.list_size:
+        raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
+    slots = state.slots(user, items)
+    if relevance is None:
+        relevance = rel.relevance_of(user, items)
+    elif len(relevance) != len(items):
+        raise ValueError(f"got {len(relevance)} relevances for {len(items)} served items")
+    draws = state.rng.random(len(items)).tolist()
+    ledger = state.ledger
+    exposure_gain, purchase_gain, group_exposure = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
+    exposure, purchases = state.exposure[user], state.purchases[user]
+    group_of = catalog.group_of
+    bought = np.zeros(len(items), dtype=bool)
+    # a few positions per list: scalar updates in position order beat
+    # vectorised ones here, and add repeated providers' gains in list order
+    for k0, (item, p_k, r, slot) in enumerate(zip(items, pm.probs.tolist(), relevance.tolist(), slots)):
+        g = int(group_of[item])
         profile = profiles[g]
-        ledger.exposure_gain[g] += p_k * profile.exposure_value
-        if draws[k0] < p_k * rel.get(user, item):
-            ledger.purchase_gain[g] += profile.purchase_value
-            ledger.add_item_purchase(user, item)
+        exposure_gain[g] += p_k * profile.exposure_value
+        if draws[k0] < p_k * r:
+            purchase_gain[g] += profile.purchase_value
+            purchases[slot] += 1
             bought[k0] = True
-        ledger.add_item_exposure(user, item, p_k)
-        ledger.group_exposure[g] += p_k
+        exposure[slot] += p_k
+        group_exposure[g] += p_k
     ledger.step_count += 1
     return bought
 
@@ -201,7 +255,6 @@ def apply_expected_feedback(
         profile = profiles[g]
         ledger.exposure_gain[g] += p_k * profile.exposure_value
         ledger.purchase_gain[g] += p_k * rel.get(user, item) * profile.purchase_value
-        ledger.add_item_exposure(user, item, p_k)
         ledger.group_exposure[g] += p_k
     ledger.step_count += 1
 
@@ -243,11 +296,11 @@ def _result(
     effectiveness: float,
     ledger: GainLedger,
     profiles: Sequence[ProviderProfile],
+    ctx: ProviderContext,
     wall: float,
 ) -> RunResult:
-    _, _, y = provider_arrays(profiles)
     if ledger.step_count > 0:
-        unfair = unfairness(ledger.averaged_gains(), y)
+        unfair = unfairness(ledger.averaged_gains(), ctx.gain_target)
     else:
         unfair = math.nan
     try:
@@ -297,26 +350,28 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, user_order[:8])
 
     start = time.perf_counter()
+    ctx = ProviderContext.of(profiles)
     ledger = GainLedger.empty(catalog.provider_count)
     if policy == "EquityRankV":
-        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm)
+        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, ctx=ctx)
     else:
         candidates = np.arange(catalog.item_count, dtype=np.int64)
         lists = []
         for user in user_order:
-            rl = offline_rank_user(policy_cfg, candidates, int(user), rel, ledger, catalog, profiles, pm)
+            rl = offline_rank_user(policy_cfg, candidates, int(user), rel, ledger, catalog, profiles, pm, ctx=ctx)
             apply_expected_feedback(rl, int(user), rel, profiles, catalog, ledger, pm)
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
     wall = time.perf_counter() - start
-    return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
+    return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, ctx, wall)
 
 
 def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
     """Initialize an online run: seeded rng, prefiltered candidate sets, caches.
 
     The prefilter size is capped at the catalog size so small datasets can
-    run with the protocol defaults.
+    run with the protocol defaults. The prefilter draws candidates from the
+    catalog's own ids, so the step loop trusts them without rechecking.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
@@ -348,28 +403,33 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
     policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
-    _, _, y = provider_arrays(profiles)
+    cutoff = cfg.eval_cutoff
+    probs = pm.probs.tolist()
 
     start = time.perf_counter()
+    ctx = ProviderContext.of(profiles)
     state = make_online_state(dataset, seed, cfg)
+    ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
-        candidates = state.candidate_sets[user]
-        rl = online_step_rank(policy_cfg, candidates, user, state, state.ledger, catalog, profiles, pm)
-        apply_feedback(rl, user, rel, profiles, catalog, state, pm)
-        ideal = state.ideal_cache[user]
-        ndcg_t = 1.0 if ideal == 0.0 else dcg(rl, rel, cfg.eval_cutoff, pm) / ideal
+        rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm, ctx=ctx)
+        # one read of the served items' true relevance feeds both the
+        # purchase draws and the step's DCG
+        served = rel.relevance_of(user, rl.positions)
+        apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
+        ideal = ideal_dcgs[user]
+        ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cutoff) / ideal
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t
         if ndcg_series is not None:
             ndcg_series[t - 1] = ndcg_t
         if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
-            trace.checkpoints.append((t, state.cndcg, unfairness(state.ledger.averaged_gains(), y)))
+            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), ctx.gain_target)))
 
     wall = time.perf_counter() - start
     trace.ndcg_series = ndcg_series
-    result = _result("online", policy, alpha, seed, state.cndcg, state.ledger, profiles, wall)
+    result = _result("online", policy, alpha, seed, state.cndcg, ledger, profiles, ctx, wall)
     return result, trace

@@ -313,6 +313,8 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
             "v_b": _parse_float(vb, PROVIDERS_FILE, lineno, "v_b"),
             "y": _parse_float(y, PROVIDERS_FILE, lineno, "y"),
         }
+        if not all(math.isfinite(v) for v in values.values()):
+            raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: gain weights and y must be finite")
         if values["v_e"] < 0 or values["v_b"] < 0:
             raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: gain weights must be nonnegative")
         if values["y"] <= 0:

@@ -430,17 +430,18 @@ def test_c8_online_protocol(tmp_path):
     direct = float(np.sum(0.995 ** (T - np.arange(1, T + 1)) * series))
     cndcg_err = abs(result.effectiveness - direct) / max(abs(direct), 1e-12)
 
-    # estimator convergence harness: one candidate at the top slot, r = 0.4
+    # estimator convergence harness: item 0 served alone at the top slot,
+    # r = 0.4; the candidate set holds both items, so item 0 is one of them
     harness = generate_dataset(GeneratorSpec(n_users=1, n_items=2, n_providers=2, sparsity=1.0, seed=3),
                                ScenarioSpec.common())
     true_r = harness.relevance.get(0, 0)
-    state = make_online_state(harness, 11, SimConfig(list_size=1, prefilter_size=1, prefilter_noise=0.0,
+    state = make_online_state(harness, 11, SimConfig(list_size=1, prefilter_size=2, prefilter_noise=0.0,
                                                      total_steps=0, mode="online"))
     pm1 = PositionModel.logarithmic(1)
     for _ in range(2000):
         apply_feedback(RankList((0,), 0), 0, harness.relevance, harness.profiles, harness.catalog, state, pm1)
     estimate = estimate_relevance(0, 0, state)
-    converged = abs(estimate - true_r) <= 0.05 and state.ledger.item_exposure[(0, 0)] >= 200
+    converged = abs(estimate - true_r) <= 0.05 and state.exposure[0, state.slot(0, 0)] >= 200
 
     ok = elapsed < 600.0 and cndcg_err <= 1e-6 and converged
     report(

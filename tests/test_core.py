@@ -104,6 +104,12 @@ class TestProviderProfile:
         with pytest.raises(ValueError):
             ProviderProfile(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_weights_and_target(self, bad):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                ProviderProfile(*args)
+
 
 class TestRankList:
     def test_rejects_duplicates(self):

@@ -20,6 +20,7 @@ from equityrank import (
     rank_mmf_star,
     rank_poork,
 )
+from equityrank.rankers import PARTITION_MIN_CANDIDATES
 
 PM2 = PositionModel.logarithmic(2)
 PM3 = PositionModel.logarithmic(3)
@@ -70,6 +71,15 @@ class TestEquityrankScores:
         with pytest.raises(ValueError):
             equityrank_scores([0, 7], 0, rel, ledger_with_gains([0.0, 0.0]), cat, uniform_profiles(2), 0.1)
 
+    def test_single_provider_has_no_gradient(self):
+        cat = Catalog.from_assignments([0, 0])
+        rel = RelevanceTable(1, [(0, 0, 0.4)])
+        ledger = ledger_with_gains([1.0])
+        sv = equityrank_scores([0, 1], 0, rel, ledger, cat, uniform_profiles(1), alpha=0.0)
+        np.testing.assert_array_equal(sv.scores, [0.4, 0.0])
+        with pytest.raises(ValueError, match="two providers"):
+            equityrank_scores([0, 1], 0, rel, ledger, cat, uniform_profiles(1), alpha=0.5)
+
 
 class TestRankByScores:
     def test_sorts_descending(self):
@@ -97,6 +107,16 @@ class TestRankByScores:
     def test_rejects_nonfinite_scores(self):
         with pytest.raises(ValueError):
             ScoreVector(np.array([0, 1]), np.array([1.0, np.nan]), np.zeros(2))
+
+    def test_partition_path_matches_full_sort_with_ties(self):
+        rng = np.random.default_rng(5)
+        for n in (PARTITION_MIN_CANDIDATES, 1000):
+            ids = rng.permutation(n)
+            scores = np.round(rng.random(n), 1)  # many candidates tie at the k-th score
+            rel = np.round(rng.random(n), 1)
+            for tie_break, keys in (("relevance_then_id", (ids, -rel, -scores)), ("id", (ids, -scores))):
+                got = rank_by_scores(ScoreVector(ids, scores, rel), 5, tie_break)
+                np.testing.assert_array_equal(got, ids[np.lexsort(keys)[:5]])
 
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(23)
@@ -238,6 +258,11 @@ class TestDispatch:
             PolicyConfig("TopK", alpha=-1.0)
         with pytest.raises(ValueError):
             PolicyConfig("TopK", tie_break="random")
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_policy_config_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            PolicyConfig("EquityRank", alpha=alpha)
 
     def test_online_equityrank_matches_hand_ordering(self):
         # three items, two groups; gradient [2, -4] from gains [1,1], targets [2,1]

@@ -39,9 +39,10 @@ def tiny_dataset(rel_entries, groups, profiles, n_users):
 
 
 def fresh_state(m=2, users=1, candidate_sets=None, seed=0):
+    # the candidate set holds every item the tests below serve or estimate
     return OnlineState(
         ledger=GainLedger.empty(m),
-        candidate_sets=candidate_sets or [np.arange(2)] * users,
+        candidate_sets=candidate_sets or [np.array([0, 1, 2, 5])] * users,
         rng=np.random.default_rng(seed),
     )
 
@@ -49,7 +50,7 @@ def fresh_state(m=2, users=1, candidate_sets=None, seed=0):
 class TestEstimateRelevance:
     def test_never_purchased(self):
         state = fresh_state()
-        state.ledger.item_exposure[(0, 5)] = 2.0
+        state.exposure[0, state.slot(0, 5)] = 2.0
         assert estimate_relevance(0, 5, state) == 0.0
 
     def test_cold_start_prior(self):
@@ -57,22 +58,77 @@ class TestEstimateRelevance:
 
     def test_direct_ratio(self):
         state = fresh_state()
-        state.ledger.item_exposure[(0, 5)] = 4.0
-        state.ledger.item_purchases[(0, 5)] = 3
+        state.exposure[0, state.slot(0, 5)] = 4.0
+        state.purchases[0, state.slot(0, 5)] = 3
         assert estimate_relevance(0, 5, state) == 0.75
 
     def test_clamped_to_one(self):
         state = fresh_state()
-        state.ledger.item_exposure[(0, 5)] = 0.5
-        state.ledger.item_purchases[(0, 5)] = 2
+        state.exposure[0, state.slot(0, 5)] = 0.5
+        state.purchases[0, state.slot(0, 5)] = 2
         assert estimate_relevance(0, 5, state) == 1.0
 
     def test_vector_view_matches_scalar(self):
         state = fresh_state()
-        state.ledger.item_exposure[(0, 1)] = 2.0
-        state.ledger.item_purchases[(0, 1)] = 1
+        state.exposure[0, state.slot(0, 1)] = 2.0
+        state.purchases[0, state.slot(0, 1)] = 1
         got = state.relevance_of(0, np.array([0, 1]))
         np.testing.assert_allclose(got, [estimate_relevance(0, 0, state), estimate_relevance(0, 1, state)])
+
+
+class TestOnlineStateSlots:
+    def test_rows_are_sorted_and_slots_index_them(self):
+        state = fresh_state(users=2, candidate_sets=[np.array([7, 3, 5]), np.array([1, 9, 4])])
+        np.testing.assert_array_equal(state.candidate_sets, [[3, 5, 7], [1, 4, 9]])
+        assert [state.slot(0, i) for i in (3, 5, 7)] == [0, 1, 2]
+        assert state.slots(1, np.array([9, 1])) == [2, 0]
+        assert state.exposure.shape == state.purchases.shape == (2, 3)
+
+    def test_non_candidate_is_rejected(self):
+        state = fresh_state()
+        with pytest.raises(ValueError, match="not a candidate"):
+            state.slot(0, 3)
+        with pytest.raises(ValueError, match="not a candidate"):
+            estimate_relevance(0, 3, state)
+
+    def test_serving_a_non_candidate_raises_and_changes_nothing(self):
+        catalog = Catalog.from_assignments([0, 0, 1, 1])
+        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 5.0, 1.0)]
+        rel = RelevanceTable(1, [(0, 3, 1.0)])
+        state = fresh_state()
+        with pytest.raises(ValueError, match="item 3 is not a candidate of user 0"):
+            apply_feedback(RankList((0, 3, 1), 0), 0, rel, profiles, catalog, state, PM3)
+        assert state.ledger.step_count == 0
+        assert not state.exposure.any() and not state.ledger.group_exposure.any()
+
+    def test_relevance_length_mismatch_raises_and_changes_nothing(self):
+        catalog = Catalog.from_assignments([0, 0, 1, 1])
+        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 5.0, 1.0)]
+        rel = RelevanceTable(1, [(0, 0, 1.0)])
+        state = fresh_state()
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match="2 relevances for 3 served items"):
+            apply_feedback(
+                RankList((0, 1, 2), 0), 0, rel, profiles, catalog, state, PM3, relevance=np.array([1.0, 0.5])
+            )
+        assert state.ledger.step_count == 0
+        assert not state.exposure.any() and not state.purchases.any() and not state.ledger.group_exposure.any()
+        assert state.rng.bit_generator.state == rng_before
+
+    @pytest.mark.parametrize(
+        "sets", [[np.array([0, 1]), np.array([0, 1, 2])], [np.array([0, 0, 1])], [np.array([-1, 2])], [np.array([])]]
+    )
+    def test_rejects_malformed_candidate_sets(self, sets):
+        with pytest.raises(ValueError):
+            fresh_state(users=len(sets), candidate_sets=sets)
+
+    def test_full_row_read_matches_scalar_view(self):
+        state = fresh_state()
+        state.exposure[0] = [2.0, 0.0, 0.5, 4.0]
+        state.purchases[0] = [1, 0, 2, 3]
+        row = state.candidate_sets[0]
+        np.testing.assert_array_equal(state.relevance_of(0, row), [0.5, 1.0, 1.0, 0.75])
+        assert state.relevance_of(0, row).tolist() == [estimate_relevance(0, int(i), state) for i in row]
 
 
 class TestApplyFeedback:
@@ -97,7 +153,7 @@ class TestApplyFeedback:
             state = fresh_state(seed=seed)
             bought = apply_feedback(RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3)
             assert bought[0]
-            assert state.ledger.item_purchases[(0, 0)] == 1
+            assert state.purchases[0, state.slot(0, 0)] == 1
 
     def test_purchase_rate_matches_position_times_relevance(self):
         # r = 0.5 at rank 2 -> purchase probability 0.25
@@ -106,7 +162,7 @@ class TestApplyFeedback:
         trials = 100_000
         for _ in range(trials):
             apply_feedback(RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3)
-        freq = state.ledger.item_purchases[(0, 1)] / trials
+        freq = state.purchases[0, state.slot(0, 1)] / trials
         sigma = math.sqrt(0.25 * 0.75 / trials)
         assert abs(freq - 0.25) <= 3 * sigma
 
@@ -115,8 +171,8 @@ class TestApplyFeedback:
         state = fresh_state()
         apply_feedback(RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3)
         apply_feedback(RankList((2, 1, 0), 0), 0, rel, self.profiles, self.catalog, state, PM3)
-        assert state.ledger.item_exposure[(0, 0)] == pytest.approx(1.0 + PM3.probs[2])
-        assert state.ledger.item_exposure[(0, 1)] == pytest.approx(1.0)
+        assert state.exposure[0, state.slot(0, 0)] == pytest.approx(1.0 + PM3.probs[2])
+        assert state.exposure[0, state.slot(0, 1)] == pytest.approx(1.0)
 
 
 class TestExpectedFeedback:
@@ -340,7 +396,7 @@ class TestEstimatorConvergence:
         exposures = 2000
         for _ in range(exposures):
             apply_feedback(RankList((0,), 0), 0, ds.relevance, ds.profiles, ds.catalog, state, pm)
-        assert state.ledger.item_exposure[(0, 0)] >= 200
+        assert state.exposure[0, state.slot(0, 0)] >= 200
         estimate = estimate_relevance(0, 0, state)
         assert abs(estimate - true_r) <= 0.05
 
@@ -363,3 +419,8 @@ class TestSimConfig:
             SimConfig(prefilter_size=3)
         with pytest.raises(ValueError):
             SimConfig(mode="hybrid")
+
+    @pytest.mark.parametrize("noise", [math.inf, math.nan, -0.1])
+    def test_rejects_nonfinite_or_negative_prefilter_noise(self, noise):
+        with pytest.raises(ValueError, match="prefilter_noise"):
+            SimConfig(prefilter_noise=noise)

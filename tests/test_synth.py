@@ -193,6 +193,12 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="providers.csv row 3"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("row", ["b,inf,1,5", "b,1,nan,5", "b,1,1,inf"])
+    def test_nonfinite_profile_cites_row(self, tmp_path, row):
+        d = write_dataset_dir(tmp_path, ["a,1,1,5", row], ["x,a", "y,b"], ["u,x,0.5"])
+        with pytest.raises(DatasetError, match="providers.csv row 3: .*finite"):
+            load_dataset(d)
+
     def test_unknown_item_cites_row(self, tmp_path):
         d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a"], ["u,zzz,0.5"])
         with pytest.raises(DatasetError, match="relevance.csv row 2"):
