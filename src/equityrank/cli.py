@@ -133,18 +133,14 @@ def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
     return SimConfig(**sim_cfg)
 
 
-def _build_generator(config: dict, args: argparse.Namespace) -> GeneratorSpec | None:
-    gen_cfg = config.get("generator")
-    if gen_cfg is None and getattr(args, "dataset", None) is None and config.get("dataset") is None:
-        gen_cfg = {}
-    if gen_cfg is None:
-        return None
+def _build_generator(config: dict, args: argparse.Namespace) -> GeneratorSpec:
+    gen_cfg = dict(config.get("generator") or {})
     known = {f.name for f in fields(GeneratorSpec)}
     unknown = set(gen_cfg) - known
     if unknown:
         raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
     if getattr(args, "seed", None) is not None:
-        gen_cfg = {**gen_cfg, "seed": args.seed}
+        gen_cfg["seed"] = args.seed
     return GeneratorSpec(**gen_cfg)
 
 
@@ -278,20 +274,7 @@ def _write_results(out: Path, results: list[RunResult]) -> None:
     rows = [",".join(DETERMINISTIC_FIELDS)]
     timing_rows = ["policy,alpha,seed,wall_ms"]
     for r in results:
-        rows.append(
-            ",".join(
-                (
-                    r.mode,
-                    r.policy,
-                    format_float(r.alpha),
-                    str(r.seed),
-                    format_float(r.effectiveness),
-                    format_float(r.unfairness),
-                    format_float(r.msd),
-                    format_float(r.pearson),
-                )
-            )
-        )
+        rows.append(",".join(r.deterministic_values()))
         timing_rows.append(f"{r.policy},{format_float(r.alpha)},{r.seed},{format_float(r.wall_time * 1000.0)}")
     (out / "results.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     (out / "timings.csv").write_text("\n".join(timing_rows) + "\n", encoding="utf-8")
@@ -320,6 +303,20 @@ def _group_stats(results: list[RunResult]) -> dict[tuple[str, float], dict[str, 
     return stats
 
 
+def _envelopes(stats: dict[tuple[str, float], dict[str, float]]) -> dict[str, list[tuple[float, float]]]:
+    """Per-policy trade-off envelopes of the seed-averaged points, by policy name."""
+    envelopes = {}
+    for policy in sorted({policy for policy, _ in stats}):
+        points = [
+            (s["unfairness_mean"], s["effectiveness_mean"])
+            for (p, _), s in sorted(stats.items())
+            if p == policy and not math.isnan(s["unfairness_mean"])
+        ]
+        if points:
+            envelopes[policy] = tradeoff_envelope(points)
+    return envelopes
+
+
 def _write_summary_and_envelopes(out: Path, results: list[RunResult]) -> None:
     stats = _group_stats(results)
     lines = [
@@ -335,15 +332,7 @@ def _write_summary_and_envelopes(out: Path, results: list[RunResult]) -> None:
         )
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for policy in sorted({policy for policy, _ in stats}):
-        points = [
-            (s["unfairness_mean"], s["effectiveness_mean"])
-            for (p, _), s in sorted(stats.items())
-            if p == policy and not math.isnan(s["unfairness_mean"])
-        ]
-        if not points:
-            continue
-        envelope = tradeoff_envelope(points)
+    for policy, envelope in _envelopes(stats).items():
         rows = ["threshold,effectiveness"]
         rows += [f"{format_float(u)},{format_float(e)}" for u, e in envelope]
         (out / f"envelope_{policy}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -450,16 +439,7 @@ def cmd_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Pa
         lines.append(f"{policy},{format_float(alpha_star)},{format_float(s['msd_mean'])},{format_float(s['pearson_mean'])}")
     (out / "report_alignment.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    curves = {}
-    for policy in policies:
-        points = [
-            (s["unfairness_mean"], s["effectiveness_mean"])
-            for (p, _), s in sorted(stats.items())
-            if p == policy and not math.isnan(s["unfairness_mean"])
-        ]
-        if points:
-            curves[policy] = tradeoff_envelope(points)
-    write_tradeoff_svg(out / "tradeoff.svg", curves)
+    write_tradeoff_svg(out / "tradeoff.svg", _envelopes(stats))
     return out
 
 
@@ -513,11 +493,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "generate":
             config = _load_config(args.config)
-            gen_cfg = dict(config.get("generator", {}))
-            if args.seed is not None:
-                gen_cfg["seed"] = args.seed
-            scenario_name = args.scenario or config.get("scenario", "common")
-            out = cmd_generate(GeneratorSpec(**gen_cfg), ScenarioSpec.by_name(scenario_name), args.out, args.force)
+            scenario = ScenarioSpec.by_name(args.scenario or config.get("scenario", "common"))
+            out = cmd_generate(_build_generator(config, args), scenario, args.out, args.force)
             print(f"dataset written to {out}")
         elif args.command == "run":
             config = _load_config(args.config)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,10 +198,6 @@ class RelevanceTable:
             rows.setdefault(user, {})[item] = value
         self._rows = rows
         self._sorted_values: dict[int, np.ndarray] = {}
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[tuple[int, int], float], user_count: int) -> RelevanceTable:
-        return cls(user_count, ((u, i, r) for (u, i), r in values.items()))
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._rows.values())

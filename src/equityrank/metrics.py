@@ -69,6 +69,20 @@ class GainLedger:
     def provider_count(self) -> int:
         return self.exposure_gain.size
 
+    def accrue(self, groups: Sequence[int], probs, purchases, profiles: Sequence[ProviderProfile]) -> None:
+        """Add one list's provider gains, one position at a time, top first.
+
+        Position k pays its provider ``groups[k]`` p_k * v_e of exposure
+        gain, ``purchases[k]`` * v_b of purchase gain and p_k of examination
+        mass. ``purchases`` are expected purchases (p_k * relevance). The
+        caller counts the served list in ``step_count``.
+        """
+        for g, p_k, bought in zip(groups, probs, purchases):
+            profile = profiles[g]
+            self.exposure_gain[g] += p_k * profile.exposure_value
+            self.purchase_gain[g] += bought * profile.purchase_value
+            self.group_exposure[g] += p_k
+
     def raw_gains(self) -> np.ndarray:
         """Cumulative provider gains without the 1/T averaging."""
         return self.exposure_gain + self.purchase_gain
@@ -323,20 +337,24 @@ class RunResult:
     pearson: float
     wall_time: float
 
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                self.mode,
-                self.policy,
-                format_float(self.alpha),
-                str(self.seed),
-                format_float(self.effectiveness),
-                format_float(self.unfairness),
-                format_float(self.msd),
-                format_float(self.pearson),
-                format_float(self.wall_time * 1000.0),
-            )
+    def deterministic_values(self) -> tuple[str, ...]:
+        """The serialised fields of ``RESULT_FIELDS`` before ``wall_ms``.
+
+        These are the bytes a rerun reproduces; the wall time is not.
+        """
+        return (
+            self.mode,
+            self.policy,
+            format_float(self.alpha),
+            str(self.seed),
+            format_float(self.effectiveness),
+            format_float(self.unfairness),
+            format_float(self.msd),
+            format_float(self.pearson),
         )
+
+    def csv_row(self) -> str:
+        return ",".join((*self.deterministic_values(), format_float(self.wall_time * 1000.0)))
 
     @staticmethod
     def csv_header() -> str:

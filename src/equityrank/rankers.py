@@ -24,17 +24,21 @@ candidate ids it has already checked against the catalog (the loops check
 each candidate set once, when they build it): with ``ctx`` the ids are only
 converted to int64, not bounds-checked.
 
-Tie-breaking is deterministic everywhere: score descending, then relevance
-descending, then item id ascending ("relevance_then_id"); the "id" rule
-skips the relevance key.
+PoorK, MMF*, offline EquityRank and EquityRankV share one slot-greedy
+kernel: each slot takes the best remaining candidate under the policy's
+score, then adds its expected gain p_k (v_e + r v_b) to the provider gains
+before the next slot is scored.
+
+Tie-breaking is deterministic everywhere and has a single rule: score
+descending, then relevance descending, then item id ascending.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,7 +47,6 @@ from .metrics import GainLedger, fairness_gradient_unchecked
 
 __all__ = [
     "POLICY_KINDS",
-    "TIE_BREAK_RULES",
     "PolicyConfig",
     "ProviderContext",
     "ScoreVector",
@@ -58,7 +61,6 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-TIE_BREAK_RULES = ("relevance_then_id", "id")
 # Below this many candidates one full sort is cheaper than narrowing the
 # field with a partition first (measured for k = 5: the two cost the same
 # near 200 candidates); both select the same list.
@@ -76,14 +78,11 @@ class PolicyConfig:
 
     kind: str
     alpha: float = 0.0
-    tie_break: str = "relevance_then_id"
 
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
         _check_alpha(self.alpha)
-        if self.tie_break not in TIE_BREAK_RULES:
-            raise ValueError(f"unknown tie-break rule {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,6 @@ class ScoreVector:
             raise ValueError("scores must be finite")
 
 
-def _candidate_array(candidates: Sequence[int] | np.ndarray, catalog: Catalog) -> np.ndarray:
-    ids = np.asarray(candidates, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError("candidates must be a nonempty 1-d sequence of item ids")
-    if ids.min() < 0 or ids.max() >= catalog.item_count:
-        raise ValueError("candidate set contains an unknown item id")
-    return ids
-
-
 def _context(
     candidates, catalog: Catalog, profiles: Sequence[ProviderProfile], ctx: ProviderContext | None
 ) -> tuple[np.ndarray, ProviderContext]:
@@ -154,22 +144,17 @@ def _context(
     once, when it built its candidate sets, so they are only converted here;
     for any other caller the ids are checked and the context built here.
     """
-    if ctx is None:
-        return _candidate_array(candidates, catalog), ProviderContext.of(profiles)
-    return np.asarray(candidates, dtype=np.int64), ctx
+    ids = np.asarray(candidates, dtype=np.int64)
+    if ctx is not None:
+        return ids, ctx
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("candidates must be a nonempty 1-d sequence of item ids")
+    if ids.min() < 0 or ids.max() >= catalog.item_count:
+        raise ValueError("candidate set contains an unknown item id")
+    return ids, ProviderContext.of(profiles)
 
 
-def _sorted_order(ids: np.ndarray, scores: np.ndarray, rel: np.ndarray, tie_break: str) -> np.ndarray:
-    # np.lexsort sorts by the last key first, so keys are listed least
-    # significant to most significant.
-    if tie_break == "relevance_then_id":
-        return np.lexsort((ids, -rel, -scores))
-    if tie_break == "id":
-        return np.lexsort((ids, -scores))
-    raise ValueError(f"unknown tie-break rule {tie_break!r}")
-
-
-def rank_by_scores(sv: ScoreVector, k: int, tie_break: str = "relevance_then_id") -> np.ndarray:
+def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     """Top-``k`` item ids by descending score with deterministic tie-breaking.
 
     When k is small relative to a large candidate count, an O(n) partition
@@ -185,22 +170,64 @@ def rank_by_scores(sv: ScoreVector, k: int, tie_break: str = "relevance_then_id"
         kth = np.partition(neg, k - 1)[k - 1]
         keep = np.flatnonzero(neg <= kth)
         ids, scores, rel = ids[keep], scores[keep], rel[keep]
-    return ids[_sorted_order(ids, scores, rel, tie_break)[:k]]
+    # np.lexsort sorts by the last key first, so keys are listed least
+    # significant to most significant.
+    return ids[np.lexsort((ids, -rel, -scores))[:k]]
 
 
-def _argbest(ids: np.ndarray, scores: np.ndarray, rel: np.ndarray) -> int:
-    """Index of the single best entry under (score desc, rel desc, id asc)."""
+# Scores of the still-available candidates, given their relevance, their
+# providers and the current provider gains.
+SlotScore = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _pick(
+    ids: np.ndarray, rel: np.ndarray, groups: np.ndarray, avail: np.ndarray, gains: np.ndarray, score: SlotScore
+) -> int:
+    """Take the best available candidate and return its index.
+
+    Best is the highest ``score``, ties broken by relevance descending, then
+    id ascending. The pick is marked unavailable in ``avail``.
+    """
+    idxs = np.flatnonzero(avail)
+    r = rel[idxs]
+    scores = score(r, groups[idxs], gains)
     tied = np.flatnonzero(scores == scores.max())
-    if tied.size == 1:
-        return int(tied[0])
-    sub = tied[np.lexsort((ids[tied], -rel[tied]))]
-    return int(sub[0])
+    if tied.size > 1:
+        tied = tied[np.lexsort((ids[idxs[tied]], -r[tied]))]
+    best = int(idxs[tied[0]])
+    avail[best] = False
+    return best
 
 
-def _relevance_scores(ids: np.ndarray, user: int, rel_source) -> ScoreVector:
-    """TopK scoring of checked candidate ids: the score of an item is its relevance."""
+def _greedy_fill(
+    ids: np.ndarray,
+    user: int,
+    rel_source,
+    ledger: GainLedger,
+    catalog: Catalog,
+    ctx: ProviderContext,
+    pm: PositionModel,
+    score: SlotScore,
+) -> RankList:
+    """Fill one user's list slot by slot with ``_pick``.
+
+    After each slot the placed item's expected gain p_k (v_e + r v_b) is
+    added to a slot-local copy of the ledger's gains, which the next slot's
+    scores read; the ledger itself is not changed.
+    """
+    if ids.size < pm.list_size:
+        raise ValueError(f"need at least {pm.list_size} candidates, got {ids.size}")
     rel = rel_source.relevance_of(user, ids)
-    return ScoreVector(item_ids=ids, scores=rel, relevance=rel)
+    groups = catalog.group_of[ids]
+    gains = ledger.raw_gains()
+    avail = np.ones(ids.size, dtype=bool)
+    chosen: list[int] = []
+    for p_k in pm.probs:
+        pick = _pick(ids, rel, groups, avail, gains, score)
+        g = groups[pick]
+        gains[g] += p_k * (ctx.exposure_value[g] + rel[pick] * ctx.purchase_value[g])
+        chosen.append(int(ids[pick]))
+    return RankList(tuple(chosen), user)
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +295,14 @@ def rank_poork(
     examination probability, is added to a slot-local gain copy before the
     next slot is decided.
 
+    This is MMF*'s score at alpha = 1, where the blend reduces to the
+    worst-off provider indicator.
+
     With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
     ids, ctx = _context(candidates, catalog, profiles, ctx)
-    k_slots = pm.list_size
-    if ids.size < k_slots:
-        raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
-    rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    ve, vb, y = ctx.exposure_value, ctx.purchase_value, ctx.gain_target
-    gains = ledger.raw_gains().copy()
-
-    queues: dict[int, deque[int]] = {}
-    for idx in np.lexsort((ids, -rel)):
-        queues.setdefault(int(groups[idx]), deque()).append(int(idx))
-
-    chosen: list[int] = []
-    for k0 in range(k_slots):
-        live = [g for g in sorted(queues) if queues[g]]
-        ratios = [gains[g] / y[g] for g in live]
-        g_star = live[int(np.argmin(ratios))]
-        idx = queues[g_star].popleft()
-        chosen.append(int(ids[idx]))
-        gains[g_star] += pm.probs[k0] * (ve[g_star] + rel[idx] * vb[g_star])
-    return RankList(tuple(chosen), user)
+    score = partial(_mmf_score_values, ctx=ctx, alpha=1.0)
+    return _greedy_fill(ids, user, rel_source, ledger, catalog, ctx, pm, score)
 
 
 def rank_fairco_star(
@@ -303,7 +314,6 @@ def rank_fairco_star(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
-    tie_break: str = "relevance_then_id",
     *,
     ctx: ProviderContext | None = None,
 ) -> RankList:
@@ -322,7 +332,7 @@ def rank_fairco_star(
     ratios = ledger.raw_gains() / ctx.gain_target
     err = np.maximum(0.0, ratios.max() - ratios)
     sv = ScoreVector(item_ids=ids, scores=rel + alpha * err[groups], relevance=rel)
-    return _rank_scored(sv, user, pm, tie_break)
+    return _rank_scored(sv, user, pm)
 
 
 def rank_mmf_star(
@@ -349,61 +359,20 @@ def rank_mmf_star(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1] for this policy")
     ids, ctx = _context(candidates, catalog, profiles, ctx)
-    k_slots = pm.list_size
-    if ids.size < k_slots:
-        raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
-    rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    ve, vb, y = ctx.exposure_value, ctx.purchase_value, ctx.gain_target
-    gains = ledger.raw_gains().copy()
-    avail = np.ones(ids.size, dtype=bool)
-
-    chosen: list[int] = []
-    for k0 in range(k_slots):
-        idxs = np.flatnonzero(avail)
-        r = rel[idxs]
-        lo, hi = r.min(), r.max()
-        norm = (r - lo) / (hi - lo) if hi > lo else np.zeros_like(r)
-        live = np.unique(groups[idxs])
-        worst = int(live[int(np.argmin(gains[live] / y[live]))])
-        scores = (1.0 - alpha) * norm + alpha * (groups[idxs] == worst)
-        pick = int(idxs[_argbest(ids[idxs], scores, r)])
-        chosen.append(int(ids[pick]))
-        gains[groups[pick]] += pm.probs[k0] * (ve[groups[pick]] + rel[pick] * vb[groups[pick]])
-        avail[pick] = False
-    return RankList(tuple(chosen), user)
+    score = partial(_mmf_score_values, ctx=ctx, alpha=alpha)
+    return _greedy_fill(ids, user, rel_source, ledger, catalog, ctx, pm, score)
 
 
-def _rank_equityrank_slotwise(
-    ids: np.ndarray,
-    user: int,
-    rel_source,
-    ledger: GainLedger,
-    catalog: Catalog,
-    ctx: ProviderContext,
-    alpha: float,
-    pm: PositionModel,
-) -> RankList:
-    """Offline EquityRank: refresh the gradient after every filled slot."""
-    k_slots = pm.list_size
-    if ids.size < k_slots:
-        raise ValueError(f"need at least {k_slots} candidates, got {ids.size}")
-    rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    ve, vb = ctx.exposure_value, ctx.purchase_value
-    gains = ledger.raw_gains().copy()
-    avail = np.ones(ids.size, dtype=bool)
-
-    chosen: list[int] = []
-    for k0 in range(k_slots):
-        idxs = np.flatnonzero(avail)
-        r = rel[idxs]
-        scores = _equity_score_values(r, groups[idxs], gains, ctx, alpha)
-        pick = int(idxs[_argbest(ids[idxs], scores, r)])
-        chosen.append(int(ids[pick]))
-        gains[groups[pick]] += pm.probs[k0] * (ve[groups[pick]] + rel[pick] * vb[groups[pick]])
-        avail[pick] = False
-    return RankList(tuple(chosen), user)
+def _mmf_score_values(
+    rel: np.ndarray, groups: np.ndarray, raw_gains: np.ndarray, ctx: ProviderContext, alpha: float
+) -> np.ndarray:
+    # the worst-off provider has the smallest gain-to-target ratio among the
+    # providers with a candidate left (ties: lowest provider id)
+    lo, hi = rel.min(), rel.max()
+    norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
+    live = np.unique(groups)
+    worst = live[np.argmin(raw_gains[live] / ctx.gain_target[live])]
+    return (1.0 - alpha) * norm + alpha * (groups == worst)
 
 
 # ---------------------------------------------------------------------------
@@ -429,37 +398,32 @@ def allocate_vertical(
     largest current gradient among the user's unassigned items and
     immediately commits its expected gain (weighted by the level's
     examination probability) to the ledger, so later assignments see the
-    updated provider balance. Returns one list per user, in input order.
+    updated provider balance. ``users`` must be distinct ids. Returns one
+    list per user, in input order.
     """
     _check_alpha(alpha)
     n = catalog.item_count
     if n < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} items, got {n}")
     user_ids = [int(u) for u in users]
-    rows = {u: rel.relevance_of(u, np.arange(n, dtype=np.int64)) for u in user_ids}
-    groups = catalog.group_of
+    if len(set(user_ids)) != len(user_ids):
+        raise ValueError("users must be distinct ids")
     if ctx is None:
         ctx = ProviderContext.of(profiles)
-    ve, vb = ctx.exposure_value, ctx.purchase_value
-    avail = {u: np.ones(n, dtype=bool) for u in user_ids}
-    slots: dict[int, list[int]] = {u: [] for u in user_ids}
+    ids = np.arange(n, dtype=np.int64)
+    groups = catalog.group_of
+    rows = [rel.relevance_of(u, ids) for u in user_ids]
+    avail = [np.ones(n, dtype=bool) for _ in user_ids]
+    slots: list[list[int]] = [[] for _ in user_ids]
+    score = partial(_equity_score_values, ctx=ctx, alpha=alpha)
 
-    for k0 in range(pm.list_size):
-        p_k = pm.probs[k0]
-        for u in user_ids:
-            idxs = np.flatnonzero(avail[u])
-            r = rows[u][idxs]
-            scores = _equity_score_values(r, groups[idxs], ledger.raw_gains(), ctx, alpha)
-            item = int(idxs[_argbest(idxs, scores, r)])
-            g = int(groups[item])
-            r_item = float(rows[u][item])
-            ledger.exposure_gain[g] += p_k * ve[g]
-            ledger.purchase_gain[g] += p_k * r_item * vb[g]
-            ledger.group_exposure[g] += p_k
-            avail[u][item] = False
-            slots[u].append(item)
+    for p_k in pm.probs:
+        for row, free, chosen in zip(rows, avail, slots):
+            item = _pick(ids, row, groups, free, ledger.raw_gains(), score)
+            ledger.accrue((groups[item],), (p_k,), (p_k * row[item],), profiles)
+            chosen.append(item)
     ledger.step_count += len(user_ids)
-    return [RankList(tuple(slots[u]), u) for u in user_ids]
+    return [RankList(tuple(chosen), u) for u, chosen in zip(user_ids, slots)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +431,8 @@ def allocate_vertical(
 # ---------------------------------------------------------------------------
 
 
-def _rank_scored(sv: ScoreVector, user: int, pm: PositionModel, tie_break: str) -> RankList:
-    return RankList(tuple(rank_by_scores(sv, pm.list_size, tie_break).tolist()), user)
+def _rank_scored(sv: ScoreVector, user: int, pm: PositionModel) -> RankList:
+    return RankList(tuple(rank_by_scores(sv, pm.list_size).tolist()), user)
 
 
 def online_step_rank(
@@ -491,15 +455,13 @@ def online_step_rank(
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
     ids, ctx = _context(candidates, catalog, profiles, ctx)
     if policy.kind == "TopK":
-        sv = _relevance_scores(ids, user, estimator)
-        return _rank_scored(sv, user, pm, policy.tie_break)
+        rel = estimator.relevance_of(user, ids)
+        return _rank_scored(ScoreVector(item_ids=ids, scores=rel, relevance=rel), user, pm)
     if policy.kind == "EquityRank":
         sv = equityrank_scores(ids, user, estimator, ledger, catalog, profiles, policy.alpha, ctx=ctx)
-        return _rank_scored(sv, user, pm, policy.tie_break)
+        return _rank_scored(sv, user, pm)
     if policy.kind == "FairCoStar":
-        return rank_fairco_star(
-            ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, policy.tie_break, ctx=ctx
-        )
+        return rank_fairco_star(ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, ctx=ctx)
     if policy.kind == "PoorK":
         return rank_poork(ids, user, estimator, ledger, catalog, profiles, pm, ctx=ctx)
     if policy.kind == "MMFStar":
@@ -530,5 +492,6 @@ def offline_rank_user(
         raise ValueError("EquityRankV lists are built jointly; use allocate_vertical")
     ids, ctx = _context(candidates, catalog, profiles, ctx)
     if policy.kind == "EquityRank":
-        return _rank_equityrank_slotwise(ids, user, rel, ledger, catalog, ctx, policy.alpha, pm)
+        score = partial(_equity_score_values, ctx=ctx, alpha=policy.alpha)
+        return _greedy_fill(ids, user, rel, ledger, catalog, ctx, pm, score)
     return online_step_rank(policy, ids, user, rel, ledger, catalog, profiles, pm, ctx=ctx)

@@ -1,0 +1,102 @@
+"""Slow, literal ranker implementations that the library's rankers are
+checked against. They share no code with ``equityrank.rankers``: each reads
+the relevance table, the profiles and the ledger directly."""
+
+from collections import deque
+
+
+def _gradient(gains, y):
+    """Fairness gradient of raw ``gains`` against targets ``y``, term by term."""
+    m = len(y)
+    gy = sum(gains[g] * y[g] for g in range(m))
+    yy = sum(y[g] * y[g] for g in range(m))
+    coef = 4.0 / (m * (m - 1))
+    return [coef * (y[g] * gy - gains[g] * yy) for g in range(m)]
+
+
+def reference_poork(candidates, user, rel, ledger, catalog, profiles, pm):
+    """Queue-based PoorK: one relevance-ordered queue per provider.
+
+    Each slot pops the head of the live provider with the smallest
+    gain-to-target ratio (ties: lowest provider id), then adds the placed
+    item's expected gain to a slot-local gain copy.
+    """
+    ve = [p.exposure_value for p in profiles]
+    vb = [p.purchase_value for p in profiles]
+    y = [p.gain_target for p in profiles]
+    gains = [float(x) for x in ledger.raw_gains()]
+    queues = {}
+    for item in sorted((int(i) for i in candidates), key=lambda i: (-rel.get(user, i), i)):
+        queues.setdefault(int(catalog.group_of[item]), deque()).append(item)
+    chosen = []
+    for k0 in range(pm.list_size):
+        live = [g for g in sorted(queues) if queues[g]]
+        g = min(live, key=lambda h: (gains[h] / y[h], h))
+        item = queues[g].popleft()
+        chosen.append(item)
+        gains[g] += pm.probs[k0] * (ve[g] + rel.get(user, item) * vb[g])
+    return tuple(chosen)
+
+
+def reference_slotwise_equityrank(candidates, user, rel, ledger, catalog, profiles, alpha, pm):
+    """Offline EquityRank: recompute the gradient before every slot.
+
+    Each slot takes the remaining candidate with the largest
+    r + alpha * b_g * (v_e + r * v_b) (ties: relevance descending, then id
+    ascending) and adds its expected gain to a slot-local gain copy.
+    """
+    ve = [p.exposure_value for p in profiles]
+    vb = [p.purchase_value for p in profiles]
+    y = [p.gain_target for p in profiles]
+    gains = [float(x) for x in ledger.raw_gains()]
+    remaining = [int(i) for i in candidates]
+    chosen = []
+    for k0 in range(pm.list_size):
+        b = _gradient(gains, y) if alpha != 0 else None
+
+        def key(item):
+            g = int(catalog.group_of[item])
+            r = rel.get(user, item)
+            score = r if alpha == 0 else r + alpha * b[g] * (ve[g] + r * vb[g])
+            return (-score, -r, item)
+
+        item = min(remaining, key=key)
+        remaining.remove(item)
+        chosen.append(item)
+        g = int(catalog.group_of[item])
+        gains[g] += pm.probs[k0] * (ve[g] + rel.get(user, item) * vb[g])
+    return tuple(chosen)
+
+
+def reference_vertical(users, rel, catalog, profiles, alpha, pm):
+    """Literal slow implementation of vertical allocation used as an oracle."""
+    m = catalog.provider_count
+    ve = [p.exposure_value for p in profiles]
+    vb = [p.purchase_value for p in profiles]
+    y = [p.gain_target for p in profiles]
+    gains = [0.0] * m
+    assigned = {int(u): set() for u in users}
+    lists = {int(u): [] for u in users}
+    for k0 in range(pm.list_size):
+        for u in users:
+            u = int(u)
+            gy = sum(gains[g] * y[g] for g in range(m))
+            yy = sum(y[g] * y[g] for g in range(m))
+            coef = 4.0 / (m * (m - 1))
+            best = None
+            for item in range(catalog.item_count):
+                if item in assigned[u]:
+                    continue
+                g = int(catalog.group_of[item])
+                r = rel.get(u, item)
+                b = coef * (y[g] * gy - gains[g] * yy)
+                score = r if alpha == 0 else r + alpha * b * (ve[g] + r * vb[g])
+                key = (-score, -r, item)
+                if best is None or key < best[0]:
+                    best = (key, item)
+            item = best[1]
+            g = int(catalog.group_of[item])
+            gains[g] += pm.probs[k0] * (ve[g] + rel.get(u, item) * vb[g])
+            assigned[u].add(item)
+            lists[u].append(item)
+    return [tuple(lists[int(u)]) for u in users]

@@ -45,6 +45,7 @@ from equityrank import (
 )
 from equityrank.cli import ExperimentPlan, cmd_sweep
 from equityrank.sim import make_online_state
+from oracles import reference_poork
 
 # Dense log grid: the vertical allocator's trade-off regime sits at very
 # small alpha on this dataset because the gain scales make the fairness
@@ -253,6 +254,9 @@ def test_c3_collapse_identities():
         poork = rank_poork(candidates, 0, rel, ledger, catalog, profiles, pm)
         mmf1 = rank_mmf_star(candidates, 0, rel, ledger, catalog, profiles, 1.0, pm)
         mismatches += mmf1.positions != poork.positions
+        # both against the independent queue-based PoorK
+        want = reference_poork(candidates, 0, rel, ledger, catalog, profiles, pm)
+        mismatches += (poork.positions != want) + (mmf1.positions != want)
     ok = mismatches == 0
     report("3 collapse-identities", ok, f"100 random states, {mismatches} list mismatches (need 0)")
     assert mismatches == 0

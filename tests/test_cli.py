@@ -222,6 +222,15 @@ class TestMainEntry:
         assert payload["status"] == "error"
         assert "--force" in payload["message"]
 
+    def test_generate_rejects_unknown_generator_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({"generator": {"n_users": 5, "bogus": 1}}))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "bogus" in payload["message"]
+        assert not (tmp_path / "ds").exists()
+
     def test_sweep_and_report_via_cli(self, tmp_path, capsys):
         config = {
             "generator": {"n_users": 20, "n_items": 40, "n_providers": 4, "latent_dim": 4, "sparsity": 0.2, "seed": 5},

@@ -12,6 +12,7 @@ from equityrank import (
     ProviderProfile,
     RankList,
     RelevanceTable,
+    RunResult,
     alignment_diagnostics,
     andcg,
     apply_expected_feedback,
@@ -419,3 +420,20 @@ class TestGainLedger:
         ledger.step_count = 2
         np.testing.assert_allclose(ledger.raw_gains(), [2.0, 6.0])
         np.testing.assert_allclose(ledger.averaged_gains(), [1.0, 3.0])
+
+    def test_accrue_adds_each_position_to_its_provider(self):
+        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 4.0, 1.0)]
+        ledger = GainLedger.empty(2)
+        ledger.accrue([1, 0, 1], [1.0, 0.5, 0.25], [0.5, 0.0, 0.25], profiles)
+        np.testing.assert_allclose(ledger.exposure_gain, [0.5 * 2.0, 1.25 * 1.0], rtol=1e-15)
+        np.testing.assert_allclose(ledger.purchase_gain, [0.0, 0.75 * 4.0], rtol=1e-15)
+        np.testing.assert_allclose(ledger.group_exposure, [0.5, 1.25], rtol=1e-15)
+        assert ledger.step_count == 0
+
+
+def test_csv_row_is_deterministic_values_then_wall_ms():
+    result = RunResult("offline", "EquityRank", 1e-3, 4, 0.75, 0.1, math.nan, 0.5, 0.0125)
+    values = result.deterministic_values()
+    assert len(values) == 8
+    assert result.csv_row() == ",".join(values) + ",12.5"
+    assert values[2] == "0.001" and values[6] == "nan"

@@ -21,6 +21,7 @@ from equityrank import (
     rank_poork,
 )
 from equityrank.rankers import PARTITION_MIN_CANDIDATES
+from oracles import reference_poork, reference_slotwise_equityrank, reference_vertical
 
 PM2 = PositionModel.logarithmic(2)
 PM3 = PositionModel.logarithmic(3)
@@ -88,7 +89,6 @@ class TestRankByScores:
 
     def test_all_equal_falls_back_to_lowest_id(self):
         sv = ScoreVector(np.array([2, 0, 1]), np.ones(3), np.ones(3))
-        np.testing.assert_array_equal(rank_by_scores(sv, 2, tie_break="id"), [0, 1])
         np.testing.assert_array_equal(rank_by_scores(sv, 2), [0, 1])
 
     def test_relevance_breaks_score_ties(self):
@@ -114,9 +114,8 @@ class TestRankByScores:
             ids = rng.permutation(n)
             scores = np.round(rng.random(n), 1)  # many candidates tie at the k-th score
             rel = np.round(rng.random(n), 1)
-            for tie_break, keys in (("relevance_then_id", (ids, -rel, -scores)), ("id", (ids, -scores))):
-                got = rank_by_scores(ScoreVector(ids, scores, rel), 5, tie_break)
-                np.testing.assert_array_equal(got, ids[np.lexsort(keys)[:5]])
+            got = rank_by_scores(ScoreVector(ids, scores, rel), 5)
+            np.testing.assert_array_equal(got, ids[np.lexsort((ids, -rel, -scores))[:5]])
 
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(23)
@@ -240,6 +239,21 @@ class TestCollapseIdentities:
             poork = rank_poork(candidates, 0, rel, ledger, catalog, profiles, pm)
             mmf = rank_mmf_star(candidates, 0, rel, ledger, catalog, profiles, 1.0, pm)
             assert mmf.positions == poork.positions
+            want = reference_poork(candidates, 0, rel, ledger, catalog, profiles, pm)
+            assert poork.positions == want
+            assert mmf.positions == want
+
+    def test_offline_equityrank_matches_per_slot_reference(self):
+        rng = np.random.default_rng(33)
+        pm = PM3
+        for _ in range(40):
+            catalog, profiles, rel, ledger, candidates = random_state(rng)
+            for alpha in (0.0, 1e-3, 0.1, 1.0, 10.0):
+                got = offline_rank_user(
+                    PolicyConfig("EquityRank", alpha), candidates, 0, rel, ledger, catalog, profiles, pm
+                )
+                want = reference_slotwise_equityrank(candidates, 0, rel, ledger, catalog, profiles, alpha, pm)
+                assert got.positions == want, alpha
 
 
 class TestDispatch:
@@ -256,8 +270,6 @@ class TestDispatch:
             PolicyConfig("NotAPolicy")
         with pytest.raises(ValueError):
             PolicyConfig("TopK", alpha=-1.0)
-        with pytest.raises(ValueError):
-            PolicyConfig("TopK", tie_break="random")
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
     def test_policy_config_rejects_nonfinite_alpha(self, alpha):
@@ -339,6 +351,15 @@ class TestVerticalAllocation:
             for a, b in zip(got, want):
                 assert a.positions == b
 
+    def test_rejects_repeated_users(self):
+        catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(5)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="distinct"):
+            allocate_vertical([0, 0], rel, ledger, catalog, uniform_profiles(2), 0.1, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.group_exposure.any()
+
     def test_ledger_accrual_totals(self):
         catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
         profiles = uniform_profiles(2, ve=1.0, vb=0.0, y=1.0)
@@ -349,36 +370,3 @@ class TestVerticalAllocation:
         # exposure mass conservation: two lists of K=3 positions
         assert ledger.group_exposure.sum() == pytest.approx(2 * PM3.probs.sum(), rel=1e-12)
 
-
-def reference_vertical(users, rel, catalog, profiles, alpha, pm):
-    """Literal slow implementation of vertical allocation used as an oracle."""
-    m = catalog.provider_count
-    ve = [p.exposure_value for p in profiles]
-    vb = [p.purchase_value for p in profiles]
-    y = [p.gain_target for p in profiles]
-    gains = [0.0] * m
-    assigned = {int(u): set() for u in users}
-    lists = {int(u): [] for u in users}
-    for k0 in range(pm.list_size):
-        for u in users:
-            u = int(u)
-            gy = sum(gains[g] * y[g] for g in range(m))
-            yy = sum(y[g] * y[g] for g in range(m))
-            coef = 4.0 / (m * (m - 1))
-            best = None
-            for item in range(catalog.item_count):
-                if item in assigned[u]:
-                    continue
-                g = int(catalog.group_of[item])
-                r = rel.get(u, item)
-                b = coef * (y[g] * gy - gains[g] * yy)
-                score = r if alpha == 0 else r + alpha * b * (ve[g] + r * vb[g])
-                key = (-score, -r, item)
-                if best is None or key < best[0]:
-                    best = (key, item)
-            item = best[1]
-            g = int(catalog.group_of[item])
-            gains[g] += pm.probs[k0] * (ve[g] + rel.get(u, item) * vb[g])
-            assigned[u].add(item)
-            lists[u].append(item)
-    return [tuple(lists[int(u)]) for u in users]

@@ -176,6 +176,18 @@ class TestApplyFeedback:
 
 
 class TestExpectedFeedback:
+    def test_list_longer_than_positions_raises_and_changes_nothing(self):
+        catalog = Catalog.from_assignments([0, 1, 0, 1])
+        profiles = [ProviderProfile(1.0, 2.0, 1.0), ProviderProfile(0.5, 1.0, 1.0)]
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(4)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="positions"):
+            apply_expected_feedback(RankList((0, 1, 2, 3), 0), 0, rel, profiles, catalog, ledger, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.exposure_gain.any()
+        assert not ledger.purchase_gain.any()
+        assert not ledger.group_exposure.any()
+
     def test_matches_closed_form_for_every_provider(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
