@@ -164,90 +164,121 @@ class RankList:
             raise ValueError("rank list must not be empty")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("rank list contains a repeated item id")
+        if min(self.positions) < 0:
+            raise ValueError("rank list contains a negative item id")
 
     def validate_for(self, catalog: Catalog, list_size: int) -> None:
         """Check length and id validity against a catalog."""
         if len(self.positions) != list_size:
             raise ValueError(f"rank list has {len(self.positions)} items, expected {list_size}")
         for item in self.positions:
-            if item < 0 or item >= catalog.item_count:
+            if item >= catalog.item_count:
                 raise ValueError(f"item id {item} is not in the catalog")
 
 
 class RelevanceTable:
-    """Sparse (user, item) -> relevance map with values in [0, 1].
+    """Sparse (user, item) -> relevance table with values in [0, 1].
 
-    Lookups for absent pairs return 0. The table is immutable after
-    construction; per-user value arrays are cached for ideal-ranking
-    computations.
+    Stored as three CSR arrays: user ``u``'s entries are
+    ``indices[indptr[u]:indptr[u + 1]]`` (item ids, ascending) with their
+    ``values`` at the same positions. Every read goes through one
+    ``searchsorted`` over the user's item slice; absent pairs read 0 and a
+    user outside ``[0, user_count)`` raises ValueError. ``entries`` are
+    (user, item, value) triples, as an iterable or an (nnz, 3) array; a
+    repeated (user, item) pair keeps its last value. The table and its
+    arrays are immutable after construction.
     """
 
     def __init__(self, user_count: int, entries: Iterable[tuple[int, int, float]] = ()) -> None:
         if user_count < 1:
             raise ValueError("user_count must be positive")
         self.user_count = int(user_count)
-        rows: dict[int, dict[int, float]] = {}
-        for user, item, value in entries:
-            user, item, value = int(user), int(item), float(value)
-            if user < 0 or user >= self.user_count:
-                raise ValueError(f"user id {user} out of range")
-            if item < 0:
-                raise ValueError(f"item id {item} out of range")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"relevance {value} outside [0, 1]")
-            rows.setdefault(user, {})[item] = value
-        self._rows = rows
-        self._sorted_values: dict[int, np.ndarray] = {}
+        if not isinstance(entries, np.ndarray):
+            entries = list(entries)
+        triples = np.asarray(entries, dtype=np.float64)
+        if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
+            raise ValueError("entries must be (user, item, value) triples")
+        triples = triples.reshape(-1, 3)
+        users, items, values = triples.T
+        # checked as floats, so a NaN or infinite id is rejected before the cast
+        bad = ~((users >= 0) & (users < self.user_count))
+        if bad.any():
+            raise ValueError(f"user id {users[bad][0]:g} out of range")
+        bad = ~((items >= 0) & np.isfinite(items))
+        if bad.any():
+            raise ValueError(f"item id {items[bad][0]:g} out of range")
+        bad = ~((values >= 0.0) & (values <= 1.0))
+        if bad.any():
+            raise ValueError(f"relevance {float(values[bad][0])} outside [0, 1]")
+        users, items = users.astype(np.int64), items.astype(np.int64)
+        # a stable sort by (user, item) keeps repeated pairs in entry order,
+        # so the last of each run is the value that wins
+        order = np.lexsort((items, users))
+        users, items, values = users[order], items[order], values[order]
+        last = np.ones(users.size, dtype=bool)
+        last[:-1] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+        self.indptr = np.zeros(self.user_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users[last], minlength=self.user_count), out=self.indptr[1:])
+        self.indices = items[last]
+        self.values = values[last]
+        for array in (self.indptr, self.indices, self.values):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        return self.indices.size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RelevanceTable):
             return NotImplemented
-        return self.user_count == other.user_count and self._rows == other._rows
+        return (
+            self.user_count == other.user_count
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def _row(self, user: int) -> slice:
+        user = int(user)
+        if not 0 <= user < self.user_count:
+            raise ValueError(f"user id {user} out of range")
+        return slice(self.indptr[user], self.indptr[user + 1])
+
+    def relevance_of(self, user: int, items) -> np.ndarray:
+        """Vector of relevances for ``items``, absent pairs reading 0."""
+        row = self._row(user)
+        stored, values = self.indices[row], self.values[row]
+        items = np.asarray(items, dtype=np.int64)
+        if stored.size == 0:
+            return np.zeros(items.size, dtype=np.float64)
+        # an item past the user's last stored id gets pos == size; "clip"
+        # reads the last entry there, whose id differs, so it reads 0
+        pos = stored.searchsorted(items)
+        return np.where(stored.take(pos, mode="clip") == items, values.take(pos, mode="clip"), 0.0)
 
     def get(self, user: int, item: int) -> float:
-        row = self._rows.get(int(user))
-        if row is None:
-            return 0.0
-        return row.get(int(item), 0.0)
-
-    def relevance_of(self, user: int, items: np.ndarray) -> np.ndarray:
-        """Vector of relevances for ``items``, absent pairs reading 0."""
-        row = self._rows.get(int(user))
-        if row is None:
-            return np.zeros(len(items), dtype=np.float64)
-        return np.fromiter((row.get(int(i), 0.0) for i in items), dtype=np.float64, count=len(items))
+        """Relevance of one pair (the scalar view of ``relevance_of``)."""
+        return float(self.relevance_of(user, (item,))[0])
 
     def dense_row(self, user: int, item_count: int) -> np.ndarray:
+        row = self._row(user)
         out = np.zeros(item_count, dtype=np.float64)
-        for item, value in self._rows.get(int(user), {}).items():
-            out[item] = value
+        out[self.indices[row]] = self.values[row]
         return out
 
     def user_values(self, user: int) -> np.ndarray:
-        """Stored relevances of one user, sorted descending (cached)."""
-        user = int(user)
-        cached = self._sorted_values.get(user)
-        if cached is None:
-            values = np.array(sorted(self._rows.get(user, {}).values(), reverse=True), dtype=np.float64)
-            self._sorted_values[user] = cached = values
-        return cached
+        """Stored relevances of one user, sorted descending."""
+        return np.sort(self.values[self._row(user)])[::-1]
 
     def item_mean_relevance(self, item_count: int) -> np.ndarray:
         """Per-item relevance averaged over all users (absent pairs count as 0)."""
-        totals = np.zeros(item_count, dtype=np.float64)
-        for row in self._rows.values():
-            for item, value in row.items():
-                totals[item] += value
-        return totals / self.user_count
+        if self.max_item_id() >= item_count:
+            raise ValueError(f"the table holds item ids beyond {item_count - 1}")
+        return np.bincount(self.indices, weights=self.values, minlength=item_count) / self.user_count
 
     def iter_entries(self) -> Iterator[tuple[int, int, float]]:
-        for user in sorted(self._rows):
-            row = self._rows[user]
-            for item in sorted(row):
-                yield user, item, row[item]
+        """Every stored (user, item, value), users ascending, then items."""
+        users = np.repeat(np.arange(self.user_count), np.diff(self.indptr))
+        return zip(users.tolist(), self.indices.tolist(), self.values.tolist())
 
     def max_item_id(self) -> int:
-        return max((max(row) for row in self._rows.values() if row), default=-1)
+        return int(self.indices.max()) if self.indices.size else -1

@@ -103,7 +103,7 @@ def dcg(ranklist: RankList, rel: RelevanceTable, k_c: int, pm: PositionModel) ->
     """Position-discounted gain of the top ``k_c`` positions of one list."""
     if not 1 <= k_c <= pm.list_size:
         raise ValueError(f"cutoff {k_c} must lie in [1, {pm.list_size}]")
-    values = [rel.get(ranklist.user, item) for item in ranklist.positions[:k_c]]
+    values = rel.relevance_of(ranklist.user, ranklist.positions[:k_c]).tolist()
     return discounted_sum(values, pm.probs, k_c)
 
 
@@ -174,10 +174,10 @@ def expected_gain(
     Each of g's listed items contributes its examination probability times
     (relevance * purchase_value + exposure_value); unlisted providers get 0.
     """
+    items = ranklist.positions[: pm.list_size]
     total = 0.0
-    for k0, item in enumerate(ranklist.positions[: pm.list_size]):
+    for k0, (item, r) in enumerate(zip(items, rel.relevance_of(user, items).tolist())):
         if catalog.group_of[item] == g:
-            r = rel.get(user, item)
             total += pm.probs[k0] * (r * profile.purchase_value + profile.exposure_value)
     return total
 

@@ -12,7 +12,8 @@ the estimator's counters are (users x candidates) arrays on ``OnlineState``,
 indexed by candidate slot: the position of an item in its user's sorted
 candidate set. Per-run constants (provider arrays and the fairness
 gradient's constants) are built once per run into a ``ProviderContext`` that
-the step loop passes to the rankers.
+the step loop passes to the rankers, and each user's true relevance over
+their candidate set is read from the table once per run, in the same shape.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -416,15 +417,18 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     ctx = ProviderContext.of(profiles)
     state = make_online_state(dataset, seed, cfg)
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
+    # true relevance over every user's candidate row, read once: a step takes
+    # its served items' values by candidate slot, with no table lookup
+    true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
         rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm, ctx=ctx)
-        # one read of the served items' true relevance feeds both the
-        # purchase draws and the step's DCG
-        served = rel.relevance_of(user, rl.positions)
+        # the served items' true relevance feeds both the purchase draws and
+        # the step's DCG
+        served = true_rel[user].take(state.slots(user, rl.positions))
         apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
         ideal = ideal_dcgs[user]
         ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cutoff) / ideal

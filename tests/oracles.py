@@ -100,3 +100,39 @@ def reference_vertical(users, rel, catalog, profiles, alpha, pm):
             assigned[u].add(item)
             lists[u].append(item)
     return [tuple(lists[int(u)]) for u in users]
+
+
+class ReferenceRelevance:
+    """Dict-of-dicts relevance table, the storage ``RelevanceTable`` replaced.
+
+    Built from the same (user, item, value) entries; a repeated pair keeps
+    its last value and absent pairs read 0.
+    """
+
+    def __init__(self, user_count, entries):
+        self.user_count = user_count
+        self.rows = {}
+        for user, item, value in entries:
+            self.rows.setdefault(user, {})[item] = value
+
+    def get(self, user, item):
+        return self.rows.get(user, {}).get(item, 0.0)
+
+    def relevance_of(self, user, items):
+        return [self.get(user, item) for item in items]
+
+    def dense_row(self, user, item_count):
+        return [self.get(user, item) for item in range(item_count)]
+
+    def user_values(self, user):
+        return sorted(self.rows.get(user, {}).values(), reverse=True)
+
+    def item_mean_relevance(self, item_count):
+        totals = [0.0] * item_count
+        for row in self.rows.values():
+            for item, value in row.items():
+                totals[item] += value
+        return [total / self.user_count for total in totals]
+
+    def entries(self):
+        return [(u, i, self.rows[u][i]) for u in sorted(self.rows) for i in sorted(self.rows[u])]

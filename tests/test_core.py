@@ -125,6 +125,10 @@ class TestRankList:
             with pytest.raises(ValueError):
                 RankList(tuple(items), user=0)
 
+    def test_rejects_negative_ids(self):
+        with pytest.raises(ValueError, match="negative"):
+            RankList((-1, 0), user=0)
+
     def test_validate_for_checks_length_and_ids(self):
         cat = Catalog.from_assignments([0, 0, 1, 1])
         rl = RankList((0, 2), user=0)
@@ -161,3 +165,31 @@ class TestRelevanceTable:
     def test_item_mean_relevance(self):
         table = RelevanceTable(2, [(0, 0, 0.4), (1, 0, 0.8), (0, 1, 1.0)])
         np.testing.assert_allclose(table.item_mean_relevance(2), [0.6, 0.5])
+
+    def test_errors_name_the_first_bad_entry(self):
+        with pytest.raises(ValueError, match="user id 3 out of range"):
+            RelevanceTable(2, [(0, 0, 0.5), (3, 0, 0.5), (-1, 0, 0.5)])
+        with pytest.raises(ValueError, match="item id -2 out of range"):
+            RelevanceTable(2, [(0, 0, 0.5), (1, -2, 0.5), (1, -5, 0.5)])
+        with pytest.raises(ValueError, match="user id nan out of range"):
+            RelevanceTable(2, [(0, 0, 0.5), (float("nan"), 0, 0.5)])
+        with pytest.raises(ValueError, match="item id inf out of range"):
+            RelevanceTable(2, [(0, float("inf"), 0.5)])
+        with pytest.raises(ValueError, match=r"relevance nan outside \[0, 1\]"):
+            RelevanceTable(2, [(0, 0, 0.5), (1, 1, float("nan")), (1, 2, 2.0)])
+
+    def test_rejects_entries_that_are_not_triples(self):
+        with pytest.raises(ValueError, match="triples"):
+            RelevanceTable(2, [(0, 1), (0, 2), (1, 3)])
+
+    def test_repeated_pair_keeps_last_value(self):
+        table = RelevanceTable(1, [(0, 2, 0.1), (0, 1, 0.4), (0, 2, 0.9)])
+        assert table.get(0, 2) == 0.9
+        assert list(table.iter_entries()) == [(0, 1, 0.4), (0, 2, 0.9)]
+
+    def test_unknown_user_raises(self):
+        table = RelevanceTable(1, [(0, 0, 0.5)])
+        with pytest.raises(ValueError, match="user id 1 out of range"):
+            table.relevance_of(1, np.array([0]))
+        with pytest.raises(ValueError, match="user id -1 out of range"):
+            table.get(-1, 0)

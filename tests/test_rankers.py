@@ -360,6 +360,16 @@ class TestVerticalAllocation:
         assert ledger.step_count == 0
         assert not ledger.group_exposure.any()
 
+    def test_rejects_unknown_user_before_any_ledger_write(self):
+        catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(5)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="user id 7"):
+            allocate_vertical([0, 7], rel, ledger, catalog, uniform_profiles(2), 0.1, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.exposure_gain.any()
+        assert not ledger.group_exposure.any()
+
     def test_ledger_accrual_totals(self):
         catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
         profiles = uniform_profiles(2, ve=1.0, vb=0.0, y=1.0)

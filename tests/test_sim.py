@@ -188,6 +188,20 @@ class TestExpectedFeedback:
         assert not ledger.purchase_gain.any()
         assert not ledger.group_exposure.any()
 
+    def test_negative_item_id_is_rejected_and_changes_nothing(self):
+        # a negative id used to index numpy from the end and charge the
+        # provider of the catalog's last item
+        catalog = Catalog.from_assignments([0, 0, 1])
+        profiles = [ProviderProfile(1.0, 2.0, 1.0), ProviderProfile(0.5, 1.0, 1.0)]
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(3)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="negative"):
+            apply_expected_feedback(RankList((-1, 0), 0), 0, rel, profiles, catalog, ledger, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.exposure_gain.any()
+        assert not ledger.purchase_gain.any()
+        assert not ledger.group_exposure.any()
+
     def test_matches_closed_form_for_every_provider(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -373,6 +387,22 @@ class TestRunOnline:
             items = state.candidate_sets[user][:3]
             apply_feedback(RankList(tuple(int(i) for i in items), user), user, ds.relevance, ds.profiles, ds.catalog, state, pm)
         assert state.ledger.group_exposure.sum() == pytest.approx(100 * pm.probs.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("policy", ["TopK", "EquityRank", "PoorK"])
+    def test_true_relevance_is_read_once_per_user_not_per_step(self, policy, monkeypatch):
+        ds = online_micro_dataset()
+        read = RelevanceTable.relevance_of
+        calls = []
+
+        def counted(self, user, items):
+            calls.append(user)
+            return read(self, user, items)
+
+        monkeypatch.setattr(RelevanceTable, "relevance_of", counted)
+        for steps in (10, 300):
+            calls.clear()
+            run_online(ds, policy, 0.01, 3, SimConfig(list_size=3, total_steps=steps, mode="online"))
+            assert sorted(calls) == list(range(ds.relevance.user_count))
 
     def test_cndcg_checkpoints_monotone_when_undiscounted(self):
         ds = online_micro_dataset()

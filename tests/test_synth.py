@@ -204,6 +204,12 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="relevance.csv row 2"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_relevance_cites_row(self, tmp_path, value):
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], ["u,x,1.5", f"u,y,{value}"])
+        with pytest.raises(DatasetError, match="relevance.csv row 3: .*not finite"):
+            load_dataset(d)
+
     def test_negative_relevance_rejected(self, tmp_path):
         d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], ["u,x,-0.25"])
         with pytest.raises(DatasetError, match="negative"):
