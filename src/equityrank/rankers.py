@@ -58,6 +58,7 @@ __all__ = [
     "rank_fairco_star",
     "rank_mmf_star",
     "rank_poork",
+    "top_k_order",
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
@@ -154,25 +155,32 @@ def _context(
     return ids, ProviderContext.of(profiles)
 
 
+def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Indices of the first ``k`` entries in ``np.lexsort(keys)`` order.
+
+    As for ``np.lexsort``, the keys are listed least significant first and
+    ties on every key keep index order. When k is small relative to a large
+    count, an O(n) partition narrows the field to the entries at or below
+    the k-th value of the last key (ties included) before the sort, without
+    changing the result.
+    """
+    primary = keys[-1]
+    if primary.size >= PARTITION_MIN_CANDIDATES and 4 * k <= primary.size:
+        kth = np.partition(primary, k - 1)[k - 1]
+        keep = np.flatnonzero(primary <= kth)
+        return keep[np.lexsort([key[keep] for key in keys])[:k]]
+    return np.lexsort(keys)[:k]
+
+
 def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     """Top-``k`` item ids by descending score with deterministic tie-breaking.
 
-    When k is small relative to a large candidate count, an O(n) partition
-    narrows the field to the candidates at or above the k-th score (ties
-    included) before the full sort, without changing the selected list.
+    Ties go to the higher relevance, then to the lower id.
     """
-    ids, scores, rel = sv.item_ids, sv.scores, sv.relevance
-    size = ids.size
-    if size < k:
-        raise ValueError(f"need at least {k} candidates, got {size}")
-    if size >= PARTITION_MIN_CANDIDATES and 4 * k <= size:
-        neg = -scores
-        kth = np.partition(neg, k - 1)[k - 1]
-        keep = np.flatnonzero(neg <= kth)
-        ids, scores, rel = ids[keep], scores[keep], rel[keep]
-    # np.lexsort sorts by the last key first, so keys are listed least
-    # significant to most significant.
-    return ids[np.lexsort((ids, -rel, -scores))[:k]]
+    ids = sv.item_ids
+    if ids.size < k:
+        raise ValueError(f"need at least {k} candidates, got {ids.size}")
+    return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
 
 
 # Scores of the still-available candidates, given their relevance, their

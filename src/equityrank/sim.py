@@ -40,7 +40,14 @@ from .metrics import (
     ideal_dcg,
     unfairness,
 )
-from .rankers import PolicyConfig, ProviderContext, allocate_vertical, offline_rank_user, online_step_rank
+from .rankers import (
+    PolicyConfig,
+    ProviderContext,
+    allocate_vertical,
+    offline_rank_user,
+    online_step_rank,
+    top_k_order,
+)
 
 __all__ = [
     "OnlineState",
@@ -277,14 +284,15 @@ def prefilter_candidates(
     """Coarse-ranking stand-in: top ``size`` items by noisy true relevance.
 
     The degraded signal is the true relevance plus zero-mean Gaussian noise;
-    with noise_sd = 0 it is exactly the true top ``size``. The result is
-    fixed for the run (callers draw it once per user).
+    with noise_sd = 0 it is exactly the true top ``size``. Equal signals go
+    to the lower item id. Returns the chosen ids ascending; the result is
+    fixed for the run (callers draw it once per user). A ``size`` outside
+    [1, item_count] raises ValueError before any noise is drawn.
     """
-    if size > item_count:
-        raise ValueError(f"prefilter size {size} exceeds item count {item_count}")
+    if not 1 <= size <= item_count:
+        raise ValueError(f"prefilter size {size} must lie in [1, item count {item_count}]")
     noisy = rel.dense_row(user, item_count) + rng.normal(0.0, noise_sd, item_count)
-    order = np.lexsort((np.arange(item_count), -noisy))
-    return np.sort(order[:size]).astype(np.int64)
+    return np.sort(top_k_order((-noisy,), size)).astype(np.int64)
 
 
 @dataclass
@@ -332,6 +340,9 @@ def _check_dataset(dataset, cfg: SimConfig) -> tuple[Catalog, list[ProviderProfi
     catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
     if len(profiles) != catalog.provider_count:
         raise ValueError("profile list does not match the catalog's provider count")
+    # every run reports the pairwise unfairness; refuse before ranking anyone
+    if catalog.provider_count < 2:
+        raise ValueError("pairwise unfairness needs at least two providers")
     if catalog.item_count < cfg.list_size:
         raise ValueError("catalog has fewer items than the list size")
     if rel.max_item_id() >= catalog.item_count:

@@ -1,8 +1,13 @@
-"""Slow, literal ranker implementations that the library's rankers are
-checked against. They share no code with ``equityrank.rankers``: each reads
-the relevance table, the profiles and the ledger directly."""
+"""Slow, literal implementations that the library is checked against.
+
+The rankers share no code with ``equityrank.rankers``: each reads the
+relevance table, the profiles and the ledger directly. ``reference_unfairness``
+and ``reference_prefilter`` are the forms the library's unfairness and
+candidate prefilter replaced: the m x m pairwise sum and a full sort."""
 
 from collections import deque
+
+import numpy as np
 
 
 def _gradient(gains, y):
@@ -136,3 +141,20 @@ class ReferenceRelevance:
 
     def entries(self):
         return [(u, i, self.rows[u][i]) for u in sorted(self.rows) for i in sorted(self.rows[u])]
+
+
+def reference_unfairness(gains, targets):
+    """Mean squared cross-provider disparity, built as m x m arrays."""
+    gains = np.asarray(gains, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    m = gains.size
+    cross = np.outer(gains, targets)
+    disparity = cross - cross.T
+    return float(np.sum(disparity * disparity) / (m * (m - 1)))
+
+
+def reference_prefilter(user, rel, item_count, size, noise_sd, rng):
+    """Top ``size`` items by noisy relevance, from a full sort of every item."""
+    noisy = rel.dense_row(user, item_count) + rng.normal(0.0, noise_sd, item_count)
+    order = np.lexsort((np.arange(item_count), -noisy))
+    return np.sort(order[:size]).astype(np.int64)

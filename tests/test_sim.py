@@ -23,6 +23,7 @@ from equityrank import (
     run_online,
     unfairness,
 )
+from equityrank import sim
 from equityrank.sim import OnlineState, make_online_state
 from equityrank.synth import Dataset
 
@@ -250,6 +251,15 @@ class TestPrefilter:
         with pytest.raises(ValueError):
             prefilter_candidates(0, rel, 5, 6, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_nonpositive_size_before_drawing_noise(self, size):
+        rel = RelevanceTable(1, [(0, i, 0.1) for i in range(30)])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="prefilter size"):
+            prefilter_candidates(0, rel, 30, size, 0.1, rng)
+        assert rng.bit_generator.state == before
+
 
 def micro_offline_dataset():
     """Two users, four items, two providers; both users prefer provider 0."""
@@ -336,6 +346,27 @@ def online_micro_dataset():
         profiles=[ProviderProfile(2.0, 20.0, 2.0), ProviderProfile(1.0, 10.0, 1.0)],
         n_users=2,
     )
+
+
+def single_provider_dataset():
+    return tiny_dataset(
+        rel_entries=[(0, 0, 0.9), (0, 1, 0.5), (1, 2, 0.7)],
+        groups=[0, 0, 0],
+        profiles=[ProviderProfile(1.0, 1.0, 1.0)],
+        n_users=2,
+    )
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch):
+    served = []
+    for name in ("apply_feedback", "apply_expected_feedback"):
+        monkeypatch.setattr(sim, name, lambda *args, **kwargs: served.append(args))
+    cfg = SimConfig(list_size=2, total_steps=1000, prefilter_size=3, mode=mode)
+    run = sim.run_online if mode == "online" else sim.run_offline
+    with pytest.raises(ValueError, match="needs at least two providers"):
+        run(single_provider_dataset(), "TopK", 0.0, 0, cfg)
+    assert served == []
 
 
 class TestRunOnline:
