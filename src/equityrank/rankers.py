@@ -14,15 +14,15 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
 
-Rankers read raw cumulative gains (no per-step averaging) and recompute the
-fairness gradient from scratch on every request; the provider count is small
-compared to the item count, so this is cheap. The per-run provider constants
-come from a ``ProviderContext``: the simulation loops build one per run and
-pass it as ``ctx``; a ranker called without one builds it, and checks its
-candidate ids, at its own boundary. A caller passing ``ctx`` must pass
-candidate ids it has already checked against the catalog (the loops check
-each candidate set once, when they build it): with ``ctx`` the ids are only
-converted to int64, not bounds-checked.
+A ``PolicyPlan`` resolves one policy once, over rows of candidate slots: a
+candidate's slot is its index in its row of ascending item ids, so slot
+order is id order. The plan holds each candidate's provider and that
+provider's weights in the rows' shape and ranks by slot. The simulation
+loops build one plan per run; the public rankers below check and sort their
+candidates and build a one-row plan per call. Rankers read raw cumulative
+gains (no per-step averaging). Online EquityRank takes the fairness gradient
+at its candidates' providers only, so a request costs one dot product over
+the providers plus work per candidate.
 
 PoorK, MMF*, offline EquityRank and EquityRankV share one slot-greedy
 kernel: each slot takes the best remaining candidate under the policy's
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ from .metrics import GainLedger, fairness_gradient_unchecked
 __all__ = [
     "POLICY_KINDS",
     "PolicyConfig",
-    "ProviderContext",
+    "PolicyPlan",
     "ScoreVector",
     "allocate_vertical",
     "equityrank_scores",
@@ -68,11 +67,6 @@ POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityR
 PARTITION_MIN_CANDIDATES = 200
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError("alpha must be finite and nonnegative")
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     """A ranking policy selection with its balance parameter."""
@@ -83,42 +77,8 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        _check_alpha(self.alpha)
-
-
-@dataclass(frozen=True)
-class ProviderContext:
-    """Per-run provider constants that every ranking step reads.
-
-    Built once from the provider profiles, so the step loops neither rebuild
-    the provider arrays nor recompute the gradient's constants. ``target_sq`` is y . y and
-    ``gradient_scale`` is 4 / (m (m-1)): the constants of the fairness
-    gradient (NaN for a single provider, which has no gradient).
-    """
-
-    exposure_value: np.ndarray
-    purchase_value: np.ndarray
-    gain_target: np.ndarray
-    target_sq: float
-    gradient_scale: float
-
-    @classmethod
-    def of(cls, profiles: Sequence[ProviderProfile]) -> ProviderContext:
-        ve, vb, y = provider_arrays(profiles)
-        m = y.size
-        return cls(
-            exposure_value=ve,
-            purchase_value=vb,
-            gain_target=y,
-            target_sq=float(y @ y),
-            gradient_scale=4.0 / (m * (m - 1)) if m > 1 else math.nan,
-        )
-
-    def fairness_gradient(self, gains: np.ndarray) -> np.ndarray:
-        """``metrics.fairness_gradient`` of raw gains against these targets."""
-        if self.gain_target.size < 2:
-            raise ValueError("pairwise unfairness needs at least two providers")
-        return fairness_gradient_unchecked(gains, self.gain_target, self.target_sq, self.gradient_scale)
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -136,23 +96,15 @@ class ScoreVector:
             raise ValueError("scores must be finite")
 
 
-def _context(
-    candidates, catalog: Catalog, profiles: Sequence[ProviderProfile], ctx: ProviderContext | None
-) -> tuple[np.ndarray, ProviderContext]:
-    """Candidate ids and provider context at a public ranker's boundary.
-
-    A caller passing ``ctx`` (a simulation loop) checked its candidate ids
-    once, when it built its candidate sets, so they are only converted here;
-    for any other caller the ids are checked and the context built here.
-    """
+def _candidates(candidates, catalog: Catalog) -> np.ndarray:
+    """A public ranker's candidate ids, checked against the catalog and sorted,
+    so that slot order, the last tie-break, is id order."""
     ids = np.asarray(candidates, dtype=np.int64)
-    if ctx is not None:
-        return ids, ctx
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("candidates must be a nonempty 1-d sequence of item ids")
     if ids.min() < 0 or ids.max() >= catalog.item_count:
         raise ValueError("candidate set contains an unknown item id")
-    return ids, ProviderContext.of(profiles)
+    return np.sort(ids)
 
 
 def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -175,9 +127,12 @@ def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
 def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     """Top-``k`` item ids by descending score with deterministic tie-breaking.
 
-    Ties go to the higher relevance, then to the lower id.
+    Ties go to the higher relevance, then to the lower id. ``k`` must lie in
+    [1, candidate count].
     """
     ids = sv.item_ids
+    if k < 1:
+        raise ValueError(f"list size {k} must be positive")
     if ids.size < k:
         raise ValueError(f"need at least {k} candidates, got {ids.size}")
     return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
@@ -188,68 +143,163 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
 SlotScore = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _pick(
-    ids: np.ndarray, rel: np.ndarray, groups: np.ndarray, avail: np.ndarray, gains: np.ndarray, score: SlotScore
-) -> int:
+def _pick(rel: np.ndarray, groups: np.ndarray, avail: np.ndarray, gains: np.ndarray, score: SlotScore) -> int:
     """Take the best available candidate and return its index.
 
     Best is the highest ``score``, ties broken by relevance descending, then
-    id ascending. The pick is marked unavailable in ``avail``.
+    index ascending, which is id ascending for the ascending candidate ids
+    every caller passes. The pick is marked unavailable in ``avail``.
     """
     idxs = np.flatnonzero(avail)
     r = rel[idxs]
     scores = score(r, groups[idxs], gains)
     tied = np.flatnonzero(scores == scores.max())
     if tied.size > 1:
-        tied = tied[np.lexsort((ids[idxs[tied]], -r[tied]))]
+        tied = tied[np.argsort(-r[tied], kind="stable")]
     best = int(idxs[tied[0]])
     avail[best] = False
     return best
 
 
-def _greedy_fill(
-    ids: np.ndarray,
-    user: int,
-    rel_source,
-    ledger: GainLedger,
-    catalog: Catalog,
-    ctx: ProviderContext,
-    pm: PositionModel,
-    score: SlotScore,
-) -> RankList:
-    """Fill one user's list slot by slot with ``_pick``.
+class PolicyPlan:
+    """One ranking policy resolved once, over rows of candidate slots.
 
-    After each slot the placed item's expected gain p_k (v_e + r v_b) is
-    added to a slot-local copy of the ledger's gains, which the next slot's
-    scores read; the ledger itself is not changed.
+    ``rows`` holds ascending candidate ids, one row per user or one row that
+    every user shares; a candidate's slot is its index in its row, so slot
+    order is id order. ``provider``, ``exposure_value``, ``purchase_value``
+    and ``gain_target`` have the rows' shape: each candidate's provider and
+    that provider's weights and target. ``targets`` holds every provider's
+    gain target.
+
+    ``rank(row, rel, gains, probs)`` returns the slots of one list of
+    ``len(probs)`` positions, top first, from the relevance of the row's
+    candidates in slot order, the raw provider gains and the examination
+    probabilities, and changes none of them. TopK, FairCo* and EquityRank
+    score the row once, check that the scores are finite, and take the top
+    slots by score, then relevance, then slot. PoorK, MMF* and, with
+    ``slotwise`` (offline mode), EquityRank fill the list with the
+    slot-greedy kernel, rescoring the remaining candidates with
+    ``slot_score`` before each position.
     """
+
+    def __init__(
+        self,
+        policy: PolicyConfig,
+        rows: np.ndarray,
+        catalog: Catalog,
+        profiles: Sequence[ProviderProfile],
+        slotwise: bool = False,
+    ) -> None:
+        kind, alpha = policy.kind, policy.alpha
+        ve, vb, y = provider_arrays(profiles)
+        m = y.size
+        if kind == "EquityRankV":
+            raise ValueError("EquityRankV lists are built jointly by allocate_vertical (offline mode)")
+        if kind == "MMFStar" and alpha > 1.0:
+            raise ValueError("alpha must lie in [0, 1] for this policy")
+        if kind == "EquityRank" and alpha != 0.0 and m < 2:
+            raise ValueError("pairwise unfairness needs at least two providers")
+        # PoorK is MMF*'s slot score at alpha = 1
+        self.alpha = 1.0 if kind == "PoorK" else alpha
+        self.targets, self._ve, self._vb = y, ve, vb
+        # the fairness gradient's constants y . y and 4 / (m (m-1))
+        self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
+        self.provider = provider = catalog.group_of[rows]
+        self.exposure_value, self.purchase_value, self.gain_target = ve[provider], vb[provider], y[provider]
+        self._zeros = np.zeros(rows.shape[1])
+        # plain functions, not bound methods: a bound method kept on the plan
+        # is a reference cycle, which would hold each run's arrays until the
+        # cyclic garbage collector ran
+        self._score_fn = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco}.get(kind, PolicyPlan._equity)
+        self._slot_fn = PolicyPlan._mmf_slot if kind in ("PoorK", "MMFStar") else None
+        if kind == "EquityRank" and slotwise:
+            self._slot_fn = PolicyPlan._equity_slot
+
+    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
+        """The slots of one list, top first (see the class docstring)."""
+        if self._slot_fn is not None:
+            return self._fill(row, rel, gains, probs)
+        scores = self._score_fn(self, row, rel, gains)
+        # x * 0 is zero for every finite x and NaN otherwise: one dot product
+        # with zeros checks the row, at a third of isfinite().all()'s cost
+        if scores.dot(self._zeros) != 0.0:
+            raise ValueError("scores must be finite")
+        return top_k_order((-rel, -scores), len(probs)).tolist()
+
+    def slot_score(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        """The scores of the still-available candidates (the slot-greedy fill)."""
+        return self._slot_fn(self, rel, groups, gains)
+
+    def _relevance(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        return rel
+
+    def _fairco(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # a provider lagging behind the best-served one, by gain-to-target
+        # ratio, gets alpha times the shortfall, clipped at zero so that no
+        # item scores below its own relevance
+        ratios = gains / self.targets
+        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[self.provider[row]])
+
+    def _equity(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # rel + alpha b (v_e + rel v_b) with the fairness gradient
+        # b = scale (y G.y - G |y|^2) taken at the candidates' providers only;
+        # the elementwise operations of metrics.fairness_gradient, so the
+        # same bits, done in place
+        if self.alpha == 0.0:
+            return rel
+        b = self.gain_target[row] * gains.dot(self.targets)
+        b -= gains[self.provider[row]] * self._target_sq
+        b *= self._scale
+        b *= self.alpha
+        w = rel * self.purchase_value[row]
+        w += self.exposure_value[row]
+        b *= w
+        b += rel
+        return b
+
+    def _equity_slot(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # offline EquityRank and EquityRankV: the candidates far outnumber the
+        # providers, so the gradient is taken at every provider, then gathered
+        if self.alpha == 0.0:
+            return rel
+        b = fairness_gradient_unchecked(gains, self.targets, self._target_sq, self._scale)
+        return rel + self.alpha * b[groups] * (self._ve[groups] + rel * self._vb[groups])
+
+    def _mmf_slot(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # the worst-off provider has the smallest gain-to-target ratio among the
+        # providers with a candidate left (ties: lowest provider id)
+        lo, hi = rel.min(), rel.max()
+        norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
+        live = np.unique(groups)
+        worst = live[np.argmin(gains[live] / self.targets[live])]
+        return (1.0 - self.alpha) * norm + self.alpha * (groups == worst)
+
+    def _fill(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
+        # after each position the placed candidate's expected gain
+        # p_k (v_e + r v_b) is added to a copy of the gains that the next
+        # position's scores read
+        groups, ve, vb = self.provider[row], self.exposure_value[row], self.purchase_value[row]
+        gains, avail, chosen = gains.copy(), np.ones(rel.size, dtype=bool), []
+        for p_k in probs:
+            pick = _pick(rel, groups, avail, gains, self.slot_score)
+            gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
+            chosen.append(pick)
+        return chosen
+
+
+def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm, slotwise=False) -> RankList:
+    """One user's list through a one-row plan over ``candidates``."""
+    ids = _candidates(candidates, catalog)
     if ids.size < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} candidates, got {ids.size}")
-    rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    gains = ledger.raw_gains()
-    avail = np.ones(ids.size, dtype=bool)
-    chosen: list[int] = []
-    for p_k in pm.probs:
-        pick = _pick(ids, rel, groups, avail, gains, score)
-        g = groups[pick]
-        gains[g] += p_k * (ctx.exposure_value[g] + rel[pick] * ctx.purchase_value[g])
-        chosen.append(int(ids[pick]))
-    return RankList(tuple(chosen), user)
+    plan = PolicyPlan(policy, ids[None, :], catalog, profiles, slotwise)
+    slots = plan.rank(0, rel_source.relevance_of(user, ids), ledger.raw_gains(), pm.probs)
+    return RankList(tuple(ids[slots].tolist()), user)
 
 
 # ---------------------------------------------------------------------------
-# EquityRank
+# Public rankers
 # ---------------------------------------------------------------------------
-
-
-def _equity_score_values(
-    rel: np.ndarray, groups: np.ndarray, raw_gains: np.ndarray, ctx: ProviderContext, alpha: float
-) -> np.ndarray:
-    if alpha == 0.0:
-        return rel.copy()
-    b = ctx.fairness_gradient(raw_gains)
-    return rel + alpha * b[groups] * (ctx.exposure_value[groups] + rel * ctx.purchase_value[groups])
 
 
 def equityrank_scores(
@@ -260,27 +310,18 @@ def equityrank_scores(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     alpha: float,
-    *,
-    ctx: ProviderContext | None = None,
 ) -> ScoreVector:
     """Gradient scores: relevance plus the provider's fairness gradient scaled
     by the item's marginal gain per unit exposure.
 
-    The fairness gradient is computed once per call from the ledger's raw
-    cumulative gains, then broadcast to candidates through their groups.
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
+    The fairness gradient is taken from the ledger's raw cumulative gains at
+    the candidates' providers. Returns the candidates ascending, with their
+    scores and relevance.
     """
-    _check_alpha(alpha)
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
+    ids = _candidates(candidates, catalog)
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
     rel = rel_source.relevance_of(user, ids)
-    scores = _equity_score_values(rel, catalog.group_of[ids], ledger.raw_gains(), ctx, alpha)
-    return ScoreVector(item_ids=ids, scores=scores, relevance=rel)
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
+    return ScoreVector(item_ids=ids, scores=PolicyPlan._equity(plan, 0, rel, ledger.raw_gains()), relevance=rel)
 
 
 def rank_poork(
@@ -291,8 +332,6 @@ def rank_poork(
     catalog: Catalog,
     profiles: Sequence[ProviderProfile],
     pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Serve the poorest provider first.
 
@@ -305,12 +344,8 @@ def rank_poork(
 
     This is MMF*'s score at alpha = 1, where the blend reduces to the
     worst-off provider indicator.
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
-    score = partial(_mmf_score_values, ctx=ctx, alpha=1.0)
-    return _greedy_fill(ids, user, rel_source, ledger, catalog, ctx, pm, score)
+    return _rank_one(PolicyConfig("PoorK"), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
 def rank_fairco_star(
@@ -322,25 +357,14 @@ def rank_fairco_star(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Proportional-controller scoring under the gain-to-target metric.
 
     A provider lagging behind the currently best-served provider gets its
     items boosted by alpha times the ratio shortfall; the error term is
     clipped at zero so no item scores below its own relevance.
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    _check_alpha(alpha)
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
-    rel = rel_source.relevance_of(user, ids)
-    groups = catalog.group_of[ids]
-    ratios = ledger.raw_gains() / ctx.gain_target
-    err = np.maximum(0.0, ratios.max() - ratios)
-    sv = ScoreVector(item_ids=ids, scores=rel + alpha * err[groups], relevance=rel)
-    return _rank_scored(sv, user, pm)
+    return _rank_one(PolicyConfig("FairCoStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
 def rank_mmf_star(
@@ -352,8 +376,6 @@ def rank_mmf_star(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
 ) -> RankList:
     """Per-slot blend of normalized relevance and a worst-off provider bonus.
 
@@ -361,26 +383,44 @@ def rank_mmf_star(
     recomputed per slot over the remaining candidates with the same
     slot-local gain updates as PoorK. alpha = 0 reproduces TopK; alpha = 1
     reproduces PoorK.
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1] for this policy")
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
-    score = partial(_mmf_score_values, ctx=ctx, alpha=alpha)
-    return _greedy_fill(ids, user, rel_source, ledger, catalog, ctx, pm, score)
+    return _rank_one(PolicyConfig("MMFStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
-def _mmf_score_values(
-    rel: np.ndarray, groups: np.ndarray, raw_gains: np.ndarray, ctx: ProviderContext, alpha: float
-) -> np.ndarray:
-    # the worst-off provider has the smallest gain-to-target ratio among the
-    # providers with a candidate left (ties: lowest provider id)
-    lo, hi = rel.min(), rel.max()
-    norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
-    live = np.unique(groups)
-    worst = live[np.argmin(raw_gains[live] / ctx.gain_target[live])]
-    return (1.0 - alpha) * norm + alpha * (groups == worst)
+def online_step_rank(
+    policy: PolicyConfig,
+    candidates,
+    user: int,
+    estimator,
+    ledger: GainLedger,
+    catalog: Catalog,
+    profiles: Sequence[ProviderProfile],
+    pm: PositionModel,
+) -> RankList:
+    """Rank one user's candidates with estimated relevance (online mode).
+
+    This is one request of the online loop by item id; ``sim.run_online``
+    runs the same plan by candidate slot.
+    """
+    return _rank_one(policy, candidates, user, estimator, ledger, catalog, profiles, pm)
+
+
+def offline_rank_user(
+    policy: PolicyConfig,
+    candidates,
+    user: int,
+    rel,
+    ledger: GainLedger,
+    catalog: Catalog,
+    profiles: Sequence[ProviderProfile],
+    pm: PositionModel,
+) -> RankList:
+    """Rank one user's candidates with true relevance (offline mode).
+
+    EquityRank refreshes its gradient per slot here; the other policies
+    behave exactly as in the online dispatch.
+    """
+    return _rank_one(policy, candidates, user, rel, ledger, catalog, profiles, pm, slotwise=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +436,6 @@ def allocate_vertical(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
 ) -> list[RankList]:
     """Fill slot k for every user before any slot k+1 (offline only).
 
@@ -409,97 +447,23 @@ def allocate_vertical(
     updated provider balance. ``users`` must be distinct ids. Returns one
     list per user, in input order.
     """
-    _check_alpha(alpha)
     n = catalog.item_count
     if n < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} items, got {n}")
     user_ids = [int(u) for u in users]
     if len(set(user_ids)) != len(user_ids):
         raise ValueError("users must be distinct ids")
-    if ctx is None:
-        ctx = ProviderContext.of(profiles)
     ids = np.arange(n, dtype=np.int64)
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles, slotwise=True)
     groups = catalog.group_of
     rows = [rel.relevance_of(u, ids) for u in user_ids]
     avail = [np.ones(n, dtype=bool) for _ in user_ids]
     slots: list[list[int]] = [[] for _ in user_ids]
-    score = partial(_equity_score_values, ctx=ctx, alpha=alpha)
 
     for p_k in pm.probs:
         for row, free, chosen in zip(rows, avail, slots):
-            item = _pick(ids, row, groups, free, ledger.raw_gains(), score)
+            item = _pick(row, groups, free, ledger.raw_gains(), plan.slot_score)
             ledger.accrue((groups[item],), (p_k,), (p_k * row[item],), profiles)
             chosen.append(item)
     ledger.step_count += len(user_ids)
     return [RankList(tuple(chosen), u) for u, chosen in zip(user_ids, slots)]
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
-def _rank_scored(sv: ScoreVector, user: int, pm: PositionModel) -> RankList:
-    return RankList(tuple(rank_by_scores(sv, pm.list_size).tolist()), user)
-
-
-def online_step_rank(
-    policy: PolicyConfig,
-    candidates,
-    user: int,
-    estimator,
-    ledger: GainLedger,
-    catalog: Catalog,
-    profiles: Sequence[ProviderProfile],
-    pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
-) -> RankList:
-    """Rank one user's candidates with estimated relevance (online mode).
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
-    """
-    if policy.kind == "EquityRankV":
-        raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
-    if policy.kind == "TopK":
-        rel = estimator.relevance_of(user, ids)
-        return _rank_scored(ScoreVector(item_ids=ids, scores=rel, relevance=rel), user, pm)
-    if policy.kind == "EquityRank":
-        sv = equityrank_scores(ids, user, estimator, ledger, catalog, profiles, policy.alpha, ctx=ctx)
-        return _rank_scored(sv, user, pm)
-    if policy.kind == "FairCoStar":
-        return rank_fairco_star(ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, ctx=ctx)
-    if policy.kind == "PoorK":
-        return rank_poork(ids, user, estimator, ledger, catalog, profiles, pm, ctx=ctx)
-    if policy.kind == "MMFStar":
-        return rank_mmf_star(ids, user, estimator, ledger, catalog, profiles, policy.alpha, pm, ctx=ctx)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
-
-
-def offline_rank_user(
-    policy: PolicyConfig,
-    candidates,
-    user: int,
-    rel,
-    ledger: GainLedger,
-    catalog: Catalog,
-    profiles: Sequence[ProviderProfile],
-    pm: PositionModel,
-    *,
-    ctx: ProviderContext | None = None,
-) -> RankList:
-    """Rank one user's candidates with true relevance (offline mode).
-
-    EquityRank refreshes its gradient per slot here; the other policies
-    behave exactly as in the online dispatch.
-
-    With ``ctx``, ``candidates`` must be ids already checked against the catalog.
-    """
-    if policy.kind == "EquityRankV":
-        raise ValueError("EquityRankV lists are built jointly; use allocate_vertical")
-    ids, ctx = _context(candidates, catalog, profiles, ctx)
-    if policy.kind == "EquityRank":
-        score = partial(_equity_score_values, ctx=ctx, alpha=policy.alpha)
-        return _greedy_fill(ids, user, rel, ledger, catalog, ctx, pm, score)
-    return online_step_rank(policy, ids, user, rel, ledger, catalog, profiles, pm, ctx=ctx)

@@ -8,12 +8,14 @@ samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
 An online run fixes each user's prefiltered candidate set when it starts, so
-the estimator's counters are (users x candidates) arrays on ``OnlineState``,
-indexed by candidate slot: the position of an item in its user's sorted
-candidate set. Per-run constants (provider arrays and the fairness
-gradient's constants) are built once per run into a ``ProviderContext`` that
-the step loop passes to the rankers, and each user's true relevance over
-their candidate set is read from the table once per run, in the same shape.
+everything a step reads or writes is indexed by candidate slot: the position
+of an item in its user's sorted candidate set. The policy is resolved once
+per run into a ``rankers.PolicyPlan`` over those slots, each user's true
+relevance over their candidate set is read from the table once per run, and
+``OnlineState`` keeps the estimate row and the raw provider gains current as
+feedback arrives. A step (``online_step``) then runs estimate -> score ->
+top-K -> feedback -> DCG on slots alone, with no id-to-slot mapping and no
+per-step rebuilding of gains or gradients.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
 from .metrics import (
     GainLedger,
     RunResult,
@@ -40,14 +42,7 @@ from .metrics import (
     ideal_dcg,
     unfairness,
 )
-from .rankers import (
-    PolicyConfig,
-    ProviderContext,
-    allocate_vertical,
-    offline_rank_user,
-    online_step_rank,
-    top_k_order,
-)
+from .rankers import PolicyConfig, PolicyPlan, allocate_vertical, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -57,6 +52,7 @@ __all__ = [
     "apply_feedback",
     "estimate_relevance",
     "make_online_state",
+    "online_step",
     "prefilter_candidates",
     "run_offline",
     "run_online",
@@ -120,9 +116,13 @@ class OnlineState:
     ledger; this object adds the running discounted effectiveness and the
     step counter.
 
-    Item-to-slot lookups go through one small dict per user, built once:
-    a served list has only a handful of items, and a dict lookup per item
-    costs less than any vectorised search does at that size.
+    The feedback stage keeps two derived arrays current at the slots and
+    providers it touches, so a step reads them without recomputing:
+    ``estimate``, every slot's ``relevance_of``, and ``gains``, the ledger's
+    ``raw_gains``. Writing the counters or the ledger directly bypasses them.
+
+    Item-to-slot lookups (``slots``) go through one small dict per user,
+    built once, for callers holding item ids; the online step uses slots.
     """
 
     ledger: GainLedger
@@ -133,6 +133,8 @@ class OnlineState:
     ideal_cache: np.ndarray | None = None
     exposure: np.ndarray = field(init=False, repr=False)
     purchases: np.ndarray = field(init=False, repr=False)
+    estimate: np.ndarray = field(init=False, repr=False)
+    gains: np.ndarray = field(init=False, repr=False)
     _slot_of: list[dict[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -147,6 +149,8 @@ class OnlineState:
         self.candidate_sets = sets
         self.exposure = np.zeros(sets.shape, dtype=np.float64)
         self.purchases = np.zeros(sets.shape, dtype=np.int64)
+        self.estimate = np.ones(sets.shape, dtype=np.float64)
+        self.gains = self.ledger.raw_gains()
         self._slot_of = [{item: slot for slot, item in enumerate(row)} for row in sets.tolist()]
 
     def slots(self, user: int, items) -> list[int]:
@@ -168,13 +172,8 @@ class OnlineState:
 
     def relevance_of(self, user: int, items) -> np.ndarray:
         """Estimated relevance of candidate ``items`` (see estimate_relevance)."""
-        exposure, purchases = self.exposure[user], self.purchases[user]
-        row = self.candidate_sets[user]
-        # a ranker reading all of the user's candidates, in slot order, needs
-        # no slot lookup
-        if not (isinstance(items, np.ndarray) and items.shape == row.shape and (items == row).all()):
-            slots = self.slots(user, items)
-            exposure, purchases = exposure.take(slots), purchases.take(slots)
+        slots = self.slots(user, items)
+        exposure, purchases = self.exposure[user].take(slots), self.purchases[user].take(slots)
         estimate = np.ones(exposure.size, dtype=np.float64)
         np.divide(purchases, exposure, out=estimate, where=exposure > 0.0)
         return np.minimum(estimate, 1.0, out=estimate)
@@ -192,6 +191,49 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     candidates.
     """
     return float(state.relevance_of(user, [item])[0])
+
+
+def _feedback(state: OnlineState, user: int, slots, at, provider, exposure_value, purchase_value, relevance, probs):
+    """The feedback stage of one served list, given by candidate slot.
+
+    Position k serves slot ``slots[k]``; its provider, the provider's weights
+    v_e and v_b, and its true relevance r are entry ``at[k]`` of ``provider``,
+    ``exposure_value``, ``purchase_value`` and ``relevance``. It pays p_k v_e
+    of exposure gain and p_k of examination mass, and with probability p_k r
+    (one uniform draw) a purchase worth v_b; the slot's counters, the kept
+    gains and the estimate follow, top position first. Returns the served
+    relevances and the purchase outcomes.
+    """
+    draws = state.rng.random(len(slots)).tolist()
+    ledger, gains = state.ledger, state.gains
+    exposure_gain, purchase_gain, group_exposure = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
+    exposure, purchases, estimate = state.exposure[user], state.purchases[user], state.estimate[user]
+    served, bought = [], []
+    # a few positions per list: scalar updates in position order beat
+    # vectorised ones here, and add repeated providers' gains in list order.
+    # Each entry is read once with item() and summed as a Python float: the
+    # same IEEE operations as numpy's, without numpy's per-scalar overhead.
+    for slot, i, p_k, draw in zip(slots, at, probs, draws):
+        g, r = provider.item(i), relevance.item(i)
+        paid = exposure_gain.item(g) + p_k * exposure_value.item(i)
+        exposure_gain[g] = paid
+        sold, count = purchase_gain.item(g), purchases.item(slot)
+        hit = draw < p_k * r
+        if hit:
+            sold += purchase_value.item(i)
+            purchase_gain[g] = sold
+            count += 1
+            purchases[slot] = count
+        seen = exposure.item(slot) + p_k
+        exposure[slot] = seen
+        group_exposure[g] = group_exposure.item(g) + p_k
+        gains[g] = paid + sold
+        ratio = count / seen
+        estimate[slot] = 1.0 if ratio > 1.0 else ratio
+        served.append(r)
+        bought.append(hit)
+    ledger.step_count += 1
+    return served, bought
 
 
 def apply_feedback(
@@ -224,31 +266,11 @@ def apply_feedback(
         relevance = rel.relevance_of(user, items)
     elif len(relevance) != len(items):
         raise ValueError(f"got {len(relevance)} relevances for {len(items)} served items")
-    draws = state.rng.random(len(items)).tolist()
-    ledger = state.ledger
-    exposure_gain, purchase_gain, group_exposure = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
-    exposure, purchases = state.exposure[user], state.purchases[user]
-    group_of = catalog.group_of
-    bought = np.zeros(len(items), dtype=bool)
-    # a few positions per list: scalar updates in position order beat
-    # vectorised ones here, and add repeated providers' gains in list order.
-    # This loop is GainLedger.accrue fused with the estimator's slot
-    # counters, and its purchases are realised draws, not expectations.
-    # Calling accrue plus separate counter updates measured 7.1-7.7 ->
-    # 12.2-12.6 us per call (2-core Xeon, CPython 3.11.7, numpy 2.4.6),
-    # about 6% of an online step.
-    for k0, (item, p_k, r, slot) in enumerate(zip(items, pm.probs.tolist(), relevance.tolist(), slots)):
-        g = int(group_of[item])
-        profile = profiles[g]
-        exposure_gain[g] += p_k * profile.exposure_value
-        if draws[k0] < p_k * r:
-            purchase_gain[g] += profile.purchase_value
-            purchases[slot] += 1
-            bought[k0] = True
-        exposure[slot] += p_k
-        group_exposure[g] += p_k
-    ledger.step_count += 1
-    return bought
+    groups = catalog.group_of[list(items)]
+    ve, vb, _ = provider_arrays([profiles[g] for g in groups])
+    at = range(len(items))
+    _, bought = _feedback(state, user, slots, at, groups, ve, vb, np.asarray(relevance), pm.probs.tolist())
+    return np.array(bought, dtype=bool)
 
 
 def apply_expected_feedback(
@@ -311,11 +333,10 @@ def _result(
     effectiveness: float,
     ledger: GainLedger,
     profiles: Sequence[ProviderProfile],
-    ctx: ProviderContext,
     wall: float,
 ) -> RunResult:
     if ledger.step_count > 0:
-        unfair = unfairness(ledger.averaged_gains(), ctx.gain_target)
+        unfair = unfairness(ledger.averaged_gains(), provider_arrays(profiles)[2])
     else:
         unfair = math.nan
     try:
@@ -368,20 +389,21 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, user_order[:8])
 
     start = time.perf_counter()
-    ctx = ProviderContext.of(profiles)
     ledger = GainLedger.empty(catalog.provider_count)
     if policy == "EquityRankV":
-        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, ctx=ctx)
+        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm)
     else:
+        # every user ranks the whole catalog: one row, whose slots are item ids
         candidates = np.arange(catalog.item_count, dtype=np.int64)
+        plan = PolicyPlan(policy_cfg, candidates[None, :], catalog, profiles, slotwise=True)
         lists = []
-        for user in user_order:
-            rl = offline_rank_user(policy_cfg, candidates, int(user), rel, ledger, catalog, profiles, pm, ctx=ctx)
-            apply_expected_feedback(rl, int(user), rel, profiles, catalog, ledger, pm)
+        for user in user_order.tolist():
+            rl = RankList(tuple(plan.rank(0, rel.relevance_of(user, candidates), ledger.raw_gains(), pm.probs)), user)
+            apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
     wall = time.perf_counter() - start
-    return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, ctx, wall)
+    return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
 
 
 def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
@@ -408,6 +430,23 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
     )
 
 
+def online_step(
+    plan: PolicyPlan, state: OnlineState, user: int, true_rel: np.ndarray, probs: list[float], cutoff: int
+) -> tuple[list[int], float]:
+    """One request of an online run, by candidate slot.
+
+    Ranks ``user``'s candidates with ``plan`` from the state's estimate row
+    and raw gains, serves the list with sampled feedback (see ``_feedback``),
+    and returns the served slots, top first, and their DCG at ``cutoff``.
+    ``true_rel`` is the user's true relevance in slot order and ``probs`` the
+    examination probabilities as floats.
+    """
+    slots = plan.rank(user, state.estimate[user], state.gains, probs)
+    ve, vb = plan.exposure_value[user], plan.purchase_value[user]
+    served, _ = _feedback(state, user, slots, slots, plan.provider[user], ve, vb, true_rel, probs)
+    return slots, discounted_sum(served, probs, cutoff)
+
+
 def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
     """Simulate the online service loop for ``cfg.total_steps`` steps.
 
@@ -425,9 +464,9 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     probs = pm.probs.tolist()
 
     start = time.perf_counter()
-    ctx = ProviderContext.of(profiles)
     state = make_online_state(dataset, seed, cfg)
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
+    plan = PolicyPlan(policy_cfg, candidate_sets, catalog, profiles)
     # true relevance over every user's candidate row, read once: a step takes
     # its served items' values by candidate slot, with no table lookup
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
@@ -436,21 +475,17 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
 
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
-        rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm, ctx=ctx)
-        # the served items' true relevance feeds both the purchase draws and
-        # the step's DCG
-        served = true_rel[user].take(state.slots(user, rl.positions))
-        apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
+        _, dcg = online_step(plan, state, user, true_rel[user], probs, cutoff)
         ideal = ideal_dcgs[user]
-        ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cutoff) / ideal
+        ndcg_t = 1.0 if ideal == 0.0 else dcg / ideal
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t
         if ndcg_series is not None:
             ndcg_series[t - 1] = ndcg_t
         if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
-            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), ctx.gain_target)))
+            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), plan.targets)))
 
     wall = time.perf_counter() - start
     trace.ndcg_series = ndcg_series
-    result = _result("online", policy, alpha, seed, state.cndcg, ledger, profiles, ctx, wall)
+    result = _result("online", policy, alpha, seed, state.cndcg, ledger, profiles, wall)
     return result, trace

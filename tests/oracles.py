@@ -3,11 +3,16 @@
 The rankers share no code with ``equityrank.rankers``: each reads the
 relevance table, the profiles and the ledger directly. ``reference_unfairness``
 and ``reference_prefilter`` are the forms the library's unfairness and
-candidate prefilter replaced: the m x m pairwise sum and a full sort."""
+candidate prefilter replaced: the m x m pairwise sum and a full sort.
+``run_online_reference`` is the online loop by item id that the slot-indexed
+``sim.run_online`` replaced."""
 
 from collections import deque
 
 import numpy as np
+
+from equityrank import PolicyConfig, PositionModel, apply_feedback, online_step_rank, provider_arrays, sim
+from equityrank.metrics import cndcg_update, discounted_sum, unfairness
 
 
 def _gradient(gains, y):
@@ -158,3 +163,40 @@ def reference_prefilter(user, rel, item_count, size, noise_sd, rng):
     noisy = rel.dense_row(user, item_count) + rng.normal(0.0, noise_sd, item_count)
     order = np.lexsort((np.arange(item_count), -noisy))
     return np.sort(order[:size]).astype(np.int64)
+
+
+def run_online_reference(dataset, policy, alpha, seed, cfg):
+    """``sim.run_online`` one request at a time by item id.
+
+    Each step ranks with ``online_step_rank`` (estimates read from the
+    counters, gains rebuilt from the ledger), maps the served items to their
+    candidate slots with ``state.slots``, and serves them with
+    ``apply_feedback``. Returns the result (wall time 0), the trace and the
+    final state.
+    """
+    catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
+    pm = PositionModel.logarithmic(cfg.list_size)
+    policy_cfg = PolicyConfig(policy, alpha)
+    probs = pm.probs.tolist()
+    _, _, targets = provider_arrays(profiles)
+    state = sim.make_online_state(dataset, seed, cfg)
+    ledger, candidate_sets = state.ledger, state.candidate_sets
+    true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
+    trace = sim.OnlineTrace()
+    series = np.empty(cfg.total_steps) if cfg.record_ndcg else None
+    for t in range(1, cfg.total_steps + 1):
+        user = int(state.rng.integers(rel.user_count))
+        rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm)
+        served = true_rel[user].take(state.slots(user, rl.positions))
+        apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
+        ideal = state.ideal_cache[user]
+        ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cfg.eval_cutoff) / ideal
+        state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
+        state.step = t
+        if series is not None:
+            series[t - 1] = ndcg_t
+        if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
+            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), targets)))
+    trace.ndcg_series = series
+    result = sim._result("online", policy, alpha, seed, state.cndcg, ledger, profiles, 0.0)
+    return result, trace, state

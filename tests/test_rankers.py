@@ -1,5 +1,8 @@
 """Ranking policies: scoring rules, tie-breaking, collapse identities."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from equityrank import (
     rank_mmf_star,
     rank_poork,
 )
-from equityrank.rankers import PARTITION_MIN_CANDIDATES
+from equityrank.rankers import PARTITION_MIN_CANDIDATES, PolicyPlan
 from oracles import reference_poork, reference_slotwise_equityrank, reference_vertical
 
 PM2 = PositionModel.logarithmic(2)
@@ -103,6 +106,13 @@ class TestRankByScores:
         sv = ScoreVector(np.array([0]), np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             rank_by_scores(sv, 2)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_nonpositive_list_size(self, k):
+        ids = np.arange(300)
+        sv = ScoreVector(ids, np.linspace(0.0, 1.0, 300), np.zeros(300))
+        with pytest.raises(ValueError, match="must be positive"):
+            rank_by_scores(sv, k)
 
     def test_rejects_nonfinite_scores(self):
         with pytest.raises(ValueError):
@@ -275,6 +285,42 @@ class TestDispatch:
     def test_policy_config_rejects_nonfinite_alpha(self, alpha):
         with pytest.raises(ValueError, match="finite"):
             PolicyConfig("EquityRank", alpha=alpha)
+
+    @pytest.mark.parametrize("kind", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
+    def test_ties_go_to_the_lower_id_whatever_the_candidate_order(self, kind):
+        catalog = Catalog.from_assignments([0, 1, 0, 1])
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(4)])
+        profiles, policy = uniform_profiles(2), PolicyConfig(kind, 0.5)
+        for candidates in ([3, 0, 2, 1], [0, 1, 2, 3]):
+            for rank in (online_step_rank, offline_rank_user):
+                rl = rank(policy, candidates, 0, rel, GainLedger.empty(2), catalog, profiles, PM2)
+                assert rl.positions == (0, 1), (rank.__name__, candidates)
+
+    @pytest.mark.parametrize("slotwise", [False, True])
+    @pytest.mark.parametrize("kind", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
+    def test_plan_is_freed_without_the_cycle_collector(self, kind, slotwise):
+        # a run's plan holds (users x candidates) arrays; a reference cycle
+        # through the plan would keep them until the cyclic collector ran
+        catalog = Catalog.from_assignments([0, 1, 0])
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2), slotwise)
+        freed = weakref.ref(plan)
+        gc.disable()
+        try:
+            del plan
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind", ["EquityRank", "FairCoStar"])
+    def test_overflowing_scores_are_rejected(self, kind):
+        # a gain near the float maximum against a tiny target overflows the
+        # gradient and FairCo*'s gain-to-target ratio, so a score is not finite
+        catalog = Catalog.from_assignments([0, 1])
+        rel = RelevanceTable(1, [(0, 0, 0.5), (0, 1, 0.5)])
+        profiles = [ProviderProfile(1.0, 0.0, 1e-300), ProviderProfile(1.0, 0.0, 1.0)]
+        ledger = ledger_with_gains([1e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            online_step_rank(PolicyConfig(kind, 1.0), [0, 1], 0, rel, ledger, catalog, profiles, PM2)
 
     def test_online_equityrank_matches_hand_ordering(self):
         # three items, two groups; gradient [2, -4] from gains [1,1], targets [2,1]

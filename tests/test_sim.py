@@ -360,7 +360,7 @@ def single_provider_dataset():
 @pytest.mark.parametrize("mode", ["offline", "online"])
 def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch):
     served = []
-    for name in ("apply_feedback", "apply_expected_feedback"):
+    for name in ("online_step", "apply_expected_feedback"):
         monkeypatch.setattr(sim, name, lambda *args, **kwargs: served.append(args))
     cfg = SimConfig(list_size=2, total_steps=1000, prefilter_size=3, mode=mode)
     run = sim.run_online if mode == "online" else sim.run_offline
