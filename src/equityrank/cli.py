@@ -76,20 +76,13 @@ class ExperimentPlan:
             raise ValueError("plan needs either a dataset path or a generator spec")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        for name in ("policies", "alpha_grid", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
     def to_json(self) -> str:
-        data = {
-            "out_dir": self.out_dir,
-            "dataset": self.dataset,
-            "generator": asdict(self.generator) if self.generator else None,
-            "scenario": self.scenario,
-            "policies": list(self.policies),
-            "alpha_grid": list(self.alpha_grid),
-            "seeds": list(self.seeds),
-            "sim": asdict(self.sim),
-            "workers": self.workers,
-        }
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def effective_alpha_grid(policy: str, grid: Sequence[float]) -> list[float]:
@@ -120,12 +113,15 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
-    sim_cfg = dict(config.get("sim", {}))
-    known = {f.name for f in fields(SimConfig)}
-    unknown = set(sim_cfg) - known
+def _check_keys(config: dict, cls: type, what: str) -> dict:
+    unknown = set(config) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown sim config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
+    return config
+
+
+def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
+    sim_cfg = _check_keys(dict(config.get("sim", {})), SimConfig, "sim")
     if getattr(args, "mode", None):
         sim_cfg["mode"] = args.mode
     if getattr(args, "steps", None) is not None:
@@ -134,18 +130,14 @@ def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
 
 
 def _build_generator(config: dict, args: argparse.Namespace) -> GeneratorSpec:
-    gen_cfg = dict(config.get("generator") or {})
-    known = {f.name for f in fields(GeneratorSpec)}
-    unknown = set(gen_cfg) - known
-    if unknown:
-        raise ValueError(f"unknown generator config keys: {sorted(unknown)}")
+    gen_cfg = _check_keys(dict(config.get("generator") or {}), GeneratorSpec, "generator")
     if getattr(args, "seed", None) is not None:
         gen_cfg["seed"] = args.seed
     return GeneratorSpec(**gen_cfg)
 
 
 def resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
-    config = _load_config(getattr(args, "config", None))
+    config = _check_keys(_load_config(getattr(args, "config", None)), ExperimentPlan, "top-level")
     dataset = getattr(args, "dataset", None) or config.get("dataset")
     out_dir = getattr(args, "out", None) or config.get("out_dir")
     if out_dir is None:
@@ -174,7 +166,7 @@ def resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
         alpha_grid=tuple(float(a) for a in alpha_grid),
         seeds=tuple(int(s) for s in seeds),
         sim=sim,
-        workers=int(getattr(args, "workers", 1) or 1),
+        workers=int(config.get("workers", 1) if getattr(args, "workers", None) is None else args.workers),
     )
 
 
@@ -479,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha", type=float, default=None, help="restrict the sweep to one alpha")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--steps", type=int, default=None)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=None, help="worker processes (default: config, else 1)")
 
     report = sub.add_parser("report", help="summarize sweep outputs into tables and an SVG")
     report.add_argument("--results", required=True, help="directory containing results.csv")

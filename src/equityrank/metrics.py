@@ -32,7 +32,6 @@ __all__ = [
     "expected_gain",
     "exposure_unfairness",
     "fairness_gradient",
-    "fairness_gradient_unchecked",
     "format_float",
     "ideal_dcg",
     "ndcg",
@@ -228,16 +227,7 @@ def fairness_gradient(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     gains, targets = _check_gain_args(gains, targets)
     m = gains.size
-    return fairness_gradient_unchecked(gains, targets, float(targets @ targets), 4.0 / (m * (m - 1)))
-
-
-def fairness_gradient_unchecked(gains: np.ndarray, targets: np.ndarray, target_sq: float, scale: float) -> np.ndarray:
-    """The closed form of ``fairness_gradient`` without argument checks.
-
-    ``target_sq`` is y . y and ``scale`` is 4 / (m (m-1)); a caller that
-    validated the targets once precomputes both and calls this per step.
-    """
-    return scale * (targets * float(gains @ targets) - gains * target_sq)
+    return 4.0 / (m * (m - 1)) * (targets * float(gains @ targets) - gains * float(targets @ targets))
 
 
 def exposure_unfairness(ledger: GainLedger, catalog: Catalog, rel: RelevanceTable) -> float:

@@ -20,14 +20,14 @@ order is id order. The plan holds each candidate's provider and that
 provider's weights in the rows' shape and ranks by slot. The simulation
 loops build one plan per run; the public rankers below check and sort their
 candidates and build a one-row plan per call. Rankers read raw cumulative
-gains (no per-step averaging). Online EquityRank takes the fairness gradient
-at its candidates' providers only, so a request costs one dot product over
-the providers plus work per candidate.
+gains (no per-step averaging).
 
-PoorK, MMF*, offline EquityRank and EquityRankV share one slot-greedy
-kernel: each slot takes the best remaining candidate under the policy's
-score, then adds its expected gain p_k (v_e + r v_b) to the provider gains
-before the next slot is scored.
+Each policy has one scorer, over any slots of a row. TopK, FairCo* and
+online EquityRank score every slot once; PoorK, MMF*, offline EquityRank and
+EquityRankV share one slot-greedy kernel that scores the remaining slots,
+takes the best, and adds its expected gain p_k (v_e + r v_b) to the provider
+gains before the next position. EquityRank takes the fairness gradient at
+the scored slots' providers only: one dot product plus work per slot.
 
 Tie-breaking is deterministic everywhere and has a single rule: score
 descending, then relevance descending, then item id ascending.
@@ -37,14 +37,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Catalog, PositionModel, ProviderProfile, RankList, provider_arrays
-from .metrics import GainLedger, fairness_gradient_unchecked
+from .metrics import GainLedger
 
 __all__ = [
+    "ALL_SLOTS",
     "POLICY_KINDS",
     "PolicyConfig",
     "PolicyPlan",
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
+# the ``at`` of a plan's scorer that selects every slot of the row
+ALL_SLOTS = slice(None)
 # Below this many candidates one full sort is cheaper than narrowing the
 # field with a partition first (measured for k = 5: the two cost the same
 # near 200 candidates); both select the same list.
@@ -138,25 +141,20 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
 
 
-# Scores of the still-available candidates, given their relevance, their
-# providers and the current provider gains.
-SlotScore = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
+    """Take the best available slot of ``row`` and return it.
 
-
-def _pick(rel: np.ndarray, groups: np.ndarray, avail: np.ndarray, gains: np.ndarray, score: SlotScore) -> int:
-    """Take the best available candidate and return its index.
-
-    Best is the highest ``score``, ties broken by relevance descending, then
-    index ascending, which is id ascending for the ascending candidate ids
-    every caller passes. The pick is marked unavailable in ``avail``.
+    Best is the highest score under ``plan``, ties broken by relevance
+    descending, then slot ascending, which is id ascending. The pick is
+    marked unavailable in ``avail``.
     """
-    idxs = np.flatnonzero(avail)
-    r = rel[idxs]
-    scores = score(r, groups[idxs], gains)
+    at = np.flatnonzero(avail)
+    r = rel[at]
+    scores = plan.score(row, at, r, gains)
     tied = np.flatnonzero(scores == scores.max())
     if tied.size > 1:
         tied = tied[np.argsort(-r[tied], kind="stable")]
-    best = int(idxs[tied[0]])
+    best = int(at[tied[0]])
     avail[best] = False
     return best
 
@@ -171,15 +169,18 @@ class PolicyPlan:
     that provider's weights and target. ``targets`` holds every provider's
     gain target.
 
+    Each policy has one scorer: ``score(row, at, rel, gains)`` returns the
+    scores of slots ``at`` of ``row`` (an index array, or ``ALL_SLOTS``)
+    from their relevance ``rel`` and the raw provider gains.
+
     ``rank(row, rel, gains, probs)`` returns the slots of one list of
     ``len(probs)`` positions, top first, from the relevance of the row's
     candidates in slot order, the raw provider gains and the examination
     probabilities, and changes none of them. TopK, FairCo* and EquityRank
-    score the row once, check that the scores are finite, and take the top
-    slots by score, then relevance, then slot. PoorK, MMF* and, with
+    score every slot once, check that the scores are finite, and take the
+    top slots by score, then relevance, then slot. PoorK, MMF* and, with
     ``slotwise`` (offline mode), EquityRank fill the list with the
-    slot-greedy kernel, rescoring the remaining candidates with
-    ``slot_score`` before each position.
+    slot-greedy kernel, scoring the remaining slots before each position.
     """
 
     def __init__(
@@ -199,75 +200,67 @@ class PolicyPlan:
             raise ValueError("alpha must lie in [0, 1] for this policy")
         if kind == "EquityRank" and alpha != 0.0 and m < 2:
             raise ValueError("pairwise unfairness needs at least two providers")
-        # PoorK is MMF*'s slot score at alpha = 1
+        # PoorK is MMF*'s score at alpha = 1
         self.alpha = 1.0 if kind == "PoorK" else alpha
-        self.targets, self._ve, self._vb = y, ve, vb
+        self.targets = y
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self.provider = provider = catalog.group_of[rows]
         self.exposure_value, self.purchase_value, self.gain_target = ve[provider], vb[provider], y[provider]
         self._zeros = np.zeros(rows.shape[1])
-        # plain functions, not bound methods: a bound method kept on the plan
-        # is a reference cycle, which would hold each run's arrays until the
-        # cyclic garbage collector ran
-        self._score_fn = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco}.get(kind, PolicyPlan._equity)
-        self._slot_fn = PolicyPlan._mmf_slot if kind in ("PoorK", "MMFStar") else None
-        if kind == "EquityRank" and slotwise:
-            self._slot_fn = PolicyPlan._equity_slot
+        # a plain function, not a bound method: a bound method kept on the
+        # plan is a reference cycle, which would hold each run's arrays until
+        # the cyclic garbage collector ran
+        scorers = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco, "EquityRank": PolicyPlan._equity}
+        self._score_fn = scorers.get(kind, PolicyPlan._mmf)  # PoorK and MMF*
+        self._greedy = kind in ("PoorK", "MMFStar") or (kind == "EquityRank" and slotwise)
+
+    def score(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        """The scores of slots ``at`` of ``row``, whose relevance is ``rel``."""
+        return self._score_fn(self, row, at, rel, gains)
 
     def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
         """The slots of one list, top first (see the class docstring)."""
-        if self._slot_fn is not None:
+        if self._greedy:
             return self._fill(row, rel, gains, probs)
-        scores = self._score_fn(self, row, rel, gains)
+        scores = self._score_fn(self, row, ALL_SLOTS, rel, gains)
         # x * 0 is zero for every finite x and NaN otherwise: one dot product
         # with zeros checks the row, at a third of isfinite().all()'s cost
         if scores.dot(self._zeros) != 0.0:
             raise ValueError("scores must be finite")
         return top_k_order((-rel, -scores), len(probs)).tolist()
 
-    def slot_score(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        """The scores of the still-available candidates (the slot-greedy fill)."""
-        return self._slot_fn(self, rel, groups, gains)
-
-    def _relevance(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _relevance(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         return rel
 
-    def _fairco(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _fairco(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         # a provider lagging behind the best-served one, by gain-to-target
         # ratio, gets alpha times the shortfall, clipped at zero so that no
         # item scores below its own relevance
         ratios = gains / self.targets
-        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[self.provider[row]])
+        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[self.provider[row, at]])
 
-    def _equity(self, row: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _equity(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         # rel + alpha b (v_e + rel v_b) with the fairness gradient
-        # b = scale (y G.y - G |y|^2) taken at the candidates' providers only;
+        # b = scale (y G.y - G |y|^2) taken at the slots' providers only;
         # the elementwise operations of metrics.fairness_gradient, so the
         # same bits, done in place
         if self.alpha == 0.0:
             return rel
-        b = self.gain_target[row] * gains.dot(self.targets)
-        b -= gains[self.provider[row]] * self._target_sq
+        b = self.gain_target[row, at] * gains.dot(self.targets)
+        b -= gains[self.provider[row, at]] * self._target_sq
         b *= self._scale
         b *= self.alpha
-        w = rel * self.purchase_value[row]
-        w += self.exposure_value[row]
+        w = rel * self.purchase_value[row, at]
+        w += self.exposure_value[row, at]
         b *= w
         b += rel
         return b
 
-    def _equity_slot(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        # offline EquityRank and EquityRankV: the candidates far outnumber the
-        # providers, so the gradient is taken at every provider, then gathered
-        if self.alpha == 0.0:
-            return rel
-        b = fairness_gradient_unchecked(gains, self.targets, self._target_sq, self._scale)
-        return rel + self.alpha * b[groups] * (self._ve[groups] + rel * self._vb[groups])
-
-    def _mmf_slot(self, rel: np.ndarray, groups: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _mmf(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         # the worst-off provider has the smallest gain-to-target ratio among the
-        # providers with a candidate left (ties: lowest provider id)
+        # providers of the scored slots (ties: lowest provider id)
+        groups = self.provider[row, at]
         lo, hi = rel.min(), rel.max()
         norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
         live = np.unique(groups)
@@ -281,7 +274,7 @@ class PolicyPlan:
         groups, ve, vb = self.provider[row], self.exposure_value[row], self.purchase_value[row]
         gains, avail, chosen = gains.copy(), np.ones(rel.size, dtype=bool), []
         for p_k in probs:
-            pick = _pick(rel, groups, avail, gains, self.slot_score)
+            pick = _pick(self, row, rel, avail, gains)
             gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
             chosen.append(pick)
         return chosen
@@ -321,7 +314,7 @@ def equityrank_scores(
     ids = _candidates(candidates, catalog)
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
     rel = rel_source.relevance_of(user, ids)
-    return ScoreVector(item_ids=ids, scores=PolicyPlan._equity(plan, 0, rel, ledger.raw_gains()), relevance=rel)
+    return ScoreVector(item_ids=ids, scores=plan.score(0, ALL_SLOTS, rel, ledger.raw_gains()), relevance=rel)
 
 
 def rank_poork(
@@ -454,16 +447,15 @@ def allocate_vertical(
     if len(set(user_ids)) != len(user_ids):
         raise ValueError("users must be distinct ids")
     ids = np.arange(n, dtype=np.int64)
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles, slotwise=True)
-    groups = catalog.group_of
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
     rows = [rel.relevance_of(u, ids) for u in user_ids]
     avail = [np.ones(n, dtype=bool) for _ in user_ids]
     slots: list[list[int]] = [[] for _ in user_ids]
 
     for p_k in pm.probs:
         for row, free, chosen in zip(rows, avail, slots):
-            item = _pick(row, groups, free, ledger.raw_gains(), plan.slot_score)
-            ledger.accrue((groups[item],), (p_k,), (p_k * row[item],), profiles)
+            item = _pick(plan, 0, row, free, ledger.raw_gains())
+            ledger.accrue((catalog.group_of[item],), (p_k,), (p_k * row[item],), profiles)
             chosen.append(item)
     ledger.step_count += len(user_ids)
     return [RankList(tuple(chosen), u) for u, chosen in zip(user_ids, slots)]

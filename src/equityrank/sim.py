@@ -121,8 +121,8 @@ class OnlineState:
     ``estimate``, every slot's ``relevance_of``, and ``gains``, the ledger's
     ``raw_gains``. Writing the counters or the ledger directly bypasses them.
 
-    Item-to-slot lookups (``slots``) go through one small dict per user,
-    built once, for callers holding item ids; the online step uses slots.
+    Item-to-slot lookups (``slots``) search the user's sorted row, for
+    callers holding item ids; the online step uses slots.
     """
 
     ledger: GainLedger
@@ -135,7 +135,6 @@ class OnlineState:
     purchases: np.ndarray = field(init=False, repr=False)
     estimate: np.ndarray = field(init=False, repr=False)
     gains: np.ndarray = field(init=False, repr=False)
-    _slot_of: list[dict[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sets = np.asarray(self.candidate_sets, dtype=np.int64)
@@ -151,20 +150,18 @@ class OnlineState:
         self.purchases = np.zeros(sets.shape, dtype=np.int64)
         self.estimate = np.ones(sets.shape, dtype=np.float64)
         self.gains = self.ledger.raw_gains()
-        self._slot_of = [{item: slot for slot, item in enumerate(row)} for row in sets.tolist()]
 
     def slots(self, user: int, items) -> list[int]:
         """Candidate slots of ``items`` (a sequence of item ids) for ``user``.
 
         Raises ValueError if any item is not one of the user's candidates.
         """
-        slot_of = self._slot_of[user]
-        if isinstance(items, np.ndarray):
-            items = items.tolist()
-        try:
-            return [slot_of[item] for item in items]
-        except KeyError as err:
-            raise ValueError(f"item {err.args[0]} is not a candidate of user {user}") from None
+        row, items = self.candidate_sets[user], np.asarray(items)
+        slots = row.searchsorted(items)
+        missing = row[np.minimum(slots, row.size - 1)] != items
+        if missing.any():
+            raise ValueError(f"item {items[missing][0]} is not a candidate of user {user}")
+        return slots.tolist()
 
     def slot(self, user: int, item: int) -> int:
         """Candidate slot of one item (the scalar view of ``slots``)."""
@@ -457,16 +454,16 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     """
     if policy == "EquityRankV":
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
-    catalog, profiles, rel = _check_dataset(dataset, cfg)
-    pm = PositionModel.logarithmic(cfg.list_size)
     policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
     cutoff = cfg.eval_cutoff
-    probs = pm.probs.tolist()
+    probs = PositionModel.logarithmic(cfg.list_size).probs.tolist()
 
     start = time.perf_counter()
+    # make_online_state checks the dataset before any list is served
     state = make_online_state(dataset, seed, cfg)
+    profiles, rel = dataset.profiles, dataset.relevance
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
-    plan = PolicyPlan(policy_cfg, candidate_sets, catalog, profiles)
+    plan = PolicyPlan(policy_cfg, candidate_sets, dataset.catalog, profiles)
     # true relevance over every user's candidate row, read once: a step takes
     # its served items' values by candidate slot, with no table lookup
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])

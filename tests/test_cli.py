@@ -8,12 +8,14 @@ import pytest
 from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, load_dataset
 from equityrank.cli import (
     ExperimentPlan,
+    _build_parser,
     cmd_generate,
     cmd_report,
     cmd_run,
     cmd_sweep,
     effective_alpha_grid,
     main,
+    resolve_plan,
 )
 
 TINY = GeneratorSpec(n_users=30, n_items=60, n_providers=5, latent_dim=4, sparsity=0.2, seed=7)
@@ -245,3 +247,71 @@ class TestMainEntry:
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["report", "--results", str(out)]) == 0
         assert (out / "tradeoff.svg").is_file()
+
+
+def sweep_args(*argv):
+    return _build_parser().parse_args(["sweep", *argv])
+
+
+class TestPlanResolution:
+    def write_config(self, tmp_path, **extra):
+        config = {"generator": {"n_users": 10, "n_items": 20, "n_providers": 3, "seed": 1}, "seeds": [0]}
+        config.update(extra)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    def test_unknown_top_level_key_fails_with_error_line(self, tmp_path, capsys):
+        # "seed" is not a plan key ("seeds" is): it used to be ignored, and
+        # the default seeds ran instead
+        path = self.write_config(tmp_path, seed=[1, 2])
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["status"] == "error"
+        assert "unknown top-level config keys: ['seed']" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_workers_are_honoured_and_the_flag_overrides_them(self, tmp_path):
+        path = self.write_config(tmp_path, workers=4)
+        assert resolve_plan(sweep_args("--config", str(path), "--out", "o")).workers == 4
+        assert resolve_plan(sweep_args("--config", str(path), "--out", "o", "--workers", "2")).workers == 2
+        assert resolve_plan(sweep_args("--config", str(self.write_config(tmp_path)), "--out", "o")).workers == 1
+
+    def test_zero_workers_flag_fails_with_error_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, workers=3)
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", "0"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"status": "error", "message": "workers must be positive"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["generator", "dataset"])
+    def test_a_sweeps_plan_json_resolves_to_the_same_plan(self, tmp_path, source):
+        plan = tiny_plan(tmp_path / "first", alpha_grid=(0.0, 0.5), sim=SimConfig(list_size=3, cutoff=2, mode="offline"))
+        if source == "dataset":
+            ds_dir = cmd_generate(TINY, ScenarioSpec.common(), tmp_path / "ds")
+            plan = tiny_plan(tmp_path / "first", dataset=str(ds_dir), generator=None)
+        out = cmd_sweep(plan)
+        resolved = resolve_plan(sweep_args("--config", str(out / "plan.json")))
+        assert resolved == plan
+        assert resolved.to_json() == (out / "plan.json").read_text()
+
+
+class TestPlanValues:
+    @pytest.mark.parametrize(
+        "field, values",
+        [("policies", ("EquityRank", "TopK", "EquityRank")), ("alpha_grid", (0.1, 0.1)), ("seeds", (0, 1, 0))],
+    )
+    def test_repeated_values_are_rejected(self, tmp_path, field, values):
+        with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
+            tiny_plan(tmp_path, **{field: values})
+
+    def test_repeated_config_values_fail_before_any_run(self, tmp_path, capsys):
+        config = {"seeds": [0, 0], "policies": ["EquityRank", "EquityRank"], "alpha_grid": [0.1, 0.1]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "must not repeat a value" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not (tmp_path / "out").exists()
