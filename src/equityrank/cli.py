@@ -76,6 +76,8 @@ class ExperimentPlan:
             raise ValueError("plan needs either a dataset path or a generator spec")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be nonnegative")
         for name in ("policies", "alpha_grid", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -113,27 +115,64 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _check_keys(config: dict, cls: type, what: str) -> dict:
+def _check_keys(config, cls: type, what: str) -> dict:
+    """A copy of a config section, which must be an object with only ``cls``'s fields as keys."""
+    if not isinstance(config, dict):
+        raise ValueError(f"the {what} config must be a JSON object, got {config!r}")
     unknown = set(config) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
-    return config
+    return dict(config)
+
+
+def _number(value, what: str, whole: bool = False):
+    """A numeric config value: an int or a float, never a bool or a string.
+
+    With ``whole`` the value must also be integral, and is returned as an
+    int: JSON may write 3 as 3.0, but 2.5 is an error, not 2.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not whole:
+        return value
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _alpha(value) -> float:
+    alpha = float(_number(value, "alpha_grid values"))
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha_grid values must be finite and nonnegative, got {value!r}")
+    return alpha
+
+
+def _numbers(section: dict, what: str, whole: tuple[str, ...], real: tuple[str, ...]) -> dict:
+    """Check the numeric fields of a config section in place: counts
+    (``whole``) and real numbers (``real``); an absent or null field is
+    left to the default."""
+    for name in whole + real:
+        if section.get(name) is not None:
+            section[name] = _number(section[name], f"{what} {name}", whole=name in whole)
+    return section
 
 
 def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
-    sim_cfg = _check_keys(dict(config.get("sim", {})), SimConfig, "sim")
+    sim_cfg = _check_keys(config.get("sim", {}), SimConfig, "sim")
     if getattr(args, "mode", None):
         sim_cfg["mode"] = args.mode
     if getattr(args, "steps", None) is not None:
         sim_cfg["total_steps"] = args.steps
-    return SimConfig(**sim_cfg)
+    whole = ("list_size", "total_steps", "cutoff", "prefilter_size", "checkpoint_every")
+    return SimConfig(**_numbers(sim_cfg, "sim", whole, ("gamma", "prefilter_noise")))
 
 
 def _build_generator(config: dict, args: argparse.Namespace) -> GeneratorSpec:
-    gen_cfg = _check_keys(dict(config.get("generator") or {}), GeneratorSpec, "generator")
+    gen_cfg = _check_keys(config.get("generator") or {}, GeneratorSpec, "generator")
     if getattr(args, "seed", None) is not None:
         gen_cfg["seed"] = args.seed
-    return GeneratorSpec(**gen_cfg)
+    whole = ("n_users", "n_items", "n_providers", "latent_dim", "seed")
+    return GeneratorSpec(**_numbers(gen_cfg, "generator", whole, ("group_size_skew", "sparsity")))
 
 
 def resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
@@ -157,16 +196,20 @@ def resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
     seeds = config.get("seeds", list(DEFAULT_SEEDS))
     if getattr(args, "seed", None) is not None and dataset is not None:
         seeds = [args.seed]
+    for name, values in (("policies", policies), ("alpha_grid", alpha_grid), ("seeds", seeds)):
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {values!r}")
+    workers = config.get("workers", 1) if getattr(args, "workers", None) is None else args.workers
     return ExperimentPlan(
         out_dir=str(out_dir),
         dataset=str(dataset) if dataset else None,
         generator=generator,
         scenario=scenario,
         policies=tuple(policies),
-        alpha_grid=tuple(float(a) for a in alpha_grid),
-        seeds=tuple(int(s) for s in seeds),
+        alpha_grid=tuple(_alpha(a) for a in alpha_grid),
+        seeds=tuple(_number(s, "seeds", whole=True) for s in seeds),
         sim=sim,
-        workers=int(config.get("workers", 1) if getattr(args, "workers", None) is None else args.workers),
+        workers=_number(workers, "workers", whole=True),
     )
 
 

@@ -31,6 +31,17 @@ the scored slots' providers only: one dot product plus work per slot.
 
 Tie-breaking is deterministic everywhere and has a single rule: score
 descending, then relevance descending, then item id ascending.
+
+Offline runs rank each user's *offline field* (``offline_field``) instead of
+the whole catalog, with the same lists as a result. Every policy scores an
+item from its relevance, its provider and the run state alone, so the items
+of one (provider, relevance) class always tie, and the lowest ids win. A
+list takes at most K items, so the K lowest ids of each class hold every
+pick. A class with more than K members also keeps an unpicked member in
+the field at every position, so the relevance minimum and maximum and the
+set of providers that MMF* reads from the remaining items do not change.
+The field is every item stored for the user (nonzero relevance, or a stored
+0) plus each provider's K lowest-id items of relevance 0.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
 from .metrics import GainLedger
 
 __all__ = [
@@ -52,6 +63,7 @@ __all__ = [
     "ScoreVector",
     "allocate_vertical",
     "equityrank_scores",
+    "offline_field",
     "offline_rank_user",
     "online_step_rank",
     "rank_by_scores",
@@ -173,14 +185,16 @@ class PolicyPlan:
     scores of slots ``at`` of ``row`` (an index array, or ``ALL_SLOTS``)
     from their relevance ``rel`` and the raw provider gains.
 
-    ``rank(row, rel, gains, probs)`` returns the slots of one list of
-    ``len(probs)`` positions, top first, from the relevance of the row's
+    ``rank(row, rel, gains, probs, field)`` returns the slots of one list
+    of ``len(probs)`` positions, top first, from the relevance of the row's
     candidates in slot order, the raw provider gains and the examination
-    probabilities, and changes none of them. TopK, FairCo* and EquityRank
-    score every slot once, check that the scores are finite, and take the
-    top slots by score, then relevance, then slot. PoorK, MMF* and, with
-    ``slotwise`` (offline mode), EquityRank fill the list with the
-    slot-greedy kernel, scoring the remaining slots before each position.
+    probabilities, and changes none of them. ``field``, a bool mask over the
+    row, limits the list to the marked slots (default: every slot). TopK,
+    FairCo* and EquityRank score every slot of the field once, check that
+    the scores are finite, and take the top slots by score, then relevance,
+    then slot. PoorK, MMF* and, with ``slotwise`` (offline mode),
+    EquityRank fill the list with the slot-greedy kernel, scoring the
+    remaining slots of the field before each position.
     """
 
     def __init__(
@@ -219,16 +233,22 @@ class PolicyPlan:
         """The scores of slots ``at`` of ``row``, whose relevance is ``rel``."""
         return self._score_fn(self, row, at, rel, gains)
 
-    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
+    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None = None) -> list[int]:
         """The slots of one list, top first (see the class docstring)."""
         if self._greedy:
-            return self._fill(row, rel, gains, probs)
-        scores = self._score_fn(self, row, ALL_SLOTS, rel, gains)
+            return self._fill(row, rel, gains, probs, field)
+        if field is None:
+            at, zeros = ALL_SLOTS, self._zeros
+        else:
+            at = np.flatnonzero(field)
+            rel, zeros = rel[at], self._zeros[: at.size]
+        scores = self._score_fn(self, row, at, rel, gains)
         # x * 0 is zero for every finite x and NaN otherwise: one dot product
         # with zeros checks the row, at a third of isfinite().all()'s cost
-        if scores.dot(self._zeros) != 0.0:
+        if scores.dot(zeros) != 0.0:
             raise ValueError("scores must be finite")
-        return top_k_order((-rel, -scores), len(probs)).tolist()
+        top = top_k_order((-rel, -scores), len(probs))
+        return top.tolist() if field is None else at[top].tolist()
 
     def _relevance(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         return rel
@@ -267,12 +287,13 @@ class PolicyPlan:
         worst = live[np.argmin(gains[live] / self.targets[live])]
         return (1.0 - self.alpha) * norm + self.alpha * (groups == worst)
 
-    def _fill(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
+    def _fill(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None) -> list[int]:
         # after each position the placed candidate's expected gain
         # p_k (v_e + r v_b) is added to a copy of the gains that the next
         # position's scores read
         groups, ve, vb = self.provider[row], self.exposure_value[row], self.purchase_value[row]
-        gains, avail, chosen = gains.copy(), np.ones(rel.size, dtype=bool), []
+        avail = np.ones(rel.size, dtype=bool) if field is None else field.copy()
+        gains, chosen = gains.copy(), []
         for p_k in probs:
             pick = _pick(self, row, rel, avail, gains)
             gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
@@ -417,6 +438,47 @@ def offline_rank_user(
 
 
 # ---------------------------------------------------------------------------
+# Offline fields
+# ---------------------------------------------------------------------------
+
+
+def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> np.ndarray:
+    """Every user's offline field, as a (users x items) bool mask.
+
+    Row ``u`` marks every item stored for ``u`` in the relevance table
+    ``rel`` and, for each provider, its ``list_size`` lowest-id items of
+    relevance 0 for ``u`` (all of them, if it has fewer). An offline list of
+    at most ``list_size`` positions ranked from the field equals the list
+    ranked from the whole catalog (see the module docstring). The rows are
+    built one at a time, so the build holds O(items) temporaries beside the
+    mask.
+    """
+    n = catalog.item_count
+    if list_size < 1:
+        raise ValueError(f"list size {list_size} must be positive")
+    if rel.max_item_id() >= n:
+        raise ValueError("relevance table references items beyond the catalog")
+    # items grouped by provider, ids ascending within each group, and for
+    # each grouped position the position where its group starts
+    by_group = np.argsort(catalog.group_of, kind="stable")
+    sizes = np.bincount(catalog.group_of, minlength=catalog.provider_count)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    field = np.zeros((rel.user_count, n), dtype=bool)
+    for user, row in enumerate(field):
+        stored = slice(rel.indptr[user], rel.indptr[user + 1])
+        items = rel.indices[stored]
+        zero = np.ones(n, dtype=bool)
+        zero[items[rel.values[stored] != 0.0]] = False
+        zero = zero[by_group]
+        # the 1-based rank of each zero among its provider's zeros
+        seen = np.cumsum(zero)
+        rank = seen - (seen[start] - zero[start])
+        row[by_group[zero & (rank <= list_size)]] = True
+        row[items] = True
+    return field
+
+
+# ---------------------------------------------------------------------------
 # Vertical allocation
 # ---------------------------------------------------------------------------
 
@@ -429,6 +491,7 @@ def allocate_vertical(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
+    field: np.ndarray | None = None,
 ) -> list[RankList]:
     """Fill slot k for every user before any slot k+1 (offline only).
 
@@ -437,8 +500,10 @@ def allocate_vertical(
     largest current gradient among the user's unassigned items and
     immediately commits its expected gain (weighted by the level's
     examination probability) to the ledger, so later assignments see the
-    updated provider balance. ``users`` must be distinct ids. Returns one
-    list per user, in input order.
+    updated provider balance. ``users`` must be distinct ids. Each user
+    picks from their row of ``field``, the table's offline field (see
+    ``offline_field``), built here when not given; the lists are those of
+    the whole catalog. Returns one list per user, in input order.
     """
     n = catalog.item_count
     if n < pm.list_size:
@@ -449,7 +514,9 @@ def allocate_vertical(
     ids = np.arange(n, dtype=np.int64)
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
     rows = [rel.relevance_of(u, ids) for u in user_ids]
-    avail = [np.ones(n, dtype=bool) for _ in user_ids]
+    if field is None:
+        field = offline_field(rel, catalog, pm.list_size)
+    avail = [field[u].copy() for u in user_ids]
     slots: list[list[int]] = [[] for _ in user_ids]
 
     for p_k in pm.probs:

@@ -42,7 +42,7 @@ from .metrics import (
     ideal_dcg,
     unfairness,
 )
-from .rankers import PolicyConfig, PolicyPlan, allocate_vertical, top_k_order
+from .rankers import PolicyConfig, PolicyPlan, allocate_vertical, offline_field, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -368,6 +368,15 @@ def _check_dataset(dataset, cfg: SimConfig) -> tuple[Catalog, list[ProviderProfi
     return catalog, profiles, rel
 
 
+def _offline_field(dataset, list_size: int) -> np.ndarray:
+    """``rankers.offline_field`` of ``dataset``, built on first use and kept
+    in ``dataset.derived`` for every later offline run on the same object."""
+    key = ("offline_field", list_size)
+    if key not in dataset.derived:
+        dataset.derived[key] = offline_field(dataset.relevance, dataset.catalog, list_size)
+    return dataset.derived[key]
+
+
 def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> RunResult:
     """Serve every user once with true relevance and expected-gain accrual.
 
@@ -375,6 +384,17 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     vertical allocator, which revisits it level by level). Effectiveness is
     the mean NDCG at the evaluation cutoff; unfairness is computed on
     per-list averaged gains.
+
+    Each user's list is ranked from their offline field, not the whole
+    catalog: every stored item plus each provider's K lowest-id items of
+    relevance 0. The lists are the same. Every policy scores an item from
+    its relevance, its provider and the run state alone, and ties go to the
+    lower id, so the K lowest ids of each (provider, relevance) class hold
+    every pick of a K-item list; and a class with more than K members keeps
+    an unpicked member in the field at every position, which leaves MMF*'s
+    relevance range and live providers as they are over the whole catalog.
+    The field is built on the first offline run on a dataset object and
+    shared by its later runs with the same list size.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
@@ -387,15 +407,17 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
 
     start = time.perf_counter()
     ledger = GainLedger.empty(catalog.provider_count)
+    field = _offline_field(dataset, cfg.list_size)
     if policy == "EquityRankV":
-        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm)
+        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, field)
     else:
-        # every user ranks the whole catalog: one row, whose slots are item ids
-        candidates = np.arange(catalog.item_count, dtype=np.int64)
-        plan = PolicyPlan(policy_cfg, candidates[None, :], catalog, profiles, slotwise=True)
+        # one row over the whole catalog, whose slots are item ids; each user
+        # ranks the slots of their row of the field
+        n = catalog.item_count
+        plan = PolicyPlan(policy_cfg, np.arange(n, dtype=np.int64)[None, :], catalog, profiles, slotwise=True)
         lists = []
         for user in user_order.tolist():
-            rl = RankList(tuple(plan.rank(0, rel.relevance_of(user, candidates), ledger.raw_gains(), pm.probs)), user)
+            rl = RankList(tuple(plan.rank(0, rel.dense_row(user, n), ledger.raw_gains(), pm.probs, field[user])), user)
             apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)

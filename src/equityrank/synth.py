@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -125,12 +125,19 @@ class DatasetLabels:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A complete simulation input: catalog, provider profiles, relevance."""
+    """A complete simulation input: catalog, provider profiles, relevance.
+
+    ``derived`` caches arrays that the simulation derives from the data on
+    first use and shares across the runs on this object (such as the
+    offline fields of ``sim.run_offline``); it is not part of the data and
+    takes no part in equality.
+    """
 
     catalog: Catalog
     profiles: tuple[ProviderProfile, ...]
     relevance: RelevanceTable
     labels: DatasetLabels | None = None
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _positive_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
@@ -164,8 +171,13 @@ def generate_relevance(spec: GeneratorSpec, rng: np.random.Generator) -> Relevan
     """
     users = rng.normal(size=(spec.n_users, spec.latent_dim))
     items = rng.normal(size=(spec.n_items, spec.latent_dim))
-    scores = users @ items.T / math.sqrt(spec.latent_dim)
-    values = 1.0 / (1.0 + np.exp(-scores))
+    # logistic(scores) computed in one buffer: the same operations in the
+    # same order as 1 / (1 + exp(-scores)), without three full temporaries
+    values = users @ items.T / math.sqrt(spec.latent_dim)
+    np.negative(values, out=values)
+    np.exp(values, out=values)
+    values += 1.0
+    np.divide(1.0, values, out=values)
     keep = max(1, round(spec.sparsity * spec.n_items))
     picked = np.array([rng.choice(spec.n_items, size=keep, replace=False) for _ in range(spec.n_users)])
     users = np.repeat(np.arange(spec.n_users), keep)

@@ -5,14 +5,27 @@ relevance table, the profiles and the ledger directly. ``reference_unfairness``
 and ``reference_prefilter`` are the forms the library's unfairness and
 candidate prefilter replaced: the m x m pairwise sum and a full sort.
 ``run_online_reference`` is the online loop by item id that the slot-indexed
-``sim.run_online`` replaced."""
+``sim.run_online`` replaced, and ``run_offline_reference`` the offline loop
+over the whole catalog that ranking from offline fields replaced."""
 
 from collections import deque
 
 import numpy as np
 
-from equityrank import PolicyConfig, PositionModel, apply_feedback, online_step_rank, provider_arrays, sim
+from equityrank import (
+    GainLedger,
+    PolicyConfig,
+    PositionModel,
+    RankList,
+    andcg,
+    apply_expected_feedback,
+    apply_feedback,
+    online_step_rank,
+    provider_arrays,
+    sim,
+)
 from equityrank.metrics import cndcg_update, discounted_sum, unfairness
+from equityrank.rankers import PolicyPlan, _pick
 
 
 def _gradient(gains, y):
@@ -200,3 +213,39 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
     trace.ndcg_series = series
     result = sim._result("online", policy, alpha, seed, state.cndcg, ledger, profiles, 0.0)
     return result, trace, state
+
+
+def run_offline_reference(dataset, policy, alpha, seed, cfg):
+    """``sim.run_offline`` with every user ranking the whole catalog.
+
+    TopK, PoorK, FairCo*, MMF* and EquityRank rank every item id through a
+    one-row plan; EquityRankV allocates level by level with each pick
+    scoring all of the user's unassigned items. Returns the result (wall
+    time 0), the lists in visit order and the final ledger.
+    """
+    catalog, profiles, rel = sim._check_dataset(dataset, cfg)
+    pm = PositionModel.logarithmic(cfg.list_size)
+    user_order = np.random.default_rng(seed).permutation(rel.user_count).tolist()
+    ledger = GainLedger.empty(catalog.provider_count)
+    ids = np.arange(catalog.item_count, dtype=np.int64)
+    if policy == "EquityRankV":
+        plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
+        rows = [rel.relevance_of(u, ids) for u in user_order]
+        avail = [np.ones(ids.size, dtype=bool) for _ in user_order]
+        slots = [[] for _ in user_order]
+        for p_k in pm.probs:
+            for row, free, chosen in zip(rows, avail, slots):
+                item = _pick(plan, 0, row, free, ledger.raw_gains())
+                ledger.accrue((catalog.group_of[item],), (p_k,), (p_k * row[item],), profiles)
+                chosen.append(item)
+        ledger.step_count += len(user_order)
+        lists = [RankList(tuple(chosen), u) for u, chosen in zip(user_order, slots)]
+    else:
+        plan = PolicyPlan(PolicyConfig(policy, alpha), ids[None, :], catalog, profiles, slotwise=True)
+        lists = []
+        for user in user_order:
+            rl = RankList(tuple(plan.rank(0, rel.relevance_of(user, ids), ledger.raw_gains(), pm.probs)), user)
+            apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
+            lists.append(rl)
+    effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
+    return sim._result("offline", policy, alpha, seed, effectiveness, ledger, profiles, 0.0), lists, ledger

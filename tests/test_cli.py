@@ -315,3 +315,74 @@ class TestPlanValues:
         assert rc == 2
         assert "must not repeat a value" in json.loads(capsys.readouterr().err.strip())["message"]
         assert not (tmp_path / "out").exists()
+
+
+class TestConfigValueTypes:
+    """Config values are checked when the plan is resolved, not coerced: a
+    truncated seed or worker count ran silently, and a bad alpha or list
+    size failed once per run in failures.csv."""
+
+    BASE = {"generator": {"n_users": 10, "n_items": 20, "n_providers": 3, "seed": 1}, "seeds": [0]}
+
+    def resolve_config(self, tmp_path, **extra):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.BASE, **extra}))
+        return resolve_plan(sweep_args("--config", str(path), "--out", str(tmp_path / "out")))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"seeds": [0.5, 1.5]}, "seeds must be a whole number, got 0.5"),
+            ({"seeds": [True]}, "seeds must be a number, got True"),
+            ({"seeds": ["1"]}, "seeds must be a number, got '1'"),
+            ({"seeds": [-1]}, "seeds must be nonnegative"),
+            ({"seeds": 3}, "seeds must be a list, got 3"),
+            ({"workers": 2.9}, "workers must be a whole number, got 2.9"),
+            ({"workers": True}, "workers must be a number, got True"),
+            ({"workers": "2"}, "workers must be a number, got '2'"),
+            ({"alpha_grid": ["0.1"]}, "alpha_grid values must be a number, got '0.1'"),
+            ({"alpha_grid": [float("nan")]}, "alpha_grid values must be finite and nonnegative, got nan"),
+            ({"alpha_grid": [float("inf")]}, "alpha_grid values must be finite and nonnegative, got inf"),
+            ({"alpha_grid": [0.1, -1]}, "alpha_grid values must be finite and nonnegative, got -1"),
+            ({"alpha_grid": [False]}, "alpha_grid values must be a number, got False"),
+            ({"sim": {"list_size": 2.5}}, "sim list_size must be a whole number, got 2.5"),
+            ({"sim": {"total_steps": True}}, "sim total_steps must be a number, got True"),
+            ({"sim": {"cutoff": "2"}}, "sim cutoff must be a number, got '2'"),
+            ({"sim": {"prefilter_size": 20.5}}, "sim prefilter_size must be a whole number, got 20.5"),
+            ({"sim": {"checkpoint_every": 1e3 + 0.5}}, "sim checkpoint_every must be a whole number, got 1000.5"),
+            ({"sim": {"gamma": "0.9"}}, "sim gamma must be a number, got '0.9'"),
+            ({"sim": [1]}, "the sim config must be a JSON object, got [1]"),
+            (
+                {"generator": {"n_users": 10.5, "n_items": 20, "n_providers": 3}},
+                "generator n_users must be a whole number, got 10.5",
+            ),
+            ({"generator": {"sparsity": "0.2"}}, "generator sparsity must be a number, got '0.2'"),
+        ],
+    )
+    def test_bad_value_fails_with_error_line_before_any_run(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.BASE, **extra}))
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {"status": "error", "message": message}
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_floats_are_read_as_integers(self, tmp_path):
+        plan = self.resolve_config(
+            tmp_path, seeds=[1.0, 2], workers=2.0, alpha_grid=[0, 0.5], sim={"list_size": 3.0, "total_steps": 1e3}
+        )
+        assert plan.seeds == (1, 2) and all(type(s) is int for s in plan.seeds)
+        assert plan.workers == 2 and type(plan.workers) is int
+        assert plan.alpha_grid == (0.0, 0.5) and all(type(a) is float for a in plan.alpha_grid)
+        assert plan.sim.list_size == 3 and type(plan.sim.list_size) is int
+        assert plan.sim.total_steps == 1000 and type(plan.sim.total_steps) is int
+
+    def test_nan_alpha_flag_is_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.BASE))
+        with pytest.raises(ValueError, match="alpha_grid values must be finite"):
+            resolve_plan(sweep_args("--config", str(path), "--out", "o", "--alpha", "nan"))
+
+    def test_negative_seed_fails_in_the_plan(self, tmp_path):
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            tiny_plan(tmp_path, seeds=(0, -2))
