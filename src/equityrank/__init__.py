@@ -15,7 +15,6 @@ from .core import (
     ProviderProfile,
     RankList,
     RelevanceTable,
-    examination_prob,
     provider_arrays,
 )
 from .metrics import (

@@ -25,7 +25,6 @@ __all__ = [
     "ProviderProfile",
     "RankList",
     "RelevanceTable",
-    "examination_prob",
     "provider_arrays",
 ]
 
@@ -142,15 +141,6 @@ class PositionModel:
         return cls(list_size=list_size, probs=1.0 / (np.log2(ks) + 1.0))
 
 
-def examination_prob(k: int, pm: PositionModel) -> float:
-    """Probability that position ``k`` (1-based) is examined; 0 beyond the list."""
-    if k < 1:
-        raise ValueError("position index must be >= 1")
-    if k > pm.list_size:
-        return 0.0
-    return float(pm.probs[k - 1])
-
-
 @dataclass(frozen=True)
 class RankList:
     """An ordered list of distinct item ids served to one user."""
@@ -166,14 +156,6 @@ class RankList:
             raise ValueError("rank list contains a repeated item id")
         if min(self.positions) < 0:
             raise ValueError("rank list contains a negative item id")
-
-    def validate_for(self, catalog: Catalog, list_size: int) -> None:
-        """Check length and id validity against a catalog."""
-        if len(self.positions) != list_size:
-            raise ValueError(f"rank list has {len(self.positions)} items, expected {list_size}")
-        for item in self.positions:
-            if item >= catalog.item_count:
-                raise ValueError(f"item id {item} is not in the catalog")
 
 
 class RelevanceTable:

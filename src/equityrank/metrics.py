@@ -35,6 +35,7 @@ __all__ = [
     "format_float",
     "ideal_dcg",
     "ndcg",
+    "ndcg_from",
     "tradeoff_envelope",
     "unfairness",
 ]
@@ -129,12 +130,15 @@ def ideal_dcg(relevances: np.ndarray, k_c: int, pm: PositionModel) -> float:
     return float(values @ pm.probs[: values.size])
 
 
+def ndcg_from(dcg_value: float, ideal: float) -> float:
+    """NDCG from a list's DCG and its user's ideal DCG; 1.0 when the ideal is
+    0, for a user with no relevant items."""
+    return 1.0 if ideal == 0.0 else dcg_value / ideal
+
+
 def ndcg(ranklist: RankList, rel: RelevanceTable, k_c: int, pm: PositionModel) -> float:
     """Normalized DCG in [0, 1]; defined as 1.0 for users with no relevant items."""
-    ideal = ideal_dcg(rel.user_values(ranklist.user), k_c, pm)
-    if ideal == 0.0:
-        return 1.0
-    return dcg(ranklist, rel, k_c, pm) / ideal
+    return ndcg_from(dcg(ranklist, rel, k_c, pm), ideal_dcg(rel.user_values(ranklist.user), k_c, pm))
 
 
 def andcg(lists: Sequence[RankList], rel: RelevanceTable, k_c: int, pm: PositionModel) -> float:

@@ -511,11 +511,10 @@ def allocate_vertical(
     user_ids = [int(u) for u in users]
     if len(set(user_ids)) != len(user_ids):
         raise ValueError("users must be distinct ids")
-    ids = np.arange(n, dtype=np.int64)
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
-    rows = [rel.relevance_of(u, ids) for u in user_ids]
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), np.arange(n, dtype=np.int64)[None, :], catalog, profiles)
     if field is None:
         field = offline_field(rel, catalog, pm.list_size)
+    rows = [rel.dense_row(u, n) for u in user_ids]
     avail = [field[u].copy() for u in user_ids]
     slots: list[list[int]] = [[] for _ in user_ids]
 

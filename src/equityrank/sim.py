@@ -7,15 +7,19 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-An online run fixes each user's prefiltered candidate set when it starts, so
-everything a step reads or writes is indexed by candidate slot: the position
-of an item in its user's sorted candidate set. The policy is resolved once
-per run into a ``rankers.PolicyPlan`` over those slots, each user's true
-relevance over their candidate set is read from the table once per run, and
-``OnlineState`` keeps the estimate row and the raw provider gains current as
-feedback arrives. A step (``online_step``) then runs estimate -> score ->
-top-K -> feedback -> DCG on slots alone, with no id-to-slot mapping and no
-per-step rebuilding of gains or gradients.
+Both loops work by slot. An offline run ranks, accrues and scores each list
+from the one dense row of the user's relevance it reads; the row's slots are
+item ids. An online run fixes each user's prefiltered candidate set when it
+starts, so everything a step reads or writes is indexed by candidate slot:
+the position of an item in its user's sorted candidate set. The policy is
+resolved once per run into a ``rankers.PolicyPlan`` over those slots, each
+user's true relevance over their candidate set is read from the table once
+per run, and ``OnlineState`` keeps the estimate row and the raw provider
+gains current as feedback arrives. A step (``online_step``) then runs
+estimate -> score -> top-K -> feedback -> DCG on slots alone, with no
+id-to-slot mapping and no per-step rebuilding of gains or gradients. The
+id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
+``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -36,10 +40,10 @@ from .metrics import (
     GainLedger,
     RunResult,
     alignment_diagnostics,
-    andcg,
     cndcg_update,
     discounted_sum,
     ideal_dcg,
+    ndcg_from,
     unfairness,
 )
 from .rankers import PolicyConfig, PolicyPlan, allocate_vertical, offline_field, top_k_order
@@ -97,6 +101,8 @@ class SimConfig:
             raise ValueError("checkpoint_every must be positive")
         if self.mode not in ("offline", "online"):
             raise ValueError("mode must be 'offline' or 'online'")
+        if not isinstance(self.record_ndcg, bool):
+            raise ValueError(f"record_ndcg must be true or false, got {self.record_ndcg!r}")
 
     @property
     def eval_cutoff(self) -> int:
@@ -279,7 +285,7 @@ def apply_expected_feedback(
     ledger: GainLedger,
     pm: PositionModel,
 ) -> None:
-    """Accrue one served list's expected gains (offline mode; no sampling).
+    """Accrue one served list's expected gains, by item id (no sampling).
 
     Raises ValueError, before any ledger write, for a list longer than the
     position model.
@@ -382,8 +388,8 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
 
     Users are visited in a seeded shuffled order (the same order feeds the
     vertical allocator, which revisits it level by level). Effectiveness is
-    the mean NDCG at the evaluation cutoff; unfairness is computed on
-    per-list averaged gains.
+    the mean NDCG at the evaluation cutoff, taken once every list is served;
+    unfairness is computed on per-list averaged gains.
 
     Each user's list is ranked from their offline field, not the whole
     catalog: every stored item plus each provider's K lowest-id items of
@@ -410,19 +416,29 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     field = _offline_field(dataset, cfg.list_size)
     if policy == "EquityRankV":
         lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, field)
+        served = [rel.relevance_of(rl.user, rl.positions) for rl in lists]
     else:
         # one row over the whole catalog, whose slots are item ids; each user
         # ranks the slots of their row of the field
         n = catalog.item_count
         plan = PolicyPlan(policy_cfg, np.arange(n, dtype=np.int64)[None, :], catalog, profiles, slotwise=True)
-        lists = []
+        served = []
         for user in user_order.tolist():
-            rl = RankList(tuple(plan.rank(0, rel.dense_row(user, n), ledger.raw_gains(), pm.probs, field[user])), user)
-            apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
-            lists.append(rl)
-    effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
+            row = rel.dense_row(user, n)
+            items = plan.rank(0, row, ledger.raw_gains(), pm.probs, field[user])
+            served.append(row[items])
+            ledger.accrue(plan.provider[0, items], pm.probs, pm.probs * served[-1], profiles)
+        ledger.step_count += len(user_order)
+    cutoff, ideal = cfg.eval_cutoff, _ideal_dcgs(rel, cfg.eval_cutoff, pm)
+    ndcgs = [ndcg_from(discounted_sum(r.tolist(), pm.probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
+    effectiveness = sum(ndcgs) / len(ndcgs)
     wall = time.perf_counter() - start
     return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
+
+
+def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarray:
+    """Every user's ideal DCG at ``cutoff``, indexed by user id."""
+    return np.array([ideal_dcg(rel.user_values(u), cutoff, pm) for u in range(rel.user_count)])
 
 
 def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
@@ -440,12 +456,11 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
         prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
         for u in range(rel.user_count)
     ]
-    ideal = np.array([ideal_dcg(rel.user_values(u), cfg.eval_cutoff, pm) for u in range(rel.user_count)])
     return OnlineState(
         ledger=GainLedger.empty(catalog.provider_count),
         candidate_sets=candidate_sets,
         rng=rng,
-        ideal_cache=ideal,
+        ideal_cache=_ideal_dcgs(rel, cfg.eval_cutoff, pm),
     )
 
 
@@ -495,8 +510,7 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
         _, dcg = online_step(plan, state, user, true_rel[user], probs, cutoff)
-        ideal = ideal_dcgs[user]
-        ndcg_t = 1.0 if ideal == 0.0 else dcg / ideal
+        ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t
         if ndcg_series is not None:

@@ -85,10 +85,10 @@ class ScenarioSpec:
     @classmethod
     def by_name(cls, name: str) -> ScenarioSpec:
         table = {"common": cls.common, "exp1st": cls.exp1st, "sale1st": cls.sale1st}
-        try:
-            return table[name.lower()]()
-        except KeyError:
-            raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(table)}") from None
+        make = table.get(name.lower()) if isinstance(name, str) else None
+        if make is None:
+            raise ValueError(f"unknown scenario {name!r}; expected one of {sorted(table)}")
+        return make()
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ and ``reference_prefilter`` are the forms the library's unfairness and
 candidate prefilter replaced: the m x m pairwise sum and a full sort.
 ``run_online_reference`` is the online loop by item id that the slot-indexed
 ``sim.run_online`` replaced, and ``run_offline_reference`` the offline loop
-over the whole catalog that ranking from offline fields replaced."""
+over the whole catalog, through the checked id-level functions, that ranking
+from offline fields by slot replaced. ``observed_offline_run`` runs
+``sim.run_offline`` and shows what it served."""
+
+import pytest
 
 from collections import deque
 
@@ -17,6 +21,7 @@ from equityrank import (
     PolicyConfig,
     PositionModel,
     RankList,
+    RelevanceTable,
     andcg,
     apply_expected_feedback,
     apply_feedback,
@@ -249,3 +254,43 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
     return sim._result("offline", policy, alpha, seed, effectiveness, ledger, profiles, 0.0), lists, ledger
+
+
+def observed_offline_run(dataset, policy, alpha, seed, cfg):
+    """``sim.run_offline``'s result, served lists and final ledger.
+
+    The lists are seen where the run makes them: EquityRankV's are what
+    ``allocate_vertical`` returns; every other policy's are what each
+    ``PolicyPlan.rank`` call returns, served to the user whose
+    ``RelevanceTable.dense_row`` the run read before it. The ledger is the
+    one the result's diagnostics are computed from.
+    """
+    dense_row, rank = RelevanceTable.dense_row, PolicyPlan.rank
+    allocate, diagnostics = sim.allocate_vertical, sim.alignment_diagnostics
+    users, ranked, vertical, ledgers = [], [], [], []
+
+    def read_row(table, user, item_count):
+        users.append(user)
+        return dense_row(table, user, item_count)
+
+    def record_rank(plan, *args):
+        ranked.append(rank(plan, *args))
+        return ranked[-1]
+
+    def record_vertical(*args):
+        vertical.extend(allocate(*args))
+        return vertical
+
+    def capture_ledger(ledger, profiles):
+        ledgers.append(ledger)
+        return diagnostics(ledger, profiles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RelevanceTable, "dense_row", read_row)
+        mp.setattr(PolicyPlan, "rank", record_rank)
+        mp.setattr(sim, "allocate_vertical", record_vertical)
+        mp.setattr(sim, "alignment_diagnostics", capture_ledger)
+        result = sim.run_offline(dataset, policy, alpha, seed, cfg)
+    (ledger,) = ledgers
+    lists = vertical or [RankList(tuple(items), user) for user, items in zip(users, ranked, strict=True)]
+    return result, lists, ledger

@@ -357,6 +357,9 @@ class TestConfigValueTypes:
                 "generator n_users must be a whole number, got 10.5",
             ),
             ({"generator": {"sparsity": "0.2"}}, "generator sparsity must be a number, got '0.2'"),
+            ({"scenario": 5}, "unknown scenario 5; expected one of ['common', 'exp1st', 'sale1st']"),
+            ({"sim": {"record_ndcg": "no"}}, "record_ndcg must be true or false, got 'no'"),
+            ({"sim": {"record_ndcg": 1}}, "record_ndcg must be true or false, got 1"),
         ],
     )
     def test_bad_value_fails_with_error_line_before_any_run(self, tmp_path, capsys, extra, message):
@@ -366,6 +369,15 @@ class TestConfigValueTypes:
         assert rc == 2
         assert json.loads(capsys.readouterr().err.strip()) == {"status": "error", "message": message}
         assert not (tmp_path / "out").exists()
+
+    def test_generate_rejects_a_scenario_that_is_not_a_name(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**self.BASE, "scenario": 5}))
+        rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        message = "unknown scenario 5; expected one of ['common', 'exp1st', 'sale1st']"
+        assert json.loads(capsys.readouterr().err.strip()) == {"status": "error", "message": message}
+        assert not (tmp_path / "ds").exists()
 
     def test_whole_floats_are_read_as_integers(self, tmp_path):
         plan = self.resolve_config(

@@ -11,43 +11,23 @@ from equityrank import (
     ProviderProfile,
     RankList,
     RelevanceTable,
-    examination_prob,
 )
 
 
 class TestExaminationProb:
-    def setup_method(self):
-        self.pm = PositionModel.logarithmic(5)
+    """The logarithmic position model's examination probabilities."""
 
     def test_top_position_is_certain(self):
-        assert examination_prob(1, self.pm) == 1.0
+        assert PositionModel.logarithmic(5).probs[0] == 1.0
 
     def test_position_four(self):
         # 1 / (log2(4) + 1) = 1/3
-        assert examination_prob(4, self.pm) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_beyond_list_is_zero(self):
-        assert examination_prob(6, self.pm) == 0.0
-        assert examination_prob(100, self.pm) == 0.0
-
-    def test_invalid_position(self):
-        with pytest.raises(ValueError):
-            examination_prob(0, self.pm)
-        with pytest.raises(ValueError):
-            examination_prob(-3, self.pm)
-
-    def test_nonincreasing_and_zero_exactly_beyond_k(self):
-        for k_list in (1, 2, 5, 20):
-            pm = PositionModel.logarithmic(k_list)
-            probs = [examination_prob(k, pm) for k in range(1, k_list + 6)]
-            assert all(a >= b for a, b in zip(probs, probs[1:]))
-            assert all(p > 0 for p in probs[:k_list])
-            assert all(p == 0.0 for p in probs[k_list:])
+        assert PositionModel.logarithmic(5).probs[3] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_matches_formula(self):
         pm = PositionModel.logarithmic(10)
         for k in range(1, 11):
-            assert examination_prob(k, pm) == pytest.approx(1.0 / (math.log2(k) + 1.0), rel=1e-15)
+            assert pm.probs[k - 1] == pytest.approx(1.0 / (math.log2(k) + 1.0), rel=1e-15)
 
 
 class TestPositionModel:
@@ -128,15 +108,6 @@ class TestRankList:
     def test_rejects_negative_ids(self):
         with pytest.raises(ValueError, match="negative"):
             RankList((-1, 0), user=0)
-
-    def test_validate_for_checks_length_and_ids(self):
-        cat = Catalog.from_assignments([0, 0, 1, 1])
-        rl = RankList((0, 2), user=0)
-        rl.validate_for(cat, 2)
-        with pytest.raises(ValueError):
-            rl.validate_for(cat, 3)
-        with pytest.raises(ValueError):
-            RankList((0, 9), user=0).validate_for(cat, 2)
 
 
 class TestRelevanceTable:

@@ -22,7 +22,7 @@ from equityrank import (
     sim,
 )
 from equityrank.rankers import offline_field
-from oracles import run_offline_reference
+from oracles import observed_offline_run, run_offline_reference
 
 OFFLINE_POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
 
@@ -71,27 +71,6 @@ def reference_field(rel, catalog, k):
     return field
 
 
-def observed_run(dataset, policy, alpha, seed, cfg):
-    """``run_offline``'s result, served lists and final ledger."""
-    andcg, diagnostics = sim.andcg, sim.alignment_diagnostics
-    served, ledgers = [], []
-
-    def record_lists(lists, *args):
-        served.extend(lists)
-        return andcg(lists, *args)
-
-    def capture_ledger(ledger, profiles):
-        ledgers.append(ledger)
-        return diagnostics(ledger, profiles)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "andcg", record_lists)
-        mp.setattr(sim, "alignment_diagnostics", capture_ledger)
-        result = sim.run_offline(dataset, policy, alpha, seed, cfg)
-    (ledger,) = ledgers
-    return result, served, ledger
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     tied_datasets(),
@@ -102,7 +81,7 @@ def observed_run(dataset, policy, alpha, seed, cfg):
 def test_offline_run_from_the_field_matches_the_whole_catalog(case, policy, alpha, seed):
     dataset, k = case
     cfg = SimConfig(list_size=k)
-    result, lists, ledger = observed_run(dataset, policy, alpha, seed, cfg)
+    result, lists, ledger = observed_offline_run(dataset, policy, alpha, seed, cfg)
     want, want_lists, want_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
     assert [(rl.user, rl.positions) for rl in lists] == [(rl.user, rl.positions) for rl in want_lists]
     for name in ("exposure_gain", "purchase_gain", "group_exposure"):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equityrank import GeneratorSpec, PositionModel, ScenarioSpec, SimConfig, expected_gain, generate_dataset, sim
+from equityrank import GeneratorSpec, PositionModel, ScenarioSpec, SimConfig, expected_gain, generate_dataset
+from oracles import observed_offline_run
 
 OFFLINE_POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
 
@@ -28,32 +29,11 @@ def offline_runs(draw):
     return generate_dataset(spec, ScenarioSpec.common()), policy, alpha, draw(st.integers(0, 1000)), cfg
 
 
-def observed_run(dataset, policy, alpha, seed, cfg):
-    """Run ``run_offline`` and return its final ledger and the lists it served."""
-    andcg, diagnostics = sim.andcg, sim.alignment_diagnostics
-    ledgers, served = [], []
-
-    def record_lists(lists, *args):
-        served.extend(lists)
-        return andcg(lists, *args)
-
-    def capture_ledger(ledger, profiles):
-        ledgers.append(ledger)
-        return diagnostics(ledger, profiles)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "andcg", record_lists)
-        mp.setattr(sim, "alignment_diagnostics", capture_ledger)
-        sim.run_offline(dataset, policy, alpha, seed, cfg)
-    (ledger,) = ledgers
-    return ledger, served
-
-
 @settings(max_examples=80, deadline=None)
 @given(offline_runs())
 def test_offline_ledger_conservation(run):
     dataset, policy, alpha, seed, cfg = run
-    ledger, served = observed_run(dataset, policy, alpha, seed, cfg)
+    _, served, ledger = observed_offline_run(dataset, policy, alpha, seed, cfg)
     catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
     users, pm = rel.user_count, PositionModel.logarithmic(cfg.list_size)
 

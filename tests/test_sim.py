@@ -335,6 +335,33 @@ class TestRunOffline:
         with pytest.raises(ValueError):
             run_offline(ds, "TopK", 0.0, 0, SimConfig(list_size=9))
 
+    @pytest.mark.parametrize("policy", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
+    def test_each_users_relevance_is_read_once_and_no_rank_list_is_built(self, policy, monkeypatch):
+        rng = np.random.default_rng(5)
+        entries = [(u, i, float(rng.random())) for u in range(6) for i in range(24) if rng.random() < 0.3]
+        profiles = [ProviderProfile(1.0 + g, 2.0, 1.0 + g / 4) for g in range(3)]
+        ds = tiny_dataset(entries, np.arange(24) % 3, profiles, 6)
+        dense_row, relevance_of, check_list = RelevanceTable.dense_row, RelevanceTable.relevance_of, RankList.__post_init__
+        reads = []
+
+        def counted_row(self, user, item_count):
+            reads.append(("dense_row", user))
+            return dense_row(self, user, item_count)
+
+        def counted_lookup(self, user, items):
+            reads.append(("relevance_of", user))
+            return relevance_of(self, user, items)
+
+        def counted_list(self):
+            reads.append(("RankList", self.user))
+            check_list(self)
+
+        monkeypatch.setattr(RelevanceTable, "dense_row", counted_row)
+        monkeypatch.setattr(RelevanceTable, "relevance_of", counted_lookup)
+        monkeypatch.setattr(RankList, "__post_init__", counted_list)
+        run_offline(ds, policy, 0.5, 3, SimConfig(list_size=3, cutoff=2))
+        assert sorted(reads) == [("dense_row", u) for u in range(6)]
+
 
 def online_micro_dataset():
     return tiny_dataset(
