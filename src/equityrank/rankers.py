@@ -24,13 +24,15 @@ gains (no per-step averaging).
 
 Each policy has one scorer, over any slots of a row. TopK, FairCo* and
 online EquityRank score every slot once; PoorK, MMF*, offline EquityRank and
-EquityRankV share one slot-greedy kernel that scores the remaining slots,
-takes the best, and adds its expected gain p_k (v_e + r v_b) to the provider
-gains before the next position. EquityRank takes the fairness gradient at
-the scored slots' providers only: one dot product plus work per slot.
+EquityRankV share one slot-greedy kernel that gathers a list's slots once,
+then at each position scores them all, takes the best not yet placed, and
+adds its expected gain p_k (v_e + r v_b) to the provider gains. EquityRank
+takes the fairness gradient at the scored slots' providers only.
 
 Tie-breaking is deterministic everywhere and has a single rule: score
-descending, then relevance descending, then item id ascending.
+descending, then relevance descending, then item id ascending. The greedy
+kernel sorts a list's slots stably by relevance descending, so that
+``argmax``'s first maximum is the rule's pick.
 
 Offline runs rank each user's *offline field* (``offline_field``) instead of
 the whole catalog, with the same lists as a result. Every policy scores an
@@ -153,22 +155,17 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
 
 
-def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
-    """Take the best available slot of ``row`` and return it.
+@dataclass(eq=False, slots=True)
+class _Columns:
+    """What scorers read of some slots of a row besides relevance and weights:
+    each slot's provider and its gain target, and for MMF* the number of
+    slots left to each provider and the relevance range of the slots left."""
 
-    Best is the highest score under ``plan``, ties broken by relevance
-    descending, then slot ascending, which is id ascending. The pick is
-    marked unavailable in ``avail``.
-    """
-    at = np.flatnonzero(avail)
-    r = rel[at]
-    scores = plan.score(row, at, r, gains)
-    tied = np.flatnonzero(scores == scores.max())
-    if tied.size > 1:
-        tied = tied[np.argsort(-r[tied], kind="stable")]
-    best = int(at[tied[0]])
-    avail[best] = False
-    return best
+    provider: np.ndarray
+    target: np.ndarray
+    live: np.ndarray | None = None
+    lo: float = 0.0
+    hi: float = 0.0
 
 
 class PolicyPlan:
@@ -193,8 +190,10 @@ class PolicyPlan:
     FairCo* and EquityRank score every slot of the field once, check that
     the scores are finite, and take the top slots by score, then relevance,
     then slot. PoorK, MMF* and, with ``slotwise`` (offline mode),
-    EquityRank fill the list with the slot-greedy kernel, scoring the
-    remaining slots of the field before each position.
+    EquityRank fill the list with the slot-greedy kernel: it sorts the
+    field's slots stably by relevance descending once; each position scores
+    them all, checks the scores are finite and takes ``argmax``'s first
+    maximum among the slots not yet placed, which is the tie rule's pick.
     """
 
     def __init__(
@@ -228,77 +227,116 @@ class PolicyPlan:
         scorers = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco, "EquityRank": PolicyPlan._equity}
         self._score_fn = scorers.get(kind, PolicyPlan._mmf)  # PoorK and MMF*
         self._greedy = kind in ("PoorK", "MMFStar") or (kind == "EquityRank" and slotwise)
+        self._rows = [_Columns(p, t) for p, t in zip(provider, self.gain_target)]  # for whole rows
+        self._weighted = self._greedy or (kind == "EquityRank" and alpha != 0.0)  # greedy fills accrue by weight
 
     def score(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         """The scores of slots ``at`` of ``row``, whose relevance is ``rel``."""
-        return self._score_fn(self, row, at, rel, gains)
+        cols = _Columns(self.provider[row, at], self.gain_target[row, at])
+        if self._score_fn is PolicyPlan._mmf:
+            cols.live = np.bincount(cols.provider, minlength=self.targets.size)
+            cols.lo, cols.hi = rel.min(), rel.max()
+        return self._score_fn(self, cols, rel, self._weight((row, at), rel), gains)
 
     def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None = None) -> list[int]:
         """The slots of one list, top first (see the class docstring)."""
         if self._greedy:
             return self._fill(row, rel, gains, probs, field)
         if field is None:
-            at, zeros = ALL_SLOTS, self._zeros
+            at, zeros, cols = row, self._zeros, self._rows[row]
         else:
-            at = np.flatnonzero(field)
-            rel, zeros = rel[at], self._zeros[: at.size]
-        scores = self._score_fn(self, row, at, rel, gains)
+            slots = np.flatnonzero(field)
+            at, rel, zeros = (row, slots), rel[slots], self._zeros[: slots.size]
+            cols = _Columns(self.provider[at], self.gain_target[at])
+        scores = self._score_fn(self, cols, rel, self._weight(at, rel), gains)
         # x * 0 is zero for every finite x and NaN otherwise: one dot product
         # with zeros checks the row, at a third of isfinite().all()'s cost
         if scores.dot(zeros) != 0.0:
             raise ValueError("scores must be finite")
         top = top_k_order((-rel, -scores), len(probs))
-        return top.tolist() if field is None else at[top].tolist()
+        return top.tolist() if field is None else slots[top].tolist()
 
-    def _relevance(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _weight(self, at, rel: np.ndarray) -> np.ndarray | None:
+        """Item weights v_e + r v_b where read; ``at`` indexes (rows x slots)."""
+        return rel * self.purchase_value[at] + self.exposure_value[at] if self._weighted else None
+
+    def _relevance(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         return rel
 
-    def _fairco(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _fairco(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         # a provider lagging behind the best-served one, by gain-to-target
         # ratio, gets alpha times the shortfall, clipped at zero so that no
         # item scores below its own relevance
         ratios = gains / self.targets
-        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[self.provider[row, at]])
+        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[cols.provider])
 
-    def _equity(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        # rel + alpha b (v_e + rel v_b) with the fairness gradient
-        # b = scale (y G.y - G |y|^2) taken at the slots' providers only;
-        # the elementwise operations of metrics.fairness_gradient, so the
-        # same bits, done in place
+    def _equity(self, cols: _Columns, rel: np.ndarray, weight: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        # rel + alpha b w with the item weight w = v_e + rel v_b and the
+        # fairness gradient b = scale (y G.y - G |y|^2) taken at the slots'
+        # providers only; the elementwise operations of
+        # metrics.fairness_gradient, so the same bits, done in place
         if self.alpha == 0.0:
             return rel
-        b = self.gain_target[row, at] * gains.dot(self.targets)
-        b -= gains[self.provider[row, at]] * self._target_sq
+        b = cols.target * gains.dot(self.targets)
+        b -= gains[cols.provider] * self._target_sq
         b *= self._scale
         b *= self.alpha
-        w = rel * self.purchase_value[row, at]
-        w += self.exposure_value[row, at]
-        b *= w
+        b *= weight
         b += rel
         return b
 
-    def _mmf(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        # the worst-off provider has the smallest gain-to-target ratio among the
-        # providers of the scored slots (ties: lowest provider id)
-        groups = self.provider[row, at]
-        lo, hi = rel.min(), rel.max()
+    def _mmf(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
+        # the worst-off provider has the smallest gain-to-target ratio among
+        # the live providers (ties: lowest provider id); only when every live
+        # ratio overflows to +inf does argmin meet a dead provider first
+        live = cols.live > 0
+        worst = np.where(live, gains / self.targets, np.inf).argmin()
+        if not live[worst]:
+            worst = live.argmax()
+        lo, hi = cols.lo, cols.hi
         norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
-        live = np.unique(groups)
-        worst = live[np.argmin(gains[live] / self.targets[live])]
-        return (1.0 - self.alpha) * norm + self.alpha * (groups == worst)
+        return (1.0 - self.alpha) * norm + self.alpha * (cols.provider == worst)
+
+    def _gather(self, row: int, rel: np.ndarray, field: np.ndarray | None, k: int):
+        """``row``'s field in greedy order: slots, relevance, columns, weights, zeros for picks."""
+        at = np.arange(rel.size) if field is None else np.flatnonzero(field)
+        at = at[np.argsort(-rel[at], kind="stable")]
+        if at.size < k:
+            raise ValueError(f"need at least {k} candidates, got {at.size}")
+        r, where = rel[at], (row, at)
+        cols = _Columns(self.provider[where], self.gain_target[where])
+        return at, r, cols, self._weight(where, r), np.zeros(r.size)
+
+    def _best(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray, placed: np.ndarray) -> int:
+        """The first maximum of the finite scores over the gathered slots whose
+        ``placed`` entry is 0; the pick's entry becomes -inf."""
+        scores = self._score_fn(self, cols, rel, weight, gains)
+        if scores.dot(self._zeros[: rel.size]) != 0.0:
+            raise ValueError("scores must be finite")
+        best = int((scores + placed).argmax())
+        placed[best] = -np.inf
+        return best
 
     def _fill(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None) -> list[int]:
-        # after each position the placed candidate's expected gain
-        # p_k (v_e + r v_b) is added to a copy of the gains that the next
-        # position's scores read
-        groups, ve, vb = self.provider[row], self.exposure_value[row], self.purchase_value[row]
-        avail = np.ones(rel.size, dtype=bool) if field is None else field.copy()
-        gains, chosen = gains.copy(), []
+        # picks add p_k (v_e + r v_b) to a gains copy; MMF*'s slots left span top..bottom
+        at, r, cols, weight, placed = self._gather(row, rel, field, len(probs))
+        gains, chosen, top, bottom = gains.copy(), [], 0, r.size - 1
+        if mmf := self._score_fn is PolicyPlan._mmf:
+            cols.live = np.bincount(cols.provider, minlength=self.targets.size)
         for p_k in probs:
-            pick = _pick(self, row, rel, avail, gains)
-            gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
-            chosen.append(pick)
-        return chosen
+            if mmf:
+                while placed[top]:
+                    top += 1
+                while placed[bottom]:
+                    bottom -= 1
+                cols.lo, cols.hi = r[bottom], r[top]
+            i = self._best(cols, r, weight, gains, placed)
+            g = cols.provider[i]
+            gains[g] += p_k * weight[i]
+            if mmf:
+                cols.live[g] -= 1
+            chosen.append(i)
+        return at[chosen].tolist()
 
 
 def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm, slotwise=False) -> RankList:
@@ -505,6 +543,12 @@ def allocate_vertical(
     ``offline_field``), built here when not given; the lists are those of
     the whole catalog. Returns one list per user, in input order.
     """
+    user_ids, lists, _ = _allocate_vertical(users, rel, ledger, catalog, profiles, alpha, pm, field)
+    return [RankList(tuple(items.tolist()), u) for u, items in zip(user_ids, lists)]
+
+
+def _allocate_vertical(users, rel, ledger, catalog, profiles, alpha, pm, field):
+    """The user ids, and each one's items, top first, and their relevance."""
     n = catalog.item_count
     if n < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} items, got {n}")
@@ -514,14 +558,11 @@ def allocate_vertical(
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), np.arange(n, dtype=np.int64)[None, :], catalog, profiles)
     if field is None:
         field = offline_field(rel, catalog, pm.list_size)
-    rows = [rel.dense_row(u, n) for u in user_ids]
-    avail = [field[u].copy() for u in user_ids]
-    slots: list[list[int]] = [[] for _ in user_ids]
-
+    fills = [(*plan._gather(0, rel.dense_row(u, n), field[u], pm.list_size), []) for u in user_ids]
     for p_k in pm.probs:
-        for row, free, chosen in zip(rows, avail, slots):
-            item = _pick(plan, 0, row, free, ledger.raw_gains())
-            ledger.accrue((catalog.group_of[item],), (p_k,), (p_k * row[item],), profiles)
-            chosen.append(item)
+        for _, r, cols, weight, placed, chosen in fills:
+            i = plan._best(cols, r, weight, ledger.raw_gains(), placed)
+            ledger.accrue((cols.provider[i],), (p_k,), (p_k * r[i],), profiles)
+            chosen.append(i)
     ledger.step_count += len(user_ids)
-    return [RankList(tuple(chosen), u) for u, chosen in zip(user_ids, slots)]
+    return user_ids, [at[chosen] for at, *_, chosen in fills], [r[chosen] for _, r, *_, chosen in fills]

@@ -46,7 +46,7 @@ from .metrics import (
     ndcg_from,
     unfairness,
 )
-from .rankers import PolicyConfig, PolicyPlan, allocate_vertical, offline_field, top_k_order
+from .rankers import PolicyConfig, PolicyPlan, _allocate_vertical, offline_field, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -374,12 +374,10 @@ def _check_dataset(dataset, cfg: SimConfig) -> tuple[Catalog, list[ProviderProfi
     return catalog, profiles, rel
 
 
-def _offline_field(dataset, list_size: int) -> np.ndarray:
-    """``rankers.offline_field`` of ``dataset``, built on first use and kept
-    in ``dataset.derived`` for every later offline run on the same object."""
-    key = ("offline_field", list_size)
+def _derived(dataset, key: tuple, build):
+    """``build()``, kept in ``dataset.derived`` under ``key`` for later runs on the same object."""
     if key not in dataset.derived:
-        dataset.derived[key] = offline_field(dataset.relevance, dataset.catalog, list_size)
+        dataset.derived[key] = build()
     return dataset.derived[key]
 
 
@@ -399,8 +397,9 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     every pick of a K-item list; and a class with more than K members keeps
     an unpicked member in the field at every position, which leaves MMF*'s
     relevance range and live providers as they are over the whole catalog.
-    The field is built on the first offline run on a dataset object and
-    shared by its later runs with the same list size.
+    The field and the users' ideal DCGs are built on the first offline run
+    on a dataset object and shared by its later runs with the same list
+    size (and cutoff).
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
@@ -413,10 +412,10 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
 
     start = time.perf_counter()
     ledger = GainLedger.empty(catalog.provider_count)
-    field = _offline_field(dataset, cfg.list_size)
+    k, cutoff = cfg.list_size, cfg.eval_cutoff
+    field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
     if policy == "EquityRankV":
-        lists = allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, field)
-        served = [rel.relevance_of(rl.user, rl.positions) for rl in lists]
+        _, _, served = _allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, field)
     else:
         # one row over the whole catalog, whose slots are item ids; each user
         # ranks the slots of their row of the field
@@ -429,7 +428,7 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
             served.append(row[items])
             ledger.accrue(plan.provider[0, items], pm.probs, pm.probs * served[-1], profiles)
         ledger.step_count += len(user_order)
-    cutoff, ideal = cfg.eval_cutoff, _ideal_dcgs(rel, cfg.eval_cutoff, pm)
+    ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
     ndcgs = [ndcg_from(discounted_sum(r.tolist(), pm.probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
     effectiveness = sum(ndcgs) / len(ndcgs)
     wall = time.perf_counter() - start

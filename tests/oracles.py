@@ -4,11 +4,16 @@ The rankers share no code with ``equityrank.rankers``: each reads the
 relevance table, the profiles and the ledger directly. ``reference_unfairness``
 and ``reference_prefilter`` are the forms the library's unfairness and
 candidate prefilter replaced: the m x m pairwise sum and a full sort.
+``_pick`` and ``reference_fill`` are the pick-by-pick slot-greedy fill that
+the gathered, argmax-based kernel of ``PolicyPlan`` replaced: each pick
+rescores the remaining slots through ``PolicyPlan.score`` and breaks ties
+explicitly.
 ``run_online_reference`` is the online loop by item id that the slot-indexed
 ``sim.run_online`` replaced, and ``run_offline_reference`` the offline loop
-over the whole catalog, through the checked id-level functions, that ranking
-from offline fields by slot replaced. ``observed_offline_run`` runs
-``sim.run_offline`` and shows what it served."""
+over the whole catalog, through the checked id-level functions and
+``reference_fill``, that ranking from offline fields by slot replaced.
+``observed_offline_run`` runs ``sim.run_offline`` and shows what it
+served."""
 
 import pytest
 
@@ -30,7 +35,39 @@ from equityrank import (
     sim,
 )
 from equityrank.metrics import cndcg_update, discounted_sum, unfairness
-from equityrank.rankers import PolicyPlan, _pick
+from equityrank.rankers import PolicyPlan
+
+
+def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
+    """Take the best available slot of ``row`` and return it.
+
+    Best is the highest score under ``plan``, ties broken by relevance
+    descending, then slot ascending, which is id ascending. The pick is
+    marked unavailable in ``avail``.
+    """
+    at = np.flatnonzero(avail)
+    r = rel[at]
+    scores = plan.score(row, at, r, gains)
+    tied = np.flatnonzero(scores == scores.max())
+    if tied.size > 1:
+        tied = tied[np.argsort(-r[tied], kind="stable")]
+    best = int(at[tied[0]])
+    avail[best] = False
+    return best
+
+
+def reference_fill(plan, row, rel, gains, probs):
+    """A slot-greedy list of ``plan``'s ``row`` through ``_pick``: the slots,
+    top first. Before each position the remaining slots are scored with
+    ``PolicyPlan.score`` and the best is taken; its expected gain
+    p_k (v_e + r v_b) goes to a copy of ``gains``."""
+    groups, ve, vb = plan.provider[row], plan.exposure_value[row], plan.purchase_value[row]
+    avail, gains, chosen = np.ones(rel.size, dtype=bool), gains.copy(), []
+    for p_k in probs:
+        pick = _pick(plan, row, rel, avail, gains)
+        gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
+        chosen.append(pick)
+    return chosen
 
 
 def _gradient(gains, y):
@@ -223,10 +260,11 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
 def run_offline_reference(dataset, policy, alpha, seed, cfg):
     """``sim.run_offline`` with every user ranking the whole catalog.
 
-    TopK, PoorK, FairCo*, MMF* and EquityRank rank every item id through a
-    one-row plan; EquityRankV allocates level by level with each pick
-    scoring all of the user's unassigned items. Returns the result (wall
-    time 0), the lists in visit order and the final ledger.
+    TopK and FairCo* rank every item id through a one-row plan; PoorK, MMF*
+    and EquityRank fill each list with ``reference_fill``, and EquityRankV
+    allocates level by level with ``_pick``, each pick scoring all of the
+    user's unassigned items. Returns the result (wall time 0), the lists in
+    visit order and the final ledger.
     """
     catalog, profiles, rel = sim._check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
@@ -248,8 +286,11 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
     else:
         plan = PolicyPlan(PolicyConfig(policy, alpha), ids[None, :], catalog, profiles, slotwise=True)
         lists = []
+        greedy = policy in ("PoorK", "MMFStar", "EquityRank")
         for user in user_order:
-            rl = RankList(tuple(plan.rank(0, rel.relevance_of(user, ids), ledger.raw_gains(), pm.probs)), user)
+            row, gains = rel.relevance_of(user, ids), ledger.raw_gains()
+            slots = reference_fill(plan, 0, row, gains, pm.probs) if greedy else plan.rank(0, row, gains, pm.probs)
+            rl = RankList(tuple(slots), user)
             apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
@@ -260,13 +301,14 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
     """``sim.run_offline``'s result, served lists and final ledger.
 
     The lists are seen where the run makes them: EquityRankV's are what
-    ``allocate_vertical`` returns; every other policy's are what each
+    the allocation behind ``allocate_vertical`` returns; every other
+    policy's are what each
     ``PolicyPlan.rank`` call returns, served to the user whose
     ``RelevanceTable.dense_row`` the run read before it. The ledger is the
     one the result's diagnostics are computed from.
     """
     dense_row, rank = RelevanceTable.dense_row, PolicyPlan.rank
-    allocate, diagnostics = sim.allocate_vertical, sim.alignment_diagnostics
+    allocate, diagnostics = sim._allocate_vertical, sim.alignment_diagnostics
     users, ranked, vertical, ledgers = [], [], [], []
 
     def read_row(table, user, item_count):
@@ -278,8 +320,9 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         return ranked[-1]
 
     def record_vertical(*args):
-        vertical.extend(allocate(*args))
-        return vertical
+        allocation = allocate(*args)
+        vertical.extend(RankList(tuple(items.tolist()), u) for u, items in zip(*allocation[:2], strict=True))
+        return allocation
 
     def capture_ledger(ledger, profiles):
         ledgers.append(ledger)
@@ -288,7 +331,7 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RelevanceTable, "dense_row", read_row)
         mp.setattr(PolicyPlan, "rank", record_rank)
-        mp.setattr(sim, "allocate_vertical", record_vertical)
+        mp.setattr(sim, "_allocate_vertical", record_vertical)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers

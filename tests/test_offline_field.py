@@ -1,5 +1,6 @@
 """Offline fields: what the builder marks, what it costs, and that offline runs
-ranked from them equal runs over the whole catalog bit for bit."""
+ranked from them equal runs over the whole catalog bit for bit; and that the
+greedy rankers equal the pick-by-pick reference fill on the same tied data."""
 
 import tracemalloc
 
@@ -11,18 +12,24 @@ from hypothesis import strategies as st
 from equityrank import (
     Catalog,
     Dataset,
+    GainLedger,
     GeneratorSpec,
+    PolicyConfig,
+    PositionModel,
     ProviderProfile,
     RelevanceTable,
     ScenarioSpec,
     SimConfig,
     generate_dataset,
     load_dataset,
+    offline_rank_user,
+    rank_mmf_star,
+    rank_poork,
     save_dataset,
     sim,
 )
-from equityrank.rankers import offline_field
-from oracles import observed_offline_run, run_offline_reference
+from equityrank.rankers import PolicyPlan, offline_field
+from oracles import observed_offline_run, reference_fill, run_offline_reference
 
 OFFLINE_POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
 
@@ -88,6 +95,31 @@ def test_offline_run_from_the_field_matches_the_whole_catalog(case, policy, alph
         assert getattr(ledger, name).tobytes() == getattr(want_ledger, name).tobytes()
     assert ledger.step_count == want_ledger.step_count
     assert result.deterministic_values() == want.deterministic_values()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets(), st.sampled_from(["PoorK", "MMFStar", "EquityRank"]), st.sampled_from([0.0, 1e-3, 0.5, 1.0]), st.data())
+def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
+    # the public greedy rankers, given their candidates in any order, return
+    # the list that tests/oracles.py's pick-by-pick fill builds
+    dataset, k = case
+    catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
+    user = data.draw(st.integers(0, rel.user_count - 1))
+    candidates = data.draw(st.lists(st.integers(0, catalog.item_count - 1), min_size=k, unique=True))
+    ledger = GainLedger.empty(catalog.provider_count)
+    gain = st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 10.0)
+    ledger.exposure_gain[:] = data.draw(st.lists(gain, min_size=catalog.provider_count, max_size=catalog.provider_count))
+    pm = PositionModel.logarithmic(k)
+    ids = np.sort(candidates)
+    plan = PolicyPlan(PolicyConfig(kind, alpha), ids[None, :], catalog, profiles, slotwise=True)
+    want = ids[reference_fill(plan, 0, rel.relevance_of(user, ids), ledger.raw_gains(), pm.probs)]
+    if kind == "PoorK":
+        got = rank_poork(candidates, user, rel, ledger, catalog, profiles, pm)
+    elif kind == "MMFStar":
+        got = rank_mmf_star(candidates, user, rel, ledger, catalog, profiles, alpha, pm)
+    else:
+        got = offline_rank_user(PolicyConfig(kind, alpha), candidates, user, rel, ledger, catalog, profiles, pm)
+    assert np.array(got.positions, dtype=np.int64).tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,4 +212,4 @@ def test_no_field_is_built_outside_offline_runs(tmp_path):
     sim.run_online(dataset, "TopK", 0.0, 0, SimConfig(list_size=3, total_steps=20, prefilter_size=5, mode="online"))
     assert generated.derived == {} and dataset.derived == {}
     sim.run_offline(dataset, "TopK", 0.0, 0, SimConfig(list_size=3))
-    assert list(dataset.derived) == [("offline_field", 3)]
+    assert list(dataset.derived) == [("offline_field", 3), ("ideal_dcg", 3, 3)]

@@ -166,6 +166,18 @@ class TestPoorK:
         rl = rank_poork([0, 1, 2], 0, rel, ledger, cat, uniform_profiles(2), PM2)
         assert rl.positions == (1, 2)
 
+    def test_overflowing_ratios_leave_the_lowest_live_provider_worst(self):
+        # providers 1 and 2 hold the candidates, and both gain-to-target
+        # ratios overflow to +inf: the tie goes to provider 1, not to
+        # provider 0, which has no candidate
+        cat = Catalog.from_assignments([0, 1, 2])
+        rel = RelevanceTable(1, [(0, 0, 1.0), (0, 1, 0.2), (0, 2, 0.9)])
+        profiles = [ProviderProfile(1.0, 0.0, 1e-300)] * 3
+        ledger = ledger_with_gains([0.0, 1e10, 1e10])
+        with np.errstate(over="ignore"):
+            rl = rank_poork([1, 2], 0, rel, ledger, cat, profiles, PositionModel.logarithmic(1))
+        assert rl.positions == (1,)
+
 
 class TestFairCoStar:
     def test_alpha_zero_is_topk(self):
@@ -321,6 +333,28 @@ class TestDispatch:
         ledger = ledger_with_gains([1e308, 0.0])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
             online_step_rank(PolicyConfig(kind, 1.0), [0, 1], 0, rel, ledger, catalog, profiles, PM2)
+
+    @pytest.mark.parametrize("kind", ["PoorK", "MMFStar", "EquityRank"])
+    def test_greedy_fills_reject_nonfinite_scores(self, kind):
+        # gains near the float maximum overflow EquityRank's gradient; an
+        # infinite relevance makes MMF*'s normalised relevance NaN
+        catalog = Catalog.from_assignments([0, 1, 2])
+        policy = PolicyConfig(kind, 0.5 if kind == "MMFStar" else 1.0)
+        plan = PolicyPlan(policy, np.array([[0, 1, 2]]), catalog, uniform_profiles(3), slotwise=True)
+        if kind == "EquityRank":
+            rel, gains = np.array([0.5, 0.2, 0.1]), np.array([1e308, 0.0, 1e308])
+        else:
+            rel, gains = np.array([np.inf, 0.5, 0.2]), np.zeros(3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="scores must be finite"):
+            plan.rank(0, rel, gains, PM2.probs)
+
+    @pytest.mark.parametrize("kind", ["PoorK", "MMFStar", "EquityRank"])
+    def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
+        catalog = Catalog.from_assignments([0, 1, 0])
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2), slotwise=True)
+        field = np.array([True, False, True])
+        with pytest.raises(ValueError, match="need at least 3 candidates, got 2"):
+            plan.rank(0, np.array([0.5, 0.2, 0.1]), np.zeros(2), PM3.probs, field)
 
     def test_online_equityrank_matches_hand_ordering(self):
         # three items, two groups; gradient [2, -4] from gains [1,1], targets [2,1]

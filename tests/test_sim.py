@@ -335,7 +335,7 @@ class TestRunOffline:
         with pytest.raises(ValueError):
             run_offline(ds, "TopK", 0.0, 0, SimConfig(list_size=9))
 
-    @pytest.mark.parametrize("policy", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
+    @pytest.mark.parametrize("policy", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV"])
     def test_each_users_relevance_is_read_once_and_no_rank_list_is_built(self, policy, monkeypatch):
         rng = np.random.default_rng(5)
         entries = [(u, i, float(rng.random())) for u in range(6) for i in range(24) if rng.random() < 0.3]
