@@ -1,19 +1,10 @@
 """Experiment driver: dataset generation, runs, alpha sweeps, and reports.
 
-A sweep executes every (policy, alpha, seed) combination of a plan and
-writes flat-file outputs into the plan's output directory:
-
-    plan.json       the fully resolved plan (audit trail for every number)
-    results.csv     one row per successful run (deterministic bytes)
-    timings.csv     per-run wall-clock times, kept out of results.csv so
-                    reruns of the same plan are byte-identical
-    summary.csv     per-(policy, alpha) means and stdevs over seeds
-    envelope_*.csv  per-policy trade-off envelopes from seed-averaged points
-    failures.csv    runs that errored (only written when something failed)
-    series/         per-run (step, cndcg, unfairness) series in online mode
-
-Plans come from a JSON config file, with CLI flags overriding file values
-and built-in defaults filling the rest.
+``generate``, ``run`` and ``sweep`` read one config shape, the fields of
+``ExperimentPlan`` as JSON, with CLI flags laid over the ``--config`` file
+and the dataclasses' defaults filling the rest. Each value is coerced to
+its field's annotated type at this boundary; README "Plans and configs"
+has the rules, and "Sweep outputs" the files a sweep writes.
 """
 
 from __future__ import annotations
@@ -21,11 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +26,7 @@ from .metrics import RESULT_FIELDS, RunResult, format_float, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
 from .sim import SimConfig, run_offline, run_online
-from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
+from .synth import Dataset, GeneratorSpec, ScenarioSpec, _read_rows, generate_dataset, load_dataset, save_dataset
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -78,6 +71,9 @@ class ExperimentPlan:
             raise ValueError("workers must be positive")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be nonnegative")
+        for alpha in self.alpha_grid:
+            if not (math.isfinite(alpha) and alpha >= 0):
+                raise ValueError(f"alpha_grid values must be finite and nonnegative, got {alpha:g}")
         for name in ("policies", "alpha_grid", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -105,112 +101,103 @@ def effective_alpha_grid(policy: str, grid: Sequence[float]) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config file must contain a JSON object")
-    return config
-
-
-def _check_keys(config, cls: type, what: str) -> dict:
-    """A copy of a config section, which must be an object with only ``cls``'s fields as keys."""
+def _typed_fields(cls: type, config, section: str | None = None) -> dict:
+    """The fields of dataclass ``cls`` given in the JSON object ``config``,
+    each coerced to its annotated type; a null field is left out, so it
+    takes its default. ``section`` names the object in error messages."""
+    what = section or "top-level"
     if not isinstance(config, dict):
         raise ValueError(f"the {what} config must be a JSON object, got {config!r}")
     unknown = set(config) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} config keys: {sorted(unknown)}")
-    return dict(config)
+    hints = get_type_hints(cls)
+    return {
+        name: _coerce(hints[name], value, f"{section} {name}" if section else name)
+        for name, value in config.items()
+        if value is not None
+    }
 
 
-def _number(value, what: str, whole: bool = False):
-    """A numeric config value: an int or a float, never a bool or a string.
-
-    With ``whole`` the value must also be integral, and is returned as an
-    int: JSON may write 3 as 3.0, but 2.5 is an error, not 2.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if not whole:
+def _coerce(hint, value, label: str):
+    """A JSON value as the type ``hint``: an int takes a whole number, a float
+    any real (neither a bool), a tuple a list, a dataclass an object."""
+    if get_origin(hint) in (Union, UnionType):  # X | None, and value is not null
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{label} must be a list, got {value!r}")
+        return tuple(_coerce(get_args(hint)[0], item, label) for item in value)
+    if is_dataclass(hint):
+        return hint(**_typed_fields(hint, value, label))
+    if hint is bool or hint is str:
+        if not isinstance(value, hint):
+            kind = "true or false" if hint is bool else "a string"
+            raise ValueError(f"{label} must be {kind}, got {value!r}")
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    if hint is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{label} is too large, got {value!r}") from None
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
+        raise ValueError(f"{label} must be a whole number, got {value!r}")
     return int(value)
 
 
-def _alpha(value) -> float:
-    alpha = float(_number(value, "alpha_grid values"))
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha_grid values must be finite and nonnegative, got {value!r}")
-    return alpha
+def _config_fields(args: argparse.Namespace) -> dict:
+    """The typed top-level fields of a command's ``--config`` file, with its
+    CLI flags laid over the file's values (see README "Plans and configs")."""
+    config = {}
+    if getattr(args, "config", None) is not None:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must contain a JSON object")
 
+    def flag(name):
+        return getattr(args, name, None)
 
-def _numbers(section: dict, what: str, whole: tuple[str, ...], real: tuple[str, ...]) -> dict:
-    """Check the numeric fields of a config section in place: counts
-    (``whole``) and real numbers (``real``); an absent or null field is
-    left to the default."""
-    for name in whole + real:
-        if section.get(name) is not None:
-            section[name] = _number(section[name], f"{what} {name}", whole=name in whole)
-    return section
-
-
-def _build_sim(config: dict, args: argparse.Namespace) -> SimConfig:
-    sim_cfg = _check_keys(config.get("sim", {}), SimConfig, "sim")
-    if getattr(args, "mode", None):
-        sim_cfg["mode"] = args.mode
-    if getattr(args, "steps", None) is not None:
-        sim_cfg["total_steps"] = args.steps
-    whole = ("list_size", "total_steps", "cutoff", "prefilter_size", "checkpoint_every")
-    return SimConfig(**_numbers(sim_cfg, "sim", whole, ("gamma", "prefilter_noise")))
-
-
-def _build_generator(config: dict, args: argparse.Namespace) -> GeneratorSpec:
-    gen_cfg = _check_keys(config.get("generator") or {}, GeneratorSpec, "generator")
-    if getattr(args, "seed", None) is not None:
-        gen_cfg["seed"] = args.seed
-    whole = ("n_users", "n_items", "n_providers", "latent_dim", "seed")
-    return GeneratorSpec(**_numbers(gen_cfg, "generator", whole, ("group_size_skew", "sparsity")))
+    seed = flag("seed")
+    has_dataset = "dataset" in args and bool(flag("dataset") or config.get("dataset"))  # generate has none
+    overrides = {
+        "dataset": flag("dataset"),
+        "out_dir": flag("out"),
+        "scenario": flag("scenario"),
+        "workers": flag("workers"),
+        "policies": [flag("policy")] if flag("policy") else None,
+        "alpha_grid": None if flag("alpha") is None else [flag("alpha")],
+        "seeds": [seed] if seed is not None and has_dataset else None,
+    }
+    config.update((key, value) for key, value in overrides.items() if value is not None)
+    for section, key, value in (
+        ("sim", "mode", flag("mode")),
+        ("sim", "total_steps", flag("steps")),
+        ("generator", "seed", None if has_dataset else seed),
+    ):
+        if value is not None:
+            if config.get(section) is None:
+                config[section] = {}
+            if isinstance(config[section], dict):  # anything else fails its coercion below
+                config[section][key] = value
+    if config.get("scenario") is not None:  # before coercion: a non-string is an unknown scenario too
+        ScenarioSpec.by_name(config["scenario"])
+    return _typed_fields(ExperimentPlan, config)
 
 
 def resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
-    config = _check_keys(_load_config(getattr(args, "config", None)), ExperimentPlan, "top-level")
-    dataset = getattr(args, "dataset", None) or config.get("dataset")
-    out_dir = getattr(args, "out", None) or config.get("out_dir")
-    if out_dir is None:
+    given = _config_fields(args)
+    if not given.get("out_dir"):
         raise ValueError("an output directory is required (--out or config out_dir)")
-    scenario = getattr(args, "scenario", None) or config.get("scenario", "common")
-    ScenarioSpec.by_name(scenario)  # validate early
-    sim = _build_sim(config, args)
-    generator = None if dataset else _build_generator(config, args)
-    policies = config.get("policies")
-    if getattr(args, "policy", None):
-        policies = [args.policy]
-    if policies is None:
-        policies = [p for p in POLICY_KINDS if not (sim.mode == "online" and p == "EquityRankV")]
-    alpha_grid = config.get("alpha_grid", list(DEFAULT_ALPHA_GRID))
-    if getattr(args, "alpha", None) is not None:
-        alpha_grid = [args.alpha]
-    seeds = config.get("seeds", list(DEFAULT_SEEDS))
-    if getattr(args, "seed", None) is not None and dataset is not None:
-        seeds = [args.seed]
-    for name, values in (("policies", policies), ("alpha_grid", alpha_grid), ("seeds", seeds)):
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"{name} must be a list, got {values!r}")
-    workers = config.get("workers", 1) if getattr(args, "workers", None) is None else args.workers
-    return ExperimentPlan(
-        out_dir=str(out_dir),
-        dataset=str(dataset) if dataset else None,
-        generator=generator,
-        scenario=scenario,
-        policies=tuple(policies),
-        alpha_grid=tuple(_alpha(a) for a in alpha_grid),
-        seeds=tuple(_number(s, "seeds", whole=True) for s in seeds),
-        sim=sim,
-        workers=_number(workers, "workers", whole=True),
-    )
+    if given.get("dataset"):
+        given["generator"] = None
+    else:
+        given.setdefault("generator", GeneratorSpec())
+    if "policies" not in given and given.get("sim", SimConfig()).mode == "online":
+        given["policies"] = tuple(p for p in POLICY_KINDS if p != "EquityRankV")
+    return ExperimentPlan(**given)
 
 
 def _plan_dataset(plan: ExperimentPlan) -> Dataset:
@@ -274,10 +261,10 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
     ]
     if not specs:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
-    if plan.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=plan.workers, initializer=_pool_init, initargs=(dataset, plan.sim)
-        ) as pool:
+    # ProcessPoolExecutor starts all of max_workers at the first submit.
+    workers = min(plan.workers, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(dataset, plan.sim)) as pool:
             outcomes = list(pool.map(_pool_run, specs))
     else:
         _pool_init(dataset, plan.sim)
@@ -409,42 +396,21 @@ def cmd_run(
     return result
 
 
-def _read_csv_dicts(path: Path) -> list[dict[str, str]]:
-    import csv as _csv
-
-    if not path.is_file():
-        raise ValueError(f"missing {path}")
-    with open(path, newline="") as fh:
-        return list(_csv.DictReader(fh))
-
-
 def cmd_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Path:
     """Summarize a sweep: ranking tables and the trade-off SVG."""
     results_dir = Path(results_dir)
     out = Path(out_dir) if out_dir is not None else results_dir
     out.mkdir(parents=True, exist_ok=True)
-    rows = _read_csv_dicts(results_dir / "results.csv")
-    if not rows:
+    results = []
+    for _, (mode, policy, alpha, seed, *values) in _read_rows(results_dir / "results.csv", list(DETERMINISTIC_FIELDS)):
+        results.append(RunResult(mode, policy, float(alpha), int(seed), *map(float, values), wall_time=0.0))
+    if not results:
         raise ValueError(f"no runs recorded in {results_dir / 'results.csv'}")
-    results = [
-        RunResult(
-            mode=row["mode"],
-            policy=row["policy"],
-            alpha=float(row["alpha"]),
-            seed=int(row["seed"]),
-            effectiveness=float(row["effectiveness"]),
-            unfairness=float(row["unfairness"]),
-            msd=float(row["msd"]),
-            pearson=float(row["pearson"]),
-            wall_time=0.0,
-        )
-        for row in rows
-    ]
     timings: dict[tuple[str, float], list[float]] = {}
     timings_path = results_dir / "timings.csv"
     if timings_path.is_file():
-        for row in _read_csv_dicts(timings_path):
-            timings.setdefault((row["policy"], float(row["alpha"])), []).append(float(row["wall_ms"]))
+        for _, (policy, alpha, _seed, wall_ms) in _read_rows(timings_path, ["policy", "alpha", "seed", "wall_ms"]):
+            timings.setdefault((policy, float(alpha)), []).append(float(wall_ms))
 
     stats = _group_stats(results)
     policies = sorted({policy for policy, _ in stats})
@@ -527,13 +493,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
-            config = _load_config(args.config)
-            scenario = ScenarioSpec.by_name(args.scenario or config.get("scenario", "common"))
-            out = cmd_generate(_build_generator(config, args), scenario, args.out, args.force)
+            config = _config_fields(args)
+            scenario = ScenarioSpec.by_name(config.get("scenario", "common"))
+            out = cmd_generate(config.get("generator", GeneratorSpec()), scenario, args.out, args.force)
             print(f"dataset written to {out}")
         elif args.command == "run":
-            config = _load_config(args.config)
-            sim = _build_sim(config, args)
+            sim = _config_fields(args).get("sim", SimConfig())
             dataset = load_dataset(args.dataset)
             result = cmd_run(dataset, args.policy, args.alpha, args.seed, sim, args.out)
             print(RunResult.csv_header())

@@ -108,8 +108,8 @@ class GeneratorSpec:
             raise ValueError("counts and latent_dim must be positive")
         if self.n_providers > self.n_items:
             raise ValueError("cannot have more providers than items")
-        if self.group_size_skew < 0:
-            raise ValueError("group_size_skew must be nonnegative")
+        if not (math.isfinite(self.group_size_skew) and self.group_size_skew >= 0):
+            raise ValueError("group_size_skew must be finite and nonnegative")
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in (0, 1]")
 
@@ -213,8 +213,8 @@ def assign_groups(n_items: int, n_providers: int, skew: float, rng: np.random.Ge
     """
     if n_providers > n_items:
         raise ValueError("cannot have more providers than items")
-    if skew < 0:
-        raise ValueError("skew must be nonnegative")
+    if not (math.isfinite(skew) and skew >= 0):
+        raise ValueError("skew must be finite and nonnegative")
     weights = np.arange(1, n_providers + 1, dtype=np.float64) ** (-skew)
     sizes = _apportion(weights, n_items)
     contiguous = np.repeat(np.arange(n_providers, dtype=np.int64), sizes)
@@ -276,7 +276,7 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> None:
 
 def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
     if not path.is_file():
-        raise DatasetError(f"missing dataset file {path}")
+        raise DatasetError(f"missing file {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -1,11 +1,15 @@
 """CLI surface: generate / run / sweep / report, determinism, error lines."""
 
+import dataclasses
 import json
+import math
+import os
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, load_dataset
+from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, load_dataset
 from equityrank.cli import (
     ExperimentPlan,
     _build_parser,
@@ -68,6 +72,14 @@ class TestGenerate:
         with pytest.raises(ValueError, match="--force"):
             cmd_generate(TINY, ScenarioSpec.common(), out)
         cmd_generate(TINY, ScenarioSpec.common(), out, force=True)
+
+    def test_a_datasets_manifest_regenerates_it_byte_for_byte(self, tmp_path):
+        config = {"generator": dataclasses.asdict(TINY) | {"group_size_skew": 1.3}, "scenario": "sale1st"}
+        (tmp_path / "gen.json").write_text(json.dumps(config))
+        assert main(["generate", "--config", str(tmp_path / "gen.json"), "--out", str(tmp_path / "a")]) == 0
+        assert main(["generate", "--config", str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b")]) == 0
+        for name in ("catalog.csv", "providers.csv", "relevance.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_invalid_spec_fails_before_writing(self, tmp_path):
         out = tmp_path / "never"
@@ -157,6 +169,38 @@ class TestSweep:
         parallel = cmd_sweep(tiny_plan(tmp_path / "parallel", workers=2))
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
+    def test_worker_processes_are_capped_by_runs_and_cores(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:  # records the pool size and maps in process
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        out = cmd_sweep(tiny_plan(tmp_path / "cores", workers=10**6))  # 10 runs
+        assert started == [3]
+        assert json.loads((out / "plan.json").read_text())["workers"] == 10**6
+        serial = cmd_sweep(tiny_plan(tmp_path / "serial"))
+        assert (out / "results.csv").read_bytes() == (serial / "results.csv").read_bytes()
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cmd_sweep(tiny_plan(tmp_path / "runs", workers=10**6, policies=("TopK",)))  # 2 runs
+        assert started == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one process, no pool
+        cmd_sweep(tiny_plan(tmp_path / "unknown", workers=10**6))
+        assert started == [3, 2]
+
 
 class TestReport:
     @pytest.fixture()
@@ -194,6 +238,35 @@ class TestReport:
             values = [float(r.split(",")[1]) for r in rows]
             assert thresholds == sorted(thresholds)
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+    RESULTS = "mode,policy,alpha,seed,effectiveness,unfairness,msd,pearson\noffline,TopK,0,0,0.9,0.5,nan,nan\n"
+    TIMINGS = "policy,alpha,seed,wall_ms\nTopK,0,0,1.5\n"
+
+    @pytest.mark.parametrize(
+        "results, timings, message",
+        [
+            pytest.param(
+                "mode,policy,alpha,seed,effectiveness,msd,pearson\noffline,TopK,0,0,0.9,nan,nan\n",
+                TIMINGS,
+                "results.csv row 1: expected header mode,policy,alpha,seed,effectiveness,unfairness,msd,pearson",
+                id="no-unfairness-column",
+            ),
+            pytest.param(
+                RESULTS.replace(",nan\n", "\n"), TIMINGS, "results.csv row 2: expected 8 columns", id="short-row"
+            ),
+            pytest.param(
+                RESULTS,
+                "policy,alpha,seed\nTopK,0,0\n",
+                "timings.csv row 1: expected header policy,alpha,seed,wall_ms",
+                id="no-wall_ms-column",
+            ),
+        ],
+    )
+    def test_malformed_input_fails_with_error_line(self, tmp_path, capsys, results, timings, message):
+        (tmp_path / "results.csv").write_text(results)
+        (tmp_path / "timings.csv").write_text(timings)
+        assert main(["report", "--results", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {"status": "error", "message": message}
 
     def test_empty_results_error(self, tmp_path):
         empty = tmp_path / "none"
@@ -286,6 +359,19 @@ class TestPlanResolution:
         assert payload == {"status": "error", "message": "workers must be positive"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["generate", "--out"], ["run", "--dataset", "ds", "--policy", "TopK", "--out"]],
+        ids=["generate", "run"],
+    )
+    def test_generate_and_run_reject_an_unknown_top_level_key(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, bogus=1)
+        rc = main([*command, str(tmp_path / "out"), "--config", str(path)])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"status": "error", "message": "unknown top-level config keys: ['bogus']"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["generator", "dataset"])
     def test_a_sweeps_plan_json_resolves_to_the_same_plan(self, tmp_path, source):
         plan = tiny_plan(tmp_path / "first", alpha_grid=(0.0, 0.5), sim=SimConfig(list_size=3, cutoff=2, mode="offline"))
@@ -340,11 +426,11 @@ class TestConfigValueTypes:
             ({"workers": 2.9}, "workers must be a whole number, got 2.9"),
             ({"workers": True}, "workers must be a number, got True"),
             ({"workers": "2"}, "workers must be a number, got '2'"),
-            ({"alpha_grid": ["0.1"]}, "alpha_grid values must be a number, got '0.1'"),
+            ({"alpha_grid": ["0.1"]}, "alpha_grid must be a number, got '0.1'"),
             ({"alpha_grid": [float("nan")]}, "alpha_grid values must be finite and nonnegative, got nan"),
             ({"alpha_grid": [float("inf")]}, "alpha_grid values must be finite and nonnegative, got inf"),
             ({"alpha_grid": [0.1, -1]}, "alpha_grid values must be finite and nonnegative, got -1"),
-            ({"alpha_grid": [False]}, "alpha_grid values must be a number, got False"),
+            ({"alpha_grid": [False]}, "alpha_grid must be a number, got False"),
             ({"sim": {"list_size": 2.5}}, "sim list_size must be a whole number, got 2.5"),
             ({"sim": {"total_steps": True}}, "sim total_steps must be a number, got True"),
             ({"sim": {"cutoff": "2"}}, "sim cutoff must be a number, got '2'"),
@@ -358,8 +444,8 @@ class TestConfigValueTypes:
             ),
             ({"generator": {"sparsity": "0.2"}}, "generator sparsity must be a number, got '0.2'"),
             ({"scenario": 5}, "unknown scenario 5; expected one of ['common', 'exp1st', 'sale1st']"),
-            ({"sim": {"record_ndcg": "no"}}, "record_ndcg must be true or false, got 'no'"),
-            ({"sim": {"record_ndcg": 1}}, "record_ndcg must be true or false, got 1"),
+            ({"sim": {"record_ndcg": "no"}}, "sim record_ndcg must be true or false, got 'no'"),
+            ({"sim": {"record_ndcg": 1}}, "sim record_ndcg must be true or false, got 1"),
         ],
     )
     def test_bad_value_fails_with_error_line_before_any_run(self, tmp_path, capsys, extra, message):
@@ -395,6 +481,63 @@ class TestConfigValueTypes:
         with pytest.raises(ValueError, match="alpha_grid values must be finite"):
             resolve_plan(sweep_args("--config", str(path), "--out", "o", "--alpha", "nan"))
 
-    def test_negative_seed_fails_in_the_plan(self, tmp_path):
-        with pytest.raises(ValueError, match="seeds must be nonnegative"):
-            tiny_plan(tmp_path, seeds=(0, -2))
+    BAD_ALPHA = "alpha_grid values must be finite and nonnegative"
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            pytest.param("seeds", (0, -2), "seeds must be nonnegative", id="negative-seed"),
+            pytest.param("alpha_grid", (math.nan, -1.0), f"{BAD_ALPHA}, got nan", id="nan-alpha"),
+            pytest.param("alpha_grid", (0.1, math.inf), f"{BAD_ALPHA}, got inf", id="inf-alpha"),
+            pytest.param("alpha_grid", (0.1, -1.0), f"{BAD_ALPHA}, got -1", id="negative-alpha"),
+        ],
+    )
+    def test_negative_seed_fails_in_the_plan(self, tmp_path, field, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_plan(tmp_path, **{field: values})
+
+
+CONFIG_FIELDS = [
+    pytest.param(section, f.name, id=f"{section or 'plan'}.{f.name}")
+    for cls, section in ((ExperimentPlan, None), (SimConfig, "sim"), (GeneratorSpec, "generator"))
+    for f in dataclasses.fields(cls)
+]
+
+
+class TestConfigFields:
+    """Every field of every config section follows the same rules, read off
+    the dataclasses: null is the default, and a value of the wrong type
+    fails before any run."""
+
+    BASE = {"generator": {"n_users": 10, "n_items": 20, "n_providers": 3, "seed": 1}, "seeds": [0]}
+
+    def config_with(self, section, name, value):
+        config = json.loads(json.dumps(self.BASE))
+        target = config if section is None else config.setdefault(section, {})
+        target[name] = value
+        return config, target
+
+    @pytest.mark.parametrize("section, name", CONFIG_FIELDS)
+    def test_null_is_the_default_and_a_wrong_type_fails(self, tmp_path, capsys, monkeypatch, section, name):
+        def write(config):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            return str(path)
+
+        with_null, _ = self.config_with(section, name, None)
+        without, target = self.config_with(section, name, None)
+        del target[name]
+        out = ("--out", str(tmp_path / "out"))
+        assert resolve_plan(sweep_args("--config", write(with_null), *out)) == resolve_plan(
+            sweep_args("--config", write(without), *out)
+        )
+
+        # a list holding null has the wrong type for every field, and its
+        # null is not read as a default
+        wrong, _ = self.config_with(section, name, [None])
+        wrong.setdefault("out_dir", str(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", write(wrong)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["status"] == "error" and name in payload["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

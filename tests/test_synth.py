@@ -115,6 +115,9 @@ class TestGenerateRelevance:
             GeneratorSpec(sparsity=0.0)
         with pytest.raises(ValueError):
             GeneratorSpec(sparsity=1.5)
+        for skew in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="group_size_skew must be finite and nonnegative"):
+                GeneratorSpec(group_size_skew=skew)
 
 
 class TestAssignGroups:
@@ -141,6 +144,9 @@ class TestAssignGroups:
     def test_rejects_more_groups_than_items(self):
         with pytest.raises(ValueError):
             assign_groups(3, 4, 0.0, np.random.default_rng(8))
+        for skew in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="skew must be finite and nonnegative"):
+                assign_groups(10, 4, skew, np.random.default_rng(8))
 
 
 class TestDatasetRoundTrip:
