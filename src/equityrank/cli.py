@@ -269,6 +269,7 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
     else:
         _pool_init(dataset, plan.sim)
         outcomes = [_pool_run(spec) for spec in specs]
+        _pool_init(None, None)  # the dataset and its derived arrays go with this sweep
 
     results: list[RunResult] = []
     failures: list[tuple[str, float, int, str]] = []

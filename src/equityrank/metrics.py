@@ -69,19 +69,19 @@ class GainLedger:
     def provider_count(self) -> int:
         return self.exposure_gain.size
 
-    def accrue(self, groups: Sequence[int], probs, purchases, profiles: Sequence[ProviderProfile]) -> None:
-        """Add one list's provider gains, one position at a time, top first.
+    def accrue(self, g: int, p_k: float, bought: float, profile: ProviderProfile) -> float:
+        """Add one served position's gains to provider ``g``; return its raw gain.
 
-        Position k pays its provider ``groups[k]`` p_k * v_e of exposure
-        gain, ``purchases[k]`` * v_b of purchase gain and p_k of examination
-        mass. ``purchases`` are expected purchases (p_k * relevance). The
-        caller counts the served list in ``step_count``.
+        The position pays p_k * v_e of exposure gain, ``bought`` * v_b of
+        purchase gain (``bought`` is the expected purchases p_k * relevance)
+        and p_k of examination mass; a list accrues its positions top first.
+        The caller counts the served list in ``step_count``.
         """
-        for g, p_k, bought in zip(groups, probs, purchases):
-            profile = profiles[g]
-            self.exposure_gain[g] += p_k * profile.exposure_value
-            self.purchase_gain[g] += bought * profile.purchase_value
-            self.group_exposure[g] += p_k
+        paid = self.exposure_gain.item(g) + p_k * profile.exposure_value
+        sold = self.purchase_gain.item(g) + bought * profile.purchase_value
+        self.exposure_gain[g], self.purchase_gain[g] = paid, sold
+        self.group_exposure[g] = self.group_exposure.item(g) + p_k
+        return paid + sold
 
     def raw_gains(self) -> np.ndarray:
         """Cumulative provider gains without the 1/T averaging."""

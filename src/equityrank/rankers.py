@@ -14,43 +14,38 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
 
-A ``PolicyPlan`` resolves one policy once, over rows of candidate slots: a
-candidate's slot is its index in its row of ascending item ids, so slot
-order is id order. The plan holds each candidate's provider and that
-provider's weights in the rows' shape and ranks by slot. The simulation
-loops build one plan per run; the public rankers below check and sort their
-candidates and build a one-row plan per call. Rankers read raw cumulative
-gains (no per-step averaging).
+A ``PolicyPlan`` ranks rows of candidate slots (online runs and the public
+rankers) or segments of an ``OfflineField`` (offline runs) from raw gains.
+Ties go by score, then relevance, descending, then id ascending: in *greedy
+order* (relevance descending, then id ascending), the first of equal
+scores. TopK, FairCo* and online EquityRank score every candidate once and
+take the top K. The rest work in greedy order, where a segment is and a row
+gets by one stable sort. Offline EquityRank and EquityRankV score every
+entry at each slot, check the scores are finite, take ``argmax``'s first
+maximum among the entries left and add its expected gain p_k (v_e + r v_b)
+to the gains. PoorK and MMF* pick among provider heads: MMF*'s score
+(1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
+spanning the entries left, is made of monotone float operations, so in
+greedy order it does not increase within the worst-off provider's entries
+or within the rest. The best entry left is A, the first one left, if
+score(A) >= score(W), else W, the worst-off provider's first one left
+(PoorK, alpha = 1: always W). So each pick is a provider's head and changes
+one entry of the gain-to-target ratios, kept with dead providers at +inf.
 
-Each policy has one scorer, over any slots of a row. TopK, FairCo* and
-online EquityRank score every slot once; PoorK, MMF*, offline EquityRank and
-EquityRankV share one slot-greedy kernel that gathers a list's slots once,
-then at each position scores them all, takes the best not yet placed, and
-adds its expected gain p_k (v_e + r v_b) to the provider gains. EquityRank
-takes the fairness gradient at the scored slots' providers only.
-
-Tie-breaking is deterministic everywhere and has a single rule: score
-descending, then relevance descending, then item id ascending. The greedy
-kernel sorts a list's slots stably by relevance descending, so that
-``argmax``'s first maximum is the rule's pick.
-
-Offline runs rank each user's *offline field* (``offline_field``) instead of
-the whole catalog, with the same lists as a result. Every policy scores an
-item from its relevance, its provider and the run state alone, so the items
-of one (provider, relevance) class always tie, and the lowest ids win. A
-list takes at most K items, so the K lowest ids of each class hold every
-pick. A class with more than K members also keeps an unpicked member in
-the field at every position, so the relevance minimum and maximum and the
-set of providers that MMF* reads from the remaining items do not change.
-The field is every item stored for the user (nonzero relevance, or a stored
-0) plus each provider's K lowest-id items of relevance 0.
+An offline field (``offline_field``) holds every item stored for a user
+plus each provider's K lowest-id items of relevance 0, and gives the whole
+catalog's lists: every policy scores an item from its relevance, provider
+and the run state alone, so a (provider, relevance) class ties and its K
+lowest ids hold every pick of a K-item list; a larger class keeps an
+unpicked member in the field, so the relevance range and the live
+providers that MMF* reads do not change either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +54,7 @@ from .metrics import GainLedger
 
 __all__ = [
     "ALL_SLOTS",
+    "OfflineField",
     "POLICY_KINDS",
     "PolicyConfig",
     "PolicyPlan",
@@ -114,14 +110,17 @@ class ScoreVector:
 
 
 def _candidates(candidates, catalog: Catalog) -> np.ndarray:
-    """A public ranker's candidate ids, checked against the catalog and sorted,
-    so that slot order, the last tie-break, is id order."""
+    """A public ranker's candidate ids, checked against the catalog and for
+    repeats, and sorted, so that slot order, the last tie-break, is id order."""
     ids = np.asarray(candidates, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("candidates must be a nonempty 1-d sequence of item ids")
     if ids.min() < 0 or ids.max() >= catalog.item_count:
         raise ValueError("candidate set contains an unknown item id")
-    return np.sort(ids)
+    ids = np.sort(ids)
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("a candidate set repeats an item id")
+    return ids
 
 
 def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
@@ -155,45 +154,27 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
 
 
-@dataclass(eq=False, slots=True)
-class _Columns:
-    """What scorers read of some slots of a row besides relevance and weights:
-    each slot's provider and its gain target, and for MMF* the number of
-    slots left to each provider and the relevance range of the slots left."""
-
-    provider: np.ndarray
-    target: np.ndarray
-    live: np.ndarray | None = None
-    lo: float = 0.0
-    hi: float = 0.0
+def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``provider``'s positions grouped stably by provider, and the m + 1 group offsets."""
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(provider, minlength=m), out=offsets[1:])
+    return np.argsort(provider, kind="stable"), offsets
 
 
 class PolicyPlan:
-    """One ranking policy resolved once, over rows of candidate slots.
+    """One ranking policy resolved once (see the module docstring).
 
-    ``rows`` holds ascending candidate ids, one row per user or one row that
-    every user shares; a candidate's slot is its index in its row, so slot
-    order is id order. ``provider``, ``exposure_value``, ``purchase_value``
-    and ``gain_target`` have the rows' shape: each candidate's provider and
-    that provider's weights and target. ``targets`` holds every provider's
-    gain target.
-
-    Each policy has one scorer: ``score(row, at, rel, gains)`` returns the
-    scores of slots ``at`` of ``row`` (an index array, or ``ALL_SLOTS``)
-    from their relevance ``rel`` and the raw provider gains.
-
-    ``rank(row, rel, gains, probs, field)`` returns the slots of one list
-    of ``len(probs)`` positions, top first, from the relevance of the row's
-    candidates in slot order, the raw provider gains and the examination
-    probabilities, and changes none of them. ``field``, a bool mask over the
-    row, limits the list to the marked slots (default: every slot). TopK,
-    FairCo* and EquityRank score every slot of the field once, check that
-    the scores are finite, and take the top slots by score, then relevance,
-    then slot. PoorK, MMF* and, with ``slotwise`` (offline mode),
-    EquityRank fill the list with the slot-greedy kernel: it sorts the
-    field's slots stably by relevance descending once; each position scores
-    them all, checks the scores are finite and takes ``argmax``'s first
-    maximum among the slots not yet placed, which is the tie rule's pick.
+    ``rows`` holds ascending candidate ids, one row per user or one shared
+    row; a candidate's slot is its index in its row. ``provider``,
+    ``exposure_value``, ``purchase_value`` and ``gain_target`` hold each
+    slot's provider, weights and target, and ``targets`` every provider's.
+    ``score(row, at, rel, gains)`` returns the TopK, FairCo* or EquityRank
+    scores of slots ``at`` of ``row`` (an index array, or ``ALL_SLOTS``).
+    ``rank(row, rel, gains, probs)`` returns the slots of one list, top
+    first, from the row's relevance, the raw gains and the examination
+    probabilities, changing none; ``rank_segment(field, user, gains, probs)``
+    ranks ``user``'s segment of ``field``, by position in it. With
+    ``slotwise`` (offline mode) EquityRank fills its list in greedy order.
     """
 
     def __init__(
@@ -214,8 +195,8 @@ class PolicyPlan:
         if kind == "EquityRank" and alpha != 0.0 and m < 2:
             raise ValueError("pairwise unfairness needs at least two providers")
         # PoorK is MMF*'s score at alpha = 1
-        self.alpha = 1.0 if kind == "PoorK" else alpha
-        self.targets = y
+        self.kind, self.alpha = kind, 1.0 if kind == "PoorK" else alpha
+        self.targets, self._ve, self._vb = y, ve, vb
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self.provider = provider = catalog.group_of[rows]
@@ -223,120 +204,136 @@ class PolicyPlan:
         self._zeros = np.zeros(rows.shape[1])
         # a plain function, not a bound method: a bound method kept on the
         # plan is a reference cycle, which would hold each run's arrays until
-        # the cyclic garbage collector ran
+        # the cyclic garbage collector ran. PoorK and MMF* have none.
         scorers = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco, "EquityRank": PolicyPlan._equity}
-        self._score_fn = scorers.get(kind, PolicyPlan._mmf)  # PoorK and MMF*
-        self._greedy = kind in ("PoorK", "MMFStar") or (kind == "EquityRank" and slotwise)
-        self._rows = [_Columns(p, t) for p, t in zip(provider, self.gain_target)]  # for whole rows
+        self._score_fn = scorers.get(kind)
+        self._greedy = kind == "EquityRank" and slotwise
+        self._rows = list(zip(provider, self.gain_target))  # for whole rows
         self._weighted = self._greedy or (kind == "EquityRank" and alpha != 0.0)  # greedy fills accrue by weight
 
     def score(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
         """The scores of slots ``at`` of ``row``, whose relevance is ``rel``."""
-        cols = _Columns(self.provider[row, at], self.gain_target[row, at])
-        if self._score_fn is PolicyPlan._mmf:
-            cols.live = np.bincount(cols.provider, minlength=self.targets.size)
-            cols.lo, cols.hi = rel.min(), rel.max()
-        return self._score_fn(self, cols, rel, self._weight((row, at), rel), gains)
+        if self._score_fn is None:
+            raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
+        provider = self.provider[row, at]
+        target, weight = self._columns(rel, provider)
+        return self._score_fn(self, provider, target, rel, weight, gains)
 
-    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None = None) -> list[int]:
+    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
         """The slots of one list, top first (see the class docstring)."""
-        if self._greedy:
-            return self._fill(row, rel, gains, probs, field)
-        if field is None:
-            at, zeros, cols = row, self._zeros, self._rows[row]
-        else:
-            slots = np.flatnonzero(field)
-            at, rel, zeros = (row, slots), rel[slots], self._zeros[: slots.size]
-            cols = _Columns(self.provider[at], self.gain_target[at])
-        scores = self._score_fn(self, cols, rel, self._weight(at, rel), gains)
+        if self._score_fn is None or self._greedy:
+            at = np.argsort(-rel, kind="stable")
+            return at[self._ordered(rel[at], self.provider[row, at], None, gains, probs)].tolist()
+        weight = rel * self.purchase_value[row] + self.exposure_value[row] if self._weighted else None
+        scores = self._score_fn(self, *self._rows[row], rel, weight, gains)
         # x * 0 is zero for every finite x and NaN otherwise: one dot product
-        # with zeros checks the row, at a third of isfinite().all()'s cost
-        if scores.dot(zeros) != 0.0:
+        # with zeros checks the scores, at a third of isfinite().all()'s cost
+        if scores.dot(self._zeros) != 0.0:
             raise ValueError("scores must be finite")
-        top = top_k_order((-rel, -scores), len(probs))
-        return top.tolist() if field is None else slots[top].tolist()
+        return top_k_order((-rel, -scores), len(probs)).tolist()
 
-    def _weight(self, at, rel: np.ndarray) -> np.ndarray | None:
-        """Item weights v_e + r v_b where read; ``at`` indexes (rows x slots)."""
-        return rel * self.purchase_value[at] + self.exposure_value[at] if self._weighted else None
+    def rank_segment(self, field: OfflineField, user: int, gains: np.ndarray, probs) -> list[int]:
+        """The positions in ``user``'s segment of ``field`` of one list, top first."""
+        seg = field.segment(user)
+        heads = field.by_provider[seg], field.offsets[user]
+        return self._ordered(field.relevance[seg], field.provider[seg], heads, gains, probs)
 
-    def _relevance(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
+    def _ordered(self, rel: np.ndarray, provider: np.ndarray, heads, gains: np.ndarray, probs) -> list[int]:
+        """One list's positions, top first, over entries in greedy order;
+        ``heads`` is ``_provider_heads(provider, m)``, or None to build it."""
+        k = len(probs)
+        if rel.size < k:
+            raise ValueError(f"need at least {k} candidates, got {rel.size}")
+        if self._score_fn is None:
+            by_provider, offsets = heads or _provider_heads(provider, self.targets.size)
+            return self._pick_heads(rel, provider, by_provider, offsets, gains, probs)
+        if self.kind == "TopK":
+            return list(range(k))
+        target, weight = self._columns(rel, provider)
+        if self._greedy:
+            return self._fill(provider, target, rel, weight, gains, probs)
+        scores = self._score_fn(self, provider, target, rel, weight, gains)
+        if scores.dot(self._zeros[: rel.size]) != 0.0:
+            raise ValueError("scores must be finite")
+        return top_k_order((-scores,), k).tolist()
+
+    def _columns(self, rel: np.ndarray, p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The gain targets and item weights v_e + r v_b of entries with providers ``p``, where read."""
+        return (self.targets[p], rel * self._vb[p] + self._ve[p]) if self._weighted else (None, None)
+
+    def _relevance(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         return rel
 
-    def _fairco(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
+    def _fairco(self, provider: np.ndarray, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         # a provider lagging behind the best-served one, by gain-to-target
         # ratio, gets alpha times the shortfall, clipped at zero so that no
         # item scores below its own relevance
         ratios = gains / self.targets
-        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[cols.provider])
+        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[provider])
 
-    def _equity(self, cols: _Columns, rel: np.ndarray, weight: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    def _equity(self, provider: np.ndarray, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         # rel + alpha b w with the item weight w = v_e + rel v_b and the
-        # fairness gradient b = scale (y G.y - G |y|^2) taken at the slots'
-        # providers only; the elementwise operations of
-        # metrics.fairness_gradient, so the same bits, done in place
+        # fairness gradient b = scale (y G.y - G |y|^2) at the scored providers:
+        # metrics.fairness_gradient's elementwise operations, so its bits
         if self.alpha == 0.0:
             return rel
-        b = cols.target * gains.dot(self.targets)
-        b -= gains[cols.provider] * self._target_sq
+        b = target * gains.dot(self.targets)
+        b -= gains[provider] * self._target_sq
         b *= self._scale
         b *= self.alpha
         b *= weight
         b += rel
         return b
 
-    def _mmf(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
-        # the worst-off provider has the smallest gain-to-target ratio among
-        # the live providers (ties: lowest provider id); only when every live
-        # ratio overflows to +inf does argmin meet a dead provider first
-        live = cols.live > 0
-        worst = np.where(live, gains / self.targets, np.inf).argmin()
-        if not live[worst]:
-            worst = live.argmax()
-        lo, hi = cols.lo, cols.hi
-        norm = (rel - lo) / (hi - lo) if hi > lo else np.zeros_like(rel)
-        return (1.0 - self.alpha) * norm + self.alpha * (cols.provider == worst)
-
-    def _gather(self, row: int, rel: np.ndarray, field: np.ndarray | None, k: int):
-        """``row``'s field in greedy order: slots, relevance, columns, weights, zeros for picks."""
-        at = np.arange(rel.size) if field is None else np.flatnonzero(field)
-        at = at[np.argsort(-rel[at], kind="stable")]
-        if at.size < k:
-            raise ValueError(f"need at least {k} candidates, got {at.size}")
-        r, where = rel[at], (row, at)
-        cols = _Columns(self.provider[where], self.gain_target[where])
-        return at, r, cols, self._weight(where, r), np.zeros(r.size)
-
-    def _best(self, cols: _Columns, rel: np.ndarray, weight, gains: np.ndarray, placed: np.ndarray) -> int:
-        """The first maximum of the finite scores over the gathered slots whose
-        ``placed`` entry is 0; the pick's entry becomes -inf."""
-        scores = self._score_fn(self, cols, rel, weight, gains)
+    def _best(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray, placed: np.ndarray) -> int:
+        """The first maximum of the finite scores where ``placed`` is 0; it becomes -inf there."""
+        scores = self._score_fn(self, provider, target, rel, weight, gains)
         if scores.dot(self._zeros[: rel.size]) != 0.0:
             raise ValueError("scores must be finite")
         best = int((scores + placed).argmax())
         placed[best] = -np.inf
         return best
 
-    def _fill(self, row: int, rel: np.ndarray, gains: np.ndarray, probs, field: np.ndarray | None) -> list[int]:
-        # picks add p_k (v_e + r v_b) to a gains copy; MMF*'s slots left span top..bottom
-        at, r, cols, weight, placed = self._gather(row, rel, field, len(probs))
-        gains, chosen, top, bottom = gains.copy(), [], 0, r.size - 1
-        if mmf := self._score_fn is PolicyPlan._mmf:
-            cols.live = np.bincount(cols.provider, minlength=self.targets.size)
+    def _fill(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray, probs) -> list[int]:
+        # each pick adds p_k (v_e + r v_b) to a gains copy
+        gains, placed, chosen = gains.copy(), np.zeros(rel.size), []
         for p_k in probs:
-            if mmf:
-                while placed[top]:
-                    top += 1
-                while placed[bottom]:
-                    bottom -= 1
-                cols.lo, cols.hi = r[bottom], r[top]
-            i = self._best(cols, r, weight, gains, placed)
-            g = cols.provider[i]
-            gains[g] += p_k * weight[i]
-            if mmf:
-                cols.live[g] -= 1
-            chosen.append(i)
-        return at[chosen].tolist()
+            chosen.append(self._best(provider, target, rel, weight, gains, placed))
+            gains[provider[chosen[-1]]] += p_k * weight[chosen[-1]]
+        return chosen
+
+    def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs) -> list[int]:
+        """PoorK's or MMF*'s list in greedy order: A or W at each pick (module
+        docstring), whose p_k (v_e + r v_b) goes to a gains copy."""
+        # the worst-off provider: the lowest ratio among live providers, ties to the lowest id;
+        # argmin meets a dead one first only when every live ratio overflows to +inf
+        ratio = np.where(offsets[1:] > offsets[:-1], gains / self.targets, np.inf)
+        head, end, gains, chosen = offsets[:-1].tolist(), offsets[1:].tolist(), gains.copy(), []
+        top, bottom, highest, lowest, alpha = 0, rel.size - 1, rel.item(0), rel.item(-1), self.alpha
+        for p_k in probs:
+            while top in chosen:
+                top += 1
+            while bottom in chosen:
+                bottom -= 1
+            worst = int(ratio.argmin())
+            if head[worst] == end[worst]:
+                worst = next(g for g, (h, e) in enumerate(zip(head, end)) if h < e)
+            pick, w, hi, lo = top, by_provider.item(head[worst]), rel.item(top), rel.item(bottom)
+            score_a, score_w = 0.0, alpha
+            if hi > lo:
+                # the normalised relevance is monotone: finite at both ends, finite everywhere
+                span = hi - lo
+                if not (math.isfinite((highest - lo) / span) and math.isfinite((lowest - lo) / span)):
+                    raise ValueError("scores must be finite")
+                score_a, score_w = (1.0 - alpha) * (span / span), (1.0 - alpha) * ((rel.item(w) - lo) / span) + alpha
+            if pick != w and score_a < score_w:
+                pick = w
+            g = provider.item(pick)
+            head[g] += 1
+            gains[g] = paid = gains.item(g) + p_k * (rel.item(pick) * self._vb.item(g) + self._ve.item(g))
+            ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
+            chosen.append(pick)
+        return chosen
 
 
 def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm, slotwise=False) -> RankList:
@@ -363,12 +360,9 @@ def equityrank_scores(
     profiles: Sequence[ProviderProfile],
     alpha: float,
 ) -> ScoreVector:
-    """Gradient scores: relevance plus the provider's fairness gradient scaled
-    by the item's marginal gain per unit exposure.
-
-    The fairness gradient is taken from the ledger's raw cumulative gains at
-    the candidates' providers. Returns the candidates ascending, with their
-    scores and relevance.
+    """Gradient scores: relevance plus the provider's fairness gradient, from
+    the ledger's raw gains, scaled by the item's marginal gain per unit
+    exposure. Returns the candidates ascending, with scores and relevance.
     """
     ids = _candidates(candidates, catalog)
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
@@ -385,17 +379,10 @@ def rank_poork(
     profiles: Sequence[ProviderProfile],
     pm: PositionModel,
 ) -> RankList:
-    """Serve the poorest provider first.
-
-    Each slot goes to the provider with the smallest gain-to-target ratio
-    among providers that still have candidates (ties: lowest provider id),
-    filled with that provider's most relevant remaining item (ties: lowest
-    item id). The placed item's expected gain, weighted by the slot's
-    examination probability, is added to a slot-local gain copy before the
-    next slot is decided.
-
-    This is MMF*'s score at alpha = 1, where the blend reduces to the
-    worst-off provider indicator.
+    """Serve the poorest provider first (MMF* at alpha = 1): each slot goes to
+    the provider with the smallest gain-to-target ratio among those with
+    candidates left (ties: lowest id), filled with its most relevant item
+    left (ties: lowest id), whose expected gain goes to a slot-local copy.
     """
     return _rank_one(PolicyConfig("PoorK"), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
@@ -410,11 +397,9 @@ def rank_fairco_star(
     alpha: float,
     pm: PositionModel,
 ) -> RankList:
-    """Proportional-controller scoring under the gain-to-target metric.
-
-    A provider lagging behind the currently best-served provider gets its
-    items boosted by alpha times the ratio shortfall; the error term is
-    clipped at zero so no item scores below its own relevance.
+    """Proportional-controller scoring under the gain-to-target metric: a
+    provider lagging behind the best-served one, by ratio, gets its items
+    boosted by alpha times the shortfall (never below their relevance).
     """
     return _rank_one(PolicyConfig("FairCoStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
@@ -429,12 +414,10 @@ def rank_mmf_star(
     alpha: float,
     pm: PositionModel,
 ) -> RankList:
-    """Per-slot blend of normalized relevance and a worst-off provider bonus.
-
-    score = (1 - alpha) * minmax(relevance) + alpha * [provider is worst off],
-    recomputed per slot over the remaining candidates with the same
-    slot-local gain updates as PoorK. alpha = 0 reproduces TopK; alpha = 1
-    reproduces PoorK.
+    """Per-slot blend of normalized relevance and a worst-off provider bonus:
+    (1 - alpha) * minmax(relevance) + alpha * [provider is worst off] over the
+    remaining candidates, with PoorK's slot-local gain updates. alpha = 0
+    reproduces TopK; alpha = 1 reproduces PoorK.
     """
     return _rank_one(PolicyConfig("MMFStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
@@ -476,49 +459,72 @@ def offline_rank_user(
 
 
 # ---------------------------------------------------------------------------
-# Offline fields
+# Offline fields and vertical allocation
 # ---------------------------------------------------------------------------
 
 
-def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> np.ndarray:
-    """Every user's offline field, as a (users x items) bool mask.
-
-    Row ``u`` marks every item stored for ``u`` in the relevance table
-    ``rel`` and, for each provider, its ``list_size`` lowest-id items of
-    relevance 0 for ``u`` (all of them, if it has fewer). An offline list of
-    at most ``list_size`` positions ranked from the field equals the list
-    ranked from the whole catalog (see the module docstring). The rows are
-    built one at a time, so the build holds O(items) temporaries beside the
-    mask.
+class OfflineField(NamedTuple):
+    """Every user's offline field as one CSR in greedy order (``offline_field``):
+    user u's segment ``indptr[u]:indptr[u + 1]`` holds its ``items``, their
+    ``relevance`` and ``provider``, and ``by_provider``, the segment's
+    positions grouped by provider, provider g's at ``offsets[u, g]:offsets[u, g + 1]``.
     """
-    n = catalog.item_count
+
+    indptr: np.ndarray
+    items: np.ndarray
+    relevance: np.ndarray
+    provider: np.ndarray
+    by_provider: np.ndarray
+    offsets: np.ndarray
+
+    def segment(self, user: int) -> slice:
+        return slice(self.indptr[user], self.indptr[user + 1])
+
+
+def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> OfflineField:
+    """Every user's offline field, in greedy order, as one ``OfflineField``.
+
+    User ``u``'s field holds every item stored for ``u`` in ``rel`` and each
+    provider's ``list_size`` lowest-id items of relevance 0 for ``u`` (all,
+    if it has fewer). Built user by user and joined column by column, the
+    build peaks near 1.3 times the field's bytes.
+    """
+    n, m = catalog.item_count, catalog.provider_count
     if list_size < 1:
         raise ValueError(f"list size {list_size} must be positive")
     if rel.max_item_id() >= n:
         raise ValueError("relevance table references items beyond the catalog")
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    group = catalog.group_of.astype(index)
     # items grouped by provider, ids ascending within each group, and for
     # each grouped position the position where its group starts
-    by_group = np.argsort(catalog.group_of, kind="stable")
-    sizes = np.bincount(catalog.group_of, minlength=catalog.provider_count)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    field = np.zeros((rel.user_count, n), dtype=bool)
-    for user, row in enumerate(field):
+    by_group, bounds = _provider_heads(group, m)
+    start = np.repeat(bounds[:-1], np.diff(bounds))
+    offsets = np.zeros((rel.user_count, m + 1), dtype=index)
+    items, relevance, by_provider = [], [], []
+    for user in range(rel.user_count):
         stored = slice(rel.indptr[user], rel.indptr[user + 1])
-        items = rel.indices[stored]
+        ids, values = rel.indices[stored], rel.values[stored]
         zero = np.ones(n, dtype=bool)
-        zero[items[rel.values[stored] != 0.0]] = False
+        zero[ids[values != 0.0]] = False
         zero = zero[by_group]
         # the 1-based rank of each zero among its provider's zeros
         seen = np.cumsum(zero)
         rank = seen - (seen[start] - zero[start])
-        row[by_group[zero & (rank <= list_size)]] = True
-        row[items] = True
-    return field
-
-
-# ---------------------------------------------------------------------------
-# Vertical allocation
-# ---------------------------------------------------------------------------
+        at = np.union1d(ids, by_group[zero & (rank <= list_size)])
+        r = np.zeros(at.size)
+        r[at.searchsorted(ids)] = values
+        order = np.argsort(-r, kind="stable")
+        at, r = at[order], r[order]
+        grouped, offsets[user] = _provider_heads(group[at], m)
+        items.append(at.astype(index))
+        relevance.append(r)
+        by_provider.append(grouped.astype(index))
+    indptr = np.cumsum([0] + [r.size for r in relevance])
+    relevance = np.concatenate(relevance)
+    items = np.concatenate(items)
+    by_provider = np.concatenate(by_provider)
+    return OfflineField(indptr, items, relevance, group[items], by_provider, offsets)
 
 
 def allocate_vertical(
@@ -529,40 +535,43 @@ def allocate_vertical(
     profiles: Sequence[ProviderProfile],
     alpha: float,
     pm: PositionModel,
-    field: np.ndarray | None = None,
 ) -> list[RankList]:
     """Fill slot k for every user before any slot k+1 (offline only).
 
-    Iterates position levels top to bottom, visiting users in the given
-    order within each level. Every assignment takes the item with the
-    largest current gradient among the user's unassigned items and
-    immediately commits its expected gain (weighted by the level's
-    examination probability) to the ledger, so later assignments see the
-    updated provider balance. ``users`` must be distinct ids. Each user
-    picks from their row of ``field``, the table's offline field (see
-    ``offline_field``), built here when not given; the lists are those of
-    the whole catalog. Returns one list per user, in input order.
+    Visits the given users in order at each position level, top to bottom.
+    Each assignment takes the item with the largest current gradient among
+    the user's unassigned items and commits its expected gain p_k (v_e +
+    r v_b) to the ledger at once. ``users`` must be distinct whole-number
+    ids of ``rel``'s users; each picks from their offline field, built
+    here. Returns one list per user, in input order.
     """
-    user_ids, lists, _ = _allocate_vertical(users, rel, ledger, catalog, profiles, alpha, pm, field)
-    return [RankList(tuple(items.tolist()), u) for u, items in zip(user_ids, lists)]
-
-
-def _allocate_vertical(users, rel, ledger, catalog, profiles, alpha, pm, field):
-    """The user ids, and each one's items, top first, and their relevance."""
-    n = catalog.item_count
-    if n < pm.list_size:
-        raise ValueError(f"need at least {pm.list_size} items, got {n}")
-    user_ids = [int(u) for u in users]
-    if len(set(user_ids)) != len(user_ids):
+    if catalog.item_count < pm.list_size:
+        raise ValueError(f"need at least {pm.list_size} items, got {catalog.item_count}")
+    for u in users:
+        if not (float(u).is_integer() and 0 <= u < rel.user_count):
+            raise ValueError(f"user id {u} out of range or not a whole number")
+    if len(set(map(int, users))) != len(users):
         raise ValueError("users must be distinct ids")
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), np.arange(n, dtype=np.int64)[None, :], catalog, profiles)
-    if field is None:
-        field = offline_field(rel, catalog, pm.list_size)
-    fills = [(*plan._gather(0, rel.dense_row(u, n), field[u], pm.list_size), []) for u in user_ids]
-    for p_k in pm.probs:
-        for _, r, cols, weight, placed, chosen in fills:
-            i = plan._best(cols, r, weight, ledger.raw_gains(), placed)
-            ledger.accrue((cols.provider[i],), (p_k,), (p_k * r[i],), profiles)
+    field = offline_field(rel, catalog, pm.list_size)
+    users = [int(u) for u in users]
+    lists, _ = _allocate_vertical(users, ledger, catalog, profiles, alpha, pm, field)
+    return [RankList(tuple(items.tolist()), u) for u, items in zip(users, lists)]
+
+
+def _allocate_vertical(users, ledger, catalog, profiles, alpha, pm, field: OfflineField):
+    """Each user's items, top first, and their relevance, from their segments of ``field``."""
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), np.arange(catalog.item_count)[None, :], catalog, profiles)
+    fills = []
+    for u in users:
+        seg = field.segment(u)
+        r, p = field.relevance[seg], field.provider[seg]
+        fills.append((seg, p, *plan._columns(r, p), r, np.zeros(r.size), []))
+    gains = ledger.raw_gains()
+    for p_k in pm.probs.tolist():
+        for _, p, target, weight, r, placed, chosen in fills:
+            i = plan._best(p, target, r, weight, gains, placed)
+            g = p.item(i)
+            gains[g] = ledger.accrue(g, p_k, p_k * r.item(i), profiles[g])
             chosen.append(i)
-    ledger.step_count += len(user_ids)
-    return user_ids, [at[chosen] for at, *_, chosen in fills], [r[chosen] for _, r, *_, chosen in fills]
+    ledger.step_count += len(users)
+    return [field.items[seg][chosen] for seg, *_, chosen in fills], [r[chosen].tolist() for *_, r, _, chosen in fills]

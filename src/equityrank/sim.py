@@ -7,18 +7,13 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-Both loops work by slot. An offline run ranks, accrues and scores each list
-from the one dense row of the user's relevance it reads; the row's slots are
-item ids. An online run fixes each user's prefiltered candidate set when it
-starts, so everything a step reads or writes is indexed by candidate slot:
-the position of an item in its user's sorted candidate set. The policy is
-resolved once per run into a ``rankers.PolicyPlan`` over those slots, each
-user's true relevance over their candidate set is read from the table once
-per run, and ``OnlineState`` keeps the estimate row and the raw provider
-gains current as feedback arrives. A step (``online_step``) then runs
-estimate -> score -> top-K -> feedback -> DCG on slots alone, with no
-id-to-slot mapping and no per-step rebuilding of gains or gradients. The
-id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
+An offline run serves each list by position in the user's segment of the
+dataset's offline field, and reads nothing else. An online run fixes each
+user's prefiltered candidate set when it starts, and a step
+(``online_step``: estimate -> score -> top-K -> feedback -> DCG) works by
+candidate slot, an item's position in that sorted set, with the estimates
+and raw gains that ``OnlineState`` keeps current. The id-level
+``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
 ``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
@@ -293,8 +288,9 @@ def apply_expected_feedback(
     items = ranklist.positions
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
-    probs = pm.probs[: len(items)]
-    ledger.accrue(catalog.group_of[list(items)], probs, probs * rel.relevance_of(user, items), profiles)
+    served = zip(catalog.group_of[list(items)].tolist(), pm.probs.tolist(), rel.relevance_of(user, items).tolist())
+    for g, p_k, r in served:
+        ledger.accrue(g, p_k, p_k * r, profiles[g])
     ledger.step_count += 1
 
 
@@ -389,14 +385,8 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     the mean NDCG at the evaluation cutoff, taken once every list is served;
     unfairness is computed on per-list averaged gains.
 
-    Each user's list is ranked from their offline field, not the whole
-    catalog: every stored item plus each provider's K lowest-id items of
-    relevance 0. The lists are the same. Every policy scores an item from
-    its relevance, its provider and the run state alone, and ties go to the
-    lower id, so the K lowest ids of each (provider, relevance) class hold
-    every pick of a K-item list; and a class with more than K members keeps
-    an unpicked member in the field at every position, which leaves MMF*'s
-    relevance range and live providers as they are over the whole catalog.
+    Each list is ranked from the user's segment of the dataset's offline
+    field (``rankers.offline_field``), whose lists are the whole catalog's.
     The field and the users' ideal DCGs are built on the first offline run
     on a dataset object and shared by its later runs with the same list
     size (and cutoff).
@@ -404,32 +394,30 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
     policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
-    rng = np.random.default_rng(seed)
-    user_order = rng.permutation(rel.user_count)
+    user_order = np.random.default_rng(seed).permutation(rel.user_count)
     # the visit order is a pure function of the run seed; log its head so a
     # run can be cross-checked without rerunning
     logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, user_order[:8])
 
     start = time.perf_counter()
     ledger = GainLedger.empty(catalog.provider_count)
-    k, cutoff = cfg.list_size, cfg.eval_cutoff
+    k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
     field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
     if policy == "EquityRankV":
-        _, _, served = _allocate_vertical(user_order, rel, ledger, catalog, profiles, alpha, pm, field)
+        _, served = _allocate_vertical(user_order, ledger, catalog, profiles, alpha, pm, field)
     else:
-        # one row over the whole catalog, whose slots are item ids; each user
-        # ranks the slots of their row of the field
-        n = catalog.item_count
-        plan = PolicyPlan(policy_cfg, np.arange(n, dtype=np.int64)[None, :], catalog, profiles, slotwise=True)
-        served = []
+        plan = PolicyPlan(policy_cfg, np.arange(catalog.item_count)[None, :], catalog, profiles, slotwise=True)
+        gains, served = ledger.raw_gains(), []
         for user in user_order.tolist():
-            row = rel.dense_row(user, n)
-            items = plan.rank(0, row, ledger.raw_gains(), pm.probs, field[user])
-            served.append(row[items])
-            ledger.accrue(plan.provider[0, items], pm.probs, pm.probs * served[-1], profiles)
+            base, values = field.indptr[user], []
+            for p_k, at in zip(probs, plan.rank_segment(field, user, gains, probs)):
+                g, r = field.provider.item(base + at), field.relevance.item(base + at)
+                gains[g] = ledger.accrue(g, p_k, p_k * r, profiles[g])
+                values.append(r)
+            served.append(values)
         ledger.step_count += len(user_order)
     ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
-    ndcgs = [ndcg_from(discounted_sum(r.tolist(), pm.probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
+    ndcgs = [ndcg_from(discounted_sum(r, probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
     effectiveness = sum(ndcgs) / len(ndcgs)
     wall = time.perf_counter() - start
     return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)

@@ -5,13 +5,14 @@ relevance table, the profiles and the ledger directly. ``reference_unfairness``
 and ``reference_prefilter`` are the forms the library's unfairness and
 candidate prefilter replaced: the m x m pairwise sum and a full sort.
 ``_pick`` and ``reference_fill`` are the pick-by-pick slot-greedy fill that
-the gathered, argmax-based kernel of ``PolicyPlan`` replaced: each pick
-rescores the remaining slots through ``PolicyPlan.score`` and breaks ties
-explicitly.
+the greedy-order kernels of ``PolicyPlan`` replaced: each pick rescores the
+remaining slots and breaks ties explicitly. TopK, FairCo* and EquityRank
+are scored through ``PolicyPlan.score``; PoorK and MMF*, which the plan
+ranks by provider heads, in their array form by ``_scores``.
 ``run_online_reference`` is the online loop by item id that the slot-indexed
 ``sim.run_online`` replaced, and ``run_offline_reference`` the offline loop
 over the whole catalog, through the checked id-level functions and
-``reference_fill``, that ranking from offline fields by slot replaced.
+``reference_fill``, that ranking from offline fields replaced.
 ``observed_offline_run`` runs ``sim.run_offline`` and shows what it
 served."""
 
@@ -26,7 +27,6 @@ from equityrank import (
     PolicyConfig,
     PositionModel,
     RankList,
-    RelevanceTable,
     andcg,
     apply_expected_feedback,
     apply_feedback,
@@ -38,16 +38,34 @@ from equityrank.metrics import cndcg_update, discounted_sum, unfairness
 from equityrank.rankers import PolicyPlan
 
 
+def _scores(plan: PolicyPlan, row: int, at: np.ndarray, r: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """``plan``'s scores of slots ``at`` of ``row``, whose relevance is ``r``.
+
+    PoorK and MMF* score (1 - alpha) times the min-max normalised relevance
+    of the slots plus alpha at the worst-off provider's slots: the provider
+    of a slot with the lowest gain-to-target ratio, ties (and every ratio
+    infinite) to the lowest provider id. PoorK is alpha = 1.
+    """
+    if plan.kind not in ("PoorK", "MMFStar"):
+        return plan.score(row, at, r, gains)
+    providers = plan.provider[row, at]
+    ratios = gains / plan.targets
+    worst = min(set(providers.tolist()), key=lambda g: (ratios[g], g))
+    lo, hi = r.min(), r.max()
+    norm = (r - lo) / (hi - lo) if hi > lo else np.zeros_like(r)
+    return (1.0 - plan.alpha) * norm + plan.alpha * (providers == worst)
+
+
 def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
     """Take the best available slot of ``row`` and return it.
 
-    Best is the highest score under ``plan``, ties broken by relevance
-    descending, then slot ascending, which is id ascending. The pick is
-    marked unavailable in ``avail``.
+    Best is the highest score under ``plan`` (``_scores``), ties broken by
+    relevance descending, then slot ascending, which is id ascending. The
+    pick is marked unavailable in ``avail``.
     """
     at = np.flatnonzero(avail)
     r = rel[at]
-    scores = plan.score(row, at, r, gains)
+    scores = _scores(plan, row, at, r, gains)
     tied = np.flatnonzero(scores == scores.max())
     if tied.size > 1:
         tied = tied[np.argsort(-r[tied], kind="stable")]
@@ -58,8 +76,8 @@ def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains:
 
 def reference_fill(plan, row, rel, gains, probs):
     """A slot-greedy list of ``plan``'s ``row`` through ``_pick``: the slots,
-    top first. Before each position the remaining slots are scored with
-    ``PolicyPlan.score`` and the best is taken; its expected gain
+    top first. Before each position the remaining slots are scored and the
+    best is taken; its expected gain
     p_k (v_e + r v_b) goes to a copy of ``gains``."""
     groups, ve, vb = plan.provider[row], plan.exposure_value[row], plan.purchase_value[row]
     avail, gains, chosen = np.ones(rel.size, dtype=bool), gains.copy(), []
@@ -279,7 +297,8 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
         for p_k in pm.probs:
             for row, free, chosen in zip(rows, avail, slots):
                 item = _pick(plan, 0, row, free, ledger.raw_gains())
-                ledger.accrue((catalog.group_of[item],), (p_k,), (p_k * row[item],), profiles)
+                g = int(catalog.group_of[item])
+                ledger.accrue(g, p_k, p_k * row[item], profiles[g])
                 chosen.append(item)
         ledger.step_count += len(user_order)
         lists = [RankList(tuple(chosen), u) for u, chosen in zip(user_order, slots)]
@@ -302,26 +321,21 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
 
     The lists are seen where the run makes them: EquityRankV's are what
     the allocation behind ``allocate_vertical`` returns; every other
-    policy's are what each
-    ``PolicyPlan.rank`` call returns, served to the user whose
-    ``RelevanceTable.dense_row`` the run read before it. The ledger is the
-    one the result's diagnostics are computed from.
+    policy's are what each ``PolicyPlan.rank_segment`` call returns, read
+    as the item ids of the user's segment of the field it ranked. The
+    ledger is the one the result's diagnostics are computed from.
     """
-    dense_row, rank = RelevanceTable.dense_row, PolicyPlan.rank
-    allocate, diagnostics = sim._allocate_vertical, sim.alignment_diagnostics
-    users, ranked, vertical, ledgers = [], [], [], []
+    rank, allocate, diagnostics = PolicyPlan.rank_segment, sim._allocate_vertical, sim.alignment_diagnostics
+    ranked, vertical, ledgers = [], [], []
 
-    def read_row(table, user, item_count):
-        users.append(user)
-        return dense_row(table, user, item_count)
+    def record_rank(plan, field, user, *args):
+        at = rank(plan, field, user, *args)
+        ranked.append(RankList(tuple(field.items[field.segment(user)][at].tolist()), user))
+        return at
 
-    def record_rank(plan, *args):
-        ranked.append(rank(plan, *args))
-        return ranked[-1]
-
-    def record_vertical(*args):
-        allocation = allocate(*args)
-        vertical.extend(RankList(tuple(items.tolist()), u) for u, items in zip(*allocation[:2], strict=True))
+    def record_vertical(users, *args):
+        allocation = allocate(users, *args)
+        vertical.extend(RankList(tuple(items.tolist()), u) for u, items in zip(users, allocation[0], strict=True))
         return allocation
 
     def capture_ledger(ledger, profiles):
@@ -329,11 +343,9 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         return diagnostics(ledger, profiles)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RelevanceTable, "dense_row", read_row)
-        mp.setattr(PolicyPlan, "rank", record_rank)
+        mp.setattr(PolicyPlan, "rank_segment", record_rank)
         mp.setattr(sim, "_allocate_vertical", record_vertical)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers
-    lists = vertical or [RankList(tuple(items), user) for user, items in zip(users, ranked, strict=True)]
-    return result, lists, ledger
+    return result, vertical or ranked, ledger

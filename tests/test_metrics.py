@@ -424,7 +424,9 @@ class TestGainLedger:
     def test_accrue_adds_each_position_to_its_provider(self):
         profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 4.0, 1.0)]
         ledger = GainLedger.empty(2)
-        ledger.accrue([1, 0, 1], [1.0, 0.5, 0.25], [0.5, 0.0, 0.25], profiles)
+        positions = [(1, 1.0, 0.5), (0, 0.5, 0.0), (1, 0.25, 0.25)]
+        raw = [ledger.accrue(g, p_k, bought, profiles[g]) for g, p_k, bought in positions]
+        assert raw == [1.0 + 0.5 * 4.0, 0.5 * 2.0, 1.25 + 0.75 * 4.0]
         np.testing.assert_allclose(ledger.exposure_gain, [0.5 * 2.0, 1.25 * 1.0], rtol=1e-15)
         np.testing.assert_allclose(ledger.purchase_gain, [0.0, 0.75 * 4.0], rtol=1e-15)
         np.testing.assert_allclose(ledger.group_exposure, [0.5, 1.25], rtol=1e-15)

@@ -1,6 +1,7 @@
-"""Offline fields: what the builder marks, what it costs, and that offline runs
+"""Offline fields: what the builder holds, what it costs, and that offline runs
 ranked from them equal runs over the whole catalog bit for bit; and that the
-greedy rankers equal the pick-by-pick reference fill on the same tied data."""
+greedy rankers and the provider-head picks equal the pick-by-pick reference
+fill on the same tied data."""
 
 import tracemalloc
 
@@ -66,6 +67,14 @@ def tied_datasets(draw):
     return dataset, k
 
 
+def field_mask(field, user_count, item_count):
+    """The (users x items) bool mask of the items in each user's segment."""
+    mask = np.zeros((user_count, item_count), dtype=bool)
+    for user in range(user_count):
+        mask[user, field.items[field.segment(user)]] = True
+    return mask
+
+
 def reference_field(rel, catalog, k):
     """The field spelled out: stored items, then each provider's first k zeros."""
     field = np.zeros((rel.user_count, catalog.item_count), dtype=bool)
@@ -122,23 +131,66 @@ def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     assert np.array(got.positions, dtype=np.int64).tobytes() == want.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(tied_datasets(), st.sampled_from(["PoorK", "MMFStar"]), st.sampled_from([0.0, 1e-3, 0.5, 1.0]), st.data())
+def test_head_picks_match_the_reference_pick(case, kind, alpha, data):
+    # PoorK and MMF* pick among provider heads, from a row sorted in the
+    # plan and from the field's segments, as tests/oracles.py's pick-by-pick
+    # fill does over the whole catalog. Some providers own a single item, so
+    # they die after one pick; some have a gain-to-target ratio that
+    # overflows to +inf, and when every live one does, the worst-off
+    # provider is the lowest live id.
+    dataset, k = case
+    catalog, rel = dataset.catalog, dataset.relevance
+    ids, pm = np.arange(catalog.item_count), PositionModel.logarithmic(k)
+    m = catalog.provider_count
+    overflow = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    gain = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)
+    gains = np.array([1e10 if o else data.draw(gain) for o in overflow])
+    profiles = [
+        ProviderProfile(p.exposure_value, p.purchase_value, 1e-300 if o else p.gain_target)
+        for p, o in zip(dataset.profiles, overflow)
+    ]
+    plan = PolicyPlan(PolicyConfig(kind, alpha), ids[None, :], catalog, profiles)
+    field = offline_field(rel, catalog, k)
+    with np.errstate(over="ignore"):
+        for user in range(rel.user_count):
+            row = rel.relevance_of(user, ids)
+            want = reference_fill(plan, 0, row, gains, pm.probs)
+            assert plan.rank(0, row, gains, pm.probs) == want
+            at = plan.rank_segment(field, user, gains, pm.probs)
+            assert field.items[field.segment(user)][at].tolist() == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(tied_datasets())
 def test_field_holds_stored_items_and_each_providers_lowest_zeros(case):
     dataset, k = case
     rel, catalog = dataset.relevance, dataset.catalog
     field = offline_field(rel, catalog, k)
-    assert field.dtype == bool
-    assert np.array_equal(field, reference_field(rel, catalog, k))
+    mask = field_mask(field, rel.user_count, catalog.item_count)
+    assert np.array_equal(mask, reference_field(rel, catalog, k))
+    assert field.indptr[-1] == mask.sum()
+    # each segment is in greedy order, with its relevance and providers, and
+    # each provider's run of by_provider lists its positions in that order
+    for user in range(rel.user_count):
+        seg = field.segment(user)
+        items, relevance, provider = field.items[seg], field.relevance[seg], field.provider[seg]
+        assert relevance.tobytes() == rel.relevance_of(user, items).tobytes()
+        assert np.lexsort((items, -relevance)).tolist() == list(range(items.size))
+        assert np.array_equal(provider, catalog.group_of[items])
+        for g in range(catalog.provider_count):
+            run = field.by_provider[seg][field.offsets[user, g] : field.offsets[user, g + 1]]
+            assert run.tolist() == np.flatnonzero(provider == g).tolist()
 
 
 def test_field_keeps_the_k_lowest_ids_of_a_large_zero_class():
     # provider 0 owns items 0, 2, 4, 6, 8; provider 1 owns 1, 3, 5, 7, 9
     catalog = Catalog.from_assignments([0, 1] * 5)
     rel = RelevanceTable(2, [(0, 4, 0.5), (0, 6, 0.0), (1, 9, 1.0)])
-    field = offline_field(rel, catalog, 2)
-    assert np.flatnonzero(field[0]).tolist() == [0, 1, 2, 3, 4, 6]
-    assert np.flatnonzero(field[1]).tolist() == [0, 1, 2, 3, 9]
+    mask = field_mask(offline_field(rel, catalog, 2), 2, 10)
+    assert np.flatnonzero(mask[0]).tolist() == [0, 1, 2, 3, 4, 6]
+    assert np.flatnonzero(mask[1]).tolist() == [0, 1, 2, 3, 9]
 
 
 def test_field_rejects_items_beyond_the_catalog():
@@ -166,8 +218,8 @@ def test_field_build_peak_memory_stays_near_the_mask():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert field.nbytes == users * items
-    assert peak < 1.5 * users * items
+    assert field.items.dtype == field.provider.dtype == field.by_provider.dtype == field.offsets.dtype == np.int32
+    assert peak < 1.5 * sum(array.nbytes for array in field)
 
 
 def counted_builds(monkeypatch):

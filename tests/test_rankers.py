@@ -23,7 +23,7 @@ from equityrank import (
     rank_mmf_star,
     rank_poork,
 )
-from equityrank.rankers import PARTITION_MIN_CANDIDATES, PolicyPlan
+from equityrank.rankers import ALL_SLOTS, PARTITION_MIN_CANDIDATES, PolicyPlan, offline_field
 from oracles import reference_poork, reference_slotwise_equityrank, reference_vertical
 
 PM2 = PositionModel.logarithmic(2)
@@ -278,6 +278,26 @@ class TestCollapseIdentities:
                 assert got.positions == want, alpha
 
 
+REPEATED_CANDIDATE_CALLS = {
+    "rank_poork": lambda c, *a: rank_poork(c, 0, *a, PM2),
+    "rank_mmf_star": lambda c, *a: rank_mmf_star(c, 0, *a, 0.5, PM2),
+    "rank_fairco_star": lambda c, *a: rank_fairco_star(c, 0, *a, 0.5, PM2),
+    "equityrank_scores": lambda c, *a: equityrank_scores(c, 0, *a, 0.5),
+    "offline_rank_user": lambda c, *a: offline_rank_user(PolicyConfig("MMFStar", 0.5), c, 0, *a, PM2),
+    "online_step_rank": lambda c, *a: online_step_rank(PolicyConfig("EquityRank", 0.5), c, 0, *a, PM2),
+}
+
+
+@pytest.mark.parametrize("ranker", sorted(REPEATED_CANDIDATE_CALLS))
+def test_public_rankers_reject_repeated_candidates(ranker):
+    # a repeated id would be scored twice, count twice among MMF*'s live
+    # candidates and sit twice in its provider's head list
+    catalog = Catalog.from_assignments([0, 1, 0])
+    rel = RelevanceTable(1, [(0, 0, 0.9), (0, 1, 0.5), (0, 2, 0.1)])
+    with pytest.raises(ValueError, match="candidate set repeats an item id"):
+        REPEATED_CANDIDATE_CALLS[ranker]([1, 1, 0], rel, GainLedger.empty(2), catalog, uniform_profiles(2))
+
+
 class TestDispatch:
     def test_online_rejects_vertical(self):
         catalog = Catalog.from_assignments([0, 1])
@@ -323,6 +343,13 @@ class TestDispatch:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("kind", ["PoorK", "MMFStar"])
+    def test_provider_head_policies_score_no_slot(self, kind):
+        catalog = Catalog.from_assignments([0, 1, 0])
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2))
+        with pytest.raises(ValueError, match="picks among provider heads"):
+            plan.score(0, ALL_SLOTS, np.array([0.5, 0.2, 0.1]), np.zeros(2))
+
     @pytest.mark.parametrize("kind", ["EquityRank", "FairCoStar"])
     def test_overflowing_scores_are_rejected(self, kind):
         # a gain near the float maximum against a tiny target overflows the
@@ -350,11 +377,12 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kind", ["PoorK", "MMFStar", "EquityRank"])
     def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
-        catalog = Catalog.from_assignments([0, 1, 0])
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2), slotwise=True)
-        field = np.array([True, False, True])
+        # a field built for one-item lists: each provider's lowest-id zero
+        catalog = Catalog.from_assignments([0, 1] * 3)
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.arange(6)[None, :], catalog, uniform_profiles(2), slotwise=True)
+        field = offline_field(RelevanceTable(1, []), catalog, 1)
         with pytest.raises(ValueError, match="need at least 3 candidates, got 2"):
-            plan.rank(0, np.array([0.5, 0.2, 0.1]), np.zeros(2), PM3.probs, field)
+            plan.rank_segment(field, 0, np.zeros(2), PM3.probs)
 
     def test_online_equityrank_matches_hand_ordering(self):
         # three items, two groups; gradient [2, -4] from gains [1,1], targets [2,1]
@@ -449,6 +477,35 @@ class TestVerticalAllocation:
         assert ledger.step_count == 0
         assert not ledger.exposure_gain.any()
         assert not ledger.group_exposure.any()
+
+    def test_takes_no_field(self):
+        # the allocation builds the offline field itself, so no mask of the
+        # wrong shape can narrow the catalog
+        catalog = Catalog.from_assignments([0, 1] * 3)
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(6)])
+        mask = np.ones((2, 3), dtype=bool)
+        with pytest.raises(TypeError, match="field"):
+            allocate_vertical([0], rel, GainLedger.empty(2), catalog, uniform_profiles(2), 0.1, PM3, field=mask)
+
+    @pytest.mark.parametrize(
+        "users", [np.array([0.7]), [0, 1.5], [float("nan")], [float("inf")]], ids=["0.7", "1.5", "nan", "inf"]
+    )
+    def test_rejects_user_ids_that_are_not_whole_numbers(self, users):
+        catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
+        rel = RelevanceTable(2, [(u, i, 0.5) for u in range(2) for i in range(5)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="not a whole number"):
+            allocate_vertical(users, rel, ledger, catalog, uniform_profiles(2), 0.1, PM3)
+        assert ledger.step_count == 0 and not ledger.group_exposure.any()
+
+    def test_whole_number_user_ids_of_any_type_are_served(self):
+        catalog = Catalog.from_assignments([0, 0, 1, 1, 1])
+        rel = RelevanceTable(2, [(u, i, 0.1 * (i + u)) for u in range(2) for i in range(5)])
+        profiles = uniform_profiles(2)
+        want = allocate_vertical([1, 0], rel, GainLedger.empty(2), catalog, profiles, 0.1, PM3)
+        got = allocate_vertical(np.array([1.0, 0.0]), rel, GainLedger.empty(2), catalog, profiles, 0.1, PM3)
+        assert [(rl.user, rl.positions) for rl in got] == [(rl.user, rl.positions) for rl in want]
+        assert all(type(rl.user) is int for rl in got)
 
     def test_ledger_accrual_totals(self):
         catalog = Catalog.from_assignments([0, 0, 1, 1, 1])

@@ -341,26 +341,27 @@ class TestRunOffline:
         entries = [(u, i, float(rng.random())) for u in range(6) for i in range(24) if rng.random() < 0.3]
         profiles = [ProviderProfile(1.0 + g, 2.0, 1.0 + g / 4) for g in range(3)]
         ds = tiny_dataset(entries, np.arange(24) % 3, profiles, 6)
-        dense_row, relevance_of, check_list = RelevanceTable.dense_row, RelevanceTable.relevance_of, RankList.__post_init__
         reads = []
 
-        def counted_row(self, user, item_count):
-            reads.append(("dense_row", user))
-            return dense_row(self, user, item_count)
+        def counted(name, original):
+            def read(self, user, *args):
+                reads.append((name, user))
+                return original(self, user, *args)
 
-        def counted_lookup(self, user, items):
-            reads.append(("relevance_of", user))
-            return relevance_of(self, user, items)
+            return read
 
-        def counted_list(self):
-            reads.append(("RankList", self.user))
-            check_list(self)
-
-        monkeypatch.setattr(RelevanceTable, "dense_row", counted_row)
-        monkeypatch.setattr(RelevanceTable, "relevance_of", counted_lookup)
-        monkeypatch.setattr(RankList, "__post_init__", counted_list)
+        for name in ("dense_row", "relevance_of", "get", "user_values"):
+            monkeypatch.setattr(RelevanceTable, name, counted(name, getattr(RelevanceTable, name)))
+        check_list = RankList.__post_init__
+        monkeypatch.setattr(RankList, "__post_init__", lambda rl: (reads.append(("RankList", rl.user)), check_list(rl)))
+        # the first run builds the field from the table's arrays and the
+        # ideal-DCG table from each user's values; a run itself reads nothing
+        # of the relevance but the field's segments
         run_offline(ds, policy, 0.5, 3, SimConfig(list_size=3, cutoff=2))
-        assert sorted(reads) == [("dense_row", u) for u in range(6)]
+        assert sorted(reads) == [("user_values", u) for u in range(6)]
+        reads.clear()
+        run_offline(ds, policy, 0.5, 4, SimConfig(list_size=3, cutoff=2))
+        assert reads == []
 
 
 def online_micro_dataset():
