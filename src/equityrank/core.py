@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def _whole_ids(ids, what: str) -> np.ndarray:
+    """``ids`` as an int64 array; ValueError at the first that is not a whole number."""
+    values = np.asarray(ids, dtype=np.float64)
+    bad = ~(np.isfinite(values) & (values == np.floor(values)))
+    if bad.any():
+        raise ValueError(f"{what} {values[bad][0]:g} is not a whole number")
+    return np.asarray(ids, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class Catalog:
     """A partition of items into provider groups.
@@ -67,7 +76,7 @@ class Catalog:
     @classmethod
     def from_assignments(cls, group_of: Iterable[int], provider_count: int | None = None) -> Catalog:
         """Build a catalog from an item -> provider assignment array."""
-        groups = np.asarray(list(group_of) if not isinstance(group_of, np.ndarray) else group_of, dtype=np.int64)
+        groups = _whole_ids(list(group_of) if not isinstance(group_of, np.ndarray) else group_of, "provider id")
         if groups.ndim != 1 or groups.size == 0:
             raise ValueError("group assignments must be a nonempty 1-d sequence")
         m = int(provider_count) if provider_count is not None else int(groups.max()) + 1
@@ -143,19 +152,26 @@ class PositionModel:
 
 @dataclass(frozen=True)
 class RankList:
-    """An ordered list of distinct item ids served to one user."""
+    """An ordered list of distinct item ids served to one user; ids must be whole numbers."""
 
     positions: tuple[int, ...]
     user: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(map(int, self.positions)))
+        object.__setattr__(self, "positions", tuple(_whole_ids(self.positions, "item id").tolist()))
+        object.__setattr__(self, "user", int(_whole_ids(self.user, "user id")))
         if len(self.positions) == 0:
             raise ValueError("rank list must not be empty")
         if len(set(self.positions)) != len(self.positions):
             raise ValueError("rank list contains a repeated item id")
         if min(self.positions) < 0:
             raise ValueError("rank list contains a negative item id")
+
+    def items_for(self, user) -> tuple[int, ...]:
+        """The listed items, for a caller serving ``user``; ValueError unless it is the list's user."""
+        if user != self.user:
+            raise ValueError(f"user {user} does not match the list's user {self.user}")
+        return self.positions
 
 
 class RelevanceTable:
@@ -182,13 +198,13 @@ class RelevanceTable:
             raise ValueError("entries must be (user, item, value) triples")
         triples = triples.reshape(-1, 3)
         users, items, values = triples.T
-        # checked as floats, so a NaN or infinite id is rejected before the cast
-        bad = ~((users >= 0) & (users < self.user_count))
+        # checked as floats, so a NaN, infinite or fractional id is rejected before the cast
+        bad = ~((users >= 0) & (users < self.user_count) & (users == np.floor(users)))
         if bad.any():
-            raise ValueError(f"user id {users[bad][0]:g} out of range")
-        bad = ~((items >= 0) & np.isfinite(items))
+            raise ValueError(f"user id {users[bad][0]:g} out of range or not a whole number")
+        bad = ~((items >= 0) & np.isfinite(items) & (items == np.floor(items)))
         if bad.any():
-            raise ValueError(f"item id {items[bad][0]:g} out of range")
+            raise ValueError(f"item id {items[bad][0]:g} out of range or not a whole number")
         bad = ~((values >= 0.0) & (values <= 1.0))
         if bad.any():
             raise ValueError(f"relevance {float(values[bad][0])} outside [0, 1]")

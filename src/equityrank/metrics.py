@@ -176,8 +176,9 @@ def expected_gain(
 
     Each of g's listed items contributes its examination probability times
     (relevance * purchase_value + exposure_value); unlisted providers get 0.
+    A ``user`` other than the list's raises ValueError.
     """
-    items = ranklist.positions[: pm.list_size]
+    items = ranklist.items_for(user)[: pm.list_size]
     total = 0.0
     for k0, (item, r) in enumerate(zip(items, rel.relevance_of(user, items).tolist())):
         if catalog.group_of[item] == g:

@@ -14,16 +14,18 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
 
-A ``PolicyPlan`` ranks rows of candidate slots (online runs and the public
-rankers) or segments of an ``OfflineField`` (offline runs) from raw gains.
-Ties go by score, then relevance, descending, then id ascending: in *greedy
-order* (relevance descending, then id ascending), the first of equal
-scores. TopK, FairCo* and online EquityRank score every candidate once and
-take the top K. The rest work in greedy order, where a segment is and a row
-gets by one stable sort. Offline EquityRank and EquityRankV score every
-entry at each slot, check the scores are finite, take ``argmax``'s first
-maximum among the entries left and add its expected gain p_k (v_e + r v_b)
-to the gains. PoorK and MMF* pick among provider heads: MMF*'s score
+A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row
+in slot order (online runs and the public rankers) or a user's segment of
+an ``OfflineField`` in greedy order (offline runs). Ties go by score, then
+relevance, descending, then id ascending: in *greedy order* (relevance
+descending, then id ascending), the first of equal scores. TopK, FairCo*
+and online EquityRank score every entry once and take the top K by score
+and relevance, then position, the same items in either order. The rest work
+in greedy order, where a segment is and a row gets by one stable sort.
+Offline EquityRank and EquityRankV score every entry at each slot, check
+the scores are finite, take ``argmax``'s first maximum among the entries
+left and add its expected gain p_k (v_e + r v_b) to the gains. PoorK and
+MMF* pick among provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
 greedy order it does not increase within the worst-off provider's entries
@@ -49,11 +51,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _whole_ids, provider_arrays
 from .metrics import GainLedger
 
 __all__ = [
-    "ALL_SLOTS",
     "OfflineField",
     "POLICY_KINDS",
     "PolicyConfig",
@@ -72,8 +73,6 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-# the ``at`` of a plan's scorer that selects every slot of the row
-ALL_SLOTS = slice(None)
 # Below this many candidates one full sort is cheaper than narrowing the
 # field with a partition first (measured for k = 5: the two cost the same
 # near 200 candidates); both select the same list.
@@ -110,9 +109,9 @@ class ScoreVector:
 
 
 def _candidates(candidates, catalog: Catalog) -> np.ndarray:
-    """A public ranker's candidate ids, checked against the catalog and for
-    repeats, and sorted, so that slot order, the last tie-break, is id order."""
-    ids = np.asarray(candidates, dtype=np.int64)
+    """A public ranker's candidate ids, checked to be whole numbers in the catalog, none
+    repeated, and sorted, so that slot order, the last tie-break, is id order."""
+    ids = _whole_ids(candidates, "item id")
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError("candidates must be a nonempty 1-d sequence of item ids")
     if ids.min() < 0 or ids.max() >= catalog.item_count:
@@ -164,27 +163,17 @@ def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
 class PolicyPlan:
     """One ranking policy resolved once (see the module docstring).
 
-    ``rows`` holds ascending candidate ids, one row per user or one shared
-    row; a candidate's slot is its index in its row. ``provider``,
-    ``exposure_value``, ``purchase_value`` and ``gain_target`` hold each
-    slot's provider, weights and target, and ``targets`` every provider's.
-    ``score(row, at, rel, gains)`` returns the TopK, FairCo* or EquityRank
-    scores of slots ``at`` of ``row`` (an index array, or ``ALL_SLOTS``).
-    ``rank(row, rel, gains, probs)`` returns the slots of one list, top
-    first, from the row's relevance, the raw gains and the examination
-    probabilities, changing none; ``rank_segment(field, user, gains, probs)``
-    ranks ``user``'s segment of ``field``, by position in it. With
-    ``slotwise`` (offline mode) EquityRank fills its list in greedy order.
+    It holds the policy, every provider's v_e, v_b and y (``ve``, ``vb``,
+    ``targets``), the gradient's constants and the scorer. Entries come as
+    relevance ``rel`` and provider ids ``provider``: a candidate row in slot
+    order, or a segment in greedy order with ``heads``, its ``(by_provider,
+    offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
+    their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
+    probs, heads)`` one list's positions among them, top first; neither
+    writes an argument. With ``slotwise`` (offline) EquityRank fills greedily.
     """
 
-    def __init__(
-        self,
-        policy: PolicyConfig,
-        rows: np.ndarray,
-        catalog: Catalog,
-        profiles: Sequence[ProviderProfile],
-        slotwise: bool = False,
-    ) -> None:
+    def __init__(self, policy: PolicyConfig, profiles: Sequence[ProviderProfile], slotwise: bool = False) -> None:
         kind, alpha = policy.kind, policy.alpha
         ve, vb, y = provider_arrays(profiles)
         m = y.size
@@ -196,70 +185,56 @@ class PolicyPlan:
             raise ValueError("pairwise unfairness needs at least two providers")
         # PoorK is MMF*'s score at alpha = 1
         self.kind, self.alpha = kind, 1.0 if kind == "PoorK" else alpha
-        self.targets, self._ve, self._vb = y, ve, vb
+        self.ve, self.vb, self.targets = ve, vb, y
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
-        self.provider = provider = catalog.group_of[rows]
-        self.exposure_value, self.purchase_value, self.gain_target = ve[provider], vb[provider], y[provider]
-        self._zeros = np.zeros(rows.shape[1])
+        self._zeros = np.zeros(0)  # grown to the longest list of entries checked
         # a plain function, not a bound method: a bound method kept on the
-        # plan is a reference cycle, which would hold each run's arrays until
+        # plan is a reference cycle, which would hold the plan's arrays until
         # the cyclic garbage collector ran. PoorK and MMF* have none.
         scorers = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco, "EquityRank": PolicyPlan._equity}
         self._score_fn = scorers.get(kind)
         self._greedy = kind == "EquityRank" and slotwise
-        self._rows = list(zip(provider, self.gain_target))  # for whole rows
         self._weighted = self._greedy or (kind == "EquityRank" and alpha != 0.0)  # greedy fills accrue by weight
 
-    def score(self, row: int, at, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        """The scores of slots ``at`` of ``row``, whose relevance is ``rel``."""
+    def score(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        """The scores of the entries with relevance ``rel`` and providers ``provider``."""
         if self._score_fn is None:
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
-        provider = self.provider[row, at]
         target, weight = self._columns(rel, provider)
         return self._score_fn(self, provider, target, rel, weight, gains)
 
-    def rank(self, row: int, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
-        """The slots of one list, top first (see the class docstring)."""
-        if self._score_fn is None or self._greedy:
-            at = np.argsort(-rel, kind="stable")
-            return at[self._ordered(rel[at], self.provider[row, at], None, gains, probs)].tolist()
-        weight = rel * self.purchase_value[row] + self.exposure_value[row] if self._weighted else None
-        scores = self._score_fn(self, *self._rows[row], rel, weight, gains)
-        # x * 0 is zero for every finite x and NaN otherwise: one dot product
-        # with zeros checks the scores, at a third of isfinite().all()'s cost
-        if scores.dot(self._zeros) != 0.0:
-            raise ValueError("scores must be finite")
-        return top_k_order((-rel, -scores), len(probs)).tolist()
-
-    def rank_segment(self, field: OfflineField, user: int, gains: np.ndarray, probs) -> list[int]:
-        """The positions in ``user``'s segment of ``field`` of one list, top first."""
-        seg = field.segment(user)
-        heads = field.by_provider[seg], field.offsets[user]
-        return self._ordered(field.relevance[seg], field.provider[seg], heads, gains, probs)
-
-    def _ordered(self, rel: np.ndarray, provider: np.ndarray, heads, gains: np.ndarray, probs) -> list[int]:
-        """One list's positions, top first, over entries in greedy order;
-        ``heads`` is ``_provider_heads(provider, m)``, or None to build it."""
+    def rank(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs, heads=None) -> list[int]:
+        """One list's positions among the entries, top first (see the class docstring)."""
         k = len(probs)
         if rel.size < k:
             raise ValueError(f"need at least {k} candidates, got {rel.size}")
-        if self._score_fn is None:
-            by_provider, offsets = heads or _provider_heads(provider, self.targets.size)
-            return self._pick_heads(rel, provider, by_provider, offsets, gains, probs)
-        if self.kind == "TopK":
-            return list(range(k))
-        target, weight = self._columns(rel, provider)
+        if self._score_fn is not None and not self._greedy:
+            # (score desc, relevance desc, position asc) picks the same
+            # entries from a row in slot order and from a segment in greedy
+            # order: both put equal relevance in id order
+            scores = self._finite(self.score(rel, provider, gains))
+            return top_k_order((-rel, -scores), k).tolist()
+        if heads is None:  # a row: into greedy order and back
+            order = np.argsort(-rel, kind="stable")
+            rel, provider = rel[order], provider[order]
+            return order[self.rank(rel, provider, gains, probs, _provider_heads(provider, self.targets.size))].tolist()
         if self._greedy:
-            return self._fill(provider, target, rel, weight, gains, probs)
-        scores = self._score_fn(self, provider, target, rel, weight, gains)
-        if scores.dot(self._zeros[: rel.size]) != 0.0:
+            return self._fill(provider, rel, gains, probs)
+        return self._pick_heads(rel, provider, *heads, gains, probs)
+
+    def _finite(self, scores: np.ndarray) -> np.ndarray:
+        # x * 0 is zero for every finite x and NaN otherwise: one dot product
+        # with zeros checks the scores, at a third of isfinite().all()'s cost
+        if scores.size > self._zeros.size:
+            self._zeros = np.zeros(scores.size)
+        if scores.dot(self._zeros[: scores.size]) != 0.0:
             raise ValueError("scores must be finite")
-        return top_k_order((-scores,), k).tolist()
+        return scores
 
     def _columns(self, rel: np.ndarray, p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The gain targets and item weights v_e + r v_b of entries with providers ``p``, where read."""
-        return (self.targets[p], rel * self._vb[p] + self._ve[p]) if self._weighted else (None, None)
+        return (self.targets[p], rel * self.vb[p] + self.ve[p]) if self._weighted else (None, None)
 
     def _relevance(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
         return rel
@@ -287,15 +262,14 @@ class PolicyPlan:
 
     def _best(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray, placed: np.ndarray) -> int:
         """The first maximum of the finite scores where ``placed`` is 0; it becomes -inf there."""
-        scores = self._score_fn(self, provider, target, rel, weight, gains)
-        if scores.dot(self._zeros[: rel.size]) != 0.0:
-            raise ValueError("scores must be finite")
+        scores = self._finite(self._score_fn(self, provider, target, rel, weight, gains))
         best = int((scores + placed).argmax())
         placed[best] = -np.inf
         return best
 
-    def _fill(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray, probs) -> list[int]:
+    def _fill(self, provider: np.ndarray, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
         # each pick adds p_k (v_e + r v_b) to a gains copy
+        target, weight = self._columns(rel, provider)
         gains, placed, chosen = gains.copy(), np.zeros(rel.size), []
         for p_k in probs:
             chosen.append(self._best(provider, target, rel, weight, gains, placed))
@@ -330,19 +304,17 @@ class PolicyPlan:
                 pick = w
             g = provider.item(pick)
             head[g] += 1
-            gains[g] = paid = gains.item(g) + p_k * (rel.item(pick) * self._vb.item(g) + self._ve.item(g))
+            gains[g] = paid = gains.item(g) + p_k * (rel.item(pick) * self.vb.item(g) + self.ve.item(g))
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
 
 
 def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm, slotwise=False) -> RankList:
-    """One user's list through a one-row plan over ``candidates``."""
+    """One user's list, ranked by ``policy`` from ``candidates`` in slot order."""
     ids = _candidates(candidates, catalog)
-    if ids.size < pm.list_size:
-        raise ValueError(f"need at least {pm.list_size} candidates, got {ids.size}")
-    plan = PolicyPlan(policy, ids[None, :], catalog, profiles, slotwise)
-    slots = plan.rank(0, rel_source.relevance_of(user, ids), ledger.raw_gains(), pm.probs)
+    plan = PolicyPlan(policy, profiles, slotwise)
+    slots = plan.rank(rel_source.relevance_of(user, ids), catalog.group_of[ids], ledger.raw_gains(), pm.probs)
     return RankList(tuple(ids[slots].tolist()), user)
 
 
@@ -365,9 +337,9 @@ def equityrank_scores(
     exposure. Returns the candidates ascending, with scores and relevance.
     """
     ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
     rel = rel_source.relevance_of(user, ids)
-    return ScoreVector(item_ids=ids, scores=plan.score(0, ALL_SLOTS, rel, ledger.raw_gains()), relevance=rel)
+    return ScoreVector(item_ids=ids, scores=plan.score(rel, catalog.group_of[ids], ledger.raw_gains()), relevance=rel)
 
 
 def rank_poork(
@@ -511,7 +483,10 @@ def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> Offl
         # the 1-based rank of each zero among its provider's zeros
         seen = np.cumsum(zero)
         rank = seen - (seen[start] - zero[start])
-        at = np.union1d(ids, by_group[zero & (rank <= list_size)])
+        keep = np.zeros(n, dtype=bool)
+        keep[ids] = True
+        keep[by_group[zero & (rank <= list_size)]] = True
+        at = np.flatnonzero(keep)
         r = np.zeros(at.size)
         r[at.searchsorted(ids)] = values
         order = np.argsort(-r, kind="stable")
@@ -554,13 +529,13 @@ def allocate_vertical(
         raise ValueError("users must be distinct ids")
     field = offline_field(rel, catalog, pm.list_size)
     users = [int(u) for u in users]
-    lists, _ = _allocate_vertical(users, ledger, catalog, profiles, alpha, pm, field)
+    lists, _ = _allocate_vertical(users, ledger, profiles, alpha, pm, field)
     return [RankList(tuple(items.tolist()), u) for u, items in zip(users, lists)]
 
 
-def _allocate_vertical(users, ledger, catalog, profiles, alpha, pm, field: OfflineField):
+def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
     """Each user's items, top first, and their relevance, from their segments of ``field``."""
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), np.arange(catalog.item_count)[None, :], catalog, profiles)
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
     fills = []
     for u in users:
         seg = field.segment(u)

@@ -7,14 +7,14 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-An offline run serves each list by position in the user's segment of the
-dataset's offline field, and reads nothing else. An online run fixes each
-user's prefiltered candidate set when it starts, and a step
-(``online_step``: estimate -> score -> top-K -> feedback -> DCG) works by
-candidate slot, an item's position in that sorted set, with the estimates
-and raw gains that ``OnlineState`` keeps current. The id-level
-``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
-``metrics.andcg`` are the checked boundary; no run goes through them.
+A run ranks every list with one ``PolicyPlan``. An offline run gives it the
+user's segment of the dataset's offline field, with its provider heads, and
+reads nothing else. An online run fixes each user's prefiltered candidate
+set when it starts; a step (``online_step``: estimate -> score -> top-K ->
+feedback -> DCG) gives it the user's candidate row in slot order (ids
+ascending), with the estimates and raw gains ``OnlineState`` keeps current.
+The id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback``
+and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -191,16 +191,15 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     return float(state.relevance_of(user, [item])[0])
 
 
-def _feedback(state: OnlineState, user: int, slots, at, provider, exposure_value, purchase_value, relevance, probs):
+def _feedback(state: OnlineState, user: int, slots, at, provider, ve, vb, relevance, probs):
     """The feedback stage of one served list, given by candidate slot.
 
-    Position k serves slot ``slots[k]``; its provider, the provider's weights
-    v_e and v_b, and its true relevance r are entry ``at[k]`` of ``provider``,
-    ``exposure_value``, ``purchase_value`` and ``relevance``. It pays p_k v_e
-    of exposure gain and p_k of examination mass, and with probability p_k r
-    (one uniform draw) a purchase worth v_b; the slot's counters, the kept
-    gains and the estimate follow, top position first. Returns the served
-    relevances and the purchase outcomes.
+    Position k serves slot ``slots[k]``; its provider g and true relevance r
+    are entry ``at[k]`` of ``provider`` and ``relevance``, and g's v_e and
+    v_b entry g of ``ve`` and ``vb``. It pays p_k v_e of exposure gain and
+    p_k of examination mass, and with probability p_k r (one uniform draw) a
+    purchase worth v_b; the slot's counters, the kept gains and the estimate
+    follow, top position first. Returns the served relevances and purchases.
     """
     draws = state.rng.random(len(slots)).tolist()
     ledger, gains = state.ledger, state.gains
@@ -213,12 +212,12 @@ def _feedback(state: OnlineState, user: int, slots, at, provider, exposure_value
     # same IEEE operations as numpy's, without numpy's per-scalar overhead.
     for slot, i, p_k, draw in zip(slots, at, probs, draws):
         g, r = provider.item(i), relevance.item(i)
-        paid = exposure_gain.item(g) + p_k * exposure_value.item(i)
+        paid = exposure_gain.item(g) + p_k * ve.item(g)
         exposure_gain[g] = paid
         sold, count = purchase_gain.item(g), purchases.item(slot)
         hit = draw < p_k * r
         if hit:
-            sold += purchase_value.item(i)
+            sold += vb.item(g)
             purchase_gain[g] = sold
             count += 1
             purchases[slot] = count
@@ -249,14 +248,15 @@ def apply_feedback(
 
     Exposure gain accrues deterministically (examination probability times
     the provider's exposure value); purchases are Bernoulli draws with
-    probability p_k * relevance, paying the provider's purchase value. The
-    estimator's counters grow at the served items' candidate slots; serving
-    an item that is not one of the user's candidates raises ValueError.
-    ``relevance`` is the served items' true relevance, one per position, for
-    a caller that already read it. Returns the per-position purchase outcomes.
+    probability p_k * relevance, paying the provider's purchase value, and
+    the estimator's counters grow at the served items' candidate slots. An
+    item not among the user's candidates or a ``user`` not the list's raises
+    ValueError before any write. ``relevance``, the served items' true
+    relevance by position, saves a caller that has it a read. Returns the
+    per-position purchase outcomes.
     """
+    items = ranklist.items_for(user)
     user = int(user)
-    items = ranklist.positions
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
     slots = state.slots(user, items)
@@ -265,7 +265,8 @@ def apply_feedback(
     elif len(relevance) != len(items):
         raise ValueError(f"got {len(relevance)} relevances for {len(items)} served items")
     groups = catalog.group_of[list(items)]
-    ve, vb, _ = provider_arrays([profiles[g] for g in groups])
+    ve, vb = np.zeros(len(profiles)), np.zeros(len(profiles))  # read at the served providers only
+    ve[groups], vb[groups] = provider_arrays([profiles[g] for g in groups])[:2]
     at = range(len(items))
     _, bought = _feedback(state, user, slots, at, groups, ve, vb, np.asarray(relevance), pm.probs.tolist())
     return np.array(bought, dtype=bool)
@@ -283,9 +284,9 @@ def apply_expected_feedback(
     """Accrue one served list's expected gains, by item id (no sampling).
 
     Raises ValueError, before any ledger write, for a list longer than the
-    position model.
+    position model or a ``user`` other than the list's.
     """
-    items = ranklist.positions
+    items = ranklist.items_for(user)
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
     served = zip(catalog.group_of[list(items)].tolist(), pm.probs.tolist(), rel.relevance_of(user, items).tolist())
@@ -404,17 +405,17 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
     field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
     if policy == "EquityRankV":
-        _, served = _allocate_vertical(user_order, ledger, catalog, profiles, alpha, pm, field)
+        _, served = _allocate_vertical(user_order, ledger, profiles, alpha, pm, field)
     else:
-        plan = PolicyPlan(policy_cfg, np.arange(catalog.item_count)[None, :], catalog, profiles, slotwise=True)
+        plan = PolicyPlan(policy_cfg, profiles, slotwise=True)
         gains, served = ledger.raw_gains(), []
         for user in user_order.tolist():
-            base, values = field.indptr[user], []
-            for p_k, at in zip(probs, plan.rank_segment(field, user, gains, probs)):
-                g, r = field.provider.item(base + at), field.relevance.item(base + at)
+            seg = field.segment(user)
+            relevance, provider = field.relevance[seg], field.provider[seg]
+            at = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
+            served.append(relevance[at].tolist())
+            for p_k, g, r in zip(probs, provider[at].tolist(), served[-1]):
                 gains[g] = ledger.accrue(g, p_k, p_k * r, profiles[g])
-                values.append(r)
-            served.append(values)
         ledger.step_count += len(user_order)
     ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
     ndcgs = [ndcg_from(discounted_sum(r, probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
@@ -452,19 +453,24 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
 
 
 def online_step(
-    plan: PolicyPlan, state: OnlineState, user: int, true_rel: np.ndarray, probs: list[float], cutoff: int
+    plan: PolicyPlan,
+    state: OnlineState,
+    user: int,
+    true_rel: np.ndarray,
+    provider: np.ndarray,
+    probs: list[float],
+    cutoff: int,
 ) -> tuple[list[int], float]:
     """One request of an online run, by candidate slot.
 
     Ranks ``user``'s candidates with ``plan`` from the state's estimate row
     and raw gains, serves the list with sampled feedback (see ``_feedback``),
     and returns the served slots, top first, and their DCG at ``cutoff``.
-    ``true_rel`` is the user's true relevance in slot order and ``probs`` the
-    examination probabilities as floats.
+    ``true_rel`` and ``provider`` are the user's true relevance and provider
+    ids in slot order, and ``probs`` the examination probabilities as floats.
     """
-    slots = plan.rank(user, state.estimate[user], state.gains, probs)
-    ve, vb = plan.exposure_value[user], plan.purchase_value[user]
-    served, _ = _feedback(state, user, slots, slots, plan.provider[user], ve, vb, true_rel, probs)
+    slots = plan.rank(state.estimate[user], provider, state.gains, probs)
+    served, _ = _feedback(state, user, slots, slots, provider, plan.ve, plan.vb, true_rel, probs)
     return slots, discounted_sum(served, probs, cutoff)
 
 
@@ -487,16 +493,17 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     state = make_online_state(dataset, seed, cfg)
     profiles, rel = dataset.profiles, dataset.relevance
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
-    plan = PolicyPlan(policy_cfg, candidate_sets, dataset.catalog, profiles)
-    # true relevance over every user's candidate row, read once: a step takes
-    # its served items' values by candidate slot, with no table lookup
+    plan = PolicyPlan(policy_cfg, profiles)
+    # true relevance and providers over every user's candidate row, read
+    # once: a step takes them by candidate slot, with no table lookup
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
+    providers = dataset.catalog.group_of[candidate_sets]
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
-        _, dcg = online_step(plan, state, user, true_rel[user], probs, cutoff)
+        _, dcg = online_step(plan, state, user, true_rel[user], providers[user], probs, cutoff)
         ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t

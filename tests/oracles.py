@@ -6,9 +6,10 @@ and ``reference_prefilter`` are the forms the library's unfairness and
 candidate prefilter replaced: the m x m pairwise sum and a full sort.
 ``_pick`` and ``reference_fill`` are the pick-by-pick slot-greedy fill that
 the greedy-order kernels of ``PolicyPlan`` replaced: each pick rescores the
-remaining slots and breaks ties explicitly. TopK, FairCo* and EquityRank
-are scored through ``PolicyPlan.score``; PoorK and MMF*, which the plan
-ranks by provider heads, in their array form by ``_scores``.
+remaining slots and breaks ties explicitly. Both take a row's providers
+beside its relevance. TopK, FairCo* and EquityRank are scored through
+``PolicyPlan.score``; PoorK and MMF*, which the plan ranks by provider
+heads, in their array form by ``_scores``.
 ``run_online_reference`` is the online loop by item id that the slot-indexed
 ``sim.run_online`` replaced, and ``run_offline_reference`` the offline loop
 over the whole catalog, through the checked id-level functions and
@@ -35,11 +36,11 @@ from equityrank import (
     sim,
 )
 from equityrank.metrics import cndcg_update, discounted_sum, unfairness
-from equityrank.rankers import PolicyPlan
+from equityrank.rankers import OfflineField, PolicyPlan
 
 
-def _scores(plan: PolicyPlan, row: int, at: np.ndarray, r: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """``plan``'s scores of slots ``at`` of ``row``, whose relevance is ``r``.
+def _scores(plan: PolicyPlan, providers: np.ndarray, r: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """``plan``'s scores of slots whose providers are ``providers`` and relevance ``r``.
 
     PoorK and MMF* score (1 - alpha) times the min-max normalised relevance
     of the slots plus alpha at the worst-off provider's slots: the provider
@@ -47,8 +48,7 @@ def _scores(plan: PolicyPlan, row: int, at: np.ndarray, r: np.ndarray, gains: np
     infinite) to the lowest provider id. PoorK is alpha = 1.
     """
     if plan.kind not in ("PoorK", "MMFStar"):
-        return plan.score(row, at, r, gains)
-    providers = plan.provider[row, at]
+        return plan.score(r, providers, gains)
     ratios = gains / plan.targets
     worst = min(set(providers.tolist()), key=lambda g: (ratios[g], g))
     lo, hi = r.min(), r.max()
@@ -56,8 +56,8 @@ def _scores(plan: PolicyPlan, row: int, at: np.ndarray, r: np.ndarray, gains: np
     return (1.0 - plan.alpha) * norm + plan.alpha * (providers == worst)
 
 
-def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
-    """Take the best available slot of ``row`` and return it.
+def _pick(plan: PolicyPlan, provider: np.ndarray, rel: np.ndarray, avail: np.ndarray, gains: np.ndarray) -> int:
+    """Take the best available slot of a row and return it.
 
     Best is the highest score under ``plan`` (``_scores``), ties broken by
     relevance descending, then slot ascending, which is id ascending. The
@@ -65,7 +65,7 @@ def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains:
     """
     at = np.flatnonzero(avail)
     r = rel[at]
-    scores = _scores(plan, row, at, r, gains)
+    scores = _scores(plan, provider[at], r, gains)
     tied = np.flatnonzero(scores == scores.max())
     if tied.size > 1:
         tied = tied[np.argsort(-r[tied], kind="stable")]
@@ -74,16 +74,17 @@ def _pick(plan: PolicyPlan, row: int, rel: np.ndarray, avail: np.ndarray, gains:
     return best
 
 
-def reference_fill(plan, row, rel, gains, probs):
-    """A slot-greedy list of ``plan``'s ``row`` through ``_pick``: the slots,
-    top first. Before each position the remaining slots are scored and the
-    best is taken; its expected gain
-    p_k (v_e + r v_b) goes to a copy of ``gains``."""
-    groups, ve, vb = plan.provider[row], plan.exposure_value[row], plan.purchase_value[row]
+def reference_fill(plan, provider, rel, gains, probs):
+    """A slot-greedy list of ``plan`` over a row whose slots have providers
+    ``provider`` and relevance ``rel``, through ``_pick``: the slots, top
+    first. Before each position the remaining slots are scored and the best
+    is taken; its expected gain p_k (v_e + r v_b) goes to a copy of
+    ``gains``."""
     avail, gains, chosen = np.ones(rel.size, dtype=bool), gains.copy(), []
     for p_k in probs:
-        pick = _pick(plan, row, rel, avail, gains)
-        gains[groups[pick]] += p_k * (ve[pick] + rel[pick] * vb[pick])
+        pick = _pick(plan, provider, rel, avail, gains)
+        g = provider[pick]
+        gains[g] += p_k * (plan.ve[g] + rel[pick] * plan.vb[g])
         chosen.append(pick)
     return chosen
 
@@ -278,7 +279,7 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
 def run_offline_reference(dataset, policy, alpha, seed, cfg):
     """``sim.run_offline`` with every user ranking the whole catalog.
 
-    TopK and FairCo* rank every item id through a one-row plan; PoorK, MMF*
+    TopK and FairCo* rank the row of every item id with the plan; PoorK, MMF*
     and EquityRank fill each list with ``reference_fill``, and EquityRankV
     allocates level by level with ``_pick``, each pick scoring all of the
     user's unassigned items. Returns the result (wall time 0), the lists in
@@ -288,27 +289,30 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
     pm = PositionModel.logarithmic(cfg.list_size)
     user_order = np.random.default_rng(seed).permutation(rel.user_count).tolist()
     ledger = GainLedger.empty(catalog.provider_count)
-    ids = np.arange(catalog.item_count, dtype=np.int64)
+    ids, groups = np.arange(catalog.item_count, dtype=np.int64), catalog.group_of
     if policy == "EquityRankV":
-        plan = PolicyPlan(PolicyConfig("EquityRank", alpha), ids[None, :], catalog, profiles)
+        plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
         rows = [rel.relevance_of(u, ids) for u in user_order]
         avail = [np.ones(ids.size, dtype=bool) for _ in user_order]
         slots = [[] for _ in user_order]
         for p_k in pm.probs:
             for row, free, chosen in zip(rows, avail, slots):
-                item = _pick(plan, 0, row, free, ledger.raw_gains())
+                item = _pick(plan, groups, row, free, ledger.raw_gains())
                 g = int(catalog.group_of[item])
                 ledger.accrue(g, p_k, p_k * row[item], profiles[g])
                 chosen.append(item)
         ledger.step_count += len(user_order)
         lists = [RankList(tuple(chosen), u) for u, chosen in zip(user_order, slots)]
     else:
-        plan = PolicyPlan(PolicyConfig(policy, alpha), ids[None, :], catalog, profiles, slotwise=True)
+        plan = PolicyPlan(PolicyConfig(policy, alpha), profiles, slotwise=True)
         lists = []
         greedy = policy in ("PoorK", "MMFStar", "EquityRank")
         for user in user_order:
             row, gains = rel.relevance_of(user, ids), ledger.raw_gains()
-            slots = reference_fill(plan, 0, row, gains, pm.probs) if greedy else plan.rank(0, row, gains, pm.probs)
+            if greedy:
+                slots = reference_fill(plan, groups, row, gains, pm.probs)
+            else:
+                slots = plan.rank(row, groups, gains, pm.probs)
             rl = RankList(tuple(slots), user)
             apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
             lists.append(rl)
@@ -321,16 +325,23 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
 
     The lists are seen where the run makes them: EquityRankV's are what
     the allocation behind ``allocate_vertical`` returns; every other
-    policy's are what each ``PolicyPlan.rank_segment`` call returns, read
-    as the item ids of the user's segment of the field it ranked. The
-    ledger is the one the result's diagnostics are computed from.
+    policy's are what each ``PolicyPlan.rank`` call returns, read as the
+    item ids of the user's segment of the field that the run took just
+    before it. The ledger is the one the result's diagnostics are computed
+    from.
     """
-    rank, allocate, diagnostics = PolicyPlan.rank_segment, sim._allocate_vertical, sim.alignment_diagnostics
-    ranked, vertical, ledgers = [], [], []
+    rank, segment = PolicyPlan.rank, OfflineField.segment
+    allocate, diagnostics = sim._allocate_vertical, sim.alignment_diagnostics
+    segments, ranked, vertical, ledgers = [], [], [], []
 
-    def record_rank(plan, field, user, *args):
-        at = rank(plan, field, user, *args)
-        ranked.append(RankList(tuple(field.items[field.segment(user)][at].tolist()), user))
+    def record_segment(field, user):
+        segments.append((field, user))
+        return segment(field, user)
+
+    def record_rank(plan, *args, **kwargs):
+        at = rank(plan, *args, **kwargs)
+        field, user = segments.pop()
+        ranked.append(RankList(tuple(field.items[segment(field, user)][at].tolist()), user))
         return at
 
     def record_vertical(users, *args):
@@ -343,7 +354,8 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         return diagnostics(ledger, profiles)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PolicyPlan, "rank_segment", record_rank)
+        mp.setattr(OfflineField, "segment", record_segment)
+        mp.setattr(PolicyPlan, "rank", record_rank)
         mp.setattr(sim, "_allocate_vertical", record_vertical)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)

@@ -7,10 +7,12 @@ import pytest
 
 from equityrank import (
     Catalog,
+    GainLedger,
     PositionModel,
     ProviderProfile,
     RankList,
     RelevanceTable,
+    rank_poork,
 )
 
 
@@ -89,6 +91,43 @@ class TestProviderProfile:
         for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 ProviderProfile(*args)
+
+
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        (lambda: RelevanceTable(2, [(0.5, 1.7, 0.3)]), "user id 0.5"),
+        (lambda: RelevanceTable(2, [(1, 1.7, 0.3)]), "item id 1.7"),
+        (lambda: Catalog.from_assignments([0.5, 1.0, 1.2]), "provider id 0.5"),
+        (lambda: Catalog.from_assignments(np.array([0.0, 1.0, np.inf])), "provider id inf"),
+        (
+            lambda: rank_poork(
+                [0.7, 1.2, 2.9],
+                0,
+                RelevanceTable(1, []),
+                GainLedger.empty(2),
+                Catalog.from_assignments([0, 1, 0, 1]),
+                [ProviderProfile(1.0, 1.0, 1.0)] * 2,
+                PositionModel.logarithmic(2),
+            ),
+            "item id 0.7",
+        ),
+        (lambda: RankList((0.6, 1.2), 0), "item id 0.6"),
+        (lambda: RankList((1, 2), 0.5), "user id 0.5"),
+    ],
+    ids=["table-user", "table-item", "catalog", "catalog-inf", "ranker", "ranklist-item", "ranklist-user"],
+)
+def test_ids_at_the_id_level_boundary_must_be_whole_numbers(make, bad):
+    # a fractional id used to be truncated toward zero without an error
+    with pytest.raises(ValueError, match=f"{bad} .*not a whole number"):
+        make()
+
+
+def test_whole_number_ids_given_as_floats_are_taken():
+    assert RelevanceTable(2, [(1.0, 2.0, 0.3)]).get(1, 2) == 0.3
+    assert Catalog.from_assignments([0.0, 1.0, 1.0]).group_of.tolist() == [0, 1, 1]
+    rl = RankList((2.0, np.int64(0)), np.float64(1.0))
+    assert (rl.positions, rl.user) == ((2, 0), 1) and type(rl.user) is int
 
 
 class TestRankList:

@@ -158,6 +158,12 @@ class TestExpectedGain:
         got = expected_gain(1, RankList((0, 1, 2), 0), 0, cat, profile, rel, PM3)
         assert got == pytest.approx(0.5 + P3, rel=1e-12)
 
+    def test_a_user_other_than_the_lists_raises(self):
+        cat = Catalog.from_assignments([0, 1, 0])
+        rel = RelevanceTable(2, [(1, 0, 0.8)])
+        with pytest.raises(ValueError, match="user 1 does not match the list's user 0"):
+            expected_gain(0, RankList((0, 1, 2), 0), 1, cat, ProviderProfile(1, 1, 1), rel, PM3)
+
     def test_unlisted_provider_gains_nothing(self):
         cat = Catalog.from_assignments([0, 0, 0, 1])
         rel = RelevanceTable(1, [(0, 0, 1.0)])

@@ -120,8 +120,9 @@ def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     ledger.exposure_gain[:] = data.draw(st.lists(gain, min_size=catalog.provider_count, max_size=catalog.provider_count))
     pm = PositionModel.logarithmic(k)
     ids = np.sort(candidates)
-    plan = PolicyPlan(PolicyConfig(kind, alpha), ids[None, :], catalog, profiles, slotwise=True)
-    want = ids[reference_fill(plan, 0, rel.relevance_of(user, ids), ledger.raw_gains(), pm.probs)]
+    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles, slotwise=True)
+    row = rel.relevance_of(user, ids)
+    want = ids[reference_fill(plan, catalog.group_of[ids], row, ledger.raw_gains(), pm.probs)]
     if kind == "PoorK":
         got = rank_poork(candidates, user, rel, ledger, catalog, profiles, pm)
     elif kind == "MMFStar":
@@ -151,15 +152,17 @@ def test_head_picks_match_the_reference_pick(case, kind, alpha, data):
         ProviderProfile(p.exposure_value, p.purchase_value, 1e-300 if o else p.gain_target)
         for p, o in zip(dataset.profiles, overflow)
     ]
-    plan = PolicyPlan(PolicyConfig(kind, alpha), ids[None, :], catalog, profiles)
+    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles)
     field = offline_field(rel, catalog, k)
     with np.errstate(over="ignore"):
         for user in range(rel.user_count):
             row = rel.relevance_of(user, ids)
-            want = reference_fill(plan, 0, row, gains, pm.probs)
-            assert plan.rank(0, row, gains, pm.probs) == want
-            at = plan.rank_segment(field, user, gains, pm.probs)
-            assert field.items[field.segment(user)][at].tolist() == want
+            want = reference_fill(plan, catalog.group_of, row, gains, pm.probs)
+            assert plan.rank(row, catalog.group_of, gains, pm.probs) == want
+            seg = field.segment(user)
+            heads = field.by_provider[seg], field.offsets[user]
+            at = plan.rank(field.relevance[seg], field.provider[seg], gains, pm.probs, heads)
+            assert field.items[seg][at].tolist() == want
 
 
 @settings(max_examples=100, deadline=None)

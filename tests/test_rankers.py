@@ -23,7 +23,7 @@ from equityrank import (
     rank_mmf_star,
     rank_poork,
 )
-from equityrank.rankers import ALL_SLOTS, PARTITION_MIN_CANDIDATES, PolicyPlan, offline_field
+from equityrank.rankers import PARTITION_MIN_CANDIDATES, PolicyPlan, offline_field
 from oracles import reference_poork, reference_slotwise_equityrank, reference_vertical
 
 PM2 = PositionModel.logarithmic(2)
@@ -331,10 +331,10 @@ class TestDispatch:
     @pytest.mark.parametrize("slotwise", [False, True])
     @pytest.mark.parametrize("kind", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
     def test_plan_is_freed_without_the_cycle_collector(self, kind, slotwise):
-        # a run's plan holds (users x candidates) arrays; a reference cycle
-        # through the plan would keep them until the cyclic collector ran
-        catalog = Catalog.from_assignments([0, 1, 0])
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2), slotwise)
+        # a run's plan holds per-provider arrays, m of them for m providers;
+        # a reference cycle through the plan would keep them until the
+        # cyclic collector ran
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2), slotwise)
         freed = weakref.ref(plan)
         gc.disable()
         try:
@@ -345,10 +345,9 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kind", ["PoorK", "MMFStar"])
     def test_provider_head_policies_score_no_slot(self, kind):
-        catalog = Catalog.from_assignments([0, 1, 0])
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.array([[0, 1, 2]]), catalog, uniform_profiles(2))
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
         with pytest.raises(ValueError, match="picks among provider heads"):
-            plan.score(0, ALL_SLOTS, np.array([0.5, 0.2, 0.1]), np.zeros(2))
+            plan.score(np.array([0.5, 0.2, 0.1]), np.array([0, 1, 0]), np.zeros(2))
 
     @pytest.mark.parametrize("kind", ["EquityRank", "FairCoStar"])
     def test_overflowing_scores_are_rejected(self, kind):
@@ -365,24 +364,25 @@ class TestDispatch:
     def test_greedy_fills_reject_nonfinite_scores(self, kind):
         # gains near the float maximum overflow EquityRank's gradient; an
         # infinite relevance makes MMF*'s normalised relevance NaN
-        catalog = Catalog.from_assignments([0, 1, 2])
         policy = PolicyConfig(kind, 0.5 if kind == "MMFStar" else 1.0)
-        plan = PolicyPlan(policy, np.array([[0, 1, 2]]), catalog, uniform_profiles(3), slotwise=True)
+        plan = PolicyPlan(policy, uniform_profiles(3), slotwise=True)
         if kind == "EquityRank":
             rel, gains = np.array([0.5, 0.2, 0.1]), np.array([1e308, 0.0, 1e308])
         else:
             rel, gains = np.array([np.inf, 0.5, 0.2]), np.zeros(3)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="scores must be finite"):
-            plan.rank(0, rel, gains, PM2.probs)
+            plan.rank(rel, np.array([0, 1, 2]), gains, PM2.probs)
 
     @pytest.mark.parametrize("kind", ["PoorK", "MMFStar", "EquityRank"])
     def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
         # a field built for one-item lists: each provider's lowest-id zero
         catalog = Catalog.from_assignments([0, 1] * 3)
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), np.arange(6)[None, :], catalog, uniform_profiles(2), slotwise=True)
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2), slotwise=True)
         field = offline_field(RelevanceTable(1, []), catalog, 1)
+        seg = field.segment(0)
+        heads = field.by_provider[seg], field.offsets[0]
         with pytest.raises(ValueError, match="need at least 3 candidates, got 2"):
-            plan.rank_segment(field, 0, np.zeros(2), PM3.probs)
+            plan.rank(field.relevance[seg], field.provider[seg], np.zeros(2), PM3.probs, heads)
 
     def test_online_equityrank_matches_hand_ordering(self):
         # three items, two groups; gradient [2, -4] from gains [1,1], targets [2,1]

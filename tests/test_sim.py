@@ -167,6 +167,16 @@ class TestApplyFeedback:
         sigma = math.sqrt(0.25 * 0.75 / trials)
         assert abs(freq - 0.25) <= 3 * sigma
 
+    def test_a_user_other_than_the_lists_raises_and_changes_nothing(self):
+        rel = RelevanceTable(2, [(1, 0, 1.0)])
+        state = fresh_state(users=2)
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match="user 1 does not match the list's user 0"):
+            apply_feedback(RankList((0, 1, 2), 0), 1, rel, self.profiles, self.catalog, state, PM3)
+        assert state.ledger.step_count == 0
+        assert not state.exposure.any() and not state.purchases.any() and not state.ledger.group_exposure.any()
+        assert state.rng.bit_generator.state == rng_before
+
     def test_estimator_counters_accumulate_probability_mass(self):
         rel = RelevanceTable(1, [])
         state = fresh_state()
@@ -184,6 +194,19 @@ class TestExpectedFeedback:
         ledger = GainLedger.empty(2)
         with pytest.raises(ValueError, match="positions"):
             apply_expected_feedback(RankList((0, 1, 2, 3), 0), 0, rel, profiles, catalog, ledger, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.exposure_gain.any()
+        assert not ledger.purchase_gain.any()
+        assert not ledger.group_exposure.any()
+
+    def test_a_user_other_than_the_lists_raises_and_changes_nothing(self):
+        # user 1's relevance used to accrue for a list served to user 0
+        catalog = Catalog.from_assignments([0, 1, 0])
+        profiles = [ProviderProfile(1.0, 2.0, 1.0), ProviderProfile(0.5, 1.0, 1.0)]
+        rel = RelevanceTable(2, [(1, 0, 0.9), (1, 1, 0.4)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="user 1 does not match the list's user 0"):
+            apply_expected_feedback(RankList((0, 1), 0), 1, rel, profiles, catalog, ledger, PM3)
         assert ledger.step_count == 0
         assert not ledger.exposure_gain.any()
         assert not ledger.purchase_gain.any()
