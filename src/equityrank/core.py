@@ -38,6 +38,13 @@ def _whole_ids(ids, what: str) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
+def _whole_id(value, what: str) -> int:
+    """``value`` as an int; ValueError, worded as ``_whole_ids``', unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} {float(value):g} is not a whole number")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Catalog:
     """A partition of items into provider groups.
@@ -158,8 +165,8 @@ class RankList:
     user: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(_whole_ids(self.positions, "item id").tolist()))
-        object.__setattr__(self, "user", int(_whole_ids(self.user, "user id")))
+        object.__setattr__(self, "positions", tuple(_whole_id(i, "item id") for i in self.positions))
+        object.__setattr__(self, "user", _whole_id(self.user, "user id"))
         if len(self.positions) == 0:
             raise ValueError("rank list must not be empty")
         if len(set(self.positions)) != len(self.positions):

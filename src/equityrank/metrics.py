@@ -73,8 +73,9 @@ class GainLedger:
         """Add one served position's gains to provider ``g``; return its raw gain.
 
         The position pays p_k * v_e of exposure gain, ``bought`` * v_b of
-        purchase gain (``bought`` is the expected purchases p_k * relevance)
-        and p_k of examination mass; a list accrues its positions top first.
+        purchase gain and p_k of examination mass; a list accrues its
+        positions top first. ``bought`` is the expected purchases p_k *
+        relevance, or the sampled 0 or 1 (0 keeps the purchase gain's bits).
         The caller counts the served list in ``step_count``.
         """
         paid = self.exposure_gain.item(g) + p_k * profile.exposure_value

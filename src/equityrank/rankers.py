@@ -22,10 +22,11 @@ descending, then id ascending), the first of equal scores. TopK, FairCo*
 and online EquityRank score every entry once and take the top K by score
 and relevance, then position, the same items in either order. The rest work
 in greedy order, where a segment is and a row gets by one stable sort.
-Offline EquityRank and EquityRankV score every entry at each slot, check
-the scores are finite, take ``argmax``'s first maximum among the entries
-left and add its expected gain p_k (v_e + r v_b) to the gains. PoorK and
-MMF* pick among provider heads: MMF*'s score
+Offline EquityRank and EquityRankV share one fill: at each level each list
+takes ``argmax``'s first maximum of its finite scores among the entries left
+and pays p_k (v_e + r v_b) to its provider, in a gains copy for EquityRank's
+one list, in the ledger for EquityRankV's segments. PoorK and MMF* pick
+among provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
 greedy order it does not increase within the worst-off provider's entries
@@ -51,7 +52,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _whole_ids, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
+from .core import _whole_id, _whole_ids
 from .metrics import GainLedger
 
 __all__ = [
@@ -163,14 +165,14 @@ def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarra
 class PolicyPlan:
     """One ranking policy resolved once (see the module docstring).
 
-    It holds the policy, every provider's v_e, v_b and y (``ve``, ``vb``,
-    ``targets``), the gradient's constants and the scorer. Entries come as
+    It holds the policy, its ``profiles``, every provider's v_e, v_b and y
+    (``ve``, ``vb``, ``targets``) and the gradient's constants. Entries come as
     relevance ``rel`` and provider ids ``provider``: a candidate row in slot
     order, or a segment in greedy order with ``heads``, its ``(by_provider,
     offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
     their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
-    probs, heads)`` one list's positions among them, top first; neither
-    writes an argument. With ``slotwise`` (offline) EquityRank fills greedily.
+    probs, heads)`` one list's positions among them, top first; its picks pay
+    a gains copy. With ``slotwise`` (offline) EquityRank fills greedily.
     """
 
     def __init__(self, policy: PolicyConfig, profiles: Sequence[ProviderProfile], slotwise: bool = False) -> None:
@@ -185,31 +187,31 @@ class PolicyPlan:
             raise ValueError("pairwise unfairness needs at least two providers")
         # PoorK is MMF*'s score at alpha = 1
         self.kind, self.alpha = kind, 1.0 if kind == "PoorK" else alpha
-        self.ve, self.vb, self.targets = ve, vb, y
+        self.profiles, self.ve, self.vb, self.targets = tuple(profiles), ve, vb, y
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
-        # a plain function, not a bound method: a bound method kept on the
-        # plan is a reference cycle, which would hold the plan's arrays until
-        # the cyclic garbage collector ran. PoorK and MMF* have none.
-        scorers = {"TopK": PolicyPlan._relevance, "FairCoStar": PolicyPlan._fairco, "EquityRank": PolicyPlan._equity}
-        self._score_fn = scorers.get(kind)
         self._greedy = kind == "EquityRank" and slotwise
-        self._weighted = self._greedy or (kind == "EquityRank" and alpha != 0.0)  # greedy fills accrue by weight
 
     def score(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray) -> np.ndarray:
         """The scores of the entries with relevance ``rel`` and providers ``provider``."""
-        if self._score_fn is None:
+        if self.kind == "FairCoStar":
+            # a provider lagging the best-served one by gain-to-target ratio gets
+            # alpha times the shortfall, clipped at zero: no item scores below its relevance
+            ratios = gains / self.targets
+            return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[provider])
+        if self.kind in ("PoorK", "MMFStar"):
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
-        target, weight = self._columns(rel, provider)
-        return self._score_fn(self, provider, target, rel, weight, gains)
+        if self.kind == "TopK" or self.alpha == 0.0:
+            return rel
+        return self._equity(rel, provider, self.targets[provider], rel * self.vb[provider] + self.ve[provider], gains)
 
     def rank(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs, heads=None) -> list[int]:
         """One list's positions among the entries, top first (see the class docstring)."""
         k = len(probs)
         if rel.size < k:
             raise ValueError(f"need at least {k} candidates, got {rel.size}")
-        if self._score_fn is not None and not self._greedy:
+        if not self._greedy and self.kind not in ("PoorK", "MMFStar"):
             # (score desc, relevance desc, position asc) picks the same
             # entries from a row in slot order and from a segment in greedy
             # order: both put equal relevance in id order
@@ -219,9 +221,11 @@ class PolicyPlan:
             order = np.argsort(-rel, kind="stable")
             rel, provider = rel[order], provider[order]
             return order[self.rank(rel, provider, gains, probs, _provider_heads(provider, self.targets.size))].tolist()
+        gains = gains.copy()
+        pay = lambda g, p_k, r, w: gains.item(g) + p_k * w  # noqa: E731
         if self._greedy:
-            return self._fill(provider, rel, gains, probs)
-        return self._pick_heads(rel, provider, *heads, gains, probs)
+            return self._fill([(rel, provider)], gains, probs, pay)[0]
+        return self._pick_heads(rel, provider, *heads, gains, probs, pay)
 
     def _finite(self, scores: np.ndarray) -> np.ndarray:
         # x * 0 is zero for every finite x and NaN otherwise: one dot product
@@ -232,26 +236,10 @@ class PolicyPlan:
             raise ValueError("scores must be finite")
         return scores
 
-    def _columns(self, rel: np.ndarray, p: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The gain targets and item weights v_e + r v_b of entries with providers ``p``, where read."""
-        return (self.targets[p], rel * self.vb[p] + self.ve[p]) if self._weighted else (None, None)
-
-    def _relevance(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
-        return rel
-
-    def _fairco(self, provider: np.ndarray, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
-        # a provider lagging behind the best-served one, by gain-to-target
-        # ratio, gets alpha times the shortfall, clipped at zero so that no
-        # item scores below its own relevance
-        ratios = gains / self.targets
-        return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[provider])
-
-    def _equity(self, provider: np.ndarray, target, rel: np.ndarray, weight, gains: np.ndarray) -> np.ndarray:
+    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray) -> np.ndarray:
         # rel + alpha b w with the item weight w = v_e + rel v_b and the
         # fairness gradient b = scale (y G.y - G |y|^2) at the scored providers:
         # metrics.fairness_gradient's elementwise operations, so its bits
-        if self.alpha == 0.0:
-            return rel
         b = target * gains.dot(self.targets)
         b -= gains[provider] * self._target_sq
         b *= self._scale
@@ -260,29 +248,28 @@ class PolicyPlan:
         b += rel
         return b
 
-    def _best(self, provider, target, rel: np.ndarray, weight, gains: np.ndarray, placed: np.ndarray) -> int:
-        """The first maximum of the finite scores where ``placed`` is 0; it becomes -inf there."""
-        scores = self._finite(self._score_fn(self, provider, target, rel, weight, gains))
-        best = int((scores + placed).argmax())
-        placed[best] = -np.inf
-        return best
-
-    def _fill(self, provider: np.ndarray, rel: np.ndarray, gains: np.ndarray, probs) -> list[int]:
-        # each pick adds p_k (v_e + r v_b) to a gains copy
-        target, weight = self._columns(rel, provider)
-        gains, placed, chosen = gains.copy(), np.zeros(rel.size), []
+    def _fill(self, lists, gains: np.ndarray, probs, pay) -> list[list[int]]:
+        """EquityRank's fill of ``lists`` of (rel, provider), level by level: each list takes
+        the first maximum of its finite scores among its entries left and sets ``gains[g] =
+        pay(g, p_k, r, v_e + r v_b)`` for its provider g. Returns their positions, top first."""
+        fills = [(r, p, self.targets[p], r * self.vb[p] + self.ve[p], np.zeros(r.size), []) for r, p in lists]
         for p_k in probs:
-            chosen.append(self._best(provider, target, rel, weight, gains, placed))
-            gains[provider[chosen[-1]]] += p_k * weight[chosen[-1]]
-        return chosen
+            for rel, provider, target, weight, placed, chosen in fills:
+                scores = rel if self.alpha == 0.0 else self._equity(rel, provider, target, weight, gains)
+                best = int((self._finite(scores) + placed).argmax())
+                placed[best] = -np.inf
+                g = provider.item(best)
+                gains[g] = pay(g, p_k, rel.item(best), weight.item(best))
+                chosen.append(best)
+        return [chosen for *_, chosen in fills]
 
-    def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs) -> list[int]:
+    def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs, pay) -> list[int]:
         """PoorK's or MMF*'s list in greedy order: A or W at each pick (module
-        docstring), whose p_k (v_e + r v_b) goes to a gains copy."""
+        docstring), which sets ``gains[g] = pay(g, p_k, r, v_e + r v_b)`` as in ``_fill``."""
         # the worst-off provider: the lowest ratio among live providers, ties to the lowest id;
         # argmin meets a dead one first only when every live ratio overflows to +inf
         ratio = np.where(offsets[1:] > offsets[:-1], gains / self.targets, np.inf)
-        head, end, gains, chosen = offsets[:-1].tolist(), offsets[1:].tolist(), gains.copy(), []
+        head, end, chosen = offsets[:-1].tolist(), offsets[1:].tolist(), []
         top, bottom, highest, lowest, alpha = 0, rel.size - 1, rel.item(0), rel.item(-1), self.alpha
         for p_k in probs:
             while top in chosen:
@@ -302,9 +289,9 @@ class PolicyPlan:
                 score_a, score_w = (1.0 - alpha) * (span / span), (1.0 - alpha) * ((rel.item(w) - lo) / span) + alpha
             if pick != w and score_a < score_w:
                 pick = w
-            g = provider.item(pick)
+            g, r = provider.item(pick), rel.item(pick)
             head[g] += 1
-            gains[g] = paid = gains.item(g) + p_k * (rel.item(pick) * self.vb.item(g) + self.ve.item(g))
+            gains[g] = paid = pay(g, p_k, r, r * self.vb.item(g) + self.ve.item(g))
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
@@ -522,31 +509,24 @@ def allocate_vertical(
     """
     if catalog.item_count < pm.list_size:
         raise ValueError(f"need at least {pm.list_size} items, got {catalog.item_count}")
+    users = [_whole_id(u, "user id") for u in users]
     for u in users:
-        if not (float(u).is_integer() and 0 <= u < rel.user_count):
-            raise ValueError(f"user id {u} out of range or not a whole number")
-    if len(set(map(int, users))) != len(users):
+        if not 0 <= u < rel.user_count:
+            raise ValueError(f"user id {u} out of range")
+    if len(set(users)) != len(users):
         raise ValueError("users must be distinct ids")
     field = offline_field(rel, catalog, pm.list_size)
-    users = [int(u) for u in users]
     lists, _ = _allocate_vertical(users, ledger, profiles, alpha, pm, field)
     return [RankList(tuple(items.tolist()), u) for u, items in zip(users, lists)]
 
 
 def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
-    """Each user's items, top first, and their relevance, from their segments of ``field``."""
+    """Each user's items, top first, and their relevance: one fill over their segments of ``field``."""
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
-    fills = []
-    for u in users:
-        seg = field.segment(u)
-        r, p = field.relevance[seg], field.provider[seg]
-        fills.append((seg, p, *plan._columns(r, p), r, np.zeros(r.size), []))
-    gains = ledger.raw_gains()
-    for p_k in pm.probs.tolist():
-        for _, p, target, weight, r, placed, chosen in fills:
-            i = plan._best(p, target, r, weight, gains, placed)
-            g = p.item(i)
-            gains[g] = ledger.accrue(g, p_k, p_k * r.item(i), profiles[g])
-            chosen.append(i)
+    segments = [field.segment(u) for u in users]
+    lists = [(field.relevance[seg], field.provider[seg]) for seg in segments]
+    pay = lambda g, p_k, r, w: ledger.accrue(g, p_k, p_k * r, profiles[g])  # noqa: E731
+    chosen = plan._fill(lists, ledger.raw_gains(), pm.probs.tolist(), pay)
     ledger.step_count += len(users)
-    return [field.items[seg][chosen] for seg, *_, chosen in fills], [r[chosen].tolist() for *_, r, _, chosen in fills]
+    items = [field.items[seg][at] for seg, at in zip(segments, chosen)]
+    return items, [r[at].tolist() for (r, _), at in zip(lists, chosen)]

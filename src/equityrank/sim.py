@@ -191,19 +191,17 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     return float(state.relevance_of(user, [item])[0])
 
 
-def _feedback(state: OnlineState, user: int, slots, at, provider, ve, vb, relevance, probs):
+def _feedback(state: OnlineState, user: int, slots, at, provider, profiles, relevance, probs):
     """The feedback stage of one served list, given by candidate slot.
 
     Position k serves slot ``slots[k]``; its provider g and true relevance r
-    are entry ``at[k]`` of ``provider`` and ``relevance``, and g's v_e and
-    v_b entry g of ``ve`` and ``vb``. It pays p_k v_e of exposure gain and
-    p_k of examination mass, and with probability p_k r (one uniform draw) a
-    purchase worth v_b; the slot's counters, the kept gains and the estimate
+    are entry ``at[k]`` of ``provider`` and ``relevance``. It is bought with
+    probability p_k r (one uniform draw) and pays g by ``GainLedger.accrue``,
+    0 or 1 bought; the slot's counters, the kept gains and the estimate
     follow, top position first. Returns the served relevances and purchases.
     """
     draws = state.rng.random(len(slots)).tolist()
-    ledger, gains = state.ledger, state.gains
-    exposure_gain, purchase_gain, group_exposure = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
+    accrue, gains = state.ledger.accrue, state.gains
     exposure, purchases, estimate = state.exposure[user], state.purchases[user], state.estimate[user]
     served, bought = [], []
     # a few positions per list: scalar updates in position order beat
@@ -212,24 +210,17 @@ def _feedback(state: OnlineState, user: int, slots, at, provider, ve, vb, releva
     # same IEEE operations as numpy's, without numpy's per-scalar overhead.
     for slot, i, p_k, draw in zip(slots, at, probs, draws):
         g, r = provider.item(i), relevance.item(i)
-        paid = exposure_gain.item(g) + p_k * ve.item(g)
-        exposure_gain[g] = paid
-        sold, count = purchase_gain.item(g), purchases.item(slot)
         hit = draw < p_k * r
+        gains[g] = accrue(g, p_k, 1.0 if hit else 0.0, profiles[g])
+        count = purchases.item(slot) + hit
         if hit:
-            sold += vb.item(g)
-            purchase_gain[g] = sold
-            count += 1
             purchases[slot] = count
-        seen = exposure.item(slot) + p_k
-        exposure[slot] = seen
-        group_exposure[g] = group_exposure.item(g) + p_k
-        gains[g] = paid + sold
+        exposure[slot] = seen = exposure.item(slot) + p_k
         ratio = count / seen
         estimate[slot] = 1.0 if ratio > 1.0 else ratio
         served.append(r)
         bought.append(hit)
-    ledger.step_count += 1
+    state.ledger.step_count += 1
     return served, bought
 
 
@@ -250,10 +241,10 @@ def apply_feedback(
     the provider's exposure value); purchases are Bernoulli draws with
     probability p_k * relevance, paying the provider's purchase value, and
     the estimator's counters grow at the served items' candidate slots. An
-    item not among the user's candidates or a ``user`` not the list's raises
-    ValueError before any write. ``relevance``, the served items' true
-    relevance by position, saves a caller that has it a read. Returns the
-    per-position purchase outcomes.
+    item not among the user's candidates, a ``user`` not the list's or a
+    relevance outside [0, 1] raises ValueError before any write.
+    ``relevance``, the served items' true relevance by position, saves a
+    caller that has it a read. Returns the per-position purchase outcomes.
     """
     items = ranklist.items_for(user)
     user = int(user)
@@ -264,11 +255,12 @@ def apply_feedback(
         relevance = rel.relevance_of(user, items)
     elif len(relevance) != len(items):
         raise ValueError(f"got {len(relevance)} relevances for {len(items)} served items")
+    relevance = np.asarray(relevance, dtype=np.float64)
+    bad = relevance[~((relevance >= 0.0) & (relevance <= 1.0))]
+    if bad.size:
+        raise ValueError(f"relevance {float(bad[0])} outside [0, 1]")
     groups = catalog.group_of[list(items)]
-    ve, vb = np.zeros(len(profiles)), np.zeros(len(profiles))  # read at the served providers only
-    ve[groups], vb[groups] = provider_arrays([profiles[g] for g in groups])[:2]
-    at = range(len(items))
-    _, bought = _feedback(state, user, slots, at, groups, ve, vb, np.asarray(relevance), pm.probs.tolist())
+    _, bought = _feedback(state, user, slots, range(len(items)), groups, profiles, relevance, pm.probs.tolist())
     return np.array(bought, dtype=bool)
 
 
@@ -470,7 +462,7 @@ def online_step(
     ids in slot order, and ``probs`` the examination probabilities as floats.
     """
     slots = plan.rank(state.estimate[user], provider, state.gains, probs)
-    served, _ = _feedback(state, user, slots, slots, provider, plan.ve, plan.vb, true_rel, probs)
+    served, _ = _feedback(state, user, slots, slots, provider, plan.profiles, true_rel, probs)
     return slots, discounted_sum(served, probs, cutoff)
 
 

@@ -438,6 +438,23 @@ class TestGainLedger:
         np.testing.assert_allclose(ledger.group_exposure, [0.5, 1.25], rtol=1e-15)
         assert ledger.step_count == 0
 
+    @pytest.mark.parametrize(
+        "p_k, vb, prior",
+        [(1.0, 7.3, 0.0), (1.0, 0.0, 0.0), (P3, 0.1, 0.1 + 0.2), (0.5, 1e-300, 0.7), (PM5.probs[4], 3.3, 1e16)],
+    )
+    def test_a_sampled_purchase_adds_exactly_the_purchase_value(self, p_k, vb, prior):
+        # online feedback pays 0 or 1 bought: 0 must keep the purchase gain's
+        # bytes and 1 add v_b with no other rounding
+        profile = ProviderProfile(1.5, vb, 1.0)
+        ledger = GainLedger.empty(2)
+        ledger.purchase_gain[1] = prior
+        before = ledger.purchase_gain.tobytes()
+        ledger.accrue(1, p_k, 0.0, profile)
+        assert ledger.purchase_gain.tobytes() == before
+        ledger.accrue(1, p_k, 1.0, profile)
+        assert ledger.purchase_gain.item(1) == prior + vb
+        assert ledger.purchase_gain.item(0) == 0.0
+
 
 def test_csv_row_is_deterministic_values_then_wall_ms():
     result = RunResult("offline", "EquityRank", 1e-3, 4, 0.75, 0.1, math.nan, 0.5, 0.0125)

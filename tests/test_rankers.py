@@ -373,6 +373,12 @@ class TestDispatch:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="scores must be finite"):
             plan.rank(rel, np.array([0, 1, 2]), gains, PM2.probs)
 
+    def test_greedy_fill_checks_the_scores_at_alpha_zero(self):
+        # at alpha 0 EquityRank's scores are the relevances, still checked at every pick
+        plan = PolicyPlan(PolicyConfig("EquityRank", 0.0), uniform_profiles(3), slotwise=True)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            plan.rank(np.array([0.5, np.nan, 0.1]), np.array([0, 1, 2]), np.zeros(3), PM2.probs)
+
     @pytest.mark.parametrize("kind", ["PoorK", "MMFStar", "EquityRank"])
     def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
         # a field built for one-item lists: each provider's lowest-id zero

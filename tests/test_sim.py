@@ -177,6 +177,22 @@ class TestApplyFeedback:
         assert not state.exposure.any() and not state.purchases.any() and not state.ledger.group_exposure.any()
         assert state.rng.bit_generator.state == rng_before
 
+    @pytest.mark.parametrize("relevance", [[math.nan, 0.5, 0.2], [2.5, 0.5, 0.2], [0.3, -1.0, 0.2]])
+    def test_relevance_outside_the_unit_interval_raises_and_changes_nothing(self, relevance):
+        rel = RelevanceTable(1, [])
+        state = fresh_state()
+        rng_before = state.rng.bit_generator.state
+        bad = next(r for r in relevance if not 0.0 <= r <= 1.0)
+        with pytest.raises(ValueError, match=f"relevance {bad} outside \\[0, 1\\]"):
+            apply_feedback(
+                RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3, relevance=np.array(relevance)
+            )
+        assert state.ledger.step_count == 0
+        assert not state.ledger.exposure_gain.any() and not state.ledger.purchase_gain.any()
+        assert not state.ledger.group_exposure.any() and not state.gains.any()
+        assert not state.exposure.any() and not state.purchases.any() and (state.estimate == 1.0).all()
+        assert state.rng.bit_generator.state == rng_before
+
     def test_estimator_counters_accumulate_probability_mass(self):
         rel = RelevanceTable(1, [])
         state = fresh_state()
