@@ -22,11 +22,12 @@ from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .metrics import RESULT_FIELDS, RunResult, format_float, tradeoff_envelope
+from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
 from .sim import SimConfig, run_offline, run_online
-from .synth import Dataset, GeneratorSpec, ScenarioSpec, _read_rows, generate_dataset, load_dataset, save_dataset
+from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
+from .synth import _read_rows, _write_rows
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
@@ -43,6 +44,17 @@ __all__ = [
 DEFAULT_ALPHA_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DETERMINISTIC_FIELDS = RESULT_FIELDS[:-1]  # wall_ms lives in timings.csv
+TIMINGS_HEADER = ("policy", "alpha", "seed", "wall_ms")
+FAILURES_HEADER = ("policy", "alpha", "seed", "error")
+SERIES_HEADER = ("step", "cndcg", "unfairness")
+ENVELOPE_HEADER = ("threshold", "effectiveness")
+# after mode, policy and alpha, the columns are keys of _group_stats
+SUMMARY_HEADER = tuple(
+    "mode,policy,alpha,runs,effectiveness_mean,effectiveness_std,unfairness_mean,unfairness_std,msd_mean,pearson_mean"
+    .split(",")
+)
+MIN_UNFAIRNESS_HEADER = ("policy", "alpha", "unfairness_mean", "unfairness_std", "effectiveness_mean", "wall_ms_mean")
+ALIGNMENT_HEADER = ("policy", "alpha", "msd_mean", "pearson_mean")
 
 
 @dataclass(frozen=True)
@@ -236,16 +248,6 @@ def _pool_run(spec: tuple[str, float, int]):
         return ("err", f"{type(exc).__name__}: {exc}", None)
 
 
-def _series_filename(policy: str, alpha: float, seed: int) -> str:
-    return f"{policy}_a{alpha!r}_s{seed}.csv"
-
-
-def _write_series(path: Path, checkpoints: list[tuple[int, float, float]]) -> None:
-    lines = ["step,cndcg,unfairness"]
-    lines += [f"{t},{format_float(c)},{format_float(u)}" for t, c, u in checkpoints]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def cmd_sweep(plan: ExperimentPlan) -> Path:
     """Execute every (policy, alpha, seed) run of the plan and write outputs."""
     dataset = _plan_dataset(plan)
@@ -274,33 +276,29 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
     results: list[RunResult] = []
     failures: list[tuple[str, float, int, str]] = []
     series_dir = out / "series"
-    for (policy, alpha, seed), outcome in zip(specs, outcomes):
-        status, payload, checkpoints = outcome
+    for (policy, alpha, seed), (status, payload, checkpoints) in zip(specs, outcomes):
         if status == "ok":
             results.append(payload)
             if checkpoints:
                 series_dir.mkdir(exist_ok=True)
-                _write_series(series_dir / _series_filename(policy, alpha, seed), checkpoints)
+                _write_rows(series_dir / f"{policy}_a{alpha!r}_s{seed}.csv", SERIES_HEADER, checkpoints)
         else:
             failures.append((policy, alpha, seed, payload))
 
-    _write_results(out, results)
-    _write_summary_and_envelopes(out, results)
+    _write_rows(out / "results.csv", DETERMINISTIC_FIELDS, (r.deterministic_values() for r in results))
+    timings = ((r.policy, r.alpha, r.seed, r.wall_time * 1000.0) for r in results)
+    _write_rows(out / "timings.csv", TIMINGS_HEADER, timings)
+    stats = _group_stats(results)
+    summary = (
+        (s["mode"], policy, alpha, *(s[key] for key in SUMMARY_HEADER[3:]))
+        for (policy, alpha), s in sorted(stats.items())
+    )
+    _write_rows(out / "summary.csv", SUMMARY_HEADER, summary)
+    for policy, envelope in _envelopes(stats).items():
+        _write_rows(out / f"envelope_{policy}.csv", ENVELOPE_HEADER, envelope)
     if failures:
-        lines = ["policy,alpha,seed,error"]
-        lines += [f"{p},{format_float(a)},{s},{json.dumps(msg)}" for p, a, s, msg in failures]
-        (out / "failures.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_rows(out / "failures.csv", FAILURES_HEADER, failures)
     return out
-
-
-def _write_results(out: Path, results: list[RunResult]) -> None:
-    rows = [",".join(DETERMINISTIC_FIELDS)]
-    timing_rows = ["policy,alpha,seed,wall_ms"]
-    for r in results:
-        rows.append(",".join(r.deterministic_values()))
-        timing_rows.append(f"{r.policy},{format_float(r.alpha)},{r.seed},{format_float(r.wall_time * 1000.0)}")
-    (out / "results.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    (out / "timings.csv").write_text("\n".join(timing_rows) + "\n", encoding="utf-8")
 
 
 def _group_stats(results: list[RunResult]) -> dict[tuple[str, float], dict[str, float]]:
@@ -340,27 +338,6 @@ def _envelopes(stats: dict[tuple[str, float], dict[str, float]]) -> dict[str, li
     return envelopes
 
 
-def _write_summary_and_envelopes(out: Path, results: list[RunResult]) -> None:
-    stats = _group_stats(results)
-    lines = [
-        "mode,policy,alpha,runs,effectiveness_mean,effectiveness_std,"
-        "unfairness_mean,unfairness_std,msd_mean,pearson_mean"
-    ]
-    for (policy, alpha), s in sorted(stats.items()):
-        lines.append(
-            f"{s['mode']},{policy},{format_float(alpha)},{s['runs']},"
-            f"{format_float(s['effectiveness_mean'])},{format_float(s['effectiveness_std'])},"
-            f"{format_float(s['unfairness_mean'])},{format_float(s['unfairness_std'])},"
-            f"{format_float(s['msd_mean'])},{format_float(s['pearson_mean'])}"
-        )
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    for policy, envelope in _envelopes(stats).items():
-        rows = ["threshold,effectiveness"]
-        rows += [f"{format_float(u)},{format_float(e)}" for u, e in envelope]
-        (out / f"envelope_{policy}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -391,9 +368,9 @@ def cmd_run(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "result.csv").write_text(RunResult.csv_header() + "\n" + result.csv_row() + "\n", encoding="utf-8")
+        _write_rows(out / "result.csv", RESULT_FIELDS, [(*result.deterministic_values(), result.wall_time * 1000.0)])
         if checkpoints:
-            _write_series(out / "series.csv", checkpoints)
+            _write_rows(out / "series.csv", SERIES_HEADER, checkpoints)
     return result
 
 
@@ -403,14 +380,14 @@ def cmd_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Pa
     out = Path(out_dir) if out_dir is not None else results_dir
     out.mkdir(parents=True, exist_ok=True)
     results = []
-    for _, (mode, policy, alpha, seed, *values) in _read_rows(results_dir / "results.csv", list(DETERMINISTIC_FIELDS)):
+    for _, (mode, policy, alpha, seed, *values) in _read_rows(results_dir / "results.csv", DETERMINISTIC_FIELDS):
         results.append(RunResult(mode, policy, float(alpha), int(seed), *map(float, values), wall_time=0.0))
     if not results:
         raise ValueError(f"no runs recorded in {results_dir / 'results.csv'}")
     timings: dict[tuple[str, float], list[float]] = {}
     timings_path = results_dir / "timings.csv"
     if timings_path.is_file():
-        for _, (policy, alpha, _seed, wall_ms) in _read_rows(timings_path, ["policy", "alpha", "seed", "wall_ms"]):
+        for _, (policy, alpha, _seed, wall_ms) in _read_rows(timings_path, TIMINGS_HEADER):
             timings.setdefault((policy, float(alpha)), []).append(float(wall_ms))
 
     stats = _group_stats(results)
@@ -423,23 +400,14 @@ def cmd_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Pa
         alpha_star, s_star = min(candidates, key=lambda kv: (kv[1]["unfairness_mean"], kv[0]))
         best[policy] = (alpha_star, s_star)
 
-    lines = ["policy,alpha,unfairness_mean,unfairness_std,effectiveness_mean,wall_ms_mean"]
-    for policy in sorted(best, key=lambda p: best[p][1]["unfairness_mean"]):
-        alpha_star, s = best[policy]
+    rows = []
+    for policy, (alpha_star, s) in sorted(best.items(), key=lambda kv: kv[1][1]["unfairness_mean"]):
         wall = timings.get((policy, alpha_star))
         wall_mean = sum(wall) / len(wall) if wall else math.nan
-        lines.append(
-            f"{policy},{format_float(alpha_star)},{format_float(s['unfairness_mean'])},"
-            f"{format_float(s['unfairness_std'])},{format_float(s['effectiveness_mean'])},"
-            f"{format_float(wall_mean)}"
-        )
-    (out / "report_min_unfairness.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["policy,alpha,msd_mean,pearson_mean"]
-    for policy in policies:
-        alpha_star, s = best[policy]
-        lines.append(f"{policy},{format_float(alpha_star)},{format_float(s['msd_mean'])},{format_float(s['pearson_mean'])}")
-    (out / "report_alignment.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((policy, alpha_star, s["unfairness_mean"], s["unfairness_std"], s["effectiveness_mean"], wall_mean))
+    _write_rows(out / "report_min_unfairness.csv", MIN_UNFAIRNESS_HEADER, rows)
+    alignment = ((policy, alpha, s["msd_mean"], s["pearson_mean"]) for policy, (alpha, s) in best.items())
+    _write_rows(out / "report_alignment.csv", ALIGNMENT_HEADER, alignment)
 
     write_tradeoff_svg(out / "tradeoff.svg", _envelopes(stats))
     return out
@@ -502,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sim = _config_fields(args).get("sim", SimConfig())
             dataset = load_dataset(args.dataset)
             result = cmd_run(dataset, args.policy, args.alpha, args.seed, sim, args.out)
-            print(RunResult.csv_header())
+            print(",".join(RESULT_FIELDS))
             print(result.csv_row())
         elif args.command == "sweep":
             plan = resolve_plan(args)

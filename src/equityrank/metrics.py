@@ -326,9 +326,7 @@ RESULT_FIELDS = ("mode", "policy", "alpha", "seed", "effectiveness", "unfairness
 
 
 def format_float(x: float) -> str:
-    """Serialize a float with 17 significant digits (exact round trip)."""
-    if math.isnan(x):
-        return "nan"
+    """Serialize a float with 17 significant digits (exact round trip; NaN is ``nan``)."""
     return format(x, ".17g")
 
 
@@ -364,7 +362,3 @@ class RunResult:
 
     def csv_row(self) -> str:
         return ",".join((*self.deterministic_values(), format_float(self.wall_time * 1000.0)))
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(RESULT_FIELDS)

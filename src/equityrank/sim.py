@@ -241,8 +241,9 @@ def apply_feedback(
     the provider's exposure value); purchases are Bernoulli draws with
     probability p_k * relevance, paying the provider's purchase value, and
     the estimator's counters grow at the served items' candidate slots. An
-    item not among the user's candidates, a ``user`` not the list's or a
-    relevance outside [0, 1] raises ValueError before any write.
+    item not among the user's candidates or beyond the catalog, a ``user``
+    not the list's or a relevance outside [0, 1] raises ValueError before
+    any write.
     ``relevance``, the served items' true relevance by position, saves a
     caller that has it a read. Returns the per-position purchase outcomes.
     """
@@ -251,6 +252,8 @@ def apply_feedback(
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
     slots = state.slots(user, items)
+    if max(items, default=0) >= catalog.item_count:
+        raise ValueError(f"item id {max(items)} out of range")
     if relevance is None:
         relevance = rel.relevance_of(user, items)
     elif len(relevance) != len(items):

@@ -14,9 +14,13 @@ Datasets round-trip through a three-file CSV directory::
     relevance.csv   user_id,item_id,relevance
 
 External ids may be arbitrary strings; they are mapped to dense 0-based ids
-in file order and kept in a side lookup for reporting. Floats are written
-with 17 significant digits so save -> load reproduces every value bit for
-bit.
+in file order and kept in a side lookup for reporting.
+
+Every table the package writes or reads, these three and the CLI's sweep,
+run and report tables, goes through ``_write_rows`` and ``_read_rows``: UTF-8
+CSV, fields quoted only where needed, floats written by
+``metrics.format_float`` with 17 significant digits so save -> load
+reproduces every value bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from .core import Catalog, ProviderProfile, RelevanceTable
@@ -237,53 +244,63 @@ def generate_dataset(spec: GeneratorSpec, scenario: ScenarioSpec) -> Dataset:
 CATALOG_FILE = "catalog.csv"
 PROVIDERS_FILE = "providers.csv"
 RELEVANCE_FILE = "relevance.csv"
+CATALOG_HEADER = ("item_id", "provider_id")
+PROVIDERS_HEADER = ("provider_id", "v_e", "v_b", "y")
+RELEVANCE_HEADER = ("user_id", "item_id", "relevance")
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
-    """Write the three-file CSV layout (17 significant digits for floats)."""
+    """Write the three-file CSV layout, under the dataset's labels if it has
+    them and its dense ids otherwise."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     labels = dataset.labels
-    item_label = (lambda i: labels.items[i]) if labels else str
-    provider_label = (lambda g: labels.providers[g]) if labels else str
-    user_label = (lambda u: labels.users[u]) if labels else str
+    items = labels.items if labels else range(dataset.catalog.item_count)
+    providers = labels.providers if labels else range(len(dataset.profiles))
+    groups = map(providers.__getitem__, dataset.catalog.group_of.tolist())
+    _write_rows(directory / CATALOG_FILE, CATALOG_HEADER, zip(items, groups))
+    profiles = ((g, *astuple(p)) for g, p in zip(providers, dataset.profiles))  # fields in header order
+    _write_rows(directory / PROVIDERS_FILE, PROVIDERS_HEADER, profiles)
+    entries = dataset.relevance.iter_entries()
+    if labels:
+        entries = ((labels.users[u], items[i], v) for u, i, v in entries)
+    _write_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER, entries)
 
-    with open(directory / CATALOG_FILE, "w", newline="") as fh:
+
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then each row as one CSV table; ``_read_rows``
+    reads it back.
+
+    A float is written by ``format_float`` (17 significant digits, so it
+    reads back bit for bit) and any other value by ``str``. A field is
+    quoted only where CSV needs it: a comma, a quote or a line break.
+    """
+    rows = iter(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "provider_id"])
-        for item in range(dataset.catalog.item_count):
-            writer.writerow([item_label(item), provider_label(int(dataset.catalog.group_of[item]))])
-
-    with open(directory / PROVIDERS_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["provider_id", "v_e", "v_b", "y"])
-        for g, profile in enumerate(dataset.profiles):
-            writer.writerow(
-                [
-                    provider_label(g),
-                    format_float(profile.exposure_value),
-                    format_float(profile.purchase_value),
-                    format_float(profile.gain_target),
-                ]
-            )
-
-    with open(directory / RELEVANCE_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "item_id", "relevance"])
-        for user, item, value in dataset.relevance.iter_entries():
-            writer.writerow([user_label(user), item_label(item), format_float(value)])
+        writer.writerow(header)
+        # A block of rows at a time, by column: a column without floats takes
+        # no per-value test, and a whole relevance table of rows is never alive.
+        while block := list(islice(rows, 512)):
+            writer.writerows(zip(*map(_column_text, zip(*block))))
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _column_text(column: tuple) -> Sequence:
+    if any(issubclass(kind, float) for kind in set(map(type, column))):
+        return [format_float(value) if isinstance(value, float) else str(value) for value in column]
+    return column  # the CSV writer writes a value that is not a string as str gives it
+
+
+def _read_rows(path: Path, expected_header: Sequence[str]) -> list[tuple[int, list[str]]]:
     if not path.is_file():
         raise DatasetError(f"missing file {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path.name} is empty") from None
-        if header != expected_header:
+        if header != list(expected_header):
             raise DatasetError(f"{path.name} row 1: expected header {','.join(expected_header)}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
@@ -316,26 +333,19 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
     # dataset loads back with identical ids.
     provider_ids: dict[str, int] = {}
     profile_list: list[ProviderProfile] = []
-    for lineno, (provider, ve, vb, y) in _read_rows(directory / PROVIDERS_FILE, ["provider_id", "v_e", "v_b", "y"]):
+    for lineno, (provider, *weights) in _read_rows(directory / PROVIDERS_FILE, PROVIDERS_HEADER):
         if provider in provider_ids:
             raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: duplicate provider {provider!r}")
-        values = {
-            "v_e": _parse_float(ve, PROVIDERS_FILE, lineno, "v_e"),
-            "v_b": _parse_float(vb, PROVIDERS_FILE, lineno, "v_b"),
-            "y": _parse_float(y, PROVIDERS_FILE, lineno, "y"),
-        }
-        if not all(math.isfinite(v) for v in values.values()):
-            raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: gain weights and y must be finite")
-        if values["v_e"] < 0 or values["v_b"] < 0:
-            raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: gain weights must be nonnegative")
-        if values["y"] <= 0:
-            raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: y must be strictly positive")
+        values = [_parse_float(text, PROVIDERS_FILE, lineno, name) for text, name in zip(weights, PROVIDERS_HEADER[1:])]
+        try:
+            profile_list.append(ProviderProfile(*values))
+        except ValueError as exc:
+            raise DatasetError(f"{PROVIDERS_FILE} row {lineno}: {exc}") from None
         provider_ids[provider] = len(provider_ids)
-        profile_list.append(ProviderProfile(values["v_e"], values["v_b"], values["y"]))
 
     item_ids: dict[str, int] = {}
     group_assignments: list[int] = []
-    for lineno, (item, provider) in _read_rows(directory / CATALOG_FILE, ["item_id", "provider_id"]):
+    for lineno, (item, provider) in _read_rows(directory / CATALOG_FILE, CATALOG_HEADER):
         if item in item_ids:
             raise DatasetError(f"{CATALOG_FILE} row {lineno}: duplicate item id {item!r}")
         if provider not in provider_ids:
@@ -348,7 +358,7 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
     # three column lists growing side by side fragmented the heap and cost
     # about 1.5 MiB of peak RSS over a generate-and-load loop
     flat: list[float] = []
-    for lineno, (user, item, value_text) in _read_rows(directory / RELEVANCE_FILE, ["user_id", "item_id", "relevance"]):
+    for lineno, (user, item, value_text) in _read_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER):
         if item not in item_ids:
             raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: unknown item id {item!r}")
         value = _parse_float(value_text, RELEVANCE_FILE, lineno, "relevance")

@@ -21,6 +21,7 @@ from equityrank.cli import (
     main,
     resolve_plan,
 )
+from equityrank.synth import _read_rows
 
 TINY = GeneratorSpec(n_users=30, n_items=60, n_providers=5, latent_dim=4, sparsity=0.2, seed=7)
 
@@ -151,6 +152,20 @@ class TestSweep:
         assert len(results) - 1 == 1  # only TopK succeeded
         failures = (out / "failures.csv").read_text()
         assert "EquityRankV" in failures
+
+    def test_failures_csv_reads_back_the_error_message(self, tmp_path, monkeypatch):
+        message = 'bad "x", y, ünï'
+        run = cli._execute_run
+
+        def failing_run(dataset, sim, policy, alpha, seed):
+            if policy == "EquityRank" and alpha == 0.01 and seed == 1:
+                raise ValueError(message)
+            return run(dataset, sim, policy, alpha, seed)
+
+        monkeypatch.setattr(cli, "_execute_run", failing_run)
+        out = cmd_sweep(tiny_plan(tmp_path / "failing"))
+        rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
+        assert [row for _, row in rows] == [["EquityRank", "0.01", "1", "ValueError: " + message]]
 
     def test_online_sweep_writes_series_files(self, tmp_path):
         plan = tiny_plan(

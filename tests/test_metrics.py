@@ -26,6 +26,7 @@ from equityrank import (
     tradeoff_envelope,
     unfairness,
 )
+from equityrank.metrics import format_float
 
 PM3 = PositionModel.logarithmic(3)
 PM5 = PositionModel.logarithmic(5)
@@ -462,3 +463,24 @@ def test_csv_row_is_deterministic_values_then_wall_ms():
     assert len(values) == 8
     assert result.csv_row() == ",".join(values) + ",12.5"
     assert values[2] == "0.001" and values[6] == "nan"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (math.nan, "nan"),
+        (-math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (0.1, "0.10000000000000001"),
+        (2.0 / 3.0, "0.66666666666666663"),
+        (1.5e-7, "1.4999999999999999e-07"),
+        (123456789012345678.0, "1.2345678901234568e+17"),
+    ],
+)
+def test_format_float_writes_seventeen_significant_digits(value, text):
+    assert format_float(value) == text
+    if not math.isnan(value):
+        assert float(text) == value and math.copysign(1.0, float(text)) == math.copysign(1.0, value)

@@ -193,6 +193,20 @@ class TestApplyFeedback:
         assert not state.exposure.any() and not state.purchases.any() and (state.estimate == 1.0).all()
         assert state.rng.bit_generator.state == rng_before
 
+    @pytest.mark.parametrize("relevance", [None, np.array([0.5, 0.5])])
+    def test_an_item_beyond_the_catalog_raises_and_changes_nothing(self, relevance):
+        catalog = Catalog.from_assignments([0, 0, 1, 1])
+        rel = RelevanceTable(1, [(0, 0, 0.5)])
+        state = fresh_state(candidate_sets=[np.array([0, 1, 99])])
+        rng_before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match="item id 99 out of range"):
+            apply_feedback(RankList((99, 0), 0), 0, rel, self.profiles, catalog, state, PM3, relevance=relevance)
+        assert state.ledger.step_count == 0
+        assert not state.ledger.exposure_gain.any() and not state.ledger.purchase_gain.any()
+        assert not state.ledger.group_exposure.any() and not state.gains.any()
+        assert not state.exposure.any() and not state.purchases.any() and (state.estimate == 1.0).all()
+        assert state.rng.bit_generator.state == rng_before
+
     def test_estimator_counters_accumulate_probability_mass(self):
         rel = RelevanceTable(1, [])
         state = fresh_state()

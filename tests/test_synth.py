@@ -1,9 +1,14 @@
 """Synthetic generation: scenario sampling, latent relevance, dataset I/O."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equityrank import (
+    Catalog,
     DatasetError,
     GeneratorSpec,
     ScenarioSpec,
@@ -14,6 +19,8 @@ from equityrank import (
     sample_profiles,
     save_dataset,
 )
+from equityrank.core import ProviderProfile, RelevanceTable
+from equityrank.synth import Dataset, DatasetLabels, _read_rows, _write_rows
 
 
 class TestScenarios:
@@ -166,6 +173,43 @@ class TestDatasetRoundTrip:
         for name in ("catalog.csv", "providers.csv", "relevance.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_labels_with_csv_and_non_ascii_characters_round_trip(self, tmp_path_factory, data):
+        def labels(count):
+            text = st.text(alphabet=st.sampled_from(list('ab, "\'é中ü')), min_size=1, max_size=6)
+            return tuple(data.draw(st.lists(text, min_size=count, max_size=count, unique=True)))
+
+        n_users, n_items = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6))
+        n_providers = data.draw(st.integers(1, n_items))
+        values = data.draw(st.lists(st.floats(1e-9, 1.0), min_size=n_users, max_size=n_users))
+        ds = Dataset(
+            catalog=Catalog.from_assignments([i % n_providers for i in range(n_items)], n_providers),
+            profiles=tuple(ProviderProfile(1.0 + g, 0.5, 2.0) for g in range(n_providers)),
+            relevance=RelevanceTable(n_users, [(u, u % n_items, values[u]) for u in range(n_users)]),
+            labels=DatasetLabels(users=labels(n_users), items=labels(n_items), providers=labels(n_providers)),
+        )
+        root = tmp_path_factory.mktemp("labels")
+        save_dataset(ds, root / "a")
+        loaded = load_dataset(root / "a")
+        assert loaded.labels == ds.labels
+        np.testing.assert_array_equal(loaded.catalog.group_of, ds.catalog.group_of)
+        assert loaded.profiles == ds.profiles
+        assert loaded.relevance == ds.relevance
+        save_dataset(loaded, root / "b")
+        for name in ("catalog.csv", "providers.csv", "relevance.csv"):
+            assert (root / "a" / name).read_bytes() == (root / "b" / name).read_bytes()
+
+    def test_a_table_is_written_as_csv_with_seventeen_digit_floats(self, tmp_path):
+        rows = [("x, y", 0.1, 3, 2), ('say "hi"', math.nan, -0.0, 0.5), ("ünï", 1e-7, 12, True)]
+        _write_rows(tmp_path / "t.csv", ("name", "a", "b", "c"), rows)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            'name,a,b,c\n"x, y",0.10000000000000001,3,2\n"say ""hi""",nan,-0,0.5\n'
+            "ünï,9.9999999999999995e-08,12,True\n"
+        ).encode("utf-8")
+        read = [row for _, row in _read_rows(tmp_path / "t.csv", ("name", "a", "b", "c"))]
+        assert [row[0] for row in read] == ["x, y", 'say "hi"', "ünï"]
+
     def test_generator_determinism_across_calls(self):
         spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, seed=15)
         a = generate_dataset(spec, ScenarioSpec.common())
@@ -197,6 +241,18 @@ class TestLoadErrors:
             ["u,x,0.5"],
         )
         with pytest.raises(DatasetError, match="providers.csv row 3"):
+            load_dataset(d)
+
+    @pytest.mark.parametrize(
+        "providers, message",
+        [
+            (["b,1,-2,5", "a,1,1,5"], "providers.csv row 2: gain weights must be nonnegative"),
+            (["a,1,1,5", "c,1,1,5", "b,1,1,0"], "providers.csv row 4: gain_target must be strictly positive"),
+        ],
+    )
+    def test_profile_rules_cite_the_row(self, tmp_path, providers, message):
+        d = write_dataset_dir(tmp_path, providers, ["x,a", "y,b"], ["u,x,0.5"])
+        with pytest.raises(DatasetError, match=message):
             load_dataset(d)
 
     @pytest.mark.parametrize("row", ["b,inf,1,5", "b,1,nan,5", "b,1,1,inf"])
