@@ -56,6 +56,7 @@ from .sim import (
     make_online_state,
     prefilter_candidates,
     run_offline,
+    run_offline_batch,
     run_online,
 )
 from .synth import (

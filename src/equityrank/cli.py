@@ -25,7 +25,7 @@ import numpy as np
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
-from .sim import SimConfig, run_offline, run_online
+from .sim import LOCKSTEP_POLICIES, SimConfig, run_offline, run_offline_batch, run_online
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -53,6 +53,12 @@ SUMMARY_HEADER = tuple(
     "mode,policy,alpha,runs,effectiveness_mean,effectiveness_std,unfairness_mean,unfairness_std,msd_mean,pearson_mean"
     .split(",")
 )
+# An offline sweep runs each gradient policy's runs at nonzero alpha in
+# lockstep batches (sim.run_offline_batch) of at most BATCH_RUNS runs, which
+# bounds a batch's (runs x segment) arrays. Below MIN_BATCH_RUNS a batch is
+# slower than its runs one by one.
+BATCH_RUNS = 64
+MIN_BATCH_RUNS = 4
 MIN_UNFAIRNESS_HEADER = ("policy", "alpha", "unfairness_mean", "unfairness_std", "effectiveness_mean", "wall_ms_mean")
 ALIGNMENT_HEADER = ("policy", "alpha", "msd_mean", "pearson_mean")
 
@@ -239,13 +245,55 @@ def _execute_run(dataset: Dataset, sim: SimConfig, policy: str, alpha: float, se
     return run_offline(dataset, policy, alpha, seed, sim), None
 
 
-def _pool_run(spec: tuple[str, float, int]):
-    policy, alpha, seed = spec
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
+    """Each run's outcome, ("ok", result, checkpoints) or ("err", message, None).
+
+    A unit of one run runs alone; a longer unit is a lockstep batch of one
+    policy's offline runs (``_units``), whose runs fail one by one.
+    """
+    if len(unit) > 1:
+        runs = [(alpha, seed) for _, alpha, seed in unit]
+        try:
+            outcomes = run_offline_batch(_POOL_DATASET, unit[0][0], runs, _POOL_SIM)
+        except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
+            return [("err", _error(exc), None)] * len(unit)
+        return [("ok", o, None) if isinstance(o, RunResult) else ("err", _error(o), None) for o in outcomes]
+    ((policy, alpha, seed),) = unit
     try:
         result, checkpoints = _execute_run(_POOL_DATASET, _POOL_SIM, policy, alpha, seed)
-        return ("ok", result, checkpoints)
+        return [("ok", result, checkpoints)]
     except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
-        return ("err", f"{type(exc).__name__}: {exc}", None)
+        return [("err", _error(exc), None)]
+
+
+def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
+    """The runs of ``specs`` as pool units, lists of indices into ``specs``.
+
+    Offline, each gradient policy's runs at nonzero alpha are dealt out to
+    the ``workers`` first, so that every worker gets a share, and each share
+    is cut into near-equal batches of at most BATCH_RUNS; a share of fewer
+    than MIN_BATCH_RUNS, and every other run, is a unit of its own. Batches
+    come first, so the longest units start first.
+    """
+    groups: dict[str, list[int]] = {}
+    batches, singles = [], []
+    for i, (policy, alpha, _) in enumerate(specs):
+        if mode == "offline" and policy in LOCKSTEP_POLICIES and alpha != 0.0:
+            groups.setdefault(policy, []).append(i)
+        else:
+            singles.append([i])
+    for group in groups.values():
+        for share in (group[w::workers] for w in range(workers)):
+            if len(share) < MIN_BATCH_RUNS:
+                singles += [[i] for i in share]
+            else:
+                count = -(-len(share) // BATCH_RUNS)
+                batches += [share[b::count] for b in range(count)]
+    return batches + singles
 
 
 def cmd_sweep(plan: ExperimentPlan) -> Path:
@@ -265,13 +313,17 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
     # ProcessPoolExecutor starts all of max_workers at the first submit.
     workers = min(plan.workers, len(specs), os.cpu_count() or 1)
+    units = _units(specs, plan.sim.mode, workers)
+    jobs = [tuple(specs[i] for i in unit) for unit in units]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(dataset, plan.sim)) as pool:
-            outcomes = list(pool.map(_pool_run, specs))
+            done = list(pool.map(_pool_run, jobs))
     else:
         _pool_init(dataset, plan.sim)
-        outcomes = [_pool_run(spec) for spec in specs]
+        done = [_pool_run(job) for job in jobs]
         _pool_init(None, None)  # the dataset and its derived arrays go with this sweep
+    by_index = {i: outcome for unit, outcomes in zip(units, done) for i, outcome in zip(unit, outcomes)}
+    outcomes = [by_index[i] for i in range(len(specs))]
 
     results: list[RunResult] = []
     failures: list[tuple[str, float, int, str]] = []

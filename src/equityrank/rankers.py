@@ -25,7 +25,15 @@ in greedy order, where a segment is and a row gets by one stable sort.
 Offline EquityRank and EquityRankV share one fill: at each level each list
 takes ``argmax``'s first maximum of its finite scores among the entries left
 and pays p_k (v_e + r v_b) to its provider, in a gains copy for EquityRank's
-one list, in the ledger for EquityRankV's segments. PoorK and MMF* pick
+one list, in the ledger for EquityRankV's segments. ``_lockstep`` takes the
+same picks for R such runs at once (``sim.run_offline_batch``): the runs'
+current segments, padded with their last entry to the longest and the pads
+at -inf, form (R x L) rows; ``_equity`` scores them with each run's gains
+and alpha, by the same elementwise operations, but with one ``.dot`` per run
+for G.y, since a matrix product rounds some rows differently from a row's
+own dot; one matrix-vector product with zeros checks every row, so a run
+whose scores are not finite fails alone; ``argmax(axis=1)`` takes each
+row's first maximum. PoorK and MMF* pick
 among provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
@@ -228,22 +236,40 @@ class PolicyPlan:
         return self._pick_heads(rel, provider, *heads, gains, probs, pay)
 
     def _finite(self, scores: np.ndarray) -> np.ndarray:
-        # x * 0 is zero for every finite x and NaN otherwise: one dot product
-        # with zeros checks the scores, at a third of isfinite().all()'s cost
-        if scores.size > self._zeros.size:
-            self._zeros = np.zeros(scores.size)
-        if scores.dot(self._zeros[: scores.size]) != 0.0:
+        if self._check(scores) != 0.0:
             raise ValueError("scores must be finite")
         return scores
 
-    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray) -> np.ndarray:
+    def _check(self, scores: np.ndarray):
+        # x * 0 is zero for every finite x and NaN otherwise: one dot product
+        # with zeros checks the scores, at a third of isfinite().all()'s cost.
+        # Rows of scores get one check each, so a NaN fails only its own row
+        size = scores.shape[-1]
+        if size > self._zeros.size:
+            self._zeros = np.zeros(size)
+        return scores.dot(self._zeros[:size])
+
+    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray, alpha=None) -> np.ndarray:
         # rel + alpha b w with the item weight w = v_e + rel v_b and the
         # fairness gradient b = scale (y G.y - G |y|^2) at the scored providers:
         # metrics.fairness_gradient's elementwise operations, so its bits
-        b = target * gains.dot(self.targets)
-        b -= gains[provider] * self._target_sq
-        b *= self._scale
-        b *= self.alpha
+        if rel.ndim == 1:
+            b = target * gains.dot(self.targets)
+            b -= gains[provider] * self._target_sq
+            b *= self._scale
+            b *= self.alpha
+        else:
+            # (R x L) rows of lockstep runs, with the runs' (R x m) gains, an
+            # alpha column, every provider's ``target`` and ``provider`` as
+            # flat indices into the gains: alpha b for each (run, provider)
+            # first, by the same operations on the same operands, then read
+            # at the entries. G.y stays one dot per run, as a matrix product
+            # or einsum rounds some rows differently
+            b = target * np.array([row.dot(self.targets) for row in gains])[:, None]
+            b -= gains * self._target_sq
+            b *= self._scale
+            b *= alpha
+            b = b.take(provider)
         b *= weight
         b += rel
         return b
@@ -530,3 +556,79 @@ def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
     ledger.step_count += len(users)
     items = [field.items[seg][at] for seg, at in zip(segments, chosen)]
     return items, [r[at].tolist() for (r, _), at in zip(lists, chosen)]
+
+
+def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: np.ndarray, ledgers, probs, vertical: bool):
+    """R offline runs of EquityRank, or EquityRankV with ``vertical``, at nonzero ``alpha`` (R,), in lockstep.
+
+    Run r visits users ``orders[r]`` and pays ``ledgers[r]`` by ``GainLedger.accrue``, as
+    ``sim.run_offline`` and ``_allocate_vertical`` do one run at a time: at each step every
+    run scores its list's segment, padded with its last entry to the step's longest, and
+    takes ``argmax``'s first maximum of its finite scores among its entries left. Returns
+    the picks (R x users x K), the positions of run r's j-th user's list in its segment,
+    top first, and the set of runs whose scores were not finite: each stops paying there,
+    and its later picks mean nothing.
+    """
+    runs, users = orders.shape
+    first = field.indptr[orders]  # run r's j-th user's segment, first and last entry
+    width = np.diff(field.indptr)[orders]
+    last = first + width - 1
+    spans = width.max(axis=0).tolist()
+    cols = np.arange(max(spans))
+    weight = field.relevance * plan.vb[field.provider] + plan.ve[field.provider]
+    gains = np.stack([ledger.raw_gains() for ledger in ledgers])
+    kept = list(gains)  # each run's raw gains as run_offline keeps them: views that accrue's returns write
+    offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
+    column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
+    picks = np.zeros((runs, users, len(probs)), dtype=np.intp)
+    failed: set[int] = set()
+    paying = list(range(runs))
+
+    def segments(j):
+        """The runs' j-th segments: field indices, relevance, flat provider indices, weights and pads at -inf."""
+        c = cols[: spans[j]]
+        at = np.minimum(first[:, j, None] + c, last[:, j, None])
+        placed = np.where(c < width[:, j, None], 0.0, -np.inf)
+        return at, field.relevance[at], field.provider[at] + offset, weight[at], placed
+
+    def pick(rel, flat, w, placed, gains):
+        nonlocal paying
+        scores = plan._equity(rel, flat, plan.targets, w, gains, column)
+        check = plan._check(scores)
+        if check.any():
+            # a failed run goes on at alpha 0, which ranks by relevance and overflows nothing
+            bad = check != 0.0
+            failed.update(np.flatnonzero(bad).tolist())
+            paying = [run for run in paying if run not in failed]
+            column[bad] = 0.0
+        scores += placed
+        return scores.argmax(axis=1)
+
+    def pay(run, p_k, e):
+        g = field.provider.item(e)
+        kept[run][g] = ledgers[run].accrue(g, p_k, p_k * field.relevance.item(e), plan.profiles[g])
+
+    if vertical:
+        for k, p_k in enumerate(probs):
+            for j in range(users):
+                at, rel, flat, w, placed = segments(j)
+                if k:
+                    placed[every[:, None], picks[:, j, :k]] = -np.inf
+                best = picks[:, j, k] = pick(rel, flat, w, placed, gains)
+                served = at[every, best].tolist()
+                for run in paying:
+                    pay(run, p_k, served[run])
+        return picks, failed
+    for j in range(users):
+        at, rel, flat, w, placed = segments(j)
+        copy = gains.copy()  # the gains a list pays into as it fills
+        for k, p_k in enumerate(probs):
+            best = picks[:, j, k] = pick(rel, flat, w, placed, copy)
+            chosen = every, best
+            placed[chosen] = -np.inf
+            copy.reshape(-1)[flat[chosen]] += p_k * w[chosen]
+        served = at[every[:, None], picks[:, j]].tolist()
+        for run in paying:
+            for p_k, e in zip(probs, served[run]):
+                pay(run, p_k, e)
+    return picks, failed

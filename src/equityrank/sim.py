@@ -18,6 +18,14 @@ and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
+The runs of a sweep are independent of each other, so ``run_offline_batch``
+advances R offline EquityRank or EquityRankV runs in lockstep: at each pick
+one scoring call over the R runs' segments serves them all, and each run
+pays its own ledger. Each score is the run-alone score, element by element,
+by the same floating-point operations; the gains' dot product with the
+targets stays one ``.dot`` per run, as a matrix product or ``einsum`` over
+the R runs rounds some rows differently. So every run's lists and result
+are the bits ``run_offline`` gives it alone.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +49,7 @@ from .metrics import (
     ndcg_from,
     unfairness,
 )
-from .rankers import PolicyConfig, PolicyPlan, _allocate_vertical, offline_field, top_k_order
+from .rankers import PolicyConfig, PolicyPlan, _allocate_vertical, _lockstep, offline_field, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -54,10 +62,13 @@ __all__ = [
     "online_step",
     "prefilter_candidates",
     "run_offline",
+    "run_offline_batch",
     "run_online",
 ]
 
 logger = logging.getLogger(__name__)
+# the policies whose offline runs run_offline_batch advances in lockstep
+LOCKSTEP_POLICIES = ("EquityRank", "EquityRankV")
 
 
 @dataclass(frozen=True)
@@ -419,6 +430,58 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
 
 
+def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
+    """``run_offline`` of EquityRank or EquityRankV at each (alpha, seed) of ``runs``.
+
+    The runs at nonzero alpha advance in lockstep (``rankers._lockstep``):
+    one scoring call per pick serves all of them, and each run's lists,
+    ledger and result are the ones ``run_offline`` gives it alone. A run at
+    alpha 0 runs alone: its lists are TopK's, and 0 times an infinite
+    gradient is NaN where its scores are the relevance. Returns, per run,
+    its ``RunResult`` or the ``ValueError`` that ``run_offline`` raises for
+    it; each result's wall time is the batch's divided by ``len(runs)``. A
+    dataset that no run can use raises, as for ``run_offline``.
+    """
+    if policy not in LOCKSTEP_POLICIES:
+        raise ValueError(f"offline lockstep runs EquityRank or EquityRankV, not {policy!r}")
+    catalog, profiles, rel = _check_dataset(dataset, cfg)
+    start = time.perf_counter()
+    outcomes: list = [None] * len(runs)
+    batch = []
+    for i, (alpha, seed) in enumerate(runs):
+        try:
+            if alpha == 0.0:
+                outcomes[i] = run_offline(dataset, policy, alpha, seed, cfg)
+            else:
+                PolicyConfig(policy, alpha)  # as run_offline checks alpha
+                batch.append((i, alpha, seed))
+        except ValueError as exc:
+            outcomes[i] = exc
+    if batch:
+        pm = PositionModel.logarithmic(cfg.list_size)
+        k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
+        field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
+        ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
+        orders = np.array([np.random.default_rng(seed).permutation(rel.user_count) for *_, seed in batch])
+        alphas = np.array([alpha for _, alpha, _ in batch], dtype=np.float64)
+        ledgers = [GainLedger.empty(catalog.provider_count) for _ in batch]
+        plan = PolicyPlan(PolicyConfig("EquityRank", batch[0][1]), profiles)
+        picks, failed = _lockstep(plan, field, orders, alphas, ledgers, probs, policy == "EquityRankV")
+        for r, ((i, alpha, seed), order, ledger) in enumerate(zip(batch, orders, ledgers)):
+            if r in failed:
+                outcomes[i] = ValueError("scores must be finite")
+                continue
+            ledger.step_count += rel.user_count
+            served = field.relevance[field.indptr[order][:, None] + picks[r]].tolist()
+            ndcgs = [ndcg_from(discounted_sum(values, probs, cutoff), ideal[u]) for u, values in zip(order, served)]
+            try:
+                outcomes[i] = _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, 0.0)
+            except ValueError as exc:
+                outcomes[i] = exc
+    wall = (time.perf_counter() - start) / len(runs)
+    return [replace(o, wall_time=wall) if isinstance(o, RunResult) else o for o in outcomes]
+
+
 def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarray:
     """Every user's ideal DCG at ``cutoff``, indexed by user id."""
     return np.array([ideal_dcg(rel.user_values(u), cutoff, pm) for u in range(rel.user_count)])
@@ -429,7 +492,9 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
 
     The prefilter size is capped at the catalog size so small datasets can
     run with the protocol defaults. The prefilter draws candidates from the
-    catalog's own ids, so the step loop trusts them without rechecking.
+    catalog's own ids, so the step loop trusts them without rechecking. The
+    users' ideal DCGs are the dataset's, shared with its other runs as in
+    ``run_offline``; the state only reads them.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     pm = PositionModel.logarithmic(cfg.list_size)
@@ -439,11 +504,12 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
         prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
         for u in range(rel.user_count)
     ]
+    cutoff = cfg.eval_cutoff
     return OnlineState(
         ledger=GainLedger.empty(catalog.provider_count),
         candidate_sets=candidate_sets,
         rng=rng,
-        ideal_cache=_ideal_dcgs(rel, cfg.eval_cutoff, pm),
+        ideal_cache=_derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)),
     )
 
 

@@ -324,8 +324,9 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
 
     Relevance values must land in [0, 1]. A user whose values exceed 1 has
     the whole row divided by its maximum (logged); under ``strict`` any
-    out-of-range value is an error instead. Negative relevance is always an
-    error. All failures cite the file and row number.
+    out-of-range value is an error instead. Negative relevance, and a
+    (user, item) pair given twice, are always errors. All failures cite the
+    file and row number.
     """
     directory = Path(directory)
 
@@ -358,7 +359,8 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
     # three column lists growing side by side fragmented the heap and cost
     # about 1.5 MiB of peak RSS over a generate-and-load loop
     flat: list[float] = []
-    for lineno, (user, item, value_text) in _read_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER):
+    relevance_rows = _read_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER)
+    for lineno, (user, item, value_text) in relevance_rows:
         if item not in item_ids:
             raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: unknown item id {item!r}")
         value = _parse_float(value_text, RELEVANCE_FILE, lineno, "relevance")
@@ -374,6 +376,14 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
 
     entries = np.array(flat, dtype=np.float64).reshape(-1, 3)
     user_col, value_col = entries[:, 0].astype(np.int64), entries[:, 2]
+    # a repeated (user, item) pair: its first repeat in file order, found
+    # from one stable sort of the pairs' keys
+    keys = user_col * len(item_ids) + entries[:, 1].astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if repeats.size:
+        lineno, (user, item, _) = relevance_rows[int(repeats.min())]
+        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: duplicate relevance for user {user!r} and item {item!r}")
     row_max = np.zeros(len(user_ids), dtype=np.float64)
     np.maximum.at(row_max, user_col, value_col)
     rescaled = row_max > 1.0

@@ -15,19 +15,25 @@ heads, in their array form by ``_scores``.
 over the whole catalog, through the checked id-level functions and
 ``reference_fill``, that ranking from offline fields replaced.
 ``observed_offline_run`` runs ``sim.run_offline`` and shows what it
-served."""
+served. ``tied_datasets`` draws the small, tie-heavy datasets these are
+compared on."""
 
 import pytest
 
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from equityrank import (
+    Catalog,
+    Dataset,
     GainLedger,
     PolicyConfig,
     PositionModel,
+    ProviderProfile,
     RankList,
+    RelevanceTable,
     andcg,
     apply_expected_feedback,
     apply_feedback,
@@ -361,3 +367,37 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers
     return result, vertical or ranked, ledger
+
+
+@st.composite
+def tied_datasets(draw):
+    """Small datasets full of ties, with the list size they are ranked for.
+
+    Relevance takes a few quantised levels, 0.0 among them, so many items of
+    a provider share a value and some zeros are stored explicitly. Some
+    providers own only 1 to K + 1 items; others own enough for a narrowed
+    class. Profiles are sometimes all equal, so providers tie on gains too.
+    Users store different numbers of items, so their offline segments are
+    ragged.
+    """
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 5))
+    sizes = [draw(st.integers(1, k + 1) | st.integers(k + 2, 3 * k + 4)) for _ in range(m)]
+    sizes[-1] += max(0, k - sum(sizes))
+    groups = draw(st.permutations(np.repeat(np.arange(m), sizes).tolist()))
+    n_users = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sparsity = draw(st.sampled_from([0.3, 1.0]))
+    levels = draw(st.sampled_from([1, 2, 4]))
+    entries = [
+        (u, i, int(rng.integers(0, levels + 1)) / levels)
+        for u in range(n_users)
+        for i in range(len(groups))
+        if rng.random() < sparsity
+    ]
+    if draw(st.booleans()):
+        profiles = [ProviderProfile(2.0, 5.0, 1.5)] * m
+    else:
+        profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 3.0, 3))) for _ in range(m)]
+    dataset = Dataset(Catalog.from_assignments(groups, m), tuple(profiles), RelevanceTable(n_users, entries))
+    return dataset, k

@@ -7,10 +7,12 @@ import os
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, load_dataset
+from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, generate_dataset, load_dataset, run_offline
 from equityrank.cli import (
+    DETERMINISTIC_FIELDS,
     ExperimentPlan,
     _build_parser,
     cmd_generate,
@@ -21,7 +23,7 @@ from equityrank.cli import (
     main,
     resolve_plan,
 )
-from equityrank.synth import _read_rows
+from equityrank.synth import _read_rows, _write_rows
 
 TINY = GeneratorSpec(n_users=30, n_items=60, n_providers=5, latent_dim=4, sparsity=0.2, seed=7)
 
@@ -38,6 +40,15 @@ def tiny_plan(out_dir, **overrides):
     )
     base.update(overrides)
     return ExperimentPlan(**base)
+
+
+# 4 nonzero alphas x 3 seeds: EquityRank's and EquityRankV's 12 runs each run
+# in lockstep batches, split 6 and 6 over two workers
+BATCHED = dict(policies=("TopK", "EquityRank", "EquityRankV"), alpha_grid=(0.0, 1e-3, 0.01, 0.1, 1.0), seeds=(0, 1, 2))
+
+
+def plan_specs(plan):
+    return [(p, a, s) for p in plan.policies for a in effective_alpha_grid(p, plan.alpha_grid) for s in plan.seeds]
 
 
 class TestEffectiveGrid:
@@ -157,15 +168,16 @@ class TestSweep:
         message = 'bad "x", y, ünï'
         run = cli._execute_run
 
+        # an alpha-0 run: EquityRank's runs at nonzero alpha run in a lockstep batch, not by _execute_run
         def failing_run(dataset, sim, policy, alpha, seed):
-            if policy == "EquityRank" and alpha == 0.01 and seed == 1:
+            if policy == "EquityRank" and alpha == 0.0 and seed == 1:
                 raise ValueError(message)
             return run(dataset, sim, policy, alpha, seed)
 
         monkeypatch.setattr(cli, "_execute_run", failing_run)
         out = cmd_sweep(tiny_plan(tmp_path / "failing"))
         rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
-        assert [row for _, row in rows] == [["EquityRank", "0.01", "1", "ValueError: " + message]]
+        assert [row for _, row in rows] == [["EquityRank", "0", "1", "ValueError: " + message]]
 
     def test_online_sweep_writes_series_files(self, tmp_path):
         plan = tiny_plan(
@@ -183,6 +195,35 @@ class TestSweep:
         serial = cmd_sweep(tiny_plan(tmp_path / "serial"))
         parallel = cmd_sweep(tiny_plan(tmp_path / "parallel", workers=2))
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
+
+        plan = tiny_plan(tmp_path / "batched-serial", **BATCHED)
+        specs = plan_specs(plan)
+        for workers in (1, 2):
+            batches = sorted((specs[unit[0]][0], len(unit)) for unit in cli._units(specs, "offline", workers) if len(unit) > 1)
+            assert batches == sorted([("EquityRank", 12 // workers), ("EquityRankV", 12 // workers)] * workers)
+        serial = cmd_sweep(plan)
+        parallel = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "batched-parallel"), workers=2))
+        names = ["results.csv", "summary.csv"] + [f"envelope_{p}.csv" for p in BATCHED["policies"]]
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+    def test_batched_sweep_writes_the_results_of_its_runs_alone(self, tmp_path):
+        # 1e308 overflows the scores: those runs fail alone, with run_offline's message
+        plan = tiny_plan(tmp_path / "sweep", **{**BATCHED, "alpha_grid": (*BATCHED["alpha_grid"], 1e308)})
+        dataset = generate_dataset(TINY, ScenarioSpec.common())
+        results, failures = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = cmd_sweep(plan)
+            for policy, alpha, seed in plan_specs(plan):
+                try:
+                    results.append(run_offline(dataset, policy, alpha, seed, plan.sim).deterministic_values())
+                except ValueError as exc:
+                    failures.append((policy, alpha, seed, f"ValueError: {exc}"))
+        _write_rows(tmp_path / "results.csv", DETERMINISTIC_FIELDS, results)
+        _write_rows(tmp_path / "failures.csv", cli.FAILURES_HEADER, failures)
+        assert [row[:2] for row in failures] == [("EquityRank", 1e308)] * 3 + [("EquityRankV", 1e308)] * 3
+        assert (out / "results.csv").read_bytes() == (tmp_path / "results.csv").read_bytes()
+        assert (out / "failures.csv").read_bytes() == (tmp_path / "failures.csv").read_bytes()
 
     def test_worker_processes_are_capped_by_runs_and_cores(self, tmp_path, monkeypatch):
         started = []

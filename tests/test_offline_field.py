@@ -30,41 +30,9 @@ from equityrank import (
     sim,
 )
 from equityrank.rankers import PolicyPlan, offline_field
-from oracles import observed_offline_run, reference_fill, run_offline_reference
+from oracles import observed_offline_run, reference_fill, run_offline_reference, tied_datasets
 
 OFFLINE_POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-
-
-@st.composite
-def tied_datasets(draw):
-    """Small datasets full of ties, with the list size they are ranked for.
-
-    Relevance takes a few quantised levels, 0.0 among them, so many items of
-    a provider share a value and some zeros are stored explicitly. Some
-    providers own only 1 to K + 1 items; others own enough for a narrowed
-    class. Profiles are sometimes all equal, so providers tie on gains too.
-    """
-    k = draw(st.integers(1, 6))
-    m = draw(st.integers(2, 5))
-    sizes = [draw(st.integers(1, k + 1) | st.integers(k + 2, 3 * k + 4)) for _ in range(m)]
-    sizes[-1] += max(0, k - sum(sizes))
-    groups = draw(st.permutations(np.repeat(np.arange(m), sizes).tolist()))
-    n_users = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sparsity = draw(st.sampled_from([0.3, 1.0]))
-    levels = draw(st.sampled_from([1, 2, 4]))
-    entries = [
-        (u, i, int(rng.integers(0, levels + 1)) / levels)
-        for u in range(n_users)
-        for i in range(len(groups))
-        if rng.random() < sparsity
-    ]
-    if draw(st.booleans()):
-        profiles = [ProviderProfile(2.0, 5.0, 1.5)] * m
-    else:
-        profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 3.0, 3))) for _ in range(m)]
-    dataset = Dataset(Catalog.from_assignments(groups, m), tuple(profiles), RelevanceTable(n_users, entries))
-    return dataset, k
 
 
 def field_mask(field, user_count, item_count):
@@ -265,6 +233,9 @@ def test_no_field_is_built_outside_offline_runs(tmp_path):
     save_dataset(generated, tmp_path / "ds")
     dataset = load_dataset(tmp_path / "ds")
     sim.run_online(dataset, "TopK", 0.0, 0, SimConfig(list_size=3, total_steps=20, prefilter_size=5, mode="online"))
-    assert generated.derived == {} and dataset.derived == {}
+    # an online run keeps only the users' ideal DCGs, which offline runs share
+    assert generated.derived == {} and list(dataset.derived) == [("ideal_dcg", 3, 3)]
+    ideal = dataset.derived["ideal_dcg", 3, 3]
     sim.run_offline(dataset, "TopK", 0.0, 0, SimConfig(list_size=3))
-    assert list(dataset.derived) == [("offline_field", 3), ("ideal_dcg", 3, 3)]
+    assert list(dataset.derived) == [("ideal_dcg", 3, 3), ("offline_field", 3)]
+    assert dataset.derived["ideal_dcg", 3, 3] is ideal

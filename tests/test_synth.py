@@ -282,6 +282,19 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="owns no items"):
             load_dataset(d)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first value would be dropped, yet its 1.6 would rescale the row
+            (["u,x,1.6", "u,x,0.5", "u,y,0.8"], "row 3: duplicate relevance for user 'u' and item 'x'"),
+            (["u,x,0.1", "w,x,0.2", "w,y,0.3", "u,y,0.4", "w,x,0.5", "u,x,0.6"], "row 6: .* user 'w' and item 'x'"),
+        ],
+    )
+    def test_repeated_user_item_pair_cites_its_first_repeat(self, tmp_path, rows, message):
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], rows)
+        with pytest.raises(DatasetError, match="relevance.csv " + message):
+            load_dataset(d)
+
     def test_overrange_relevance_rescales_user_row(self, tmp_path):
         d = write_dataset_dir(
             tmp_path,
