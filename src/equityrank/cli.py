@@ -25,7 +25,7 @@ import numpy as np
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
-from .sim import LOCKSTEP_POLICIES, SimConfig, run_offline, run_offline_batch, run_online
+from .sim import LOCKSTEP_POLICIES, SimConfig, ledger_blind, run_offline, run_offline_batch, run_online
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -53,10 +53,10 @@ SUMMARY_HEADER = tuple(
     "mode,policy,alpha,runs,effectiveness_mean,effectiveness_std,unfairness_mean,unfairness_std,msd_mean,pearson_mean"
     .split(",")
 )
-# An offline sweep runs each gradient policy's runs at nonzero alpha in
-# lockstep batches (sim.run_offline_batch) of at most BATCH_RUNS runs, which
-# bounds a batch's (runs x segment) arrays. Below MIN_BATCH_RUNS a batch is
-# slower than its runs one by one.
+# An offline sweep runs each FairCo*, EquityRank and EquityRankV run that is
+# not ledger-blind in lockstep batches (sim.run_offline_batch) of at most
+# BATCH_RUNS runs, which bounds a batch's (runs x segment) arrays. Below
+# MIN_BATCH_RUNS a batch is slower than its runs one by one.
 BATCH_RUNS = 64
 MIN_BATCH_RUNS = 4
 MIN_UNFAIRNESS_HEADER = ("policy", "alpha", "unfairness_mean", "unfairness_std", "effectiveness_mean", "wall_ms_mean")
@@ -273,16 +273,17 @@ def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
 def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
     """The runs of ``specs`` as pool units, lists of indices into ``specs``.
 
-    Offline, each gradient policy's runs at nonzero alpha are dealt out to
-    the ``workers`` first, so that every worker gets a share, and each share
-    is cut into near-equal batches of at most BATCH_RUNS; a share of fewer
-    than MIN_BATCH_RUNS, and every other run, is a unit of its own. Batches
-    come first, so the longest units start first.
+    Offline, the runs of each policy of LOCKSTEP_POLICIES that are not
+    ledger-blind (``sim.ledger_blind``) are dealt out to the ``workers``
+    first, so that every worker gets a share, and each share is cut into
+    near-equal batches of at most BATCH_RUNS; a share of fewer than
+    MIN_BATCH_RUNS, and every other run, is a unit of its own. Batches come
+    first, so the longest units start first.
     """
     groups: dict[str, list[int]] = {}
     batches, singles = [], []
     for i, (policy, alpha, _) in enumerate(specs):
-        if mode == "offline" and policy in LOCKSTEP_POLICIES and alpha != 0.0:
+        if mode == "offline" and policy in LOCKSTEP_POLICIES and not ledger_blind(policy, alpha):
             groups.setdefault(policy, []).append(i)
         else:
             singles.append([i])

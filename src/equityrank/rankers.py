@@ -26,15 +26,17 @@ Offline EquityRank and EquityRankV share one fill: at each level each list
 takes ``argmax``'s first maximum of its finite scores among the entries left
 and pays p_k (v_e + r v_b) to its provider, in a gains copy for EquityRank's
 one list, in the ledger for EquityRankV's segments. ``_lockstep`` takes the
-same picks for R such runs at once (``sim.run_offline_batch``): the runs'
-current segments, padded with their last entry to the longest and the pads
-at -inf, form (R x L) rows; ``_equity`` scores them with each run's gains
-and alpha, by the same elementwise operations, but with one ``.dot`` per run
-for G.y, since a matrix product rounds some rows differently from a row's
-own dot; one matrix-vector product with zeros checks every row, so a run
-whose scores are not finite fails alone; ``argmax(axis=1)`` takes each
-row's first maximum. PoorK and MMF* pick
-among provider heads: MMF*'s score
+same lists for R offline runs of FairCo*, EquityRank or EquityRankV at once
+(``sim.run_offline_batch``): the runs' current segments, padded with their
+last entry to the longest, form (R x L) rows; ``score`` (FairCo*) and
+``_equity`` score them with each run's gains and alpha, by the same
+elementwise operations, but with one ``.dot`` per run for G.y, since a
+matrix product rounds some rows differently from a row's own dot; one
+matrix-vector product with zeros checks every row, so a run whose scores
+are not finite fails alone. EquityRank's picks take ``argmax(axis=1)``'s
+first maximum per row, the pads at -inf; FairCo*'s lists take the first K
+of one ``lexsort(axis=-1)``, the pads' scores at -inf. PoorK and MMF*
+pick among provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
 greedy order it does not increase within the worst-off provider's entries
@@ -201,13 +203,19 @@ class PolicyPlan:
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
         self._greedy = kind == "EquityRank" and slotwise
 
-    def score(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        """The scores of the entries with relevance ``rel`` and providers ``provider``."""
+    def score(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, alpha=None) -> np.ndarray:
+        """The scores of the entries with relevance ``rel`` and providers ``provider``.
+
+        FairCo* also scores (R x L) rows of lockstep runs: ``gains`` holds the
+        runs' (R x m) gains, ``alpha`` is a column of their alphas and
+        ``provider`` holds flat indices into the gains.
+        """
         if self.kind == "FairCoStar":
             # a provider lagging the best-served one by gain-to-target ratio gets
             # alpha times the shortfall, clipped at zero: no item scores below its relevance
             ratios = gains / self.targets
-            return rel + self.alpha * np.maximum(0.0, ratios.max() - ratios[provider])
+            shortfall = np.maximum(0.0, ratios.max(axis=-1, keepdims=True) - ratios.take(provider))
+            return rel + (self.alpha if alpha is None else alpha) * shortfall
         if self.kind in ("PoorK", "MMFStar"):
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
         if self.kind == "TopK" or self.alpha == 0.0:
@@ -229,11 +237,14 @@ class PolicyPlan:
             order = np.argsort(-rel, kind="stable")
             rel, provider = rel[order], provider[order]
             return order[self.rank(rel, provider, gains, probs, _provider_heads(provider, self.targets.size))].tolist()
-        gains = gains.copy()
-        pay = lambda g, p_k, r, w: gains.item(g) + p_k * w  # noqa: E731
         if self._greedy:
-            return self._fill([(rel, provider)], gains, probs, pay)[0]
-        return self._pick_heads(rel, provider, *heads, gains, probs, pay)
+            return self._fill([(rel, provider)], gains.copy(), probs, self._keep)[0]
+        return self._pick_heads(rel, provider, *heads, gains.copy(), probs, self._keep)
+
+    @staticmethod
+    def _keep(gains: np.ndarray, g: int, p_k: float, r: float, w: float) -> float:
+        """One list's pay into its own ``gains`` copy: provider g's gain plus p_k w."""
+        return gains.item(g) + p_k * w
 
     def _finite(self, scores: np.ndarray) -> np.ndarray:
         if self._check(scores) != 0.0:
@@ -277,7 +288,7 @@ class PolicyPlan:
     def _fill(self, lists, gains: np.ndarray, probs, pay) -> list[list[int]]:
         """EquityRank's fill of ``lists`` of (rel, provider), level by level: each list takes
         the first maximum of its finite scores among its entries left and sets ``gains[g] =
-        pay(g, p_k, r, v_e + r v_b)`` for its provider g. Returns their positions, top first."""
+        pay(gains, g, p_k, r, v_e + r v_b)`` for its provider g. Returns their positions, top first."""
         fills = [(r, p, self.targets[p], r * self.vb[p] + self.ve[p], np.zeros(r.size), []) for r, p in lists]
         for p_k in probs:
             for rel, provider, target, weight, placed, chosen in fills:
@@ -285,13 +296,13 @@ class PolicyPlan:
                 best = int((self._finite(scores) + placed).argmax())
                 placed[best] = -np.inf
                 g = provider.item(best)
-                gains[g] = pay(g, p_k, rel.item(best), weight.item(best))
+                gains[g] = pay(gains, g, p_k, rel.item(best), weight.item(best))
                 chosen.append(best)
         return [chosen for *_, chosen in fills]
 
     def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs, pay) -> list[int]:
         """PoorK's or MMF*'s list in greedy order: A or W at each pick (module
-        docstring), which sets ``gains[g] = pay(g, p_k, r, v_e + r v_b)`` as in ``_fill``."""
+        docstring), which sets ``gains[g] = pay(gains, g, p_k, r, v_e + r v_b)`` as in ``_fill``."""
         # the worst-off provider: the lowest ratio among live providers, ties to the lowest id;
         # argmin meets a dead one first only when every live ratio overflows to +inf
         ratio = np.where(offsets[1:] > offsets[:-1], gains / self.targets, np.inf)
@@ -317,7 +328,7 @@ class PolicyPlan:
                 pick = w
             g, r = provider.item(pick), rel.item(pick)
             head[g] += 1
-            gains[g] = paid = pay(g, p_k, r, r * self.vb.item(g) + self.ve.item(g))
+            gains[g] = paid = pay(gains, g, p_k, r, r * self.vb.item(g) + self.ve.item(g))
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
@@ -465,6 +476,11 @@ class OfflineField(NamedTuple):
     def segment(self, user: int) -> slice:
         return slice(self.indptr[user], self.indptr[user + 1])
 
+    def heads(self, users: np.ndarray, k: int) -> np.ndarray:
+        """The field indices of the first ``k`` entries of each of ``users``' segments, a row
+        per user: in greedy order, the list that relevance alone ranks (``sim.ledger_blind``)."""
+        return self.indptr[users][:, None] + np.arange(k)
+
 
 def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> OfflineField:
     """Every user's offline field, in greedy order, as one ``OfflineField``.
@@ -551,7 +567,7 @@ def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
     segments = [field.segment(u) for u in users]
     lists = [(field.relevance[seg], field.provider[seg]) for seg in segments]
-    pay = lambda g, p_k, r, w: ledger.accrue(g, p_k, p_k * r, profiles[g])  # noqa: E731
+    pay = lambda gains, g, p_k, r, w: ledger.accrue(g, p_k, p_k * r, profiles[g])  # noqa: E731
     chosen = plan._fill(lists, ledger.raw_gains(), pm.probs.tolist(), pay)
     ledger.step_count += len(users)
     items = [field.items[seg][at] for seg, at in zip(segments, chosen)]
@@ -559,17 +575,19 @@ def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
 
 
 def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: np.ndarray, ledgers, probs, vertical: bool):
-    """R offline runs of EquityRank, or EquityRankV with ``vertical``, at nonzero ``alpha`` (R,), in lockstep.
+    """R offline runs of ``plan``'s FairCo* or EquityRank, or EquityRankV with ``vertical``, in lockstep.
 
-    Run r visits users ``orders[r]`` and pays ``ledgers[r]`` by ``GainLedger.accrue``, as
-    ``sim.run_offline`` and ``_allocate_vertical`` do one run at a time: at each step every
-    run scores its list's segment, padded with its last entry to the step's longest, and
-    takes ``argmax``'s first maximum of its finite scores among its entries left. Returns
-    the picks (R x users x K), the positions of run r's j-th user's list in its segment,
-    top first, and the set of runs whose scores were not finite: each stops paying there,
-    and its later picks mean nothing.
+    Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.accrue``,
+    as ``sim.run_offline`` and ``_allocate_vertical`` do one run at a time. At each step every run
+    scores its list's segment, padded with its last entry to the step's longest. EquityRank
+    takes ``argmax``'s first maximum of its finite scores among its entries left, a pick at a
+    time; FairCo* takes its whole list by one ``lexsort``, with the pads' scores at -inf.
+    Returns the picks (R x users x K), the positions of run r's j-th user's list in its
+    segment, top first, and the set of runs whose scores were not finite: each stops paying
+    there, and its later picks mean nothing.
     """
     runs, users = orders.shape
+    k = len(probs)
     first = field.indptr[orders]  # run r's j-th user's segment, first and last entry
     width = np.diff(field.indptr)[orders]
     last = first + width - 1
@@ -578,9 +596,10 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     weight = field.relevance * plan.vb[field.provider] + plan.ve[field.provider]
     gains = np.stack([ledger.raw_gains() for ledger in ledgers])
     kept = list(gains)  # each run's raw gains as run_offline keeps them: views that accrue's returns write
+    profiles = plan.profiles
     offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
     column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
-    picks = np.zeros((runs, users, len(probs)), dtype=np.intp)
+    picks = np.zeros((runs, users, k), dtype=np.intp)
     failed: set[int] = set()
     paying = list(range(runs))
 
@@ -591,44 +610,52 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
         placed = np.where(c < width[:, j, None], 0.0, -np.inf)
         return at, field.relevance[at], field.provider[at] + offset, weight[at], placed
 
-    def pick(rel, flat, w, placed, gains):
+    def checked(scores):
         nonlocal paying
-        scores = plan._equity(rel, flat, plan.targets, w, gains, column)
         check = plan._check(scores)
         if check.any():
-            # a failed run goes on at alpha 0, which ranks by relevance and overflows nothing
+            # a failed run stops paying and goes on at alpha 0; its picks mean nothing
             bad = check != 0.0
             failed.update(np.flatnonzero(bad).tolist())
             paying = [run for run in paying if run not in failed]
             column[bad] = 0.0
+        return scores
+
+    def pick(rel, flat, w, placed, gains):
+        scores = checked(plan._equity(rel, flat, plan.targets, w, gains, column))
         scores += placed
         return scores.argmax(axis=1)
 
-    def pay(run, p_k, e):
-        g = field.provider.item(e)
-        kept[run][g] = ledgers[run].accrue(g, p_k, p_k * field.relevance.item(e), plan.profiles[g])
+    def pay(served, probs):
+        """Each paying run's ``served`` field indices, a row per run, top first, at ``probs``."""
+        providers, values = field.provider[served].tolist(), field.relevance[served].tolist()
+        for run in paying:
+            keep, accrue = kept[run], ledgers[run].accrue
+            for p_k, g, r in zip(probs, providers[run], values[run]):
+                keep[g] = accrue(g, p_k, p_k * r, profiles[g])
 
     if vertical:
-        for k, p_k in enumerate(probs):
+        for level, p_k in enumerate(probs):
             for j in range(users):
                 at, rel, flat, w, placed = segments(j)
-                if k:
-                    placed[every[:, None], picks[:, j, :k]] = -np.inf
-                best = picks[:, j, k] = pick(rel, flat, w, placed, gains)
-                served = at[every, best].tolist()
-                for run in paying:
-                    pay(run, p_k, served[run])
+                if level:
+                    placed[every[:, None], picks[:, j, :level]] = -np.inf
+                best = picks[:, j, level] = pick(rel, flat, w, placed, gains)
+                pay(at[every, best, None], [p_k])
         return picks, failed
     for j in range(users):
         at, rel, flat, w, placed = segments(j)
-        copy = gains.copy()  # the gains a list pays into as it fills
-        for k, p_k in enumerate(probs):
-            best = picks[:, j, k] = pick(rel, flat, w, placed, copy)
-            chosen = every, best
-            placed[chosen] = -np.inf
-            copy.reshape(-1)[flat[chosen]] += p_k * w[chosen]
-        served = at[every[:, None], picks[:, j]].tolist()
-        for run in paying:
-            for p_k, e in zip(probs, served[run]):
-                pay(run, p_k, e)
+        if plan.kind == "FairCoStar":
+            # (score desc, relevance desc, position asc), as rank's top_k_order; pads sort
+            # last by their score key at +inf, so their relevance key needs no pad
+            scores = checked(plan.score(rel, flat, gains, column)) + placed
+            picks[:, j] = np.lexsort((-rel, -scores), axis=-1)[:, :k]
+        else:
+            copy = gains.copy()  # the gains a list pays into as it fills
+            for level, p_k in enumerate(probs):
+                best = picks[:, j, level] = pick(rel, flat, w, placed, copy)
+                chosen = every, best
+                placed[chosen] = -np.inf
+                copy.reshape(-1)[flat[chosen]] += p_k * w[chosen]
+        pay(at[every[:, None], picks[:, j]], probs)
     return picks, failed

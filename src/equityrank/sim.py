@@ -7,9 +7,10 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-A run ranks every list with one ``PolicyPlan``. An offline run gives it the
-user's segment of the dataset's offline field, with its provider heads, and
-reads nothing else. An online run fixes each user's prefiltered candidate
+A run ranks every list with one ``PolicyPlan``, but for a ledger-blind
+offline run (below). An offline run gives it the user's segment of the
+dataset's offline field, with its provider heads, and reads nothing else.
+An online run fixes each user's prefiltered candidate
 set when it starts; a step (``online_step``: estimate -> score -> top-K ->
 feedback -> DCG) gives it the user's candidate row in slot order (ids
 ascending), with the estimates and raw gains ``OnlineState`` keeps current.
@@ -18,14 +19,19 @@ and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
-The runs of a sweep are independent of each other, so ``run_offline_batch``
-advances R offline EquityRank or EquityRankV runs in lockstep: at each pick
-one scoring call over the R runs' segments serves them all, and each run
-pays its own ledger. Each score is the run-alone score, element by element,
-by the same floating-point operations; the gains' dot product with the
-targets stays one ``.dot`` per run, as a matrix product or ``einsum`` over
-the R runs rounds some rows differently. So every run's lists and result
-are the bits ``run_offline`` gives it alone.
+A ledger-blind offline run (``ledger_blind``: TopK, and EquityRank and
+EquityRankV at alpha 0) ranks by relevance alone, so ``run_offline`` serves
+it whole: one gather takes every user's first K segment entries, which in
+greedy order are the list ``PolicyPlan.rank`` would take, and the run pays
+them in its own order. The runs of a sweep are independent of each other,
+so ``run_offline_batch`` advances R offline FairCo*, EquityRank or
+EquityRankV runs in lockstep: at each pick, or each list for FairCo*, one
+scoring call over the R runs' segments serves them all, and each run pays
+its own ledger. Each score is the run-alone score, element by element, by
+the same floating-point operations; the gains' dot product with the targets
+stays one ``.dot`` per run, as a matrix product or ``einsum`` over the R
+runs rounds some rows differently. So every run's lists and result are the
+bits ``run_offline`` gives it alone. MMF* and PoorK runs go list by list.
 """
 
 from __future__ import annotations
@@ -67,8 +73,22 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-# the policies whose offline runs run_offline_batch advances in lockstep
-LOCKSTEP_POLICIES = ("EquityRank", "EquityRankV")
+# the policies whose offline runs run_offline_batch advances in lockstep, but
+# for their ledger-blind runs (ledger_blind), which run_offline serves whole
+LOCKSTEP_POLICIES = ("FairCoStar", "EquityRank", "EquityRankV")
+
+
+def ledger_blind(policy: str, alpha: float) -> bool:
+    """Whether ``policy`` at ``alpha`` ranks every offline list without reading the ledger.
+
+    TopK at any alpha, and EquityRank and EquityRankV at alpha 0, rank by
+    relevance alone, and their scores are always finite: each list is the
+    first K entries of the user's segment (``OfflineField.heads``). FairCo*
+    and MMF* at alpha 0 list the same items, but their scores still read the
+    gains and can fail where TopK's cannot: FairCo* through 0 times an
+    overflowing ratio, MMF* through its span check.
+    """
+    return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
 
 
 @dataclass(frozen=True)
@@ -393,7 +413,8 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     unfairness is computed on per-list averaged gains.
 
     Each list is ranked from the user's segment of the dataset's offline
-    field (``rankers.offline_field``), whose lists are the whole catalog's.
+    field (``rankers.offline_field``), whose lists are the whole catalog's;
+    a ledger-blind run (``ledger_blind``) takes every list whole.
     The field and the users' ideal DCGs are built on the first offline run
     on a dataset object and shared by its later runs with the same list
     size (and cutoff).
@@ -410,7 +431,9 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     ledger = GainLedger.empty(catalog.provider_count)
     k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
     field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
-    if policy == "EquityRankV":
+    if ledger_blind(policy, alpha):
+        served = _serve_heads(field, user_order, ledger, profiles, probs, by_level=policy == "EquityRankV")
+    elif policy == "EquityRankV":
         _, served = _allocate_vertical(user_order, ledger, profiles, alpha, pm, field)
     else:
         plan = PolicyPlan(policy_cfg, profiles, slotwise=True)
@@ -430,44 +453,71 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
 
 
-def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
-    """``run_offline`` of EquityRank or EquityRankV at each (alpha, seed) of ``runs``.
+def _serve_heads(field, users: np.ndarray, ledger: GainLedger, profiles, probs: list[float], by_level: bool) -> list:
+    """Serve each of ``users`` its ledger-blind list, the first K entries of its segment.
 
-    The runs at nonzero alpha advance in lockstep (``rankers._lockstep``):
-    one scoring call per pick serves all of them, and each run's lists,
-    ledger and result are the ones ``run_offline`` gives it alone. A run at
-    alpha 0 runs alone: its lists are TopK's, and 0 times an infinite
-    gradient is NaN where its scores are the relevance. Returns, per run,
-    its ``RunResult`` or the ``ValueError`` that ``run_offline`` raises for
-    it; each result's wall time is the batch's divided by ``len(runs)``. A
-    dataset that no run can use raises, as for ``run_offline``.
+    Each position pays through ``GainLedger.accrue`` in the order of the run
+    it stands for: user by user, top position first, or level by level over
+    the users with ``by_level``, as EquityRankV pays. Returns each user's
+    served relevances, top first.
+    """
+    at = field.heads(users, len(probs))
+    served, accrue = field.relevance[at].tolist(), ledger.accrue
+    if by_level:
+        for p_k, providers, values in zip(probs, field.provider[at.T].tolist(), field.relevance[at.T].tolist()):
+            for g, r in zip(providers, values):
+                accrue(g, p_k, p_k * r, profiles[g])
+    else:
+        for providers, values in zip(field.provider[at].tolist(), served):
+            for p_k, g, r in zip(probs, providers, values):
+                accrue(g, p_k, p_k * r, profiles[g])
+    ledger.step_count += len(users)
+    return served
+
+
+def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
+    """``run_offline`` of FairCo*, EquityRank or EquityRankV at each (alpha, seed) of ``runs``.
+
+    The runs advance in lockstep (``rankers._lockstep``): one scoring call
+    per pick, or per list for FairCo*, serves all of them, and each run's
+    lists, ledger and result are the ones ``run_offline`` gives it alone. A
+    ledger-blind run (``ledger_blind``: EquityRank and EquityRankV at alpha
+    0) is served whole by ``run_offline`` inside the call. Returns, per run,
+    its ``RunResult`` or the exception that ``run_offline`` raises for it,
+    such as a ``ValueError`` for a seed it refuses; each result's wall time
+    is the batch's divided by ``len(runs)``. A dataset that no run can use
+    raises, as for ``run_offline``.
     """
     if policy not in LOCKSTEP_POLICIES:
-        raise ValueError(f"offline lockstep runs EquityRank or EquityRankV, not {policy!r}")
+        raise ValueError(f"offline lockstep runs FairCoStar, EquityRank or EquityRankV, not {policy!r}")
     catalog, profiles, rel = _check_dataset(dataset, cfg)
+    if not runs:
+        return []
     start = time.perf_counter()
     outcomes: list = [None] * len(runs)
     batch = []
     for i, (alpha, seed) in enumerate(runs):
         try:
-            if alpha == 0.0:
+            if ledger_blind(policy, alpha):
                 outcomes[i] = run_offline(dataset, policy, alpha, seed, cfg)
             else:
-                PolicyConfig(policy, alpha)  # as run_offline checks alpha
-                batch.append((i, alpha, seed))
-        except ValueError as exc:
+                # as run_offline checks alpha and draws the visit order
+                PolicyConfig(policy, alpha)
+                batch.append((i, alpha, seed, np.random.default_rng(seed).permutation(rel.user_count)))
+        except (TypeError, ValueError) as exc:
             outcomes[i] = exc
     if batch:
         pm = PositionModel.logarithmic(cfg.list_size)
         k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
         field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
         ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
-        orders = np.array([np.random.default_rng(seed).permutation(rel.user_count) for *_, seed in batch])
-        alphas = np.array([alpha for _, alpha, _ in batch], dtype=np.float64)
+        orders = np.array([order for *_, order in batch])
+        alphas = np.array([alpha for _, alpha, *_ in batch], dtype=np.float64)
         ledgers = [GainLedger.empty(catalog.provider_count) for _ in batch]
-        plan = PolicyPlan(PolicyConfig("EquityRank", batch[0][1]), profiles)
+        scorer = "FairCoStar" if policy == "FairCoStar" else "EquityRank"
+        plan = PolicyPlan(PolicyConfig(scorer, batch[0][1]), profiles)
         picks, failed = _lockstep(plan, field, orders, alphas, ledgers, probs, policy == "EquityRankV")
-        for r, ((i, alpha, seed), order, ledger) in enumerate(zip(batch, orders, ledgers)):
+        for r, ((i, alpha, seed, order), ledger) in enumerate(zip(batch, ledgers)):
             if r in failed:
                 outcomes[i] = ValueError("scores must be finite")
                 continue

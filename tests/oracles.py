@@ -329,16 +329,23 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
 def observed_offline_run(dataset, policy, alpha, seed, cfg):
     """``sim.run_offline``'s result, served lists and final ledger.
 
-    The lists are seen where the run makes them: EquityRankV's are what
-    the allocation behind ``allocate_vertical`` returns; every other
-    policy's are what each ``PolicyPlan.rank`` call returns, read as the
-    item ids of the user's segment of the field that the run took just
+    The lists are seen where the run makes them: a ledger-blind run's are
+    the item ids at what ``OfflineField.heads`` returns; EquityRankV's
+    are what the allocation behind ``allocate_vertical`` returns; every
+    other policy's are what each ``PolicyPlan.rank`` call returns, read as
+    the item ids of the user's segment of the field that the run took just
     before it. The ledger is the one the result's diagnostics are computed
     from.
     """
-    rank, segment = PolicyPlan.rank, OfflineField.segment
+    rank, segment, heads = PolicyPlan.rank, OfflineField.segment, OfflineField.heads
     allocate, diagnostics = sim._allocate_vertical, sim.alignment_diagnostics
-    segments, ranked, vertical, ledgers = [], [], [], []
+    segments, ranked, vertical, whole, ledgers = [], [], [], [], []
+
+    def record_heads(field, users, k):
+        at = heads(field, users, k)
+        lists = zip(users.tolist(), field.items[at].tolist(), strict=True)
+        whole.extend(RankList(tuple(items), u) for u, items in lists)
+        return at
 
     def record_segment(field, user):
         segments.append((field, user))
@@ -361,12 +368,13 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OfflineField, "segment", record_segment)
+        mp.setattr(OfflineField, "heads", record_heads)
         mp.setattr(PolicyPlan, "rank", record_rank)
         mp.setattr(sim, "_allocate_vertical", record_vertical)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers
-    return result, vertical or ranked, ledger
+    return result, whole or vertical or ranked, ledger
 
 
 @st.composite

@@ -207,6 +207,21 @@ class TestSweep:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
+    def test_fairco_groups_are_batched_and_mmf_poork_and_ledger_blind_runs_stay_single(self):
+        policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
+        specs = [(p, a, s) for p in policies for a in effective_alpha_grid(p, (0.0, 1e-3, 0.1, 1.0)) for s in range(4)]
+        for workers in (1, 2):
+            units = cli._units(specs, "offline", workers)
+            batched = sorted(specs[i] for unit in units if len(unit) > 1 for i in unit)
+            gradient = ("EquityRank", "EquityRankV")
+            assert batched == sorted(s for s in specs if s[0] == "FairCoStar" or (s[0] in gradient and s[1]))
+            assert all(len({specs[i][0] for i in unit}) == 1 for unit in units)
+            assert sorted(i for unit in units for i in unit) == list(range(len(specs)))
+        # a group below MIN_BATCH_RUNS runs alone, and no online run is batched
+        fairco = [("FairCoStar", a, 0) for a in (0.0, 0.1, 1.0)]
+        assert cli._units(fairco, "offline", 1) == [[0], [1], [2]]
+        assert all(len(unit) == 1 for unit in cli._units(specs, "online", 1))
+
     def test_batched_sweep_writes_the_results_of_its_runs_alone(self, tmp_path):
         # 1e308 overflows the scores: those runs fail alone, with run_offline's message
         plan = tiny_plan(tmp_path / "sweep", **{**BATCHED, "alpha_grid": (*BATCHED["alpha_grid"], 1e308)})

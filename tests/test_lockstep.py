@@ -1,20 +1,38 @@
-"""Offline EquityRank and EquityRankV runs in lockstep (``sim.run_offline_batch``):
-each run of a batch gives the result and the ledger that ``run_offline`` and the
-whole-catalog reference give it alone, and a run whose scores overflow fails
-alone, with ``run_offline``'s message, while the rest of its batch goes on."""
+"""Offline FairCo*, EquityRank and EquityRankV runs in lockstep
+(``sim.run_offline_batch``): each run of a batch gives the result and the ledger
+that ``run_offline`` and the whole-catalog reference give it alone, and a run
+whose scores overflow fails alone, with ``run_offline``'s message, while the rest
+of its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served whole,
+and give the reference's result and ledger too."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equityrank import GeneratorSpec, PolicyConfig, ProviderProfile, RunResult, ScenarioSpec, SimConfig, generate_dataset, sim
-from equityrank.rankers import PolicyPlan
+from equityrank import (
+    Catalog,
+    Dataset,
+    GeneratorSpec,
+    PolicyConfig,
+    ProviderProfile,
+    RelevanceTable,
+    RunResult,
+    ScenarioSpec,
+    SimConfig,
+    generate_dataset,
+    sim,
+)
+from equityrank.rankers import OfflineField, PolicyPlan
 from oracles import run_offline_reference, tied_datasets
 
 LEDGER_ARRAYS = ("exposure_gain", "purchase_gain", "group_exposure")
 # alpha b overflows once the scaled gradient passes about 1.8
 OVERFLOW = 1e308
+# (policy, alpha) of runs whose lists read no ledger
+BLIND_RUNS = [("TopK", 0.0), ("TopK", 0.5), ("EquityRank", 0.0), ("EquityRankV", 0.0)]
 
 
 def batch_with_ledgers(dataset, policy, runs, cfg):
@@ -38,6 +56,33 @@ def run_alone(dataset, policy, alpha, seed, cfg):
         return exc
 
 
+def alone_with_ledger(dataset, policy, alpha, seed, cfg):
+    """``run_alone``'s outcome, and the ledger its result was computed from (None for an error)."""
+    ledgers, result = [], sim._result
+
+    def capture(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall):
+        ledgers.append(ledger)
+        return result(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_result", capture)
+        outcome = run_alone(dataset, policy, alpha, seed, cfg)
+    return outcome, ledgers[0] if ledgers else None
+
+
+def assert_same_ledger(got, want):
+    for name in LEDGER_ARRAYS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.step_count == want.step_count
+
+
+def tiny_target(dataset):
+    """``dataset`` with provider 0's gain target the least positive float: its
+    gain-to-target ratio overflows to +inf once it is paid anything."""
+    first = dataclasses.replace(dataset.profiles[0], gain_target=5e-324)
+    return dataclasses.replace(dataset, profiles=(first, *dataset.profiles[1:]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 8), st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, seed):
@@ -55,6 +100,21 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
         alone = PolicyPlan(PolicyConfig("EquityRank", float(alpha[r])), profiles)
         want = alone._equity(rel[r], provider[r], plan.targets[provider[r]], weight[r], gains[r].copy())
         assert got[r].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 8), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_fairco_row_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, seed):
+    rng = np.random.default_rng(seed)
+    profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 100.0, 3))) for _ in range(m)]
+    plan = PolicyPlan(PolicyConfig("FairCoStar", 1.0), profiles)
+    gains = rng.random((runs, m)) * 10.0 ** rng.integers(-3, 6, (runs, 1))
+    rel, provider = rng.random((runs, length)), rng.integers(0, m, (runs, length))
+    alpha = np.where(rng.random(runs) < 0.2, 0.0, 10.0 ** rng.integers(-8, 2, runs))
+    got = plan.score(rel, provider + m * np.arange(runs)[:, None], gains, alpha[:, None])
+    for r in range(runs):
+        alone = PolicyPlan(PolicyConfig("FairCoStar", float(alpha[r])), profiles)
+        assert got[r].tobytes() == alone.score(rel[r], provider[r], gains[r].copy()).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,10 +136,98 @@ def test_each_batched_run_equals_its_run_alone_and_the_reference(case, policy, d
             assert got.deterministic_values() == want.deterministic_values()
             reference, _, reference_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
             assert got.deterministic_values() == reference.deterministic_values()
-            ledger = ledgers[alpha, seed]
-            for name in LEDGER_ARRAYS:
-                assert getattr(ledger, name).tobytes() == getattr(reference_ledger, name).tobytes()
-            assert ledger.step_count == reference_ledger.step_count
+            assert_same_ledger(ledgers[alpha, seed], reference_ledger)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets(), st.booleans(), st.data())
+def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
+    # ragged segments, alpha 0 among the runs, and with a tiny target on provider 0
+    # some runs' ratios overflow to +inf: each of those fails alone, with its own message
+    dataset, k = case
+    dataset = tiny_target(dataset) if tiny else dataset
+    cfg = SimConfig(list_size=k)
+    alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
+    runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes, ledgers = batch_with_ledgers(dataset, "FairCoStar", runs, cfg)
+        assert len(outcomes) == len(runs)
+        for (alpha, seed), got in zip(runs, outcomes):
+            want, ledger = alone_with_ledger(dataset, "FairCoStar", alpha, seed, cfg)
+            if isinstance(want, ValueError):
+                assert isinstance(got, ValueError) and str(got) == str(want)
+                continue
+            assert isinstance(got, RunResult)
+            assert got.deterministic_values() == want.deterministic_values()
+            assert_same_ledger(ledgers[alpha, seed], ledger)
+
+
+def test_a_fairco_run_whose_ratios_overflow_fails_alone():
+    # provider 0 owns item 0, which only user 1 finds relevant: a run that serves user 1
+    # before user 0 pays it, its ratio overflows, and user 0's list cannot be scored
+    profiles = [ProviderProfile(1.0, 2.0, 1.0)] * 3
+    entries = [(1, 0, 1.0)] + [(u, i, 0.5 + 0.1 * i) for u in range(2) for i in range(1, 5)]
+    catalog = Catalog.from_assignments([0, 1, 1, 2, 2], 3)
+    dataset = tiny_target(Dataset(catalog, tuple(profiles), RelevanceTable(2, entries)))
+    cfg = SimConfig(list_size=2)
+    first = {seed: int(np.random.default_rng(seed).permutation(2)[0]) for seed in range(4)}
+    late, early = min(s for s in first if first[s] == 0), min(s for s in first if first[s] == 1)
+    runs = [(0.0, late), (0.0, early), (1e-3, late), (0.5, late)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)
+        for (alpha, seed), got in zip(runs, outcomes):
+            want = run_alone(dataset, "FairCoStar", alpha, seed, cfg)
+            if seed == early:
+                assert isinstance(got, ValueError) and str(got) == str(want) == "scores must be finite"
+            else:
+                assert got.deterministic_values() == want.deterministic_values()
+
+
+def test_a_fairco_list_never_takes_a_pad_of_its_short_segment():
+    # at step 1 the run that served user 1 first ranks user 0's 5 entries padded to
+    # user 1's 8 with copies of the last, item 8: the only item of provider 2, which
+    # alone lags, so the item and its copies top the scores
+    profiles = (ProviderProfile(1.0, 1.0, 1.0),) * 3
+    entries = [(1, 0, 0.9), (1, 4, 0.9)] + [(1, i, 0.5) for i in (1, 2, 3)]
+    catalog = Catalog.from_assignments([0, 0, 0, 0, 1, 1, 1, 1, 2], 3)
+    dataset = Dataset(catalog, profiles, RelevanceTable(2, entries))
+    cfg = SimConfig(list_size=2)
+    first = {seed: int(np.random.default_rng(seed).permutation(2)[0]) for seed in range(4)}
+    runs = [(10.0, min(s for s in first if first[s] == u)) for u in (0, 1)]
+    for (alpha, seed), got in zip(runs, sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)):
+        want = sim.run_offline(dataset, "FairCoStar", alpha, seed, cfg)
+        assert got.deterministic_values() == want.deterministic_values()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets(), st.sampled_from(BLIND_RUNS), st.integers(0, 1000))
+def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run, seed):
+    dataset, k = case
+    policy, alpha = run
+    cfg = SimConfig(list_size=k)
+    assert sim.ledger_blind(policy, alpha)
+    calls, heads = [], OfflineField.heads
+
+    def counted(field, users, k):
+        calls.append(len(users))
+        return heads(field, users, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OfflineField, "heads", counted)
+        for name in ("rank", "_fill"):
+            mp.setattr(PolicyPlan, name, lambda *args: pytest.fail("a ledger-blind run ranks no list"))
+        got, ledger = alone_with_ledger(dataset, policy, alpha, seed, cfg)
+    assert calls == [dataset.relevance.user_count]
+    want, _, want_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
+    assert got.deterministic_values() == want.deterministic_values()
+    assert_same_ledger(ledger, want_ledger)
+
+
+def test_only_fairco_and_mmf_at_alpha_0_read_the_ledger_among_topk_lists():
+    # FairCo* and MMF* at alpha 0 list TopK's items, but their scores can still fail
+    policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
+    assert [sim.ledger_blind(p, 0.0) for p in policies] == [True, False, False, False, True, True]
+    assert [sim.ledger_blind(p, 1e-3) for p in policies] == [True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("policy", ["EquityRank", "EquityRankV"])
@@ -103,5 +251,27 @@ def test_an_overflowing_run_fails_alone_and_its_batch_goes_on(policy):
 def test_only_the_gradient_policies_run_in_lockstep():
     spec = GeneratorSpec(n_users=4, n_items=10, n_providers=2, latent_dim=2, sparsity=0.5, seed=1)
     dataset = generate_dataset(spec, ScenarioSpec.common())
-    with pytest.raises(ValueError, match="EquityRank or EquityRankV"):
-        sim.run_offline_batch(dataset, "FairCoStar", [(0.1, 0)], SimConfig(list_size=2))
+    for policy in ("MMFStar", "PoorK", "TopK"):
+        with pytest.raises(ValueError, match="FairCoStar, EquityRank or EquityRankV"):
+            sim.run_offline_batch(dataset, policy, [(0.1, 0)], SimConfig(list_size=2))
+
+
+def test_an_empty_batch_has_no_outcomes():
+    spec = GeneratorSpec(n_users=4, n_items=10, n_providers=2, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    assert sim.run_offline_batch(dataset, "EquityRank", [], SimConfig(list_size=2)) == []
+
+
+@pytest.mark.parametrize("policy", ["FairCoStar", "EquityRank", "EquityRankV"])
+def test_a_refused_seed_fails_its_run_alone(policy):
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    cfg = SimConfig(list_size=2)
+    runs = [(0.1, 0), (0.1, -1), (1.0, 1), (0.0, -1), (0.5, 2)]
+    outcomes = sim.run_offline_batch(dataset, policy, runs, cfg)
+    for (alpha, seed), got in zip(runs, outcomes):
+        want = run_alone(dataset, policy, alpha, seed, cfg)
+        if seed < 0:
+            assert isinstance(want, ValueError) and type(got) is type(want) and str(got) == str(want)
+        else:
+            assert got.deterministic_values() == want.deterministic_values()
