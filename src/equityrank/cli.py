@@ -446,15 +446,20 @@ def cmd_report(results_dir: str | Path, out_dir: str | Path | None = None) -> Pa
     stats = _group_stats(results)
     policies = sorted({policy for policy, _ in stats})
 
-    # Minimum-unfairness operating point per policy, with alignment there.
+    # Minimum-unfairness operating point per policy, with alignment there:
+    # NaN unfairness orders after every number, so it is the point only
+    # when all of a policy's points are NaN, and such policies list last.
+    def unfairness_key(s: dict[str, float]) -> tuple[bool, float]:
+        u = s["unfairness_mean"]
+        return (True, 0.0) if math.isnan(u) else (False, u)
+
     best: dict[str, tuple[float, dict[str, float]]] = {}
     for policy in policies:
         candidates = [(alpha, s) for (p, alpha), s in stats.items() if p == policy]
-        alpha_star, s_star = min(candidates, key=lambda kv: (kv[1]["unfairness_mean"], kv[0]))
-        best[policy] = (alpha_star, s_star)
+        best[policy] = min(candidates, key=lambda kv: (unfairness_key(kv[1]), kv[0]))
 
     rows = []
-    for policy, (alpha_star, s) in sorted(best.items(), key=lambda kv: kv[1][1]["unfairness_mean"]):
+    for policy, (alpha_star, s) in sorted(best.items(), key=lambda kv: unfairness_key(kv[1][1])):
         wall = timings.get((policy, alpha_star))
         wall_mean = sum(wall) / len(wall) if wall else math.nan
         rows.append((policy, alpha_star, s["unfairness_mean"], s["unfairness_std"], s["effectiveness_mean"], wall_mean))

@@ -19,6 +19,15 @@ and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
+An online step's randomness is one user, ``int(rng.integers(users))``, then
+K purchase uniforms, ``rng.random(K)``. ``run_online`` does not make those
+calls: ``step_draws`` hands it up to ``DRAW_BLOCK`` steps' users and
+uniforms at a time, taken from one ``random_raw`` block of the run's PCG64
+generator, with the same bits and leaving the generator in the same state.
+This follows numpy's PCG64 and Lemire internals (``_pcg64_block``); the
+property in ``tests/test_step_draws.py`` matches blocks to the calls, and
+fails first if a numpy release changes them. Any other bit generator, and
+a run from its first rejected user draw on, makes the calls themselves.
 A ledger-blind offline run (``ledger_blind``: TopK, and EquityRank and
 EquityRankV at alpha 0) ranks by relevance alone, so ``run_offline`` serves
 it whole: one gather takes every user's first K segment entries, which in
@@ -40,6 +49,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +80,17 @@ __all__ = [
     "run_offline",
     "run_offline_batch",
     "run_online",
+    "step_draws",
 ]
 
 logger = logging.getLogger(__name__)
 # the policies whose offline runs run_offline_batch advances in lockstep, but
 # for their ledger-blind runs (ledger_blind), which run_offline serves whole
 LOCKSTEP_POLICIES = ("FairCoStar", "EquityRank", "EquityRankV")
+# step_draws draws an online run's randomness this many steps at a time; a
+# block's uniforms are held as Python lists, so a larger block costs memory
+DRAW_BLOCK = 512
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def ledger_blind(policy: str, alpha: float) -> bool:
@@ -222,16 +237,16 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     return float(state.relevance_of(user, [item])[0])
 
 
-def _feedback(state: OnlineState, user: int, slots, at, provider, profiles, relevance, probs):
+def _feedback(state: OnlineState, user: int, slots, at, provider, profiles, relevance, probs, draws):
     """The feedback stage of one served list, given by candidate slot.
 
     Position k serves slot ``slots[k]``; its provider g and true relevance r
-    are entry ``at[k]`` of ``provider`` and ``relevance``. It is bought with
-    probability p_k r (one uniform draw) and pays g by ``GainLedger.accrue``,
-    0 or 1 bought; the slot's counters, the kept gains and the estimate
-    follow, top position first. Returns the served relevances and purchases.
+    are entry ``at[k]`` of ``provider`` and ``relevance``. It is bought when
+    the uniform ``draws[k]`` falls below p_k r, and pays g by
+    ``GainLedger.accrue``, 0 or 1 bought; the slot's counters, the kept
+    gains and the estimate follow, top position first. Returns the served
+    relevances and purchases.
     """
-    draws = state.rng.random(len(slots)).tolist()
     accrue, gains = state.ledger.accrue, state.gains
     exposure, purchases, estimate = state.exposure[user], state.purchases[user], state.estimate[user]
     served, bought = [], []
@@ -293,8 +308,8 @@ def apply_feedback(
     bad = relevance[~((relevance >= 0.0) & (relevance <= 1.0))]
     if bad.size:
         raise ValueError(f"relevance {float(bad[0])} outside [0, 1]")
-    groups = catalog.group_of[list(items)]
-    _, bought = _feedback(state, user, slots, range(len(items)), groups, profiles, relevance, pm.probs.tolist())
+    groups, draws = catalog.group_of[list(items)], state.rng.random(len(items)).tolist()
+    _, bought = _feedback(state, user, slots, range(len(items)), groups, profiles, relevance, pm.probs.tolist(), draws)
     return np.array(bought, dtype=bool)
 
 
@@ -571,6 +586,7 @@ def online_step(
     provider: np.ndarray,
     probs: list[float],
     cutoff: int,
+    draws: list[float] | None = None,
 ) -> tuple[list[int], float]:
     """One request of an online run, by candidate slot.
 
@@ -579,10 +595,86 @@ def online_step(
     and returns the served slots, top first, and their DCG at ``cutoff``.
     ``true_rel`` and ``provider`` are the user's true relevance and provider
     ids in slot order, and ``probs`` the examination probabilities as floats.
+    ``draws`` are the list's purchase uniforms, one per position, as
+    ``step_draws`` gives them; None draws them from ``state.rng``.
     """
     slots = plan.rank(state.estimate[user], provider, state.gains, probs)
-    served, _ = _feedback(state, user, slots, slots, provider, plan.profiles, true_rel, probs)
+    if draws is None:
+        draws = state.rng.random(len(slots)).tolist()
+    served, _ = _feedback(state, user, slots, slots, provider, plan.profiles, true_rel, probs, draws)
     return slots, discounted_sum(served, probs, cutoff)
+
+
+def step_draws(rng: np.random.Generator, users: int, k: int, steps: int):
+    """Yield the randomness of ``steps`` online steps, in blocks of at most ``DRAW_BLOCK`` steps.
+
+    A block is a pair of lists: each step's user, and its ``k`` purchase
+    uniforms. They are bit for bit what the alternating calls
+    ``int(rng.integers(users))`` and ``rng.random(k).tolist()`` return, and
+    after each block ``rng`` is where those calls leave it, so the blocks
+    can be drawn as the run consumes them. A PCG64 generator draws a block
+    from one ``random_raw`` call (``_pcg64_block``). Any other bit
+    generator, ``users`` 1 (whose draw takes nothing) or beyond 32 bits,
+    and every step from a rejected user draw on, go through the calls
+    themselves.
+    """
+    bitgen = rng.bit_generator
+    from_raw = type(bitgen) is np.random.PCG64 and 2 <= users < 2**32
+    while steps > 0:
+        size = min(DRAW_BLOCK, steps)
+        who, draws = _pcg64_block(bitgen, users, k, size) if from_raw else ([], [])
+        if len(who) < size:
+            from_raw = False
+            for _ in range(size - len(who)):
+                who.append(int(rng.integers(users)))
+                draws.append(rng.random(k).tolist())
+        steps -= size
+        yield who, draws
+
+
+def _pcg64_block(bitgen: np.random.PCG64, users: int, k: int, steps: int) -> tuple[list[int], list[list[float]]]:
+    """``step_draws``' users and uniforms of up to ``steps`` steps, from one ``random_raw`` call.
+
+    This follows numpy's PCG64 and ``Generator`` internals, which
+    ``tests/test_step_draws.py`` checks against the real calls:
+
+    - a 32-bit request takes the low half of a fresh 64-bit word and keeps
+      the high half for the next one (``has_uint32`` and ``uinteger`` in
+      the state);
+    - ``integers(users)`` is Lemire's draw on one 32-bit value x: it
+      returns the high 32 bits of x * users, and accepts when their low 32
+      bits are at least (2**32 - users) mod users, else draws again;
+    - ``random()`` is (word >> 11) * 2**-53 of a fresh word.
+
+    So past a kept half, steps go in pairs of 1 + 2k words: the word whose
+    halves are the two users, then each step's k uniforms. The draw stops
+    before the first rejected user, with ``bitgen`` where the calls leave it
+    before that step (the saved state advanced by the words taken before
+    it), so the caller goes on with the calls themselves.
+    """
+    saved = bitgen.state
+    kept = saved["has_uint32"]  # 1: the first step's user reads the kept half
+    pairs = (steps - kept + 1) // 2
+    words = bitgen.random_raw(steps * k + pairs)
+    body = np.zeros((pairs, 1 + 2 * k), dtype=np.uint64)
+    body.ravel()[: words.size - kept * k] = words[kept * k :]
+    halves = np.stack((body[:, 0] & _LOW32, body[:, 0] >> 32), axis=1).ravel()[: steps - kept]
+    uniforms = body[:, 1:].reshape(2 * pairs, k)[: steps - kept]
+    if kept:
+        halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), halves))
+        uniforms = np.concatenate((words[None, :k], uniforms))
+    scaled = halves * np.uint64(users)
+    rejected = np.flatnonzero((scaled & _LOW32) < (2**32 - users) % users)
+    done = int(rejected[0]) if rejected.size else steps
+    taken = (done - kept + 1) // 2  # user words the first `done` steps take
+    if done < steps:
+        bitgen.state = saved
+        bitgen.advance(done * k + taken)
+    state = bitgen.state
+    state["has_uint32"] = (done - kept) % 2
+    state["uinteger"] = int(body[taken - 1, 0] >> 32) if taken else saved["uinteger"]
+    bitgen.state = state
+    return (scaled[:done] >> 32).tolist(), ((uniforms[:done] >> 11) * 2.0**-53).tolist()
 
 
 def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
@@ -591,7 +683,9 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     Each step samples a user uniformly, ranks their prefiltered candidates
     with estimated relevance, applies sampled feedback, and updates the
     discounted cumulative NDCG (computed against true relevance). Emits the
-    final result plus the checkpoint time series.
+    final result plus the checkpoint time series. The users and purchase
+    uniforms come from ``step_draws``, a block at a time, and are those the
+    step-by-step calls on the run's generator give.
     """
     if policy == "EquityRankV":
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
@@ -612,9 +706,9 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
-    for t in range(1, cfg.total_steps + 1):
-        user = int(state.rng.integers(rel.user_count))
-        _, dcg = online_step(plan, state, user, true_rel[user], providers[user], probs, cutoff)
+    blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
+    for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
+        _, dcg = online_step(plan, state, user, true_rel[user], providers[user], probs, cutoff, draws=draws)
         ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t

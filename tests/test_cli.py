@@ -339,6 +339,23 @@ class TestReport:
         assert main(["report", "--results", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err.strip()) == {"status": "error", "message": message}
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["nan-first", "nan-last"])
+    def test_min_unfairness_point_skips_nan_in_either_row_order(self, tmp_path, reverse):
+        rows = [
+            "offline,TopK,0,0,0.9,nan,nan,nan",
+            "offline,TopK,0.5,0,0.8,0.5,nan,nan",
+            "offline,PoorK,0,0,0.7,nan,nan,nan",
+            "offline,PoorK,1,0,0.6,nan,nan,nan",
+            "offline,EquityRank,0.1,0,0.5,0.9,nan,nan",
+        ]
+        header = ",".join(DETERMINISTIC_FIELDS)
+        (tmp_path / "results.csv").write_text("\n".join([header, *(rows[::-1] if reverse else rows)]) + "\n")
+        table = _read_rows(cmd_report(tmp_path) / "report_min_unfairness.csv", cli.MIN_UNFAIRNESS_HEADER)
+        picked = [(policy, float(alpha), float(unfairness)) for _, (policy, alpha, unfairness, *_) in table]
+        # PoorK has no number, so it reads NaN at its lowest alpha, listed last
+        assert picked[:2] == [("TopK", 0.5, 0.5), ("EquityRank", 0.1, 0.9)]
+        assert picked[2][:2] == ("PoorK", 0.0) and math.isnan(picked[2][2])
+
     def test_empty_results_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -149,3 +149,19 @@ def test_alpha_zero_policies_run_as_topk(run):
         *got, served = observed_run(dataset, policy, 0.0, seed, cfg)
         assert served == topk_served, policy
         assert fingerprint(*got) == fingerprint(*topk), policy
+
+
+@pytest.mark.parametrize("policy, alpha", [("EquityRank", 0.01), ("MMFStar", 0.5)])
+def test_run_across_draw_blocks_matches_per_request_reference(policy, alpha):
+    """2 B + 3 steps cross two block boundaries of ``sim.step_draws`` and end
+    inside a third block, with the generator's final state compared too."""
+    spec = GeneratorSpec(n_users=7, n_items=30, n_providers=4, latent_dim=2, sparsity=0.5, seed=3)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    steps = 2 * sim.DRAW_BLOCK + 3
+    cfg = SimConfig(list_size=3, total_steps=steps, prefilter_size=8, checkpoint_every=100, mode="online", record_ndcg=True)
+    result, trace, state, served = observed_run(dataset, policy, alpha, 4, cfg)
+    want = run_online_reference(dataset, policy, alpha, 4, cfg)
+
+    assert len(served) == steps
+    assert result.deterministic_values() == want[0].deterministic_values()
+    assert fingerprint(result, trace, state) == fingerprint(*want)
