@@ -4,7 +4,9 @@
 ``ExperimentPlan`` as JSON, with CLI flags laid over the ``--config`` file
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
-has the rules, and "Sweep outputs" the files a sweep writes.
+has the rules, and "Sweep outputs" the files a sweep writes. A sweep deals
+each policy's offline runs out to its workers, one unit per share, and
+``sim.run_offline_batch`` serves each unit; an online run is a unit alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
-from .sim import LOCKSTEP_POLICIES, SimConfig, ledger_blind, run_offline, run_offline_batch, run_online
+from .sim import SimConfig, run_offline, run_offline_batch, run_online
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -53,12 +55,6 @@ SUMMARY_HEADER = tuple(
     "mode,policy,alpha,runs,effectiveness_mean,effectiveness_std,unfairness_mean,unfairness_std,msd_mean,pearson_mean"
     .split(",")
 )
-# An offline sweep runs each FairCo*, EquityRank and EquityRankV run that is
-# not ledger-blind in lockstep batches (sim.run_offline_batch) of at most
-# BATCH_RUNS runs, which bounds a batch's (runs x segment) arrays. Below
-# MIN_BATCH_RUNS a batch is slower than its runs one by one.
-BATCH_RUNS = 64
-MIN_BATCH_RUNS = 4
 MIN_UNFAIRNESS_HEADER = ("policy", "alpha", "unfairness_mean", "unfairness_std", "effectiveness_mean", "wall_ms_mean")
 ALIGNMENT_HEADER = ("policy", "alpha", "msd_mean", "pearson_mean")
 
@@ -238,13 +234,6 @@ def _pool_init(dataset: Dataset, sim: SimConfig) -> None:
     _POOL_SIM = sim
 
 
-def _execute_run(dataset: Dataset, sim: SimConfig, policy: str, alpha: float, seed: int):
-    if sim.mode == "online":
-        result, trace = run_online(dataset, policy, alpha, seed, sim)
-        return result, trace.checkpoints
-    return run_offline(dataset, policy, alpha, seed, sim), None
-
-
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -252,49 +241,37 @@ def _error(exc: Exception) -> str:
 def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
     """Each run's outcome, ("ok", result, checkpoints) or ("err", message, None).
 
-    A unit of one run runs alone; a longer unit is a lockstep batch of one
-    policy's offline runs (``_units``), whose runs fail one by one.
+    An online unit is one run. An offline unit is a share of one policy's
+    runs (``_units``), which ``sim.run_offline_batch`` serves; its runs fail
+    one by one.
     """
-    if len(unit) > 1:
-        runs = [(alpha, seed) for _, alpha, seed in unit]
-        try:
-            outcomes = run_offline_batch(_POOL_DATASET, unit[0][0], runs, _POOL_SIM)
-        except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
-            return [("err", _error(exc), None)] * len(unit)
-        return [("ok", o, None) if isinstance(o, RunResult) else ("err", _error(o), None) for o in outcomes]
-    ((policy, alpha, seed),) = unit
     try:
-        result, checkpoints = _execute_run(_POOL_DATASET, _POOL_SIM, policy, alpha, seed)
-        return [("ok", result, checkpoints)]
+        if _POOL_SIM.mode == "online":
+            ((policy, alpha, seed),) = unit
+            result, trace = run_online(_POOL_DATASET, policy, alpha, seed, _POOL_SIM)
+            return [("ok", result, trace.checkpoints)]
+        runs = [(alpha, seed) for _, alpha, seed in unit]
+        outcomes = run_offline_batch(_POOL_DATASET, unit[0][0], runs, _POOL_SIM)
     except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
-        return [("err", _error(exc), None)]
+        return [("err", _error(exc), None)] * len(unit)
+    return [("ok", o, None) if isinstance(o, RunResult) else ("err", _error(o), None) for o in outcomes]
 
 
 def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
     """The runs of ``specs`` as pool units, lists of indices into ``specs``.
 
-    Offline, the runs of each policy of LOCKSTEP_POLICIES that are not
-    ledger-blind (``sim.ledger_blind``) are dealt out to the ``workers``
-    first, so that every worker gets a share, and each share is cut into
-    near-equal batches of at most BATCH_RUNS; a share of fewer than
-    MIN_BATCH_RUNS, and every other run, is a unit of its own. Batches come
-    first, so the longest units start first.
+    Online, each run is a unit. Offline, each policy's runs are dealt out to
+    the ``workers``, so that every worker gets a share, and each nonempty
+    share is a unit; ``sim.run_offline_batch`` picks how its runs are
+    served. The longest units come first, so they start first.
     """
+    if mode == "online":
+        return [[i] for i in range(len(specs))]
     groups: dict[str, list[int]] = {}
-    batches, singles = [], []
-    for i, (policy, alpha, _) in enumerate(specs):
-        if mode == "offline" and policy in LOCKSTEP_POLICIES and not ledger_blind(policy, alpha):
-            groups.setdefault(policy, []).append(i)
-        else:
-            singles.append([i])
-    for group in groups.values():
-        for share in (group[w::workers] for w in range(workers)):
-            if len(share) < MIN_BATCH_RUNS:
-                singles += [[i] for i in share]
-            else:
-                count = -(-len(share) // BATCH_RUNS)
-                batches += [share[b::count] for b in range(count)]
-    return batches + singles
+    for i, (policy, _, _) in enumerate(specs):
+        groups.setdefault(policy, []).append(i)
+    shares = [group[w::workers] for group in groups.values() for w in range(workers)]
+    return sorted((share for share in shares if share), key=len, reverse=True)
 
 
 def cmd_sweep(plan: ExperimentPlan) -> Path:
@@ -321,8 +298,10 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
             done = list(pool.map(_pool_run, jobs))
     else:
         _pool_init(dataset, plan.sim)
-        done = [_pool_run(job) for job in jobs]
-        _pool_init(None, None)  # the dataset and its derived arrays go with this sweep
+        try:
+            done = [_pool_run(job) for job in jobs]
+        finally:
+            _pool_init(None, None)  # the dataset and its derived arrays go with this sweep
     by_index = {i: outcome for unit, outcomes in zip(units, done) for i, outcome in zip(unit, outcomes)}
     outcomes = [by_index[i] for i in range(len(specs))]
 
@@ -417,7 +396,11 @@ def cmd_run(
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Execute one run; optionally write result.csv (and series.csv online)."""
-    result, checkpoints = _execute_run(dataset, sim, policy, alpha, seed)
+    if sim.mode == "online":
+        result, trace = run_online(dataset, policy, alpha, seed, sim)
+        checkpoints = trace.checkpoints
+    else:
+        result, checkpoints = run_offline(dataset, policy, alpha, seed, sim), None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -84,6 +84,20 @@ class GainLedger:
         self.group_exposure[g] = self.group_exposure.item(g) + p_k
         return paid + sold
 
+    def pay(self, providers, probs, relevances, profiles: Sequence[ProviderProfile], kept=None) -> None:
+        """Accrue served positions' expected gains, one ``accrue`` per position, in the order given.
+
+        Position i pays provider ``providers[i]`` at examination probability
+        ``probs[i]``, with expected purchases ``probs[i] * relevances[i]``;
+        ``kept``, if given, takes each provider's raw gain as ``accrue``
+        returns it. The caller counts the served lists in ``step_count``.
+        """
+        accrue = self.accrue
+        for g, p_k, r in zip(providers, probs, relevances):
+            paid = accrue(g, p_k, p_k * r, profiles[g])
+            if kept is not None:
+                kept[g] = paid
+
     def raw_gains(self) -> np.ndarray:
         """Cumulative provider gains without the 1/T averaging."""
         return self.exposure_gain + self.purchase_gain

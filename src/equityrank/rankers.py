@@ -559,17 +559,18 @@ def allocate_vertical(
         raise ValueError("users must be distinct ids")
     field = offline_field(rel, catalog, pm.list_size)
     lists, _ = _allocate_vertical(users, ledger, profiles, alpha, pm, field)
+    ledger.step_count += len(users)
     return [RankList(tuple(items.tolist()), u) for u, items in zip(users, lists)]
 
 
 def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
-    """Each user's items, top first, and their relevance: one fill over their segments of ``field``."""
+    """Each user's items, top first, and their relevance: one fill over their segments of
+    ``field``, each pick paid to ``ledger`` at once. The caller counts the lists in ``step_count``."""
     plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
     segments = [field.segment(u) for u in users]
     lists = [(field.relevance[seg], field.provider[seg]) for seg in segments]
     pay = lambda gains, g, p_k, r, w: ledger.accrue(g, p_k, p_k * r, profiles[g])  # noqa: E731
     chosen = plan._fill(lists, ledger.raw_gains(), pm.probs.tolist(), pay)
-    ledger.step_count += len(users)
     items = [field.items[seg][at] for seg, at in zip(segments, chosen)]
     return items, [r[at].tolist() for (r, _), at in zip(lists, chosen)]
 
@@ -577,9 +578,9 @@ def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
 def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: np.ndarray, ledgers, probs, vertical: bool):
     """R offline runs of ``plan``'s FairCo* or EquityRank, or EquityRankV with ``vertical``, in lockstep.
 
-    Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.accrue``,
-    as ``sim.run_offline`` and ``_allocate_vertical`` do one run at a time. At each step every run
-    scores its list's segment, padded with its last entry to the step's longest. EquityRank
+    Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.pay``, as
+    ``sim.run_offline_batch`` and ``_allocate_vertical`` do a run at a time; the caller counts the lists.
+    At each step every run scores its list's segment, padded with its last entry to the step's longest. EquityRank
     takes ``argmax``'s first maximum of its finite scores among its entries left, a pick at a
     time; FairCo* takes its whole list by one ``lexsort``, with the pads' scores at -inf.
     Returns the picks (R x users x K), the positions of run r's j-th user's list in its
@@ -595,7 +596,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     cols = np.arange(max(spans))
     weight = field.relevance * plan.vb[field.provider] + plan.ve[field.provider]
     gains = np.stack([ledger.raw_gains() for ledger in ledgers])
-    kept = list(gains)  # each run's raw gains as run_offline keeps them: views that accrue's returns write
+    kept = list(gains)  # each run's raw gains as a run alone keeps them: views that GainLedger.pay writes
     profiles = plan.profiles
     offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
     column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
@@ -630,9 +631,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
         """Each paying run's ``served`` field indices, a row per run, top first, at ``probs``."""
         providers, values = field.provider[served].tolist(), field.relevance[served].tolist()
         for run in paying:
-            keep, accrue = kept[run], ledgers[run].accrue
-            for p_k, g, r in zip(probs, providers[run], values[run]):
-                keep[g] = accrue(g, p_k, p_k * r, profiles[g])
+            ledgers[run].pay(providers[run], probs, values[run], profiles, kept[run])
 
     if vertical:
         for level, p_k in enumerate(probs):

@@ -28,19 +28,23 @@ This follows numpy's PCG64 and Lemire internals (``_pcg64_block``); the
 property in ``tests/test_step_draws.py`` matches blocks to the calls, and
 fails first if a numpy release changes them. Any other bit generator, and
 a run from its first rejected user draw on, makes the calls themselves.
-A ledger-blind offline run (``ledger_blind``: TopK, and EquityRank and
-EquityRankV at alpha 0) ranks by relevance alone, so ``run_offline`` serves
-it whole: one gather takes every user's first K segment entries, which in
-greedy order are the list ``PolicyPlan.rank`` would take, and the run pays
-them in its own order. The runs of a sweep are independent of each other,
-so ``run_offline_batch`` advances R offline FairCo*, EquityRank or
-EquityRankV runs in lockstep: at each pick, or each list for FairCo*, one
-scoring call over the R runs' segments serves them all, and each run pays
-its own ledger. Each score is the run-alone score, element by element, by
-the same floating-point operations; the gains' dot product with the targets
-stays one ``.dot`` per run, as a matrix product or ``einsum`` over the R
-runs rounds some rows differently. So every run's lists and result are the
-bits ``run_offline`` gives it alone. MMF* and PoorK runs go list by list.
+``run_offline_batch`` is the one offline driver; ``run_offline`` is its
+call with one run. It checks the dataset and builds the field and the ideal
+DCGs once, then picks each run's engine. A ledger-blind run (``ledger_blind``:
+TopK, and EquityRank and EquityRankV at alpha 0) ranks by relevance alone,
+so it is served whole: one gather takes every user's first K segment
+entries, which in greedy order are the list ``PolicyPlan.rank`` would take,
+and the run pays them in its own order. ``MIN_BATCH_RUNS`` or more of the
+other FairCo*, EquityRank or EquityRankV runs of a call advance in lockstep
+(``rankers._lockstep``), in batches of at most ``BATCH_RUNS``: at each pick,
+or each list for FairCo*, one scoring call over the R runs' segments serves
+them all, and each run pays its own ledger. Each score is the run-alone
+score, element by element, by the same floating-point operations; the
+gains' dot product with the targets stays one ``.dot`` per run, as a matrix
+product or ``einsum`` over the R runs rounds some rows differently. So every
+run's lists and result are the bits it gets alone. Every other run, MMF*'s
+and PoorK's among them, goes list by list. Each engine pays a list's
+expected gains through ``GainLedger.pay``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
@@ -84,9 +88,13 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-# the policies whose offline runs run_offline_batch advances in lockstep, but
-# for their ledger-blind runs (ledger_blind), which run_offline serves whole
+# run_offline_batch advances MIN_BATCH_RUNS or more offline runs of these
+# policies that are not ledger-blind in lockstep, in batches of at most
+# BATCH_RUNS, which bounds a batch's (runs x segment) arrays; a smaller
+# batch is slower than its runs one by one
 LOCKSTEP_POLICIES = ("FairCoStar", "EquityRank", "EquityRankV")
+BATCH_RUNS = 64
+MIN_BATCH_RUNS = 4
 # step_draws draws an online run's randomness this many steps at a time; a
 # block's uniforms are held as Python lists, so a larger block costs memory
 DRAW_BLOCK = 512
@@ -330,9 +338,8 @@ def apply_expected_feedback(
     items = ranklist.items_for(user)
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
-    served = zip(catalog.group_of[list(items)].tolist(), pm.probs.tolist(), rel.relevance_of(user, items).tolist())
-    for g, p_k, r in served:
-        ledger.accrue(g, p_k, p_k * r, profiles[g])
+    groups, values = catalog.group_of[list(items)].tolist(), rel.relevance_of(user, items).tolist()
+    ledger.pay(groups, pm.probs.tolist(), values, profiles)
     ledger.step_count += 1
 
 
@@ -427,124 +434,117 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     the mean NDCG at the evaluation cutoff, taken once every list is served;
     unfairness is computed on per-list averaged gains.
 
-    Each list is ranked from the user's segment of the dataset's offline
-    field (``rankers.offline_field``), whose lists are the whole catalog's;
-    a ledger-blind run (``ledger_blind``) takes every list whole.
-    The field and the users' ideal DCGs are built on the first offline run
-    on a dataset object and shared by its later runs with the same list
-    size (and cutoff).
+    This is ``run_offline_batch`` of the one run, and raises the exception
+    that its outcome holds.
     """
-    catalog, profiles, rel = _check_dataset(dataset, cfg)
-    pm = PositionModel.logarithmic(cfg.list_size)
-    policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
-    user_order = np.random.default_rng(seed).permutation(rel.user_count)
-    # the visit order is a pure function of the run seed; log its head so a
-    # run can be cross-checked without rerunning
-    logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, user_order[:8])
-
-    start = time.perf_counter()
-    ledger = GainLedger.empty(catalog.provider_count)
-    k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
-    field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
-    if ledger_blind(policy, alpha):
-        served = _serve_heads(field, user_order, ledger, profiles, probs, by_level=policy == "EquityRankV")
-    elif policy == "EquityRankV":
-        _, served = _allocate_vertical(user_order, ledger, profiles, alpha, pm, field)
-    else:
-        plan = PolicyPlan(policy_cfg, profiles, slotwise=True)
-        gains, served = ledger.raw_gains(), []
-        for user in user_order.tolist():
-            seg = field.segment(user)
-            relevance, provider = field.relevance[seg], field.provider[seg]
-            at = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
-            served.append(relevance[at].tolist())
-            for p_k, g, r in zip(probs, provider[at].tolist(), served[-1]):
-                gains[g] = ledger.accrue(g, p_k, p_k * r, profiles[g])
-        ledger.step_count += len(user_order)
-    ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
-    ndcgs = [ndcg_from(discounted_sum(r, probs, cutoff), ideal[u]) for u, r in zip(user_order, served)]
-    effectiveness = sum(ndcgs) / len(ndcgs)
-    wall = time.perf_counter() - start
-    return _result("offline", policy, alpha, seed, effectiveness, ledger, profiles, wall)
-
-
-def _serve_heads(field, users: np.ndarray, ledger: GainLedger, profiles, probs: list[float], by_level: bool) -> list:
-    """Serve each of ``users`` its ledger-blind list, the first K entries of its segment.
-
-    Each position pays through ``GainLedger.accrue`` in the order of the run
-    it stands for: user by user, top position first, or level by level over
-    the users with ``by_level``, as EquityRankV pays. Returns each user's
-    served relevances, top first.
-    """
-    at = field.heads(users, len(probs))
-    served, accrue = field.relevance[at].tolist(), ledger.accrue
-    if by_level:
-        for p_k, providers, values in zip(probs, field.provider[at.T].tolist(), field.relevance[at.T].tolist()):
-            for g, r in zip(providers, values):
-                accrue(g, p_k, p_k * r, profiles[g])
-    else:
-        for providers, values in zip(field.provider[at].tolist(), served):
-            for p_k, g, r in zip(probs, providers, values):
-                accrue(g, p_k, p_k * r, profiles[g])
-    ledger.step_count += len(users)
-    return served
+    (outcome,) = run_offline_batch(dataset, policy, [(alpha, seed)], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
-    """``run_offline`` of FairCo*, EquityRank or EquityRankV at each (alpha, seed) of ``runs``.
+    """``run_offline`` of ``policy`` at each (alpha, seed) of ``runs``, each served by the
+    engine the call picks for it (module docstring), with the lists, ledger and result it
+    gets alone.
 
-    The runs advance in lockstep (``rankers._lockstep``): one scoring call
-    per pick, or per list for FairCo*, serves all of them, and each run's
-    lists, ledger and result are the ones ``run_offline`` gives it alone. A
-    ledger-blind run (``ledger_blind``: EquityRank and EquityRankV at alpha
-    0) is served whole by ``run_offline`` inside the call. Returns, per run,
-    its ``RunResult`` or the exception that ``run_offline`` raises for it,
-    such as a ``ValueError`` for a seed it refuses; each result's wall time
-    is the batch's divided by ``len(runs)``. A dataset that no run can use
-    raises, as for ``run_offline``.
+    Each list is ranked from the user's segment of the dataset's offline
+    field (``rankers.offline_field``), whose lists are the whole catalog's.
+    The field and the users' ideal DCGs are built on the first call on a
+    dataset object and shared by its later calls with the same list size
+    (and cutoff). Returns, per run, its ``RunResult`` or the exception it
+    raised, such as a ``ValueError`` for a seed it refuses: a run fails
+    alone. A run of a lockstep batch reads the batch's wall time divided by
+    its runs; every other run reads its own. A dataset that no run can use
+    raises.
     """
-    if policy not in LOCKSTEP_POLICIES:
-        raise ValueError(f"offline lockstep runs FairCoStar, EquityRank or EquityRankV, not {policy!r}")
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     if not runs:
         return []
-    start = time.perf_counter()
+    pm = PositionModel.logarithmic(cfg.list_size)
+    k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
+    field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
+    ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
+
+    def finish(i, order, served, ledger, wall):
+        alpha, seed = runs[i]
+        ledger.step_count += len(served)
+        ndcgs = [ndcg_from(discounted_sum(r, probs, cutoff), ideal[u]) for u, r in zip(order.tolist(), served)]
+        return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
+
     outcomes: list = [None] * len(runs)
-    batch = []
+    together = policy in LOCKSTEP_POLICIES and sum(not ledger_blind(policy, a) for a, _ in runs) >= MIN_BATCH_RUNS
+    ready = []  # (run index, visit order) of the runs that go in lockstep
     for i, (alpha, seed) in enumerate(runs):
+        start = time.perf_counter()
         try:
-            if ledger_blind(policy, alpha):
-                outcomes[i] = run_offline(dataset, policy, alpha, seed, cfg)
-            else:
-                # as run_offline checks alpha and draws the visit order
-                PolicyConfig(policy, alpha)
-                batch.append((i, alpha, seed, np.random.default_rng(seed).permutation(rel.user_count)))
-        except (TypeError, ValueError) as exc:
-            outcomes[i] = exc
-    if batch:
-        pm = PositionModel.logarithmic(cfg.list_size)
-        k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
-        field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
-        ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
-        orders = np.array([order for *_, order in batch])
-        alphas = np.array([alpha for _, alpha, *_ in batch], dtype=np.float64)
-        ledgers = [GainLedger.empty(catalog.provider_count) for _ in batch]
-        scorer = "FairCoStar" if policy == "FairCoStar" else "EquityRank"
-        plan = PolicyPlan(PolicyConfig(scorer, batch[0][1]), profiles)
-        picks, failed = _lockstep(plan, field, orders, alphas, ledgers, probs, policy == "EquityRankV")
-        for r, ((i, alpha, seed, order), ledger) in enumerate(zip(batch, ledgers)):
-            if r in failed:
-                outcomes[i] = ValueError("scores must be finite")
+            PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
+            order = np.random.default_rng(seed).permutation(rel.user_count)
+            # the visit order is a pure function of the run seed; log its head
+            # so a run can be cross-checked without rerunning
+            logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
+            if together and not ledger_blind(policy, alpha):
+                ready.append((i, order))
                 continue
-            ledger.step_count += rel.user_count
-            served = field.relevance[field.indptr[order][:, None] + picks[r]].tolist()
-            ndcgs = [ndcg_from(discounted_sum(values, probs, cutoff), ideal[u]) for u, values in zip(order, served)]
-            try:
-                outcomes[i] = _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, 0.0)
-            except ValueError as exc:
+            ledger = GainLedger.empty(catalog.provider_count)
+            served = _serve(policy, alpha, order, field, ledger, profiles, pm)
+            outcomes[i] = finish(i, order, served, ledger, time.perf_counter() - start)
+        except Exception as exc:  # noqa: BLE001 - the run fails alone
+            outcomes[i] = exc
+    count = -(-len(ready) // BATCH_RUNS)
+    for batch in (ready[b::count] for b in range(count)):
+        start = time.perf_counter()
+        alphas = [runs[i][0] for i, _ in batch]
+        ledgers = [GainLedger.empty(catalog.provider_count) for _ in batch]
+        try:
+            scorer = "FairCoStar" if policy == "FairCoStar" else "EquityRank"
+            plan = PolicyPlan(PolicyConfig(scorer, alphas[0]), profiles)
+            orders = np.array([order for _, order in batch])
+            picks, failed = _lockstep(plan, field, orders, np.array(alphas), ledgers, probs, policy == "EquityRankV")
+        except Exception as exc:  # noqa: BLE001 - the batch's runs fail, the call goes on
+            for i, _ in batch:
                 outcomes[i] = exc
-    wall = (time.perf_counter() - start) / len(runs)
-    return [replace(o, wall_time=wall) if isinstance(o, RunResult) else o for o in outcomes]
+            continue
+        wall = (time.perf_counter() - start) / len(batch)
+        for r, ((i, order), ledger) in enumerate(zip(batch, ledgers)):
+            try:
+                if r in failed:
+                    raise ValueError("scores must be finite")
+                served = field.relevance[field.indptr[order][:, None] + picks[r]].tolist()
+                outcomes[i] = finish(i, order, served, ledger, wall)
+            except Exception as exc:  # noqa: BLE001 - the run fails alone
+                outcomes[i] = exc
+    return outcomes
+
+
+def _serve(policy: str, alpha: float, order: np.ndarray, field, ledger: GainLedger, profiles, pm: PositionModel):
+    """Serve one run's lists to the users of ``order``, whole or list by list, paying ``ledger``.
+
+    Returns each user's served relevances, top first, in visit order. The
+    caller counts the lists.
+    """
+    probs = pm.probs.tolist()
+    if ledger_blind(policy, alpha):
+        # each position pays in the order of the run it stands for: user by
+        # user, top position first, or level by level, as EquityRankV pays
+        at = field.heads(order, len(probs))
+        paid, levels = at, np.broadcast_to(pm.probs, at.shape)
+        if policy == "EquityRankV":
+            paid, levels = paid.T, levels.T
+        paid = paid.ravel()
+        ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
+        return field.relevance[at].tolist()
+    if policy == "EquityRankV":
+        return _allocate_vertical(order, ledger, profiles, alpha, pm, field)[1]
+    plan = PolicyPlan(PolicyConfig(policy, alpha), profiles, slotwise=True)
+    gains, served = ledger.raw_gains(), []
+    for user in order.tolist():
+        seg = field.segment(user)
+        relevance, provider = field.relevance[seg], field.provider[seg]
+        at = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
+        served.append(relevance[at].tolist())
+        ledger.pay(provider[at].tolist(), probs, served[-1], profiles, gains)
+    return served
 
 
 def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarray:
@@ -697,7 +697,8 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     # make_online_state checks the dataset before any list is served
     state = make_online_state(dataset, seed, cfg)
     profiles, rel = dataset.profiles, dataset.relevance
-    ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache
+    # as Python floats, so that each step's NDCG and the running cndcg are floats too
+    ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache.tolist()
     plan = PolicyPlan(policy_cfg, profiles)
     # true relevance and providers over every user's candidate row, read
     # once: a step takes them by candidate slot, with no table lookup

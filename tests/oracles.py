@@ -264,12 +264,13 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     trace = sim.OnlineTrace()
     series = np.empty(cfg.total_steps) if cfg.record_ndcg else None
+    ideals = state.ideal_cache.tolist()  # Python floats, as run_online reads them
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
         rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm)
         served = true_rel[user].take(state.slots(user, rl.positions))
         apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
-        ideal = state.ideal_cache[user]
+        ideal = ideals[user]
         ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cfg.eval_cutoff) / ideal
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, generate_dataset, load_dataset, run_offline
+from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, generate_dataset, load_dataset, run_offline, sim
 from equityrank.cli import (
     DETERMINISTIC_FIELDS,
     ExperimentPlan,
@@ -49,6 +49,35 @@ BATCHED = dict(policies=("TopK", "EquityRank", "EquityRankV"), alpha_grid=(0.0, 
 
 def plan_specs(plan):
     return [(p, a, s) for p in plan.policies for a in effective_alpha_grid(p, plan.alpha_grid) for s in plan.seeds]
+
+
+def record_lockstep(monkeypatch):
+    """The (policy, alphas) of each lockstep batch that ``sim.run_offline_batch`` runs in this process from now on."""
+    batches, lockstep = [], sim._lockstep
+
+    def recorded(plan, field, orders, alpha, ledgers, probs, vertical):
+        policy = "EquityRankV" if vertical else plan.kind
+        batches.append((policy, alpha.tolist()))
+        return lockstep(plan, field, orders, alpha, ledgers, probs, vertical)
+
+    monkeypatch.setattr(sim, "_lockstep", recorded)
+    return batches
+
+
+class InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that maps the units in this process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestEffectiveGrid:
@@ -166,18 +195,49 @@ class TestSweep:
 
     def test_failures_csv_reads_back_the_error_message(self, tmp_path, monkeypatch):
         message = 'bad "x", y, ünï'
-        run = cli._execute_run
+        result = sim._result
 
-        # an alpha-0 run: EquityRank's runs at nonzero alpha run in a lockstep batch, not by _execute_run
-        def failing_run(dataset, sim, policy, alpha, seed):
+        def failing_result(mode, policy, alpha, seed, *args):
             if policy == "EquityRank" and alpha == 0.0 and seed == 1:
                 raise ValueError(message)
-            return run(dataset, sim, policy, alpha, seed)
+            return result(mode, policy, alpha, seed, *args)
 
-        monkeypatch.setattr(cli, "_execute_run", failing_run)
+        monkeypatch.setattr(sim, "_result", failing_result)
         out = cmd_sweep(tiny_plan(tmp_path / "failing"))
         rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
         assert [row for _, row in rows] == [["EquityRank", "0", "1", "ValueError: " + message]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_run_fails_alone_in_its_policys_unit(self, tmp_path, monkeypatch, workers):
+        # the patch is inherited by forked workers; each run of a unit fails or succeeds alone
+        result = sim._result
+
+        def failing_result(mode, policy, alpha, seed, *args):
+            if policy == "MMFStar" and alpha == 0.01 and seed == 1:
+                raise RuntimeError("patched")
+            return result(mode, policy, alpha, seed, *args)
+
+        plan = tiny_plan(tmp_path / "sweep", policies=("TopK", "MMFStar"), seeds=(0, 1, 2), workers=workers)
+        units = cli._units(plan_specs(plan), "offline", workers)
+        assert [len(unit) for unit in units] == {1: [9, 3], 2: [5, 4, 2, 1]}[workers]
+        serial = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "whole")))
+        monkeypatch.setattr(sim, "_result", failing_result)
+        out = cmd_sweep(plan)
+        rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
+        assert [row for _, row in rows] == [["MMFStar", "0.01", "1", "RuntimeError: patched"]]
+        # every other run of the sweep, those of the failing run's unit included, is written
+        lines = (serial / "results.csv").read_text().splitlines()
+        want = [line for line in lines if not line.startswith("offline,MMFStar,0.01,1,")]
+        assert (out / "results.csv").read_text().splitlines() == want
+
+    def test_an_interrupted_serial_sweep_lets_go_of_its_dataset(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_offline_batch", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_sweep(tiny_plan(tmp_path / "interrupted"))
+        assert cli._POOL_DATASET is None and cli._POOL_SIM is None
 
     def test_online_sweep_writes_series_files(self, tmp_path):
         plan = tiny_plan(
@@ -191,36 +251,44 @@ class TestSweep:
         series = sorted(p.name for p in (out / "series").iterdir())
         assert series == ["TopK_a0.0_s0.csv", "TopK_a0.0_s1.csv"]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         serial = cmd_sweep(tiny_plan(tmp_path / "serial"))
         parallel = cmd_sweep(tiny_plan(tmp_path / "parallel", workers=2))
         assert (serial / "results.csv").read_bytes() == (parallel / "results.csv").read_bytes()
 
         plan = tiny_plan(tmp_path / "batched-serial", **BATCHED)
-        specs = plan_specs(plan)
-        for workers in (1, 2):
-            batches = sorted((specs[unit[0]][0], len(unit)) for unit in cli._units(specs, "offline", workers) if len(unit) > 1)
-            assert batches == sorted([("EquityRank", 12 // workers), ("EquityRankV", 12 // workers)] * workers)
+        batches = record_lockstep(monkeypatch)
         serial = cmd_sweep(plan)
+        assert sorted(len(alphas) for _, alphas in batches) == [12, 12]
         parallel = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "batched-parallel"), workers=2))
         names = ["results.csv", "summary.csv"] + [f"envelope_{p}.csv" for p in BATCHED["policies"]]
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
-    def test_fairco_groups_are_batched_and_mmf_poork_and_ledger_blind_runs_stay_single(self):
+    def test_fairco_groups_are_batched_and_mmf_poork_and_ledger_blind_runs_stay_single(self, tmp_path, monkeypatch):
         policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-        specs = [(p, a, s) for p in policies for a in effective_alpha_grid(p, (0.0, 1e-3, 0.1, 1.0)) for s in range(4)]
-        for workers in (1, 2):
+        plan = tiny_plan(tmp_path / "sweep", policies=policies, alpha_grid=(0.0, 1e-3, 0.1, 1.0), seeds=(0, 1, 2, 3))
+        specs = plan_specs(plan)
+        gradient = ("EquityRank", "EquityRankV")
+        batched = sorted((p, a) for p, a, _ in specs if p == "FairCoStar" or (p in gradient and a))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        batches = record_lockstep(monkeypatch)
+        for workers, sizes in ((1, [16, 12, 12]), (2, [8, 8, 6, 6, 6, 6])):
+            # each policy's offline runs are dealt out to the workers, one unit per share, longest first
             units = cli._units(specs, "offline", workers)
-            batched = sorted(specs[i] for unit in units if len(unit) > 1 for i in unit)
-            gradient = ("EquityRank", "EquityRankV")
-            assert batched == sorted(s for s in specs if s[0] == "FairCoStar" or (s[0] in gradient and s[1]))
-            assert all(len({specs[i][0] for i in unit}) == 1 for unit in units)
             assert sorted(i for unit in units for i in unit) == list(range(len(specs)))
-        # a group below MIN_BATCH_RUNS runs alone, and no online run is batched
-        fairco = [("FairCoStar", a, 0) for a in (0.0, 0.1, 1.0)]
-        assert cli._units(fairco, "offline", 1) == [[0], [1], [2]]
-        assert all(len(unit) == 1 for unit in cli._units(specs, "online", 1))
+            assert [len(unit) for unit in units] == sorted((len(unit) for unit in units), reverse=True)
+            for policy in policies:
+                group = [i for i, spec in enumerate(specs) if spec[0] == policy]
+                shares = sorted(unit for unit in units if specs[unit[0]][0] == policy)
+                assert shares == sorted(group[w::workers] for w in range(workers))
+            assert all(len(unit) == 1 for unit in cli._units(specs, "online", workers))
+            # the driver batches FairCo*'s runs and EquityRank's and EquityRankV's at nonzero alpha
+            monkeypatch.setattr(os, "cpu_count", lambda: workers)
+            batches.clear()
+            cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / f"sweep-{workers}"), workers=workers))
+            assert sorted((policy, alpha) for policy, alphas in batches for alpha in alphas) == batched
+            assert sorted((len(alphas) for _, alphas in batches), reverse=True) == sizes
 
     def test_batched_sweep_writes_the_results_of_its_runs_alone(self, tmp_path):
         # 1e308 overflows the scores: those runs fail alone, with run_offline's message
@@ -243,19 +311,10 @@ class TestSweep:
     def test_worker_processes_are_capped_by_runs_and_cores(self, tmp_path, monkeypatch):
         started = []
 
-        class RecordingPool:  # records the pool size and maps in process
+        class RecordingPool(InProcessPool):  # records the pool size
             def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+                super().__init__(max_workers, initializer, initargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)

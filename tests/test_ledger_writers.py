@@ -1,6 +1,10 @@
 """``GainLedger`` is the only code that writes the ledger's arrays: every
 provider gain of a run is paid through ``GainLedger.accrue``, so a second
-hand-written pay path cannot come back unnoticed."""
+hand-written pay path cannot come back unnoticed. And ``accrue`` has three
+callers: ``GainLedger.pay``, which pays served lists' expected gains;
+``sim._feedback``, which pays sampled purchases interleaved with the online
+estimator's updates; and ``rankers._allocate_vertical``, whose picks each pay
+at once and change the next pick's scores."""
 
 import ast
 import pathlib
@@ -9,6 +13,7 @@ import equityrank
 
 LEDGER_ARRAYS = {"exposure_gain", "purchase_gain", "group_exposure"}
 SOURCES = sorted(pathlib.Path(equityrank.__file__).parent.glob("*.py"))
+ACCRUE_CALLERS = {("metrics", "GainLedger.pay"), ("sim", "_feedback"), ("rankers", "_allocate_vertical")}
 
 
 def _written_names(target):
@@ -44,6 +49,18 @@ def _ledger_writes(tree):
         todo.extend(ast.iter_child_nodes(node))
 
 
+def _accrue_uses(module, tree, scope=""):
+    """(line, scope) of every use of an ``accrue`` attribute outside the ``ACCRUE_CALLERS`` of
+    ``module``; a scope is the dotted name of the classes and functions that enclose the use."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "accrue" and (module, scope) not in ACCRUE_CALLERS:
+            yield node.lineno, scope
+        yield from _accrue_uses(module, node, inner)
+
+
 def test_the_scan_sees_every_module_and_finds_a_write():
     assert {path.stem for path in SOURCES} >= {"metrics", "rankers", "sim"}
     probe = ast.parse("def f(ledger, g):\n    pg = ledger.purchase_gain\n    pg[g] += 1.0\n    purchase_gain[g] = 0.0\n")
@@ -59,3 +76,27 @@ def test_only_the_gain_ledger_writes_its_arrays():
         for line, name in _ledger_writes(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert writes == [], "pay providers through GainLedger.accrue: " + "; ".join(writes)
+
+
+def test_the_accrue_scan_flags_a_call_anywhere_else():
+    allowed = "class GainLedger:\n    def pay(self, g):\n        accrue = self.accrue\n        accrue(g)\n"
+    assert list(_accrue_uses("metrics", ast.parse(allowed))) == []
+    assert list(_accrue_uses("sim", ast.parse(allowed))) == [(3, "GainLedger.pay")]
+    probes = {
+        "ledger.accrue(0, 1.0, 0.5, p)\n": (1, ""),
+        "def f(ledger):\n    ledger.accrue(0, 1.0, 0.5, p)\n": (2, "f"),
+        "class GainLedger:\n    def accrue(self):\n        return self.accrue\n": (3, "GainLedger.accrue"),
+        "def _feedback(s):\n    def inner():\n        s.ledger.accrue(0, 1.0, 0.0, p)\n": (3, "_feedback.inner"),
+        "def _lockstep(ledgers):\n    pay = lambda g: ledgers[0].accrue(g, 1.0, 0.5, p)\n": (2, "_lockstep"),
+    }
+    for source, flagged in probes.items():
+        assert list(_accrue_uses("sim", ast.parse(source))) == [flagged], source
+
+
+def test_only_the_pay_loop_the_online_feedback_and_the_vertical_fill_call_accrue():
+    uses = [
+        f"{path.name}:{line} in {scope or 'module'}"
+        for path in SOURCES
+        for line, scope in _accrue_uses(path.stem, ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert uses == [], "pay served lists through GainLedger.pay: " + "; ".join(uses)

@@ -1,8 +1,10 @@
-"""Offline FairCo*, EquityRank and EquityRankV runs in lockstep
-(``sim.run_offline_batch``): each run of a batch gives the result and the ledger
-that ``run_offline`` and the whole-catalog reference give it alone, and a run
-whose scores overflow fails alone, with ``run_offline``'s message, while the rest
-of its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served whole,
+"""The offline driver ``sim.run_offline_batch``: each run of a call, whatever
+engine serves it, gives the result and the ledger that ``run_offline`` and the
+whole-catalog reference give it alone. FairCo*, EquityRank and EquityRankV runs
+go in lockstep (``rankers._lockstep``) from ``sim.MIN_BATCH_RUNS`` runs on, and
+the properties below lower that to 1 to test batches of every size; a run whose
+scores overflow fails alone, with ``run_offline``'s message, while the rest of
+its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served whole,
 and give the reference's result and ledger too."""
 
 import dataclasses
@@ -31,22 +33,36 @@ from oracles import run_offline_reference, tied_datasets
 LEDGER_ARRAYS = ("exposure_gain", "purchase_gain", "group_exposure")
 # alpha b overflows once the scaled gradient passes about 1.8
 OVERFLOW = 1e308
+POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
 # (policy, alpha) of runs whose lists read no ledger
 BLIND_RUNS = [("TopK", 0.0), ("TopK", 0.5), ("EquityRank", 0.0), ("EquityRankV", 0.0)]
 
 
-def batch_with_ledgers(dataset, policy, runs, cfg):
-    """``run_offline_batch``'s outcomes, and the ledger each result was computed from, by (alpha, seed)."""
-    ledgers, result = {}, sim._result
+def batch_with_ledgers(dataset, policy, runs, cfg, **constants):
+    """``run_offline_batch``'s outcomes, the ledger each result was computed from, by (alpha,
+    seed), and the number of runs of each ``_lockstep`` batch; ``constants`` patch ``sim``'s."""
+    ledgers, batches, result, lockstep = {}, [], sim._result, sim._lockstep
 
     def capture(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall):
         ledgers[alpha, seed] = ledger
         return result(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall)
 
+    def counted(plan, field, orders, *args):
+        batches.append(len(orders))
+        return lockstep(plan, field, orders, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_result", capture)
+        mp.setattr(sim, "_lockstep", counted)
+        for name, value in constants.items():
+            mp.setattr(sim, name, value)
         outcomes = sim.run_offline_batch(dataset, policy, runs, cfg)
-    return outcomes, ledgers
+    return outcomes, ledgers, batches
+
+
+def lockstep_runs(policy, runs):
+    """How many of ``runs`` the driver serves in lockstep when ``MIN_BATCH_RUNS`` is at most their count."""
+    return sum(policy in sim.LOCKSTEP_POLICIES and not sim.ledger_blind(policy, alpha) for alpha, _ in runs)
 
 
 def run_alone(dataset, policy, alpha, seed, cfg):
@@ -125,7 +141,8 @@ def test_each_batched_run_equals_its_run_alone_and_the_reference(case, policy, d
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes, ledgers = batch_with_ledgers(dataset, policy, runs, cfg)
+        outcomes, ledgers, batches = batch_with_ledgers(dataset, policy, runs, cfg, MIN_BATCH_RUNS=1)
+        assert sum(batches) == lockstep_runs(policy, runs) and len(batches) <= 1
         assert len(outcomes) == len(runs)
         for (alpha, seed), got in zip(runs, outcomes):
             want = run_alone(dataset, policy, alpha, seed, cfg)
@@ -150,7 +167,8 @@ def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes, ledgers = batch_with_ledgers(dataset, "FairCoStar", runs, cfg)
+        outcomes, ledgers, batches = batch_with_ledgers(dataset, "FairCoStar", runs, cfg, MIN_BATCH_RUNS=1)
+        assert batches == [len(runs)]
         assert len(outcomes) == len(runs)
         for (alpha, seed), got in zip(runs, outcomes):
             want, ledger = alone_with_ledger(dataset, "FairCoStar", alpha, seed, cfg)
@@ -237,23 +255,67 @@ def test_an_overflowing_run_fails_alone_and_its_batch_goes_on(policy):
     cfg = SimConfig(list_size=3)
     runs = [(1e-3, 0), (OVERFLOW, 0), (0.0, 1), (0.5, 1), (0.1, 2)]
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = sim.run_offline_batch(dataset, policy, runs, cfg)
+        outcomes, _, batches = batch_with_ledgers(dataset, policy, runs, cfg)
         with pytest.raises(ValueError, match="^scores must be finite$"):
             sim.run_offline(dataset, policy, OVERFLOW, 0, cfg)
+    assert batches == [4]  # all but the ledger-blind alpha-0 run
     assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == "scores must be finite"
     results = [outcome for i, outcome in enumerate(outcomes) if i != 1]
     for (alpha, seed), got in zip([run for i, run in enumerate(runs) if i != 1], results):
         assert got.deterministic_values() == sim.run_offline(dataset, policy, alpha, seed, cfg).deterministic_values()
-    # a batched run's wall time is the batch's, shared evenly
-    assert len({result.wall_time for result in results}) == 1
+    # a batched run's wall time is the batch's, shared evenly; the alpha-0 run, served whole, reads its own
+    batched = {outcomes[i].wall_time for i in (0, 3, 4)}
+    assert len(batched) == 1 and outcomes[2].wall_time not in batched
 
 
 def test_only_the_gradient_policies_run_in_lockstep():
-    spec = GeneratorSpec(n_users=4, n_items=10, n_providers=2, latent_dim=2, sparsity=0.5, seed=1)
+    # every policy goes through the driver; only FairCo*'s, EquityRank's and EquityRankV's
+    # runs that read the ledger join a batch, and MMF*'s and PoorK's go list by list
+    spec = GeneratorSpec(n_users=8, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
     dataset = generate_dataset(spec, ScenarioSpec.common())
-    for policy in ("MMFStar", "PoorK", "TopK"):
-        with pytest.raises(ValueError, match="FairCoStar, EquityRank or EquityRankV"):
-            sim.run_offline_batch(dataset, policy, [(0.1, 0)], SimConfig(list_size=2))
+    cfg = SimConfig(list_size=2)
+    runs = [(alpha, seed) for alpha in (0.0, 0.1, 1.0) for seed in (0, 1)]
+    for policy, want in zip(POLICIES, ([], [], [6], [], [4], [4])):
+        outcomes, _, batches = batch_with_ledgers(dataset, policy, runs, cfg, MIN_BATCH_RUNS=1)
+        assert batches == want, policy
+        for (alpha, seed), got in zip(runs, outcomes):
+            alone = sim.run_offline(dataset, policy, alpha, seed, cfg)
+            assert got.deterministic_values() == alone.deterministic_values()
+
+
+@pytest.mark.parametrize("count,batches", [(3, []), (4, [4]), (9, [5, 4])])
+def test_a_call_batches_from_min_batch_runs_on_in_near_equal_batches_of_at_most_batch_runs(count, batches):
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    runs = [(0.1, seed) for seed in range(count)]
+    _, _, got = batch_with_ledgers(dataset, "EquityRank", runs, SimConfig(list_size=2), BATCH_RUNS=5)
+    assert got == batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets(), st.sampled_from(POLICIES), st.sampled_from([1, 3, 64]), st.data())
+def test_every_policys_driver_runs_equal_the_reference(case, policy, batch_runs, data):
+    # 1-8 runs with alpha 0 and an overflowing alpha among them, at the default MIN_BATCH_RUNS,
+    # so a call goes list by list below it and in lockstep from it on, in batches of at most batch_runs
+    dataset, k = case
+    cfg = SimConfig(list_size=k)
+    alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
+    runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes, ledgers, batches = batch_with_ledgers(dataset, policy, runs, cfg, BATCH_RUNS=batch_runs)
+        together = lockstep_runs(policy, runs)
+        assert sum(batches) == (together if together >= sim.MIN_BATCH_RUNS else 0)
+        assert all(size <= batch_runs for size in batches)
+        for (alpha, seed), got in zip(runs, outcomes, strict=True):
+            # the reference does not check scores: a run that fails alone fails in the call
+            alone = run_alone(dataset, policy, alpha, seed, cfg)
+            if isinstance(alone, ValueError):
+                assert isinstance(got, ValueError) and str(got) == str(alone)
+                continue
+            want, _, want_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
+            assert isinstance(got, RunResult)
+            assert got.deterministic_values() == want.deterministic_values()
+            assert_same_ledger(ledgers[alpha, seed], want_ledger)
 
 
 def test_an_empty_batch_has_no_outcomes():
