@@ -12,7 +12,7 @@ respect to each provider's gain drives the gradient-based rankers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -51,12 +51,36 @@ class GainLedger:
     mass per provider, and ``step_count`` counts served lists. The online
     relevance estimator's per-(user, candidate) counters are not provider
     quantities; they live on ``sim.OnlineState``.
+
+    The three arrays must be 1-d float64 arrays of one length, writable, or
+    the constructor raises ValueError. They are fixed at construction:
+    ``accrue`` writes them through memoryviews it builds then, so a caller
+    may write into them but replaces the ledger, not its arrays. A deep copy
+    or an unpickled ledger builds views of its own arrays.
     """
 
     exposure_gain: np.ndarray
     purchase_gain: np.ndarray
     group_exposure: np.ndarray
     step_count: int = 0
+    _views: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = (self.exposure_gain, self.purchase_gain, self.group_exposure)
+        for a in arrays:
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64 and a.flags.writeable):
+                raise ValueError("ledger arrays must be writable 1-d float64 arrays")
+        if len({a.size for a in arrays}) != 1:
+            raise ValueError("ledger arrays must have one length")
+        # a view reads the Python float item() gives, and writes one, at half numpy's cost
+        self._views = tuple(memoryview(a) for a in arrays)
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_views"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @classmethod
     def empty(cls, provider_count: int) -> GainLedger:
@@ -78,10 +102,10 @@ class GainLedger:
         relevance, or the sampled 0 or 1 (0 keeps the purchase gain's bits).
         The caller counts the served list in ``step_count``.
         """
-        paid = self.exposure_gain.item(g) + p_k * profile.exposure_value
-        sold = self.purchase_gain.item(g) + bought * profile.purchase_value
-        self.exposure_gain[g], self.purchase_gain[g] = paid, sold
-        self.group_exposure[g] = self.group_exposure.item(g) + p_k
+        exposure_gain, purchase_gain, group_exposure = self._views
+        exposure_gain[g] = paid = exposure_gain[g] + p_k * profile.exposure_value
+        purchase_gain[g] = sold = purchase_gain[g] + bought * profile.purchase_value
+        group_exposure[g] += p_k
         return paid + sold
 
     def pay(self, providers, probs, relevances, profiles: Sequence[ProviderProfile], kept=None) -> None:
@@ -89,10 +113,11 @@ class GainLedger:
 
         Position i pays provider ``providers[i]`` at examination probability
         ``probs[i]``, with expected purchases ``probs[i] * relevances[i]``;
-        ``kept``, if given, takes each provider's raw gain as ``accrue``
-        returns it. The caller counts the served lists in ``step_count``.
+        ``kept``, a 1-d float64 array, if given, takes each provider's raw
+        gain as ``accrue`` returns it. The caller counts the served lists in
+        ``step_count``.
         """
-        accrue = self.accrue
+        accrue, kept = self.accrue, None if kept is None else memoryview(kept)
         for g, p_k, r in zip(providers, probs, relevances):
             paid = accrue(g, p_k, p_k * r, profiles[g])
             if kept is not None:

@@ -35,7 +35,8 @@ TopK, and EquityRank and EquityRankV at alpha 0) ranks by relevance alone,
 so it is served whole: one gather takes every user's first K segment
 entries, which in greedy order are the list ``PolicyPlan.rank`` would take,
 and the run pays them in its own order. ``MIN_BATCH_RUNS`` or more of the
-other FairCo*, EquityRank or EquityRankV runs of a call advance in lockstep
+other FairCo*, EquityRank or EquityRankV runs of a call, counting only runs
+that pass their checks and draw a visit order, advance in lockstep
 (``rankers._lockstep``), in batches of at most ``BATCH_RUNS``: at each pick,
 or each list for FairCo*, one scoring call over the R runs' segments serves
 them all, and each run pays its own ledger. Each score is the run-alone
@@ -175,6 +176,10 @@ class OnlineState:
     providers it touches, so a step reads them without recomputing:
     ``estimate``, every slot's ``relevance_of``, and ``gains``, the ledger's
     ``raw_gains``. Writing the counters or the ledger directly bypasses them.
+    These four arrays and the ledger are fixed at construction: the feedback
+    stage reads and writes them through flat memoryviews built then, so a
+    caller may write into them but never replaces them. A deep copy or an
+    unpickled state builds views of its own arrays.
 
     Item-to-slot lookups (``slots``) search the user's sorted row, for
     callers holding item ids; the online step uses slots.
@@ -190,6 +195,7 @@ class OnlineState:
     purchases: np.ndarray = field(init=False, repr=False)
     estimate: np.ndarray = field(init=False, repr=False)
     gains: np.ndarray = field(init=False, repr=False)
+    _flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sets = np.asarray(self.candidate_sets, dtype=np.int64)
@@ -205,6 +211,18 @@ class OnlineState:
         self.purchases = np.zeros(sets.shape, dtype=np.int64)
         self.estimate = np.ones(sets.shape, dtype=np.float64)
         self.gains = self.ledger.raw_gains()
+        self._bind()
+
+    def _bind(self) -> None:
+        # entry user * C + slot of each (users x C) array, and gains by provider
+        self._flat = tuple(_flat_view(a) for a in (self.exposure, self.purchases, self.estimate, self.gains))
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_flat"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def slots(self, user: int, items) -> list[int]:
         """Candidate slots of ``items`` (a sequence of item ids) for ``user``.
@@ -231,6 +249,12 @@ class OnlineState:
         return np.minimum(estimate, 1.0, out=estimate)
 
 
+def _flat_view(a: np.ndarray) -> memoryview:
+    """A 1-d memoryview of C-contiguous ``a``'s own buffer; TypeError for any other ``a``."""
+    view = memoryview(a)
+    return view.cast("B").cast(view.format)
+
+
 def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     """Unbiased estimator cumB / E, clamped to [0, 1].
 
@@ -245,33 +269,35 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     return float(state.relevance_of(user, [item])[0])
 
 
-def _feedback(state: OnlineState, user: int, slots, at, provider, profiles, relevance, probs, draws):
+def _feedback(state: OnlineState, user: int, slots, truth, profiles, probs, draws):
     """The feedback stage of one served list, given by candidate slot.
 
-    Position k serves slot ``slots[k]``; its provider g and true relevance r
-    are entry ``at[k]`` of ``provider`` and ``relevance``. It is bought when
-    the uniform ``draws[k]`` falls below p_k r, and pays g by
-    ``GainLedger.accrue``, 0 or 1 bought; the slot's counters, the kept
-    gains and the estimate follow, top position first. Returns the served
-    relevances and purchases.
+    Position k serves slot ``slots[k]``, entry i = user * C + slot of the
+    state's flat (users x C) arrays for C candidates a user. ``truth`` is a
+    pair (relevance, provider) read at entry i: the slot's true relevance r
+    and provider g. It is bought when the uniform ``draws[k]`` falls below
+    p_k r, and pays g by ``GainLedger.accrue``, 0 or 1 bought; the slot's
+    counters, the kept gains and the estimate follow, top position first.
+    Returns the served relevances and purchases.
     """
-    accrue, gains = state.ledger.accrue, state.gains
-    exposure, purchases, estimate = state.exposure[user], state.purchases[user], state.estimate[user]
-    served, bought = [], []
+    (exposure, purchases, estimate, gains), (relevance, provider) = state._flat, truth
+    accrue, base, served, bought = state.ledger.accrue, user * state.candidate_sets.shape[1], [], []
     # a few positions per list: scalar updates in position order beat
     # vectorised ones here, and add repeated providers' gains in list order.
-    # Each entry is read once with item() and summed as a Python float: the
-    # same IEEE operations as numpy's, without numpy's per-scalar overhead.
-    for slot, i, p_k, draw in zip(slots, at, probs, draws):
-        g, r = provider.item(i), relevance.item(i)
+    # Entries are read and written as Python floats and ints, through the
+    # state's views and the truth's: the same IEEE operations as numpy's,
+    # without the cost of item() and numpy's scalar setitem.
+    for slot, p_k, draw in zip(slots, probs, draws):
+        i = base + slot
+        g, r = provider[i], relevance[i]
         hit = draw < p_k * r
         gains[g] = accrue(g, p_k, 1.0 if hit else 0.0, profiles[g])
-        count = purchases.item(slot) + hit
+        count = purchases[i] + hit
         if hit:
-            purchases[slot] = count
-        exposure[slot] = seen = exposure.item(slot) + p_k
+            purchases[i] = count
+        exposure[i] = seen = exposure[i] + p_k
         ratio = count / seen
-        estimate[slot] = 1.0 if ratio > 1.0 else ratio
+        estimate[i] = 1.0 if ratio > 1.0 else ratio
         served.append(r)
         bought.append(hit)
     state.ledger.step_count += 1
@@ -316,8 +342,11 @@ def apply_feedback(
     bad = relevance[~((relevance >= 0.0) & (relevance <= 1.0))]
     if bad.size:
         raise ValueError(f"relevance {float(bad[0])} outside [0, 1]")
-    groups, draws = catalog.group_of[list(items)], state.rng.random(len(items)).tolist()
-    _, bought = _feedback(state, user, slots, range(len(items)), groups, profiles, relevance, pm.probs.tolist(), draws)
+    draws = state.rng.random(len(items)).tolist()
+    # the served entries' truth, keyed as _feedback reads it
+    at = [user * state.candidate_sets.shape[1] + slot for slot in slots]
+    truth = dict(zip(at, relevance.tolist())), dict(zip(at, catalog.group_of[list(items)].tolist()))
+    _, bought = _feedback(state, user, slots, truth, profiles, pm.probs.tolist(), draws)
     return np.array(bought, dtype=bool)
 
 
@@ -473,21 +502,31 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
 
     outcomes: list = [None] * len(runs)
-    together = policy in LOCKSTEP_POLICIES and sum(not ledger_blind(policy, a) for a, _ in runs) >= MIN_BATCH_RUNS
-    ready = []  # (run index, visit order) of the runs that go in lockstep
+    drawn = []  # (run index, visit order, seconds taken) of each run that passed its checks
     for i, (alpha, seed) in enumerate(runs):
         start = time.perf_counter()
         try:
             PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
             order = np.random.default_rng(seed).permutation(rel.user_count)
-            # the visit order is a pure function of the run seed; log its head
-            # so a run can be cross-checked without rerunning
-            logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
-            if together and not ledger_blind(policy, alpha):
-                ready.append((i, order))
-                continue
+        except Exception as exc:  # noqa: BLE001 - the run fails alone
+            outcomes[i] = exc
+            continue
+        # the visit order is a pure function of the run seed; log its head
+        # so a run can be cross-checked without rerunning
+        logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
+        drawn.append((i, order, time.perf_counter() - start))
+    # only runs that passed their checks count towards a lockstep batch
+    blind = [ledger_blind(policy, runs[i][0]) for i, _, _ in drawn]
+    together = policy in LOCKSTEP_POLICIES and blind.count(False) >= MIN_BATCH_RUNS
+    ready = []  # (run index, visit order) of the runs that go in lockstep
+    for (i, order, taken), is_blind in zip(drawn, blind):
+        if together and not is_blind:
+            ready.append((i, order))
+            continue
+        start = time.perf_counter() - taken
+        try:
             ledger = GainLedger.empty(catalog.provider_count)
-            served = _serve(policy, alpha, order, field, ledger, profiles, pm)
+            served = _serve(policy, runs[i][0], order, field, ledger, profiles, pm)
             outcomes[i] = finish(i, order, served, ledger, time.perf_counter() - start)
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes[i] = exc
@@ -582,8 +621,8 @@ def online_step(
     plan: PolicyPlan,
     state: OnlineState,
     user: int,
-    true_rel: np.ndarray,
     provider: np.ndarray,
+    truth: tuple,
     probs: list[float],
     cutoff: int,
     draws: list[float] | None = None,
@@ -593,15 +632,18 @@ def online_step(
     Ranks ``user``'s candidates with ``plan`` from the state's estimate row
     and raw gains, serves the list with sampled feedback (see ``_feedback``),
     and returns the served slots, top first, and their DCG at ``cutoff``.
-    ``true_rel`` and ``provider`` are the user's true relevance and provider
-    ids in slot order, and ``probs`` the examination probabilities as floats.
+    ``provider`` is the user's provider ids in slot order, the row the plan
+    ranks. ``truth`` is every user's true relevance and provider ids in slot
+    order, a pair of flat sequences (entry user * C + slot, for C candidates
+    a user) that the feedback reads; ``run_online`` passes memoryviews of
+    its arrays. ``probs`` are the examination probabilities as floats.
     ``draws`` are the list's purchase uniforms, one per position, as
     ``step_draws`` gives them; None draws them from ``state.rng``.
     """
     slots = plan.rank(state.estimate[user], provider, state.gains, probs)
     if draws is None:
         draws = state.rng.random(len(slots)).tolist()
-    served, _ = _feedback(state, user, slots, slots, provider, plan.profiles, true_rel, probs, draws)
+    served, _ = _feedback(state, user, slots, truth, plan.profiles, probs, draws)
     return slots, discounted_sum(served, probs, cutoff)
 
 
@@ -701,15 +743,17 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache.tolist()
     plan = PolicyPlan(policy_cfg, profiles)
     # true relevance and providers over every user's candidate row, read
-    # once: a step takes them by candidate slot, with no table lookup
+    # once: a step takes them by candidate slot, with no table lookup, and
+    # its feedback reads them through flat views built here
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     providers = dataset.catalog.group_of[candidate_sets]
+    truth = _flat_view(true_rel), _flat_view(providers)
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
     blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
     for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
-        _, dcg = online_step(plan, state, user, true_rel[user], providers[user], probs, cutoff, draws=draws)
+        _, dcg = online_step(plan, state, user, providers[user], truth, probs, cutoff, draws=draws)
         ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
         state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
         state.step = t

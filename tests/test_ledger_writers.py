@@ -1,6 +1,8 @@
 """``GainLedger`` is the only code that writes the ledger's arrays: every
 provider gain of a run is paid through ``GainLedger.accrue``, so a second
-hand-written pay path cannot come back unnoticed. And ``accrue`` has three
+hand-written pay path cannot come back unnoticed. ``accrue`` writes through
+memoryviews the ledger keeps in ``_views``, so the scan also flags any use of
+that attribute, and any ``memoryview`` of a ledger array, outside the class. And ``accrue`` has three
 callers: ``GainLedger.pay``, which pays served lists' expected gains;
 ``sim._feedback``, which pays sampled purchases interleaved with the online
 estimator's updates; and ``rankers._allocate_vertical``, whose picks each pay
@@ -12,6 +14,7 @@ import pathlib
 import equityrank
 
 LEDGER_ARRAYS = {"exposure_gain", "purchase_gain", "group_exposure"}
+LEDGER_VIEWS = "_views"
 SOURCES = sorted(pathlib.Path(equityrank.__file__).parent.glob("*.py"))
 ACCRUE_CALLERS = {("metrics", "GainLedger.pay"), ("sim", "_feedback"), ("rankers", "_allocate_vertical")}
 
@@ -32,13 +35,28 @@ def _written_names(target):
             yield base.id
 
 
+def _names(node):
+    """Every attribute and variable name in ``node``'s subtree."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Attribute):
+            yield inner.attr
+        elif isinstance(inner, ast.Name):
+            yield inner.id
+
+
 def _ledger_writes(tree):
-    """(line, name) of every subscript write to a ledger array outside ``class GainLedger``."""
+    """(line, name) of every subscript write to a ledger array, use of the ledger's views and
+    ``memoryview`` of a ledger array outside ``class GainLedger``."""
     todo = list(ast.iter_child_nodes(tree))
     while todo:
         node = todo.pop()
         if isinstance(node, ast.ClassDef) and node.name == "GainLedger":
             continue
+        if isinstance(node, ast.Attribute) and node.attr == LEDGER_VIEWS:
+            yield node.lineno, LEDGER_VIEWS
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "memoryview":
+            args = [*node.args, *(keyword.value for keyword in node.keywords)]
+            yield from ((node.lineno, name) for arg in args for name in _names(arg) if name in LEDGER_ARRAYS)
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -67,6 +85,15 @@ def test_the_scan_sees_every_module_and_finds_a_write():
     assert sorted(_ledger_writes(probe)) == [(4, "purchase_gain")]
     probe = ast.parse("def f(ledger, g):\n    ledger.exposure_gain[g], x = 1.0, 2.0\n")
     assert list(_ledger_writes(probe)) == [(2, "exposure_gain")]
+
+
+def test_the_scan_flags_the_ledgers_views_outside_the_ledger():
+    probe = ast.parse("def f(ledger, g):\n    eg, pg, ge = ledger._views\n    eg[g] = 1.0\n")
+    assert list(_ledger_writes(probe)) == [(2, "_views")]
+    probe = ast.parse("def f(ledger, g):\n    view = memoryview(ledger.purchase_gain)\n    view[g] = 1.0\n")
+    assert list(_ledger_writes(probe)) == [(2, "purchase_gain")]
+    inside = "class GainLedger:\n    def accrue(self, g):\n        eg, pg, ge = self._views\n        eg[g] = 1.0\n"
+    assert list(_ledger_writes(ast.parse(inside))) == []
 
 
 def test_only_the_gain_ledger_writes_its_arrays():

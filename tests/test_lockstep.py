@@ -337,3 +337,21 @@ def test_a_refused_seed_fails_its_run_alone(policy):
             assert isinstance(want, ValueError) and type(got) is type(want) and str(got) == str(want)
         else:
             assert got.deterministic_values() == want.deterministic_values()
+
+
+def test_a_refused_run_does_not_count_towards_a_lockstep_batch():
+    # three valid EquityRank runs are fewer than MIN_BATCH_RUNS: they go list by list
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    cfg = SimConfig(list_size=2)
+    runs = [(0.1, 0), (0.1, -1), (1.0, 1), (0.5, 2)]
+    assert lockstep_runs("EquityRank", runs) == sim.MIN_BATCH_RUNS
+    outcomes, ledgers, batches = batch_with_ledgers(dataset, "EquityRank", runs, cfg)
+    assert batches == []
+    assert isinstance(outcomes[1], ValueError)
+    for (alpha, seed), got in zip(runs, outcomes):
+        if seed < 0:
+            continue
+        want, want_ledger = alone_with_ledger(dataset, "EquityRank", alpha, seed, cfg)
+        assert got.deterministic_values() == want.deterministic_values()
+        assert_same_ledger(ledgers[alpha, seed], want_ledger)

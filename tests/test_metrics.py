@@ -1,6 +1,8 @@
 """Effectiveness metrics, provider unfairness, gradients, and diagnostics."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -455,6 +457,40 @@ class TestGainLedger:
         ledger.accrue(1, p_k, 1.0, profile)
         assert ledger.purchase_gain.item(1) == prior + vb
         assert ledger.purchase_gain.item(0) == 0.0
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda ledger: pickle.loads(pickle.dumps(ledger))])
+    def test_a_copied_ledger_accrues_into_its_own_arrays(self, copy_of):
+        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 4.0, 1.0)]
+        ledger = GainLedger.empty(2)
+        ledger.pay([1, 0], [1.0, 0.5], [0.5, 0.25], profiles)
+        ledger.step_count = 1
+        before = [a.tobytes() for a in (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)]
+        copied = copy_of(ledger)
+        kept = copied.raw_gains()
+        copied.pay([0, 1], [1.0, 0.5], [1.0, 0.75], profiles, kept)
+        assert [a.tobytes() for a in (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)] == before
+        # the copy accrues as the original does from the same start
+        ledger.pay([0, 1], [1.0, 0.5], [1.0, 0.75], profiles)
+        for name in ("exposure_gain", "purchase_gain", "group_exposure"):
+            assert getattr(copied, name).tobytes() == getattr(ledger, name).tobytes()
+        assert kept.tobytes() == ledger.raw_gains().tobytes() and copied.step_count == 1
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            [np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2)],
+            [np.zeros(2), np.zeros(2, dtype=np.float32), np.zeros(2)],
+            [np.zeros(2), np.zeros(2), [0.0, 0.0]],
+            [np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2))],
+            [np.zeros(2), np.zeros(3), np.zeros(2)],
+            [np.zeros(2), np.zeros(2), np.zeros(2, dtype=">f8")],
+            [np.zeros(2), np.zeros(2), np.broadcast_to(0.0, 2)],
+        ],
+        ids=["int", "float32", "list", "2-d", "lengths", "big-endian", "read-only"],
+    )
+    def test_a_ledger_refuses_arrays_other_than_writable_1d_float64_of_one_length(self, arrays):
+        with pytest.raises(ValueError, match="^ledger arrays must"):
+            GainLedger(*arrays)
 
 
 def test_csv_row_is_deterministic_values_then_wall_ms():

@@ -1,7 +1,9 @@
 """Simulation loops: feedback sampling, estimation, offline/online runs."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -214,6 +216,28 @@ class TestApplyFeedback:
         apply_feedback(RankList((2, 1, 0), 0), 0, rel, self.profiles, self.catalog, state, PM3)
         assert state.exposure[0, state.slot(0, 0)] == pytest.approx(1.0 + PM3.probs[2])
         assert state.exposure[0, state.slot(0, 1)] == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))])
+    def test_a_copied_state_serves_into_its_own_arrays(self, copy_of):
+        rel = RelevanceTable(1, [(0, 0, 0.9), (0, 1, 0.6), (0, 2, 0.3)])
+        state = fresh_state()
+        apply_feedback(RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3)
+
+        def arrays(s):
+            held = (s.exposure, s.purchases, s.estimate, s.gains, s.ledger.exposure_gain, s.ledger.purchase_gain)
+            return [a.tobytes() for a in (*held, s.ledger.group_exposure)]
+
+        before = arrays(state)
+        copied = copy_of(state)
+        for _ in range(20):
+            apply_feedback(RankList((2, 0, 1), 0), 0, rel, self.profiles, self.catalog, copied, PM3)
+        assert arrays(state) == before
+        # the copy served as the original serves from the same state and generator
+        for _ in range(20):
+            apply_feedback(RankList((2, 0, 1), 0), 0, rel, self.profiles, self.catalog, state, PM3)
+        assert arrays(copied) == arrays(state) and copied.purchases.any()
+        assert copied.gains.tobytes() == copied.ledger.raw_gains().tobytes()
 
 
 class TestExpectedFeedback:
