@@ -66,6 +66,8 @@ class Catalog:
             raise ValueError("catalog needs at least one item and one provider")
         if self.group_of.shape != (n,):
             raise ValueError("group_of must assign a provider to every item")
+        if not np.issubdtype(self.group_of.dtype, np.integer):
+            raise ValueError(f"group_of must hold integer provider ids, got {self.group_of.dtype}")
         if len(self.items_of) != m:
             raise ValueError("items_of must have one entry per provider")
         if self.group_of.min() < 0 or self.group_of.max() >= m:

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class GainLedger:
     """Running accumulators for provider gains.
 
@@ -56,14 +56,15 @@ class GainLedger:
     the constructor raises ValueError. They are fixed at construction:
     ``accrue`` writes them through memoryviews it builds then, so a caller
     may write into them but replaces the ledger, not its arrays. A deep copy
-    or an unpickled ledger builds views of its own arrays.
+    or an unpickled ledger builds views of its own arrays. A ledger equals
+    only itself.
     """
 
     exposure_gain: np.ndarray
     purchase_gain: np.ndarray
     group_exposure: np.ndarray
     step_count: int = 0
-    _views: tuple = field(init=False, repr=False, compare=False)
+    _views: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arrays = (self.exposure_gain, self.purchase_gain, self.group_exposure)

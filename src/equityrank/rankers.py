@@ -16,27 +16,24 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 
 A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row
 in slot order (online runs and the public rankers) or a user's segment of
-an ``OfflineField`` in greedy order (offline runs). Ties go by score, then
-relevance, descending, then id ascending: in *greedy order* (relevance
-descending, then id ascending), the first of equal scores. TopK, FairCo*
-and online EquityRank score every entry once and take the top K by score
-and relevance, then position, the same items in either order. The rest work
-in greedy order, where a segment is and a row gets by one stable sort.
-Offline EquityRank and EquityRankV share one fill: at each level each list
-takes ``argmax``'s first maximum of its finite scores among the entries left
-and pays p_k (v_e + r v_b) to its provider, in a gains copy for EquityRank's
-one list, in the ledger for EquityRankV's segments. ``_lockstep`` takes the
-same lists for R offline runs of FairCo*, EquityRank or EquityRankV at once
-(``sim.run_offline_batch``): the runs' current segments, padded with their
-last entry to the longest, form (R x L) rows; ``score`` (FairCo*) and
-``_equity`` score them with each run's gains and alpha, by the same
-elementwise operations, but with one ``.dot`` per run for G.y, since a
-matrix product rounds some rows differently from a row's own dot; one
+an ``OfflineField`` in greedy order (offline PoorK and MMF* runs). Ties go
+by score, then relevance, descending, then id ascending: in *greedy order*
+(relevance descending, then id ascending), the first of equal scores.
+TopK, FairCo* and EquityRank score every entry once and take the top K by
+score and relevance, then position, the same items in either order.
+``_lockstep`` is the one offline fill of FairCo*, EquityRank and
+EquityRankV, for R runs at once (``sim.run_offline_batch``; R = 1 for
+``offline_rank_user`` and ``allocate_vertical``). The runs' current
+segments, padded with their last entry, form (R x L) rows, scored with each
+run's gains and alpha by one list's elementwise operations and one ``.dot``
+per run for G.y (a matrix product rounds some rows differently); one
 matrix-vector product with zeros checks every row, so a run whose scores
-are not finite fails alone. EquityRank's picks take ``argmax(axis=1)``'s
-first maximum per row, the pads at -inf; FairCo*'s lists take the first K
-of one ``lexsort(axis=-1)``, the pads' scores at -inf. PoorK and MMF*
-pick among provider heads: MMF*'s score
+are not finite fails alone. EquityRank takes ``argmax(axis=1)``'s first
+maximum among the entries left, paying p_k (v_e + r v_b) to a gains copy,
+or for EquityRankV, level by level, to the ledger; FairCo* takes the first
+K of one ``lexsort(axis=-1)``, the pads last. PoorK and MMF* work in greedy
+order, where a segment is and a row gets by one stable sort, and pick among
+provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
 greedy order it does not increase within the worst-off provider's entries
@@ -57,6 +54,7 @@ providers that MMF* reads do not change either.
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -117,7 +115,11 @@ class ScoreVector:
         if not (self.item_ids.shape == self.scores.shape == self.relevance.shape):
             raise ValueError("item_ids, scores, and relevance must align")
         if not np.isfinite(self.scores).all():
-            raise ValueError("scores must be finite")
+            raise _not_finite()
+
+
+def _not_finite() -> ValueError:  # every check's failure of scores that are not all finite
+    return ValueError("scores must be finite")
 
 
 def _candidates(candidates, catalog: Catalog) -> np.ndarray:
@@ -181,11 +183,11 @@ class PolicyPlan:
     order, or a segment in greedy order with ``heads``, its ``(by_provider,
     offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
     their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
-    probs, heads)`` one list's positions among them, top first; its picks pay
-    a gains copy. With ``slotwise`` (offline) EquityRank fills greedily.
+    probs, heads)`` one list's positions among them, top first; PoorK's and
+    MMF*'s picks pay a gains copy.
     """
 
-    def __init__(self, policy: PolicyConfig, profiles: Sequence[ProviderProfile], slotwise: bool = False) -> None:
+    def __init__(self, policy: PolicyConfig, profiles: Sequence[ProviderProfile]) -> None:
         kind, alpha = policy.kind, policy.alpha
         ve, vb, y = provider_arrays(profiles)
         m = y.size
@@ -201,7 +203,6 @@ class PolicyPlan:
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
-        self._greedy = kind == "EquityRank" and slotwise
 
     def score(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, alpha=None) -> np.ndarray:
         """The scores of the entries with relevance ``rel`` and providers ``provider``.
@@ -227,7 +228,7 @@ class PolicyPlan:
         k = len(probs)
         if rel.size < k:
             raise ValueError(f"need at least {k} candidates, got {rel.size}")
-        if not self._greedy and self.kind not in ("PoorK", "MMFStar"):
+        if self.kind not in ("PoorK", "MMFStar"):
             # (score desc, relevance desc, position asc) picks the same
             # entries from a row in slot order and from a segment in greedy
             # order: both put equal relevance in id order
@@ -237,18 +238,11 @@ class PolicyPlan:
             order = np.argsort(-rel, kind="stable")
             rel, provider = rel[order], provider[order]
             return order[self.rank(rel, provider, gains, probs, _provider_heads(provider, self.targets.size))].tolist()
-        if self._greedy:
-            return self._fill([(rel, provider)], gains.copy(), probs, self._keep)[0]
-        return self._pick_heads(rel, provider, *heads, gains.copy(), probs, self._keep)
-
-    @staticmethod
-    def _keep(gains: np.ndarray, g: int, p_k: float, r: float, w: float) -> float:
-        """One list's pay into its own ``gains`` copy: provider g's gain plus p_k w."""
-        return gains.item(g) + p_k * w
+        return self._pick_heads(rel, provider, *heads, gains.copy(), probs)
 
     def _finite(self, scores: np.ndarray) -> np.ndarray:
         if self._check(scores) != 0.0:
-            raise ValueError("scores must be finite")
+            raise _not_finite()
         return scores
 
     def _check(self, scores: np.ndarray):
@@ -285,24 +279,9 @@ class PolicyPlan:
         b += rel
         return b
 
-    def _fill(self, lists, gains: np.ndarray, probs, pay) -> list[list[int]]:
-        """EquityRank's fill of ``lists`` of (rel, provider), level by level: each list takes
-        the first maximum of its finite scores among its entries left and sets ``gains[g] =
-        pay(gains, g, p_k, r, v_e + r v_b)`` for its provider g. Returns their positions, top first."""
-        fills = [(r, p, self.targets[p], r * self.vb[p] + self.ve[p], np.zeros(r.size), []) for r, p in lists]
-        for p_k in probs:
-            for rel, provider, target, weight, placed, chosen in fills:
-                scores = rel if self.alpha == 0.0 else self._equity(rel, provider, target, weight, gains)
-                best = int((self._finite(scores) + placed).argmax())
-                placed[best] = -np.inf
-                g = provider.item(best)
-                gains[g] = pay(gains, g, p_k, rel.item(best), weight.item(best))
-                chosen.append(best)
-        return [chosen for *_, chosen in fills]
-
-    def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs, pay) -> list[int]:
+    def _pick_heads(self, rel, provider, by_provider, offsets, gains: np.ndarray, probs) -> list[int]:
         """PoorK's or MMF*'s list in greedy order: A or W at each pick (module
-        docstring), which sets ``gains[g] = pay(gains, g, p_k, r, v_e + r v_b)`` as in ``_fill``."""
+        docstring), each paying p_k (v_e + r v_b) to its provider in ``gains``."""
         # the worst-off provider: the lowest ratio among live providers, ties to the lowest id;
         # argmin meets a dead one first only when every live ratio overflows to +inf
         ratio = np.where(offsets[1:] > offsets[:-1], gains / self.targets, np.inf)
@@ -322,22 +301,22 @@ class PolicyPlan:
                 # the normalised relevance is monotone: finite at both ends, finite everywhere
                 span = hi - lo
                 if not (math.isfinite((highest - lo) / span) and math.isfinite((lowest - lo) / span)):
-                    raise ValueError("scores must be finite")
+                    raise _not_finite()
                 score_a, score_w = (1.0 - alpha) * (span / span), (1.0 - alpha) * ((rel.item(w) - lo) / span) + alpha
             if pick != w and score_a < score_w:
                 pick = w
             g, r = provider.item(pick), rel.item(pick)
             head[g] += 1
-            gains[g] = paid = pay(gains, g, p_k, r, r * self.vb.item(g) + self.ve.item(g))
+            gains[g] = paid = gains.item(g) + p_k * (r * self.vb.item(g) + self.ve.item(g))
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
 
 
-def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm, slotwise=False) -> RankList:
+def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm) -> RankList:
     """One user's list, ranked by ``policy`` from ``candidates`` in slot order."""
     ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(policy, profiles, slotwise)
+    plan = PolicyPlan(policy, profiles)
     slots = plan.rank(rel_source.relevance_of(user, ids), catalog.group_of[ids], ledger.raw_gains(), pm.probs)
     return RankList(tuple(ids[slots].tolist()), user)
 
@@ -448,10 +427,25 @@ def offline_rank_user(
 ) -> RankList:
     """Rank one user's candidates with true relevance (offline mode).
 
-    EquityRank refreshes its gradient per slot here; the other policies
-    behave exactly as in the online dispatch.
+    EquityRank at a nonzero alpha refreshes its gradient per slot: it is
+    ``_lockstep``'s run of one over the candidates in greedy order, paying a
+    copy of ``ledger``. The other policies, and EquityRank at alpha 0 (the
+    relevances), behave exactly as in the online dispatch.
     """
-    return _rank_one(policy, candidates, user, rel, ledger, catalog, profiles, pm, slotwise=True)
+    if policy.kind != "EquityRank" or policy.alpha == 0.0:
+        return _rank_one(policy, candidates, user, rel, ledger, catalog, profiles, pm)
+    ids = _candidates(candidates, catalog)
+    plan = PolicyPlan(policy, profiles)
+    relevance, k = rel.relevance_of(user, ids), pm.list_size
+    if ids.size < k:
+        raise ValueError(f"need at least {k} candidates, got {ids.size}")
+    order = np.argsort(-relevance, kind="stable")
+    field = OfflineField(np.array([0, ids.size]), ids[order], relevance[order], catalog.group_of[ids[order]], None, None)
+    one = np.zeros((1, 1), dtype=np.intp)  # one run, visiting the field's one user
+    picks, failed = _lockstep(plan, field, one, np.array([policy.alpha]), [deepcopy(ledger)], pm.probs.tolist(), False)
+    if failed:
+        raise failed[0]
+    return RankList(tuple(field.items[picks[0, 0]].tolist()), user)
 
 
 # ---------------------------------------------------------------------------
@@ -558,33 +552,38 @@ def allocate_vertical(
     if len(set(users)) != len(users):
         raise ValueError("users must be distinct ids")
     field = offline_field(rel, catalog, pm.list_size)
-    lists, _ = _allocate_vertical(users, ledger, profiles, alpha, pm, field)
+    plan, order = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles), np.array(users, dtype=np.int64)
+    if alpha == 0.0:  # the scores are the relevances, whatever the gains: served whole
+        lists = field.items[_pay_heads(field, order, ledger, profiles, pm.probs, vertical=True)]
+    else:
+        picks, failed = _lockstep(plan, field, order[None], np.array([alpha]), [ledger], pm.probs.tolist(), True)
+        if failed:
+            raise failed[0]
+        lists = field.items[field.indptr[order][:, None] + picks[0]]
     ledger.step_count += len(users)
-    return [RankList(tuple(items.tolist()), u) for u, items in zip(users, lists)]
+    return [RankList(tuple(items), u) for u, items in zip(users, lists.tolist())]
 
 
-def _allocate_vertical(users, ledger, profiles, alpha, pm, field: OfflineField):
-    """Each user's items, top first, and their relevance: one fill over their segments of
-    ``field``, each pick paid to ``ledger`` at once. The caller counts the lists in ``step_count``."""
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
-    segments = [field.segment(u) for u in users]
-    lists = [(field.relevance[seg], field.provider[seg]) for seg in segments]
-    pay = lambda gains, g, p_k, r, w: ledger.accrue(g, p_k, p_k * r, profiles[g])  # noqa: E731
-    chosen = plan._fill(lists, ledger.raw_gains(), pm.probs.tolist(), pay)
-    items = [field.items[seg][at] for seg, at in zip(segments, chosen)]
-    return items, [r[at].tolist() for (r, _), at in zip(lists, chosen)]
+def _pay_heads(field: OfflineField, order: np.ndarray, ledger: GainLedger, profiles, probs, vertical: bool) -> np.ndarray:
+    """Serve the users of ``order`` their lists by relevance alone (``OfflineField.heads``), paying ``ledger``
+    user by user, top position first, or level by level with ``vertical``; the caller counts the lists."""
+    at = field.heads(order, len(probs))
+    paid, levels = at, np.broadcast_to(probs, at.shape)
+    if vertical:
+        paid, levels = paid.T, levels.T
+    paid = paid.ravel()
+    ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
+    return at
 
 
 def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: np.ndarray, ledgers, probs, vertical: bool):
     """R offline runs of ``plan``'s FairCo* or EquityRank, or EquityRankV with ``vertical``, in lockstep.
 
-    Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.pay``, as
-    ``sim.run_offline_batch`` and ``_allocate_vertical`` do a run at a time; the caller counts the lists.
-    At each step every run scores its list's segment, padded with its last entry to the step's longest. EquityRank
-    takes ``argmax``'s first maximum of its finite scores among its entries left, a pick at a
-    time; FairCo* takes its whole list by one ``lexsort``, with the pads' scores at -inf.
-    Returns the picks (R x users x K), the positions of run r's j-th user's list in its
-    segment, top first, and the set of runs whose scores were not finite: each stops paying
+    Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.pay``,
+    each pick of EquityRankV at once, each other list once it is filled; the caller counts the lists.
+    At each step every run scores its list's segment, padded with its last entry (module docstring).
+    Returns the picks (R x users x K), the positions of run r's j-th user's list in its segment,
+    top first, and by run the failure of each run whose scores were not finite: it stops paying
     there, and its later picks mean nothing.
     """
     runs, users = orders.shape
@@ -593,7 +592,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     width = np.diff(field.indptr)[orders]
     last = first + width - 1
     spans = width.max(axis=0).tolist()
-    cols = np.arange(max(spans))
+    cols = np.arange(max(spans, default=0))
     weight = field.relevance * plan.vb[field.provider] + plan.ve[field.provider]
     gains = np.stack([ledger.raw_gains() for ledger in ledgers])
     kept = list(gains)  # each run's raw gains as a run alone keeps them: views that GainLedger.pay writes
@@ -601,7 +600,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
     column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
     picks = np.zeros((runs, users, k), dtype=np.intp)
-    failed: set[int] = set()
+    failed: dict[int, ValueError] = {}
     paying = list(range(runs))
 
     def segments(j):
@@ -617,7 +616,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
         if check.any():
             # a failed run stops paying and goes on at alpha 0; its picks mean nothing
             bad = check != 0.0
-            failed.update(np.flatnonzero(bad).tolist())
+            failed.update({run: _not_finite() for run in np.flatnonzero(bad).tolist() if run not in failed})
             paying = [run for run in paying if run not in failed]
             column[bad] = 0.0
         return scores

@@ -30,22 +30,22 @@ fails first if a numpy release changes them. Any other bit generator, and
 a run from its first rejected user draw on, makes the calls themselves.
 ``run_offline_batch`` is the one offline driver; ``run_offline`` is its
 call with one run. It checks the dataset and builds the field and the ideal
-DCGs once, then picks each run's engine. A ledger-blind run (``ledger_blind``:
-TopK, and EquityRank and EquityRankV at alpha 0) ranks by relevance alone,
-so it is served whole: one gather takes every user's first K segment
-entries, which in greedy order are the list ``PolicyPlan.rank`` would take,
-and the run pays them in its own order. ``MIN_BATCH_RUNS`` or more of the
-other FairCo*, EquityRank or EquityRankV runs of a call, counting only runs
-that pass their checks and draw a visit order, advance in lockstep
-(``rankers._lockstep``), in batches of at most ``BATCH_RUNS``: at each pick,
-or each list for FairCo*, one scoring call over the R runs' segments serves
-them all, and each run pays its own ledger. Each score is the run-alone
-score, element by element, by the same floating-point operations; the
-gains' dot product with the targets stays one ``.dot`` per run, as a matrix
-product or ``einsum`` over the R runs rounds some rows differently. So every
-run's lists and result are the bits it gets alone. Every other run, MMF*'s
-and PoorK's among them, goes list by list. Each engine pays a list's
-expected gains through ``GainLedger.pay``.
+DCGs once, then picks each run's engine from its policy and alpha alone. A
+ledger-blind run (``ledger_blind``: TopK, and EquityRank and EquityRankV at
+alpha 0) ranks by relevance alone, so it is served whole: one gather takes
+every user's first K segment entries, which in greedy order are the list
+``PolicyPlan.rank`` would take, and the run pays them in its own order.
+Every other FairCo*, EquityRank or EquityRankV run of a call that passes
+its checks advances in lockstep (``rankers._lockstep``), in batches of at
+most ``BATCH_RUNS``, a batch of one included: at each pick, or each list
+for FairCo*, one scoring call over the R runs' segments serves them all,
+and each run pays its own ledger. Each score is the run-alone score,
+element by element, by the same floating-point operations; the gains' dot
+product with the targets stays one ``.dot`` per run, as a matrix product or
+``einsum`` over the R runs rounds some rows differently. So every run's
+lists and result are the bits it gets alone. MMF*'s and PoorK's runs go
+list by list. Each engine pays a list's expected gains through
+``GainLedger.pay``.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .metrics import (
     ndcg_from,
     unfairness,
 )
-from .rankers import PolicyConfig, PolicyPlan, _allocate_vertical, _lockstep, offline_field, top_k_order
+from .rankers import PolicyConfig, PolicyPlan, _lockstep, _pay_heads, offline_field, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -89,13 +89,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-# run_offline_batch advances MIN_BATCH_RUNS or more offline runs of these
-# policies that are not ledger-blind in lockstep, in batches of at most
-# BATCH_RUNS, which bounds a batch's (runs x segment) arrays; a smaller
-# batch is slower than its runs one by one
+# run_offline_batch advances the offline runs of these policies that are
+# not ledger-blind in lockstep, in batches of at most BATCH_RUNS, which
+# bounds a batch's (runs x segment) arrays
 LOCKSTEP_POLICIES = ("FairCoStar", "EquityRank", "EquityRankV")
 BATCH_RUNS = 64
-MIN_BATCH_RUNS = 4
 # step_draws draws an online run's randomness this many steps at a time; a
 # block's uniforms are held as Python lists, so a larger block costs memory
 DRAW_BLOCK = 512
@@ -159,7 +157,7 @@ class SimConfig:
         return self.cutoff if self.cutoff is not None else self.list_size
 
 
-@dataclass
+@dataclass(eq=False)
 class OnlineState:
     """Mutable state of one online run: ledger, candidate sets, estimator, rng.
 
@@ -179,7 +177,8 @@ class OnlineState:
     These four arrays and the ledger are fixed at construction: the feedback
     stage reads and writes them through flat memoryviews built then, so a
     caller may write into them but never replaces them. A deep copy or an
-    unpickled state builds views of its own arrays.
+    unpickled state builds views of its own arrays. A state equals only
+    itself.
 
     Item-to-slot lookups (``slots``) search the user's sorted row, for
     callers holding item ids; the online step uses slots.
@@ -195,7 +194,7 @@ class OnlineState:
     purchases: np.ndarray = field(init=False, repr=False)
     estimate: np.ndarray = field(init=False, repr=False)
     gains: np.ndarray = field(init=False, repr=False)
-    _flat: tuple = field(init=False, repr=False, compare=False)
+    _flat: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sets = np.asarray(self.candidate_sets, dtype=np.int64)
@@ -483,9 +482,9 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     dataset object and shared by its later calls with the same list size
     (and cutoff). Returns, per run, its ``RunResult`` or the exception it
     raised, such as a ``ValueError`` for a seed it refuses: a run fails
-    alone. A run of a lockstep batch reads the batch's wall time divided by
-    its runs; every other run reads its own. A dataset that no run can use
-    raises.
+    alone. A run of a lockstep batch, a batch of one included, reads the
+    batch's wall time divided by its runs; every other run reads its own. A
+    dataset that no run can use raises.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     if not runs:
@@ -502,7 +501,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
 
     outcomes: list = [None] * len(runs)
-    drawn = []  # (run index, visit order, seconds taken) of each run that passed its checks
+    ready = []  # (run index, visit order) of the runs that go in lockstep
     for i, (alpha, seed) in enumerate(runs):
         start = time.perf_counter()
         try:
@@ -514,19 +513,12 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         # the visit order is a pure function of the run seed; log its head
         # so a run can be cross-checked without rerunning
         logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
-        drawn.append((i, order, time.perf_counter() - start))
-    # only runs that passed their checks count towards a lockstep batch
-    blind = [ledger_blind(policy, runs[i][0]) for i, _, _ in drawn]
-    together = policy in LOCKSTEP_POLICIES and blind.count(False) >= MIN_BATCH_RUNS
-    ready = []  # (run index, visit order) of the runs that go in lockstep
-    for (i, order, taken), is_blind in zip(drawn, blind):
-        if together and not is_blind:
+        if policy in LOCKSTEP_POLICIES and not ledger_blind(policy, alpha):
             ready.append((i, order))
             continue
-        start = time.perf_counter() - taken
         try:
             ledger = GainLedger.empty(catalog.provider_count)
-            served = _serve(policy, runs[i][0], order, field, ledger, profiles, pm)
+            served = _serve(policy, alpha, order, field, ledger, profiles, pm)
             outcomes[i] = finish(i, order, served, ledger, time.perf_counter() - start)
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes[i] = exc
@@ -548,7 +540,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         for r, ((i, order), ledger) in enumerate(zip(batch, ledgers)):
             try:
                 if r in failed:
-                    raise ValueError("scores must be finite")
+                    raise failed[r]
                 served = field.relevance[field.indptr[order][:, None] + picks[r]].tolist()
                 outcomes[i] = finish(i, order, served, ledger, wall)
             except Exception as exc:  # noqa: BLE001 - the run fails alone
@@ -557,25 +549,16 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
 
 
 def _serve(policy: str, alpha: float, order: np.ndarray, field, ledger: GainLedger, profiles, pm: PositionModel):
-    """Serve one run's lists to the users of ``order``, whole or list by list, paying ``ledger``.
+    """Serve a ledger-blind run whole, or a PoorK or MMF* run list by list, to the users of
+    ``order``, paying ``ledger``.
 
     Returns each user's served relevances, top first, in visit order. The
     caller counts the lists.
     """
-    probs = pm.probs.tolist()
     if ledger_blind(policy, alpha):
-        # each position pays in the order of the run it stands for: user by
-        # user, top position first, or level by level, as EquityRankV pays
-        at = field.heads(order, len(probs))
-        paid, levels = at, np.broadcast_to(pm.probs, at.shape)
-        if policy == "EquityRankV":
-            paid, levels = paid.T, levels.T
-        paid = paid.ravel()
-        ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
-        return field.relevance[at].tolist()
-    if policy == "EquityRankV":
-        return _allocate_vertical(order, ledger, profiles, alpha, pm, field)[1]
-    plan = PolicyPlan(PolicyConfig(policy, alpha), profiles, slotwise=True)
+        return field.relevance[_pay_heads(field, order, ledger, profiles, pm.probs, policy == "EquityRankV")].tolist()
+    probs = pm.probs.tolist()
+    plan = PolicyPlan(PolicyConfig(policy, alpha), profiles)
     gains, served = ledger.raw_gains(), []
     for user in order.tolist():
         seg = field.segment(user)

@@ -15,8 +15,8 @@ heads, in their array form by ``_scores``.
 over the whole catalog, through the checked id-level functions and
 ``reference_fill``, that ranking from offline fields replaced.
 ``observed_offline_run`` runs ``sim.run_offline`` and shows what it
-served. ``tied_datasets`` draws the small, tie-heavy datasets these are
-compared on."""
+served, wherever its engine made the lists. ``tied_datasets`` draws the
+small, tie-heavy datasets these are compared on."""
 
 import pytest
 
@@ -311,7 +311,7 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
         ledger.step_count += len(user_order)
         lists = [RankList(tuple(chosen), u) for u, chosen in zip(user_order, slots)]
     else:
-        plan = PolicyPlan(PolicyConfig(policy, alpha), profiles, slotwise=True)
+        plan = PolicyPlan(PolicyConfig(policy, alpha), profiles)
         lists = []
         greedy = policy in ("PoorK", "MMFStar", "EquityRank")
         for user in user_order:
@@ -331,16 +331,16 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
     """``sim.run_offline``'s result, served lists and final ledger.
 
     The lists are seen where the run makes them: a ledger-blind run's are
-    the item ids at what ``OfflineField.heads`` returns; EquityRankV's
-    are what the allocation behind ``allocate_vertical`` returns; every
-    other policy's are what each ``PolicyPlan.rank`` call returns, read as
-    the item ids of the user's segment of the field that the run took just
-    before it. The ledger is the one the result's diagnostics are computed
-    from.
+    the item ids at what ``OfflineField.heads`` returns; FairCo*'s,
+    EquityRank's and EquityRankV's are ``_lockstep``'s picks, positions in
+    each user's segment read as the field's item ids; PoorK's and MMF*'s
+    are what each ``PolicyPlan.rank`` call returns, read as the item ids of
+    the user's segment of the field that the run took just before it. The
+    ledger is the one the result's diagnostics are computed from.
     """
     rank, segment, heads = PolicyPlan.rank, OfflineField.segment, OfflineField.heads
-    allocate, diagnostics = sim._allocate_vertical, sim.alignment_diagnostics
-    segments, ranked, vertical, whole, ledgers = [], [], [], [], []
+    lockstep, diagnostics = sim._lockstep, sim.alignment_diagnostics
+    segments, ranked, picked, whole, ledgers = [], [], [], [], []
 
     def record_heads(field, users, k):
         at = heads(field, users, k)
@@ -358,10 +358,12 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         ranked.append(RankList(tuple(field.items[segment(field, user)][at].tolist()), user))
         return at
 
-    def record_vertical(users, *args):
-        allocation = allocate(users, *args)
-        vertical.extend(RankList(tuple(items.tolist()), u) for u, items in zip(users, allocation[0], strict=True))
-        return allocation
+    def record_lockstep(plan, field, orders, *args):
+        picks, failed = lockstep(plan, field, orders, *args)
+        (order,), (at,) = orders.tolist(), picks
+        items = field.items[field.indptr[order][:, None] + at].tolist()
+        picked.extend(RankList(tuple(row), u) for u, row in zip(order, items, strict=True))
+        return picks, failed
 
     def capture_ledger(ledger, profiles):
         ledgers.append(ledger)
@@ -371,11 +373,11 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         mp.setattr(OfflineField, "segment", record_segment)
         mp.setattr(OfflineField, "heads", record_heads)
         mp.setattr(PolicyPlan, "rank", record_rank)
-        mp.setattr(sim, "_allocate_vertical", record_vertical)
+        mp.setattr(sim, "_lockstep", record_lockstep)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers
-    return result, whole or vertical or ranked, ledger
+    return result, whole or picked or ranked, ledger
 
 
 @st.composite

@@ -70,6 +70,15 @@ class TestCatalog:
         with pytest.raises(ValueError):
             Catalog.from_assignments([0, 5], provider_count=2)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_rejects_provider_ids_that_are_not_integer_typed(self, dtype):
+        # whole-valued floats would pass every range check, and then fail as a
+        # tuple index mid-way through an online run
+        items_of = (np.array([0]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="integer provider ids"):
+            Catalog(3, 2, np.array([0, 1, 1], dtype=dtype), items_of)
+        assert Catalog(3, 2, np.array([0, 1, 1], dtype=np.int32), items_of).provider_count == 2
+
 
 class TestProviderProfile:
     def test_accepts_zero_gain_weights(self):

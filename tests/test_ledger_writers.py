@@ -2,11 +2,10 @@
 provider gain of a run is paid through ``GainLedger.accrue``, so a second
 hand-written pay path cannot come back unnoticed. ``accrue`` writes through
 memoryviews the ledger keeps in ``_views``, so the scan also flags any use of
-that attribute, and any ``memoryview`` of a ledger array, outside the class. And ``accrue`` has three
-callers: ``GainLedger.pay``, which pays served lists' expected gains;
-``sim._feedback``, which pays sampled purchases interleaved with the online
-estimator's updates; and ``rankers._allocate_vertical``, whose picks each pay
-at once and change the next pick's scores."""
+that attribute, and any ``memoryview`` of a ledger array, outside the class. And ``accrue`` has two
+callers: ``GainLedger.pay``, which pays served lists' expected gains, every
+offline engine's among them; and ``sim._feedback``, which pays sampled
+purchases interleaved with the online estimator's updates."""
 
 import ast
 import pathlib
@@ -16,7 +15,7 @@ import equityrank
 LEDGER_ARRAYS = {"exposure_gain", "purchase_gain", "group_exposure"}
 LEDGER_VIEWS = "_views"
 SOURCES = sorted(pathlib.Path(equityrank.__file__).parent.glob("*.py"))
-ACCRUE_CALLERS = {("metrics", "GainLedger.pay"), ("sim", "_feedback"), ("rankers", "_allocate_vertical")}
+ACCRUE_CALLERS = {("metrics", "GainLedger.pay"), ("sim", "_feedback")}
 
 
 def _written_names(target):
@@ -120,7 +119,7 @@ def test_the_accrue_scan_flags_a_call_anywhere_else():
         assert list(_accrue_uses("sim", ast.parse(source))) == [flagged], source
 
 
-def test_only_the_pay_loop_the_online_feedback_and_the_vertical_fill_call_accrue():
+def test_only_the_pay_loop_and_the_online_feedback_call_accrue():
     uses = [
         f"{path.name}:{line} in {scope or 'module'}"
         for path in SOURCES

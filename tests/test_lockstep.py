@@ -1,11 +1,10 @@
 """The offline driver ``sim.run_offline_batch``: each run of a call, whatever
 engine serves it, gives the result and the ledger that ``run_offline`` and the
 whole-catalog reference give it alone. FairCo*, EquityRank and EquityRankV runs
-go in lockstep (``rankers._lockstep``) from ``sim.MIN_BATCH_RUNS`` runs on, and
-the properties below lower that to 1 to test batches of every size; a run whose
-scores overflow fails alone, with ``run_offline``'s message, while the rest of
-its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served whole,
-and give the reference's result and ledger too."""
+go in lockstep (``rankers._lockstep``), in batches of every size from one; a run
+whose scores overflow fails alone, with ``run_offline``'s message, while the
+rest of its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served
+whole, and give the reference's result and ledger too."""
 
 import dataclasses
 
@@ -17,14 +16,18 @@ from hypothesis import strategies as st
 from equityrank import (
     Catalog,
     Dataset,
+    GainLedger,
     GeneratorSpec,
     PolicyConfig,
+    PositionModel,
     ProviderProfile,
     RelevanceTable,
     RunResult,
     ScenarioSpec,
     SimConfig,
+    allocate_vertical,
     generate_dataset,
+    offline_rank_user,
     sim,
 )
 from equityrank.rankers import OfflineField, PolicyPlan
@@ -61,7 +64,7 @@ def batch_with_ledgers(dataset, policy, runs, cfg, **constants):
 
 
 def lockstep_runs(policy, runs):
-    """How many of ``runs`` the driver serves in lockstep when ``MIN_BATCH_RUNS`` is at most their count."""
+    """How many of ``runs`` the driver serves in lockstep, if every run passes its checks."""
     return sum(policy in sim.LOCKSTEP_POLICIES and not sim.ledger_blind(policy, alpha) for alpha, _ in runs)
 
 
@@ -141,7 +144,7 @@ def test_each_batched_run_equals_its_run_alone_and_the_reference(case, policy, d
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes, ledgers, batches = batch_with_ledgers(dataset, policy, runs, cfg, MIN_BATCH_RUNS=1)
+        outcomes, ledgers, batches = batch_with_ledgers(dataset, policy, runs, cfg)
         assert sum(batches) == lockstep_runs(policy, runs) and len(batches) <= 1
         assert len(outcomes) == len(runs)
         for (alpha, seed), got in zip(runs, outcomes):
@@ -167,7 +170,7 @@ def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes, ledgers, batches = batch_with_ledgers(dataset, "FairCoStar", runs, cfg, MIN_BATCH_RUNS=1)
+        outcomes, ledgers, batches = batch_with_ledgers(dataset, "FairCoStar", runs, cfg)
         assert batches == [len(runs)]
         assert len(outcomes) == len(runs)
         for (alpha, seed), got in zip(runs, outcomes):
@@ -232,8 +235,8 @@ def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OfflineField, "heads", counted)
-        for name in ("rank", "_fill"):
-            mp.setattr(PolicyPlan, name, lambda *args: pytest.fail("a ledger-blind run ranks no list"))
+        mp.setattr(PolicyPlan, "rank", lambda *args: pytest.fail("a ledger-blind run ranks no list"))
+        mp.setattr(sim, "_lockstep", lambda *args: pytest.fail("a ledger-blind run ranks no list"))
         got, ledger = alone_with_ledger(dataset, policy, alpha, seed, cfg)
     assert calls == [dataset.relevance.user_count]
     want, _, want_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
@@ -268,6 +271,31 @@ def test_an_overflowing_run_fails_alone_and_its_batch_goes_on(policy):
     assert len(batched) == 1 and outcomes[2].wall_time not in batched
 
 
+def test_every_offline_engine_fails_nonfinite_scores_with_one_message():
+    # a run of a batch, the public vertical allocation and the public offline ranker all
+    # go through the lockstep fill; a plan's own check gives the message they give
+    spec = GeneratorSpec(n_users=8, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
+    pm = PositionModel.logarithmic(2)
+    warm = GainLedger.empty(3)
+    warm.exposure_gain[:] = [1.0, 2.0, 3.0]
+    failures = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for policy in ("FairCoStar", "EquityRank", "EquityRankV"):
+            failures.append(sim.run_offline_batch(dataset, policy, [(0.1, 0), (OVERFLOW, 0)], SimConfig(list_size=2))[1])
+        for call in (
+            lambda: allocate_vertical(range(8), rel, GainLedger.empty(3), catalog, profiles, OVERFLOW, pm),
+            lambda: offline_rank_user(PolicyConfig("EquityRank", OVERFLOW), range(20), 0, rel, warm, catalog, profiles, pm),
+            lambda: PolicyPlan(PolicyConfig("EquityRank", 1.0), profiles)._finite(np.array([0.5, np.nan])),
+        ):
+            with pytest.raises(ValueError) as failure:
+                call()
+            failures.append(failure.value)
+    assert all(type(failure) is ValueError for failure in failures)
+    assert {str(failure) for failure in failures} == {"scores must be finite"}
+
+
 def test_only_the_gradient_policies_run_in_lockstep():
     # every policy goes through the driver; only FairCo*'s, EquityRank's and EquityRankV's
     # runs that read the ledger join a batch, and MMF*'s and PoorK's go list by list
@@ -276,15 +304,15 @@ def test_only_the_gradient_policies_run_in_lockstep():
     cfg = SimConfig(list_size=2)
     runs = [(alpha, seed) for alpha in (0.0, 0.1, 1.0) for seed in (0, 1)]
     for policy, want in zip(POLICIES, ([], [], [6], [], [4], [4])):
-        outcomes, _, batches = batch_with_ledgers(dataset, policy, runs, cfg, MIN_BATCH_RUNS=1)
+        outcomes, _, batches = batch_with_ledgers(dataset, policy, runs, cfg)
         assert batches == want, policy
         for (alpha, seed), got in zip(runs, outcomes):
             alone = sim.run_offline(dataset, policy, alpha, seed, cfg)
             assert got.deterministic_values() == alone.deterministic_values()
 
 
-@pytest.mark.parametrize("count,batches", [(3, []), (4, [4]), (9, [5, 4])])
-def test_a_call_batches_from_min_batch_runs_on_in_near_equal_batches_of_at_most_batch_runs(count, batches):
+@pytest.mark.parametrize("count,batches", [(1, [1]), (3, [3]), (4, [4]), (9, [5, 4])])
+def test_a_call_batches_its_runs_in_near_equal_batches_of_at_most_batch_runs(count, batches):
     spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
     dataset = generate_dataset(spec, ScenarioSpec.common())
     runs = [(0.1, seed) for seed in range(count)]
@@ -295,16 +323,15 @@ def test_a_call_batches_from_min_batch_runs_on_in_near_equal_batches_of_at_most_
 @settings(max_examples=150, deadline=None)
 @given(tied_datasets(), st.sampled_from(POLICIES), st.sampled_from([1, 3, 64]), st.data())
 def test_every_policys_driver_runs_equal_the_reference(case, policy, batch_runs, data):
-    # 1-8 runs with alpha 0 and an overflowing alpha among them, at the default MIN_BATCH_RUNS,
-    # so a call goes list by list below it and in lockstep from it on, in batches of at most batch_runs
+    # 1-8 runs with alpha 0, an overflowing alpha and a refused seed among them: a gradient
+    # policy's valid runs that read the ledger go in lockstep, in batches of at most batch_runs
     dataset, k = case
     cfg = SimConfig(list_size=k)
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
-    runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
+    runs = data.draw(st.lists(st.tuples(alpha, st.integers(-1, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes, ledgers, batches = batch_with_ledgers(dataset, policy, runs, cfg, BATCH_RUNS=batch_runs)
-        together = lockstep_runs(policy, runs)
-        assert sum(batches) == (together if together >= sim.MIN_BATCH_RUNS else 0)
+        assert sum(batches) == lockstep_runs(policy, [run for run in runs if run[1] >= 0])
         assert all(size <= batch_runs for size in batches)
         for (alpha, seed), got in zip(runs, outcomes, strict=True):
             # the reference does not check scores: a run that fails alone fails in the call
@@ -340,14 +367,14 @@ def test_a_refused_seed_fails_its_run_alone(policy):
 
 
 def test_a_refused_run_does_not_count_towards_a_lockstep_batch():
-    # three valid EquityRank runs are fewer than MIN_BATCH_RUNS: they go list by list
+    # the refused seed's run is in no batch: the three valid runs go in lockstep
     spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
     dataset = generate_dataset(spec, ScenarioSpec.common())
     cfg = SimConfig(list_size=2)
     runs = [(0.1, 0), (0.1, -1), (1.0, 1), (0.5, 2)]
-    assert lockstep_runs("EquityRank", runs) == sim.MIN_BATCH_RUNS
+    assert lockstep_runs("EquityRank", runs) == 4
     outcomes, ledgers, batches = batch_with_ledgers(dataset, "EquityRank", runs, cfg)
-    assert batches == []
+    assert batches == [3]
     assert isinstance(outcomes[1], ValueError)
     for (alpha, seed), got in zip(runs, outcomes):
         if seed < 0:

@@ -420,6 +420,12 @@ class TestTradeoffEnvelope:
 
 
 class TestGainLedger:
+    def test_a_ledger_equals_only_itself(self):
+        # a generated __eq__ would compare the arrays as a tuple and raise for two providers
+        ledger = GainLedger.empty(2)
+        assert (ledger == GainLedger.empty(2)) is False
+        assert (ledger == ledger) is True and (ledger != GainLedger.empty(2)) is True
+
     def test_averaged_gains_require_steps(self):
         ledger = GainLedger.empty(2)
         with pytest.raises(ValueError):

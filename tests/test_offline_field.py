@@ -88,7 +88,7 @@ def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     ledger.exposure_gain[:] = data.draw(st.lists(gain, min_size=catalog.provider_count, max_size=catalog.provider_count))
     pm = PositionModel.logarithmic(k)
     ids = np.sort(candidates)
-    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles, slotwise=True)
+    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles)
     row = rel.relevance_of(user, ids)
     want = ids[reference_fill(plan, catalog.group_of[ids], row, ledger.raw_gains(), pm.probs)]
     if kind == "PoorK":

@@ -277,6 +277,17 @@ class TestCollapseIdentities:
                 want = reference_slotwise_equityrank(candidates, 0, rel, ledger, catalog, profiles, alpha, pm)
                 assert got.positions == want, alpha
 
+    def test_offline_equityrank_leaves_the_callers_ledger_unwritten(self):
+        # its picks pay a copy of the ledger, as a run's list would pay its own
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            catalog, profiles, rel, ledger, candidates = random_state(rng)
+            arrays = (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)
+            before = [a.tobytes() for a in arrays], ledger.step_count
+            for alpha in (1e-3, 0.1, 10.0):
+                offline_rank_user(PolicyConfig("EquityRank", alpha), candidates, 0, rel, ledger, catalog, profiles, PM3)
+            assert ([a.tobytes() for a in arrays], ledger.step_count) == before
+
 
 REPEATED_CANDIDATE_CALLS = {
     "rank_poork": lambda c, *a: rank_poork(c, 0, *a, PM2),
@@ -328,13 +339,12 @@ class TestDispatch:
                 rl = rank(policy, candidates, 0, rel, GainLedger.empty(2), catalog, profiles, PM2)
                 assert rl.positions == (0, 1), (rank.__name__, candidates)
 
-    @pytest.mark.parametrize("slotwise", [False, True])
     @pytest.mark.parametrize("kind", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
-    def test_plan_is_freed_without_the_cycle_collector(self, kind, slotwise):
+    def test_plan_is_freed_without_the_cycle_collector(self, kind):
         # a run's plan holds per-provider arrays, m of them for m providers;
         # a reference cycle through the plan would keep them until the
         # cyclic collector ran
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2), slotwise)
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
         freed = weakref.ref(plan)
         gc.disable()
         try:
@@ -365,7 +375,7 @@ class TestDispatch:
         # gains near the float maximum overflow EquityRank's gradient; an
         # infinite relevance makes MMF*'s normalised relevance NaN
         policy = PolicyConfig(kind, 0.5 if kind == "MMFStar" else 1.0)
-        plan = PolicyPlan(policy, uniform_profiles(3), slotwise=True)
+        plan = PolicyPlan(policy, uniform_profiles(3))
         if kind == "EquityRank":
             rel, gains = np.array([0.5, 0.2, 0.1]), np.array([1e308, 0.0, 1e308])
         else:
@@ -374,8 +384,8 @@ class TestDispatch:
             plan.rank(rel, np.array([0, 1, 2]), gains, PM2.probs)
 
     def test_greedy_fill_checks_the_scores_at_alpha_zero(self):
-        # at alpha 0 EquityRank's scores are the relevances, still checked at every pick
-        plan = PolicyPlan(PolicyConfig("EquityRank", 0.0), uniform_profiles(3), slotwise=True)
+        # at alpha 0 EquityRank's scores are the relevances, still checked
+        plan = PolicyPlan(PolicyConfig("EquityRank", 0.0), uniform_profiles(3))
         with pytest.raises(ValueError, match="scores must be finite"):
             plan.rank(np.array([0.5, np.nan, 0.1]), np.array([0, 1, 2]), np.zeros(3), PM2.probs)
 
@@ -383,7 +393,7 @@ class TestDispatch:
     def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
         # a field built for one-item lists: each provider's lowest-id zero
         catalog = Catalog.from_assignments([0, 1] * 3)
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2), slotwise=True)
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
         field = offline_field(RelevanceTable(1, []), catalog, 1)
         seg = field.segment(0)
         heads = field.by_provider[seg], field.offsets[0]
@@ -512,6 +522,19 @@ class TestVerticalAllocation:
         got = allocate_vertical(np.array([1.0, 0.0]), rel, GainLedger.empty(2), catalog, profiles, 0.1, PM3)
         assert [(rl.user, rl.positions) for rl in got] == [(rl.user, rl.positions) for rl in want]
         assert all(type(rl.user) is int for rl in got)
+
+    @pytest.mark.parametrize("m,gain", [(1, 0.0), (2, 1e308)], ids=["one-provider", "overflowing-gains"])
+    def test_alpha_zero_reads_no_gains(self, m, gain):
+        # at alpha 0 each list is the user's top K, even where the gradient is not finite
+        catalog = Catalog.from_assignments(np.arange(8) % m)
+        rel = RelevanceTable(2, [(u, i, 0.1 * ((i * (u + 3)) % 7)) for u in range(2) for i in range(8)])
+        profiles = uniform_profiles(m)
+        ledger = ledger_with_gains([gain] * m)
+        lists = allocate_vertical([1, 0], rel, ledger, catalog, profiles, 0.0, PM3)
+        for rl in lists:
+            topk = online_step_rank(PolicyConfig("TopK"), np.arange(8), rl.user, rel, ledger, catalog, profiles, PM3)
+            assert rl.positions == topk.positions
+        assert ledger.step_count == 3
 
     def test_ledger_accrual_totals(self):
         catalog = Catalog.from_assignments([0, 0, 1, 1, 1])

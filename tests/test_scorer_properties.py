@@ -1,16 +1,16 @@
 """Each policy has one scorer: scoring any subset of a row's slots gives, bit
-for bit, the whole-row scores at those slots. The slot-greedy fill relies on
-this when it rescores only the remaining slots, and a narrowed candidate set
-is just one more subset. And a plan has one ``rank``: a row in slot order
-and the same entries in greedy order with their provider heads give one
-list."""
+for bit, the whole-row scores at those slots. The offline fill, ``_lockstep``,
+relies on this when it scores segments padded with their last entry, and a
+narrowed candidate set is just one more subset. And a plan has one ``rank``:
+a row in slot order and the same entries in greedy order with their
+provider heads give one list."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equityrank import Catalog, PolicyConfig, PositionModel, ProviderProfile
-from equityrank.rankers import PolicyPlan
+from equityrank import Catalog, GainLedger, PolicyConfig, PositionModel, ProviderProfile
+from equityrank.rankers import OfflineField, PolicyPlan, _lockstep
 
 WHOLE_ROW_POLICIES = [("TopK", 0.0)] + [
     (kind, alpha) for kind in ("FairCoStar", "EquityRank") for alpha in (0.0, 1e-4, 1e-2, 0.5, 1.0, 10.0)
@@ -53,23 +53,28 @@ def test_scoring_a_subset_of_slots_matches_the_whole_row(case):
 @settings(max_examples=150, deadline=None)
 @given(scoring_cases())
 def test_greedy_and_whole_row_equityrank_agree_on_the_top_slot(case):
-    # before anything is placed, the slot-greedy fill scores every slot with
-    # the same scorer as the whole-row ranking, so both put the same slot first
+    # before anything is placed, the offline fill scores every slot with the
+    # same scorer as the whole-row ranking, so both put the same slot first
     _, profiles, provider, rel, gains, _ = case
-    policy = PolicyConfig("EquityRank", 0.1)
-    whole = PolicyPlan(policy, profiles).rank(rel, provider, gains, [1.0])
-    greedy = PolicyPlan(policy, profiles, slotwise=True).rank(rel, provider, gains, [1.0])
-    assert whole == greedy
+    plan = PolicyPlan(PolicyConfig("EquityRank", 0.1), profiles)
+    whole = plan.rank(rel, provider, gains, [1.0])
+    # the fill's run of one over the row in greedy order, whose items are the row's slots
+    order = np.argsort(-rel, kind="stable")
+    field = OfflineField(np.array([0, rel.size]), order, rel[order], provider[order], None, None)
+    ledger = GainLedger(gains.copy(), np.zeros(gains.size), np.zeros(gains.size))
+    picks, failed = _lockstep(plan, field, np.zeros((1, 1), dtype=np.intp), np.array([0.1]), [ledger], [1.0], False)
+    assert not failed
+    assert whole == field.items[picks[0, 0]].tolist()
 
 
 @settings(max_examples=300, deadline=None)
-@given(scoring_cases(PLAN_POLICIES, TIED_RELEVANCE), st.booleans(), st.integers(1, 6))
-def test_a_row_and_its_greedy_order_rank_one_list(case, slotwise, k):
+@given(scoring_cases(PLAN_POLICIES, TIED_RELEVANCE), st.integers(1, 6))
+def test_a_row_and_its_greedy_order_rank_one_list(case, k):
     # a row in slot order, ids ascending, and the same entries sorted into
     # greedy order (relevance descending, then slot) with their provider
     # heads given, as an offline field keeps a segment, give the same items
     policy, profiles, provider, rel, gains, at = case
-    plan = PolicyPlan(policy, profiles, slotwise)
+    plan = PolicyPlan(policy, profiles)
     probs = PositionModel.logarithmic(min(k, rel.size)).probs
     order = np.argsort(-rel, kind="stable")
     grouped = provider[order]

@@ -80,6 +80,12 @@ class TestEstimateRelevance:
 
 
 class TestOnlineStateSlots:
+    def test_a_state_equals_only_itself(self):
+        # a generated __eq__ would compare the counters as a tuple and raise
+        state = fresh_state()
+        assert (state == fresh_state()) is False
+        assert (state == state) is True and (state != fresh_state()) is True
+
     def test_rows_are_sorted_and_slots_index_them(self):
         state = fresh_state(users=2, candidate_sets=[np.array([7, 3, 5]), np.array([1, 9, 4])])
         np.testing.assert_array_equal(state.candidate_sets, [[3, 5, 7], [1, 4, 9]])
