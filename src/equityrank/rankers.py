@@ -25,15 +25,17 @@ score and relevance, then position, the same items in either order.
 EquityRankV, for R runs at once (``sim.run_offline_batch``; R = 1 for
 ``offline_rank_user`` and ``allocate_vertical``). The runs' current
 segments, padded with their last entry, form (R x L) rows, scored with each
-run's gains and alpha by one list's elementwise operations and one ``.dot``
-per run for G.y (a matrix product rounds some rows differently); one
+run's gains and alpha by one list's elementwise operations and one
+``np.vecdot`` for the runs' G.y, which takes each row's dot by the kernel
+of ``row.dot`` (a matrix product rounds some rows differently); one
 matrix-vector product with zeros checks every row, so a run whose scores
 are not finite fails alone. EquityRank takes ``argmax(axis=1)``'s first
 maximum among the entries left, paying p_k (v_e + r v_b) to a gains copy,
 or for EquityRankV, level by level, to the ledger; FairCo* takes the first
-K of one ``lexsort(axis=-1)``, the pads last. PoorK and MMF* work in greedy
-order, where a segment is and a row gets by one stable sort, and pick among
-provider heads: MMF*'s score
+K of one stable ``argsort(axis=-1)`` by score, the pads last: in greedy
+order that is the (score, relevance, position) order. PoorK and MMF* work
+in greedy order, where a segment is and a row gets by one stable sort, and
+pick among provider heads: MMF*'s score
 (1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
 spanning the entries left, is made of monotone float operations, so in
 greedy order it does not increase within the worst-off provider's entries
@@ -268,9 +270,10 @@ class PolicyPlan:
             # alpha column, every provider's ``target`` and ``provider`` as
             # flat indices into the gains: alpha b for each (run, provider)
             # first, by the same operations on the same operands, then read
-            # at the entries. G.y stays one dot per run, as a matrix product
-            # or einsum rounds some rows differently
-            b = target * np.array([row.dot(self.targets) for row in gains])[:, None]
+            # at the entries. vecdot takes each run's G.y by the row dot's
+            # own kernel (tests/test_lockstep.py pins it), where a matrix
+            # product or einsum rounds some rows differently
+            b = target * np.vecdot(gains, self.targets)[:, None]
             b -= gains * self._target_sq
             b *= self._scale
             b *= alpha
@@ -644,10 +647,11 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     for j in range(users):
         at, rel, flat, w, placed = segments(j)
         if plan.kind == "FairCoStar":
-            # (score desc, relevance desc, position asc), as rank's top_k_order; pads sort
-            # last by their score key at +inf, so their relevance key needs no pad
+            # rank's (score desc, relevance desc, position asc): a segment is in greedy
+            # order, so among equal scores relevance never rises with the position, and
+            # a stable sort by score alone gives that order; pads at -inf sort last
             scores = checked(plan.score(rel, flat, gains, column)) + placed
-            picks[:, j] = np.lexsort((-rel, -scores), axis=-1)[:, :k]
+            picks[:, j] = np.argsort(-scores, axis=-1, kind="stable")[:, :k]
         else:
             copy = gains.copy()  # the gains a list pays into as it fills
             for level, p_k in enumerate(probs):

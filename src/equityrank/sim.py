@@ -41,11 +41,14 @@ most ``BATCH_RUNS``, a batch of one included: at each pick, or each list
 for FairCo*, one scoring call over the R runs' segments serves them all,
 and each run pays its own ledger. Each score is the run-alone score,
 element by element, by the same floating-point operations; the gains' dot
-product with the targets stays one ``.dot`` per run, as a matrix product or
+products with the targets come from one ``np.vecdot``, which takes each
+run's by the kernel of its own ``.dot``, where a matrix product or
 ``einsum`` over the R runs rounds some rows differently. So every run's
 lists and result are the bits it gets alone. MMF*'s and PoorK's runs go
 list by list. Each engine pays a list's expected gains through
-``GainLedger.pay``.
+``GainLedger.pay``. A run's NDCGs are taken in one pass over its (users x
+K) served relevances, by ``discounted_sum``'s and ``ndcg_from``'s
+operations in their order, and averaged by Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -492,12 +495,20 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     pm = PositionModel.logarithmic(cfg.list_size)
     k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
     field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
-    ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
+    ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
 
     def finish(i, order, served, ledger, wall):
+        """Run i's result from ``served``, its users' relevances, a row per user of
+        ``order``, top first: each user's NDCG by ``discounted_sum`` and ``ndcg_from``'s
+        operations, in their order, for all users at once, and their mean."""
         alpha, seed = runs[i]
         ledger.step_count += len(served)
-        ndcgs = [ndcg_from(discounted_sum(r, probs, cutoff), ideal[u]) for u, r in zip(order.tolist(), served)]
+        dcg = np.zeros(len(served))
+        for column, p_k in zip(served[:, :cutoff].T, probs):
+            dcg += column * p_k
+        ideals = ideal[order]
+        ndcgs = np.divide(dcg, ideals, out=np.ones_like(dcg), where=ideals != 0.0).tolist()
+        # Python's sum, as andcg's: np.sum adds in another order
         return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
 
     outcomes: list = [None] * len(runs)
@@ -541,7 +552,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
             try:
                 if r in failed:
                     raise failed[r]
-                served = field.relevance[field.indptr[order][:, None] + picks[r]].tolist()
+                served = field.relevance[field.indptr[order][:, None] + picks[r]]
                 outcomes[i] = finish(i, order, served, ledger, wall)
             except Exception as exc:  # noqa: BLE001 - the run fails alone
                 outcomes[i] = exc
@@ -552,11 +563,11 @@ def _serve(policy: str, alpha: float, order: np.ndarray, field, ledger: GainLedg
     """Serve a ledger-blind run whole, or a PoorK or MMF* run list by list, to the users of
     ``order``, paying ``ledger``.
 
-    Returns each user's served relevances, top first, in visit order. The
-    caller counts the lists.
+    Returns the served relevances, a row per user in visit order, top first.
+    The caller counts the lists.
     """
     if ledger_blind(policy, alpha):
-        return field.relevance[_pay_heads(field, order, ledger, profiles, pm.probs, policy == "EquityRankV")].tolist()
+        return field.relevance[_pay_heads(field, order, ledger, profiles, pm.probs, policy == "EquityRankV")]
     probs = pm.probs.tolist()
     plan = PolicyPlan(PolicyConfig(policy, alpha), profiles)
     gains, served = ledger.raw_gains(), []
@@ -566,7 +577,7 @@ def _serve(policy: str, alpha: float, order: np.ndarray, field, ledger: GainLedg
         at = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
         served.append(relevance[at].tolist())
         ledger.pay(provider[at].tolist(), probs, served[-1], profiles, gains)
-    return served
+    return np.array(served)
 
 
 def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarray:

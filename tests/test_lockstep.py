@@ -4,7 +4,9 @@ whole-catalog reference give it alone. FairCo*, EquityRank and EquityRankV runs
 go in lockstep (``rankers._lockstep``), in batches of every size from one; a run
 whose scores overflow fails alone, with ``run_offline``'s message, while the
 rest of its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served
-whole, and give the reference's result and ledger too."""
+whole, and give the reference's result and ledger too. The runs' G.y comes from
+one ``np.vecdot``, which must take each row by the kernel of the row's own ``.dot``:
+a numpy release that changed that kernel fails here first."""
 
 import dataclasses
 
@@ -100,6 +102,26 @@ def tiny_target(dataset):
     gain-to-target ratio overflows to +inf once it is paid anything."""
     first = dataclasses.replace(dataset.profiles[0], gain_target=5e-324)
     return dataclasses.replace(dataset, profiles=(first, *dataset.profiles[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 70) | st.sampled_from([127, 128, 129, 2000]),
+    st.integers(-3, 300),
+    st.integers(0, 2**32 - 1),
+)
+def test_vecdot_takes_each_rows_dot_bit_for_bit(runs, m, top, seed):
+    # mixed signs, magnitudes from 1e-3 to 1e`top`: products may overflow, and sums of
+    # opposite infinities give NaN, which the bytes compare too
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.uniform(-3, top, shape)
+
+    gains, targets = draw((runs, m)), draw(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.vecdot(gains, targets).tobytes() == np.array([row.dot(targets) for row in gains]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,6 +242,44 @@ def test_a_fairco_list_never_takes_a_pad_of_its_short_segment():
         assert got.deterministic_values() == want.deterministic_values()
 
 
+def test_fairco_lists_break_exact_score_ties_by_relevance_as_the_reference_does():
+    # dyadic relevances, profiles, probabilities (K = 2: 1 and 1/2) and alpha keep every
+    # score exact. The user served first, u0, pays provider 0 a gain of 2 and provider 1
+    # a gain of 1; at alpha 1/4, provider 1 then lags by 1/4 and provider 2 by 1/2, so
+    # u1's items 2, 1 and 0 all score 3/4 with relevances 3/4, 1/2 and 1/4: the list is
+    # [2, 1] by relevance, though [0, 1] by id
+    profiles = (ProviderProfile(1.0, 1.0, 1.0),) * 3
+    catalog = Catalog.from_assignments([2, 1, 0, 0, 1, 2, 2], 3)
+    entries = [(0, 3, 1.0), (0, 4, 1.0), (1, 0, 0.25), (1, 1, 0.5), (1, 2, 0.75)]
+    dataset = Dataset(catalog, profiles, RelevanceTable(2, entries))
+    cfg = SimConfig(list_size=2)
+    first = {seed: int(np.random.default_rng(seed).permutation(2)[0]) for seed in range(4)}
+    tied, untied = min(s for s in first if first[s] == 0), min(s for s in first if first[s] == 1)
+    scores = PolicyPlan(PolicyConfig("FairCoStar", 0.25), profiles).score(
+        np.array([0.25, 0.5, 0.75]), catalog.group_of[:3], np.array([2.0, 1.0, 0.0])
+    )
+    assert scores.tolist() == [0.75] * 3
+    runs = [(0.25, tied), (0.25, untied), (0.0, tied), (0.5, tied), (0.125, tied)]
+    lists, lockstep = {}, sim._lockstep
+
+    def recorded(plan, field, orders, alphas, *args):
+        picks, failed = lockstep(plan, field, orders, alphas, *args)
+        for order, alpha, at in zip(orders, alphas.tolist(), picks):
+            lists[alpha, tuple(order.tolist())] = field.items[field.indptr[order][:, None] + at].tolist()
+        return picks, failed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_lockstep", recorded)
+        outcomes = sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)
+    assert len(lists) == len(runs)
+    for (alpha, seed), got in zip(runs, outcomes):
+        want, want_lists, _ = run_offline_reference(dataset, "FairCoStar", alpha, seed, cfg)
+        order = tuple(np.random.default_rng(seed).permutation(2).tolist())
+        assert lists[alpha, order] == [list(rl.positions) for rl in want_lists]
+        assert got.deterministic_values() == want.deterministic_values()
+    assert lists[0.25, (0, 1)][1] == [2, 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(tied_datasets(), st.sampled_from(BLIND_RUNS), st.integers(0, 1000))
 def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run, seed):
@@ -323,10 +383,11 @@ def test_a_call_batches_its_runs_in_near_equal_batches_of_at_most_batch_runs(cou
 @settings(max_examples=150, deadline=None)
 @given(tied_datasets(), st.sampled_from(POLICIES), st.sampled_from([1, 3, 64]), st.data())
 def test_every_policys_driver_runs_equal_the_reference(case, policy, batch_runs, data):
-    # 1-8 runs with alpha 0, an overflowing alpha and a refused seed among them: a gradient
-    # policy's valid runs that read the ledger go in lockstep, in batches of at most batch_runs
+    # 1-8 runs with alpha 0, an overflowing alpha and a refused seed among them, NDCG at a
+    # cutoff from 1 to K: a gradient policy's valid runs that read the ledger go in
+    # lockstep, in batches of at most batch_runs
     dataset, k = case
-    cfg = SimConfig(list_size=k)
+    cfg = SimConfig(list_size=k, cutoff=data.draw(st.integers(1, k)))
     alpha = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, OVERFLOW])
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(-1, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
