@@ -14,35 +14,46 @@ online estimator), and a gain ledger snapshot, and emit a top-K list:
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
 
-A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row
-in slot order (online runs and the public rankers) or a user's segment of
-an ``OfflineField`` in greedy order (offline PoorK and MMF* runs). Ties go
-by score, then relevance, descending, then id ascending: in *greedy order*
-(relevance descending, then id ascending), the first of equal scores.
-TopK, FairCo* and EquityRank score every entry once and take the top K by
-score and relevance, then position, the same items in either order.
-``_lockstep`` is the one offline fill of FairCo*, EquityRank and
-EquityRankV, for R runs at once (``sim.run_offline_batch``; R = 1 for
-``offline_rank_user`` and ``allocate_vertical``). The runs' current
-segments, padded with their last entry, form (R x L) rows, scored with each
-run's gains and alpha by one list's elementwise operations and one
-``np.vecdot`` for the runs' G.y, which takes each row's dot by the kernel
-of ``row.dot`` (a matrix product rounds some rows differently); one
-matrix-vector product with zeros checks every row, so a run whose scores
-are not finite fails alone. EquityRank takes ``argmax(axis=1)``'s first
-maximum among the entries left, paying p_k (v_e + r v_b) to a gains copy,
-or for EquityRankV, level by level, to the ledger; FairCo* takes the first
-K of one stable ``argsort(axis=-1)`` by score, the pads last: in greedy
-order that is the (score, relevance, position) order. PoorK and MMF* work
+A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row in
+slot order (online runs, and the public rankers but ``offline_rank_user``)
+or a user's segment of an ``OfflineField`` in greedy order (offline PoorK
+and MMF* runs). Ties go by score, then relevance, descending, then id
+ascending: in *greedy order* (relevance descending, then id ascending), the
+first of equal scores. TopK, FairCo* and EquityRank score every entry once
+and take the top K by score and relevance, then position, the same items in
+either order.
+
+``serve_offline`` serves every offline run (``sim.run_offline_batch``;
+``allocate_vertical`` and ``offline_rank_user`` serve runs of one), and it
+alone picks a run's engine, from its policy and alpha. A ledger-blind run
+(``ledger_blind``: TopK, and EquityRank and EquityRankV at alpha 0) ranks by
+relevance alone, so it is served whole: one gather takes every user's first
+K segment entries, which in greedy order are the list ``PolicyPlan.rank``
+would take, and the run pays them in its own order, level by level for
+EquityRankV. PoorK and MMF* runs go list by list. Every other run goes
+through ``_lockstep``, the one offline fill of FairCo*, EquityRank and
+EquityRankV, in near-equal batches of at most ``BATCH_RUNS``, a batch of one
+included. The runs' current segments, padded with their last entry, form
+(R x L) rows, scored with each run's gains and alpha by one list's elementwise
+operations and one ``np.vecdot`` for the runs' G.y, which takes each row's
+dot by the kernel of ``row.dot`` (a matrix product rounds some rows
+differently); one matrix-vector product with zeros checks every row, so a
+run whose scores are not finite fails alone. So each run's scores, lists and
+ledger are the bits it gets alone. EquityRank takes ``argmax(axis=1)``'s
+first maximum among the entries left, paying p_k (v_e + r v_b) to a gains
+copy, or for EquityRankV, level by level, to the ledger; FairCo* takes the
+first K of one stable ``argsort(axis=-1)`` by score, the pads last: in
+greedy order that is the (score, relevance, position) order. Every engine
+pays a list's expected gains through ``GainLedger.pay``. PoorK and MMF* work
 in greedy order, where a segment is and a row gets by one stable sort, and
-pick among provider heads: MMF*'s score
-(1 - alpha) (r - lo) / (hi - lo) + alpha [provider is worst off], lo and hi
-spanning the entries left, is made of monotone float operations, so in
-greedy order it does not increase within the worst-off provider's entries
-or within the rest. The best entry left is A, the first one left, if
-score(A) >= score(W), else W, the worst-off provider's first one left
-(PoorK, alpha = 1: always W). So each pick is a provider's head and changes
-one entry of the gain-to-target ratios, kept with dead providers at +inf.
+pick among provider heads: MMF*'s score (1 - alpha) (r - lo) / (hi - lo) +
+alpha [provider is worst off], lo and hi spanning the entries left, is made
+of monotone float operations, so in greedy order it does not increase within
+the worst-off provider's entries or within the rest. The best entry left is
+A, the first one left, if score(A) >= score(W), else W, the worst-off
+provider's first one left (PoorK, alpha = 1: always W). So each pick is a
+provider's head and changes one entry of the gain-to-target ratios, kept
+with dead providers at +inf.
 
 An offline field (``offline_field``) holds every item stored for a user
 plus each provider's K lowest-id items of relevance 0, and gives the whole
@@ -56,6 +67,7 @@ providers that MMF* reads do not change either.
 from __future__ import annotations
 
 import math
+import time
 from copy import deepcopy
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -81,6 +93,7 @@ __all__ = [
     "rank_fairco_star",
     "rank_mmf_star",
     "rank_poork",
+    "serve_offline",
     "top_k_order",
 ]
 
@@ -89,6 +102,9 @@ POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityR
 # field with a partition first (measured for k = 5: the two cost the same
 # near 200 candidates); both select the same list.
 PARTITION_MIN_CANDIDATES = 200
+# serve_offline advances the offline runs that go in lockstep in batches of
+# at most BATCH_RUNS, which bounds a batch's (runs x segment) arrays
+BATCH_RUNS = 64
 
 
 @dataclass(frozen=True)
@@ -194,7 +210,7 @@ class PolicyPlan:
         ve, vb, y = provider_arrays(profiles)
         m = y.size
         if kind == "EquityRankV":
-            raise ValueError("EquityRankV lists are built jointly by allocate_vertical (offline mode)")
+            raise ValueError("EquityRankV lists are built jointly, for all users, by serve_offline (offline mode)")
         if kind == "MMFStar" and alpha > 1.0:
             raise ValueError("alpha must lie in [0, 1] for this policy")
         if kind == "EquityRank" and alpha != 0.0 and m < 2:
@@ -430,25 +446,25 @@ def offline_rank_user(
 ) -> RankList:
     """Rank one user's candidates with true relevance (offline mode).
 
-    EquityRank at a nonzero alpha refreshes its gradient per slot: it is
-    ``_lockstep``'s run of one over the candidates in greedy order, paying a
-    copy of ``ledger``. The other policies, and EquityRank at alpha 0 (the
-    relevances), behave exactly as in the online dispatch.
+    This is the list an offline run serves the user at ``ledger``:
+    ``serve_offline``'s run of one over a one-user offline field of the
+    candidates, paying a copy of ``ledger``. EquityRankV, whose lists are
+    built for all users jointly, is refused as in the online dispatch.
     """
-    if policy.kind != "EquityRank" or policy.alpha == 0.0:
-        return _rank_one(policy, candidates, user, rel, ledger, catalog, profiles, pm)
     ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(policy, profiles)
+    PolicyPlan(policy, profiles)  # refuses the policy's bad alpha, and EquityRankV, before any read
     relevance, k = rel.relevance_of(user, ids), pm.list_size
     if ids.size < k:
         raise ValueError(f"need at least {k} candidates, got {ids.size}")
     order = np.argsort(-relevance, kind="stable")
-    field = OfflineField(np.array([0, ids.size]), ids[order], relevance[order], catalog.group_of[ids[order]], None, None)
+    items, provider = ids[order], catalog.group_of[ids[order]]
+    by_provider, offsets = _provider_heads(provider, catalog.provider_count)
+    field = OfflineField(np.array([0, ids.size]), items, relevance[order], provider, by_provider, offsets[None])
     one = np.zeros((1, 1), dtype=np.intp)  # one run, visiting the field's one user
-    picks, failed = _lockstep(plan, field, one, np.array([policy.alpha]), [deepcopy(ledger)], pm.probs.tolist(), False)
+    picks, _, failed = serve_offline(policy.kind, [policy.alpha], field, one, [deepcopy(ledger)], profiles, pm.probs.tolist())
     if failed:
         raise failed[0]
-    return RankList(tuple(field.items[picks[0, 0]].tolist()), user)
+    return RankList(tuple(items[picks[0, 0]].tolist()), user)
 
 
 # ---------------------------------------------------------------------------
@@ -555,28 +571,81 @@ def allocate_vertical(
     if len(set(users)) != len(users):
         raise ValueError("users must be distinct ids")
     field = offline_field(rel, catalog, pm.list_size)
-    plan, order = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles), np.array(users, dtype=np.int64)
-    if alpha == 0.0:  # the scores are the relevances, whatever the gains: served whole
-        lists = field.items[_pay_heads(field, order, ledger, profiles, pm.probs, vertical=True)]
-    else:
-        picks, failed = _lockstep(plan, field, order[None], np.array([alpha]), [ledger], pm.probs.tolist(), True)
-        if failed:
-            raise failed[0]
-        lists = field.items[field.indptr[order][:, None] + picks[0]]
+    order = np.array(users, dtype=np.int64)
+    picks, _, failed = serve_offline("EquityRankV", [alpha], field, order[None], [ledger], profiles, pm.probs.tolist())
+    if failed:
+        raise failed[0]
     ledger.step_count += len(users)
+    lists = field.items[field.indptr[order][:, None] + picks[0]]
     return [RankList(tuple(items), u) for u, items in zip(users, lists.tolist())]
 
 
-def _pay_heads(field: OfflineField, order: np.ndarray, ledger: GainLedger, profiles, probs, vertical: bool) -> np.ndarray:
-    """Serve the users of ``order`` their lists by relevance alone (``OfflineField.heads``), paying ``ledger``
-    user by user, top position first, or level by level with ``vertical``; the caller counts the lists."""
-    at = field.heads(order, len(probs))
-    paid, levels = at, np.broadcast_to(probs, at.shape)
-    if vertical:
-        paid, levels = paid.T, levels.T
-    paid = paid.ravel()
-    ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
-    return at
+def ledger_blind(policy: str, alpha: float) -> bool:
+    """Whether ``policy`` at ``alpha`` ranks every offline list without reading the ledger:
+    TopK at any alpha, and EquityRank and EquityRankV at alpha 0, rank by relevance alone,
+    with finite scores, so each list is the first K entries of the user's segment
+    (``OfflineField.heads``). FairCo* and MMF* at alpha 0 list the same items, but their
+    scores still read the gains and can fail where TopK's cannot: FairCo* through 0 times
+    an overflowing ratio, MMF* through its span check."""
+    return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
+
+
+def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, profiles, probs):
+    """Serve R offline runs of ``policy``, each by the engine its alpha picks (module docstring).
+
+    Run r visits users ``orders[r]``, a row of the (R x users) ``orders``, at
+    ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists and
+    has checked each run's ``PolicyConfig``. ``probs`` are the K examination
+    probabilities as floats. Returns the picks (R x users x K), the positions
+    of run r's j-th user's list in its segment, top first; each run's wall
+    time in seconds, that of its own serving, or for a lockstep run its
+    batch's divided by the batch's runs; and by run the exception of each run
+    that failed: it stops paying there, and its picks mean nothing.
+    """
+    runs, users = orders.shape
+    k, vertical = len(probs), policy == "EquityRankV"
+    picks = np.zeros((runs, users, k), dtype=np.intp)
+    walls, failed, lockstep = [0.0] * runs, {}, []
+    for r, (alpha, order, ledger) in enumerate(zip(alphas, orders, ledgers)):
+        blind = ledger_blind(policy, alpha)
+        if not blind and policy not in ("PoorK", "MMFStar"):
+            lockstep.append(r)
+            continue
+        start = time.perf_counter()
+        try:
+            if blind:
+                # pay the segments' heads user by user, top position first, or level by level
+                paid, levels = field.heads(order, k), np.broadcast_to(probs, (users, k))
+                if vertical:
+                    paid, levels = paid.T, levels.T
+                paid = paid.ravel()
+                ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
+                picks[r] = np.arange(k)
+            else:
+                plan, gains = PolicyPlan(PolicyConfig(policy, alpha), profiles), ledger.raw_gains()
+                for j, user in enumerate(order.tolist()):
+                    seg = field.segment(user)
+                    relevance, provider = field.relevance[seg], field.provider[seg]
+                    at = picks[r, j] = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
+                    ledger.pay(provider[at].tolist(), probs, relevance[at].tolist(), profiles, gains)
+        except Exception as exc:  # noqa: BLE001 - the run fails alone
+            failed[r] = exc
+        walls[r] = time.perf_counter() - start
+    count = -(-len(lockstep) // BATCH_RUNS)
+    for batch in (lockstep[b::count] for b in range(count)):
+        start = time.perf_counter()
+        try:
+            # EquityRankV's picks are EquityRank's scores' best, paid level by level
+            plan = PolicyPlan(PolicyConfig("EquityRank" if vertical else policy, alphas[batch[0]]), profiles)
+            alpha, paying = np.array([alphas[r] for r in batch]), [ledgers[r] for r in batch]
+            picks[batch], bad = _lockstep(plan, field, orders[batch], alpha, paying, probs, vertical)
+            failed.update({batch[i]: exc for i, exc in bad.items()})
+        except Exception as exc:  # noqa: BLE001 - the batch's runs fail, the call goes on
+            failed.update(dict.fromkeys(batch, exc))
+        wall = (time.perf_counter() - start) / len(batch)
+        for r in batch:
+            walls[r] = wall
+    return picks, walls, failed
 
 
 def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: np.ndarray, ledgers, probs, vertical: bool):

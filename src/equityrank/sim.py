@@ -7,11 +7,11 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-A run ranks every list with one ``PolicyPlan``, but for a ledger-blind
-offline run (below). An offline run gives it the user's segment of the
-dataset's offline field, with its provider heads, and reads nothing else.
-An online run fixes each user's prefiltered candidate
-set when it starts; a step (``online_step``: estimate -> score -> top-K ->
+An offline run is served by ``rankers.serve_offline`` from the user's
+segments of the dataset's offline field, with their provider heads, and
+reads nothing else. An online run ranks every list with one
+``PolicyPlan``: it fixes each user's prefiltered candidate set when it
+starts; a step (``online_step``: estimate -> score -> top-K ->
 feedback -> DCG) gives it the user's candidate row in slot order (ids
 ascending), with the estimates and raw gains ``OnlineState`` keeps current.
 The id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback``
@@ -30,25 +30,12 @@ fails first if a numpy release changes them. Any other bit generator, and
 a run from its first rejected user draw on, makes the calls themselves.
 ``run_offline_batch`` is the one offline driver; ``run_offline`` is its
 call with one run. It checks the dataset and builds the field and the ideal
-DCGs once, then picks each run's engine from its policy and alpha alone. A
-ledger-blind run (``ledger_blind``: TopK, and EquityRank and EquityRankV at
-alpha 0) ranks by relevance alone, so it is served whole: one gather takes
-every user's first K segment entries, which in greedy order are the list
-``PolicyPlan.rank`` would take, and the run pays them in its own order.
-Every other FairCo*, EquityRank or EquityRankV run of a call that passes
-its checks advances in lockstep (``rankers._lockstep``), in batches of at
-most ``BATCH_RUNS``, a batch of one included: at each pick, or each list
-for FairCo*, one scoring call over the R runs' segments serves them all,
-and each run pays its own ledger. Each score is the run-alone score,
-element by element, by the same floating-point operations; the gains' dot
-products with the targets come from one ``np.vecdot``, which takes each
-run's by the kernel of its own ``.dot``, where a matrix product or
-``einsum`` over the R runs rounds some rows differently. So every run's
-lists and result are the bits it gets alone. MMF*'s and PoorK's runs go
-list by list. Each engine pays a list's expected gains through
-``GainLedger.pay``. A run's NDCGs are taken in one pass over its (users x
-K) served relevances, by ``discounted_sum``'s and ``ndcg_from``'s
-operations in their order, and averaged by Python's ``sum``.
+DCGs once, checks each run, and serves the runs that pass through one
+``rankers.serve_offline`` call, which picks each run's engine from its
+policy and alpha and gives every run the lists and ledger it gets alone. A
+run's NDCGs are taken in one pass over its (users x K) served relevances,
+by ``discounted_sum``'s and ``ndcg_from``'s operations in their order, and
+averaged by Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -62,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _whole_id, provider_arrays
 from .metrics import (
     GainLedger,
     RunResult,
@@ -73,7 +60,7 @@ from .metrics import (
     ndcg_from,
     unfairness,
 )
-from .rankers import PolicyConfig, PolicyPlan, _lockstep, _pay_heads, offline_field, top_k_order
+from .rankers import PolicyConfig, PolicyPlan, offline_field, serve_offline, top_k_order
 
 __all__ = [
     "OnlineState",
@@ -92,28 +79,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-# run_offline_batch advances the offline runs of these policies that are
-# not ledger-blind in lockstep, in batches of at most BATCH_RUNS, which
-# bounds a batch's (runs x segment) arrays
-LOCKSTEP_POLICIES = ("FairCoStar", "EquityRank", "EquityRankV")
-BATCH_RUNS = 64
 # step_draws draws an online run's randomness this many steps at a time; a
 # block's uniforms are held as Python lists, so a larger block costs memory
 DRAW_BLOCK = 512
 _LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def ledger_blind(policy: str, alpha: float) -> bool:
-    """Whether ``policy`` at ``alpha`` ranks every offline list without reading the ledger.
-
-    TopK at any alpha, and EquityRank and EquityRankV at alpha 0, rank by
-    relevance alone, and their scores are always finite: each list is the
-    first K entries of the user's segment (``OfflineField.heads``). FairCo*
-    and MMF* at alpha 0 list the same items, but their scores still read the
-    gains and can fail where TopK's cannot: FairCo* through 0 times an
-    overflowing ratio, MMF* through its span check.
-    """
-    return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
 
 
 @dataclass(frozen=True)
@@ -136,6 +105,9 @@ class SimConfig:
     record_ndcg: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("list_size", "total_steps", "cutoff", "prefilter_size", "checkpoint_every"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _whole_id(getattr(self, name), name))
         if self.list_size < 1:
             raise ValueError("list_size must be positive")
         if self.total_steps < 0:
@@ -476,7 +448,7 @@ def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
 
 def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
     """``run_offline`` of ``policy`` at each (alpha, seed) of ``runs``, each served by the
-    engine the call picks for it (module docstring), with the lists, ledger and result it
+    engine ``rankers.serve_offline`` picks for it, with the lists, ledger and result it
     gets alone.
 
     Each list is ranked from the user's segment of the dataset's offline
@@ -485,9 +457,9 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     dataset object and shared by its later calls with the same list size
     (and cutoff). Returns, per run, its ``RunResult`` or the exception it
     raised, such as a ``ValueError`` for a seed it refuses: a run fails
-    alone. A run of a lockstep batch, a batch of one included, reads the
-    batch's wall time divided by its runs; every other run reads its own. A
-    dataset that no run can use raises.
+    alone. A run's wall time is that of its serving by ``serve_offline``: a
+    run of a lockstep batch, a batch of one included, reads the batch's
+    divided by its runs. A dataset that no run can use raises.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     if not runs:
@@ -512,9 +484,8 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
 
     outcomes: list = [None] * len(runs)
-    ready = []  # (run index, visit order) of the runs that go in lockstep
+    ready = []  # (run index, visit order) of the runs that pass their checks
     for i, (alpha, seed) in enumerate(runs):
-        start = time.perf_counter()
         try:
             PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
             order = np.random.default_rng(seed).permutation(rel.user_count)
@@ -524,60 +495,20 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         # the visit order is a pure function of the run seed; log its head
         # so a run can be cross-checked without rerunning
         logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
-        if policy in LOCKSTEP_POLICIES and not ledger_blind(policy, alpha):
-            ready.append((i, order))
+        ready.append((i, order))
+    ledgers = [GainLedger.empty(catalog.provider_count) for _ in ready]
+    orders = np.array([order for _, order in ready], dtype=np.int64).reshape(len(ready), rel.user_count)
+    picks, walls, failed = serve_offline(policy, [runs[i][0] for i, _ in ready], field, orders, ledgers, profiles, probs)
+    for r, ((i, order), ledger) in enumerate(zip(ready, ledgers)):
+        if r in failed:
+            outcomes[i] = failed[r]
             continue
         try:
-            ledger = GainLedger.empty(catalog.provider_count)
-            served = _serve(policy, alpha, order, field, ledger, profiles, pm)
-            outcomes[i] = finish(i, order, served, ledger, time.perf_counter() - start)
+            served = field.relevance[field.indptr[order][:, None] + picks[r]]
+            outcomes[i] = finish(i, order, served, ledger, walls[r])
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes[i] = exc
-    count = -(-len(ready) // BATCH_RUNS)
-    for batch in (ready[b::count] for b in range(count)):
-        start = time.perf_counter()
-        alphas = [runs[i][0] for i, _ in batch]
-        ledgers = [GainLedger.empty(catalog.provider_count) for _ in batch]
-        try:
-            scorer = "FairCoStar" if policy == "FairCoStar" else "EquityRank"
-            plan = PolicyPlan(PolicyConfig(scorer, alphas[0]), profiles)
-            orders = np.array([order for _, order in batch])
-            picks, failed = _lockstep(plan, field, orders, np.array(alphas), ledgers, probs, policy == "EquityRankV")
-        except Exception as exc:  # noqa: BLE001 - the batch's runs fail, the call goes on
-            for i, _ in batch:
-                outcomes[i] = exc
-            continue
-        wall = (time.perf_counter() - start) / len(batch)
-        for r, ((i, order), ledger) in enumerate(zip(batch, ledgers)):
-            try:
-                if r in failed:
-                    raise failed[r]
-                served = field.relevance[field.indptr[order][:, None] + picks[r]]
-                outcomes[i] = finish(i, order, served, ledger, wall)
-            except Exception as exc:  # noqa: BLE001 - the run fails alone
-                outcomes[i] = exc
     return outcomes
-
-
-def _serve(policy: str, alpha: float, order: np.ndarray, field, ledger: GainLedger, profiles, pm: PositionModel):
-    """Serve a ledger-blind run whole, or a PoorK or MMF* run list by list, to the users of
-    ``order``, paying ``ledger``.
-
-    Returns the served relevances, a row per user in visit order, top first.
-    The caller counts the lists.
-    """
-    if ledger_blind(policy, alpha):
-        return field.relevance[_pay_heads(field, order, ledger, profiles, pm.probs, policy == "EquityRankV")]
-    probs = pm.probs.tolist()
-    plan = PolicyPlan(PolicyConfig(policy, alpha), profiles)
-    gains, served = ledger.raw_gains(), []
-    for user in order.tolist():
-        seg = field.segment(user)
-        relevance, provider = field.relevance[seg], field.provider[seg]
-        at = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
-        served.append(relevance[at].tolist())
-        ledger.pay(provider[at].tolist(), probs, served[-1], profiles, gains)
-    return np.array(served)
 
 
 def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarray:

@@ -39,6 +39,7 @@ from equityrank import (
     apply_feedback,
     online_step_rank,
     provider_arrays,
+    rankers,
     sim,
 )
 from equityrank.metrics import cndcg_update, discounted_sum, unfairness
@@ -339,7 +340,7 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
     ledger is the one the result's diagnostics are computed from.
     """
     rank, segment, heads = PolicyPlan.rank, OfflineField.segment, OfflineField.heads
-    lockstep, diagnostics = sim._lockstep, sim.alignment_diagnostics
+    lockstep, diagnostics = rankers._lockstep, sim.alignment_diagnostics
     segments, ranked, picked, whole, ledgers = [], [], [], [], []
 
     def record_heads(field, users, k):
@@ -373,7 +374,7 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         mp.setattr(OfflineField, "segment", record_segment)
         mp.setattr(OfflineField, "heads", record_heads)
         mp.setattr(PolicyPlan, "rank", record_rank)
-        mp.setattr(sim, "_lockstep", record_lockstep)
+        mp.setattr(rankers, "_lockstep", record_lockstep)
         mp.setattr(sim, "alignment_diagnostics", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, generate_dataset, load_dataset, run_offline, sim
+from equityrank import GeneratorSpec, ScenarioSpec, SimConfig, cli, generate_dataset, load_dataset, rankers, run_offline, sim
 from equityrank.cli import (
     DETERMINISTIC_FIELDS,
     ExperimentPlan,
@@ -53,14 +53,14 @@ def plan_specs(plan):
 
 def record_lockstep(monkeypatch):
     """The (policy, alphas) of each lockstep batch that ``sim.run_offline_batch`` runs in this process from now on."""
-    batches, lockstep = [], sim._lockstep
+    batches, lockstep = [], rankers._lockstep
 
     def recorded(plan, field, orders, alpha, ledgers, probs, vertical):
         policy = "EquityRankV" if vertical else plan.kind
         batches.append((policy, alpha.tolist()))
         return lockstep(plan, field, orders, alpha, ledgers, probs, vertical)
 
-    monkeypatch.setattr(sim, "_lockstep", recorded)
+    monkeypatch.setattr(rankers, "_lockstep", recorded)
     return batches
 
 

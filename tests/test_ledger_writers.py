@@ -5,7 +5,9 @@ memoryviews the ledger keeps in ``_views``, so the scan also flags any use of
 that attribute, and any ``memoryview`` of a ledger array, outside the class. And ``accrue`` has two
 callers: ``GainLedger.pay``, which pays served lists' expected gains, every
 offline engine's among them; and ``sim._feedback``, which pays sampled
-purchases interleaved with the online estimator's updates."""
+purchases interleaved with the online estimator's updates. The offline engines
+are private to ``rankers``, behind ``serve_offline``: no other module imports an
+underscore name from it."""
 
 import ast
 import pathlib
@@ -126,3 +128,22 @@ def test_only_the_pay_loop_and_the_online_feedback_call_accrue():
         for line, scope in _accrue_uses(path.stem, ast.parse(path.read_text(), filename=str(path)))
     ]
     assert uses == [], "pay served lists through GainLedger.pay: " + "; ".join(uses)
+
+
+def _private_rankers_imports(tree):
+    """(line, name) of every underscore name that ``tree`` imports from ``rankers``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rankers":
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_other_module_imports_a_private_name_from_rankers():
+    probe = ast.parse("from .rankers import PolicyPlan, _lockstep\nfrom equityrank.rankers import _pay\n")
+    assert sorted(_private_rankers_imports(probe)) == [(1, "_lockstep"), (2, "_pay")]
+    imports = [
+        f"{path.name}:{line} imports {name}"
+        for path in SOURCES
+        if path.stem != "rankers"
+        for line, name in _private_rankers_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert imports == [], "serve offline runs through rankers.serve_offline: " + "; ".join(imports)

@@ -3,7 +3,7 @@ engine serves it, gives the result and the ledger that ``run_offline`` and the
 whole-catalog reference give it alone. FairCo*, EquityRank and EquityRankV runs
 go in lockstep (``rankers._lockstep``), in batches of every size from one; a run
 whose scores overflow fails alone, with ``run_offline``'s message, while the
-rest of its batch goes on. Ledger-blind runs (``sim.ledger_blind``) are served
+rest of its batch goes on. Ledger-blind runs (``rankers.ledger_blind``) are served
 whole, and give the reference's result and ledger too. The runs' G.y comes from
 one ``np.vecdot``, which must take each row by the kernel of the row's own ``.dot``:
 a numpy release that changed that kernel fails here first."""
@@ -30,6 +30,7 @@ from equityrank import (
     allocate_vertical,
     generate_dataset,
     offline_rank_user,
+    rankers,
     sim,
 )
 from equityrank.rankers import OfflineField, PolicyPlan
@@ -45,8 +46,8 @@ BLIND_RUNS = [("TopK", 0.0), ("TopK", 0.5), ("EquityRank", 0.0), ("EquityRankV",
 
 def batch_with_ledgers(dataset, policy, runs, cfg, **constants):
     """``run_offline_batch``'s outcomes, the ledger each result was computed from, by (alpha,
-    seed), and the number of runs of each ``_lockstep`` batch; ``constants`` patch ``sim``'s."""
-    ledgers, batches, result, lockstep = {}, [], sim._result, sim._lockstep
+    seed), and the number of runs of each ``_lockstep`` batch; ``constants`` patch ``rankers``'s."""
+    ledgers, batches, result, lockstep = {}, [], sim._result, rankers._lockstep
 
     def capture(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall):
         ledgers[alpha, seed] = ledger
@@ -58,16 +59,16 @@ def batch_with_ledgers(dataset, policy, runs, cfg, **constants):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_result", capture)
-        mp.setattr(sim, "_lockstep", counted)
+        mp.setattr(rankers, "_lockstep", counted)
         for name, value in constants.items():
-            mp.setattr(sim, name, value)
+            mp.setattr(rankers, name, value)
         outcomes = sim.run_offline_batch(dataset, policy, runs, cfg)
     return outcomes, ledgers, batches
 
 
 def lockstep_runs(policy, runs):
     """How many of ``runs`` the driver serves in lockstep, if every run passes its checks."""
-    return sum(policy in sim.LOCKSTEP_POLICIES and not sim.ledger_blind(policy, alpha) for alpha, _ in runs)
+    return sum(policy not in ("PoorK", "MMFStar") and not rankers.ledger_blind(policy, alpha) for alpha, _ in runs)
 
 
 def run_alone(dataset, policy, alpha, seed, cfg):
@@ -260,7 +261,7 @@ def test_fairco_lists_break_exact_score_ties_by_relevance_as_the_reference_does(
     )
     assert scores.tolist() == [0.75] * 3
     runs = [(0.25, tied), (0.25, untied), (0.0, tied), (0.5, tied), (0.125, tied)]
-    lists, lockstep = {}, sim._lockstep
+    lists, lockstep = {}, rankers._lockstep
 
     def recorded(plan, field, orders, alphas, *args):
         picks, failed = lockstep(plan, field, orders, alphas, *args)
@@ -269,7 +270,7 @@ def test_fairco_lists_break_exact_score_ties_by_relevance_as_the_reference_does(
         return picks, failed
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_lockstep", recorded)
+        mp.setattr(rankers, "_lockstep", recorded)
         outcomes = sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)
     assert len(lists) == len(runs)
     for (alpha, seed), got in zip(runs, outcomes):
@@ -286,7 +287,7 @@ def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run
     dataset, k = case
     policy, alpha = run
     cfg = SimConfig(list_size=k)
-    assert sim.ledger_blind(policy, alpha)
+    assert rankers.ledger_blind(policy, alpha)
     calls, heads = [], OfflineField.heads
 
     def counted(field, users, k):
@@ -296,7 +297,7 @@ def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OfflineField, "heads", counted)
         mp.setattr(PolicyPlan, "rank", lambda *args: pytest.fail("a ledger-blind run ranks no list"))
-        mp.setattr(sim, "_lockstep", lambda *args: pytest.fail("a ledger-blind run ranks no list"))
+        mp.setattr(rankers, "_lockstep", lambda *args: pytest.fail("a ledger-blind run ranks no list"))
         got, ledger = alone_with_ledger(dataset, policy, alpha, seed, cfg)
     assert calls == [dataset.relevance.user_count]
     want, _, want_ledger = run_offline_reference(dataset, policy, alpha, seed, cfg)
@@ -307,8 +308,8 @@ def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run
 def test_only_fairco_and_mmf_at_alpha_0_read_the_ledger_among_topk_lists():
     # FairCo* and MMF* at alpha 0 list TopK's items, but their scores can still fail
     policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-    assert [sim.ledger_blind(p, 0.0) for p in policies] == [True, False, False, False, True, True]
-    assert [sim.ledger_blind(p, 1e-3) for p in policies] == [True, False, False, False, False, False]
+    assert [rankers.ledger_blind(p, 0.0) for p in policies] == [True, False, False, False, True, True]
+    assert [rankers.ledger_blind(p, 1e-3) for p in policies] == [True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("policy", ["EquityRank", "EquityRankV"])

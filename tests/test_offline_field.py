@@ -78,7 +78,8 @@ def test_offline_run_from_the_field_matches_the_whole_catalog(case, policy, alph
 @given(tied_datasets(), st.sampled_from(["PoorK", "MMFStar", "EquityRank"]), st.sampled_from([0.0, 1e-3, 0.5, 1.0]), st.data())
 def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     # the public greedy rankers, given their candidates in any order, return
-    # the list that tests/oracles.py's pick-by-pick fill builds
+    # the list that tests/oracles.py's pick-by-pick fill builds: offline_rank_user
+    # from a one-user field, rank_poork and rank_mmf_star from the row
     dataset, k = case
     catalog, profiles, rel = dataset.catalog, dataset.profiles, dataset.relevance
     user = data.draw(st.integers(0, rel.user_count - 1))
@@ -91,13 +92,13 @@ def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     plan = PolicyPlan(PolicyConfig(kind, alpha), profiles)
     row = rel.relevance_of(user, ids)
     want = ids[reference_fill(plan, catalog.group_of[ids], row, ledger.raw_gains(), pm.probs)]
+    got = [offline_rank_user(PolicyConfig(kind, alpha), candidates, user, rel, ledger, catalog, profiles, pm)]
     if kind == "PoorK":
-        got = rank_poork(candidates, user, rel, ledger, catalog, profiles, pm)
+        got.append(rank_poork(candidates, user, rel, ledger, catalog, profiles, pm))
     elif kind == "MMFStar":
-        got = rank_mmf_star(candidates, user, rel, ledger, catalog, profiles, alpha, pm)
-    else:
-        got = offline_rank_user(PolicyConfig(kind, alpha), candidates, user, rel, ledger, catalog, profiles, pm)
-    assert np.array(got.positions, dtype=np.int64).tobytes() == want.tobytes()
+        got.append(rank_mmf_star(candidates, user, rel, ledger, catalog, profiles, alpha, pm))
+    for ranked in got:
+        assert np.array(ranked.positions, dtype=np.int64).tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

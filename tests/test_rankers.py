@@ -277,15 +277,19 @@ class TestCollapseIdentities:
                 want = reference_slotwise_equityrank(candidates, 0, rel, ledger, catalog, profiles, alpha, pm)
                 assert got.positions == want, alpha
 
-    def test_offline_equityrank_leaves_the_callers_ledger_unwritten(self):
-        # its picks pay a copy of the ledger, as a run's list would pay its own
+    def test_offline_ranking_leaves_the_callers_ledger_unwritten(self):
+        # every policy's picks pay a copy of the ledger, as a run's list would pay its own
         rng = np.random.default_rng(34)
         for _ in range(10):
             catalog, profiles, rel, ledger, candidates = random_state(rng)
             arrays = (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)
             before = [a.tobytes() for a in arrays], ledger.step_count
-            for alpha in (1e-3, 0.1, 10.0):
-                offline_rank_user(PolicyConfig("EquityRank", alpha), candidates, 0, rel, ledger, catalog, profiles, PM3)
+            for kind in ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"):
+                for alpha in (0.0, 1e-3, 0.1, 1.0, 10.0):
+                    if kind == "MMFStar" and alpha > 1.0:
+                        continue  # MMF* takes alpha in [0, 1]
+                    policy = PolicyConfig(kind, alpha)
+                    offline_rank_user(policy, candidates, 0, rel, ledger, catalog, profiles, PM3)
             assert ([a.tobytes() for a in arrays], ledger.step_count) == before
 
 

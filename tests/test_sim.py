@@ -604,6 +604,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(mode="hybrid")
 
+    @pytest.mark.parametrize("name", ["list_size", "total_steps", "cutoff", "prefilter_size", "checkpoint_every"])
+    def test_integer_fields_take_only_whole_numbers(self, name):
+        base = dict(list_size=3, total_steps=6, prefilter_size=4, checkpoint_every=2, mode="online")
+        with pytest.raises(ValueError, match=f"^{name} 2.5 is not a whole number$"):
+            SimConfig(**{**base, name: 2.5})
+        cfg = SimConfig(**{**base, name: 3.0})
+        assert getattr(cfg, name) == 3 and type(getattr(cfg, name)) is int
+        ds = online_micro_dataset()
+        got, got_trace = run_online(ds, "EquityRank", 0.01, 1, cfg)
+        want, want_trace = run_online(ds, "EquityRank", 0.01, 1, SimConfig(**{**base, name: 3}))
+        assert got.deterministic_values() == want.deterministic_values()
+        assert got_trace.checkpoints == want_trace.checkpoints
+
     @pytest.mark.parametrize("noise", [math.inf, math.nan, -0.1])
     def test_rejects_nonfinite_or_negative_prefilter_noise(self, noise):
         with pytest.raises(ValueError, match="prefilter_noise"):
