@@ -58,6 +58,7 @@ from .sim import (
     run_offline,
     run_offline_batch,
     run_online,
+    run_online_batch,
 )
 from .synth import (
     Dataset,

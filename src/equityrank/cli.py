@@ -5,8 +5,9 @@
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
 has the rules, and "Sweep outputs" the files a sweep writes. A sweep deals
-each policy's offline runs out to its workers, one unit per share, and
-``sim.run_offline_batch`` serves each unit; an online run is a unit alone.
+each policy's runs out to its workers, one unit per share, and the driver of
+the plan's mode, ``sim.run_offline_batch`` or ``sim.run_online_batch``,
+serves each unit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
 from .rankers import POLICY_KINDS
-from .sim import SimConfig, run_offline, run_offline_batch, run_online
+from .sim import SimConfig, run_offline, run_offline_batch, run_online, run_online_batch
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -241,32 +242,29 @@ def _error(exc: Exception) -> str:
 def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
     """Each run's outcome, ("ok", result, checkpoints) or ("err", message, None).
 
-    An online unit is one run. An offline unit is a share of one policy's
-    runs (``_units``), which ``sim.run_offline_batch`` serves; its runs fail
-    one by one.
+    A unit is a share of one policy's runs (``_units``), which the driver of
+    the sweep's mode serves; its runs fail one by one.
     """
+    driver = run_online_batch if _POOL_SIM.mode == "online" else run_offline_batch
     try:
-        if _POOL_SIM.mode == "online":
-            ((policy, alpha, seed),) = unit
-            result, trace = run_online(_POOL_DATASET, policy, alpha, seed, _POOL_SIM)
-            return [("ok", result, trace.checkpoints)]
-        runs = [(alpha, seed) for _, alpha, seed in unit]
-        outcomes = run_offline_batch(_POOL_DATASET, unit[0][0], runs, _POOL_SIM)
+        outcomes = driver(_POOL_DATASET, unit[0][0], [(alpha, seed) for _, alpha, seed in unit], _POOL_SIM)
     except Exception as exc:  # noqa: BLE001 - failures are recorded, sweep continues
-        return [("err", _error(exc), None)] * len(unit)
-    return [("ok", o, None) if isinstance(o, RunResult) else ("err", _error(o), None) for o in outcomes]
+        outcomes = [exc] * len(unit)
+    rows = []
+    for outcome in outcomes:  # an online run's (result, trace), an offline run's result, or an exception
+        result, trace = outcome if isinstance(outcome, tuple) else (outcome, None)
+        failed = isinstance(result, Exception)
+        rows.append(("err", _error(result), None) if failed else ("ok", result, trace.checkpoints if trace else None))
+    return rows
 
 
-def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
+def _units(specs: list[tuple[str, float, int]], workers: int) -> list[list[int]]:
     """The runs of ``specs`` as pool units, lists of indices into ``specs``.
 
-    Online, each run is a unit. Offline, each policy's runs are dealt out to
-    the ``workers``, so that every worker gets a share, and each nonempty
-    share is a unit; ``sim.run_offline_batch`` picks how its runs are
-    served. The longest units come first, so they start first.
+    Each policy's runs are dealt out to the ``workers``, so that every worker
+    gets a share, and each nonempty share is a unit. The longest units come
+    first, so they start first.
     """
-    if mode == "online":
-        return [[i] for i in range(len(specs))]
     groups: dict[str, list[int]] = {}
     for i, (policy, _, _) in enumerate(specs):
         groups.setdefault(policy, []).append(i)
@@ -291,7 +289,7 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
     # ProcessPoolExecutor starts all of max_workers at the first submit.
     workers = min(plan.workers, len(specs), os.cpu_count() or 1)
-    units = _units(specs, plan.sim.mode, workers)
+    units = _units(specs, workers)
     jobs = [tuple(specs[i] for i in unit) for unit in units]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(dataset, plan.sim)) as pool:

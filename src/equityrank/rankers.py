@@ -594,19 +594,25 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
     """Serve R offline runs of ``policy``, each by the engine its alpha picks (module docstring).
 
     Run r visits users ``orders[r]``, a row of the (R x users) ``orders``, at
-    ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists and
-    has checked each run's ``PolicyConfig``. ``probs`` are the K examination
-    probabilities as floats. Returns the picks (R x users x K), the positions
-    of run r's j-th user's list in its segment, top first; each run's wall
-    time in seconds, that of its own serving, or for a lockstep run its
-    batch's divided by the batch's runs; and by run the exception of each run
-    that failed: it stops paying there, and its picks mean nothing.
+    ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists. A
+    run whose ``PolicyConfig`` is refused fails before it is served.
+    ``probs`` are the K examination probabilities as floats. Returns the
+    picks (R x users x K), the positions of run r's j-th user's list in its
+    segment, top first; each run's wall time in seconds, that of its own
+    serving, or for a lockstep run its batch's divided by the batch's runs;
+    and by run the exception of each run that failed: it stops paying there,
+    and its picks mean nothing.
     """
     runs, users = orders.shape
     k, vertical = len(probs), policy == "EquityRankV"
     picks = np.zeros((runs, users, k), dtype=np.intp)
     walls, failed, lockstep = [0.0] * runs, {}, []
     for r, (alpha, order, ledger) in enumerate(zip(alphas, orders, ledgers)):
+        try:
+            PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
+        except Exception as exc:  # noqa: BLE001 - the run fails alone
+            failed[r] = exc
+            continue
         blind = ledger_blind(policy, alpha)
         if not blind and policy not in ("PoorK", "MMFStar"):
             lockstep.append(r)

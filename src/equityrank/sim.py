@@ -35,7 +35,10 @@ DCGs once, checks each run, and serves the runs that pass through one
 policy and alpha and gives every run the lists and ledger it gets alone. A
 run's NDCGs are taken in one pass over its (users x K) served relevances,
 by ``discounted_sum``'s and ``ndcg_from``'s operations in their order, and
-averaged by Python's ``sum``.
+averaged by Python's ``sum``. ``run_online_batch`` is the online driver
+beside it; ``run_online`` is its call with one run. It checks the dataset
+once and serves each run alone, one after another, by the step loop above.
+Either driver returns each run's outcome or the exception it raised.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "run_offline",
     "run_offline_batch",
     "run_online",
+    "run_online_batch",
     "step_draws",
 ]
 
@@ -368,9 +372,10 @@ def prefilter_candidates(
     return np.sort(top_k_order((-noisy,), size)).astype(np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class OnlineTrace:
-    """Per-run time series: (step, cndcg, unfairness) checkpoints."""
+    """Per-run time series: (step, cndcg, unfairness) checkpoints, and with
+    ``record_ndcg`` each step's NDCG. A trace equals only itself."""
 
     checkpoints: list[tuple[int, float, float]] = field(default_factory=list)
     ndcg_series: np.ndarray | None = None
@@ -487,7 +492,6 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     ready = []  # (run index, visit order) of the runs that pass their checks
     for i, (alpha, seed) in enumerate(runs):
         try:
-            PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
             order = np.random.default_rng(seed).permutation(rel.user_count)
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes[i] = exc
@@ -653,7 +657,35 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     final result plus the checkpoint time series. The users and purchase
     uniforms come from ``step_draws``, a block at a time, and are those the
     step-by-step calls on the run's generator give.
+
+    This is ``run_online_batch`` of the one run, and raises the exception
+    that its outcome holds.
     """
+    (outcome,) = run_online_batch(dataset, policy, [(alpha, seed)], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cfg: SimConfig) -> list:
+    """``run_online`` of ``policy`` at each (alpha, seed) of ``runs``, one run after another.
+
+    Returns, per run, its ``(RunResult, OnlineTrace)`` or the exception it
+    raised, such as a ``ValueError`` for EquityRankV, a bad alpha or a seed
+    it refuses: a run fails alone. A dataset that no run can use raises.
+    """
+    _check_dataset(dataset, cfg)
+    outcomes: list = []
+    for alpha, seed in runs:
+        try:
+            outcomes.append(_online_run(dataset, policy, alpha, seed, cfg))
+        except Exception as exc:  # noqa: BLE001 - the run fails alone
+            outcomes.append(exc)
+    return outcomes
+
+
+def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
+    """One run of ``run_online_batch``; its wall time starts before ``make_online_state``."""
     if policy == "EquityRankV":
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
     policy_cfg = PolicyConfig(kind=policy, alpha=alpha)

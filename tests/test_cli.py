@@ -45,6 +45,7 @@ def tiny_plan(out_dir, **overrides):
 # 4 nonzero alphas x 3 seeds: EquityRank's and EquityRankV's 12 runs each run
 # in lockstep batches, split 6 and 6 over two workers
 BATCHED = dict(policies=("TopK", "EquityRank", "EquityRankV"), alpha_grid=(0.0, 1e-3, 0.01, 0.1, 1.0), seeds=(0, 1, 2))
+ONLINE_POLICIES = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank")
 
 
 def plan_specs(plan):
@@ -207,8 +208,9 @@ class TestSweep:
         rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
         assert [row for _, row in rows] == [["EquityRank", "0", "1", "ValueError: " + message]]
 
+    @pytest.mark.parametrize("mode", ["offline", "online"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_failing_run_fails_alone_in_its_policys_unit(self, tmp_path, monkeypatch, workers):
+    def test_a_failing_run_fails_alone_in_its_policys_unit(self, tmp_path, monkeypatch, workers, mode):
         # the patch is inherited by forked workers; each run of a unit fails or succeeds alone
         result = sim._result
 
@@ -217,8 +219,9 @@ class TestSweep:
                 raise RuntimeError("patched")
             return result(mode, policy, alpha, seed, *args)
 
-        plan = tiny_plan(tmp_path / "sweep", policies=("TopK", "MMFStar"), seeds=(0, 1, 2), workers=workers)
-        units = cli._units(plan_specs(plan), "offline", workers)
+        cfg = SimConfig(list_size=3, mode=mode, total_steps=60, checkpoint_every=25)
+        plan = tiny_plan(tmp_path / "sweep", policies=("TopK", "MMFStar"), seeds=(0, 1, 2), sim=cfg, workers=workers)
+        units = cli._units(plan_specs(plan), workers)
         assert [len(unit) for unit in units] == {1: [9, 3], 2: [5, 4, 2, 1]}[workers]
         serial = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "whole")))
         monkeypatch.setattr(sim, "_result", failing_result)
@@ -227,16 +230,22 @@ class TestSweep:
         assert [row for _, row in rows] == [["MMFStar", "0.01", "1", "RuntimeError: patched"]]
         # every other run of the sweep, those of the failing run's unit included, is written
         lines = (serial / "results.csv").read_text().splitlines()
-        want = [line for line in lines if not line.startswith("offline,MMFStar,0.01,1,")]
+        want = [line for line in lines if not line.startswith(f"{mode},MMFStar,0.01,1,")]
         assert (out / "results.csv").read_text().splitlines() == want
+        if mode == "online":  # with its series file, the failing run's alone left out
+            series = {p.name: p.read_bytes() for p in (serial / "series").iterdir()}
+            del series["MMFStar_a0.01_s1.csv"]
+            assert {p.name: p.read_bytes() for p in (out / "series").iterdir()} == series
 
-    def test_an_interrupted_serial_sweep_lets_go_of_its_dataset(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("driver", ["run_offline_batch", "run_online_batch"])
+    def test_an_interrupted_serial_sweep_lets_go_of_its_dataset(self, tmp_path, monkeypatch, driver):
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "run_offline_batch", interrupted)
+        monkeypatch.setattr(cli, driver, interrupted)
+        mode = "online" if driver == "run_online_batch" else "offline"
         with pytest.raises(KeyboardInterrupt):
-            cmd_sweep(tiny_plan(tmp_path / "interrupted"))
+            cmd_sweep(tiny_plan(tmp_path / "interrupted", sim=SimConfig(list_size=3, mode=mode, total_steps=20)))
         assert cli._POOL_DATASET is None and cli._POOL_SIM is None
 
     def test_online_sweep_writes_series_files(self, tmp_path):
@@ -265,6 +274,18 @@ class TestSweep:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
+        # online, each policy's runs are dealt out in shares too, and served by run_online_batch
+        online = SimConfig(list_size=3, mode="online", total_steps=80, checkpoint_every=30)
+        plan = tiny_plan(tmp_path / "online-serial", policies=ONLINE_POLICIES, sim=online)
+        serial = cmd_sweep(plan)
+        parallel = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "online-parallel"), workers=2))
+        series = sorted(p.name for p in (serial / "series").iterdir())
+        assert len(series) == len(plan_specs(plan))
+        assert sorted(p.name for p in (parallel / "series").iterdir()) == series
+        names = ["results.csv", "summary.csv"] + [f"envelope_{p}.csv" for p in ONLINE_POLICIES]
+        for name in names + [f"series/{name}" for name in series]:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
     def test_fairco_groups_are_batched_and_mmf_poork_and_ledger_blind_runs_stay_single(self, tmp_path, monkeypatch):
         policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
         plan = tiny_plan(tmp_path / "sweep", policies=policies, alpha_grid=(0.0, 1e-3, 0.1, 1.0), seeds=(0, 1, 2, 3))
@@ -273,16 +294,18 @@ class TestSweep:
         batched = sorted((p, a) for p, a, _ in specs if p == "FairCoStar" or (p in gradient and a))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         batches = record_lockstep(monkeypatch)
+        online_specs = [spec for spec in specs if spec[0] != "EquityRankV"]
         for workers, sizes in ((1, [16, 12, 12]), (2, [8, 8, 6, 6, 6, 6])):
-            # each policy's offline runs are dealt out to the workers, one unit per share, longest first
-            units = cli._units(specs, "offline", workers)
-            assert sorted(i for unit in units for i in unit) == list(range(len(specs)))
-            assert [len(unit) for unit in units] == sorted((len(unit) for unit in units), reverse=True)
-            for policy in policies:
-                group = [i for i, spec in enumerate(specs) if spec[0] == policy]
-                shares = sorted(unit for unit in units if specs[unit[0]][0] == policy)
-                assert shares == sorted(group[w::workers] for w in range(workers))
-            assert all(len(unit) == 1 for unit in cli._units(specs, "online", workers))
+            # each policy's runs, an online sweep's too, are dealt out to the workers, one unit per share,
+            # longest first
+            for some in (specs, online_specs):
+                units = cli._units(some, workers)
+                assert sorted(i for unit in units for i in unit) == list(range(len(some)))
+                assert [len(unit) for unit in units] == sorted((len(unit) for unit in units), reverse=True)
+                for policy in {spec[0] for spec in some}:
+                    group = [i for i, spec in enumerate(some) if spec[0] == policy]
+                    shares = sorted(unit for unit in units if some[unit[0]][0] == policy)
+                    assert shares == sorted(group[w::workers] for w in range(workers))
             # the driver batches FairCo*'s runs and EquityRank's and EquityRankV's at nonzero alpha
             monkeypatch.setattr(os, "cpu_count", lambda: workers)
             batches.clear()

@@ -444,3 +444,28 @@ def test_a_refused_run_does_not_count_towards_a_lockstep_batch():
         want, want_ledger = alone_with_ledger(dataset, "EquityRank", alpha, seed, cfg)
         assert got.deterministic_values() == want.deterministic_values()
         assert_same_ledger(ledgers[alpha, seed], want_ledger)
+
+
+def test_serve_offline_refuses_a_bad_alpha_for_each_run_alone():
+    # a ledger-blind TopK run builds no plan, yet a bad alpha fails it as EquityRank's fails
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    rel, catalog, profiles = dataset.relevance, dataset.catalog, dataset.profiles
+    field, probs = rankers.offline_field(rel, catalog, 2), PositionModel.logarithmic(2).probs.tolist()
+
+    def serve(policy, alphas):
+        orders = np.stack([np.random.default_rng(3).permutation(rel.user_count)] * len(alphas))
+        ledgers = [GainLedger.empty(catalog.provider_count) for _ in alphas]
+        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, profiles, probs)
+        return picks, ledgers, failed
+
+    for policy, alphas in (("TopK", [np.nan, -1.0, 0.0]), ("EquityRank", [np.nan, 0.1])):
+        picks, ledgers, failed = serve(policy, alphas)
+        assert sorted(failed) == list(range(len(alphas) - 1))
+        for r in failed:
+            assert type(failed[r]) is ValueError and str(failed[r]) == "alpha must be finite and nonnegative"
+            assert ledgers[r].step_count == 0 and not ledgers[r].raw_gains().any()
+        # the good run is served as it is alone
+        want_picks, (want_ledger,), want_failed = serve(policy, alphas[-1:])
+        assert want_failed == {} and picks[-1].tobytes() == want_picks[0].tobytes()
+        assert_same_ledger(ledgers[-1], want_ledger)

@@ -477,6 +477,10 @@ def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch
     run = sim.run_online if mode == "online" else sim.run_offline
     with pytest.raises(ValueError, match="needs at least two providers"):
         run(single_provider_dataset(), "TopK", 0.0, 0, cfg)
+    # the mode's driver raises it for the whole call, before any run's own checks
+    driver = sim.run_online_batch if mode == "online" else sim.run_offline_batch
+    with pytest.raises(ValueError, match="needs at least two providers"):
+        driver(single_provider_dataset(), "TopK", [(0.0, 0), (0.0, -1)], cfg)
     assert served == []
 
 
@@ -513,6 +517,35 @@ class TestRunOnline:
         assert result.effectiveness == 0.0
         assert math.isnan(result.unfairness)
         assert trace.checkpoints == []
+
+    @pytest.mark.parametrize("policy", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV"])
+    def test_each_run_of_the_driver_equals_its_run_alone(self, policy):
+        # several runs of one policy in one call: good runs give run_online's result and trace,
+        # and a NaN alpha, a refused seed and EquityRankV fail alone with run_online's exception
+        ds = online_micro_dataset()
+        cfg = SimConfig(list_size=3, total_steps=90, mode="online", checkpoint_every=40, record_ndcg=True)
+        runs = [(0.0, 0), (1e-3, 1), (math.nan, 2), (0.5, -1), (0.5, 3)]
+        outcomes = sim.run_online_batch(ds, policy, runs, cfg)
+        assert len(outcomes) == len(runs)
+        for (alpha, seed), got in zip(runs, outcomes):
+            try:
+                want, want_trace = run_online(ds, policy, alpha, seed, cfg)
+            except ValueError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            result, trace = got
+            assert result.deterministic_values() == want.deterministic_values()
+            assert repr(trace.checkpoints) == repr(want_trace.checkpoints)
+            assert trace.ndcg_series.tobytes() == want_trace.ndcg_series.tobytes()
+        failed = [i for i, got in enumerate(outcomes) if isinstance(got, Exception)]
+        assert failed == ([0, 1, 2, 3, 4] if policy == "EquityRankV" else [2, 3])
+        assert sim.run_online_batch(ds, policy, [], cfg) == []
+
+    def test_traces_equal_only_themselves(self):
+        # two traces with NDCG series compare without numpy's ambiguous truth value
+        a = sim.OnlineTrace([(1, 0.5, 0.25)], np.array([0.1, 0.2]))
+        b = sim.OnlineTrace([(1, 0.5, 0.25)], np.array([0.1, 0.2]))
+        assert a == a and a != b and not (a == b)
 
     def test_rejects_vertical_policy(self):
         ds = online_micro_dataset()
