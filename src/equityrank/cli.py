@@ -5,9 +5,8 @@
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
 has the rules, and "Sweep outputs" the files a sweep writes. A sweep deals
-each policy's runs out to its workers, one unit per share, and the driver of
-the plan's mode, ``sim.run_offline_batch`` or ``sim.run_online_batch``,
-serves each unit.
+each policy's offline runs out to its workers, one unit per share, and an
+online run is a unit alone; the mode's ``sim`` driver serves each unit.
 """
 
 from __future__ import annotations
@@ -242,8 +241,7 @@ def _error(exc: Exception) -> str:
 def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
     """Each run's outcome, ("ok", result, checkpoints) or ("err", message, None).
 
-    A unit is a share of one policy's runs (``_units``), which the driver of
-    the sweep's mode serves; its runs fail one by one.
+    The mode's driver serves the unit, runs of one policy (``_units``); they fail one by one.
     """
     driver = run_online_batch if _POOL_SIM.mode == "online" else run_offline_batch
     try:
@@ -253,18 +251,21 @@ def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
     rows = []
     for outcome in outcomes:  # an online run's (result, trace), an offline run's result, or an exception
         result, trace = outcome if isinstance(outcome, tuple) else (outcome, None)
-        failed = isinstance(result, Exception)
-        rows.append(("err", _error(result), None) if failed else ("ok", result, trace.checkpoints if trace else None))
+        rows.append(("err", _error(result), None) if isinstance(result, Exception) else ("ok", result, trace and trace.checkpoints))
     return rows
 
 
-def _units(specs: list[tuple[str, float, int]], workers: int) -> list[list[int]]:
+def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
     """The runs of ``specs`` as pool units, lists of indices into ``specs``.
 
-    Each policy's runs are dealt out to the ``workers``, so that every worker
-    gets a share, and each nonempty share is a unit. The longest units come
-    first, so they start first.
+    Online, each run is a unit; the online driver batches nothing. Offline,
+    each policy's runs are dealt out to the ``workers``, so that every
+    worker gets a share, and each nonempty share is a unit;
+    ``sim.run_offline_batch`` picks how its runs are served. The longest
+    units come first, so they start first.
     """
+    if mode == "online":
+        return [[i] for i in range(len(specs))]
     groups: dict[str, list[int]] = {}
     for i, (policy, _, _) in enumerate(specs):
         groups.setdefault(policy, []).append(i)
@@ -289,7 +290,7 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
     # ProcessPoolExecutor starts all of max_workers at the first submit.
     workers = min(plan.workers, len(specs), os.cpu_count() or 1)
-    units = _units(specs, workers)
+    units = _units(specs, plan.sim.mode, workers)
     jobs = [tuple(specs[i] for i in unit) for unit in units]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(dataset, plan.sim)) as pool:

@@ -609,7 +609,7 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
     walls, failed, lockstep = [0.0] * runs, {}, []
     for r, (alpha, order, ledger) in enumerate(zip(alphas, orders, ledgers)):
         try:
-            PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
+            config = PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             failed[r] = exc
             continue
@@ -628,7 +628,7 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
                 ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
                 picks[r] = np.arange(k)
             else:
-                plan, gains = PolicyPlan(PolicyConfig(policy, alpha), profiles), ledger.raw_gains()
+                plan, gains = PolicyPlan(config, profiles), ledger.raw_gains()
                 for j, user in enumerate(order.tolist()):
                     seg = field.segment(user)
                     relevance, provider = field.relevance[seg], field.provider[seg]

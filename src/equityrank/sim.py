@@ -529,7 +529,13 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
     users' ideal DCGs are the dataset's, shared with its other runs as in
     ``run_offline``; the state only reads them.
     """
-    catalog, profiles, rel = _check_dataset(dataset, cfg)
+    _check_dataset(dataset, cfg)
+    return _online_state(dataset, seed, cfg)
+
+
+def _online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
+    """``make_online_state`` on a dataset already checked."""
+    catalog, rel = dataset.catalog, dataset.relevance
     pm = PositionModel.logarithmic(cfg.list_size)
     rng = np.random.default_rng(seed)
     size = min(cfg.prefilter_size, catalog.item_count)
@@ -685,7 +691,7 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
 
 
 def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
-    """One run of ``run_online_batch``; its wall time starts before ``make_online_state``."""
+    """One run of ``run_online_batch``; its wall time starts before its ``OnlineState`` is built."""
     if policy == "EquityRankV":
         raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
     policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
@@ -693,8 +699,7 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     probs = PositionModel.logarithmic(cfg.list_size).probs.tolist()
 
     start = time.perf_counter()
-    # make_online_state checks the dataset before any list is served
-    state = make_online_state(dataset, seed, cfg)
+    state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
     profiles, rel = dataset.profiles, dataset.relevance
     # as Python floats, so that each step's NDCG and the running cndcg are floats too
     ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache.tolist()

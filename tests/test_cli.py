@@ -221,8 +221,9 @@ class TestSweep:
 
         cfg = SimConfig(list_size=3, mode=mode, total_steps=60, checkpoint_every=25)
         plan = tiny_plan(tmp_path / "sweep", policies=("TopK", "MMFStar"), seeds=(0, 1, 2), sim=cfg, workers=workers)
-        units = cli._units(plan_specs(plan), workers)
-        assert [len(unit) for unit in units] == {1: [9, 3], 2: [5, 4, 2, 1]}[workers]
+        units = cli._units(plan_specs(plan), mode, workers)
+        offline_sizes = {1: [9, 3], 2: [5, 4, 2, 1]}[workers]
+        assert [len(unit) for unit in units] == (offline_sizes if mode == "offline" else [1] * 12)
         serial = cmd_sweep(dataclasses.replace(plan, out_dir=str(tmp_path / "whole")))
         monkeypatch.setattr(sim, "_result", failing_result)
         out = cmd_sweep(plan)
@@ -274,7 +275,7 @@ class TestSweep:
         for name in names:
             assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
-        # online, each policy's runs are dealt out in shares too, and served by run_online_batch
+        # online, each run is a unit, served by run_online_batch
         online = SimConfig(list_size=3, mode="online", total_steps=80, checkpoint_every=30)
         plan = tiny_plan(tmp_path / "online-serial", policies=ONLINE_POLICIES, sim=online)
         serial = cmd_sweep(plan)
@@ -294,18 +295,16 @@ class TestSweep:
         batched = sorted((p, a) for p, a, _ in specs if p == "FairCoStar" or (p in gradient and a))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         batches = record_lockstep(monkeypatch)
-        online_specs = [spec for spec in specs if spec[0] != "EquityRankV"]
         for workers, sizes in ((1, [16, 12, 12]), (2, [8, 8, 6, 6, 6, 6])):
-            # each policy's runs, an online sweep's too, are dealt out to the workers, one unit per share,
-            # longest first
-            for some in (specs, online_specs):
-                units = cli._units(some, workers)
-                assert sorted(i for unit in units for i in unit) == list(range(len(some)))
-                assert [len(unit) for unit in units] == sorted((len(unit) for unit in units), reverse=True)
-                for policy in {spec[0] for spec in some}:
-                    group = [i for i, spec in enumerate(some) if spec[0] == policy]
-                    shares = sorted(unit for unit in units if some[unit[0]][0] == policy)
-                    assert shares == sorted(group[w::workers] for w in range(workers))
+            # each policy's offline runs are dealt out to the workers, one unit per share, longest first
+            units = cli._units(specs, "offline", workers)
+            assert sorted(i for unit in units for i in unit) == list(range(len(specs)))
+            assert [len(unit) for unit in units] == sorted((len(unit) for unit in units), reverse=True)
+            for policy in policies:
+                group = [i for i, spec in enumerate(specs) if spec[0] == policy]
+                shares = sorted(unit for unit in units if specs[unit[0]][0] == policy)
+                assert shares == sorted(group[w::workers] for w in range(workers))
+            assert all(len(unit) == 1 for unit in cli._units(specs, "online", workers))
             # the driver batches FairCo*'s runs and EquityRank's and EquityRankV's at nonzero alpha
             monkeypatch.setattr(os, "cpu_count", lambda: workers)
             batches.clear()

@@ -40,7 +40,7 @@ def online_runs(draw):
 
 def observed_run(dataset, policy, alpha, seed, cfg):
     """Run ``run_online``; return its result, trace, state and every (user, list) it served."""
-    make_state, online_step = sim.make_online_state, sim.online_step
+    make_state, online_step = sim._online_state, sim.online_step
     states, served = [], []
 
     def capture_state(*args, **kwargs):
@@ -53,7 +53,7 @@ def observed_run(dataset, policy, alpha, seed, cfg):
         return slots, dcg
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "make_online_state", capture_state)
+        mp.setattr(sim, "_online_state", capture_state)  # the state builder run_online calls
         mp.setattr(sim, "online_step", record)
         result, trace = sim.run_online(dataset, policy, alpha, seed, cfg)
     (state,) = states
