@@ -85,6 +85,8 @@ class ExperimentPlan:
             raise ValueError("workers must be positive")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be nonnegative")
+        if self.sim.record_ndcg:
+            raise ValueError("sim record_ndcg must be false in a sweep: no sweep file holds the NDCG series")
         for alpha in self.alpha_grid:
             if not (math.isfinite(alpha) and alpha >= 0):
                 raise ValueError(f"alpha_grid values must be finite and nonnegative, got {alpha:g}")

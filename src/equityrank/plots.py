@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 __all__ = ["write_tradeoff_svg"]
 
@@ -18,6 +17,13 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 55
+
+
+def escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, then ``>``, then ``<`` replaced by
+    their entities, as ``xml.sax.saxutils.escape`` does without importing it,
+    which would pull in urllib, http.client, email and ssl."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _log_floor(values: list[float]) -> float:

@@ -597,15 +597,16 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
     ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists. A
     run whose ``PolicyConfig`` is refused fails before it is served.
     ``probs`` are the K examination probabilities as floats. Returns the
-    picks (R x users x K), the positions of run r's j-th user's list in its
-    segment, top first; each run's wall time in seconds, that of its own
-    serving, or for a lockstep run its batch's divided by the batch's runs;
-    and by run the exception of each run that failed: it stops paying there,
-    and its picks mean nothing.
+    picks (R x users x K, in the field's index dtype, int32 where it fits),
+    the positions of run r's j-th user's list in its segment, top first;
+    each run's wall time in seconds, that of its own serving, or for a
+    lockstep run its batch's divided by the batch's runs; and by run the
+    exception of each run that failed: it stops paying there, and its picks
+    mean nothing.
     """
     runs, users = orders.shape
     k, vertical = len(probs), policy == "EquityRankV"
-    picks = np.zeros((runs, users, k), dtype=np.intp)
+    picks = np.zeros((runs, users, k), dtype=field.items.dtype)
     walls, failed, lockstep = [0.0] * runs, {}, []
     for r, (alpha, order, ledger) in enumerate(zip(alphas, orders, ledgers)):
         try:
@@ -660,9 +661,9 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.pay``,
     each pick of EquityRankV at once, each other list once it is filled; the caller counts the lists.
     At each step every run scores its list's segment, padded with its last entry (module docstring).
-    Returns the picks (R x users x K), the positions of run r's j-th user's list in its segment,
-    top first, and by run the failure of each run whose scores were not finite: it stops paying
-    there, and its later picks mean nothing.
+    Returns the picks (R x users x K, in the field's index dtype), the positions of run r's
+    j-th user's list in its segment, top first, and by run the failure of each run whose scores
+    were not finite: it stops paying there, and its later picks mean nothing.
     """
     runs, users = orders.shape
     k = len(probs)
@@ -677,7 +678,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     profiles = plan.profiles
     offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
     column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
-    picks = np.zeros((runs, users, k), dtype=np.intp)
+    picks = np.zeros((runs, users, k), dtype=field.items.dtype)
     failed: dict[int, ValueError] = {}
     paying = list(range(runs))
 

@@ -489,21 +489,22 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
 
     outcomes: list = [None] * len(runs)
-    ready = []  # (run index, visit order) of the runs that pass their checks
+    ready = []  # the runs that pass their checks; run ready[r] visits users orders[r]
+    orders = np.empty((len(runs), rel.user_count), dtype=np.int64)
     for i, (alpha, seed) in enumerate(runs):
         try:
-            order = np.random.default_rng(seed).permutation(rel.user_count)
+            order = orders[len(ready)] = np.random.default_rng(seed).permutation(rel.user_count)
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes[i] = exc
             continue
         # the visit order is a pure function of the run seed; log its head
         # so a run can be cross-checked without rerunning
         logger.debug("offline run policy=%s alpha=%s seed=%s user order head=%s", policy, alpha, seed, order[:8])
-        ready.append((i, order))
+        ready.append(i)
+    orders = orders[: len(ready)]
     ledgers = [GainLedger.empty(catalog.provider_count) for _ in ready]
-    orders = np.array([order for _, order in ready], dtype=np.int64).reshape(len(ready), rel.user_count)
-    picks, walls, failed = serve_offline(policy, [runs[i][0] for i, _ in ready], field, orders, ledgers, profiles, probs)
-    for r, ((i, order), ledger) in enumerate(zip(ready, ledgers)):
+    picks, walls, failed = serve_offline(policy, [runs[i][0] for i in ready], field, orders, ledgers, profiles, probs)
+    for r, (i, order, ledger) in enumerate(zip(ready, orders, ledgers)):
         if r in failed:
             outcomes[i] = failed[r]
             continue

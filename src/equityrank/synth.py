@@ -6,6 +6,9 @@ exposure values around 10 and purchase values around 100; Exp1st draws both
 from the purchase-scale distribution (exposure-hungry providers); Sale1st
 inflates purchase values tenfold (sale-season providers). Relevance comes
 from a latent-factor model squashed through a logistic, sparsified per user.
+Generation holds one full (users x items) array, the latent factors' score
+product, and frees it once each user's kept entries are gathered from it; the
+logistic runs on the kept entries alone.
 
 Datasets round-trip through a three-file CSV directory::
 
@@ -14,13 +17,16 @@ Datasets round-trip through a three-file CSV directory::
     relevance.csv   user_id,item_id,relevance
 
 External ids may be arbitrary strings; they are mapped to dense 0-based ids
-in file order and kept in a side lookup for reporting.
+in file order and kept in a side lookup for reporting. Loading streams
+relevance.csv: it keeps each row's (user, item, value) in one float64 array
+and its row number in an int array, so it holds the id maps and about 32
+bytes a row, never the rows' text.
 
 Every table the package writes or reads, these three and the CLI's sweep,
-run and report tables, goes through ``_write_rows`` and ``_read_rows``: UTF-8
-CSV, fields quoted only where needed, floats written by
-``metrics.format_float`` with 17 significant digits so save -> load
-reproduces every value bit for bit.
+run and report tables, goes through ``_write_rows`` and ``_iter_rows`` (or
+``_read_rows``, its list form): UTF-8 CSV, fields quoted only where needed,
+floats written by ``metrics.format_float`` with 17 significant digits so
+save -> load reproduces every value bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +34,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
+from collections import deque
 from dataclasses import astuple, dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,18 +186,20 @@ def generate_relevance(spec: GeneratorSpec, rng: np.random.Generator) -> Relevan
     """
     users = rng.normal(size=(spec.n_users, spec.latent_dim))
     items = rng.normal(size=(spec.n_items, spec.latent_dim))
-    # logistic(scores) computed in one buffer: the same operations in the
-    # same order as 1 / (1 + exp(-scores)), without three full temporaries
-    values = users @ items.T / math.sqrt(spec.latent_dim)
+    keep = max(1, round(spec.sparsity * spec.n_items))
+    picked = np.array([rng.choice(spec.n_items, size=keep, replace=False) for _ in range(spec.n_users)]).ravel()
+    rows = np.repeat(np.arange(spec.n_users), keep)
+    # One product of the whole catalog, so each kept score has the bits the
+    # BLAS kernel gives it there (a block of rows can round differently);
+    # the division and logistic then run on the kept scores alone, the same
+    # elementwise operations in the order of 1 / (1 + exp(-score / sqrt(dim))).
+    values = (users @ items.T)[rows, picked]
+    values /= math.sqrt(spec.latent_dim)
     np.negative(values, out=values)
     np.exp(values, out=values)
     values += 1.0
     np.divide(1.0, values, out=values)
-    keep = max(1, round(spec.sparsity * spec.n_items))
-    picked = np.array([rng.choice(spec.n_items, size=keep, replace=False) for _ in range(spec.n_users)])
-    users = np.repeat(np.arange(spec.n_users), keep)
-    entries = np.column_stack((users, picked.ravel(), values[users, picked.ravel()]))
-    return RelevanceTable(spec.n_users, entries)
+    return RelevanceTable(spec.n_users, np.column_stack((rows, picked, values)))
 
 
 def _apportion(weights: np.ndarray, total: int) -> np.ndarray:
@@ -291,7 +301,10 @@ def _column_text(column: tuple) -> Sequence:
     return column  # the CSV writer writes a value that is not a string as str gives it
 
 
-def _read_rows(path: Path, expected_header: Sequence[str]) -> list[tuple[int, list[str]]]:
+def _iter_rows(path: Path, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank row of the CSV table at ``path`` after its header, with
+    its 1-based row number, as it is read; a missing file, an empty one, a
+    wrong header or a row of the wrong width is a ``DatasetError``."""
     if not path.is_file():
         raise DatasetError(f"missing file {path}")
     with open(path, newline="", encoding="utf-8") as fh:
@@ -302,14 +315,17 @@ def _read_rows(path: Path, expected_header: Sequence[str]) -> list[tuple[int, li
             raise DatasetError(f"{path.name} is empty") from None
         if header != list(expected_header):
             raise DatasetError(f"{path.name} row 1: expected header {','.join(expected_header)}")
-        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(expected_header):
                 raise DatasetError(f"{path.name} row {lineno}: expected {len(expected_header)} columns")
-            rows.append((lineno, row))
-    return rows
+            yield lineno, row
+
+
+def _read_rows(path: Path, expected_header: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """``_iter_rows`` read whole: every row is checked before any is returned."""
+    return list(_iter_rows(path, expected_header))
 
 
 def _parse_float(text: str, path: str, lineno: int, column: str) -> float:
@@ -317,6 +333,20 @@ def _parse_float(text: str, path: str, lineno: int, column: str) -> float:
         return float(text)
     except ValueError:
         raise DatasetError(f"{path} row {lineno}: {column} {text!r} is not a number") from None
+
+
+def _relevance_value(item: str, text: str, item_ids: dict[str, int], lineno: int, strict: bool) -> float:
+    """A relevance.csv row's value, once its item and value pass the row checks."""
+    if item not in item_ids:
+        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: unknown item id {item!r}")
+    value = _parse_float(text, RELEVANCE_FILE, lineno, "relevance")
+    if not math.isfinite(value):
+        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} is not finite")
+    if value < 0:
+        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} is negative")
+    if value > 1 and strict:
+        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} exceeds 1 (strict mode)")
+    return value
 
 
 def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
@@ -355,35 +385,38 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
         group_assignments.append(provider_ids[provider])
 
     user_ids: dict[str, int] = {}
-    # (user, item, value) rows in one flat list, the table's (nnz, 3) input;
-    # three column lists growing side by side fragmented the heap and cost
-    # about 1.5 MiB of peak RSS over a generate-and-load loop
-    flat: list[float] = []
-    relevance_rows = _read_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER)
-    for lineno, (user, item, value_text) in relevance_rows:
-        if item not in item_ids:
-            raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: unknown item id {item!r}")
-        value = _parse_float(value_text, RELEVANCE_FILE, lineno, "relevance")
-        if not math.isfinite(value):
-            raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} is not finite")
-        if value < 0:
-            raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} is negative")
-        if value > 1 and strict:
-            raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} exceeds 1 (strict mode)")
-        flat += (user_ids.setdefault(user, len(user_ids)), item_ids[item], value)
+    # the rows stream in: each row's (user, item, value) goes into one flat
+    # float64 array, the table's (nnz, 3) input, and its row number into an
+    # int array; no row's text outlives its checks
+    flat, linenos = array("d"), array("q")
+    rows = _iter_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER)
+    for lineno, (user, item, value_text) in rows:
+        try:
+            value = _relevance_value(item, value_text, item_ids, lineno, strict)
+        except DatasetError:
+            # a row of the wrong width further down is the error to report,
+            # as when every row was read before any was checked
+            deque(rows, maxlen=0)
+            raise
+        flat.extend((user_ids.setdefault(user, len(user_ids)), item_ids[item], value))
+        linenos.append(lineno)
     if not user_ids:
         raise DatasetError(f"{RELEVANCE_FILE}: contains no relevance rows")
+    labels = DatasetLabels(users=tuple(user_ids), items=tuple(item_ids), providers=tuple(provider_ids))
 
-    entries = np.array(flat, dtype=np.float64).reshape(-1, 3)
-    user_col, value_col = entries[:, 0].astype(np.int64), entries[:, 2]
+    entries = np.frombuffer(flat).reshape(-1, 3)
+    user_col, item_col, value_col = entries[:, 0].astype(np.int64), entries[:, 1].astype(np.int64), entries[:, 2]
     # a repeated (user, item) pair: its first repeat in file order, found
     # from one stable sort of the pairs' keys
-    keys = user_col * len(item_ids) + entries[:, 1].astype(np.int64)
+    keys = user_col * len(item_ids) + item_col
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if repeats.size:
-        lineno, (user, item, _) = relevance_rows[int(repeats.min())]
-        raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: duplicate relevance for user {user!r} and item {item!r}")
+        first = int(repeats.min())
+        user, item = labels.users[user_col[first]], labels.items[item_col[first]]
+        raise DatasetError(
+            f"{RELEVANCE_FILE} row {linenos[first]}: duplicate relevance for user {user!r} and item {item!r}"
+        )
     row_max = np.zeros(len(user_ids), dtype=np.float64)
     np.maximum.at(row_max, user_col, value_col)
     rescaled = row_max > 1.0
@@ -395,11 +428,5 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
         catalog = Catalog.from_assignments(np.array(group_assignments, dtype=np.int64), len(provider_ids))
     except ValueError as exc:
         raise DatasetError(f"{CATALOG_FILE}: {exc}") from None
-    profiles = tuple(profile_list)
     relevance = RelevanceTable(len(user_ids), entries)
-    labels = DatasetLabels(
-        users=tuple(user_ids),
-        items=tuple(item_ids),
-        providers=tuple(provider_ids),
-    )
-    return Dataset(catalog=catalog, profiles=profiles, relevance=relevance, labels=labels)
+    return Dataset(catalog=catalog, profiles=tuple(profile_list), relevance=relevance, labels=labels)

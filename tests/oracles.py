@@ -1,9 +1,11 @@
 """Slow, literal implementations that the library is checked against.
 
 The rankers share no code with ``equityrank.rankers``: each reads the
-relevance table, the profiles and the ledger directly. ``reference_unfairness``
-and ``reference_prefilter`` are the forms the library's unfairness and
-candidate prefilter replaced: the m x m pairwise sum and a full sort.
+relevance table, the profiles and the ledger directly. ``reference_unfairness``,
+``reference_prefilter`` and ``reference_relevance`` are the forms the
+library's unfairness, candidate prefilter and relevance generator replaced:
+the m x m pairwise sum, a full sort, and the logistic of every (user, item)
+score.
 ``_pick`` and ``reference_fill`` are the pick-by-pick slot-greedy fill that
 the greedy-order kernels of ``PolicyPlan`` replaced: each pick rescores the
 remaining slots and breaks ties explicitly. Both take a row's providers
@@ -20,6 +22,7 @@ small, tie-heavy datasets these are compared on."""
 
 import pytest
 
+import math
 from collections import deque
 
 import numpy as np
@@ -237,6 +240,18 @@ def reference_unfairness(gains, targets):
     cross = np.outer(gains, targets)
     disparity = cross - cross.T
     return float(np.sum(disparity * disparity) / (m * (m - 1)))
+
+
+def reference_relevance(spec, rng):
+    """``synth.generate_relevance`` as the dense formula: the logistic of the
+    whole (users x items) score matrix, then each user's picks gathered."""
+    users = rng.normal(size=(spec.n_users, spec.latent_dim))
+    items = rng.normal(size=(spec.n_items, spec.latent_dim))
+    values = 1.0 / (1.0 + np.exp(-(users @ items.T / math.sqrt(spec.latent_dim))))
+    keep = max(1, round(spec.sparsity * spec.n_items))
+    picked = np.array([rng.choice(spec.n_items, size=keep, replace=False) for _ in range(spec.n_users)])
+    rows = np.repeat(np.arange(spec.n_users), keep)
+    return RelevanceTable(spec.n_users, np.column_stack((rows, picked.ravel(), values[rows, picked.ravel()])))
 
 
 def reference_prefilter(user, rel, item_count, size, noise_sd, rng):

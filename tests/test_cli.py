@@ -455,6 +455,20 @@ class TestMainEntry:
         assert out[0].startswith("mode,policy,")
         assert out[1].startswith("offline,TopK,")
 
+    def test_run_takes_record_ndcg_that_a_sweep_refuses(self, tmp_path, capsys):
+        ds = cmd_generate(TINY, ScenarioSpec.common(), tmp_path / "ds")
+        path = tmp_path / "config.json"
+        sim = {"list_size": 3, "mode": "online", "total_steps": 250, "checkpoint_every": 100, "record_ndcg": True}
+        path.write_text(json.dumps({"sim": sim}))
+        argv = ["run", "--config", str(path), "--dataset", str(ds), "--policy", "TopK", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        series = (tmp_path / "out" / "series.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in series] == ["step", "100", "200", "250"]
+        argv = ["sweep", "--config", str(path), "--dataset", str(ds), "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 2
+        assert "record_ndcg must be false in a sweep" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_error_line_is_machine_readable(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         assert main(["generate", "--out", str(ds)]) == 0
@@ -615,6 +629,10 @@ class TestConfigValueTypes:
             ({"scenario": 5}, "unknown scenario 5; expected one of ['common', 'exp1st', 'sale1st']"),
             ({"sim": {"record_ndcg": "no"}}, "sim record_ndcg must be true or false, got 'no'"),
             ({"sim": {"record_ndcg": 1}}, "sim record_ndcg must be true or false, got 1"),
+            (
+                {"sim": {"record_ndcg": True}},
+                "sim record_ndcg must be false in a sweep: no sweep file holds the NDCG series",
+            ),
         ],
     )
     def test_bad_value_fails_with_error_line_before_any_run(self, tmp_path, capsys, extra, message):

@@ -9,6 +9,7 @@ one ``np.vecdot``, which must take each row by the kernel of the row's own ``.do
 a numpy release that changed that kernel fails here first."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -469,3 +470,48 @@ def test_serve_offline_refuses_a_bad_alpha_for_each_run_alone():
         want_picks, (want_ledger,), want_failed = serve(policy, alphas[-1:])
         assert want_failed == {} and picks[-1].tobytes() == want_picks[0].tobytes()
         assert_same_ledger(ledgers[-1], want_ledger)
+
+
+def test_a_many_run_call_holds_its_picks_in_the_fields_index_dtype():
+    # 128 TopK runs at K 5, the field prebuilt. On 500 users, intp picks beside a
+    # second copy of the visit orders peaked at 3.9 MiB traced; int32 picks and
+    # one int64 copy of the orders, at 2.2 MiB (on 2,000 users: 14.8 and 7.9 MiB)
+    runs, users, k = 128, 500, 5
+    dataset = generate_dataset(GeneratorSpec(n_users=users, n_items=200, n_providers=10), ScenarioSpec.common())
+    cfg = SimConfig(list_size=k)
+    sim.run_offline_batch(dataset, "TopK", [(0.0, 0)], cfg)  # builds the field and the ideal DCGs
+    with pytest.MonkeyPatch.context() as mp:
+        # paying keeps nothing beyond the ledgers, and its 320,000 traced accruals take seconds
+        mp.setattr(GainLedger, "pay", lambda *args: None)
+        tracemalloc.start()
+        try:
+            outcomes = sim.run_offline_batch(dataset, "TopK", [(0.0, seed) for seed in range(runs)], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    # int32 picks, int64 orders, and 1 MiB for a run's transient lists
+    assert peak < runs * users * k * 4 + runs * users * 8 + 2**20
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_every_engine_picks_in_the_fields_index_dtype(policy):
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    field = rankers.offline_field(dataset.relevance, dataset.catalog, 2)
+    orders = np.stack([np.random.default_rng(seed).permutation(6) for seed in range(4)])
+    ledgers = [GainLedger.empty(3) for _ in orders]
+    dtypes, lockstep = [], rankers._lockstep
+
+    def observed(*args):
+        picks, failed = lockstep(*args)
+        dtypes.append(picks.dtype)
+        return picks, failed
+
+    alphas, probs = [0.0, 0.1, 0.5, 1.0], [1.0, 0.5]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rankers, "_lockstep", observed)
+        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, dataset.profiles, probs)
+    assert failed == {} and field.items.dtype == np.int32
+    assert picks.dtype == np.int32 and set(dtypes) <= {np.dtype(np.int32)}
+    assert bool(dtypes) == (policy in ("FairCoStar", "EquityRank", "EquityRankV"))
