@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -236,6 +235,14 @@ def _pool_init(dataset: Dataset, sim: SimConfig) -> None:
     _POOL_SIM = sim
 
 
+def ProcessPoolExecutor(**kwargs):  # noqa: N802 - a stand-in for the class it builds
+    """A ``concurrent.futures.ProcessPoolExecutor``, imported on first use: the import
+    loads ``multiprocessing``, which only a sweep with workers > 1 needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(**kwargs)
+
+
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -397,6 +404,8 @@ def cmd_run(
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Execute one run; optionally write result.csv (and series.csv online)."""
+    if sim.record_ndcg:
+        raise ValueError("sim record_ndcg must be false in a run: no run file holds the NDCG series")
     if sim.mode == "online":
         result, trace = run_online(dataset, policy, alpha, seed, sim)
         checkpoints = trace.checkpoints

@@ -1,10 +1,11 @@
 """Core domain types shared by every part of the simulator.
 
-Items are partitioned into provider groups, providers declare how much they
-value exposure versus purchases, and a position-bias model maps rank
-positions to examination probabilities. All types here are immutable after
-construction and safe to share across concurrent runs; the operations are
-pure functions.
+Items are partitioned into provider groups (a ``Catalog`` stores only the
+item -> provider array and derives every other view), providers declare how
+much they value exposure versus purchases, and a position-bias model maps
+rank positions to examination probabilities. All types here are immutable
+after construction and safe to share across concurrent runs; catalogs and
+relevance tables compare by value, and the operations are pure functions.
 
 Item, user, and provider ids are dense 0-based integers. When a dataset is
 ingested from files, the original external ids are kept in a side lookup
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,56 +47,64 @@ def _whole_id(value, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """A partition of items into provider groups.
+def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``provider``'s positions grouped stably by provider, and the m + 1 group offsets."""
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(provider, minlength=m), out=offsets[1:])
+    return np.argsort(provider, kind="stable"), offsets
 
-    ``group_of[item]`` is the owning provider of ``item``; ``items_of[g]``
-    lists every item owned by provider ``g``. The two views always describe
-    the same partition: every item belongs to exactly one provider and every
-    provider owns at least one item.
+
+@dataclass(frozen=True, eq=False)
+class Catalog:
+    """A partition of items into provider groups, stored once, as ``group_of``.
+
+    ``group_of[item]`` is the provider of ``item``, an int64 id in ``[0,
+    provider_count)``, and every provider owns an item. ``item_count``,
+    ``group_sizes`` and ``items_of`` (``items_of[g]``: provider g's items
+    ascending, built on first read) are derived. Catalogs compare by value.
     """
 
-    item_count: int
-    provider_count: int
     group_of: np.ndarray
-    items_of: tuple[np.ndarray, ...]
+    provider_count: int
 
     def __post_init__(self) -> None:
-        n, m = self.item_count, self.provider_count
-        if n < 1 or m < 1:
-            raise ValueError("catalog needs at least one item and one provider")
-        if self.group_of.shape != (n,):
-            raise ValueError("group_of must assign a provider to every item")
-        if not np.issubdtype(self.group_of.dtype, np.integer):
-            raise ValueError(f"group_of must hold integer provider ids, got {self.group_of.dtype}")
-        if len(self.items_of) != m:
-            raise ValueError("items_of must have one entry per provider")
-        if self.group_of.min() < 0 or self.group_of.max() >= m:
+        groups, m = self.group_of, self.provider_count
+        if groups.ndim != 1 or groups.size == 0:
+            raise ValueError("group assignments must be a nonempty 1-d sequence")
+        if not np.issubdtype(groups.dtype, np.integer):
+            raise ValueError(f"group_of must hold integer provider ids, got {groups.dtype}")
+        if groups.min() < 0 or groups.max() >= m:
             raise ValueError("group_of contains an unknown provider id")
-        total = 0
-        for g, items in enumerate(self.items_of):
-            if items.size == 0:
-                raise ValueError(f"provider {g} owns no items")
-            if not np.all(self.group_of[items] == g):
-                raise ValueError(f"items_of[{g}] disagrees with group_of")
-            total += items.size
-        if total != n:
-            raise ValueError("items_of is not a partition of the item set")
+        object.__setattr__(self, "group_of", groups.astype(np.int64, copy=False))
+        empty = np.flatnonzero(self.group_sizes == 0)
+        if empty.size:
+            raise ValueError(f"provider {empty[0]} owns no items")
 
     @classmethod
     def from_assignments(cls, group_of: Iterable[int], provider_count: int | None = None) -> Catalog:
         """Build a catalog from an item -> provider assignment array."""
         groups = _whole_ids(list(group_of) if not isinstance(group_of, np.ndarray) else group_of, "provider id")
-        if groups.ndim != 1 or groups.size == 0:
-            raise ValueError("group assignments must be a nonempty 1-d sequence")
-        m = int(provider_count) if provider_count is not None else int(groups.max()) + 1
-        items_of = tuple(np.flatnonzero(groups == g).astype(np.int64) for g in range(m))
-        return cls(item_count=groups.size, provider_count=m, group_of=groups, items_of=items_of)
+        # initial=-1: an empty array reaches the constructor, which refuses it
+        m = int(provider_count) if provider_count is not None else int(groups.max(initial=-1)) + 1
+        return cls(groups, m)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Catalog):
+            return NotImplemented
+        return self.provider_count == other.provider_count and np.array_equal(self.group_of, other.group_of)
+
+    @property
+    def item_count(self) -> int:
+        return self.group_of.size
 
     @property
     def group_sizes(self) -> np.ndarray:
-        return np.array([items.size for items in self.items_of], dtype=np.int64)
+        return np.bincount(self.group_of, minlength=self.provider_count)
+
+    @cached_property
+    def items_of(self) -> tuple[np.ndarray, ...]:
+        by_provider, offsets = _provider_heads(self.group_of, self.provider_count)
+        return tuple(np.split(by_provider, offsets[1:-1]))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
-from .core import _whole_id, _whole_ids
+from .core import _provider_heads, _whole_id, _whole_ids
 from .metrics import GainLedger
 
 __all__ = [
@@ -183,13 +183,6 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     if ids.size < k:
         raise ValueError(f"need at least {k} candidates, got {ids.size}")
     return ids[top_k_order((ids, -sv.relevance, -sv.scores), k)]
-
-
-def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``provider``'s positions grouped stably by provider, and the m + 1 group offsets."""
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(provider, minlength=m), out=offsets[1:])
-    return np.argsort(provider, kind="stable"), offsets
 
 
 class PolicyPlan:

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,19 +458,27 @@ class TestMainEntry:
         assert out[0].startswith("mode,policy,")
         assert out[1].startswith("offline,TopK,")
 
-    def test_run_takes_record_ndcg_that_a_sweep_refuses(self, tmp_path, capsys):
+    def test_run_and_sweep_refuse_record_ndcg(self, tmp_path, capsys):
         ds = cmd_generate(TINY, ScenarioSpec.common(), tmp_path / "ds")
         path = tmp_path / "config.json"
         sim = {"list_size": 3, "mode": "online", "total_steps": 250, "checkpoint_every": 100, "record_ndcg": True}
         path.write_text(json.dumps({"sim": sim}))
         argv = ["run", "--config", str(path), "--dataset", str(ds), "--policy", "TopK", "--out", str(tmp_path / "out")]
-        assert main(argv) == 0
-        series = (tmp_path / "out" / "series.csv").read_text().splitlines()
-        assert [row.split(",")[0] for row in series] == ["step", "100", "200", "250"]
+        assert main(argv) == 2
+        assert "record_ndcg must be false in a run" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
         argv = ["sweep", "--config", str(path), "--dataset", str(ds), "--out", str(tmp_path / "sweep")]
         assert main(argv) == 2
         assert "record_ndcg must be false in a sweep" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        # the pool's import is deferred to a sweep with workers > 1
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, equityrank.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_error_line_is_machine_readable(self, tmp_path, capsys):
         ds = tmp_path / "ds"

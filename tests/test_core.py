@@ -1,6 +1,7 @@
 """Domain types and the position-bias examination model."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ import pytest
 from equityrank import (
     Catalog,
     GainLedger,
+    GeneratorSpec,
     PositionModel,
     ProviderProfile,
     RankList,
     RelevanceTable,
+    ScenarioSpec,
+    SimConfig,
+    generate_dataset,
+    load_dataset,
     rank_poork,
+    run_offline,
+    run_online,
+    save_dataset,
 )
 
 
@@ -57,14 +66,16 @@ class TestCatalog:
             rng.shuffle(groups)
             cat = Catalog.from_assignments(groups)
             assert cat.item_count == n and cat.provider_count == m
+            assert "items_of" not in vars(cat)  # built on first read
             for g in range(m):
-                rebuilt = set(np.flatnonzero(cat.group_of == g).tolist())
-                assert rebuilt == set(cat.items_of[g].tolist())
-            assert int(cat.group_sizes.sum()) == n
+                # provider g's ids ascending, as int64
+                assert cat.items_of[g].dtype == np.int64
+                np.testing.assert_array_equal(cat.items_of[g], np.flatnonzero(cat.group_of == g))
+            np.testing.assert_array_equal(cat.group_sizes, [items.size for items in cat.items_of])
 
     def test_rejects_empty_provider(self):
-        with pytest.raises(ValueError):
-            Catalog.from_assignments([0, 0, 2], provider_count=3)
+        with pytest.raises(ValueError, match="provider 1 owns no items"):
+            Catalog.from_assignments([0, 0, 2, 3, 2], provider_count=5)
 
     def test_rejects_unknown_provider(self):
         with pytest.raises(ValueError):
@@ -74,10 +85,32 @@ class TestCatalog:
     def test_rejects_provider_ids_that_are_not_integer_typed(self, dtype):
         # whole-valued floats would pass every range check, and then fail as a
         # tuple index mid-way through an online run
-        items_of = (np.array([0]), np.array([1, 2]))
         with pytest.raises(ValueError, match="integer provider ids"):
-            Catalog(3, 2, np.array([0, 1, 1], dtype=dtype), items_of)
-        assert Catalog(3, 2, np.array([0, 1, 1], dtype=np.int32), items_of).provider_count == 2
+            Catalog(np.array([0, 1, 1], dtype=dtype), 2)
+        assert Catalog(np.array([0, 1, 1], dtype=np.int32), 2).provider_count == 2
+        assert Catalog(np.array([0, 1, 1], dtype=np.uint64), 2).group_sizes.tolist() == [1, 2]
+
+    def test_compares_by_value(self, tmp_path):
+        catalog = Catalog.from_assignments([0, 1, 1])
+        assert catalog == Catalog.from_assignments(np.array([0, 1, 1], dtype=np.int32))
+        assert catalog != Catalog.from_assignments([1, 0, 1])
+        assert catalog != Catalog.from_assignments([0, 1, 2])  # three providers
+        # two loads of one directory hold equal, distinct catalogs
+        save_dataset(generate_dataset(GeneratorSpec(n_users=4, n_items=12, n_providers=3), ScenarioSpec.common()), tmp_path)
+        first, second = load_dataset(tmp_path), load_dataset(tmp_path)
+        assert first.catalog is not second.catalog
+        assert first == second
+
+
+    def test_items_of_is_built_only_when_read(self):
+        dataset = generate_dataset(GeneratorSpec(n_users=6, n_items=20, n_providers=4), ScenarioSpec.common())
+        run_offline(dataset, "MMFStar", 0.5, 0, SimConfig(list_size=3))
+        run_online(dataset, "PoorK", 0.0, 0, SimConfig(list_size=3, total_steps=20, mode="online"))
+        catalog = dataset.catalog
+        assert "items_of" not in vars(catalog)
+        copy = pickle.loads(pickle.dumps(catalog))  # as a worker receives it
+        assert copy == catalog and "items_of" not in vars(copy)
+        assert [items.tolist() for items in catalog.items_of] == [items.tolist() for items in copy.items_of]
 
 
 class TestProviderProfile:

@@ -16,6 +16,7 @@ from equityrank import (
     RankList,
     RelevanceTable,
     SimConfig,
+    allocate_vertical,
     apply_expected_feedback,
     apply_feedback,
     estimate_relevance,
@@ -654,3 +655,38 @@ class TestSimConfig:
     def test_rejects_nonfinite_or_negative_prefilter_noise(self, noise):
         with pytest.raises(ValueError, match="prefilter_noise"):
             SimConfig(prefilter_noise=noise)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("profiles", "profile list does not match the catalog's provider count"),
+        ("relevance", "relevance table references items beyond the catalog"),
+    ],
+)
+def test_drivers_refuse_a_dataset_no_run_can_use_before_any_run(bad, message, monkeypatch):
+    groups, profiles = [0, 1, 0, 1], [ProviderProfile(1.0, 1.0, 1.0)] * 2
+    entries = [(0, 0, 0.5), (1, 3, 0.25)]
+    if bad == "profiles":
+        profiles = profiles + [ProviderProfile(1.0, 1.0, 1.0)]
+    else:
+        entries.append((1, 4, 0.75))  # the catalog's ids are 0..3
+    dataset = tiny_dataset(entries, groups, profiles, n_users=2)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("serve_offline", "offline_field", "_online_state"):
+        monkeypatch.setattr(sim, name, no_run)
+    offline, online = SimConfig(list_size=2), SimConfig(list_size=2, total_steps=4, mode="online")
+    for drive in (
+        lambda: run_offline(dataset, "EquityRank", 0.1, 0, offline),
+        lambda: run_online(dataset, "EquityRank", 0.1, 0, online),
+        lambda: sim.run_offline_batch(dataset, "FairCoStar", [(0.1, 0), (1.0, 1)], offline),
+        lambda: sim.run_online_batch(dataset, "MMFStar", [(0.1, 0), (1.0, 1)], online),
+    ):
+        with pytest.raises(ValueError, match=message):
+            drive()
+    if bad == "relevance":  # allocate_vertical refuses it as it builds the offline field
+        with pytest.raises(ValueError, match=message):
+            allocate_vertical([0, 1], dataset.relevance, GainLedger.empty(2), dataset.catalog, profiles, 0.1, PM3)
