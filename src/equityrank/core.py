@@ -85,7 +85,7 @@ class Catalog:
         """Build a catalog from an item -> provider assignment array."""
         groups = _whole_ids(list(group_of) if not isinstance(group_of, np.ndarray) else group_of, "provider id")
         # initial=-1: an empty array reaches the constructor, which refuses it
-        m = int(provider_count) if provider_count is not None else int(groups.max(initial=-1)) + 1
+        m = _whole_id(provider_count, "provider count") if provider_count is not None else int(groups.max(initial=-1)) + 1
         return cls(groups, m)
 
     def __eq__(self, other: object) -> bool:

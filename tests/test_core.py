@@ -101,7 +101,6 @@ class TestCatalog:
         assert first.catalog is not second.catalog
         assert first == second
 
-
     def test_items_of_is_built_only_when_read(self):
         dataset = generate_dataset(GeneratorSpec(n_users=6, n_items=20, n_providers=4), ScenarioSpec.common())
         run_offline(dataset, "MMFStar", 0.5, 0, SimConfig(list_size=3))
@@ -142,6 +141,7 @@ class TestProviderProfile:
         (lambda: RelevanceTable(2, [(1, 1.7, 0.3)]), "item id 1.7"),
         (lambda: Catalog.from_assignments([0.5, 1.0, 1.2]), "provider id 0.5"),
         (lambda: Catalog.from_assignments(np.array([0.0, 1.0, np.inf])), "provider id inf"),
+        (lambda: Catalog.from_assignments([0, 1, 1], 2.9), "provider count 2.9"),
         (
             lambda: rank_poork(
                 [0.7, 1.2, 2.9],
@@ -157,7 +157,7 @@ class TestProviderProfile:
         (lambda: RankList((0.6, 1.2), 0), "item id 0.6"),
         (lambda: RankList((1, 2), 0.5), "user id 0.5"),
     ],
-    ids=["table-user", "table-item", "catalog", "catalog-inf", "ranker", "ranklist-item", "ranklist-user"],
+    ids=["table-user", "table-item", "catalog", "catalog-inf", "catalog-count", "ranker", "ranklist-item", "ranklist-user"],
 )
 def test_ids_at_the_id_level_boundary_must_be_whole_numbers(make, bad):
     # a fractional id used to be truncated toward zero without an error
