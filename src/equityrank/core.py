@@ -68,7 +68,7 @@ class Catalog:
     provider_count: int
 
     def __post_init__(self) -> None:
-        groups, m = self.group_of, self.provider_count
+        groups, m = np.asarray(self.group_of), self.provider_count
         if groups.ndim != 1 or groups.size == 0:
             raise ValueError("group assignments must be a nonempty 1-d sequence")
         if not np.issubdtype(groups.dtype, np.integer):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
 
 __all__ = [
     "AlignmentDiagnostics",
@@ -316,25 +316,19 @@ def alignment_diagnostics(ledger: GainLedger, profiles: Sequence[ProviderProfile
     no defined ratio; they are excluded and counted rather than failing the
     run. Pearson is NaN when either ratio vector is constant.
     """
-    realized = []
-    declared = []
-    excluded = 0
-    for g, profile in enumerate(profiles):
-        if ledger.exposure_gain[g] <= 0 or profile.exposure_value <= 0:
-            excluded += 1
-            continue
-        realized.append(ledger.purchase_gain[g] / ledger.exposure_gain[g])
-        declared.append(profile.purchase_value / profile.exposure_value)
-    if not realized:
+    ve, vb, _ = provider_arrays(profiles)
+    exposure = ledger.exposure_gain
+    kept = ~((exposure <= 0) | (ve <= 0))
+    if not kept.any():
         raise ValueError("every provider lacks exposure gain; diagnostics undefined")
-    realized_arr = np.array(realized)
-    declared_arr = np.array(declared)
-    msd = float(np.mean((realized_arr - declared_arr) ** 2))
-    if realized_arr.size < 2 or np.ptp(realized_arr) == 0 or np.ptp(declared_arr) == 0:
+    realized = ledger.purchase_gain[kept] / exposure[kept]
+    declared = vb[kept] / ve[kept]
+    msd = float(np.mean((realized - declared) ** 2))
+    if realized.size < 2 or np.ptp(realized) == 0 or np.ptp(declared) == 0:
         pearson = math.nan
     else:
-        pearson = float(np.corrcoef(realized_arr, declared_arr)[0, 1])
-    return AlignmentDiagnostics(msd=msd, pearson=pearson, excluded=excluded)
+        pearson = float(np.corrcoef(realized, declared)[0, 1])
+    return AlignmentDiagnostics(msd=msd, pearson=pearson, excluded=kept.size - int(np.count_nonzero(kept)))
 
 
 def tradeoff_envelope(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

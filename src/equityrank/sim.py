@@ -9,11 +9,12 @@ accrues deterministically from the expected examination mass.
 
 An offline run is served by ``rankers.serve_offline`` from the user's
 segments of the dataset's offline field, with their provider heads, and
-reads nothing else. An online run ranks every list with one
-``PolicyPlan``: it fixes each user's prefiltered candidate set when it
-starts; a step (``online_step``: estimate -> score -> top-K ->
-feedback -> DCG) gives it the user's candidate row in slot order (ids
-ascending), with the estimates and raw gains ``OnlineState`` keeps current.
+reads nothing else. An online run builds its ``PolicyPlan``, position
+model and ideal DCGs before any draw, then fixes each user's prefiltered
+candidate set in an ``OnlineState``, which holds only what feedback
+writes. A step (``online_step``: estimate -> score -> top-K -> feedback
+-> DCG) gives the plan the user's candidate row in slot order (ids
+ascending), with the estimates and raw gains the state keeps current.
 The id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback``
 and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
@@ -146,8 +147,8 @@ class OnlineState:
     estimator's counters are arrays of the same (users x candidates) shape,
     indexed by slot: ``exposure`` accumulates examination probability and
     ``purchases`` counts purchases. The provider-level gains live on the
-    ledger; this object adds the running discounted effectiveness and the
-    step counter.
+    ledger. The state holds only what the feedback stage writes; the run
+    that owns it keeps its plan, position model, ideal DCGs and cNDCG.
 
     The feedback stage keeps two derived arrays current at the slots and
     providers it touches, so a step reads them without recomputing:
@@ -166,9 +167,6 @@ class OnlineState:
     ledger: GainLedger
     candidate_sets: np.ndarray
     rng: np.random.Generator
-    cndcg: float = 0.0
-    step: int = 0
-    ideal_cache: np.ndarray | None = None
     exposure: np.ndarray = field(init=False, repr=False)
     purchases: np.ndarray = field(init=False, repr=False)
     estimate: np.ndarray = field(init=False, repr=False)
@@ -522,13 +520,11 @@ def _ideal_dcgs(rel: RelevanceTable, cutoff: int, pm: PositionModel) -> np.ndarr
 
 
 def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
-    """Initialize an online run: seeded rng, prefiltered candidate sets, caches.
+    """Initialize an online run's state: its seeded rng, prefiltered candidate sets and empty ledger.
 
     The prefilter size is capped at the catalog size so small datasets can
     run with the protocol defaults. The prefilter draws candidates from the
-    catalog's own ids, so the step loop trusts them without rechecking. The
-    users' ideal DCGs are the dataset's, shared with its other runs as in
-    ``run_offline``; the state only reads them.
+    catalog's own ids, so the step loop trusts them without rechecking.
     """
     _check_dataset(dataset, cfg)
     return _online_state(dataset, seed, cfg)
@@ -537,20 +533,13 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
 def _online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
     """``make_online_state`` on a dataset already checked."""
     catalog, rel = dataset.catalog, dataset.relevance
-    pm = PositionModel.logarithmic(cfg.list_size)
     rng = np.random.default_rng(seed)
     size = min(cfg.prefilter_size, catalog.item_count)
     candidate_sets = [
         prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
         for u in range(rel.user_count)
     ]
-    cutoff = cfg.eval_cutoff
-    return OnlineState(
-        ledger=GainLedger.empty(catalog.provider_count),
-        candidate_sets=candidate_sets,
-        rng=rng,
-        ideal_cache=_derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)),
-    )
+    return OnlineState(ledger=GainLedger.empty(catalog.provider_count), candidate_sets=candidate_sets, rng=rng)
 
 
 def online_step(
@@ -561,7 +550,7 @@ def online_step(
     truth: tuple,
     probs: list[float],
     cutoff: int,
-    draws: list[float] | None = None,
+    draws: list[float],
 ) -> tuple[list[int], float]:
     """One request of an online run, by candidate slot.
 
@@ -574,11 +563,9 @@ def online_step(
     a user) that the feedback reads; ``run_online`` passes memoryviews of
     its arrays. ``probs`` are the examination probabilities as floats.
     ``draws`` are the list's purchase uniforms, one per position, as
-    ``step_draws`` gives them; None draws them from ``state.rng``.
+    ``step_draws`` gives them.
     """
     slots = plan.rank(state.estimate[user], provider, state.gains, probs)
-    if draws is None:
-        draws = state.rng.random(len(slots)).tolist()
     served, _ = _feedback(state, user, slots, truth, plan.profiles, probs, draws)
     return slots, discounted_sum(served, probs, cutoff)
 
@@ -692,19 +679,16 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
 
 
 def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
-    """One run of ``run_online_batch``; its wall time starts before its ``OnlineState`` is built."""
-    if policy == "EquityRankV":
-        raise ValueError("EquityRankV requires offline mode (vertical allocation needs all users at once)")
-    policy_cfg = PolicyConfig(kind=policy, alpha=alpha)
-    cutoff = cfg.eval_cutoff
-    probs = PositionModel.logarithmic(cfg.list_size).probs.tolist()
-
+    """One run of ``run_online_batch``; its wall time starts before its plan, the run's one policy check."""
     start = time.perf_counter()
-    state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
     profiles, rel = dataset.profiles, dataset.relevance
+    plan = PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), profiles)
+    pm, cutoff = PositionModel.logarithmic(cfg.list_size), cfg.eval_cutoff
     # as Python floats, so that each step's NDCG and the running cndcg are floats too
-    ledger, candidate_sets, ideal_dcgs = state.ledger, state.candidate_sets, state.ideal_cache.tolist()
-    plan = PolicyPlan(policy_cfg, profiles)
+    probs = pm.probs.tolist()
+    ideal_dcgs = _derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
+    state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
+    ledger, candidate_sets = state.ledger, state.candidate_sets
     # true relevance and providers over every user's candidate row, read
     # once: a step takes them by candidate slot, with no table lookup, and
     # its feedback reads them through flat views built here
@@ -714,18 +698,17 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
+    cndcg = 0.0
     blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
     for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
         _, dcg = online_step(plan, state, user, providers[user], truth, probs, cutoff, draws=draws)
         ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
-        state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
-        state.step = t
+        cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)
         if ndcg_series is not None:
             ndcg_series[t - 1] = ndcg_t
         if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
-            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), plan.targets)))
+            trace.checkpoints.append((t, cndcg, unfairness(ledger.averaged_gains(), plan.targets)))
 
     wall = time.perf_counter() - start
     trace.ndcg_series = ndcg_series
-    result = _result("online", policy, alpha, seed, state.cndcg, ledger, profiles, wall)
-    return result, trace
+    return _result("online", policy, alpha, seed, cndcg, ledger, profiles, wall), trace

@@ -2,10 +2,11 @@
 
 The rankers share no code with ``equityrank.rankers``: each reads the
 relevance table, the profiles and the ledger directly. ``reference_unfairness``,
-``reference_prefilter`` and ``reference_relevance`` are the forms the
-library's unfairness, candidate prefilter and relevance generator replaced:
-the m x m pairwise sum, a full sort, and the logistic of every (user, item)
-score.
+``reference_prefilter``, ``reference_relevance`` and ``reference_alignment``
+are the forms the library's unfairness, candidate prefilter, relevance
+generator and alignment diagnostics replaced: the m x m pairwise sum, a
+full sort, the logistic of every (user, item) score, and a loop over
+providers.
 ``_pick`` and ``reference_fill`` are the pick-by-pick slot-greedy fill that
 the greedy-order kernels of ``PolicyPlan`` replaced: each pick rescores the
 remaining slots and breaks ties explicitly. Both take a row's providers
@@ -242,6 +243,26 @@ def reference_unfairness(gains, targets):
     return float(np.sum(disparity * disparity) / (m * (m - 1)))
 
 
+def reference_alignment(ledger, profiles):
+    """``metrics.alignment_diagnostics`` as a loop over providers."""
+    realized, declared, excluded = [], [], 0
+    for g, profile in enumerate(profiles):
+        if ledger.exposure_gain[g] <= 0 or profile.exposure_value <= 0:
+            excluded += 1
+            continue
+        realized.append(ledger.purchase_gain[g] / ledger.exposure_gain[g])
+        declared.append(profile.purchase_value / profile.exposure_value)
+    if not realized:
+        raise ValueError("every provider lacks exposure gain; diagnostics undefined")
+    realized, declared = np.array(realized), np.array(declared)
+    msd = float(np.mean((realized - declared) ** 2))
+    if realized.size < 2 or np.ptp(realized) == 0 or np.ptp(declared) == 0:
+        pearson = math.nan
+    else:
+        pearson = float(np.corrcoef(realized, declared)[0, 1])
+    return msd, pearson, excluded
+
+
 def reference_relevance(spec, rng):
     """``synth.generate_relevance`` as the dense formula: the logistic of the
     whole (users x items) score matrix, then each user's picks gathered."""
@@ -280,7 +301,8 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     trace = sim.OnlineTrace()
     series = np.empty(cfg.total_steps) if cfg.record_ndcg else None
-    ideals = state.ideal_cache.tolist()  # Python floats, as run_online reads them
+    ideals = sim._ideal_dcgs(rel, cfg.eval_cutoff, pm).tolist()  # Python floats, as run_online reads them
+    cndcg = 0.0
     for t in range(1, cfg.total_steps + 1):
         user = int(state.rng.integers(rel.user_count))
         rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm)
@@ -288,14 +310,13 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
         apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
         ideal = ideals[user]
         ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cfg.eval_cutoff) / ideal
-        state.cndcg = cndcg_update(state.cndcg, ndcg_t, cfg.gamma)
-        state.step = t
+        cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)
         if series is not None:
             series[t - 1] = ndcg_t
         if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
-            trace.checkpoints.append((t, state.cndcg, unfairness(ledger.averaged_gains(), targets)))
+            trace.checkpoints.append((t, cndcg, unfairness(ledger.averaged_gains(), targets)))
     trace.ndcg_series = series
-    result = sim._result("online", policy, alpha, seed, state.cndcg, ledger, profiles, 0.0)
+    result = sim._result("online", policy, alpha, seed, cndcg, ledger, profiles, 0.0)
     return result, trace, state
 
 

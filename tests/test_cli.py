@@ -241,6 +241,28 @@ class TestSweep:
             del series["MMFStar_a0.01_s1.csv"]
             assert {p.name: p.read_bytes() for p in (out / "series").iterdir()} == series
 
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_driver_that_raises_fails_every_run_of_its_unit(self, tmp_path, workers, mode):
+        # a list of 10 on 8 items: the mode's driver refuses the dataset for the whole unit,
+        # and the sweep records each planned run as failed and exits 0
+        config = {
+            "generator": {"n_users": 6, "n_items": 8, "n_providers": 2, "latent_dim": 2, "seed": 3},
+            "policies": ["TopK", "EquityRank"],
+            "alpha_grid": [0.0, 0.5],
+            "seeds": [0, 1],
+            "sim": {"list_size": 10, "mode": mode, "total_steps": 20},
+            "workers": workers,
+        }
+        cfg_path, out = tmp_path / "plan.json", tmp_path / "results"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
+        planned = [["TopK", "0", "0"], ["TopK", "0", "1"]]
+        planned += [["EquityRank", alpha, seed] for alpha in ("0", "0.5") for seed in ("0", "1")]
+        assert [row for _, row in rows] == [spec + ["ValueError: catalog has fewer items than the list size"] for spec in planned]
+        assert (out / "results.csv").read_text().splitlines() == ["mode,policy,alpha,seed,effectiveness,unfairness,msd,pearson"]
+
     @pytest.mark.parametrize("driver", ["run_offline_batch", "run_online_batch"])
     def test_an_interrupted_serial_sweep_lets_go_of_its_dataset(self, tmp_path, monkeypatch, driver):
         def interrupted(*args):

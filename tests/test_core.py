@@ -101,6 +101,16 @@ class TestCatalog:
         assert first.catalog is not second.catalog
         assert first == second
 
+    def test_constructor_takes_any_array_like(self):
+        # a list reaches the same checks as an array, and fails them with ValueError
+        catalog = Catalog([0, 1, 1], 2)
+        assert catalog == Catalog.from_assignments([0, 1, 1], 2)
+        assert catalog.group_of.dtype == np.int64
+        with pytest.raises(ValueError, match="integer provider ids"):
+            Catalog([0.0, 1.0], 2)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            Catalog([], 1)
+
     def test_items_of_is_built_only_when_read(self):
         dataset = generate_dataset(GeneratorSpec(n_users=6, n_items=20, n_providers=4), ScenarioSpec.common())
         run_offline(dataset, "MMFStar", 0.5, 0, SimConfig(list_size=3))

@@ -447,6 +447,33 @@ def test_a_refused_run_does_not_count_towards_a_lockstep_batch():
         assert_same_ledger(ledgers[alpha, seed], want_ledger)
 
 
+@pytest.mark.parametrize("policy", ["FairCoStar", "EquityRank", "EquityRankV"])
+def test_a_batch_whose_lockstep_raises_fails_and_the_call_serves_the_others(policy):
+    # four runs in two batches of two (runs 0 and 2, runs 1 and 3); _lockstep raises on its
+    # first call only, so the first batch's runs share its exception and the second's are served
+    spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
+    dataset = generate_dataset(spec, ScenarioSpec.common())
+    cfg = SimConfig(list_size=2)
+    runs = [(0.1, 0), (0.5, 1), (1.0, 2), (0.3, 3)]
+    lockstep, calls = rankers._lockstep, []
+
+    def first_call_raises(*args):
+        calls.append(len(args[2]))
+        if len(calls) == 1:
+            raise RuntimeError("lockstep broke")
+        return lockstep(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rankers, "BATCH_RUNS", 2)
+        mp.setattr(rankers, "_lockstep", first_call_raises)
+        outcomes = sim.run_offline_batch(dataset, policy, runs, cfg)
+    assert calls == [2, 2]
+    assert isinstance(outcomes[0], RuntimeError) and outcomes[2] is outcomes[0]
+    for i in (1, 3):
+        want = sim.run_offline(dataset, policy, *runs[i], cfg)
+        assert outcomes[i].deterministic_values() == want.deterministic_values()
+
+
 def test_serve_offline_refuses_a_bad_alpha_for_each_run_alone():
     # a ledger-blind TopK run builds no plan, yet a bad alpha fails it as EquityRank's fails
     spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)

@@ -553,6 +553,18 @@ class TestRunOnline:
         with pytest.raises(ValueError):
             run_online(ds, "EquityRankV", 1.0, 0, SimConfig(list_size=3, total_steps=10, mode="online"))
 
+    def test_a_run_its_plan_refuses_draws_nothing(self, monkeypatch):
+        # the plan is the online runs' one policy check, made before the state's prefilter draws
+        def no_state(*args, **kwargs):
+            raise AssertionError("an online state was built")
+
+        monkeypatch.setattr(sim, "_online_state", no_state)
+        ds, cfg = online_micro_dataset(), SimConfig(list_size=3, total_steps=10, mode="online")
+        with pytest.raises(ValueError, match="EquityRankV lists are built jointly"):
+            run_online(ds, "EquityRankV", 1.0, 0, cfg)
+        (refused,) = sim.run_online_batch(ds, "MMFStar", [(1.5, 0)], cfg)
+        assert type(refused) is ValueError and str(refused) == "alpha must lie in [0, 1] for this policy"
+
     def test_exposure_mass_conservation(self):
         ds = online_micro_dataset()
         cfg = SimConfig(list_size=3, total_steps=250, mode="online", record_ndcg=True)
