@@ -317,6 +317,11 @@ def alignment_diagnostics(ledger: GainLedger, profiles: Sequence[ProviderProfile
     run. Pearson is NaN when either ratio vector is constant.
     """
     ve, vb, _ = provider_arrays(profiles)
+    return _alignment(ledger, ve, vb)
+
+
+def _alignment(ledger: GainLedger, ve: np.ndarray, vb: np.ndarray) -> AlignmentDiagnostics:
+    """``alignment_diagnostics`` from the providers' exposure and purchase values ``ve`` and ``vb``."""
     exposure = ledger.exposure_gain
     kept = ~((exposure <= 0) | (ve <= 0))
     if not kept.any():

@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import math
 import time
-from copy import deepcopy
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -454,7 +454,9 @@ def offline_rank_user(
     by_provider, offsets = _provider_heads(provider, catalog.provider_count)
     field = OfflineField(np.array([0, ids.size]), items, relevance[order], provider, by_provider, offsets[None])
     one = np.zeros((1, 1), dtype=np.intp)  # one run, visiting the field's one user
-    picks, _, failed = serve_offline(policy.kind, [policy.alpha], field, one, [deepcopy(ledger)], profiles, pm.probs.tolist())
+    arrays = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
+    copied = GainLedger(*(a.copy() for a in arrays), ledger.step_count)  # the copy the run pays
+    picks, _, failed = serve_offline(policy.kind, [policy.alpha], field, one, [copied], profiles, pm.probs.tolist())
     if failed:
         raise failed[0]
     return RankList(tuple(items[picks[0, 0]].tolist()), user)
@@ -614,12 +616,14 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
         start = time.perf_counter()
         try:
             if blind:
-                # pay the segments' heads user by user, top position first, or level by level
-                paid, levels = field.heads(order, k), np.broadcast_to(probs, (users, k))
+                # pay the segments' heads user by user, top position first, or level by level,
+                # each position's probability the one float object of ``probs`` repeated
                 if vertical:
-                    paid, levels = paid.T, levels.T
+                    paid, levels = field.heads(order, k).T, list(chain.from_iterable([p_k] * users for p_k in probs))
+                else:
+                    paid, levels = field.heads(order, k), list(probs) * users
                 paid = paid.ravel()
-                ledger.pay(field.provider[paid].tolist(), levels.ravel().tolist(), field.relevance[paid].tolist(), profiles)
+                ledger.pay(field.provider[paid].tolist(), levels, field.relevance[paid].tolist(), profiles)
                 picks[r] = np.arange(k)
             else:
                 plan, gains = PolicyPlan(config, profiles), ledger.raw_gains()

@@ -11,10 +11,10 @@ An offline run is served by ``rankers.serve_offline`` from the user's
 segments of the dataset's offline field, with their provider heads, and
 reads nothing else. An online run builds its ``PolicyPlan``, position
 model and ideal DCGs before any draw, then fixes each user's prefiltered
-candidate set in an ``OnlineState``, which holds only what feedback
-writes. A step (``online_step``: estimate -> score -> top-K -> feedback
--> DCG) gives the plan the user's candidate row in slot order (ids
-ascending), with the estimates and raw gains the state keeps current.
+candidate set in an ``OnlineState``, plain data holding only what feedback
+writes. Each step of the run's loop (estimate -> score -> top-K ->
+feedback -> DCG) gives the plan the user's candidate row in slot order
+(ids ascending), with the estimates and raw gains the state keeps current.
 The id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback``
 and ``metrics.andcg`` are the checked boundary; no run goes through them.
 
@@ -57,7 +57,7 @@ from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTa
 from .metrics import (
     GainLedger,
     RunResult,
-    alignment_diagnostics,
+    _alignment,
     cndcg_update,
     discounted_sum,
     ideal_dcg,
@@ -74,7 +74,6 @@ __all__ = [
     "apply_feedback",
     "estimate_relevance",
     "make_online_state",
-    "online_step",
     "prefilter_candidates",
     "run_offline",
     "run_offline_batch",
@@ -154,11 +153,11 @@ class OnlineState:
     providers it touches, so a step reads them without recomputing:
     ``estimate``, every slot's ``relevance_of``, and ``gains``, the ledger's
     ``raw_gains``. Writing the counters or the ledger directly bypasses them.
-    These four arrays and the ledger are fixed at construction: the feedback
-    stage reads and writes them through flat memoryviews built then, so a
-    caller may write into them but never replaces them. A deep copy or an
-    unpickled state builds views of its own arrays. A state equals only
-    itself.
+    The state is plain data: the feedback stage writes these four arrays
+    through flat views of them built per ``apply_feedback`` call and per run,
+    so a caller may replace one with a C-contiguous array of its shape and
+    dtype, and later feedback writes into the replacement. A state copies
+    and pickles as a dataclass does, and equals only itself.
 
     Item-to-slot lookups (``slots``) search the user's sorted row, for
     callers holding item ids; the online step uses slots.
@@ -171,7 +170,6 @@ class OnlineState:
     purchases: np.ndarray = field(init=False, repr=False)
     estimate: np.ndarray = field(init=False, repr=False)
     gains: np.ndarray = field(init=False, repr=False)
-    _flat: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sets = np.asarray(self.candidate_sets, dtype=np.int64)
@@ -187,18 +185,6 @@ class OnlineState:
         self.purchases = np.zeros(sets.shape, dtype=np.int64)
         self.estimate = np.ones(sets.shape, dtype=np.float64)
         self.gains = self.ledger.raw_gains()
-        self._bind()
-
-    def _bind(self) -> None:
-        # entry user * C + slot of each (users x C) array, and gains by provider
-        self._flat = tuple(_flat_view(a) for a in (self.exposure, self.purchases, self.estimate, self.gains))
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_flat"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bind()
 
     def slots(self, user: int, items) -> list[int]:
         """Candidate slots of ``items`` (a sequence of item ids) for ``user``.
@@ -245,18 +231,24 @@ def estimate_relevance(user: int, item: int, state: OnlineState) -> float:
     return float(state.relevance_of(user, [item])[0])
 
 
-def _feedback(state: OnlineState, user: int, slots, truth, profiles, probs, draws):
+def _feedback_views(state: OnlineState) -> tuple:
+    """Flat views of the state's exposure, purchases, estimate and gains, as ``_feedback`` writes them."""
+    return tuple(_flat_view(a) for a in (state.exposure, state.purchases, state.estimate, state.gains))
+
+
+def _feedback(state: OnlineState, views, user: int, slots, truth, profiles, probs, draws):
     """The feedback stage of one served list, given by candidate slot.
 
     Position k serves slot ``slots[k]``, entry i = user * C + slot of the
-    state's flat (users x C) arrays for C candidates a user. ``truth`` is a
-    pair (relevance, provider) read at entry i: the slot's true relevance r
-    and provider g. It is bought when the uniform ``draws[k]`` falls below
-    p_k r, and pays g by ``GainLedger.accrue``, 0 or 1 bought; the slot's
+    state's (users x C) arrays for C candidates a user, written through
+    ``views``, their ``_feedback_views``. ``truth`` is a pair (relevance,
+    provider) read at entry i: the slot's true relevance r and provider g.
+    It is bought when the uniform ``draws[k]`` falls below p_k r, and pays
+    g by ``GainLedger.accrue``, 0 or 1 bought; the slot's
     counters, the kept gains and the estimate follow, top position first.
     Returns the served relevances and purchases.
     """
-    (exposure, purchases, estimate, gains), (relevance, provider) = state._flat, truth
+    (exposure, purchases, estimate, gains), (relevance, provider) = views, truth
     accrue, base, served, bought = state.ledger.accrue, user * state.candidate_sets.shape[1], [], []
     # a few positions per list: scalar updates in position order beat
     # vectorised ones here, and add repeated providers' gains in list order.
@@ -322,7 +314,7 @@ def apply_feedback(
     # the served entries' truth, keyed as _feedback reads it
     at = [user * state.candidate_sets.shape[1] + slot for slot in slots]
     truth = dict(zip(at, relevance.tolist())), dict(zip(at, catalog.group_of[list(items)].tolist()))
-    _, bought = _feedback(state, user, slots, truth, profiles, pm.probs.tolist(), draws)
+    _, bought = _feedback(state, _feedback_views(state), user, slots, truth, profiles, pm.probs.tolist(), draws)
     return np.array(bought, dtype=bool)
 
 
@@ -386,15 +378,14 @@ def _result(
     seed: int,
     effectiveness: float,
     ledger: GainLedger,
-    profiles: Sequence[ProviderProfile],
+    arrays: tuple,
     wall: float,
 ) -> RunResult:
-    if ledger.step_count > 0:
-        unfair = unfairness(ledger.averaged_gains(), provider_arrays(profiles)[2])
-    else:
-        unfair = math.nan
+    """A run's ``RunResult``, given its profiles' ``provider_arrays`` (v_e, v_b, y) as ``arrays``."""
+    ve, vb, targets = arrays
+    unfair = unfairness(ledger.averaged_gains(), targets) if ledger.step_count > 0 else math.nan
     try:
-        diag = alignment_diagnostics(ledger, profiles)
+        diag = _alignment(ledger, ve, vb)
         msd, pearson = diag.msd, diag.pearson
     except ValueError:
         msd, pearson = math.nan, math.nan
@@ -467,7 +458,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     if not runs:
         return []
-    pm = PositionModel.logarithmic(cfg.list_size)
+    pm, arrays = PositionModel.logarithmic(cfg.list_size), provider_arrays(profiles)
     k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
     field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
     ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
@@ -484,7 +475,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         ideals = ideal[order]
         ndcgs = np.divide(dcg, ideals, out=np.ones_like(dcg), where=ideals != 0.0).tolist()
         # Python's sum, as andcg's: np.sum adds in another order
-        return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, profiles, wall)
+        return _result("offline", policy, alpha, seed, sum(ndcgs) / len(ndcgs), ledger, arrays, wall)
 
     outcomes: list = [None] * len(runs)
     ready = []  # the runs that pass their checks; run ready[r] visits users orders[r]
@@ -540,34 +531,6 @@ def _online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
         for u in range(rel.user_count)
     ]
     return OnlineState(ledger=GainLedger.empty(catalog.provider_count), candidate_sets=candidate_sets, rng=rng)
-
-
-def online_step(
-    plan: PolicyPlan,
-    state: OnlineState,
-    user: int,
-    provider: np.ndarray,
-    truth: tuple,
-    probs: list[float],
-    cutoff: int,
-    draws: list[float],
-) -> tuple[list[int], float]:
-    """One request of an online run, by candidate slot.
-
-    Ranks ``user``'s candidates with ``plan`` from the state's estimate row
-    and raw gains, serves the list with sampled feedback (see ``_feedback``),
-    and returns the served slots, top first, and their DCG at ``cutoff``.
-    ``provider`` is the user's provider ids in slot order, the row the plan
-    ranks. ``truth`` is every user's true relevance and provider ids in slot
-    order, a pair of flat sequences (entry user * C + slot, for C candidates
-    a user) that the feedback reads; ``run_online`` passes memoryviews of
-    its arrays. ``probs`` are the examination probabilities as floats.
-    ``draws`` are the list's purchase uniforms, one per position, as
-    ``step_draws`` gives them.
-    """
-    slots = plan.rank(state.estimate[user], provider, state.gains, probs)
-    served, _ = _feedback(state, user, slots, truth, plan.profiles, probs, draws)
-    return slots, discounted_sum(served, probs, cutoff)
 
 
 def step_draws(rng: np.random.Generator, users: int, k: int, steps: int):
@@ -668,18 +631,24 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
     raised, such as a ``ValueError`` for EquityRankV, a bad alpha or a seed
     it refuses: a run fails alone. A dataset that no run can use raises.
     """
-    _check_dataset(dataset, cfg)
-    outcomes: list = []
+    _, profiles, _ = _check_dataset(dataset, cfg)
+    arrays, outcomes = provider_arrays(profiles), []
     for alpha, seed in runs:
         try:
-            outcomes.append(_online_run(dataset, policy, alpha, seed, cfg))
+            outcomes.append(_online_run(dataset, policy, alpha, seed, cfg, arrays))
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             outcomes.append(exc)
     return outcomes
 
 
-def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> tuple[RunResult, OnlineTrace]:
-    """One run of ``run_online_batch``; its wall time starts before its plan, the run's one policy check."""
+def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, arrays: tuple) -> tuple[RunResult, OnlineTrace]:
+    """One run of ``run_online_batch``, given the profiles' ``provider_arrays``.
+
+    Its wall time starts before its plan, the run's one policy check. A step
+    ranks the user's candidate row, in slot order, with the plan from the
+    state's estimate row and raw gains, serves the list with sampled
+    feedback (``_feedback``), and takes its DCG at the cutoff.
+    """
     start = time.perf_counter()
     profiles, rel = dataset.profiles, dataset.relevance
     plan = PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), profiles)
@@ -688,21 +657,22 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
     probs = pm.probs.tolist()
     ideal_dcgs = _derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
     state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
-    ledger, candidate_sets = state.ledger, state.candidate_sets
+    ledger, candidate_sets, estimate, gains = state.ledger, state.candidate_sets, state.estimate, state.gains
     # true relevance and providers over every user's candidate row, read
     # once: a step takes them by candidate slot, with no table lookup, and
-    # its feedback reads them through flat views built here
+    # its feedback reads them, and writes the state, through flat views built here
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     providers = dataset.catalog.group_of[candidate_sets]
-    truth = _flat_view(true_rel), _flat_view(providers)
+    truth, views = (_flat_view(true_rel), _flat_view(providers)), _feedback_views(state)
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
     cndcg = 0.0
     blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
     for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
-        _, dcg = online_step(plan, state, user, providers[user], truth, probs, cutoff, draws=draws)
-        ndcg_t = ndcg_from(dcg, ideal_dcgs[user])
+        slots = plan.rank(estimate[user], providers[user], gains, probs)
+        served, _ = _feedback(state, views, user, slots, truth, profiles, probs, draws)
+        ndcg_t = ndcg_from(discounted_sum(served, probs, cutoff), ideal_dcgs[user])
         cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)
         if ndcg_series is not None:
             ndcg_series[t - 1] = ndcg_t
@@ -711,4 +681,4 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -
 
     wall = time.perf_counter() - start
     trace.ndcg_series = ndcg_series
-    return _result("online", policy, alpha, seed, cndcg, ledger, profiles, wall), trace
+    return _result("online", policy, alpha, seed, cndcg, ledger, arrays, wall), trace

@@ -295,7 +295,7 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
     pm = PositionModel.logarithmic(cfg.list_size)
     policy_cfg = PolicyConfig(policy, alpha)
     probs = pm.probs.tolist()
-    _, _, targets = provider_arrays(profiles)
+    arrays = provider_arrays(profiles)
     state = sim.make_online_state(dataset, seed, cfg)
     ledger, candidate_sets = state.ledger, state.candidate_sets
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
@@ -314,9 +314,9 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
         if series is not None:
             series[t - 1] = ndcg_t
         if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
-            trace.checkpoints.append((t, cndcg, unfairness(ledger.averaged_gains(), targets)))
+            trace.checkpoints.append((t, cndcg, unfairness(ledger.averaged_gains(), arrays[2])))
     trace.ndcg_series = series
-    result = sim._result("online", policy, alpha, seed, cndcg, ledger, profiles, 0.0)
+    result = sim._result("online", policy, alpha, seed, cndcg, ledger, arrays, 0.0)
     return result, trace, state
 
 
@@ -361,7 +361,8 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
             apply_expected_feedback(rl, user, rel, profiles, catalog, ledger, pm)
             lists.append(rl)
     effectiveness = andcg(lists, rel, cfg.eval_cutoff, pm)
-    return sim._result("offline", policy, alpha, seed, effectiveness, ledger, profiles, 0.0), lists, ledger
+    result = sim._result("offline", policy, alpha, seed, effectiveness, ledger, provider_arrays(profiles), 0.0)
+    return result, lists, ledger
 
 
 def observed_offline_run(dataset, policy, alpha, seed, cfg):
@@ -376,7 +377,7 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
     ledger is the one the result's diagnostics are computed from.
     """
     rank, segment, heads = PolicyPlan.rank, OfflineField.segment, OfflineField.heads
-    lockstep, diagnostics = rankers._lockstep, sim.alignment_diagnostics
+    lockstep, diagnostics = rankers._lockstep, sim._alignment
     segments, ranked, picked, whole, ledgers = [], [], [], [], []
 
     def record_heads(field, users, k):
@@ -402,16 +403,16 @@ def observed_offline_run(dataset, policy, alpha, seed, cfg):
         picked.extend(RankList(tuple(row), u) for u, row in zip(order, items, strict=True))
         return picks, failed
 
-    def capture_ledger(ledger, profiles):
+    def capture_ledger(ledger, ve, vb):
         ledgers.append(ledger)
-        return diagnostics(ledger, profiles)
+        return diagnostics(ledger, ve, vb)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OfflineField, "segment", record_segment)
         mp.setattr(OfflineField, "heads", record_heads)
         mp.setattr(PolicyPlan, "rank", record_rank)
         mp.setattr(rankers, "_lockstep", record_lockstep)
-        mp.setattr(sim, "alignment_diagnostics", capture_ledger)
+        mp.setattr(sim, "_alignment", capture_ledger)
         result = sim.run_offline(dataset, policy, alpha, seed, cfg)
     (ledger,) = ledgers
     return result, whole or picked or ranked, ledger

@@ -50,9 +50,9 @@ def batch_with_ledgers(dataset, policy, runs, cfg, **constants):
     seed), and the number of runs of each ``_lockstep`` batch; ``constants`` patch ``rankers``'s."""
     ledgers, batches, result, lockstep = {}, [], sim._result, rankers._lockstep
 
-    def capture(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall):
+    def capture(mode, policy, alpha, seed, effectiveness, ledger, arrays, wall):
         ledgers[alpha, seed] = ledger
-        return result(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall)
+        return result(mode, policy, alpha, seed, effectiveness, ledger, arrays, wall)
 
     def counted(plan, field, orders, *args):
         batches.append(len(orders))
@@ -83,9 +83,9 @@ def alone_with_ledger(dataset, policy, alpha, seed, cfg):
     """``run_alone``'s outcome, and the ledger its result was computed from (None for an error)."""
     ledgers, result = [], sim._result
 
-    def capture(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall):
+    def capture(mode, policy, alpha, seed, effectiveness, ledger, arrays, wall):
         ledgers.append(ledger)
-        return result(mode, policy, alpha, seed, effectiveness, ledger, profiles, wall)
+        return result(mode, policy, alpha, seed, effectiveness, ledger, arrays, wall)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_result", capture)

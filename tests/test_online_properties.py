@@ -40,21 +40,20 @@ def online_runs(draw):
 
 def observed_run(dataset, policy, alpha, seed, cfg):
     """Run ``run_online``; return its result, trace, state and every (user, list) it served."""
-    make_state, online_step = sim._online_state, sim.online_step
+    make_state, feedback = sim._online_state, sim._feedback
     states, served = [], []
 
     def capture_state(*args, **kwargs):
         states.append(make_state(*args, **kwargs))
         return states[-1]
 
-    def record(plan, state, user, *args, **kwargs):
-        slots, dcg = online_step(plan, state, user, *args, **kwargs)
+    def record(state, views, user, slots, *args):
         served.append((user, tuple(state.candidate_sets[user][slots].tolist())))
-        return slots, dcg
+        return feedback(state, views, user, slots, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_online_state", capture_state)  # the state builder run_online calls
-        mp.setattr(sim, "online_step", record)
+        mp.setattr(sim, "_feedback", record)  # the feedback of each list the run serves
         result, trace = sim.run_online(dataset, policy, alpha, seed, cfg)
     (state,) = states
     return result, trace, state, served

@@ -26,7 +26,7 @@ from equityrank import (
     run_online,
     unfairness,
 )
-from equityrank import sim
+from equityrank import core, metrics, rankers, sim
 from equityrank.sim import OnlineState, make_online_state
 from equityrank.synth import Dataset
 
@@ -224,6 +224,16 @@ class TestApplyFeedback:
         assert state.exposure[0, state.slot(0, 0)] == pytest.approx(1.0 + PM3.probs[2])
         assert state.exposure[0, state.slot(0, 1)] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", ["exposure", "purchases", "estimate", "gains"])
+    def test_feedback_writes_an_array_the_caller_replaced(self, name):
+        rel = RelevanceTable(1, [(0, 0, 1.0)])  # item 0 is bought at the top, items 1 and 2 never
+        state, want = fresh_state(), fresh_state()
+        replaced = getattr(state, name)
+        setattr(state, name, replaced.copy())
+        for s in (state, want):
+            apply_feedback(RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, s, PM3)
+        assert getattr(state, name).tobytes() == getattr(want, name).tobytes()
+        assert replaced.tobytes() == getattr(fresh_state(), name).tobytes() != getattr(want, name).tobytes()
 
     @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))])
     def test_a_copied_state_serves_into_its_own_arrays(self, copy_of):
@@ -472,7 +482,7 @@ def single_provider_dataset():
 @pytest.mark.parametrize("mode", ["offline", "online"])
 def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch):
     served = []
-    for name in ("online_step", "apply_expected_feedback"):
+    for name in ("_feedback", "serve_offline"):  # what serves an online and an offline run's lists
         monkeypatch.setattr(sim, name, lambda *args, **kwargs: served.append(args))
     cfg = SimConfig(list_size=2, total_steps=1000, prefilter_size=3, mode=mode)
     run = sim.run_online if mode == "online" else sim.run_offline
@@ -483,6 +493,31 @@ def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch
     with pytest.raises(ValueError, match="needs at least two providers"):
         driver(single_provider_dataset(), "TopK", [(0.0, 0), (0.0, -1)], cfg)
     assert served == []
+
+
+@pytest.mark.parametrize(
+    "mode, policy, runs, calls",
+    [
+        ("online", "EquityRank", 1, 2),  # the run's plan, and the batch call's arrays for the results
+        ("online", "EquityRank", 3, 4),
+        ("offline", "TopK", 1, 1),  # a ledger-blind run builds no plan
+        ("offline", "EquityRank", 6, 2),  # one lockstep batch, one plan
+    ],
+)
+def test_provider_arrays_are_built_once_per_batch_call_and_plan(mode, policy, runs, calls, monkeypatch):
+    build, built = core.provider_arrays, []
+
+    def counted(profiles):
+        built.append(profiles)
+        return build(profiles)
+
+    for module in (sim, metrics, rankers):
+        monkeypatch.setattr(module, "provider_arrays", counted)
+    run_batch = sim.run_online_batch if mode == "online" else sim.run_offline_batch
+    cfg = SimConfig(list_size=3, total_steps=50, mode=mode)
+    outcomes = run_batch(online_micro_dataset(), policy, [(0.5, seed) for seed in range(runs)], cfg)
+    assert not [o for o in outcomes if isinstance(o, Exception)]
+    assert len(built) == calls
 
 
 class TestRunOnline:
