@@ -114,7 +114,7 @@ class ProviderProfile:
     ``exposure_value`` is the gain per unit of expected examination,
     ``purchase_value`` the gain per realized purchase, and ``gain_target``
     the provider's expected-gain weight: the system is fair when accrued
-    gains are proportional to ``gain_target`` across providers.
+    gains are proportional to ``gain_target`` across providers. All three are held as floats.
     """
 
     exposure_value: float
@@ -122,6 +122,11 @@ class ProviderProfile:
     gain_target: float
 
     def __post_init__(self) -> None:
+        for name in ("exposure_value", "purchase_value", "gain_target"):
+            try:  # held as floats, the values provider_arrays stacks; isfinite refuses a string
+                object.__setattr__(self, name, float(getattr(self, name)) if math.isfinite(getattr(self, name)) else math.inf)
+            except OverflowError:  # an int beyond every float
+                object.__setattr__(self, name, math.inf)
         if not all(math.isfinite(v) for v in (self.exposure_value, self.purchase_value, self.gain_target)):
             raise ValueError("gain weights and gain_target must be finite")
         if self.exposure_value < 0 or self.purchase_value < 0:
@@ -131,7 +136,7 @@ class ProviderProfile:
 
 
 def provider_arrays(profiles: Sequence[ProviderProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack profiles into (exposure_value, purchase_value, gain_target) arrays."""
+    """Stack profiles into float64 (exposure_value, purchase_value, gain_target) arrays, the weights' one inner form."""
     ve = np.array([p.exposure_value for p in profiles], dtype=np.float64)
     vb = np.array([p.purchase_value for p in profiles], dtype=np.float64)
     y = np.array([p.gain_target for p in profiles], dtype=np.float64)

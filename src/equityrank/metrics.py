@@ -94,33 +94,32 @@ class GainLedger:
     def provider_count(self) -> int:
         return self.exposure_gain.size
 
-    def accrue(self, g: int, p_k: float, bought: float, profile: ProviderProfile) -> float:
+    def accrue(self, g: int, p_k: float, bought: float, v_e: float, v_b: float) -> float:
         """Add one served position's gains to provider ``g``; return its raw gain.
 
         The position pays p_k * v_e of exposure gain, ``bought`` * v_b of
-        purchase gain and p_k of examination mass; a list accrues its
-        positions top first. ``bought`` is the expected purchases p_k *
-        relevance, or the sampled 0 or 1 (0 keeps the purchase gain's bits).
-        The caller counts the served list in ``step_count``.
+        purchase gain and p_k of examination mass, at g's weights as floats;
+        a list accrues its positions top first. ``bought`` is the expected
+        purchases p_k * relevance, or the sampled 0 or 1 (0 keeps the purchase
+        gain's bits). The caller counts the served list in ``step_count``.
         """
         exposure_gain, purchase_gain, group_exposure = self._views
-        exposure_gain[g] = paid = exposure_gain[g] + p_k * profile.exposure_value
-        purchase_gain[g] = sold = purchase_gain[g] + bought * profile.purchase_value
+        exposure_gain[g] = paid = exposure_gain[g] + p_k * v_e
+        purchase_gain[g] = sold = purchase_gain[g] + bought * v_b
         group_exposure[g] += p_k
         return paid + sold
 
-    def pay(self, providers, probs, relevances, profiles: Sequence[ProviderProfile], kept=None) -> None:
+    def pay(self, providers, probs, relevances, ve, vb, kept=None) -> None:
         """Accrue served positions' expected gains, one ``accrue`` per position, in the order given.
 
-        Position i pays provider ``providers[i]`` at examination probability
-        ``probs[i]``, with expected purchases ``probs[i] * relevances[i]``;
-        ``kept``, a 1-d float64 array, if given, takes each provider's raw
-        gain as ``accrue`` returns it. The caller counts the served lists in
-        ``step_count``.
+        Position i pays provider g = ``providers[i]``, at the float weights
+        ``ve[g]`` and ``vb[g]``, probability ``probs[i]`` and expected purchases
+        ``probs[i] * relevances[i]``; ``kept`` (1-d float64), if given, takes
+        each raw gain as ``accrue`` returns it. The caller counts the lists.
         """
         accrue, kept = self.accrue, None if kept is None else memoryview(kept)
         for g, p_k, r in zip(providers, probs, relevances):
-            paid = accrue(g, p_k, p_k * r, profiles[g])
+            paid = accrue(g, p_k, p_k * r, ve[g], vb[g])
             if kept is not None:
                 kept[g] = paid
 
@@ -316,8 +315,7 @@ def alignment_diagnostics(ledger: GainLedger, profiles: Sequence[ProviderProfile
     no defined ratio; they are excluded and counted rather than failing the
     run. Pearson is NaN when either ratio vector is constant.
     """
-    ve, vb, _ = provider_arrays(profiles)
-    return _alignment(ledger, ve, vb)
+    return _alignment(ledger, *provider_arrays(profiles)[:2])
 
 
 def _alignment(ledger: GainLedger, ve: np.ndarray, vb: np.ndarray) -> AlignmentDiagnostics:

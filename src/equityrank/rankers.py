@@ -1,7 +1,7 @@
 """Ranking policies behind a single dispatch interface.
 
 All policies consume a candidate set, a relevance source (true labels or an
-online estimator), and a gain ledger snapshot, and emit a top-K list:
+online estimator), a gain ledger snapshot and ``provider_arrays``' weights, and emit a top-K list:
 
 * ``TopK``       -- pure relevance ordering.
 * ``PoorK``      -- slot by slot, serve the provider with the lowest
@@ -188,19 +188,19 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
 class PolicyPlan:
     """One ranking policy resolved once (see the module docstring).
 
-    It holds the policy, its ``profiles``, every provider's v_e, v_b and y
-    (``ve``, ``vb``, ``targets``) and the gradient's constants. Entries come as
-    relevance ``rel`` and provider ids ``provider``: a candidate row in slot
-    order, or a segment in greedy order with ``heads``, its ``(by_provider,
-    offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
+    It holds the policy, every provider's v_e, v_b and y (``ve``, ``vb`` and
+    ``targets``: the ``provider_arrays`` it is given) and the gradient's
+    constants. Entries come as relevance ``rel`` and provider ids ``provider``:
+    a candidate row in slot order, or a segment in greedy order with ``heads``,
+    its ``(by_provider, offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
     their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
     probs, heads)`` one list's positions among them, top first; PoorK's and
     MMF*'s picks pay a gains copy.
     """
 
-    def __init__(self, policy: PolicyConfig, profiles: Sequence[ProviderProfile]) -> None:
+    def __init__(self, policy: PolicyConfig, arrays: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         kind, alpha = policy.kind, policy.alpha
-        ve, vb, y = provider_arrays(profiles)
+        self.ve, self.vb, self.targets = ve, vb, y = arrays
         m = y.size
         if kind == "EquityRankV":
             raise ValueError("EquityRankV lists are built jointly, for all users, by serve_offline (offline mode)")
@@ -210,7 +210,6 @@ class PolicyPlan:
             raise ValueError("pairwise unfairness needs at least two providers")
         # PoorK is MMF*'s score at alpha = 1
         self.kind, self.alpha = kind, 1.0 if kind == "PoorK" else alpha
-        self.profiles, self.ve, self.vb, self.targets = tuple(profiles), ve, vb, y
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
@@ -328,7 +327,7 @@ class PolicyPlan:
 def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm) -> RankList:
     """One user's list, ranked by ``policy`` from ``candidates`` in slot order."""
     ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(policy, profiles)
+    plan = PolicyPlan(policy, provider_arrays(profiles))
     slots = plan.rank(rel_source.relevance_of(user, ids), catalog.group_of[ids], ledger.raw_gains(), pm.probs)
     return RankList(tuple(ids[slots].tolist()), user)
 
@@ -352,7 +351,7 @@ def equityrank_scores(
     exposure. Returns the candidates ascending, with scores and relevance.
     """
     ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
+    plan = PolicyPlan(PolicyConfig("EquityRank", alpha), provider_arrays(profiles))
     rel = rel_source.relevance_of(user, ids)
     return ScoreVector(item_ids=ids, scores=plan.score(rel, catalog.group_of[ids], ledger.raw_gains()), relevance=rel)
 
@@ -444,8 +443,8 @@ def offline_rank_user(
     candidates, paying a copy of ``ledger``. EquityRankV, whose lists are
     built for all users jointly, is refused as in the online dispatch.
     """
-    ids = _candidates(candidates, catalog)
-    PolicyPlan(policy, profiles)  # refuses the policy's bad alpha, and EquityRankV, before any read
+    ids, arrays = _candidates(candidates, catalog), provider_arrays(profiles)
+    PolicyPlan(policy, arrays)  # refuses the policy's bad alpha, and EquityRankV, before any read
     relevance, k = rel.relevance_of(user, ids), pm.list_size
     if ids.size < k:
         raise ValueError(f"need at least {k} candidates, got {ids.size}")
@@ -454,9 +453,9 @@ def offline_rank_user(
     by_provider, offsets = _provider_heads(provider, catalog.provider_count)
     field = OfflineField(np.array([0, ids.size]), items, relevance[order], provider, by_provider, offsets[None])
     one = np.zeros((1, 1), dtype=np.intp)  # one run, visiting the field's one user
-    arrays = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
-    copied = GainLedger(*(a.copy() for a in arrays), ledger.step_count)  # the copy the run pays
-    picks, _, failed = serve_offline(policy.kind, [policy.alpha], field, one, [copied], profiles, pm.probs.tolist())
+    own = ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure
+    copied = GainLedger(*(a.copy() for a in own), ledger.step_count)  # the copy the run pays
+    picks, _, failed = serve_offline(policy.kind, [policy.alpha], field, one, [copied], arrays, pm.probs.tolist())
     if failed:
         raise failed[0]
     return RankList(tuple(items[picks[0, 0]].tolist()), user)
@@ -565,9 +564,9 @@ def allocate_vertical(
             raise ValueError(f"user id {u} out of range")
     if len(set(users)) != len(users):
         raise ValueError("users must be distinct ids")
-    field = offline_field(rel, catalog, pm.list_size)
-    order = np.array(users, dtype=np.int64)
-    picks, _, failed = serve_offline("EquityRankV", [alpha], field, order[None], [ledger], profiles, pm.probs.tolist())
+    field, order = offline_field(rel, catalog, pm.list_size), np.array(users, dtype=np.int64)
+    arrays, probs = provider_arrays(profiles), pm.probs.tolist()
+    picks, _, failed = serve_offline("EquityRankV", [alpha], field, order[None], [ledger], arrays, probs)
     if failed:
         raise failed[0]
     ledger.step_count += len(users)
@@ -585,24 +584,25 @@ def ledger_blind(policy: str, alpha: float) -> bool:
     return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
 
 
-def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, profiles, probs):
+def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, arrays, probs):
     """Serve R offline runs of ``policy``, each by the engine its alpha picks (module docstring).
 
     Run r visits users ``orders[r]``, a row of the (R x users) ``orders``, at
     ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists. A
     run whose ``PolicyConfig`` is refused fails before it is served.
-    ``probs`` are the K examination probabilities as floats. Returns the
-    picks (R x users x K, in the field's index dtype, int32 where it fits),
-    the positions of run r's j-th user's list in its segment, top first;
-    each run's wall time in seconds, that of its own serving, or for a
-    lockstep run its batch's divided by the batch's runs; and by run the
-    exception of each run that failed: it stops paying there, and its picks
-    mean nothing.
+    ``arrays`` are the ``provider_arrays``, ``probs`` the K examination
+    probabilities as floats. Returns the picks (R x users x K, in the
+    field's index dtype, int32 where it fits), the positions of run r's j-th
+    user's list in its segment, top first; each run's wall time in seconds,
+    that of its own serving, or for a lockstep run its batch's divided by
+    the batch's runs; and by run the exception of each run that failed: it
+    stops paying there, and its picks mean nothing.
     """
     runs, users = orders.shape
     k, vertical = len(probs), policy == "EquityRankV"
     picks = np.zeros((runs, users, k), dtype=field.items.dtype)
     walls, failed, lockstep = [0.0] * runs, {}, []
+    ve, vb = arrays[0].tolist(), arrays[1].tolist()  # the weights as GainLedger.pay reads them
     for r, (alpha, order, ledger) in enumerate(zip(alphas, orders, ledgers)):
         try:
             config = PolicyConfig(policy, alpha)  # refuses an unknown policy or a bad alpha
@@ -616,22 +616,21 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
         start = time.perf_counter()
         try:
             if blind:
-                # pay the segments' heads user by user, top position first, or level by level,
-                # each position's probability the one float object of ``probs`` repeated
+                # pay the segments' heads user by user, top position first, or level by level, each position's
+                # probability the one float object of ``probs`` repeated, from views of the gathered entries
                 if vertical:
-                    paid, levels = field.heads(order, k).T, list(chain.from_iterable([p_k] * users for p_k in probs))
+                    paid, levels = field.heads(order, k).T.ravel(), list(chain.from_iterable([p_k] * users for p_k in probs))
                 else:
-                    paid, levels = field.heads(order, k), list(probs) * users
-                paid = paid.ravel()
-                ledger.pay(field.provider[paid].tolist(), levels, field.relevance[paid].tolist(), profiles)
+                    paid, levels = field.heads(order, k).ravel(), list(probs) * users
+                ledger.pay(memoryview(field.provider[paid]), levels, memoryview(field.relevance[paid]), ve, vb)
                 picks[r] = np.arange(k)
             else:
-                plan, gains = PolicyPlan(config, profiles), ledger.raw_gains()
+                plan, gains = PolicyPlan(config, arrays), ledger.raw_gains()
                 for j, user in enumerate(order.tolist()):
                     seg = field.segment(user)
                     relevance, provider = field.relevance[seg], field.provider[seg]
                     at = picks[r, j] = plan.rank(relevance, provider, gains, probs, (field.by_provider[seg], field.offsets[user]))
-                    ledger.pay(provider[at].tolist(), probs, relevance[at].tolist(), profiles, gains)
+                    ledger.pay(provider[at].tolist(), probs, relevance[at].tolist(), ve, vb, gains)
         except Exception as exc:  # noqa: BLE001 - the run fails alone
             failed[r] = exc
         walls[r] = time.perf_counter() - start
@@ -640,7 +639,7 @@ def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, 
         start = time.perf_counter()
         try:
             # EquityRankV's picks are EquityRank's scores' best, paid level by level
-            plan = PolicyPlan(PolicyConfig("EquityRank" if vertical else policy, alphas[batch[0]]), profiles)
+            plan = PolicyPlan(PolicyConfig("EquityRank" if vertical else policy, alphas[batch[0]]), arrays)
             alpha, paying = np.array([alphas[r] for r in batch]), [ledgers[r] for r in batch]
             picks[batch], bad = _lockstep(plan, field, orders[batch], alpha, paying, probs, vertical)
             failed.update({batch[i]: exc for i, exc in bad.items()})
@@ -672,7 +671,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
     weight = field.relevance * plan.vb[field.provider] + plan.ve[field.provider]
     gains = np.stack([ledger.raw_gains() for ledger in ledgers])
     kept = list(gains)  # each run's raw gains as a run alone keeps them: views that GainLedger.pay writes
-    profiles = plan.profiles
+    ve, vb = plan.ve.tolist(), plan.vb.tolist()
     offset = np.arange(runs)[:, None] * plan.targets.size  # a provider's flat index in a run's gains row
     column, every = alpha.reshape(-1, 1).copy(), np.arange(runs)
     picks = np.zeros((runs, users, k), dtype=field.items.dtype)
@@ -706,7 +705,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
         """Each paying run's ``served`` field indices, a row per run, top first, at ``probs``."""
         providers, values = field.provider[served].tolist(), field.relevance[served].tolist()
         for run in paying:
-            ledgers[run].pay(providers[run], probs, values[run], profiles, kept[run])
+            ledgers[run].pay(providers[run], probs, values[run], ve, vb, kept[run])
 
     if vertical:
         for level, p_k in enumerate(probs):

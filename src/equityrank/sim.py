@@ -7,16 +7,17 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-An offline run is served by ``rankers.serve_offline`` from the user's
-segments of the dataset's offline field, with their provider heads, and
-reads nothing else. An online run builds its ``PolicyPlan``, position
-model and ideal DCGs before any draw, then fixes each user's prefiltered
-candidate set in an ``OnlineState``, plain data holding only what feedback
-writes. Each step of the run's loop (estimate -> score -> top-K ->
-feedback -> DCG) gives the plan the user's candidate row in slot order
-(ids ascending), with the estimates and raw gains the state keeps current.
-The id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback``
-and ``metrics.andcg`` are the checked boundary; no run goes through them.
+Every driver call stacks the weights once (``provider_arrays``); its runs
+rank, pay and report from those arrays. An offline run is served by
+``rankers.serve_offline`` from the user's segments of the dataset's offline
+field, with their provider heads. An online run builds its ``PolicyPlan``,
+position model and ideal DCGs before any draw, then fixes each user's
+prefiltered candidate set in an ``OnlineState``, plain data holding only what
+feedback writes. Each step of the run's loop (estimate -> score -> top-K ->
+feedback -> DCG) gives the plan the user's candidate row in slot order (ids
+ascending), with the estimates and raw gains the state keeps current. The
+id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
+``metrics.andcg`` are the checked boundary; no run goes through them.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -130,6 +131,8 @@ class SimConfig:
             raise ValueError("mode must be 'offline' or 'online'")
         if not isinstance(self.record_ndcg, bool):
             raise ValueError(f"record_ndcg must be true or false, got {self.record_ndcg!r}")
+        for name in ("gamma", "prefilter_noise"):  # as Python floats, so a run computes in float64
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def eval_cutoff(self) -> int:
@@ -236,7 +239,7 @@ def _feedback_views(state: OnlineState) -> tuple:
     return tuple(_flat_view(a) for a in (state.exposure, state.purchases, state.estimate, state.gains))
 
 
-def _feedback(state: OnlineState, views, user: int, slots, truth, profiles, probs, draws):
+def _feedback(state: OnlineState, views, user: int, slots, truth, weights, probs, draws):
     """The feedback stage of one served list, given by candidate slot.
 
     Position k serves slot ``slots[k]``, entry i = user * C + slot of the
@@ -244,11 +247,11 @@ def _feedback(state: OnlineState, views, user: int, slots, truth, profiles, prob
     ``views``, their ``_feedback_views``. ``truth`` is a pair (relevance,
     provider) read at entry i: the slot's true relevance r and provider g.
     It is bought when the uniform ``draws[k]`` falls below p_k r, and pays
-    g by ``GainLedger.accrue``, 0 or 1 bought; the slot's
-    counters, the kept gains and the estimate follow, top position first.
-    Returns the served relevances and purchases.
+    g by ``GainLedger.accrue`` at ``weights``, ``GainLedger.pay``'s (v_e, v_b)
+    lists, 0 or 1 bought; the slot's counters, the kept gains and the
+    estimate follow, top position first. Returns the served relevances and purchases.
     """
-    (exposure, purchases, estimate, gains), (relevance, provider) = views, truth
+    (exposure, purchases, estimate, gains), (relevance, provider), (ve, vb) = views, truth, weights
     accrue, base, served, bought = state.ledger.accrue, user * state.candidate_sets.shape[1], [], []
     # a few positions per list: scalar updates in position order beat
     # vectorised ones here, and add repeated providers' gains in list order.
@@ -259,7 +262,7 @@ def _feedback(state: OnlineState, views, user: int, slots, truth, profiles, prob
         i = base + slot
         g, r = provider[i], relevance[i]
         hit = draw < p_k * r
-        gains[g] = accrue(g, p_k, 1.0 if hit else 0.0, profiles[g])
+        gains[g] = accrue(g, p_k, 1.0 if hit else 0.0, ve[g], vb[g])
         count = purchases[i] + hit
         if hit:
             purchases[i] = count
@@ -314,7 +317,8 @@ def apply_feedback(
     # the served entries' truth, keyed as _feedback reads it
     at = [user * state.candidate_sets.shape[1] + slot for slot in slots]
     truth = dict(zip(at, relevance.tolist())), dict(zip(at, catalog.group_of[list(items)].tolist()))
-    _, bought = _feedback(state, _feedback_views(state), user, slots, truth, profiles, pm.probs.tolist(), draws)
+    weights = [a.tolist() for a in provider_arrays(profiles)[:2]]
+    _, bought = _feedback(state, _feedback_views(state), user, slots, truth, weights, pm.probs.tolist(), draws)
     return np.array(bought, dtype=bool)
 
 
@@ -336,7 +340,8 @@ def apply_expected_feedback(
     if len(items) > pm.list_size:
         raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
     groups, values = catalog.group_of[list(items)].tolist(), rel.relevance_of(user, items).tolist()
-    ledger.pay(groups, pm.probs.tolist(), values, profiles)
+    ve, vb = [a.tolist() for a in provider_arrays(profiles)[:2]]
+    ledger.pay(groups, pm.probs.tolist(), values, ve, vb)
     ledger.step_count += 1
 
 
@@ -492,7 +497,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         ready.append(i)
     orders = orders[: len(ready)]
     ledgers = [GainLedger.empty(catalog.provider_count) for _ in ready]
-    picks, walls, failed = serve_offline(policy, [runs[i][0] for i in ready], field, orders, ledgers, profiles, probs)
+    picks, walls, failed = serve_offline(policy, [runs[i][0] for i in ready], field, orders, ledgers, arrays, probs)
     for r, (i, order, ledger) in enumerate(zip(ready, orders, ledgers)):
         if r in failed:
             outcomes[i] = failed[r]
@@ -642,7 +647,7 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
 
 
 def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, arrays: tuple) -> tuple[RunResult, OnlineTrace]:
-    """One run of ``run_online_batch``, given the profiles' ``provider_arrays``.
+    """One run of ``run_online_batch``, given the ``provider_arrays`` its plan and feedback read.
 
     Its wall time starts before its plan, the run's one policy check. A step
     ranks the user's candidate row, in slot order, with the plan from the
@@ -650,11 +655,10 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, a
     feedback (``_feedback``), and takes its DCG at the cutoff.
     """
     start = time.perf_counter()
-    profiles, rel = dataset.profiles, dataset.relevance
-    plan = PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), profiles)
+    rel, plan = dataset.relevance, PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), arrays)
     pm, cutoff = PositionModel.logarithmic(cfg.list_size), cfg.eval_cutoff
-    # as Python floats, so that each step's NDCG and the running cndcg are floats too
-    probs = pm.probs.tolist()
+    # as Python floats, so that each step's NDCG and the running cndcg are floats too, as is each gain paid
+    probs, weights = pm.probs.tolist(), (plan.ve.tolist(), plan.vb.tolist())
     ideal_dcgs = _derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
     state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
     ledger, candidate_sets, estimate, gains = state.ledger, state.candidate_sets, state.estimate, state.gains
@@ -671,7 +675,7 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, a
     blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
     for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
         slots = plan.rank(estimate[user], providers[user], gains, probs)
-        served, _ = _feedback(state, views, user, slots, truth, profiles, probs, draws)
+        served, _ = _feedback(state, views, user, slots, truth, weights, probs, draws)
         ndcg_t = ndcg_from(discounted_sum(served, probs, cutoff), ideal_dcgs[user])
         cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)
         if ndcg_series is not None:

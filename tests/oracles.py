@@ -335,7 +335,7 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
     ledger = GainLedger.empty(catalog.provider_count)
     ids, groups = np.arange(catalog.item_count, dtype=np.int64), catalog.group_of
     if policy == "EquityRankV":
-        plan = PolicyPlan(PolicyConfig("EquityRank", alpha), profiles)
+        plan = PolicyPlan(PolicyConfig("EquityRank", alpha), provider_arrays(profiles))
         rows = [rel.relevance_of(u, ids) for u in user_order]
         avail = [np.ones(ids.size, dtype=bool) for _ in user_order]
         slots = [[] for _ in user_order]
@@ -343,12 +343,12 @@ def run_offline_reference(dataset, policy, alpha, seed, cfg):
             for row, free, chosen in zip(rows, avail, slots):
                 item = _pick(plan, groups, row, free, ledger.raw_gains())
                 g = int(catalog.group_of[item])
-                ledger.accrue(g, p_k, p_k * row[item], profiles[g])
+                ledger.accrue(g, p_k, p_k * row[item], profiles[g].exposure_value, profiles[g].purchase_value)
                 chosen.append(item)
         ledger.step_count += len(user_order)
         lists = [RankList(tuple(chosen), u) for u, chosen in zip(user_order, slots)]
     else:
-        plan = PolicyPlan(PolicyConfig(policy, alpha), profiles)
+        plan = PolicyPlan(PolicyConfig(policy, alpha), provider_arrays(profiles))
         lists = []
         greedy = policy in ("PoorK", "MMFStar", "EquityRank")
         for user in user_order:

@@ -143,6 +143,21 @@ class TestProviderProfile:
             with pytest.raises(ValueError, match="finite"):
                 ProviderProfile(*args)
 
+    def test_rejects_an_int_beyond_every_float_as_not_finite(self):
+        for args in ((10**400, 1, 1), (1, -(10**400), 1), (1, 1, 10**400)):
+            with pytest.raises(ValueError, match="^gain weights and gain_target must be finite$"):
+                ProviderProfile(*args)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float32, np.float64, float])
+    def test_holds_its_weights_as_python_floats(self, kind):
+        # the one form of the weights: the float64 values provider_arrays stacks
+        weights = (kind(3), kind(7), kind(2))
+        p = ProviderProfile(*weights)
+        assert [type(v) for v in (p.exposure_value, p.purchase_value, p.gain_target)] == [float] * 3
+        assert (p.exposure_value, p.purchase_value, p.gain_target) == (3.0, 7.0, 2.0)
+        weight = np.float32(14.204564094543457)  # not a float64 value with few digits
+        assert ProviderProfile(weight, weight, weight).gain_target.hex() == float(weight).hex()
+
 
 @pytest.mark.parametrize(
     "make, bad",

@@ -31,6 +31,7 @@ from equityrank import (
     allocate_vertical,
     generate_dataset,
     offline_rank_user,
+    provider_arrays,
     rankers,
     sim,
 )
@@ -132,7 +133,7 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
     # G.y rounds differently as (R x m) @ y than as each row's own dot, in some rows
     rng = np.random.default_rng(seed)
     profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 100.0, 3))) for _ in range(m)]
-    plan = PolicyPlan(PolicyConfig("EquityRank", 1.0), profiles)
+    plan = PolicyPlan(PolicyConfig("EquityRank", 1.0), provider_arrays(profiles))
     gains = rng.random((runs, m)) * 10.0 ** rng.integers(-3, 6, (runs, 1))
     rel, provider = rng.random((runs, length)), rng.integers(0, m, (runs, length))
     alpha = 10.0 ** rng.integers(-8, 2, runs)
@@ -140,7 +141,7 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
     flat = provider + m * np.arange(runs)[:, None]
     got = plan._equity(rel, flat, plan.targets, weight, gains, alpha[:, None])
     for r in range(runs):
-        alone = PolicyPlan(PolicyConfig("EquityRank", float(alpha[r])), profiles)
+        alone = PolicyPlan(PolicyConfig("EquityRank", float(alpha[r])), provider_arrays(profiles))
         want = alone._equity(rel[r], provider[r], plan.targets[provider[r]], weight[r], gains[r].copy())
         assert got[r].tobytes() == want.tobytes()
 
@@ -150,13 +151,13 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
 def test_fairco_row_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, seed):
     rng = np.random.default_rng(seed)
     profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 100.0, 3))) for _ in range(m)]
-    plan = PolicyPlan(PolicyConfig("FairCoStar", 1.0), profiles)
+    plan = PolicyPlan(PolicyConfig("FairCoStar", 1.0), provider_arrays(profiles))
     gains = rng.random((runs, m)) * 10.0 ** rng.integers(-3, 6, (runs, 1))
     rel, provider = rng.random((runs, length)), rng.integers(0, m, (runs, length))
     alpha = np.where(rng.random(runs) < 0.2, 0.0, 10.0 ** rng.integers(-8, 2, runs))
     got = plan.score(rel, provider + m * np.arange(runs)[:, None], gains, alpha[:, None])
     for r in range(runs):
-        alone = PolicyPlan(PolicyConfig("FairCoStar", float(alpha[r])), profiles)
+        alone = PolicyPlan(PolicyConfig("FairCoStar", float(alpha[r])), provider_arrays(profiles))
         assert got[r].tobytes() == alone.score(rel[r], provider[r], gains[r].copy()).tobytes()
 
 
@@ -257,7 +258,7 @@ def test_fairco_lists_break_exact_score_ties_by_relevance_as_the_reference_does(
     cfg = SimConfig(list_size=2)
     first = {seed: int(np.random.default_rng(seed).permutation(2)[0]) for seed in range(4)}
     tied, untied = min(s for s in first if first[s] == 0), min(s for s in first if first[s] == 1)
-    scores = PolicyPlan(PolicyConfig("FairCoStar", 0.25), profiles).score(
+    scores = PolicyPlan(PolicyConfig("FairCoStar", 0.25), provider_arrays(profiles)).score(
         np.array([0.25, 0.5, 0.75]), catalog.group_of[:3], np.array([2.0, 1.0, 0.0])
     )
     assert scores.tolist() == [0.75] * 3
@@ -349,7 +350,7 @@ def test_every_offline_engine_fails_nonfinite_scores_with_one_message():
         for call in (
             lambda: allocate_vertical(range(8), rel, GainLedger.empty(3), catalog, profiles, OVERFLOW, pm),
             lambda: offline_rank_user(PolicyConfig("EquityRank", OVERFLOW), range(20), 0, rel, warm, catalog, profiles, pm),
-            lambda: PolicyPlan(PolicyConfig("EquityRank", 1.0), profiles)._finite(np.array([0.5, np.nan])),
+            lambda: PolicyPlan(PolicyConfig("EquityRank", 1.0), provider_arrays(profiles))._finite(np.array([0.5, np.nan])),
         ):
             with pytest.raises(ValueError) as failure:
                 call()
@@ -484,7 +485,7 @@ def test_serve_offline_refuses_a_bad_alpha_for_each_run_alone():
     def serve(policy, alphas):
         orders = np.stack([np.random.default_rng(3).permutation(rel.user_count)] * len(alphas))
         ledgers = [GainLedger.empty(catalog.provider_count) for _ in alphas]
-        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, profiles, probs)
+        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, provider_arrays(profiles), probs)
         return picks, ledgers, failed
 
     for policy, alphas in (("TopK", [np.nan, -1.0, 0.0]), ("EquityRank", [np.nan, 0.1])):
@@ -538,7 +539,8 @@ def test_every_engine_picks_in_the_fields_index_dtype(policy):
     alphas, probs = [0.0, 0.1, 0.5, 1.0], [1.0, 0.5]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankers, "_lockstep", observed)
-        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, dataset.profiles, probs)
+        arrays = provider_arrays(dataset.profiles)
+        picks, _, failed = rankers.serve_offline(policy, alphas, field, orders, ledgers, arrays, probs)
     assert failed == {} and field.items.dtype == np.int32
     assert picks.dtype == np.int32 and set(dtypes) <= {np.dtype(np.int32)}
     assert bool(dtypes) == (policy in ("FairCoStar", "EquityRank", "EquityRankV"))

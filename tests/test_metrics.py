@@ -437,10 +437,10 @@ class TestGainLedger:
         np.testing.assert_allclose(ledger.averaged_gains(), [1.0, 3.0])
 
     def test_accrue_adds_each_position_to_its_provider(self):
-        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 4.0, 1.0)]
+        weights = [(2.0, 10.0), (1.0, 4.0)]  # each provider's (v_e, v_b)
         ledger = GainLedger.empty(2)
         positions = [(1, 1.0, 0.5), (0, 0.5, 0.0), (1, 0.25, 0.25)]
-        raw = [ledger.accrue(g, p_k, bought, profiles[g]) for g, p_k, bought in positions]
+        raw = [ledger.accrue(g, p_k, bought, *weights[g]) for g, p_k, bought in positions]
         assert raw == [1.0 + 0.5 * 4.0, 0.5 * 2.0, 1.25 + 0.75 * 4.0]
         np.testing.assert_allclose(ledger.exposure_gain, [0.5 * 2.0, 1.25 * 1.0], rtol=1e-15)
         np.testing.assert_allclose(ledger.purchase_gain, [0.0, 0.75 * 4.0], rtol=1e-15)
@@ -454,29 +454,28 @@ class TestGainLedger:
     def test_a_sampled_purchase_adds_exactly_the_purchase_value(self, p_k, vb, prior):
         # online feedback pays 0 or 1 bought: 0 must keep the purchase gain's
         # bytes and 1 add v_b with no other rounding
-        profile = ProviderProfile(1.5, vb, 1.0)
         ledger = GainLedger.empty(2)
         ledger.purchase_gain[1] = prior
         before = ledger.purchase_gain.tobytes()
-        ledger.accrue(1, p_k, 0.0, profile)
+        ledger.accrue(1, p_k, 0.0, 1.5, vb)
         assert ledger.purchase_gain.tobytes() == before
-        ledger.accrue(1, p_k, 1.0, profile)
+        ledger.accrue(1, p_k, 1.0, 1.5, vb)
         assert ledger.purchase_gain.item(1) == prior + vb
         assert ledger.purchase_gain.item(0) == 0.0
 
     @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda ledger: pickle.loads(pickle.dumps(ledger))])
     def test_a_copied_ledger_accrues_into_its_own_arrays(self, copy_of):
-        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 4.0, 1.0)]
+        ve, vb = [2.0, 1.0], [10.0, 4.0]
         ledger = GainLedger.empty(2)
-        ledger.pay([1, 0], [1.0, 0.5], [0.5, 0.25], profiles)
+        ledger.pay([1, 0], [1.0, 0.5], [0.5, 0.25], ve, vb)
         ledger.step_count = 1
         before = [a.tobytes() for a in (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)]
         copied = copy_of(ledger)
         kept = copied.raw_gains()
-        copied.pay([0, 1], [1.0, 0.5], [1.0, 0.75], profiles, kept)
+        copied.pay([0, 1], [1.0, 0.5], [1.0, 0.75], ve, vb, kept)
         assert [a.tobytes() for a in (ledger.exposure_gain, ledger.purchase_gain, ledger.group_exposure)] == before
         # the copy accrues as the original does from the same start
-        ledger.pay([0, 1], [1.0, 0.5], [1.0, 0.75], profiles)
+        ledger.pay([0, 1], [1.0, 0.5], [1.0, 0.75], ve, vb)
         for name in ("exposure_gain", "purchase_gain", "group_exposure"):
             assert getattr(copied, name).tobytes() == getattr(ledger, name).tobytes()
         assert kept.tobytes() == ledger.raw_gains().tobytes() and copied.step_count == 1

@@ -24,6 +24,7 @@ from equityrank import (
     generate_dataset,
     load_dataset,
     offline_rank_user,
+    provider_arrays,
     rank_mmf_star,
     rank_poork,
     save_dataset,
@@ -89,7 +90,7 @@ def test_greedy_rankers_match_the_reference_fill(case, kind, alpha, data):
     ledger.exposure_gain[:] = data.draw(st.lists(gain, min_size=catalog.provider_count, max_size=catalog.provider_count))
     pm = PositionModel.logarithmic(k)
     ids = np.sort(candidates)
-    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles)
+    plan = PolicyPlan(PolicyConfig(kind, alpha), provider_arrays(profiles))
     row = rel.relevance_of(user, ids)
     want = ids[reference_fill(plan, catalog.group_of[ids], row, ledger.raw_gains(), pm.probs)]
     got = [offline_rank_user(PolicyConfig(kind, alpha), candidates, user, rel, ledger, catalog, profiles, pm)]
@@ -121,7 +122,7 @@ def test_head_picks_match_the_reference_pick(case, kind, alpha, data):
         ProviderProfile(p.exposure_value, p.purchase_value, 1e-300 if o else p.gain_target)
         for p, o in zip(dataset.profiles, overflow)
     ]
-    plan = PolicyPlan(PolicyConfig(kind, alpha), profiles)
+    plan = PolicyPlan(PolicyConfig(kind, alpha), provider_arrays(profiles))
     field = offline_field(rel, catalog, k)
     with np.errstate(over="ignore"):
         for user in range(rel.user_count):

@@ -18,6 +18,7 @@ from equityrank import (
     equityrank_scores,
     offline_rank_user,
     online_step_rank,
+    provider_arrays,
     rank_by_scores,
     rank_fairco_star,
     rank_mmf_star,
@@ -348,7 +349,7 @@ class TestDispatch:
         # a run's plan holds per-provider arrays, m of them for m providers;
         # a reference cycle through the plan would keep them until the
         # cyclic collector ran
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), provider_arrays(uniform_profiles(2)))
         freed = weakref.ref(plan)
         gc.disable()
         try:
@@ -359,7 +360,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("kind", ["PoorK", "MMFStar"])
     def test_provider_head_policies_score_no_slot(self, kind):
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), provider_arrays(uniform_profiles(2)))
         with pytest.raises(ValueError, match="picks among provider heads"):
             plan.score(np.array([0.5, 0.2, 0.1]), np.array([0, 1, 0]), np.zeros(2))
 
@@ -379,7 +380,7 @@ class TestDispatch:
         # gains near the float maximum overflow EquityRank's gradient; an
         # infinite relevance makes MMF*'s normalised relevance NaN
         policy = PolicyConfig(kind, 0.5 if kind == "MMFStar" else 1.0)
-        plan = PolicyPlan(policy, uniform_profiles(3))
+        plan = PolicyPlan(policy, provider_arrays(uniform_profiles(3)))
         if kind == "EquityRank":
             rel, gains = np.array([0.5, 0.2, 0.1]), np.array([1e308, 0.0, 1e308])
         else:
@@ -389,7 +390,7 @@ class TestDispatch:
 
     def test_greedy_fill_checks_the_scores_at_alpha_zero(self):
         # at alpha 0 EquityRank's scores are the relevances, still checked
-        plan = PolicyPlan(PolicyConfig("EquityRank", 0.0), uniform_profiles(3))
+        plan = PolicyPlan(PolicyConfig("EquityRank", 0.0), provider_arrays(uniform_profiles(3)))
         with pytest.raises(ValueError, match="scores must be finite"):
             plan.rank(np.array([0.5, np.nan, 0.1]), np.array([0, 1, 2]), np.zeros(3), PM2.probs)
 
@@ -397,7 +398,7 @@ class TestDispatch:
     def test_greedy_fill_rejects_a_field_shorter_than_the_list(self, kind):
         # a field built for one-item lists: each provider's lowest-id zero
         catalog = Catalog.from_assignments([0, 1] * 3)
-        plan = PolicyPlan(PolicyConfig(kind, 0.5), uniform_profiles(2))
+        plan = PolicyPlan(PolicyConfig(kind, 0.5), provider_arrays(uniform_profiles(2)))
         field = offline_field(RelevanceTable(1, []), catalog, 1)
         seg = field.segment(0)
         heads = field.by_provider[seg], field.offsets[0]

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equityrank import Catalog, GainLedger, PolicyConfig, PositionModel, ProviderProfile
+from equityrank import Catalog, GainLedger, PolicyConfig, PositionModel, ProviderProfile, provider_arrays
 from equityrank.rankers import OfflineField, PolicyPlan, _lockstep
 
 WHOLE_ROW_POLICIES = [("TopK", 0.0)] + [
@@ -43,7 +43,7 @@ def scoring_cases(draw, policies=WHOLE_ROW_POLICIES, relevance=RELEVANCE):
 @given(scoring_cases())
 def test_scoring_a_subset_of_slots_matches_the_whole_row(case):
     policy, profiles, provider, rel, gains, at = case
-    plan = PolicyPlan(policy, profiles)
+    plan = PolicyPlan(policy, provider_arrays(profiles))
     whole = plan.score(rel, provider, gains)
     assert plan.score(rel[at], provider[at], gains).tobytes() == whole[at].tobytes()
     # the scorer reads the gains and relevance and writes neither
@@ -56,7 +56,7 @@ def test_greedy_and_whole_row_equityrank_agree_on_the_top_slot(case):
     # before anything is placed, the offline fill scores every slot with the
     # same scorer as the whole-row ranking, so both put the same slot first
     _, profiles, provider, rel, gains, _ = case
-    plan = PolicyPlan(PolicyConfig("EquityRank", 0.1), profiles)
+    plan = PolicyPlan(PolicyConfig("EquityRank", 0.1), provider_arrays(profiles))
     whole = plan.rank(rel, provider, gains, [1.0])
     # the fill's run of one over the row in greedy order, whose items are the row's slots
     order = np.argsort(-rel, kind="stable")
@@ -74,7 +74,7 @@ def test_a_row_and_its_greedy_order_rank_one_list(case, k):
     # greedy order (relevance descending, then slot) with their provider
     # heads given, as an offline field keeps a segment, give the same items
     policy, profiles, provider, rel, gains, at = case
-    plan = PolicyPlan(policy, profiles)
+    plan = PolicyPlan(policy, provider_arrays(profiles))
     probs = PositionModel.logarithmic(min(k, rel.size)).probs
     order = np.argsort(-rel, kind="stable")
     grouped = provider[order]

@@ -1,6 +1,7 @@
 """Simulation loops: feedback sampling, estimation, offline/online runs."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -11,16 +12,19 @@ import pytest
 from equityrank import (
     Catalog,
     GainLedger,
+    GeneratorSpec,
     PositionModel,
     ProviderProfile,
     RankList,
     RelevanceTable,
+    ScenarioSpec,
     SimConfig,
     allocate_vertical,
     apply_expected_feedback,
     apply_feedback,
     estimate_relevance,
     expected_gain,
+    generate_dataset,
     prefilter_candidates,
     run_offline,
     run_online,
@@ -498,10 +502,11 @@ def test_single_provider_is_rejected_before_any_list_is_served(mode, monkeypatch
 @pytest.mark.parametrize(
     "mode, policy, runs, calls",
     [
-        ("online", "EquityRank", 1, 2),  # the run's plan, and the batch call's arrays for the results
-        ("online", "EquityRank", 3, 4),
-        ("offline", "TopK", 1, 1),  # a ledger-blind run builds no plan
-        ("offline", "EquityRank", 6, 2),  # one lockstep batch, one plan
+        # the batch call builds the arrays once, and every run's plan, feedback and result reads them
+        ("online", "EquityRank", 1, 1),
+        ("online", "EquityRank", 3, 1),
+        ("offline", "TopK", 1, 1),
+        ("offline", "EquityRank", 6, 1),
     ],
 )
 def test_provider_arrays_are_built_once_per_batch_call_and_plan(mode, policy, runs, calls, monkeypatch):
@@ -518,6 +523,28 @@ def test_provider_arrays_are_built_once_per_batch_call_and_plan(mode, policy, ru
     outcomes = run_batch(online_micro_dataset(), policy, [(0.5, seed) for seed in range(runs)], cfg)
     assert not [o for o in outcomes if isinstance(o, Exception)]
     assert len(built) == calls
+
+
+def float32_weight_datasets():
+    """Common data whose weights are float32 values: given as np.float32 scalars, and as Python floats."""
+    ds = generate_dataset(GeneratorSpec(n_users=60, n_items=120, n_providers=6, seed=3), ScenarioSpec.common())
+    weights = [[np.float32(v) for v in (p.exposure_value, p.purchase_value, p.gain_target)] for p in ds.profiles]
+    return [
+        dataclasses.replace(ds, profiles=tuple(ProviderProfile(*(kind(v) for v in w)) for w in weights))
+        for kind in (np.float32, float)
+    ]
+
+
+@pytest.mark.parametrize("mode, policy, alpha", [("offline", "PoorK", 0.0), ("online", "EquityRank", 0.1)])
+def test_float32_weights_run_as_the_same_values_as_floats(mode, policy, alpha):
+    # float32 weights once made the ledger accrue in float32, while the scores read float64
+    cfg = SimConfig(list_size=5, total_steps=2000, mode=mode)
+    run = run_online if mode == "online" else run_offline
+    got, want = (run(ds, policy, alpha, 0, cfg) for ds in float32_weight_datasets())
+    if mode == "online":
+        (got, got_trace), (want, want_trace) = got, want
+        assert repr(got_trace.checkpoints) == repr(want_trace.checkpoints)
+    assert got.deterministic_values() == want.deterministic_values()
 
 
 class TestRunOnline:
@@ -697,6 +724,19 @@ class TestSimConfig:
         want, want_trace = run_online(ds, "EquityRank", 0.01, 1, SimConfig(**{**base, name: 3}))
         assert got.deterministic_values() == want.deterministic_values()
         assert got_trace.checkpoints == want_trace.checkpoints
+
+    def test_float_fields_are_held_as_python_floats(self):
+        # a float32 gamma once ran the online cNDCG in float32
+        base = dict(list_size=3, total_steps=300, prefilter_size=4, checkpoint_every=100, mode="online")
+        gamma, noise = np.float32(0.995), np.float32(0.1)
+        cfg = SimConfig(**base, gamma=gamma, prefilter_noise=noise)
+        assert (type(cfg.gamma), type(cfg.prefilter_noise)) == (float, float)
+        got, got_trace = run_online(online_micro_dataset(), "TopK", 0.0, 1, cfg)
+        floats = SimConfig(**base, gamma=float(gamma), prefilter_noise=float(noise))
+        want, want_trace = run_online(online_micro_dataset(), "TopK", 0.0, 1, floats)
+        assert type(got.effectiveness) is float
+        assert got.deterministic_values() == want.deterministic_values()
+        assert repr(got_trace.checkpoints) == repr(want_trace.checkpoints)
 
     @pytest.mark.parametrize("noise", [math.inf, math.nan, -0.1])
     def test_rejects_nonfinite_or_negative_prefilter_noise(self, noise):

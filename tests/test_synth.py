@@ -249,6 +249,17 @@ class TestDatasetRoundTrip:
         assert rows == [(2, ["1", "2"]), (3, ["3", "4"])]
         assert isinstance(rows, list)
 
+    def test_float32_weights_save_and_load_as_themselves(self, tmp_path):
+        # a profile holds floats, so a weight given as np.float32 is saved with every digit
+        ds = generate_dataset(GeneratorSpec(n_users=6, n_items=20, n_providers=3, seed=15), ScenarioSpec.common())
+        weights = [[np.float32(v) for v in (p.exposure_value, p.purchase_value, p.gain_target)] for p in ds.profiles]
+        profiles = tuple(ProviderProfile(*w) for w in weights)
+        save_dataset(Dataset(ds.catalog, profiles, ds.relevance), tmp_path / "ds")
+        loaded = load_dataset(tmp_path / "ds").profiles
+        assert loaded == profiles
+        got = [[p.exposure_value.hex(), p.purchase_value.hex(), p.gain_target.hex()] for p in loaded]
+        assert got == [[float(v).hex() for v in w] for w in weights]
+
     def test_generator_determinism_across_calls(self):
         spec = GeneratorSpec(n_users=6, n_items=20, n_providers=3, seed=15)
         a = generate_dataset(spec, ScenarioSpec.common())
@@ -364,9 +375,12 @@ class TestLoadErrors:
         assert ds.relevance.get(1, 0) == pytest.approx(0.9)  # untouched user
 
     def test_overrange_relevance_errors_in_strict_mode(self, tmp_path):
-        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a"], ["u,x,1.2"])
-        with pytest.raises(DatasetError, match="strict"):
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], ["u,y,0.8", "u,x,1.25", "w,x,0.9"])
+        with pytest.raises(DatasetError, match=r"^relevance\.csv row 3: relevance 1\.25 exceeds 1 \(strict mode\)$"):
             load_dataset(d, strict=True)
+        # the same directory loads rescaled without strict
+        ds = load_dataset(d)
+        assert [ds.relevance.get(0, 1), ds.relevance.get(0, 0), ds.relevance.get(1, 0)] == [0.8 / 1.25, 1.0, 0.9]
 
     def test_labels_survive_roundtrip(self, tmp_path):
         d = write_dataset_dir(
