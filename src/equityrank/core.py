@@ -47,6 +47,14 @@ def _whole_id(value, what: str) -> int:
     return int(value)
 
 
+def _finite(value) -> bool:
+    """``math.isfinite(value)``, False rather than OverflowError for an int beyond every float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _provider_heads(provider: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``provider``'s positions grouped stably by provider, and the m + 1 group offsets."""
     offsets = np.zeros(m + 1, dtype=np.int64)
@@ -123,10 +131,8 @@ class ProviderProfile:
 
     def __post_init__(self) -> None:
         for name in ("exposure_value", "purchase_value", "gain_target"):
-            try:  # held as floats, the values provider_arrays stacks; isfinite refuses a string
-                object.__setattr__(self, name, float(getattr(self, name)) if math.isfinite(getattr(self, name)) else math.inf)
-            except OverflowError:  # an int beyond every float
-                object.__setattr__(self, name, math.inf)
+            # held as floats, the values provider_arrays stacks; isfinite refuses a string
+            object.__setattr__(self, name, float(getattr(self, name)) if _finite(getattr(self, name)) else math.inf)
         if not all(math.isfinite(v) for v in (self.exposure_value, self.purchase_value, self.gain_target)):
             raise ValueError("gain weights and gain_target must be finite")
         if self.exposure_value < 0 or self.purchase_value < 0:
@@ -191,11 +197,16 @@ class RankList:
         if min(self.positions) < 0:
             raise ValueError("rank list contains a negative item id")
 
-    def items_for(self, user) -> tuple[int, ...]:
-        """The listed items, for a caller serving ``user``; ValueError unless it is the list's user."""
+    def items_for(self, user, catalog: Catalog, list_size: int) -> tuple[tuple[int, ...], list[int]]:
+        """The one check of a served list: its items and their providers, for ``user`` in ``catalog``
+        at ``list_size`` positions; ValueError for another user, more items or an item beyond the catalog."""
         if user != self.user:
             raise ValueError(f"user {user} does not match the list's user {self.user}")
-        return self.positions
+        if len(self.positions) > list_size:
+            raise ValueError(f"rank list has {len(self.positions)} items, more than the {list_size} positions")
+        if max(self.positions) >= catalog.item_count:
+            raise ValueError(f"item id {max(self.positions)} out of range")
+        return self.positions, catalog.group_of[list(self.positions)].tolist()
 
 
 class RelevanceTable:

@@ -112,10 +112,11 @@ class GainLedger:
     def pay(self, providers, probs, relevances, ve, vb, kept=None) -> None:
         """Accrue served positions' expected gains, one ``accrue`` per position, in the order given.
 
-        Position i pays provider g = ``providers[i]``, at the float weights
-        ``ve[g]`` and ``vb[g]``, probability ``probs[i]`` and expected purchases
-        ``probs[i] * relevances[i]``; ``kept`` (1-d float64), if given, takes
-        each raw gain as ``accrue`` returns it. The caller counts the lists.
+        Position i pays provider g = ``providers[i]``, at the float weights ``ve[g]`` and
+        ``vb[g]`` (lists of every provider's, or dicts keyed by the paid providers' ids),
+        probability ``probs[i]`` and expected purchases ``probs[i] * relevances[i]``;
+        ``kept`` (1-d float64), if given, takes each raw gain as ``accrue`` returns it.
+        The caller counts the lists.
         """
         accrue, kept = self.accrue, None if kept is None else memoryview(kept)
         for g, p_k, r in zip(providers, probs, relevances):
@@ -216,13 +217,13 @@ def expected_gain(
 
     Each of g's listed items contributes its examination probability times
     (relevance * purchase_value + exposure_value); unlisted providers get 0.
-    A ``user`` other than the list's raises ValueError.
+    A list that ``RankList.items_for`` refuses raises ValueError.
     """
-    items = ranklist.items_for(user)[: pm.list_size]
+    items, groups = ranklist.items_for(user, catalog, pm.list_size)
     total = 0.0
-    for k0, (item, r) in enumerate(zip(items, rel.relevance_of(user, items).tolist())):
-        if catalog.group_of[item] == g:
-            total += pm.probs[k0] * (r * profile.purchase_value + profile.exposure_value)
+    for p_k, owner, r in zip(pm.probs.tolist(), groups, rel.relevance_of(user, items).tolist()):
+        if owner == g:
+            total += p_k * (r * profile.purchase_value + profile.exposure_value)
     return total
 
 

@@ -75,7 +75,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, provider_arrays
-from .core import _provider_heads, _whole_id, _whole_ids
+from .core import _finite, _provider_heads, _whole_id, _whole_ids
 from .metrics import GainLedger
 
 __all__ = [
@@ -117,7 +117,7 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+        if not (_finite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be finite and nonnegative")
 
 
@@ -485,7 +485,7 @@ class OfflineField(NamedTuple):
 
     def heads(self, users: np.ndarray, k: int) -> np.ndarray:
         """The field indices of the first ``k`` entries of each of ``users``' segments, a row
-        per user: in greedy order, the list that relevance alone ranks (``sim.ledger_blind``)."""
+        per user: in greedy order, the list that relevance alone ranks (``rankers.ledger_blind``)."""
         return self.indptr[users][:, None] + np.arange(k)
 
 

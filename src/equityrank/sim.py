@@ -18,6 +18,8 @@ feedback -> DCG) gives the plan the user's candidate row in slot order (ids
 ascending), with the estimates and raw gains the state keeps current. The
 id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
 ``metrics.andcg`` are the checked boundary; no run goes through them.
+``RankList.items_for`` checks each served list, and the two feedback calls
+stack only the served providers' weights, as dicts keyed by provider id.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently without sharing state.
@@ -54,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _whole_id, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _finite, _whole_id, provider_arrays
 from .metrics import (
     GainLedger,
     RunResult,
@@ -123,7 +125,7 @@ class SimConfig:
             raise ValueError("cutoff must lie in [1, list_size]")
         if self.prefilter_size < self.list_size:
             raise ValueError("prefilter_size must be at least list_size")
-        if not (math.isfinite(self.prefilter_noise) and self.prefilter_noise >= 0):
+        if not (_finite(self.prefilter_noise) and self.prefilter_noise >= 0):
             raise ValueError("prefilter_noise must be finite and nonnegative")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
@@ -248,8 +250,8 @@ def _feedback(state: OnlineState, views, user: int, slots, truth, weights, probs
     provider) read at entry i: the slot's true relevance r and provider g.
     It is bought when the uniform ``draws[k]`` falls below p_k r, and pays
     g by ``GainLedger.accrue`` at ``weights``, ``GainLedger.pay``'s (v_e, v_b)
-    lists, 0 or 1 bought; the slot's counters, the kept gains and the
-    estimate follow, top position first. Returns the served relevances and purchases.
+    indexed by provider id, 0 or 1 bought; the slot's counters, the kept gains
+    and the estimate follow, top position first. Returns the served relevances and purchases.
     """
     (exposure, purchases, estimate, gains), (relevance, provider), (ve, vb) = views, truth, weights
     accrue, base, served, bought = state.ledger.accrue, user * state.candidate_sets.shape[1], [], []
@@ -275,6 +277,12 @@ def _feedback(state: OnlineState, views, user: int, slots, truth, weights, probs
     return served, bought
 
 
+def _served_weights(profiles: Sequence[ProviderProfile], providers: list[int]) -> tuple[dict, dict]:
+    """The served ``providers``' (v_e, v_b) as Python floats, keyed by provider id: at most K profiles."""
+    served = list(dict.fromkeys(providers))
+    return tuple(dict(zip(served, a.tolist())) for a in provider_arrays([profiles[g] for g in served])[:2])
+
+
 def apply_feedback(
     ranklist: RankList,
     user: int,
@@ -283,41 +291,25 @@ def apply_feedback(
     catalog: Catalog,
     state: OnlineState,
     pm: PositionModel,
-    *,
-    relevance: np.ndarray | None = None,
 ) -> np.ndarray:
     """Simulate one user's interaction with a served list.
 
     Exposure gain accrues deterministically (examination probability times
     the provider's exposure value); purchases are Bernoulli draws with
     probability p_k * relevance, paying the provider's purchase value, and
-    the estimator's counters grow at the served items' candidate slots. An
-    item not among the user's candidates or beyond the catalog, a ``user``
-    not the list's or a relevance outside [0, 1] raises ValueError before
-    any write.
-    ``relevance``, the served items' true relevance by position, saves a
-    caller that has it a read. Returns the per-position purchase outcomes.
+    the estimator's counters grow at the served items' candidate slots. A
+    list that ``RankList.items_for`` refuses, or an item not among the
+    user's candidates, raises ValueError before any write. Returns the
+    per-position purchase outcomes.
     """
-    items = ranklist.items_for(user)
+    items, groups = ranklist.items_for(user, catalog, pm.list_size)
     user = int(user)
-    if len(items) > pm.list_size:
-        raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
     slots = state.slots(user, items)
-    if max(items, default=0) >= catalog.item_count:
-        raise ValueError(f"item id {max(items)} out of range")
-    if relevance is None:
-        relevance = rel.relevance_of(user, items)
-    elif len(relevance) != len(items):
-        raise ValueError(f"got {len(relevance)} relevances for {len(items)} served items")
-    relevance = np.asarray(relevance, dtype=np.float64)
-    bad = relevance[~((relevance >= 0.0) & (relevance <= 1.0))]
-    if bad.size:
-        raise ValueError(f"relevance {float(bad[0])} outside [0, 1]")
-    draws = state.rng.random(len(items)).tolist()
     # the served entries' truth, keyed as _feedback reads it
     at = [user * state.candidate_sets.shape[1] + slot for slot in slots]
-    truth = dict(zip(at, relevance.tolist())), dict(zip(at, catalog.group_of[list(items)].tolist()))
-    weights = [a.tolist() for a in provider_arrays(profiles)[:2]]
+    truth = dict(zip(at, rel.relevance_of(user, items).tolist())), dict(zip(at, groups))
+    draws = state.rng.random(len(items)).tolist()
+    weights = _served_weights(profiles, groups)
     _, bought = _feedback(state, _feedback_views(state), user, slots, truth, weights, pm.probs.tolist(), draws)
     return np.array(bought, dtype=bool)
 
@@ -333,15 +325,10 @@ def apply_expected_feedback(
 ) -> None:
     """Accrue one served list's expected gains, by item id (no sampling).
 
-    Raises ValueError, before any ledger write, for a list longer than the
-    position model or a ``user`` other than the list's.
+    A list that ``RankList.items_for`` refuses raises ValueError before any ledger write.
     """
-    items = ranklist.items_for(user)
-    if len(items) > pm.list_size:
-        raise ValueError(f"rank list has {len(items)} items, more than the {pm.list_size} positions")
-    groups, values = catalog.group_of[list(items)].tolist(), rel.relevance_of(user, items).tolist()
-    ve, vb = [a.tolist() for a in provider_arrays(profiles)[:2]]
-    ledger.pay(groups, pm.probs.tolist(), values, ve, vb)
+    items, groups = ranklist.items_for(user, catalog, pm.list_size)
+    ledger.pay(groups, pm.probs.tolist(), rel.relevance_of(user, items).tolist(), *_served_weights(profiles, groups))
     ledger.step_count += 1
 
 

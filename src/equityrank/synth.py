@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Catalog, ProviderProfile, RelevanceTable
+from .core import Catalog, ProviderProfile, RelevanceTable, _finite
 from .metrics import format_float
 
 __all__ = [
@@ -123,7 +123,7 @@ class GeneratorSpec:
             raise ValueError("counts and latent_dim must be positive")
         if self.n_providers > self.n_items:
             raise ValueError("cannot have more providers than items")
-        if not (math.isfinite(self.group_size_skew) and self.group_size_skew >= 0):
+        if not (_finite(self.group_size_skew) and self.group_size_skew >= 0):
             raise ValueError("group_size_skew must be finite and nonnegative")
         if not 0.0 < self.sparsity <= 1.0:
             raise ValueError("sparsity must lie in (0, 1]")
@@ -230,7 +230,7 @@ def assign_groups(n_items: int, n_providers: int, skew: float, rng: np.random.Ge
     """
     if n_providers > n_items:
         raise ValueError("cannot have more providers than items")
-    if not (math.isfinite(skew) and skew >= 0):
+    if not (_finite(skew) and skew >= 0):
         raise ValueError("skew must be finite and nonnegative")
     weights = np.arange(1, n_providers + 1, dtype=np.float64) ** (-skew)
     sizes = _apportion(weights, n_items)

@@ -307,7 +307,7 @@ def run_online_reference(dataset, policy, alpha, seed, cfg):
         user = int(state.rng.integers(rel.user_count))
         rl = online_step_rank(policy_cfg, candidate_sets[user], user, state, ledger, catalog, profiles, pm)
         served = true_rel[user].take(state.slots(user, rl.positions))
-        apply_feedback(rl, user, rel, profiles, catalog, state, pm, relevance=served)
+        apply_feedback(rl, user, rel, profiles, catalog, state, pm)
         ideal = ideals[user]
         ndcg_t = 1.0 if ideal == 0.0 else discounted_sum(served.tolist(), probs, cfg.eval_cutoff) / ideal
         cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)

@@ -167,6 +167,20 @@ class TestExpectedGain:
         with pytest.raises(ValueError, match="user 1 does not match the list's user 0"):
             expected_gain(0, RankList((0, 1, 2), 0), 1, cat, ProviderProfile(1, 1, 1), rel, PM3)
 
+    def test_an_item_beyond_the_catalog_raises(self):
+        # numpy's IndexError used to escape from the provider lookup
+        cat = Catalog.from_assignments([0, 1, 0, 1])
+        rel = RelevanceTable(1, [(0, 0, 0.8)])
+        with pytest.raises(ValueError, match="^item id 9 out of range$"):
+            expected_gain(0, RankList((9,), 0), 0, cat, ProviderProfile(1, 1, 1), rel, PM3)
+
+    def test_a_list_longer_than_the_positions_raises(self):
+        # the list used to be cut to the position model's length
+        cat = Catalog.from_assignments([0, 1, 0, 1])
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(4)])
+        with pytest.raises(ValueError, match="^rank list has 4 items, more than the 3 positions$"):
+            expected_gain(0, RankList((0, 1, 2, 3), 0), 0, cat, ProviderProfile(1, 1, 1), rel, PM3)
+
     def test_unlisted_provider_gains_nothing(self):
         cat = Catalog.from_assignments([0, 0, 0, 1])
         rel = RelevanceTable(1, [(0, 0, 1.0)])

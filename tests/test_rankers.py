@@ -334,6 +334,11 @@ class TestDispatch:
         with pytest.raises(ValueError, match="finite"):
             PolicyConfig("EquityRank", alpha=alpha)
 
+    def test_policy_config_rejects_an_int_beyond_every_float_as_not_finite(self):
+        # math.isfinite raised OverflowError for it
+        with pytest.raises(ValueError, match="^alpha must be finite and nonnegative$"):
+            PolicyConfig("EquityRank", 10**400)
+
     @pytest.mark.parametrize("kind", ["TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank"])
     def test_ties_go_to_the_lower_id_whatever_the_candidate_order(self, kind):
         catalog = Catalog.from_assignments([0, 1, 0, 1])

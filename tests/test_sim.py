@@ -115,20 +115,6 @@ class TestOnlineStateSlots:
         assert state.ledger.step_count == 0
         assert not state.exposure.any() and not state.ledger.group_exposure.any()
 
-    def test_relevance_length_mismatch_raises_and_changes_nothing(self):
-        catalog = Catalog.from_assignments([0, 0, 1, 1])
-        profiles = [ProviderProfile(2.0, 10.0, 1.0), ProviderProfile(1.0, 5.0, 1.0)]
-        rel = RelevanceTable(1, [(0, 0, 1.0)])
-        state = fresh_state()
-        rng_before = state.rng.bit_generator.state
-        with pytest.raises(ValueError, match="2 relevances for 3 served items"):
-            apply_feedback(
-                RankList((0, 1, 2), 0), 0, rel, profiles, catalog, state, PM3, relevance=np.array([1.0, 0.5])
-            )
-        assert state.ledger.step_count == 0
-        assert not state.exposure.any() and not state.purchases.any() and not state.ledger.group_exposure.any()
-        assert state.rng.bit_generator.state == rng_before
-
     @pytest.mark.parametrize(
         "sets", [[np.array([0, 1]), np.array([0, 1, 2])], [np.array([0, 0, 1])], [np.array([-1, 2])], [np.array([])]]
     )
@@ -190,30 +176,13 @@ class TestApplyFeedback:
         assert not state.exposure.any() and not state.purchases.any() and not state.ledger.group_exposure.any()
         assert state.rng.bit_generator.state == rng_before
 
-    @pytest.mark.parametrize("relevance", [[math.nan, 0.5, 0.2], [2.5, 0.5, 0.2], [0.3, -1.0, 0.2]])
-    def test_relevance_outside_the_unit_interval_raises_and_changes_nothing(self, relevance):
-        rel = RelevanceTable(1, [])
-        state = fresh_state()
-        rng_before = state.rng.bit_generator.state
-        bad = next(r for r in relevance if not 0.0 <= r <= 1.0)
-        with pytest.raises(ValueError, match=f"relevance {bad} outside \\[0, 1\\]"):
-            apply_feedback(
-                RankList((0, 1, 2), 0), 0, rel, self.profiles, self.catalog, state, PM3, relevance=np.array(relevance)
-            )
-        assert state.ledger.step_count == 0
-        assert not state.ledger.exposure_gain.any() and not state.ledger.purchase_gain.any()
-        assert not state.ledger.group_exposure.any() and not state.gains.any()
-        assert not state.exposure.any() and not state.purchases.any() and (state.estimate == 1.0).all()
-        assert state.rng.bit_generator.state == rng_before
-
-    @pytest.mark.parametrize("relevance", [None, np.array([0.5, 0.5])])
-    def test_an_item_beyond_the_catalog_raises_and_changes_nothing(self, relevance):
+    def test_an_item_beyond_the_catalog_raises_and_changes_nothing(self):
         catalog = Catalog.from_assignments([0, 0, 1, 1])
         rel = RelevanceTable(1, [(0, 0, 0.5)])
         state = fresh_state(candidate_sets=[np.array([0, 1, 99])])
         rng_before = state.rng.bit_generator.state
         with pytest.raises(ValueError, match="item id 99 out of range"):
-            apply_feedback(RankList((99, 0), 0), 0, rel, self.profiles, catalog, state, PM3, relevance=relevance)
+            apply_feedback(RankList((99, 0), 0), 0, rel, self.profiles, catalog, state, PM3)
         assert state.ledger.step_count == 0
         assert not state.ledger.exposure_gain.any() and not state.ledger.purchase_gain.any()
         assert not state.ledger.group_exposure.any() and not state.gains.any()
@@ -296,6 +265,19 @@ class TestExpectedFeedback:
         ledger = GainLedger.empty(2)
         with pytest.raises(ValueError, match="negative"):
             apply_expected_feedback(RankList((-1, 0), 0), 0, rel, profiles, catalog, ledger, PM3)
+        assert ledger.step_count == 0
+        assert not ledger.exposure_gain.any()
+        assert not ledger.purchase_gain.any()
+        assert not ledger.group_exposure.any()
+
+    def test_an_item_beyond_the_catalog_raises_and_changes_nothing(self):
+        # numpy's IndexError used to escape from the provider lookup
+        catalog = Catalog.from_assignments([0, 1, 0, 1])
+        profiles = [ProviderProfile(1.0, 2.0, 1.0), ProviderProfile(0.5, 1.0, 1.0)]
+        rel = RelevanceTable(1, [(0, i, 0.5) for i in range(4)])
+        ledger = GainLedger.empty(2)
+        with pytest.raises(ValueError, match="^item id 9 out of range$"):
+            apply_expected_feedback(RankList((0, 9), 0), 0, rel, profiles, catalog, ledger, PM3)
         assert ledger.step_count == 0
         assert not ledger.exposure_gain.any()
         assert not ledger.purchase_gain.any()
@@ -525,6 +507,31 @@ def test_provider_arrays_are_built_once_per_batch_call_and_plan(mode, policy, ru
     assert len(built) == calls
 
 
+def test_feedback_reads_only_the_served_providers_weights(monkeypatch):
+    # two items a provider, so the list (0, 1, 2, 3, 4) pays providers 0, 0, 1, 1 and 2
+    m, k = 2_000, 5
+    catalog = Catalog.from_assignments(np.repeat(np.arange(m), 2))
+    profiles = [ProviderProfile(1.0 + g, 2.0 + g, 1.0) for g in range(m)]
+    rel = RelevanceTable(1, [(0, i, 0.5) for i in range(10)])
+    pm, served = PositionModel.logarithmic(k), RankList(tuple(range(k)), 0)
+    build, built = core.provider_arrays, []
+
+    def counted(profiles):
+        built.append(len(profiles))
+        return build(profiles)
+
+    monkeypatch.setattr(sim, "provider_arrays", counted)
+    state = fresh_state(m=m, candidate_sets=[np.arange(10)])
+    apply_feedback(served, 0, rel, profiles, catalog, state, pm)
+    ledger = GainLedger.empty(m)
+    apply_expected_feedback(served, 0, rel, profiles, catalog, ledger, pm)
+    assert built == [3, 3]
+    probs = pm.probs.tolist()
+    want = [(probs[0] + probs[1]) * 1.0, (probs[2] + probs[3]) * 2.0, probs[4] * 3.0]
+    assert ledger.exposure_gain[:3].tolist() == state.ledger.exposure_gain[:3].tolist() == want
+    assert not ledger.exposure_gain[3:].any() and not state.ledger.exposure_gain[3:].any()
+
+
 def float32_weight_datasets():
     """Common data whose weights are float32 values: given as np.float32 scalars, and as Python floats."""
     ds = generate_dataset(GeneratorSpec(n_users=60, n_items=120, n_providers=6, seed=3), ScenarioSpec.common())
@@ -742,6 +749,11 @@ class TestSimConfig:
     def test_rejects_nonfinite_or_negative_prefilter_noise(self, noise):
         with pytest.raises(ValueError, match="prefilter_noise"):
             SimConfig(prefilter_noise=noise)
+
+    def test_rejects_an_int_beyond_every_float_as_not_finite_prefilter_noise(self):
+        # math.isfinite raised OverflowError for it
+        with pytest.raises(ValueError, match="^prefilter_noise must be finite and nonnegative$"):
+            SimConfig(prefilter_noise=10**400)
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,13 @@ class TestAssignGroups:
             with pytest.raises(ValueError, match="skew must be finite and nonnegative"):
                 assign_groups(10, 4, skew, np.random.default_rng(8))
 
+    def test_rejects_an_int_beyond_every_float_as_not_finite_skew(self):
+        # math.isfinite raised OverflowError for it
+        with pytest.raises(ValueError, match="^group_size_skew must be finite and nonnegative$"):
+            GeneratorSpec(group_size_skew=10**400)
+        with pytest.raises(ValueError, match="^skew must be finite and nonnegative$"):
+            assign_groups(10, 4, 10**400, np.random.default_rng(8))
+
 
 class TestDatasetRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
