@@ -67,7 +67,8 @@ class Catalog:
     """A partition of items into provider groups, stored once, as ``group_of``.
 
     ``group_of[item]`` is the provider of ``item``, an int64 id in ``[0,
-    provider_count)``, and every provider owns an item. ``item_count``,
+    provider_count)``, and every provider owns an item; the catalog holds a
+    read-only copy of the array it is given. ``item_count``,
     ``group_sizes`` and ``items_of`` (``items_of[g]``: provider g's items
     ascending, built on first read) are derived. Catalogs compare by value.
     """
@@ -83,7 +84,9 @@ class Catalog:
             raise ValueError(f"group_of must hold integer provider ids, got {groups.dtype}")
         if groups.min() < 0 or groups.max() >= m:
             raise ValueError("group_of contains an unknown provider id")
-        object.__setattr__(self, "group_of", groups.astype(np.int64, copy=False))
+        groups = groups.astype(np.int64)  # the catalog's own copy, as RelevanceTable's arrays
+        groups.flags.writeable = False
+        object.__setattr__(self, "group_of", groups)
         empty = np.flatnonzero(self.group_sizes == 0)
         if empty.size:
             raise ValueError(f"provider {empty[0]} owns no items")
@@ -154,24 +157,31 @@ class PositionModel:
     """Examination probabilities for the positions of a length-K rank list.
 
     ``probs[k-1]`` is the probability that a user examines position ``k``;
-    positions beyond ``list_size`` are never examined. The probabilities are
-    precomputed once and reused by every hot loop.
+    positions beyond ``list_size`` are never examined. ``probs`` may be any
+    array-like; the model holds a read-only float64 copy, precomputed once
+    and reused by every hot loop.
     """
 
     list_size: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.list_size < 1:
+        size = _whole_id(self.list_size, "list size")
+        if size < 1:
             raise ValueError("list_size must be positive")
-        if self.probs.shape != (self.list_size,):
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.shape != (size,):
             raise ValueError("need exactly one probability per position")
-        if self.probs[0] != 1.0:
+        if probs[0] != 1.0:
             raise ValueError("the top position must be examined with probability 1")
-        if np.any(self.probs <= 0) or np.any(self.probs > 1):
+        # written so that a NaN, which fails every comparison, fails it too
+        if not ((probs > 0) & (probs <= 1)).all():
             raise ValueError("examination probabilities must lie in (0, 1]")
-        if np.any(np.diff(self.probs) >= 0):
+        if np.any(np.diff(probs) >= 0):
             raise ValueError("examination probabilities must be strictly decreasing")
+        probs.flags.writeable = False
+        object.__setattr__(self, "list_size", size)
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def logarithmic(cls, list_size: int) -> PositionModel:

@@ -21,7 +21,13 @@ and MMF* runs). Ties go by score, then relevance, descending, then id
 ascending: in *greedy order* (relevance descending, then id ascending), the
 first of equal scores. TopK, FairCo* and EquityRank score every entry once
 and take the top K by score and relevance, then position, the same items in
-either order.
+either order. An online run resolves its plan once for all its candidate
+rows (``PolicyPlan.row_ranker``): the policy, the row width against K, the
+top-K selection, and EquityRank's y, v_b and v_e gathered at every row, so
+that a step scores its row by array-by-array operations into buffers
+allocated once, computing minus the scores, which is exact, as the sort
+key. ``score`` gathers the same operands for one row at each call and runs
+the same operations, so the two give the same bits.
 
 ``serve_offline`` serves every offline run (``sim.run_offline_batch``;
 ``allocate_vertical`` and ``offline_rank_user`` serve runs of one), and it
@@ -70,7 +76,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,21 +169,30 @@ def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
     the k-th value of the last key (ties included) before the sort, without
     changing the result.
     """
-    primary = keys[-1]
-    if primary.size >= PARTITION_MIN_CANDIDATES and 4 * k <= primary.size:
-        kth = np.partition(primary, k - 1)[k - 1]
-        keep = np.flatnonzero(primary <= kth)
-        return keep[np.lexsort([key[keep] for key in keys])[:k]]
+    if _partitions(keys[-1].size, k):
+        return _partitioned(keys, k)
     return np.lexsort(keys)[:k]
+
+
+def _partitions(count: int, k: int) -> bool:
+    """Whether ``top_k_order`` narrows ``count`` entries with a partition before it sorts."""
+    return count >= PARTITION_MIN_CANDIDATES and 4 * k <= count
+
+
+def _partitioned(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
+    primary = keys[-1]
+    kth = np.partition(primary, k - 1)[k - 1]
+    keep = np.flatnonzero(primary <= kth)
+    return keep[np.lexsort([key[keep] for key in keys])[:k]]
 
 
 def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
     """Top-``k`` item ids by descending score with deterministic tie-breaking.
 
-    Ties go to the higher relevance, then to the lower id. ``k`` must lie in
-    [1, candidate count].
+    Ties go to the higher relevance, then to the lower id. ``k`` must be a
+    whole number in [1, candidate count].
     """
-    ids = sv.item_ids
+    ids, k = sv.item_ids, _whole_id(k, "list size")
     if k < 1:
         raise ValueError(f"list size {k} must be positive")
     if ids.size < k:
@@ -195,7 +210,10 @@ class PolicyPlan:
     its ``(by_provider, offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
     their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
     probs, heads)`` one list's positions among them, top first; PoorK's and
-    MMF*'s picks pay a gains copy.
+    MMF*'s picks pay a gains copy. ``row_ranker(providers, probs)`` is
+    ``rank`` resolved once for the (users x C) candidate rows of an online
+    run: it returns the run's step ranker, which ranks a user's row from the
+    operands gathered once for all rows, with the same bits.
     """
 
     def __init__(self, policy: PolicyConfig, arrays: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
@@ -231,7 +249,8 @@ class PolicyPlan:
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
         if self.kind == "TopK" or self.alpha == 0.0:
             return rel
-        return self._equity(rel, provider, self.targets[provider], rel * self.vb[provider] + self.ve[provider], gains)
+        # the operands gathered for this one row, as row_ranker gathers them for a run's rows
+        return self._equity_rows(provider[None], 1.0)(0, rel, gains)
 
     def rank(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs, heads=None) -> list[int]:
         """One list's positions among the entries, top first (see the class docstring)."""
@@ -244,11 +263,88 @@ class PolicyPlan:
             # order: both put equal relevance in id order
             scores = self._finite(self.score(rel, provider, gains))
             return top_k_order((-rel, -scores), k).tolist()
-        if heads is None:  # a row: into greedy order and back
-            order = np.argsort(-rel, kind="stable")
-            rel, provider = rel[order], provider[order]
-            return order[self.rank(rel, provider, gains, probs, _provider_heads(provider, self.targets.size))].tolist()
+        if heads is None:
+            return self._pick_row(rel, provider, gains, probs)
         return self._pick_heads(rel, provider, *heads, gains.copy(), probs)
+
+    def row_ranker(self, providers: np.ndarray, probs) -> Callable[[int, np.ndarray, np.ndarray], list[int]]:
+        """This plan resolved once for a run's candidate rows: ``providers`` is a
+        (users x C) array, each user's row of providers in slot order.
+
+        Returns ``rank_row(user, rel, gains)``: ``rank(rel, providers[user],
+        gains, probs)``, the same positions and the same ``ValueError``s, for a
+        row ``rel`` of C float64 relevances. Resolved here, once: the policy,
+        the check that a row holds at least K entries, whether the top-K
+        selection partitions (``top_k_order``), and for EquityRank the
+        gradient's operands, y, v_b and v_e gathered at every row's providers.
+        A call checks only that its scores are finite. TopK, FairCo* and
+        EquityRank compute minus the scores into buffers allocated here, as
+        ``score`` computes the scores; PoorK and MMF* take ``rank``'s row path.
+        """
+        k, width = len(probs), providers.shape[1]
+        if width < k:
+            raise ValueError(f"need at least {k} candidates, got {width}")
+        if self.kind in ("PoorK", "MMFStar"):
+            pick_row, rows = self._pick_row, list(providers)
+            return lambda user, rel, gains: pick_row(rel, rows[user], gains, probs)
+        out, neg_rel, zeros = np.empty(width), np.empty(width), np.zeros(width)
+        negative, lexsort, partition = np.negative, np.lexsort, _partitions(width, k)
+        if self.kind == "FairCoStar":  # at alpha 0 too, as score: 0 times an overflowing ratio fails
+            score, rows = self.score, list(providers)
+            negated = lambda user, rel, gains: negative(score(rel, rows[user], gains), out=out)  # noqa: E731
+        elif self.kind == "TopK" or self.alpha == 0.0:
+            negated = lambda user, rel, gains: negative(rel, out=out)  # noqa: E731
+        else:
+            negated = self._equity_rows(providers, -1.0)
+
+        def rank_row(user: int, rel: np.ndarray, gains: np.ndarray) -> list[int]:
+            # rank's keys, (-rel, -scores), and its finite check, as _check's
+            key = negated(user, rel, gains)
+            if key.dot(zeros) != 0.0:
+                raise _not_finite()
+            keys = negative(rel, out=neg_rel), key
+            return (_partitioned(keys, k) if partition else lexsort(keys)[:k]).tolist()
+
+        return rank_row
+
+    def _equity_rows(self, providers: np.ndarray, sign: float) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+        """``scores(user, rel, gains)``: ``sign`` (+1 or -1) times the EquityRank
+        scores of the entries with relevance ``rel`` and providers ``providers[user]``,
+        a row of the (rows x C) ``providers``, in a buffer that the next call
+        overwrites. y, v_b and v_e are gathered here at every row's providers,
+        y . y, 4 / (m (m-1)) and sign alpha held as C-long rows, so that each
+        elementwise operation of a call takes two arrays."""
+        width, multiply, add, subtract = providers.shape[1], np.multiply, np.add, np.subtract
+        y, rows = self.targets, list(providers)
+        target, vb, ve = (list(a[providers]) for a in (y, self.vb, self.ve))
+        target_sq, scale, alpha, b, own, weight = buffers = np.empty((6, width))
+        buffers[:3].T[:] = self._target_sq, self._scale, sign * self.alpha
+        last = add if sign > 0.0 else subtract
+
+        def scores(user: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+            # rel + alpha b w with the item weight w = v_e + rel v_b and the
+            # fairness gradient b = scale (y G.y - G |y|^2) at the row's
+            # providers: metrics.fairness_gradient's elementwise operations, so
+            # its bits. Round to nearest is symmetric under negation, so sign
+            # -1, taken in with alpha, gives minus those scores exactly
+            multiply(target[user], gains.dot(y), out=b)
+            multiply(gains[rows[user]], target_sq, out=own)
+            subtract(b, own, out=b)
+            multiply(b, scale, out=b)
+            multiply(b, alpha, out=b)
+            multiply(rel, vb[user], out=weight)
+            add(weight, ve[user], out=weight)
+            multiply(b, weight, out=b)
+            return last(b, rel, out=b)
+
+        return scores
+
+    def _pick_row(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs) -> list[int]:
+        """PoorK's or MMF*'s list from a row in slot order: into greedy order and back."""
+        order = np.argsort(-rel, kind="stable")
+        rel, provider = rel[order], provider[order]
+        heads = _provider_heads(provider, self.targets.size)
+        return order[self._pick_heads(rel, provider, *heads, gains.copy(), probs)].tolist()
 
     def _finite(self, scores: np.ndarray) -> np.ndarray:
         if self._check(scores) != 0.0:
@@ -264,28 +360,19 @@ class PolicyPlan:
             self._zeros = np.zeros(size)
         return scores.dot(self._zeros[:size])
 
-    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray, alpha=None) -> np.ndarray:
-        # rel + alpha b w with the item weight w = v_e + rel v_b and the
-        # fairness gradient b = scale (y G.y - G |y|^2) at the scored providers:
-        # metrics.fairness_gradient's elementwise operations, so its bits
-        if rel.ndim == 1:
-            b = target * gains.dot(self.targets)
-            b -= gains[provider] * self._target_sq
-            b *= self._scale
-            b *= self.alpha
-        else:
-            # (R x L) rows of lockstep runs, with the runs' (R x m) gains, an
-            # alpha column, every provider's ``target`` and ``provider`` as
-            # flat indices into the gains: alpha b for each (run, provider)
-            # first, by the same operations on the same operands, then read
-            # at the entries. vecdot takes each run's G.y by the row dot's
-            # own kernel (tests/test_lockstep.py pins it), where a matrix
-            # product or einsum rounds some rows differently
-            b = target * np.vecdot(gains, self.targets)[:, None]
-            b -= gains * self._target_sq
-            b *= self._scale
-            b *= alpha
-            b = b.take(provider)
+    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray, alpha) -> np.ndarray:
+        # _equity_rows' scores of (R x L) rows of lockstep runs, with the runs'
+        # (R x m) gains, an alpha column, every provider's ``target`` and
+        # ``provider`` as flat indices into the gains: alpha b for each (run,
+        # provider) first, by the same operations on the same operands, then
+        # read at the entries. vecdot takes each run's G.y by the row dot's
+        # own kernel (tests/test_lockstep.py pins it), where a matrix product
+        # or einsum rounds some rows differently
+        b = target * np.vecdot(gains, self.targets)[:, None]
+        b -= gains * self._target_sq
+        b *= self._scale
+        b *= alpha
+        b = b.take(provider)
         b *= weight
         b += rel
         return b

@@ -13,9 +13,12 @@ rank, pay and report from those arrays. An offline run is served by
 field, with their provider heads. An online run builds its ``PolicyPlan``,
 position model and ideal DCGs before any draw, then fixes each user's
 prefiltered candidate set in an ``OnlineState``, plain data holding only what
-feedback writes. Each step of the run's loop (estimate -> score -> top-K ->
-feedback -> DCG) gives the plan the user's candidate row in slot order (ids
-ascending), with the estimates and raw gains the state keeps current. The
+feedback writes, and resolves the plan once for those candidate rows
+(``PolicyPlan.row_ranker``): the policy, the row width against K, the top-K
+selection, and EquityRank's gradient operands gathered at every row. Each
+step of the run's loop (estimate -> score -> top-K -> feedback -> DCG) gives
+that step ranker the user's candidate row in slot order (ids ascending),
+with the estimates and raw gains the state keeps current. The
 id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
 ``metrics.andcg`` are the checked boundary; no run goes through them.
 ``RankList.items_for`` checks each served list, and the two feedback calls
@@ -61,7 +64,6 @@ from .metrics import (
     GainLedger,
     RunResult,
     _alignment,
-    cndcg_update,
     discounted_sum,
     ideal_dcg,
     ndcg_from,
@@ -636,10 +638,14 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
 def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, arrays: tuple) -> tuple[RunResult, OnlineTrace]:
     """One run of ``run_online_batch``, given the ``provider_arrays`` its plan and feedback read.
 
-    Its wall time starts before its plan, the run's one policy check. A step
-    ranks the user's candidate row, in slot order, with the plan from the
-    state's estimate row and raw gains, serves the list with sampled
-    feedback (``_feedback``), and takes its DCG at the cutoff.
+    Its wall time starts before its plan, the run's one policy check. The
+    plan is resolved once for the run's candidate rows
+    (``PolicyPlan.row_ranker``), the only check a step repeats being that
+    its scores are finite. A step ranks the user's candidate row, in slot
+    order, with that step ranker from the state's estimate row and raw
+    gains, serves the list with sampled feedback (``_feedback``), takes its
+    DCG at the cutoff and adds it to cNDCG by ``cndcg_update``'s recurrence,
+    whose gamma ``SimConfig`` has checked.
     """
     start = time.perf_counter()
     rel, plan = dataset.relevance, PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), arrays)
@@ -655,19 +661,21 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, a
     true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
     providers = dataset.catalog.group_of[candidate_sets]
     truth, views = (_flat_view(true_rel), _flat_view(providers)), _feedback_views(state)
+    # the plan resolved once for these rows; each step hands it a view of the user's estimate row
+    rank_row, estimates = plan.row_ranker(providers, probs), list(estimate)
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 
-    cndcg = 0.0
-    blocks = step_draws(state.rng, rel.user_count, cfg.list_size, cfg.total_steps)
+    cndcg, gamma, every, steps = 0.0, cfg.gamma, cfg.checkpoint_every, cfg.total_steps
+    blocks = step_draws(state.rng, rel.user_count, cfg.list_size, steps)
     for t, (user, draws) in enumerate(chain.from_iterable(zip(*block) for block in blocks), 1):
-        slots = plan.rank(estimate[user], providers[user], gains, probs)
+        slots = rank_row(user, estimates[user], gains)
         served, _ = _feedback(state, views, user, slots, truth, weights, probs, draws)
         ndcg_t = ndcg_from(discounted_sum(served, probs, cutoff), ideal_dcgs[user])
-        cndcg = cndcg_update(cndcg, ndcg_t, cfg.gamma)
+        cndcg = gamma * cndcg + ndcg_t  # cndcg_update's recurrence; SimConfig has checked gamma
         if ndcg_series is not None:
             ndcg_series[t - 1] = ndcg_t
-        if t % cfg.checkpoint_every == 0 or t == cfg.total_steps:
+        if t % every == 0 or t == steps:
             trace.checkpoints.append((t, cndcg, unfairness(ledger.averaged_gains(), plan.targets)))
 
     wall = time.perf_counter() - start

@@ -54,6 +54,32 @@ class TestPositionModel:
         with pytest.raises(ValueError):
             PositionModel(list_size=2, probs=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("probs", [[1.0, 0.6, np.nan], [1.0, np.nan, 0.5], [np.nan, 0.6, 0.5]])
+    def test_rejects_nan(self, probs):
+        # every comparison with NaN is false, so each check is written to fail on it
+        with pytest.raises(ValueError):
+            PositionModel(3, np.array(probs))
+
+    def test_takes_any_array_like(self):
+        pm = PositionModel(3, [1.0, 0.6, 0.5])
+        assert pm.probs.dtype == np.float64 and pm.probs.tolist() == [1.0, 0.6, 0.5]
+        assert PositionModel(2, (1, 0.5)).probs.tolist() == [1.0, 0.5]
+
+    def test_names_a_list_size_that_is_not_a_whole_number(self):
+        with pytest.raises(ValueError, match="list size 2.5 is not a whole number"):
+            PositionModel(2.5, [1.0, 0.5])
+        pm = PositionModel(2.0, [1.0, 0.5])
+        assert pm.list_size == 2 and type(pm.list_size) is int
+
+    def test_holds_a_read_only_copy(self):
+        given = np.array([1.0, 0.6, 0.5])
+        pm = PositionModel(3, given)
+        given[1] = 7.0
+        assert pm.probs.tolist() == [1.0, 0.6, 0.5]
+        with pytest.raises(ValueError):
+            pm.probs[1] = 0.7
+        assert not PositionModel.logarithmic(4).probs.flags.writeable
+
 
 class TestCatalog:
     def test_partition_roundtrip_random(self):
@@ -110,6 +136,15 @@ class TestCatalog:
             Catalog([0.0, 1.0], 2)
         with pytest.raises(ValueError, match="nonempty 1-d"):
             Catalog([], 1)
+
+    def test_holds_a_read_only_copy(self):
+        given = np.array([0, 1, 1, 0])
+        catalog = Catalog(given, 2)
+        given[0] = 5
+        assert catalog.group_of.tolist() == [0, 1, 1, 0]
+        assert catalog.group_sizes.tolist() == [2, 2]
+        with pytest.raises(ValueError):
+            catalog.group_of[0] = 1
 
     def test_items_of_is_built_only_when_read(self):
         dataset = generate_dataset(GeneratorSpec(n_users=6, n_items=20, n_providers=4), ScenarioSpec.common())

@@ -142,7 +142,7 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
     got = plan._equity(rel, flat, plan.targets, weight, gains, alpha[:, None])
     for r in range(runs):
         alone = PolicyPlan(PolicyConfig("EquityRank", float(alpha[r])), provider_arrays(profiles))
-        want = alone._equity(rel[r], provider[r], plan.targets[provider[r]], weight[r], gains[r].copy())
+        want = alone.score(rel[r], provider[r], gains[r].copy())
         assert got[r].tobytes() == want.tobytes()
 
 

@@ -115,6 +115,14 @@ class TestRankByScores:
         with pytest.raises(ValueError, match="must be positive"):
             rank_by_scores(sv, k)
 
+    def test_list_size_must_be_a_whole_number(self):
+        # read as SimConfig reads list_size: 2.0 is 2, 2.5 names itself
+        sv = ScoreVector(np.array([0, 1, 2]), np.array([3.0, 1.0, 2.0]), np.zeros(3))
+        np.testing.assert_array_equal(rank_by_scores(sv, 2.0), [0, 2])
+        np.testing.assert_array_equal(rank_by_scores(sv, np.int32(2)), [0, 2])
+        with pytest.raises(ValueError, match="list size 2.5 is not a whole number"):
+            rank_by_scores(sv, 2.5)
+
     def test_rejects_nonfinite_scores(self):
         with pytest.raises(ValueError):
             ScoreVector(np.array([0, 1]), np.array([1.0, np.nan]), np.zeros(2))

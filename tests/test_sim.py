@@ -661,6 +661,34 @@ class TestRunOnline:
             run_online(ds, policy, 0.01, 3, SimConfig(list_size=3, total_steps=steps, mode="online"))
             assert sorted(calls) == list(range(ds.relevance.user_count))
 
+    def test_provider_weights_are_gathered_at_the_rows_once_per_run_not_per_step(self, monkeypatch):
+        # EquityRank's gradient reads y, v_b and v_e at each candidate's
+        # provider: the run gathers them at every user's row once, and a step
+        # reads the gathered rows
+        gathers = []
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and getattr(self, "weight", None):
+                    gathers.append((self.weight, key.shape))
+                return super().__getitem__(key)
+
+        def counted_arrays(profiles):
+            arrays = tuple(a.view(Counted) for a in core.provider_arrays(profiles))
+            for a, name in zip(arrays, ("ve", "vb", "y")):
+                a.weight = name
+            return arrays
+
+        monkeypatch.setattr(sim, "provider_arrays", counted_arrays)
+        ds = online_micro_dataset()  # 2 users, each with all 5 items as candidates
+        runs = []
+        for steps in (10, 300):
+            gathers.clear()
+            run_online(ds, "EquityRank", 0.01, 3, SimConfig(list_size=3, total_steps=steps, mode="online"))
+            assert sorted(at for at in gathers if at[1] == (2, 5)) == [("vb", (2, 5)), ("ve", (2, 5)), ("y", (2, 5))]
+            runs.append(sorted(gathers))
+        assert runs[0] == runs[1]  # and nothing else of the weights is gathered per step
+
     def test_cndcg_checkpoints_monotone_when_undiscounted(self):
         ds = online_micro_dataset()
         cfg = SimConfig(list_size=3, total_steps=300, gamma=1.0, mode="online", checkpoint_every=50)
