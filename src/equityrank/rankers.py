@@ -249,8 +249,9 @@ class PolicyPlan:
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
         if self.kind == "TopK" or self.alpha == 0.0:
             return rel
-        # the operands gathered for this one row, as row_ranker gathers them for a run's rows
-        return self._equity_rows(provider[None], 1.0)(0, rel, gains)
+        # the operands of this one row, as row_ranker gathers them for a run's rows
+        y, operands = self.targets, (provider, self.targets[provider], self.vb[provider], self.ve[provider])
+        return _equity_row(rel, gains, y, operands, (self._target_sq, self._scale, self.alpha), np.empty((3, rel.size)), np.add)
 
     def rank(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs, heads=None) -> list[int]:
         """One list's positions among the entries, top first (see the class docstring)."""
@@ -295,7 +296,15 @@ class PolicyPlan:
         elif self.kind == "TopK" or self.alpha == 0.0:
             negated = lambda user, rel, gains: negative(rel, out=out)  # noqa: E731
         else:
-            negated = self._equity_rows(providers, -1.0)
+            # y, v_b and v_e gathered at every row's providers, and y . y, 4 / (m (m-1))
+            # and minus alpha held as C-long rows, so that each elementwise
+            # operation of a call takes two arrays
+            y, rows = self.targets, list(providers)
+            operands = list(zip(rows, *(list(a[providers]) for a in (y, self.vb, self.ve))))
+            buffers = np.empty((6, width))
+            buffers[:3].T[:] = self._target_sq, self._scale, -self.alpha
+            consts, scratch, subtract = tuple(buffers[:3]), tuple(buffers[3:]), np.subtract
+            negated = lambda user, rel, gains: _equity_row(rel, gains, y, operands[user], consts, scratch, subtract)  # noqa: E731
 
         def rank_row(user: int, rel: np.ndarray, gains: np.ndarray) -> list[int]:
             # rank's keys, (-rel, -scores), and its finite check, as _check's
@@ -306,38 +315,6 @@ class PolicyPlan:
             return (_partitioned(keys, k) if partition else lexsort(keys)[:k]).tolist()
 
         return rank_row
-
-    def _equity_rows(self, providers: np.ndarray, sign: float) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
-        """``scores(user, rel, gains)``: ``sign`` (+1 or -1) times the EquityRank
-        scores of the entries with relevance ``rel`` and providers ``providers[user]``,
-        a row of the (rows x C) ``providers``, in a buffer that the next call
-        overwrites. y, v_b and v_e are gathered here at every row's providers,
-        y . y, 4 / (m (m-1)) and sign alpha held as C-long rows, so that each
-        elementwise operation of a call takes two arrays."""
-        width, multiply, add, subtract = providers.shape[1], np.multiply, np.add, np.subtract
-        y, rows = self.targets, list(providers)
-        target, vb, ve = (list(a[providers]) for a in (y, self.vb, self.ve))
-        target_sq, scale, alpha, b, own, weight = buffers = np.empty((6, width))
-        buffers[:3].T[:] = self._target_sq, self._scale, sign * self.alpha
-        last = add if sign > 0.0 else subtract
-
-        def scores(user: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
-            # rel + alpha b w with the item weight w = v_e + rel v_b and the
-            # fairness gradient b = scale (y G.y - G |y|^2) at the row's
-            # providers: metrics.fairness_gradient's elementwise operations, so
-            # its bits. Round to nearest is symmetric under negation, so sign
-            # -1, taken in with alpha, gives minus those scores exactly
-            multiply(target[user], gains.dot(y), out=b)
-            multiply(gains[rows[user]], target_sq, out=own)
-            subtract(b, own, out=b)
-            multiply(b, scale, out=b)
-            multiply(b, alpha, out=b)
-            multiply(rel, vb[user], out=weight)
-            add(weight, ve[user], out=weight)
-            multiply(b, weight, out=b)
-            return last(b, rel, out=b)
-
-        return scores
 
     def _pick_row(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs) -> list[int]:
         """PoorK's or MMF*'s list from a row in slot order: into greedy order and back."""
@@ -361,7 +338,7 @@ class PolicyPlan:
         return scores.dot(self._zeros[:size])
 
     def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray, alpha) -> np.ndarray:
-        # _equity_rows' scores of (R x L) rows of lockstep runs, with the runs'
+        # _equity_row's scores of (R x L) rows of lockstep runs, with the runs'
         # (R x m) gains, an alpha column, every provider's ``target`` and
         # ``provider`` as flat indices into the gains: alpha b for each (run,
         # provider) first, by the same operations on the same operands, then
@@ -409,6 +386,34 @@ class PolicyPlan:
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
+
+
+def _equity_row(rel: np.ndarray, gains: np.ndarray, y: np.ndarray, operands, consts, out, last) -> np.ndarray:
+    """``last`` (``np.add``, or ``np.subtract`` with alpha negated) of alpha b w
+    and ``rel``: the EquityRank scores, or minus them, of one row of entries
+    with relevance ``rel``, in ``out[0]``.
+
+    ``operands`` are the row's providers and their y, v_b and v_e, ``consts``
+    y . y, 4 / (m (m-1)) and alpha, as floats or rows, and ``out`` three
+    buffers of the row's width. The item weight is w = v_e + rel v_b and the
+    fairness gradient b = scale (y G.y - G |y|^2) at the row's providers:
+    metrics.fairness_gradient's elementwise operations, so its bits. Round to
+    nearest is symmetric under negation, so a negated alpha gives minus the
+    scores exactly.
+    """
+    own, target, vb, ve = operands
+    target_sq, scale, alpha = consts
+    b, scaled, weight = out
+    multiply, subtract = np.multiply, np.subtract
+    multiply(target, gains.dot(y), out=b)
+    multiply(gains[own], target_sq, out=scaled)
+    subtract(b, scaled, out=b)
+    multiply(b, scale, out=b)
+    multiply(b, alpha, out=b)
+    multiply(rel, vb, out=weight)
+    np.add(weight, ve, out=weight)
+    multiply(b, weight, out=b)
+    return last(b, rel, out=b)
 
 
 def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm) -> RankList:

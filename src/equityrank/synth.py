@@ -18,15 +18,20 @@ Datasets round-trip through a three-file CSV directory::
 
 External ids may be arbitrary strings; they are mapped to dense 0-based ids
 in file order and kept in a side lookup for reporting. Loading streams
-relevance.csv: it keeps each row's (user, item, value) in one float64 array
-and its row number in an int array, so it holds the id maps and about 32
-bytes a row, never the rows' text.
+relevance.csv a block at a time: it keeps each row's (user, item, value) in
+one float64 array and its row number in an int array, so it holds the id
+maps, about 32 bytes a row and one block's text.
 
 Every table the package writes or reads, these three and the CLI's sweep,
 run and report tables, goes through ``_write_rows`` and ``_iter_rows`` (or
-``_read_rows``, its list form): UTF-8 CSV, fields quoted only where needed,
-floats written by ``metrics.format_float`` with 17 significant digits so
-save -> load reproduces every value bit for bit.
+``_read_rows``, its list form; ``load_dataset`` reads relevance.csv by
+``_iter_blocks``): UTF-8 CSV, fields quoted only where needed, floats
+written by ``metrics.format_float`` with 17 significant digits so save ->
+load reproduces every value bit for bit. Both work ``BLOCK_ROWS`` rows at a
+time. A block written is one %-template over its values; a block of lines
+read holds each line's fields, column by column, split at its commas unless
+it holds a quote, a carriage return or a NUL, from where ``csv.reader``
+reads the rest of the file.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import astuple, dataclass, field
-from itertools import islice
+from itertools import chain, count, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -257,6 +262,8 @@ RELEVANCE_FILE = "relevance.csv"
 CATALOG_HEADER = ("item_id", "provider_id")
 PROVIDERS_HEADER = ("provider_id", "v_e", "v_b", "y")
 RELEVANCE_HEADER = ("user_id", "item_id", "relevance")
+# tables are written, and read, this many rows (lines, on reading) at a time
+BLOCK_ROWS = 1024
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -281,46 +288,140 @@ def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> 
     """Write ``header`` and then each row as one CSV table; ``_read_rows``
     reads it back.
 
-    A float is written by ``format_float`` (17 significant digits, so it
-    reads back bit for bit) and any other value by ``str``. A field is
-    quoted only where CSV needs it: a comma, a quote or a line break.
+    A value is written as ``_field_text`` gives it: a float by
+    ``format_float`` (17 significant digits, so it reads back bit for bit).
+    A field is quoted only where CSV needs it (``_quoted``), and a row of one
+    empty field as ``""``, so that it is not read back as a blank line. The
+    rows are written ``BLOCK_ROWS`` at a time, each block's text made by one
+    %-template over its values.
     """
     rows = iter(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # A block of rows at a time, by column: a column without floats takes
-        # no per-value test, and a whole relevance table of rows is never alive.
-        while block := list(islice(rows, 512)):
-            writer.writerows(zip(*map(_column_text, zip(*block))))
+        fh.write(_block_text([header]))
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write(_block_text(block))
 
 
-def _column_text(column: tuple) -> Sequence:
-    if any(issubclass(kind, float) for kind in set(map(type, column))):
-        return [format_float(value) if isinstance(value, float) else str(value) for value in column]
-    return column  # the CSV writer writes a value that is not a string as str gives it
+def _block_text(block: list[Sequence]) -> str:
+    """The CSV text of a block of rows, each ended by a newline: a column of
+    ints alone takes ``%d`` and one of floats alone ``%.17g``; any other
+    column is made text first, value by value unless it is all strings."""
+    columns, templates = list(zip(*block)), []
+    for j, column in enumerate(columns):
+        kinds = set(map(type, column))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is int or kind is float:
+            templates.append("%d" if kind is int else "%.17g")
+            continue
+        text = column if kind is str else list(map(_field_text, column))
+        if any(mark in "".join(text) for mark in _QUOTED_MARKS):
+            text = list(map(_quoted, text))
+        if len(columns) == 1:
+            text = [field or '""' for field in text]
+        columns[j] = text
+        templates.append("%s")
+    line = ",".join(templates) + "\n"
+    return (line * len(block)) % tuple(chain.from_iterable(zip(*columns)))
+
+
+# a field holding one of these is quoted
+_QUOTED_MARKS = (",", '"', "\r", "\n")
+
+
+def _field_text(value) -> str:
+    """A value's text in a table: a float's by ``format_float``, ``None``'s
+    empty and any other value's by ``str``."""
+    if isinstance(value, float):
+        return format_float(value)
+    return "" if value is None else str(value)
+
+
+def _quoted(text: str) -> str:
+    """A field's text in CSV: in double quotes, its quotes doubled, if it holds
+    a comma, a quote, a carriage return or a newline."""
+    if any(mark in text for mark in _QUOTED_MARKS):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _iter_rows(path: Path, expected_header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """Each nonblank row of the CSV table at ``path`` after its header, with
-    its 1-based row number, as it is read; a missing file, an empty one, a
-    wrong header or a row of the wrong width is a ``DatasetError``."""
+    its 1-based row number, as it is read (``_iter_blocks``)."""
+    for numbers, columns in _iter_blocks(path, expected_header):
+        yield from zip(numbers.tolist(), map(list, zip(*columns)))
+
+
+def _iter_blocks(path: Path, expected_header: Sequence[str]) -> Iterator[tuple[np.ndarray, list[Sequence[str]]]]:
+    """The CSV table at ``path`` after its header, ``BLOCK_ROWS`` lines at a
+    time: each block's nonblank rows, as an int64 array of their 1-based row
+    numbers and their fields column by column. A missing file, an empty one,
+    a wrong header or a row of the wrong width is a ``DatasetError``, raised
+    once the rows above the row of the wrong width are given.
+
+    The rows are ``csv.reader``'s. A block of lines without a quote, a
+    carriage return, a NUL (which ``csv.reader`` refuses before Python 3.11)
+    or a line longer than ``csv.field_size_limit()`` holds one row a line,
+    split at its commas. From the first block with one, ``csv.reader`` reads
+    the rest of the file, since a quoted field can span lines.
+    """
     if not path.is_file():
         raise DatasetError(f"missing file {path}")
+    width = len(expected_header)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))  # reads the header's lines alone
         except StopIteration:
             raise DatasetError(f"{path.name} is empty") from None
         if header != list(expected_header):
             raise DatasetError(f"{path.name} row 1: expected header {','.join(expected_header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise DatasetError(f"{path.name} row {lineno}: expected {len(expected_header)} columns")
-            yield lineno, row
+        lineno = 2
+        while lines := list(islice(fh, BLOCK_ROWS)):
+            block = _split_lines(lines, lineno, width)
+            if block is None:
+                records = enumerate(csv.reader(chain(lines, fh)), start=lineno)
+                while kept := [(n, row) for n, row in islice(records, BLOCK_ROWS) if row]:
+                    numbers, rows = np.array([n for n, _ in kept], dtype=np.int64), [row for _, row in kept]
+                    size = _count_before(list(map(len, rows)), width)
+                    yield from _up_to_wrong_width(path, width, numbers, size, list(zip(*rows[:size])))
+                return
+            lineno += len(lines)
+            del lines  # the block's text is held once, as its fields, while they are read
+            yield from _up_to_wrong_width(path, width, *block)
+
+
+def _split_lines(lines: list[str], lineno: int, width: int) -> tuple[np.ndarray, int, list[list[str]]] | None:
+    """A block of ``lines``, the first at row ``lineno``, as ``csv.reader`` reads
+    them, if none holds a quote, a carriage return, a NUL or more characters
+    than ``csv.field_size_limit()``, and ``None`` otherwise: each nonblank
+    line is a row, split at its commas. Gives the rows' numbers, how many
+    come before the first of the wrong width, and those rows' fields by column.
+    """
+    text, limit = "".join(lines), csv.field_size_limit()
+    if '"' in text or "\r" in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    numbers = np.arange(lineno, lineno + len(lines))
+    if text.startswith("\n") or "\n\n" in text:  # blank lines, which hold no row
+        numbers = numbers[list(map("\n".__ne__, lines))]
+        lines = list(filter("\n".__ne__, lines))
+        text = "".join(lines)
+    size = _count_before(list(map(str.count, lines, repeat(","))), width - 1)
+    fields = text.replace("\n", ",").split(",")
+    return numbers, size, [fields[j : size * width : width] for j in range(width)]
+
+
+def _count_before(counts: list[int], expected: int) -> int:
+    """How many of ``counts`` come before the first that is not ``expected``."""
+    if counts.count(expected) == len(counts):
+        return len(counts)
+    return next(i for i, n in enumerate(counts) if n != expected)
+
+
+def _up_to_wrong_width(path: Path, width: int, numbers: np.ndarray, size: int, columns: list[Sequence[str]]):
+    """A block's first ``size`` rows, by column, then the error of its row ``size``, if it has one."""
+    if size:
+        yield numbers[:size], columns
+    if size < numbers.size:
+        raise DatasetError(f"{path.name} row {numbers[size]}: expected {width} columns")
 
 
 def _read_rows(path: Path, expected_header: Sequence[str]) -> list[tuple[int, list[str]]]:
@@ -347,6 +448,24 @@ def _relevance_value(item: str, text: str, item_ids: dict[str, int], lineno: int
     if value > 1 and strict:
         raise DatasetError(f"{RELEVANCE_FILE} row {lineno}: relevance {value} exceeds 1 (strict mode)")
     return value
+
+
+def _relevance_block(
+    numbers: np.ndarray, items: Sequence[str], texts: Sequence[str], item_ids: dict[str, int], strict: bool
+) -> tuple[list[int], np.ndarray]:
+    """A block of relevance.csv rows' dense item ids and values, once every
+    row passes ``_relevance_value``'s checks: checked over the whole block,
+    then, if one fails, row by row, so that its first failing row is cited."""
+    try:
+        item_col = list(map(item_ids.__getitem__, items))
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
+    except (KeyError, ValueError):
+        pass
+    else:
+        if np.isfinite(values).all() and not (values < 0).any() and not (strict and (values > 1).any()):
+            return item_col, values
+    values = [_relevance_value(item, text, item_ids, n, strict) for item, text, n in zip(items, texts, numbers.tolist())]
+    return list(map(item_ids.__getitem__, items)), np.array(values)
 
 
 def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
@@ -385,21 +504,27 @@ def load_dataset(directory: str | Path, strict: bool = False) -> Dataset:
         group_assignments.append(provider_ids[provider])
 
     user_ids: dict[str, int] = {}
-    # the rows stream in: each row's (user, item, value) goes into one flat
-    # float64 array, the table's (nnz, 3) input, and its row number into an
-    # int array; no row's text outlives its checks
+    # the rows stream in a block at a time: each row's (user, item, value)
+    # goes into one flat float64 array, the table's (nnz, 3) input, and its
+    # row number into an int array, 32 bytes a row; no block's text
+    # outlives its checks
     flat, linenos = array("d"), array("q")
-    rows = _iter_rows(directory / RELEVANCE_FILE, RELEVANCE_HEADER)
-    for lineno, (user, item, value_text) in rows:
+    blocks = _iter_blocks(directory / RELEVANCE_FILE, RELEVANCE_HEADER)
+    for numbers, (users, items, texts) in blocks:
         try:
-            value = _relevance_value(item, value_text, item_ids, lineno, strict)
+            dense_items, values = _relevance_block(numbers, items, texts, item_ids, strict)
         except DatasetError:
             # a row of the wrong width further down is the error to report,
             # as when every row was read before any was checked
-            deque(rows, maxlen=0)
+            deque(blocks, maxlen=0)
             raise
-        flat.extend((user_ids.setdefault(user, len(user_ids)), item_ids[item], value))
-        linenos.append(lineno)
+        # each user new to the file takes the next dense id, in file order
+        user_ids.update(zip(filterfalse(user_ids.__contains__, dict.fromkeys(users)), count(len(user_ids))))
+        rows = np.empty((len(users), 3))
+        rows[:, 0] = array("q", list(map(user_ids.__getitem__, users)))
+        rows[:, 1], rows[:, 2] = array("q", dense_items), values
+        flat.frombytes(rows.tobytes())
+        linenos.frombytes(numbers.tobytes())
     if not user_ids:
         raise DatasetError(f"{RELEVANCE_FILE}: contains no relevance rows")
     labels = DatasetLabels(users=tuple(user_ids), items=tuple(item_ids), providers=tuple(provider_ids))

@@ -19,10 +19,14 @@ over the whole catalog, through the checked id-level functions and
 ``reference_fill``, that ranking from offline fields replaced.
 ``observed_offline_run`` runs ``sim.run_offline`` and shows what it
 served, wherever its engine made the lists. ``tied_datasets`` draws the
-small, tie-heavy datasets these are compared on."""
+small, tie-heavy datasets these are compared on. ``reference_table_text``
+and ``reference_table_rows`` are the row-by-row ``csv`` module writer and
+reader that ``synth``'s block-at-a-time table I/O replaced."""
 
 import pytest
 
+import csv
+import io
 import math
 from collections import deque
 
@@ -46,7 +50,7 @@ from equityrank import (
     rankers,
     sim,
 )
-from equityrank.metrics import cndcg_update, discounted_sum, unfairness
+from equityrank.metrics import cndcg_update, discounted_sum, format_float, unfairness
 from equityrank.rankers import OfflineField, PolicyPlan
 
 
@@ -450,3 +454,24 @@ def tied_datasets(draw):
         profiles = [ProviderProfile(*(float(x) for x in rng.uniform(0.2, 3.0, 3))) for _ in range(m)]
     dataset = Dataset(Catalog.from_assignments(groups, m), tuple(profiles), RelevanceTable(n_users, entries))
     return dataset, k
+
+
+def reference_table_text(header, rows) -> str:
+    """A table's text as ``csv.writer`` writes it row by row, each float
+    formatted by ``format_float``. Its line terminator is "\\r\\n", so that it
+    quotes a field holding a carriage return as well as one holding a
+    newline; each row then ends in "\\n" alone."""
+    out = io.StringIO()
+    writer, lines = csv.writer(out, lineterminator="\r\n"), []
+    for row in [header, *rows]:
+        writer.writerow([format_float(value) if isinstance(value, float) else value for value in row])
+        lines.append(out.getvalue()[:-2] + "\n")
+        out.seek(0)
+        out.truncate()
+    return "".join(lines)
+
+
+def reference_table_rows(path) -> list[tuple[int, list[str]]]:
+    """Every nonblank record of a CSV file after its header, by ``csv.reader``, with its 1-based record number."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [(n, row) for n, row in enumerate(csv.reader(fh), start=1) if row and n > 1]

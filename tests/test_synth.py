@@ -1,6 +1,8 @@
 """Synthetic generation: scenario sampling, latent relevance, dataset I/O."""
 
+import csv
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,9 +22,10 @@ from equityrank import (
     sample_profiles,
     save_dataset,
 )
+from equityrank import synth
 from equityrank.core import ProviderProfile, RelevanceTable
-from equityrank.synth import Dataset, DatasetLabels, _read_rows, _write_rows
-from oracles import reference_relevance
+from equityrank.synth import BLOCK_ROWS, Dataset, DatasetLabels, _iter_rows, _read_rows, _write_rows
+from oracles import reference_relevance, reference_table_rows, reference_table_text
 
 
 class TestScenarios:
@@ -405,3 +408,190 @@ class TestLoadErrors:
         again = load_dataset(out)
         assert again.labels == ds.labels
         assert again.relevance == ds.relevance
+
+
+# table sizes on both sides of the block boundaries
+BLOCK_SIZES = st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+# text with every character CSV quotes, a NUL, a space and non-ASCII letters
+CSV_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\r\n\x00\'é中ü')), max_size=5)
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1 / 3]),
+)
+COLUMN_VALUES = {
+    "int": st.integers(-(2**70), 2**70),
+    "float": FLOATS,
+    "text": CSV_TEXT,
+    "any": st.one_of(st.integers(), st.booleans(), st.none(), FLOATS, CSV_TEXT),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and rows: a few drawn rows repeated to a drawn size, with
+    drawn rows at drawn places, each column of one kind of value."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=1, max_size=4))
+    row = st.tuples(*(COLUMN_VALUES[kind] for kind in kinds))
+    base, size = draw(st.lists(row, min_size=1, max_size=4)), draw(BLOCK_SIZES)
+    rows = [base[i % len(base)] for i in range(size)]
+    if size:
+        for at, drawn in draw(st.dictionaries(st.integers(0, size - 1), row, max_size=4)).items():
+            rows[at] = drawn
+    return tuple(f"c{j}" for j in range(len(kinds))), rows
+
+
+class TestTableBlocks:
+    """``_write_rows`` and ``_iter_rows`` work a block at a time; the csv
+    module, row by row, is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_written_bytes_are_the_csv_modules(self, tmp_path_factory, table):
+        header, rows = table
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        _write_rows(path, header, iter(rows))
+        assert path.read_bytes() == reference_table_text(header, rows).encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_rows_read_are_the_csv_readers_with_their_row_numbers(self, tmp_path_factory, table, data):
+        header, rows = table
+        text = reference_table_text(header, rows)
+        # blank lines, carriage returns and stray fields at drawn line ends after the header's
+        ends = [at for at, char in enumerate(text) if char == "\n"][1:]
+        edit = st.sampled_from(["\n", "\n\n\n", "\r\n", ",\n"])
+        edits = data.draw(st.dictionaries(st.sampled_from(ends), edit, max_size=6)) if ends else {}
+        for at in sorted(edits, reverse=True):
+            text = text[:at] + edits[at] + text[at + 1 :]
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want, got = reference_table_rows(path), []
+        wrong = next((n for n, row in want if len(row) != len(header)), None)
+        if wrong is None:
+            got = list(_iter_rows(path, header))
+        else:
+            with pytest.raises(DatasetError, match=f"^t.csv row {wrong}: expected {len(header)} columns$"):
+                got.extend(_iter_rows(path, header))
+            want = [(n, row) for n, row in want if n < wrong]
+        assert got == want
+
+    def test_a_line_longer_than_the_csv_field_limit_is_the_csv_readers_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n" + "x" * 40 + ",3\n")
+        limit = csv.field_size_limit(16)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                reference_table_rows(path)
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                list(_iter_rows(path, ("a", "b")))
+        finally:
+            csv.field_size_limit(limit)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_save_then_load_is_the_identity_across_blocks(self, tmp_path_factory, data):
+        n_items, m = 97, data.draw(st.integers(1, 4))
+        rows = data.draw(BLOCK_SIZES.filter(bool))
+        n_users = -(-rows // n_items)
+        values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(rows)
+        special = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2**-53, 0.1]
+        values[: len(special)] = special[:rows]
+        for at, value in data.draw(st.dictionaries(st.integers(0, rows - 1), st.floats(0.0, 1.0), max_size=4)).items():
+            values[at] = value
+        cells = np.arange(rows)
+
+        def labels(count, prefix):
+            drawn = data.draw(st.lists(CSV_TEXT, unique=True, max_size=min(count, 4)))
+            return tuple(drawn + [f"{prefix}{j}" for j in range(count - len(drawn))])
+
+        weight = st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 1e308])
+        ds = Dataset(
+            catalog=Catalog.from_assignments([i % m for i in range(n_items)], m),
+            profiles=tuple(ProviderProfile(data.draw(weight), data.draw(weight), data.draw(weight.filter(bool))) for _ in range(m)),
+            relevance=RelevanceTable(n_users, np.column_stack((cells // n_items, cells % n_items, values))),
+            labels=DatasetLabels(users=labels(n_users, "u"), items=labels(n_items, "i"), providers=labels(m, "p")),
+        )
+        root = tmp_path_factory.mktemp("blocks")
+        save_dataset(ds, root)
+        loaded = load_dataset(root)
+        assert loaded.labels == ds.labels
+        np.testing.assert_array_equal(loaded.catalog.group_of, ds.catalog.group_of)
+        assert loaded.profiles == ds.profiles
+        for name in ("indptr", "indices", "values"):
+            assert getattr(loaded.relevance, name).tobytes() == getattr(ds.relevance, name).tobytes()
+
+
+def rows_with_a_bad_row(bad: str, at: int) -> tuple[list[str], int]:
+    """Two blocks' worth of good relevance rows over items x and y, three
+    blank lines among the first ten, and ``bad`` after two more blank lines
+    before good row ``at``; gives the lines and ``bad``'s row number."""
+    lines = [f"u{n},{'xy'[n % 2]},0.5" for n in range(2 * BLOCK_ROWS)]
+    lines[at:at] = ["", "", bad]
+    lines[7:7] = ["", "", ""]
+    return lines, lines.index(bad) + 2
+
+
+class TestLoadErrorsAcrossBlocks:
+    # the bad row opens the second block of lines, after the blank lines
+    # that close the first, or it stands in the third
+    @pytest.mark.parametrize("at", [BLOCK_ROWS - 5, 2 * BLOCK_ROWS - 1])
+    @pytest.mark.parametrize(
+        "bad, strict, message",
+        [
+            ("w,zzz,0.5", False, "unknown item id 'zzz'"),
+            ("w,x,oops", False, "relevance 'oops' is not a number"),
+            ("w,x,-0.25", False, "relevance -0.25 is negative"),
+            ("w,x,inf", False, "relevance inf is not finite"),
+            ("w,x,1.5", True, "relevance 1.5 exceeds 1 (strict mode)"),
+            ("u12,x,0.3", False, "duplicate relevance for user 'u12' and item 'x'"),
+            ("w,x", False, "expected 3 columns"),
+        ],
+    )
+    def test_a_bad_row_in_a_later_block_cites_its_row(self, tmp_path, at, bad, strict, message):
+        lines, row = rows_with_a_bad_row(bad, at)
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], lines)
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'relevance.csv row {row}: {message}')}$"):
+            load_dataset(d, strict=strict)
+
+    @pytest.mark.parametrize("bad", ["w,zzz,0.5", "w,x,oops", "w,x,-0.5"])
+    def test_a_row_of_the_wrong_width_in_a_later_block_is_reported_before_a_bad_value(self, tmp_path, bad):
+        lines, _ = rows_with_a_bad_row(bad, 100)
+        lines.insert(BLOCK_ROWS + 300, "w,y")
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], lines)
+        with pytest.raises(DatasetError, match=f"^relevance\\.csv row {BLOCK_ROWS + 302}: expected 3 columns$"):
+            load_dataset(d)
+
+    def test_rows_after_a_quoted_field_are_read_by_the_csv_reader_with_their_row_numbers(self, tmp_path):
+        lines, row = rows_with_a_bad_row("w,x,oops", BLOCK_ROWS + 57)
+        lines[BLOCK_ROWS - 2] = '"q,""1""",x,0.5'  # a quote in the first block
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["x,a", "y,a"], lines)
+        with pytest.raises(DatasetError, match=f"^relevance\\.csv row {row}: relevance 'oops' is not a number$"):
+            load_dataset(d)
+        lines.remove("w,x,oops")
+        (d / "relevance.csv").write_text("user_id,item_id,relevance\n" + "".join(line + "\n" for line in lines))
+        assert 'q,"1"' in load_dataset(d).labels.users
+
+    def test_streaming_holds_32_bytes_a_row_and_one_block(self, tmp_path, monkeypatch):
+        # a row streams into 24 bytes of (user, item, value) and an 8-byte row
+        # number, in arrays that grow by a sixteenth; the block being read is
+        # held as Python strings, under 1 KiB a line of this file
+        rows = 100_000
+        values = np.random.default_rng(0).random(rows).tolist()
+        lines = [f"u{n // 200},i{n % 200},{value!r}" for n, value in enumerate(values)]
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], [f"i{j},a" for j in range(200)], lines)
+        load_dataset(d)  # imports and caches are not the rows'
+        seen = []
+        labels = synth.DatasetLabels  # made once the rows are read, before any array is built from them
+
+        def at_labels(**kwargs):
+            seen.append(tracemalloc.get_traced_memory()[1])
+            return labels(**kwargs)
+
+        monkeypatch.setattr(synth, "DatasetLabels", at_labels)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load_dataset(d)
+        finally:
+            tracemalloc.stop()
+        assert seen[0] - before <= 36 * rows + 1024 * BLOCK_ROWS
