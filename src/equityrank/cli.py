@@ -267,14 +267,21 @@ def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
 def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
     """The runs of ``specs`` as pool units, lists of indices into ``specs``.
 
-    Online, each run is a unit; the online driver batches nothing. Offline,
+    Online, each run is a unit; ``sim.run_online_batch`` batches nothing.
+    The units go seed by seed, in the order the seeds first appear in
+    ``specs`` and in spec order within a seed, so that the runs of a seed
+    follow one another and share its prefiltered rows
+    (``sim.make_online_state``). Offline,
     each policy's runs are dealt out to the ``workers``, so that every
     worker gets a share, and each nonempty share is a unit;
     ``sim.run_offline_batch`` picks how its runs are served. The longest
     units come first, so they start first.
     """
     if mode == "online":
-        return [[i] for i in range(len(specs))]
+        first: dict = {}
+        for _, _, seed in specs:
+            first.setdefault(seed, len(first))
+        return [[i] for i in sorted(range(len(specs)), key=lambda i: first[specs[i][2]])]
     groups: dict[str, list[int]] = {}
     for i, (policy, _, _) in enumerate(specs):
         groups.setdefault(policy, []).append(i)

@@ -13,7 +13,13 @@ rank, pay and report from those arrays. An offline run is served by
 field, with their provider heads. An online run builds its ``PolicyPlan``,
 position model and ideal DCGs before any draw, then fixes each user's
 prefiltered candidate set in an ``OnlineState``, plain data holding only what
-feedback writes, and resolves the plan once for those candidate rows
+feedback writes. The candidate sets, the true relevance and provider at each
+candidate, and the generator's state after the prefilter depend on the
+dataset, the seed, the prefilter size and the noise alone: the first run of
+an integer seed keeps them, read-only, in the dataset's ``derived`` slot
+``"online_rows"`` (``_OnlineRows``, the last key built), and a later run of
+that key starts from them with no prefilter draw and no relevance read. The
+run resolves the plan once for those candidate rows
 (``PolicyPlan.row_ranker``): the policy, the row width against K, the top-K
 selection, and EquityRank's gradient operands gathered at every row. Each
 step of the run's loop (estimate -> score -> top-K -> feedback -> DCG) gives
@@ -25,7 +31,8 @@ id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
 stack only the served providers' weights, as dicts keyed by provider id.
 
 Every run owns its own seeded random generator and gain ledger, so runs are
-reproducible bit for bit and can execute concurrently without sharing state.
+reproducible bit for bit and can execute concurrently: what they share, the
+dataset's derived arrays, no run writes.
 An online step's randomness is one user, ``int(rng.integers(users))``, then
 K purchase uniforms, ``rng.random(K)``. ``run_online`` does not make those
 calls: ``step_draws`` hands it up to ``DRAW_BLOCK`` steps' users and
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -59,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _finite, _whole_id, provider_arrays
+from .core import Catalog, PositionModel, ProviderProfile, RankList, RelevanceTable, _finite, _whole_id, _whole_ids, provider_arrays
 from .metrics import (
     GainLedger,
     RunResult,
@@ -179,7 +187,7 @@ class OnlineState:
     gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sets = np.asarray(self.candidate_sets, dtype=np.int64)
+        sets = _whole_ids(self.candidate_sets, "item id")
         if sets.ndim != 2 or sets.shape[1] == 0:
             raise ValueError("candidate sets must be nonempty rows of equal length, one per user")
         sets = np.sort(sets, axis=1)
@@ -347,11 +355,15 @@ def prefilter_candidates(
     The degraded signal is the true relevance plus zero-mean Gaussian noise;
     with noise_sd = 0 it is exactly the true top ``size``. Equal signals go
     to the lower item id. Returns the chosen ids ascending; the result is
-    fixed for the run (callers draw it once per user). A ``size`` outside
-    [1, item_count] raises ValueError before any noise is drawn.
+    fixed for the run (callers draw it once per user). A ``size`` that is
+    not a whole number in [1, item_count], or a ``noise_sd`` that is not
+    finite and nonnegative, raises ValueError before any noise is drawn.
     """
+    size = _whole_id(size, "prefilter size")
     if not 1 <= size <= item_count:
         raise ValueError(f"prefilter size {size} must lie in [1, item count {item_count}]")
+    if not (_finite(noise_sd) and noise_sd >= 0):
+        raise ValueError("prefilter_noise must be finite and nonnegative")
     noisy = rel.dense_row(user, item_count) + rng.normal(0.0, noise_sd, item_count)
     return np.sort(top_k_order((-noisy,), size)).astype(np.int64)
 
@@ -509,22 +521,88 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
 
     The prefilter size is capped at the catalog size so small datasets can
     run with the protocol defaults. The prefilter draws candidates from the
-    catalog's own ids, so the step loop trusts them without rechecking.
+    catalog's own ids, so the step loop trusts them without rechecking. The
+    candidate sets of an integer seed are kept on the dataset object and
+    shared by later states and runs of that seed (``_OnlineRows``); each
+    state still gets its own arrays and generator.
     """
     _check_dataset(dataset, cfg)
     return _online_state(dataset, seed, cfg)
 
 
+@dataclass(frozen=True)
+class _OnlineRows:
+    """The set-up of the online runs of one (seed, prefilter size, noise) on a dataset object.
+
+    ``candidate_sets`` are the prefiltered rows, sorted; ``relevance`` and
+    ``providers`` the true relevance and the provider at each of their
+    entries; ``rng_state`` the ``bit_generator.state`` of ``default_rng(seed)``
+    after the prefilter. The arrays are read-only. It depends on no policy,
+    so every run of its key starts from it: one is kept in
+    ``dataset.derived["online_rows"]``, that of the last key built,
+    users x C x 24 bytes.
+    """
+
+    key: tuple
+    candidate_sets: np.ndarray
+    relevance: np.ndarray
+    providers: np.ndarray
+    rng_state: dict
+
+
+def _rows_key(dataset, seed, cfg: SimConfig) -> tuple | None:
+    """The ``_OnlineRows`` key of a run of ``seed`` under ``cfg``; None unless ``seed`` is an integer.
+
+    ``default_rng`` hands a ``Generator`` seed back itself, so restoring a
+    kept state would rewind the caller's generator: a seed that
+    ``operator.index`` refuses builds its rows each run.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        return None
+    return seed, min(cfg.prefilter_size, dataset.catalog.item_count), cfg.prefilter_noise
+
+
+def _kept_rows(dataset, key: tuple | None) -> _OnlineRows | None:
+    """The dataset's kept ``_OnlineRows`` if they are those of ``key``."""
+    kept = dataset.derived.get("online_rows")
+    return kept if key is not None and kept is not None and kept.key == key else None
+
+
+def _truth(dataset, candidate_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The true relevance and the provider at every entry of ``candidate_sets``, sorted rows one per user."""
+    rel = dataset.relevance
+    true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
+    return true_rel, dataset.catalog.group_of[candidate_sets]
+
+
 def _online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
-    """``make_online_state`` on a dataset already checked."""
+    """``make_online_state`` on a dataset already checked.
+
+    Rows kept for the run's key give its candidate sets, and its generator
+    is restored to their state: no prefilter is drawn. Otherwise the
+    prefilter draws them, and an integer seed's rows are kept.
+    """
     catalog, rel = dataset.catalog, dataset.relevance
-    rng = np.random.default_rng(seed)
-    size = min(cfg.prefilter_size, catalog.item_count)
-    candidate_sets = [
-        prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
-        for u in range(rel.user_count)
-    ]
-    return OnlineState(ledger=GainLedger.empty(catalog.provider_count), candidate_sets=candidate_sets, rng=rng)
+    key, rng = _rows_key(dataset, seed, cfg), np.random.default_rng(seed)
+    kept = _kept_rows(dataset, key)
+    if kept is not None:
+        rng.bit_generator.state = kept.rng_state
+        candidate_sets = kept.candidate_sets
+    else:
+        size = min(cfg.prefilter_size, catalog.item_count)
+        candidate_sets = [
+            prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
+            for u in range(rel.user_count)
+        ]
+    state = OnlineState(ledger=GainLedger.empty(catalog.provider_count), candidate_sets=candidate_sets, rng=rng)
+    if kept is None and key is not None:
+        arrays = (state.candidate_sets.copy(), *_truth(dataset, state.candidate_sets))
+        for a in arrays:
+            a.flags.writeable = False
+        dataset.derived["online_rows"] = _OnlineRows(key, *arrays, rng.bit_generator.state)
+    return state
 
 
 def step_draws(rng: np.random.Generator, users: int, k: int, steps: int):
@@ -654,12 +732,13 @@ def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, a
     probs, weights = pm.probs.tolist(), (plan.ve.tolist(), plan.vb.tolist())
     ideal_dcgs = _derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
     state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
-    ledger, candidate_sets, estimate, gains = state.ledger, state.candidate_sets, state.estimate, state.gains
+    ledger, estimate, gains = state.ledger, state.estimate, state.gains
     # true relevance and providers over every user's candidate row, read
-    # once: a step takes them by candidate slot, with no table lookup, and
-    # its feedback reads them, and writes the state, through flat views built here
-    true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
-    providers = dataset.catalog.group_of[candidate_sets]
+    # once per seed's kept rows, else once per run: a step takes them by
+    # candidate slot, with no table lookup, and its feedback reads them, and
+    # writes the state, through flat views built here
+    kept = _kept_rows(dataset, _rows_key(dataset, seed, cfg))
+    true_rel, providers = (kept.relevance, kept.providers) if kept is not None else _truth(dataset, state.candidate_sets)
     truth, views = (_flat_view(true_rel), _flat_view(providers)), _feedback_views(state)
     # the plan resolved once for these rows; each step hands it a view of the user's estimate row
     rank_row, estimates = plan.row_ranker(providers, probs), list(estimate)

@@ -148,9 +148,10 @@ class Dataset:
     """A complete simulation input: catalog, provider profiles, relevance.
 
     ``derived`` caches arrays that the simulation derives from the data on
-    first use and shares across the runs on this object (such as the
-    offline fields of ``sim.run_offline``); it is not part of the data and
-    takes no part in equality.
+    first use and shares across the runs on this object (the offline
+    fields of ``sim.run_offline``, the users' ideal DCGs, and the online
+    rows of the last seed an online run or ``sim.make_online_state``
+    built); it is not part of the data and takes no part in equality.
     """
 
     catalog: Catalog

@@ -286,6 +286,26 @@ class TestSweep:
         series = sorted(p.name for p in (out / "series").iterdir())
         assert series == ["TopK_a0.0_s0.csv", "TopK_a0.0_s1.csv"]
 
+    def test_a_serial_online_sweep_prefilters_each_seed_once(self, tmp_path, monkeypatch):
+        # the units go seed by seed, so a seed's runs share its prefiltered rows
+        plan = tiny_plan(
+            tmp_path / "online",
+            policies=("TopK", "PoorK", "EquityRank"),
+            alpha_grid=(0.01,),
+            seeds=(1, 0),
+            sim=SimConfig(list_size=3, mode="online", total_steps=40, checkpoint_every=20),
+        )
+        specs = plan_specs(plan)
+        units = cli._units(specs, "online", 1)
+        assert [specs[i] for (i,) in units] == [(p, a, s) for s in (1, 0) for p, a, _ in specs[::2]]
+        prefilter, users = sim.prefilter_candidates, []
+        monkeypatch.setattr(sim, "prefilter_candidates", lambda user, *args: users.append(user) or prefilter(user, *args))
+        out = cmd_sweep(plan)
+        assert sorted(users) == sorted(list(range(TINY.n_users)) * 2)
+        # results are written in plan order
+        rows = _read_rows(out / "results.csv", list(DETERMINISTIC_FIELDS))
+        assert [(row[1], row[3]) for _, row in rows] == [(p, str(s)) for p, _, s in specs]
+
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         serial = cmd_sweep(tiny_plan(tmp_path / "serial"))
         parallel = cmd_sweep(tiny_plan(tmp_path / "parallel", workers=2))

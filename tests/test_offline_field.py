@@ -235,9 +235,10 @@ def test_no_field_is_built_outside_offline_runs(tmp_path):
     save_dataset(generated, tmp_path / "ds")
     dataset = load_dataset(tmp_path / "ds")
     sim.run_online(dataset, "TopK", 0.0, 0, SimConfig(list_size=3, total_steps=20, prefilter_size=5, mode="online"))
-    # an online run keeps only the users' ideal DCGs, which offline runs share
-    assert generated.derived == {} and list(dataset.derived) == [("ideal_dcg", 3, 3)]
+    # an online run keeps only the users' ideal DCGs, which offline runs share,
+    # and its seed's online rows, which offline runs never read
+    assert generated.derived == {} and list(dataset.derived) == [("ideal_dcg", 3, 3), "online_rows"]
     ideal = dataset.derived["ideal_dcg", 3, 3]
     sim.run_offline(dataset, "TopK", 0.0, 0, SimConfig(list_size=3))
-    assert list(dataset.derived) == [("ideal_dcg", 3, 3), ("offline_field", 3)]
+    assert list(dataset.derived) == [("ideal_dcg", 3, 3), "online_rows", ("offline_field", 3)]
     assert dataset.derived["ideal_dcg", 3, 3] is ideal

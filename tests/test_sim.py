@@ -122,6 +122,14 @@ class TestOnlineStateSlots:
         with pytest.raises(ValueError):
             fresh_state(users=len(sets), candidate_sets=sets)
 
+    @pytest.mark.parametrize("sets, bad", [([[0.5, 1.7]], "0.5"), ([[0.0, 2.0], [1.0, math.inf]], "inf")])
+    def test_rejects_item_ids_that_are_not_whole_numbers(self, sets, bad):
+        # they were once truncated to whole ids: [[0.5, 1.7]] ran as [[0, 1]]
+        with pytest.raises(ValueError, match=f"^item id {bad} is not a whole number$"):
+            fresh_state(users=len(sets), candidate_sets=sets)
+        state = fresh_state(users=2, candidate_sets=[[2.0, 0.0], [1.0, 3.0]])
+        assert state.candidate_sets.dtype == np.int64 and state.candidate_sets.tolist() == [[0, 2], [1, 3]]
+
     def test_full_row_read_matches_scalar_view(self):
         state = fresh_state()
         state.exposure[0] = [2.0, 0.0, 0.5, 4.0]
@@ -339,6 +347,30 @@ class TestPrefilter:
         with pytest.raises(ValueError, match="prefilter size"):
             prefilter_candidates(0, rel, 30, size, 0.1, rng)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "size, noise, message",
+        [
+            (2.5, 0.1, "^prefilter size 2.5 is not a whole number$"),
+            (math.nan, 0.1, "^prefilter size nan is not a whole number$"),
+            (2, math.nan, "^prefilter_noise must be finite and nonnegative$"),
+            (2, math.inf, "^prefilter_noise must be finite and nonnegative$"),
+            (2, -0.1, "^prefilter_noise must be finite and nonnegative$"),
+        ],
+    )
+    def test_rejects_a_fractional_size_or_a_bad_noise_before_drawing_noise(self, size, noise, message):
+        # a NaN or infinite noise once returned arbitrary candidates, and a size of 2.5 a TypeError
+        rel = RelevanceTable(1, [(0, i, 0.1 * i) for i in range(5)])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            prefilter_candidates(0, rel, 5, size, noise, rng)
+        assert rng.bit_generator.state == before
+
+    def test_a_whole_float_size_is_its_int(self):
+        rel = RelevanceTable(1, [(0, i, 0.1 * i) for i in range(5)])
+        got = prefilter_candidates(0, rel, 5, 3.0, 0.0, np.random.default_rng(0))
+        assert got.tolist() == [2, 3, 4]
 
 
 def micro_offline_dataset():
@@ -647,7 +679,8 @@ class TestRunOnline:
 
     @pytest.mark.parametrize("policy", ["TopK", "EquityRank", "PoorK"])
     def test_true_relevance_is_read_once_per_user_not_per_step(self, policy, monkeypatch):
-        ds = online_micro_dataset()
+        # the first run of a seed on a dataset object reads it once per user;
+        # later runs of that seed take the kept rows and read none
         read = RelevanceTable.relevance_of
         calls = []
 
@@ -657,9 +690,11 @@ class TestRunOnline:
 
         monkeypatch.setattr(RelevanceTable, "relevance_of", counted)
         for steps in (10, 300):
-            calls.clear()
-            run_online(ds, policy, 0.01, 3, SimConfig(list_size=3, total_steps=steps, mode="online"))
-            assert sorted(calls) == list(range(ds.relevance.user_count))
+            ds = online_micro_dataset()
+            for want in (list(range(ds.relevance.user_count)), []):
+                calls.clear()
+                run_online(ds, policy, 0.01, 3, SimConfig(list_size=3, total_steps=steps, mode="online"))
+                assert sorted(calls) == want
 
     def test_provider_weights_are_gathered_at_the_rows_once_per_run_not_per_step(self, monkeypatch):
         # EquityRank's gradient reads y, v_b and v_e at each candidate's
