@@ -4,9 +4,13 @@
 ``ExperimentPlan`` as JSON, with CLI flags laid over the ``--config`` file
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
-has the rules, and "Sweep outputs" the files a sweep writes. A sweep deals
-each policy's offline runs out to its workers, one unit per share, and an
-online run is a unit alone; the mode's ``sim`` driver serves each unit.
+has the rules, and "Sweep outputs" the files a sweep writes. A sweep serves
+each class of runs that provably equal one another once (``_sources``:
+EquityRank, FairCo* and offline MMF* at alpha 0 are TopK's run where they
+provably are, MMF* at alpha 1 is PoorK's) and writes the other members from
+that run's outcome. It deals each policy's served offline runs out to its
+workers, one unit per share, and a served online run is a unit alone; the
+mode's ``sim`` driver serves each unit.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Sequence, Union, get_args, get_origin, get_type_hints
@@ -25,8 +29,9 @@ import numpy as np
 
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
-from .rankers import POLICY_KINDS
-from .sim import SimConfig, run_offline, run_offline_batch, run_online, run_online_batch
+from .core import PositionModel, provider_arrays
+from .rankers import POLICY_KINDS, ratios_stay_finite, spans_stay_finite
+from .sim import SimConfig, _check_dataset, _offline_field, run_offline, run_offline_batch, run_online, run_online_batch
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -265,7 +270,8 @@ def _pool_run(unit: tuple[tuple[str, float, int], ...]) -> list[tuple]:
 
 
 def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list[list[int]]:
-    """The runs of ``specs`` as pool units, lists of indices into ``specs``.
+    """The runs of ``specs``, the sweep's served runs (one per class of
+    ``_sources``), as pool units, lists of indices into ``specs``.
 
     Online, each run is a unit; ``sim.run_online_batch`` batches nothing.
     The units go seed by seed, in the order the seeds first appear in
@@ -289,8 +295,57 @@ def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list
     return sorted((share for share in shares if share), key=len, reverse=True)
 
 
+def _sources(dataset: Dataset, specs: list[tuple[str, float, int]], sim: SimConfig) -> list[int]:
+    """For each spec, the index of the first spec whose run it provably equals, itself if none.
+
+    Runs of one seed that equal one another form a class: TopK's holds
+    EquityRank at alpha 0, which ranks by relevance alone; FairCo* at alpha 0 when no
+    gain-to-target ratio can overflow (``rankers.ratios_stay_finite``); and,
+    offline, MMF* at alpha 0 when its span check cannot fail
+    (``rankers.spans_stay_finite``). PoorK's holds MMF* at alpha 1, the same
+    plan. Each is the same run under another name: the same lists, ledger,
+    draws and failures. A dataset that the drivers refuse makes no class, so
+    each run fails with the driver's message.
+    """
+    try:
+        _check_dataset(dataset, sim)
+    except Exception:  # noqa: BLE001 - the drivers refuse it again, run by run
+        return list(range(len(specs)))
+    topk, offline = {"TopK", "EquityRank"}, sim.mode == "offline"
+    if any(policy == "FairCoStar" and alpha == 0.0 for policy, alpha, _ in specs):
+        probs = PositionModel.logarithmic(sim.list_size).probs.tolist()
+        lists, purchases = (dataset.relevance.user_count, sum(probs)) if offline else (sim.total_steps, sim.list_size)
+        if ratios_stay_finite(provider_arrays(dataset.profiles), probs, lists, purchases):
+            topk.add("FairCoStar")
+    if offline and any(policy == "MMFStar" and alpha == 0.0 for policy, alpha, _ in specs):
+        if spans_stay_finite(_offline_field(dataset, sim.list_size), sim.list_size):
+            topk.add("MMFStar")
+
+    def key(policy: str, alpha: float, seed: int) -> tuple:
+        if policy == "PoorK" or (policy == "MMFStar" and alpha == 1.0):
+            return "PoorK", seed
+        if policy == "TopK" or (policy in topk and alpha == 0.0):
+            return "TopK", seed
+        return policy, alpha, seed
+
+    first: dict[tuple, int] = {}
+    return [first.setdefault(key(*spec), i) for i, spec in enumerate(specs)]
+
+
+def _copy(outcome: tuple, policy: str, alpha: float) -> tuple:
+    """A source run's outcome as that of its class's run of ``policy`` at ``alpha``."""
+    status, payload, checkpoints = outcome
+    return (status, replace(payload, policy=policy, alpha=alpha) if status == "ok" else payload, checkpoints)
+
+
 def cmd_sweep(plan: ExperimentPlan) -> Path:
-    """Execute every (policy, alpha, seed) run of the plan and write outputs."""
+    """Execute every (policy, alpha, seed) run of the plan and write outputs.
+
+    Each class of runs that provably equal one another (``_sources``) is
+    served once, as its first spec in plan order; every other member is
+    written from that run's outcome under its own policy and alpha, with its
+    wall time.
+    """
     dataset = _plan_dataset(plan)
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,9 +359,11 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
     ]
     if not specs:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
+    sources = _sources(dataset, specs, plan.sim)
+    served = [i for i, source in enumerate(sources) if source == i]
     # ProcessPoolExecutor starts all of max_workers at the first submit.
-    workers = min(plan.workers, len(specs), os.cpu_count() or 1)
-    units = _units(specs, plan.sim.mode, workers)
+    workers = min(plan.workers, len(served), os.cpu_count() or 1)
+    units = [[served[i] for i in unit] for unit in _units([specs[i] for i in served], plan.sim.mode, workers)]
     jobs = [tuple(specs[i] for i in unit) for unit in units]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init, initargs=(dataset, plan.sim)) as pool:
@@ -318,7 +375,10 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
         finally:
             _pool_init(None, None)  # the dataset and its derived arrays go with this sweep
     by_index = {i: outcome for unit, outcomes in zip(units, done) for i, outcome in zip(unit, outcomes)}
-    outcomes = [by_index[i] for i in range(len(specs))]
+    outcomes = [
+        by_index[i] if source == i else _copy(by_index[source], policy, alpha)
+        for i, ((policy, alpha, _), source) in enumerate(zip(specs, sources))
+    ]
 
     results: list[RunResult] = []
     failures: list[tuple[str, float, int, str]] = []
@@ -358,16 +418,18 @@ def _group_stats(results: list[RunResult]) -> dict[tuple[str, float], dict[str, 
         unf = np.array([r.unfairness for r in rs])
         msd = np.array([r.msd for r in rs])
         rho = np.array([r.pearson for r in rs])
-        stats[key] = {
-            "runs": len(rs),
-            "mode": rs[0].mode,
-            "effectiveness_mean": float(eff.mean()),
-            "effectiveness_std": float(eff.std(ddof=1)) if len(rs) > 1 else 0.0,
-            "unfairness_mean": float(unf.mean()),
-            "unfairness_std": float(unf.std(ddof=1)) if len(rs) > 1 else 0.0,
-            "msd_mean": float(np.nanmean(msd)) if not np.isnan(msd).all() else math.nan,
-            "pearson_mean": float(np.nanmean(rho)) if not np.isnan(rho).all() else math.nan,
-        }
+        # an infinite value makes its mean inf and its std nan, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats[key] = {
+                "runs": len(rs),
+                "mode": rs[0].mode,
+                "effectiveness_mean": float(eff.mean()),
+                "effectiveness_std": float(eff.std(ddof=1)) if len(rs) > 1 else 0.0,
+                "unfairness_mean": float(unf.mean()),
+                "unfairness_std": float(unf.std(ddof=1)) if len(rs) > 1 else 0.0,
+                "msd_mean": float(np.nanmean(msd)) if not np.isnan(msd).all() else math.nan,
+                "pearson_mean": float(np.nanmean(rho)) if not np.isnan(rho).all() else math.nan,
+            }
     return stats
 
 

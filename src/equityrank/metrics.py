@@ -259,10 +259,12 @@ def unfairness(gains: np.ndarray, targets: np.ndarray) -> float:
     """
     gains, targets = _check_gain_args(gains, targets)
     m = gains.size
-    target_sq = float(targets @ targets)
-    residual = gains - (float(gains @ targets) / target_sq) * targets
-    residual -= (float(residual @ targets) / target_sq) * targets
-    return 2.0 * target_sq * float(residual @ residual) / (m * (m - 1))
+    # gains or targets near the float range give inf or nan, the value itself, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_sq = float(targets @ targets)
+        residual = gains - (float(gains @ targets) / target_sq) * targets
+        residual -= (float(residual @ targets) / target_sq) * targets
+        return 2.0 * target_sq * float(residual @ residual) / (m * (m - 1))
 
 
 def fairness_gradient(gains: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -325,13 +327,15 @@ def _alignment(ledger: GainLedger, ve: np.ndarray, vb: np.ndarray) -> AlignmentD
     kept = ~((exposure <= 0) | (ve <= 0))
     if not kept.any():
         raise ValueError("every provider lacks exposure gain; diagnostics undefined")
-    realized = ledger.purchase_gain[kept] / exposure[kept]
-    declared = vb[kept] / ve[kept]
-    msd = float(np.mean((realized - declared) ** 2))
-    if realized.size < 2 or np.ptp(realized) == 0 or np.ptp(declared) == 0:
-        pearson = math.nan
-    else:
-        pearson = float(np.corrcoef(realized, declared)[0, 1])
+    # ratios near the float range give an inf or nan msd or pearson without a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        realized = ledger.purchase_gain[kept] / exposure[kept]
+        declared = vb[kept] / ve[kept]
+        msd = float(np.mean((realized - declared) ** 2))
+        if realized.size < 2 or np.ptp(realized) == 0 or np.ptp(declared) == 0:
+            pearson = math.nan
+        else:
+            pearson = float(np.corrcoef(realized, declared)[0, 1])
     return AlignmentDiagnostics(msd=msd, pearson=pearson, excluded=kept.size - int(np.count_nonzero(kept)))
 
 

@@ -36,12 +36,19 @@ def write_tradeoff_svg(
     curves: Mapping[str, Sequence[tuple[float, float]]],
     title: str = "effectiveness vs unfairness",
 ) -> None:
-    """Write one polyline per policy; x is log10(unfairness), y effectiveness."""
+    """Write one polyline per policy; x is log10(unfairness), y effectiveness.
+
+    A point whose unfairness or effectiveness is not finite has no place on
+    the axes and is left out: a policy with no point left keeps its legend
+    entry and an empty polyline, and with no point at all the axes take the
+    range of the points (1, 0) and (10, 1).
+    """
     if not curves or all(len(points) == 0 for points in curves.values()):
         raise ValueError("nothing to plot")
+    curves = {policy: [(u, e) for u, e in points if math.isfinite(u) and math.isfinite(e)] for policy, points in curves.items()}
     floor = _log_floor([u for points in curves.values() for u, _ in points])
-    xs = [math.log10(max(u, floor)) for points in curves.values() for u, _ in points]
-    ys = [e for points in curves.values() for _, e in points]
+    xs = [math.log10(max(u, floor)) for points in curves.values() for u, _ in points] or [0.0, 1.0]
+    ys = [e for points in curves.values() for _, e in points] or [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi - x_lo < 1e-9:

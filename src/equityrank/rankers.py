@@ -676,6 +676,39 @@ def ledger_blind(policy: str, alpha: float) -> bool:
     return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
 
 
+def ratios_stay_finite(arrays, probs, lists: int, purchases: float) -> bool:
+    """Whether no provider's gain-to-target ratio G_g / y_g can overflow in a run of ``lists``
+    lists, ``arrays`` being the ``provider_arrays`` and ``probs`` the K examination probabilities.
+
+    A list pays provider g at most sum p_k v_e,g of exposure gain and ``purchases`` v_b,g of
+    purchase gain (sum p_k offline, where p_k r <= p_k; K online, a purchase at each position),
+    so G_g / y_g <= lists (sum p_k v_e,g + purchases v_b,g) / y_g, which must stay finite
+    with a factor-2 margin for rounding. Then FairCo* at alpha 0 adds 0 x shortfall = 0 to
+    every relevance and ranks every list as TopK does: the same run.
+    """
+    ve, vb, y = arrays
+    with np.errstate(over="ignore"):
+        bound = 2.0 * (lists * (sum(probs) * ve + purchases * vb) / y)
+    return bool(np.isfinite(bound).all())
+
+
+def spans_stay_finite(field: OfflineField, k: int) -> bool:
+    """Whether offline MMF*'s span check passes at each of a list's ``k`` picks in every user's
+    segment of ``field`` when each pick is the segment's next entry, as TopK's are.
+
+    At pick j the entries left span hi = rel[j] down to lo = rel[L - 1], and
+    ``PolicyPlan._pick_heads`` requires (rel[0] - lo) / (hi - lo) to be finite wherever
+    hi > lo. Where it is, MMF* at alpha 0 scores A at 1 and every other entry left at most 1
+    (rounding is monotone), so A, the segment's next entry, wins every pick: the check is the
+    run's one failure path, and it serves TopK's lists and pays them in TopK's order.
+    """
+    users = np.arange(field.indptr.size - 1)
+    hi, lo = field.relevance[field.heads(users, k)], field.relevance[field.indptr[1:] - 1, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = (hi[:, :1] - lo) / (hi - lo)
+    return bool(np.isfinite(ratio[hi > lo]).all())
+
+
 def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, arrays, probs):
     """Serve R offline runs of ``policy``, each by the engine its alpha picks (module docstring).
 

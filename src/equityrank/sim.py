@@ -429,6 +429,11 @@ def _derived(dataset, key: tuple, build):
     return dataset.derived[key]
 
 
+def _offline_field(dataset, list_size: int):
+    """The dataset's offline field for lists of ``list_size`` (``rankers.offline_field``), built on first use."""
+    return _derived(dataset, ("offline_field", list_size), lambda: offline_field(dataset.relevance, dataset.catalog, list_size))
+
+
 def run_offline(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) -> RunResult:
     """Serve every user once with true relevance and expected-gain accrual.
 
@@ -466,7 +471,7 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
         return []
     pm, arrays = PositionModel.logarithmic(cfg.list_size), provider_arrays(profiles)
     k, cutoff, probs = cfg.list_size, cfg.eval_cutoff, pm.probs.tolist()
-    field = _derived(dataset, ("offline_field", k), lambda: offline_field(rel, catalog, k))
+    field = _offline_field(dataset, k)
     ideal = _derived(dataset, ("ideal_dcg", k, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm))
 
     def finish(i, order, served, ledger, wall):

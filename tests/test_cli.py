@@ -202,14 +202,43 @@ class TestSweep:
         result = sim._result
 
         def failing_result(mode, policy, alpha, seed, *args):
-            if policy == "EquityRank" and alpha == 0.0 and seed == 1:
+            if policy == "EquityRank" and alpha == 0.01 and seed == 1:
                 raise ValueError(message)
             return result(mode, policy, alpha, seed, *args)
 
         monkeypatch.setattr(sim, "_result", failing_result)
         out = cmd_sweep(tiny_plan(tmp_path / "failing"))
         rows = _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])
-        assert [row for _, row in rows] == [["EquityRank", "0", "1", "ValueError: " + message]]
+        assert [row for _, row in rows] == [["EquityRank", "0.01", "1", "ValueError: " + message]]
+
+    @pytest.mark.parametrize("mode", ["offline", "online"])
+    def test_a_failing_source_fails_each_of_its_copies_with_its_message(self, tmp_path, monkeypatch, mode):
+        # EquityRank at alpha 0 copies TopK's run and MMF* at alpha 1 PoorK's: neither is served
+        result, served = sim._result, []
+
+        def failing_result(mode, policy, alpha, seed, *args):
+            served.append((policy, alpha, seed))
+            if seed == 1 and policy in ("TopK", "PoorK"):
+                raise RuntimeError(f"patched {policy}")
+            return result(mode, policy, alpha, seed, *args)
+
+        monkeypatch.setattr(sim, "_result", failing_result)
+        cfg = SimConfig(list_size=3, mode=mode, total_steps=40, checkpoint_every=20)
+        policies = ("TopK", "PoorK", "MMFStar", "EquityRank")
+        out = cmd_sweep(tiny_plan(tmp_path / "failing", policies=policies, sim=cfg))
+        rows = [row for _, row in _read_rows(out / "failures.csv", ["policy", "alpha", "seed", "error"])]
+        # offline, MMF* at alpha 0 copies TopK's run too; online it is served
+        mmf_zero = [["MMFStar", "0", "1", "RuntimeError: patched TopK"]] if mode == "offline" else []
+        assert rows == [
+            ["TopK", "0", "1", "RuntimeError: patched TopK"],
+            ["PoorK", "0", "1", "RuntimeError: patched PoorK"],
+            *mmf_zero,
+            ["MMFStar", "1", "1", "RuntimeError: patched PoorK"],
+            ["EquityRank", "0", "1", "RuntimeError: patched TopK"],
+        ]
+        assert ("EquityRank", 0.0, 0) not in served and ("MMFStar", 1.0, 0) not in served
+        assert (("MMFStar", 0.0, 0) in served) == (mode == "online")
+        assert ("EquityRank", 0.01, 0) in served
 
     @pytest.mark.parametrize("mode", ["offline", "online"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -336,11 +365,11 @@ class TestSweep:
         policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
         plan = tiny_plan(tmp_path / "sweep", policies=policies, alpha_grid=(0.0, 1e-3, 0.1, 1.0), seeds=(0, 1, 2, 3))
         specs = plan_specs(plan)
-        gradient = ("EquityRank", "EquityRankV")
-        batched = sorted((p, a) for p, a, _ in specs if p == "FairCoStar" or (p in gradient and a))
+        # FairCo* at alpha 0 copies TopK's runs (cli._sources), so only its nonzero alphas are served
+        batched = sorted((p, a) for p, a, _ in specs if p in ("FairCoStar", "EquityRank", "EquityRankV") and a)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         batches = record_lockstep(monkeypatch)
-        for workers, sizes in ((1, [16, 12, 12]), (2, [8, 8, 6, 6, 6, 6])):
+        for workers, sizes in ((1, [12, 12, 12]), (2, [6, 6, 6, 6, 6, 6])):
             # each policy's offline runs are dealt out to the workers, one unit per share, longest first
             units = cli._units(specs, "offline", workers)
             assert sorted(i for unit in units for i in unit) == list(range(len(specs)))
@@ -481,6 +510,41 @@ class TestReport:
         # PoorK has no number, so it reads NaN at its lowest alpha, listed last
         assert picked[:2] == [("TopK", 0.5, 0.5), ("EquityRank", 0.1, 0.9)]
         assert picked[2][:2] == ("PoorK", 0.0) and math.isnan(picked[2][2])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_sweep_with_infinite_unfairness_warns_nothing_and_reports(self, tmp_path, capsys):
+        # every v_e at 1e300 overflows the unfairness to inf, and the alignment's correlation and the
+        # summary's std to nan: as values, with no warning, so no run fails under warnings as errors
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"generator": {"n_users": 20, "n_items": 40, "n_providers": 4, "latent_dim": 4, "seed": 1}}))
+        data, out = tmp_path / "data", tmp_path / "sweep"
+        assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+        header = ("provider_id", "v_e", "v_b", "y")
+        providers = [(g, 1e300, vb, y) for _, (g, _, vb, y) in _read_rows(data / "providers.csv", header)]
+        _write_rows(data / "providers.csv", header, providers)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"policies": ["TopK", "PoorK"], "seeds": [0, 1]}))
+        assert main(["sweep", "--config", str(plan), "--dataset", str(data), "--out", str(out)]) == 0
+        assert not (out / "failures.csv").exists()
+        rows = [row for _, row in _read_rows(out / "results.csv", list(DETERMINISTIC_FIELDS))]
+        assert len(rows) == 4 and all(row[5] == "inf" and row[7] == "nan" for row in rows)
+        assert main(["report", "--results", str(out)]) == 0
+        # the envelopes and tables keep the infinite points; the plot leaves them out
+        assert (out / "envelope_TopK.csv").read_text().splitlines()[1] == "inf,1"
+        assert _read_rows(out / "report_min_unfairness.csv", cli.MIN_UNFAIRNESS_HEADER)[0][1][2] == "inf"
+        svg = (out / "tradeoff.svg").read_text()
+        assert "inf" not in svg and "nan" not in svg
+        polylines = ET.parse(out / "tradeoff.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert [line.get("points") for line in polylines] == ["", ""]
+
+    def test_a_point_of_infinite_effectiveness_is_left_out_of_the_plot(self, tmp_path):
+        rows = ["offline,TopK,0,0,inf,0.5,nan,nan", "offline,EquityRank,0.1,0,0.5,0.25,nan,nan"]
+        (tmp_path / "results.csv").write_text("\n".join([",".join(DETERMINISTIC_FIELDS), *rows]) + "\n")
+        assert main(["report", "--results", str(tmp_path)]) == 0
+        svg = (tmp_path / "tradeoff.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+        polylines = ET.parse(tmp_path / "tradeoff.svg").getroot().findall(".//{http://www.w3.org/2000/svg}polyline")
+        assert [len(line.get("points").split()) for line in polylines] == [1, 0]
 
     def test_empty_results_error(self, tmp_path):
         empty = tmp_path / "none"
