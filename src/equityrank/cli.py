@@ -5,12 +5,11 @@
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
 has the rules, and "Sweep outputs" the files a sweep writes. A sweep serves
-each class of runs that provably equal one another once (``_sources``:
-EquityRank, FairCo* and offline MMF* at alpha 0 are TopK's run where they
-provably are, MMF* at alpha 1 is PoorK's) and writes the other members from
-that run's outcome. It deals each policy's served offline runs out to its
-workers, one unit per share, and a served online run is a unit alone; the
-mode's ``sim`` driver serves each unit.
+each class of runs that equal one another once (``_sources``: runs of one
+seed that run one plan, ``rankers.plan_of``) and writes the other members
+from that run's outcome. It deals each policy's served offline runs out to
+its workers, one unit per share, and a served online run is a unit alone;
+the mode's ``sim`` driver serves each unit.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import numpy as np
 
 from .metrics import RESULT_FIELDS, RunResult, tradeoff_envelope
 from .plots import write_tradeoff_svg
-from .core import PositionModel, provider_arrays
-from .rankers import POLICY_KINDS, ratios_stay_finite, spans_stay_finite
-from .sim import SimConfig, _check_dataset, _offline_field, run_offline, run_offline_batch, run_online, run_online_batch
+from .rankers import POLICY_KINDS, plan_of
+from .sim import SimConfig, run_offline, run_offline_batch, run_online, run_online_batch
 from .synth import Dataset, GeneratorSpec, ScenarioSpec, generate_dataset, load_dataset, save_dataset
 from .synth import _read_rows, _write_rows
 
@@ -295,41 +293,17 @@ def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list
     return sorted((share for share in shares if share), key=len, reverse=True)
 
 
-def _sources(dataset: Dataset, specs: list[tuple[str, float, int]], sim: SimConfig) -> list[int]:
-    """For each spec, the index of the first spec whose run it provably equals, itself if none.
+def _sources(specs: list[tuple[str, float, int]]) -> list[int]:
+    """For each spec, the index of the first spec whose run it equals, itself if none.
 
-    Runs of one seed that equal one another form a class: TopK's holds
-    EquityRank at alpha 0, which ranks by relevance alone; FairCo* at alpha 0 when no
-    gain-to-target ratio can overflow (``rankers.ratios_stay_finite``); and,
-    offline, MMF* at alpha 0 when its span check cannot fail
-    (``rankers.spans_stay_finite``). PoorK's holds MMF* at alpha 1, the same
-    plan. Each is the same run under another name: the same lists, ledger,
-    draws and failures. A dataset that the drivers refuse makes no class, so
-    each run fails with the driver's message.
+    Runs of one seed that run one plan (``rankers.plan_of``) form a class:
+    TopK's holds every policy but PoorK and EquityRankV at alpha 0, and
+    PoorK's holds MMF* at alpha 1. Each is the same run under another name:
+    the same lists, ledger, draws and failures, a refused dataset's
+    included.
     """
-    try:
-        _check_dataset(dataset, sim)
-    except Exception:  # noqa: BLE001 - the drivers refuse it again, run by run
-        return list(range(len(specs)))
-    topk, offline = {"TopK", "EquityRank"}, sim.mode == "offline"
-    if any(policy == "FairCoStar" and alpha == 0.0 for policy, alpha, _ in specs):
-        probs = PositionModel.logarithmic(sim.list_size).probs.tolist()
-        lists, purchases = (dataset.relevance.user_count, sum(probs)) if offline else (sim.total_steps, sim.list_size)
-        if ratios_stay_finite(provider_arrays(dataset.profiles), probs, lists, purchases):
-            topk.add("FairCoStar")
-    if offline and any(policy == "MMFStar" and alpha == 0.0 for policy, alpha, _ in specs):
-        if spans_stay_finite(_offline_field(dataset, sim.list_size), sim.list_size):
-            topk.add("MMFStar")
-
-    def key(policy: str, alpha: float, seed: int) -> tuple:
-        if policy == "PoorK" or (policy == "MMFStar" and alpha == 1.0):
-            return "PoorK", seed
-        if policy == "TopK" or (policy in topk and alpha == 0.0):
-            return "TopK", seed
-        return policy, alpha, seed
-
     first: dict[tuple, int] = {}
-    return [first.setdefault(key(*spec), i) for i, spec in enumerate(specs)]
+    return [first.setdefault((*plan_of(policy, alpha), seed), i) for i, (policy, alpha, seed) in enumerate(specs)]
 
 
 def _copy(outcome: tuple, policy: str, alpha: float) -> tuple:
@@ -341,10 +315,9 @@ def _copy(outcome: tuple, policy: str, alpha: float) -> tuple:
 def cmd_sweep(plan: ExperimentPlan) -> Path:
     """Execute every (policy, alpha, seed) run of the plan and write outputs.
 
-    Each class of runs that provably equal one another (``_sources``) is
-    served once, as its first spec in plan order; every other member is
-    written from that run's outcome under its own policy and alpha, with its
-    wall time.
+    Each class of runs that equal one another (``_sources``) is served once,
+    as its first spec in plan order; every other member is written from that
+    run's outcome under its own policy and alpha, with its wall time.
     """
     dataset = _plan_dataset(plan)
     out = Path(plan.out_dir)
@@ -359,7 +332,7 @@ def cmd_sweep(plan: ExperimentPlan) -> Path:
     ]
     if not specs:
         raise ValueError("plan produced no runs (alpha grid empty after per-policy restriction)")
-    sources = _sources(dataset, specs, plan.sim)
+    sources = _sources(specs)
     served = [i for i, source in enumerate(sources) if source == i]
     # ProcessPoolExecutor starts all of max_workers at the first submit.
     workers = min(plan.workers, len(served), os.cpu_count() or 1)

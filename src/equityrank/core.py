@@ -33,7 +33,10 @@ __all__ = [
 
 def _whole_ids(ids, what: str) -> np.ndarray:
     """``ids`` as an int64 array; ValueError at the first that is not a whole number."""
-    values = np.asarray(ids, dtype=np.float64)
+    try:
+        values = np.asarray(ids, dtype=np.float64)
+    except OverflowError:
+        raise _too_large(what) from None
     bad = ~(np.isfinite(values) & (values == np.floor(values)))
     if bad.any():
         raise ValueError(f"{what} {values[bad][0]:g} is not a whole number")
@@ -42,9 +45,17 @@ def _whole_ids(ids, what: str) -> np.ndarray:
 
 def _whole_id(value, what: str) -> int:
     """``value`` as an int; ValueError, worded as ``_whole_ids``', unless it is a whole number."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} {float(value):g} is not a whole number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise _too_large(what) from None
+    if not number.is_integer():
+        raise ValueError(f"{what} {number:g} is not a whole number")
     return int(value)
+
+
+def _too_large(what: str) -> ValueError:  # an int beyond every float, where a whole number is read
+    return ValueError(f"{what} is too large, beyond every float")
 
 
 def _finite(value) -> bool:

@@ -12,6 +12,7 @@ respect to each provider's gain drives the gradient-based rankers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -256,12 +257,20 @@ def unfairness(gains: np.ndarray, targets: np.ndarray) -> float:
     coefficient G.y / |y|^2 leaves a few ulps of the targets in the residual,
     which dominate it when the gains are proportional to rounding; a second
     projection of the residual takes that part out.
+
+    Scaling the gains by c and the targets by 1 / c leaves every G_i y_j,
+    so the sum: where |y|^2 falls below the normal floats, it is taken at y
+    scaled up by a power of two to near its largest entry, and the gains
+    scaled down by the same power.
     """
     gains, targets = _check_gain_args(gains, targets)
     m = gains.size
     # gains or targets near the float range give inf or nan, the value itself, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         target_sq = float(targets @ targets)
+        if target_sq < sys.float_info.min:
+            shift = math.frexp(targets.max())[1]
+            return unfairness(np.ldexp(gains, shift), np.ldexp(targets, -shift))
         residual = gains - (float(gains @ targets) / target_sq) * targets
         residual -= (float(residual @ targets) / target_sq) * targets
         return 2.0 * target_sq * float(residual @ residual) / (m * (m - 1))

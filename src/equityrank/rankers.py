@@ -8,11 +8,14 @@ online estimator), a gain ledger snapshot and ``provider_arrays``' weights, and 
                     gain-to-target ratio, picking its most relevant item.
 * ``FairCoStar`` -- proportional-controller boost for lagging providers.
 * ``MMFStar``    -- per-slot blend of normalized relevance and a worst-off
-                    provider indicator; degrades to PoorK at alpha = 1.
+                    provider indicator; PoorK at alpha = 1.
 * ``EquityRank`` -- relevance plus the analytic fairness gradient of each
                     item's provider, scaled by the item's gain weights.
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
+
+At alpha 0 every policy but PoorK and EquityRankV runs TopK's plan, and
+MMF* at alpha 1 runs PoorK's (``plan_of``).
 
 A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row in
 slot order (online runs, and the public rankers but ``offline_rank_user``)
@@ -32,7 +35,7 @@ the same operations, so the two give the same bits.
 ``serve_offline`` serves every offline run (``sim.run_offline_batch``;
 ``allocate_vertical`` and ``offline_rank_user`` serve runs of one), and it
 alone picks a run's engine, from its policy and alpha. A ledger-blind run
-(``ledger_blind``: TopK, and EquityRank and EquityRankV at alpha 0) ranks by
+(``ledger_blind``: TopK's plan, and EquityRankV at alpha 0) ranks by
 relevance alone, so it is served whole: one gather takes every user's first
 K segment entries, which in greedy order are the list ``PolicyPlan.rank``
 would take, and the run pays them in its own order, level by level for
@@ -224,10 +227,9 @@ class PolicyPlan:
             raise ValueError("EquityRankV lists are built jointly, for all users, by serve_offline (offline mode)")
         if kind == "MMFStar" and alpha > 1.0:
             raise ValueError("alpha must lie in [0, 1] for this policy")
-        if kind == "EquityRank" and alpha != 0.0 and m < 2:
+        self.kind, self.alpha = plan_of(kind, alpha)
+        if self.kind == "EquityRank" and m < 2:
             raise ValueError("pairwise unfairness needs at least two providers")
-        # PoorK is MMF*'s score at alpha = 1
-        self.kind, self.alpha = kind, 1.0 if kind == "PoorK" else alpha
         # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
@@ -247,7 +249,7 @@ class PolicyPlan:
             return rel + (self.alpha if alpha is None else alpha) * shortfall
         if self.kind in ("PoorK", "MMFStar"):
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
-        if self.kind == "TopK" or self.alpha == 0.0:
+        if self.kind == "TopK":
             return rel
         # the operands of this one row, as row_ranker gathers them for a run's rows
         y, operands = self.targets, (provider, self.targets[provider], self.vb[provider], self.ve[provider])
@@ -290,10 +292,10 @@ class PolicyPlan:
             return lambda user, rel, gains: pick_row(rel, rows[user], gains, probs)
         out, neg_rel, zeros = np.empty(width), np.empty(width), np.zeros(width)
         negative, lexsort, partition = np.negative, np.lexsort, _partitions(width, k)
-        if self.kind == "FairCoStar":  # at alpha 0 too, as score: 0 times an overflowing ratio fails
+        if self.kind == "FairCoStar":
             score, rows = self.score, list(providers)
             negated = lambda user, rel, gains: negative(score(rel, rows[user], gains), out=out)  # noqa: E731
-        elif self.kind == "TopK" or self.alpha == 0.0:
+        elif self.kind == "TopK":
             negated = lambda user, rel, gains: negative(rel, out=out)  # noqa: E731
         else:
             # y, v_b and v_e gathered at every row's providers, and y . y, 4 / (m (m-1))
@@ -416,14 +418,6 @@ def _equity_row(rel: np.ndarray, gains: np.ndarray, y: np.ndarray, operands, con
     return last(b, rel, out=b)
 
 
-def _rank_one(policy, candidates, user, rel_source, ledger, catalog, profiles, pm) -> RankList:
-    """One user's list, ranked by ``policy`` from ``candidates`` in slot order."""
-    ids = _candidates(candidates, catalog)
-    plan = PolicyPlan(policy, provider_arrays(profiles))
-    slots = plan.rank(rel_source.relevance_of(user, ids), catalog.group_of[ids], ledger.raw_gains(), pm.probs)
-    return RankList(tuple(ids[slots].tolist()), user)
-
-
 # ---------------------------------------------------------------------------
 # Public rankers
 # ---------------------------------------------------------------------------
@@ -462,7 +456,7 @@ def rank_poork(
     candidates left (ties: lowest id), filled with its most relevant item
     left (ties: lowest id), whose expected gain goes to a slot-local copy.
     """
-    return _rank_one(PolicyConfig("PoorK"), candidates, user, rel_source, ledger, catalog, profiles, pm)
+    return online_step_rank(PolicyConfig("PoorK"), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
 def rank_fairco_star(
@@ -478,8 +472,9 @@ def rank_fairco_star(
     """Proportional-controller scoring under the gain-to-target metric: a
     provider lagging behind the best-served one, by ratio, gets its items
     boosted by alpha times the shortfall (never below their relevance).
+    At alpha 0 this is TopK's list (``plan_of``).
     """
-    return _rank_one(PolicyConfig("FairCoStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
+    return online_step_rank(PolicyConfig("FairCoStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
 def rank_mmf_star(
@@ -494,10 +489,10 @@ def rank_mmf_star(
 ) -> RankList:
     """Per-slot blend of normalized relevance and a worst-off provider bonus:
     (1 - alpha) * minmax(relevance) + alpha * [provider is worst off] over the
-    remaining candidates, with PoorK's slot-local gain updates. alpha = 0
-    reproduces TopK; alpha = 1 reproduces PoorK.
+    remaining candidates, with PoorK's slot-local gain updates. At alpha 0
+    this is TopK's list, at alpha 1 PoorK's (``plan_of``).
     """
-    return _rank_one(PolicyConfig("MMFStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
+    return online_step_rank(PolicyConfig("MMFStar", alpha), candidates, user, rel_source, ledger, catalog, profiles, pm)
 
 
 def online_step_rank(
@@ -515,7 +510,10 @@ def online_step_rank(
     This is one request of the online loop by item id; ``sim.run_online``
     runs the same plan by candidate slot.
     """
-    return _rank_one(policy, candidates, user, estimator, ledger, catalog, profiles, pm)
+    ids = _candidates(candidates, catalog)
+    plan = PolicyPlan(policy, provider_arrays(profiles))
+    slots = plan.rank(estimator.relevance_of(user, ids), catalog.group_of[ids], ledger.raw_gains(), pm.probs)
+    return RankList(tuple(ids[slots].tolist()), user)
 
 
 def offline_rank_user(
@@ -666,47 +664,29 @@ def allocate_vertical(
     return [RankList(tuple(items), u) for u, items in zip(users, lists.tolist())]
 
 
+def plan_of(policy: str, alpha: float) -> tuple[str, float]:
+    """The (kind, alpha) of the plan that ``policy`` runs at ``alpha``: TopK's, PoorK's or its own.
+
+    At alpha 0 every policy but PoorK ranks by relevance alone and runs
+    TopK's plan. Where FairCo*'s or MMF*'s own plan finishes there, it is
+    TopK's run bit for bit: FairCo* adds 0 x shortfall = 0.0, and MMF*
+    scores A at span / span = 1 and every other entry at most 1; where 0
+    times an overflowing ratio, or a subnormal span, makes NaN, its own
+    plan fails and TopK's does not. EquityRankV keeps its own plan, as it
+    pays level by level. MMF* at alpha 1 runs PoorK's plan.
+    """
+    if policy == "PoorK" or (policy == "MMFStar" and alpha == 1.0):
+        return "PoorK", 1.0
+    if policy == "TopK" or (alpha == 0.0 and policy != "EquityRankV"):
+        return "TopK", 0.0
+    return policy, alpha
+
+
 def ledger_blind(policy: str, alpha: float) -> bool:
     """Whether ``policy`` at ``alpha`` ranks every offline list without reading the ledger:
-    TopK at any alpha, and EquityRank and EquityRankV at alpha 0, rank by relevance alone,
-    with finite scores, so each list is the first K entries of the user's segment
-    (``OfflineField.heads``). FairCo* and MMF* at alpha 0 list the same items, but their
-    scores still read the gains and can fail where TopK's cannot: FairCo* through 0 times
-    an overflowing ratio, MMF* through its span check."""
-    return policy == "TopK" or (alpha == 0.0 and policy in ("EquityRank", "EquityRankV"))
-
-
-def ratios_stay_finite(arrays, probs, lists: int, purchases: float) -> bool:
-    """Whether no provider's gain-to-target ratio G_g / y_g can overflow in a run of ``lists``
-    lists, ``arrays`` being the ``provider_arrays`` and ``probs`` the K examination probabilities.
-
-    A list pays provider g at most sum p_k v_e,g of exposure gain and ``purchases`` v_b,g of
-    purchase gain (sum p_k offline, where p_k r <= p_k; K online, a purchase at each position),
-    so G_g / y_g <= lists (sum p_k v_e,g + purchases v_b,g) / y_g, which must stay finite
-    with a factor-2 margin for rounding. Then FairCo* at alpha 0 adds 0 x shortfall = 0 to
-    every relevance and ranks every list as TopK does: the same run.
-    """
-    ve, vb, y = arrays
-    with np.errstate(over="ignore"):
-        bound = 2.0 * (lists * (sum(probs) * ve + purchases * vb) / y)
-    return bool(np.isfinite(bound).all())
-
-
-def spans_stay_finite(field: OfflineField, k: int) -> bool:
-    """Whether offline MMF*'s span check passes at each of a list's ``k`` picks in every user's
-    segment of ``field`` when each pick is the segment's next entry, as TopK's are.
-
-    At pick j the entries left span hi = rel[j] down to lo = rel[L - 1], and
-    ``PolicyPlan._pick_heads`` requires (rel[0] - lo) / (hi - lo) to be finite wherever
-    hi > lo. Where it is, MMF* at alpha 0 scores A at 1 and every other entry left at most 1
-    (rounding is monotone), so A, the segment's next entry, wins every pick: the check is the
-    run's one failure path, and it serves TopK's lists and pays them in TopK's order.
-    """
-    users = np.arange(field.indptr.size - 1)
-    hi, lo = field.relevance[field.heads(users, k)], field.relevance[field.indptr[1:] - 1, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = (hi[:, :1] - lo) / (hi - lo)
-    return bool(np.isfinite(ratio[hi > lo]).all())
+    its plan (``plan_of``) runs at alpha 0, TopK's or EquityRankV's, so each list is the
+    first K entries of the user's segment (``OfflineField.heads``)."""
+    return plan_of(policy, alpha)[1] == 0.0
 
 
 def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, arrays, probs):

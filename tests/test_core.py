@@ -225,6 +225,24 @@ def test_ids_at_the_id_level_boundary_must_be_whole_numbers(make, bad):
         make()
 
 
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: SimConfig(list_size=10**400), "list_size"),
+        (lambda: SimConfig(total_steps=10**400), "total_steps"),
+        (lambda: PositionModel(10**400, [1.0]), "list size"),
+        (lambda: RankList((10**400,), 0), "item id"),
+        (lambda: RankList((0,), 10**400), "user id"),
+        (lambda: Catalog.from_assignments([0, 10**400]), "provider id"),
+    ],
+    ids=["sim-list-size", "sim-total-steps", "position-model", "ranklist-item", "ranklist-user", "catalog"],
+)
+def test_a_whole_number_beyond_every_float_is_refused_by_name(make, field):
+    # it used to escape as an OverflowError
+    with pytest.raises(ValueError, match=f"^{field} is too large, beyond every float$"):
+        make()
+
+
 def test_whole_number_ids_given_as_floats_are_taken():
     assert RelevanceTable(2, [(1.0, 2.0, 0.3)]).get(1, 2) == 0.3
     assert Catalog.from_assignments([0.0, 1.0, 1.0]).group_of.tolist() == [0, 1, 1]

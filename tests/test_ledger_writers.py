@@ -130,20 +130,25 @@ def test_only_the_pay_loop_and_the_online_feedback_call_accrue():
     assert uses == [], "pay served lists through GainLedger.pay: " + "; ".join(uses)
 
 
-def _private_rankers_imports(tree):
-    """(line, name) of every underscore name that ``tree`` imports from ``rankers``."""
+def _private_imports(tree):
+    """(line, module, name) of every underscore name that ``tree`` imports from ``rankers`` or ``sim``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "rankers":
-            yield from ((node.lineno, alias.name) for alias in node.names if alias.name.startswith("_"))
+        module = (node.module or "").split(".")[-1] if isinstance(node, ast.ImportFrom) else None
+        if module in ("rankers", "sim"):
+            yield from ((node.lineno, module, alias.name) for alias in node.names if alias.name.startswith("_"))
 
 
 def test_no_other_module_imports_a_private_name_from_rankers():
-    probe = ast.parse("from .rankers import PolicyPlan, _lockstep\nfrom equityrank.rankers import _pay\n")
-    assert sorted(_private_rankers_imports(probe)) == [(1, "_lockstep"), (2, "_pay")]
+    # nor from sim: a sweep reads a run's plan from rankers.plan_of and serves it through sim's drivers
+    probe = ast.parse(
+        "from .rankers import PolicyPlan, _lockstep\nfrom equityrank.rankers import _pay\n"
+        "from .sim import SimConfig, _check_dataset\n"
+    )
+    assert sorted(_private_imports(probe)) == [(1, "rankers", "_lockstep"), (2, "rankers", "_pay"), (3, "sim", "_check_dataset")]
     imports = [
-        f"{path.name}:{line} imports {name}"
+        f"{path.name}:{line} imports {module}.{name}"
         for path in SOURCES
-        if path.stem != "rankers"
-        for line, name in _private_rankers_imports(ast.parse(path.read_text(), filename=str(path)))
+        for line, module, name in _private_imports(ast.parse(path.read_text(), filename=str(path)))
+        if module != path.stem
     ]
-    assert imports == [], "serve offline runs through rankers.serve_offline: " + "; ".join(imports)
+    assert imports == [], "serve runs through rankers.serve_offline and the sim drivers: " + "; ".join(imports)

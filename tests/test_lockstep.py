@@ -188,7 +188,8 @@ def test_each_batched_run_equals_its_run_alone_and_the_reference(case, policy, d
 @given(tied_datasets(), st.booleans(), st.data())
 def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
     # ragged segments, alpha 0 among the runs, and with a tiny target on provider 0
-    # some runs' ratios overflow to +inf: each of those fails alone, with its own message
+    # some runs' ratios overflow to +inf: each of those fails alone, with its own message.
+    # A run at alpha 0 runs TopK's plan, served whole: it joins no batch
     dataset, k = case
     dataset = tiny_target(dataset) if tiny else dataset
     cfg = SimConfig(list_size=k)
@@ -196,7 +197,8 @@ def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
     runs = data.draw(st.lists(st.tuples(alpha, st.integers(0, 50)), min_size=1, max_size=8, unique=True))
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes, ledgers, batches = batch_with_ledgers(dataset, "FairCoStar", runs, cfg)
-        assert batches == [len(runs)]
+        batched = sum(alpha != 0.0 for alpha, _ in runs)
+        assert batches == ([batched] if batched else [])
         assert len(outcomes) == len(runs)
         for (alpha, seed), got in zip(runs, outcomes):
             want, ledger = alone_with_ledger(dataset, "FairCoStar", alpha, seed, cfg)
@@ -210,7 +212,8 @@ def test_each_fairco_run_of_a_batch_equals_its_run_alone(case, tiny, data):
 
 def test_a_fairco_run_whose_ratios_overflow_fails_alone():
     # provider 0 owns item 0, which only user 1 finds relevant: a run that serves user 1
-    # before user 0 pays it, its ratio overflows, and user 0's list cannot be scored
+    # before user 0 pays it, its ratio overflows, and user 0's list cannot be scored.
+    # At alpha 0 that run is TopK's, which reads no ratio, and finishes
     profiles = [ProviderProfile(1.0, 2.0, 1.0)] * 3
     entries = [(1, 0, 1.0)] + [(u, i, 0.5 + 0.1 * i) for u in range(2) for i in range(1, 5)]
     catalog = Catalog.from_assignments([0, 1, 1, 2, 2], 3)
@@ -218,15 +221,17 @@ def test_a_fairco_run_whose_ratios_overflow_fails_alone():
     cfg = SimConfig(list_size=2)
     first = {seed: int(np.random.default_rng(seed).permutation(2)[0]) for seed in range(4)}
     late, early = min(s for s in first if first[s] == 0), min(s for s in first if first[s] == 1)
-    runs = [(0.0, late), (0.0, early), (1e-3, late), (0.5, late)]
+    runs = [(0.0, late), (0.0, early), (1e-3, late), (1e-3, early), (0.5, late)]
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)
         for (alpha, seed), got in zip(runs, outcomes):
             want = run_alone(dataset, "FairCoStar", alpha, seed, cfg)
-            if seed == early:
+            if seed == early and alpha != 0.0:
                 assert isinstance(got, ValueError) and str(got) == str(want) == "scores must be finite"
             else:
                 assert got.deterministic_values() == want.deterministic_values()
+        topk = sim.run_offline(dataset, "TopK", 0.0, early, cfg)
+    assert dataclasses.replace(outcomes[1], policy="TopK").deterministic_values() == topk.deterministic_values()
 
 
 def test_a_fairco_list_never_takes_a_pad_of_its_short_segment():
@@ -274,11 +279,13 @@ def test_fairco_lists_break_exact_score_ties_by_relevance_as_the_reference_does(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rankers, "_lockstep", recorded)
         outcomes = sim.run_offline_batch(dataset, "FairCoStar", runs, cfg)
-    assert len(lists) == len(runs)
+    # the alpha-0 run is TopK's, served whole: only the others go in lockstep
+    assert len(lists) == len(runs) - 1 and all(alpha != 0.0 for alpha, _ in lists)
     for (alpha, seed), got in zip(runs, outcomes):
         want, want_lists, _ = run_offline_reference(dataset, "FairCoStar", alpha, seed, cfg)
         order = tuple(np.random.default_rng(seed).permutation(2).tolist())
-        assert lists[alpha, order] == [list(rl.positions) for rl in want_lists]
+        if alpha != 0.0:
+            assert lists[alpha, order] == [list(rl.positions) for rl in want_lists]
         assert got.deterministic_values() == want.deterministic_values()
     assert lists[0.25, (0, 1)][1] == [2, 1]
 
@@ -307,11 +314,12 @@ def test_a_ledger_blind_run_is_served_whole_as_the_reference_serves_it(case, run
     assert_same_ledger(ledger, want_ledger)
 
 
-def test_only_fairco_and_mmf_at_alpha_0_read_the_ledger_among_topk_lists():
-    # FairCo* and MMF* at alpha 0 list TopK's items, but their scores can still fail
+def test_every_policy_but_poork_is_ledger_blind_at_alpha_0():
+    # at alpha 0 every policy but PoorK ranks by relevance alone; MMF* at alpha 1 is PoorK
     policies = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-    assert [rankers.ledger_blind(p, 0.0) for p in policies] == [True, False, False, False, True, True]
+    assert [rankers.ledger_blind(p, 0.0) for p in policies] == [True, False, True, True, True, True]
     assert [rankers.ledger_blind(p, 1e-3) for p in policies] == [True, False, False, False, False, False]
+    assert [rankers.ledger_blind(p, 1.0) for p in policies] == [True, False, False, False, False, False]
 
 
 @pytest.mark.parametrize("policy", ["EquityRank", "EquityRankV"])
@@ -361,12 +369,13 @@ def test_every_offline_engine_fails_nonfinite_scores_with_one_message():
 
 def test_only_the_gradient_policies_run_in_lockstep():
     # every policy goes through the driver; only FairCo*'s, EquityRank's and EquityRankV's
-    # runs that read the ledger join a batch, and MMF*'s and PoorK's go list by list
+    # runs that read the ledger, those at alpha above 0, join a batch, and MMF*'s and PoorK's
+    # go list by list
     spec = GeneratorSpec(n_users=8, n_items=20, n_providers=3, latent_dim=2, sparsity=0.5, seed=1)
     dataset = generate_dataset(spec, ScenarioSpec.common())
     cfg = SimConfig(list_size=2)
     runs = [(alpha, seed) for alpha in (0.0, 0.1, 1.0) for seed in (0, 1)]
-    for policy, want in zip(POLICIES, ([], [], [6], [], [4], [4])):
+    for policy, want in zip(POLICIES, ([], [], [4], [], [4], [4])):
         outcomes, _, batches = batch_with_ledgers(dataset, policy, runs, cfg)
         assert batches == want, policy
         for (alpha, seed), got in zip(runs, outcomes):

@@ -54,9 +54,9 @@ def runs(draw):
     return policy, profiles, providers, rel, visits, PositionModel.logarithmic(k).probs
 
 
-# FairCo* at alpha 0 lists TopK's items, but 0 times a ratio that overflowed to inf fails its scores
+# a ratio that overflowed to inf makes FairCo*'s shortfalls, so its scores, NaN
 OVERFLOWING_RATIO = (
-    PolicyConfig("FairCoStar", 0.0),
+    PolicyConfig("FairCoStar", 1e-3),
     [ProviderProfile(1.0, 1.0, 1e-3), ProviderProfile(1.0, 1.0, 1.0)],
     np.array([[0, 1]]),
     np.array([[0.5, 0.25]]),

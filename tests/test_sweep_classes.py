@@ -1,9 +1,11 @@
-"""A sweep serves each class of runs that provably equal one another once
-(``cli._sources``): each member written from its class's run equals the
-member served alone, results, failures and series, and a member that would
-not equal it is kept out of the class by its predicate."""
+"""A sweep serves each class of runs that equal one another once
+(``cli._sources``): runs of one seed that run one plan (``rankers.plan_of``).
+Each member written from its class's run equals the member served alone,
+results, failures and series, on data where a policy's own plan at alpha 0
+would fail too."""
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,15 +53,32 @@ def test_the_offline_benchmark_plan_serves_28_of_its_36_runs(tmp_path, monkeypat
         assert error == f"RuntimeError: {source} {seed}"
 
 
-def test_the_default_online_plan_serves_95_of_its_110_runs(tmp_path, monkeypatch):
+def test_the_default_online_plan_serves_90_of_its_110_runs(tmp_path, monkeypatch):
     args = cli._build_parser().parse_args(["sweep", "--mode", "online", "--out", str(tmp_path / "sweep")])
     plan = cli.resolve_plan(args)
     assert plan.sim.total_steps == 250_000 and plan.alpha_grid == cli.DEFAULT_ALPHA_GRID and len(plan.seeds) == 5
     served, failures = served_runs(monkeypatch, plan)
-    assert len(served) == 95 and len(failures) == 110
-    # online MMF* at alpha 0 is served: only offline is its span check shown never to fail
+    assert len(served) == 90 and len(failures) == 110
+    # online as offline, MMF* at alpha 0 runs TopK's plan
     copied = {(p, a) for p in plan.policies for a in cli.effective_alpha_grid(p, plan.alpha_grid)} - {(p, a) for p, a, _ in served}
-    assert copied == {("EquityRank", 0.0), ("FairCoStar", 0.0), ("MMFStar", 1.0)}
+    assert copied == {("EquityRank", 0.0), ("FairCoStar", 0.0), ("MMFStar", 0.0), ("MMFStar", 1.0)}
+
+
+def test_each_policy_runs_topks_poorks_or_its_own_plan():
+    plans = {(p, a): rankers.plan_of(p, a) for p in rankers.POLICY_KINDS for a in (0.0, 0.5, 1.0)}
+    topk, poork = ("TopK", 0.0), ("PoorK", 1.0)
+    assert plans == {
+        **{("TopK", a): topk for a in (0.0, 0.5, 1.0)},
+        **{("PoorK", a): poork for a in (0.0, 0.5, 1.0)},
+        **{(p, 0.0): topk for p in ("FairCoStar", "MMFStar", "EquityRank")},
+        **{(p, a): (p, a) for p in ("FairCoStar", "EquityRank", "EquityRankV") for a in (0.5, 1.0)},
+        ("MMFStar", 0.5): ("MMFStar", 0.5),
+        ("MMFStar", 1.0): poork,
+        # EquityRankV pays TopK's lists level by level, which can round its gains otherwise
+        ("EquityRankV", 0.0): ("EquityRankV", 0.0),
+    }
+    specs = [("TopK", 0.0, 0), ("EquityRankV", 0.0, 0), ("EquityRank", 0.0, 0), ("EquityRankV", 0.0, 1)]
+    assert cli._sources(specs) == [0, 1, 0, 3]
 
 
 # relevance with a subnormal gap next to 0, and weights and targets near the float range
@@ -148,32 +167,66 @@ def subnormal_gap():
     return Dataset(Catalog.from_assignments([0, 1, 0, 1], 2), profiles, RelevanceTable(1, entries))
 
 
+def outcome(run, dataset, policy, alpha, sim):
+    """A run's deterministic values under TopK's name, and its checkpoints' repr if online."""
+    got = run(dataset, policy, alpha, 0, sim)
+    result, trace = got if isinstance(got, tuple) else (got, None)
+    return replace(result, policy="TopK").deterministic_values(), trace and repr(trace.checkpoints)
+
+
 @pytest.mark.parametrize("mode", ["offline", "online"])
-def test_fairco_at_alpha_zero_is_kept_out_where_a_ratio_can_overflow(mode):
+def test_fairco_at_alpha_zero_runs_topks_plan_where_a_ratio_overflows(mode):
     dataset, sim = overflowing_targets(), SimConfig(list_size=2, mode=mode, total_steps=3, prefilter_size=4)
     with np.errstate(all="ignore"):
         run = run_online if mode == "online" else run_offline
-        run(dataset, "TopK", 0.0, 0, sim)
+        assert outcome(run, dataset, "FairCoStar", 0.0, sim) == outcome(run, dataset, "TopK", 0.0, sim)
         with pytest.raises(ValueError, match="scores must be finite"):
-            run(dataset, "FairCoStar", 0.0, 0, sim)
-    specs = [("TopK", 0.0, 0), ("FairCoStar", 0.0, 0), ("EquityRank", 0.0, 0)]
-    assert cli._sources(dataset, specs, sim) == [0, 1, 0]
+            run(dataset, "FairCoStar", 1e-3, 0, sim)
+    specs = [("TopK", 0.0, 0), ("FairCoStar", 0.0, 0), ("EquityRank", 0.0, 0), ("FairCoStar", 1e-3, 0)]
+    assert cli._sources(specs) == [0, 0, 0, 3]
 
 
-def test_offline_mmf_at_alpha_zero_is_kept_out_where_its_span_check_fails():
+def test_mmf_at_alpha_zero_runs_topks_plan_where_its_span_check_fails():
     dataset, sim = subnormal_gap(), SimConfig(list_size=2)
-    run_offline(dataset, "TopK", 0.0, 0, sim)
+    assert outcome(run_offline, dataset, "MMFStar", 0.0, sim) == outcome(run_offline, dataset, "TopK", 0.0, sim)
     with pytest.raises(ValueError, match="scores must be finite"):
-        run_offline(dataset, "MMFStar", 0.0, 0, sim)
+        run_offline(dataset, "MMFStar", 0.5, 0, sim)
     specs = [("TopK", 0.0, 0), ("MMFStar", 0.0, 0), ("MMFStar", 1.0, 0), ("PoorK", 0.0, 0), ("MMFStar", 1.0, 1)]
-    assert cli._sources(dataset, specs, sim) == [0, 1, 2, 2, 4]
-    # at one pick the span check reads only hi = rel[0]: it passes
-    assert cli._sources(dataset, specs, SimConfig(list_size=1)) == [0, 0, 2, 2, 4]
+    assert cli._sources(specs) == [0, 0, 2, 2, 4]
 
 
-def test_a_refused_dataset_makes_no_class():
-    # a list of 3 on 2 items: the drivers refuse the dataset, and no predicate reads it
+@pytest.mark.parametrize("data", [overflowing_targets, subnormal_gap])
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_fairco_and_mmf_at_alpha_zero_are_topks_run_where_their_own_plans_fail(tmp_path, data, mode):
+    sim = SimConfig(list_size=2, mode=mode, total_steps=3, prefilter_size=4, checkpoint_every=1)
+    dataset, run = data(), run_online if mode == "online" else run_offline
+    with np.errstate(all="ignore"):
+        topk = outcome(run, dataset, "TopK", 0.0, sim)
+        for policy in ("FairCoStar", "MMFStar"):
+            assert outcome(run, dataset, policy, 0.0, sim) == topk
+        save_dataset(dataset, tmp_path / "data")
+        plan = ExperimentPlan(
+            out_dir=str(tmp_path / "sweep"), dataset=str(tmp_path / "data"),
+            policies=("TopK", "FairCoStar", "MMFStar"), alpha_grid=(0.0, 0.5), seeds=(0,), sim=sim,
+        )
+        out = cmd_sweep(plan)
+    failed = (out / "failures.csv").read_text().splitlines()[1:] if (out / "failures.csv").exists() else []
+    assert not [line for line in failed if float(line.split(",")[1]) == 0.0]
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_each_run_on_a_refused_dataset_fails_with_the_drivers_message(tmp_path, mode):
+    # a list of 3 on 2 items: the drivers refuse the dataset, and each copy carries their message
     profiles = (ProviderProfile(1.0, 1.0, 1.0), ProviderProfile(1.0, 1.0, 1.0))
     dataset = Dataset(Catalog.from_assignments([0, 1], 2), profiles, RelevanceTable(1, [(0, 0, 1.0)]))
-    specs = [("TopK", 0.0, 0), ("MMFStar", 0.0, 0), ("FairCoStar", 0.0, 0), ("EquityRank", 0.0, 0)]
-    assert cli._sources(dataset, specs, SimConfig(list_size=3)) == [0, 1, 2, 3]
+    save_dataset(dataset, tmp_path / "data")
+    policies = ("TopK", "MMFStar", "FairCoStar", "EquityRank")
+    plan = ExperimentPlan(
+        out_dir=str(tmp_path / "sweep"), dataset=str(tmp_path / "data"), policies=policies,
+        alpha_grid=(0.0, 1.0), seeds=(0,), sim=SimConfig(list_size=3, mode=mode),
+    )
+    out = cmd_sweep(plan)
+    rows = [line.split(",") for line in (out / "failures.csv").read_text().splitlines()[1:]]
+    specs = [(p, a) for p in policies for a in cli.effective_alpha_grid(p, plan.alpha_grid)]
+    assert [(p, float(a)) for p, a, _, _ in rows] == specs
+    assert {error for *_, error in rows} == {"ValueError: catalog has fewer items than the list size"}

@@ -1,15 +1,18 @@
 """Property tests of the O(m) unfairness: against the exact pairwise sum in
-rational arithmetic, against the m x m form it replaced, and for memory."""
+rational arithmetic, against the m x m form it replaced, where |y|^2
+underflows, and for memory."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equityrank import unfairness
+from equityrank import Catalog, ProviderProfile, RelevanceTable, SimConfig, run_offline, run_online, unfairness
+from equityrank.synth import Dataset
 from oracles import reference_unfairness
 
 TARGETS = st.floats(1e-3, 1e3)
@@ -66,6 +69,30 @@ def test_matches_pairwise_form_on_generic_ledgers(m, seed, gain_scale, zero_shar
     gains[rng.random(m) < zero_share] = 0.0
     want = reference_unfairness(gains, targets)
     assert abs(unfairness(gains, targets) - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(600, 1000), st.integers(-20, 20))
+def test_matches_pairwise_form_where_the_targets_square_underflows(m, seed, power, offset):
+    # gains up to 2^1000 against targets near 2^-power: |y|^2 underflows to 0, while
+    # each G_i y_j, and the exact result, stays a normal float
+    rng = np.random.default_rng(seed)
+    targets = np.ldexp(rng.uniform(1e-3, 1e3, m), -power - offset)
+    gains = np.ldexp(rng.uniform(0.0, 1e3, m), power)
+    assert float(targets @ targets) == 0.0
+    want = reference_unfairness(gains, targets)
+    assume(sys.float_info.min <= want < math.inf)
+    assert abs(unfairness(gains, targets) - want) <= 1e-12 * want
+
+
+def test_runs_finish_where_every_targets_square_underflows():
+    profiles = (ProviderProfile(1.0, 1.0, 1e-300),) * 2
+    entries = [(u, i, r) for u in range(2) for i, r in enumerate((1.0, 0.5, 0.25, 0.0))]
+    dataset = Dataset(Catalog.from_assignments([0, 1, 0, 1], 2), profiles, RelevanceTable(2, entries))
+    for policy in ("TopK", "EquityRank"):
+        assert math.isfinite(run_offline(dataset, policy, 0.5, 0, SimConfig(list_size=2)).unfairness)
+        result, trace = run_online(dataset, policy, 0.5, 0, SimConfig(list_size=2, mode="online", total_steps=4, prefilter_size=4))
+        assert math.isfinite(result.unfairness) and len(trace.checkpoints) == 1
 
 
 def test_memory_is_linear_in_provider_count():
