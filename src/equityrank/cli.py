@@ -4,12 +4,8 @@
 ``ExperimentPlan`` as JSON, with CLI flags laid over the ``--config`` file
 and the dataclasses' defaults filling the rest. Each value is coerced to
 its field's annotated type at this boundary; README "Plans and configs"
-has the rules, and "Sweep outputs" the files a sweep writes. A sweep serves
-each class of runs that equal one another once (``_sources``: runs of one
-seed that run one plan, ``rankers.plan_of``) and writes the other members
-from that run's outcome. It deals each policy's served offline runs out to
-its workers, one unit per share, and a served online run is a unit alone;
-the mode's ``sim`` driver serves each unit.
+has the rules, "Sweep classes" the runs a sweep serves (``_sources``) and
+"Sweep outputs" the files it writes and how it deals units to workers.
 """
 
 from __future__ import annotations
@@ -294,14 +290,8 @@ def _units(specs: list[tuple[str, float, int]], mode: str, workers: int) -> list
 
 
 def _sources(specs: list[tuple[str, float, int]]) -> list[int]:
-    """For each spec, the index of the first spec whose run it equals, itself if none.
-
-    Runs of one seed that run one plan (``rankers.plan_of``) form a class:
-    TopK's holds every policy but PoorK and EquityRankV at alpha 0, and
-    PoorK's holds MMF* at alpha 1. Each is the same run under another name:
-    the same lists, ledger, draws and failures, a refused dataset's
-    included.
-    """
+    """For each spec, the index of the first spec whose run it equals, itself if none:
+    runs of one seed that run one plan (``rankers.plan_of``) form a class."""
     first: dict[tuple, int] = {}
     return [first.setdefault((*plan_of(policy, alpha), seed), i) for i, (policy, alpha, seed) in enumerate(specs)]
 
@@ -313,12 +303,8 @@ def _copy(outcome: tuple, policy: str, alpha: float) -> tuple:
 
 
 def cmd_sweep(plan: ExperimentPlan) -> Path:
-    """Execute every (policy, alpha, seed) run of the plan and write outputs.
-
-    Each class of runs that equal one another (``_sources``) is served once,
-    as its first spec in plan order; every other member is written from that
-    run's outcome under its own policy and alpha, with its wall time.
-    """
+    """Execute every (policy, alpha, seed) run of the plan and write outputs, serving each
+    class of runs that equal one another (``_sources``) once (README, "Sweep classes")."""
     dataset = _plan_dataset(plan)
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)

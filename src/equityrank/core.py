@@ -32,7 +32,7 @@ __all__ = [
 
 
 def _whole_ids(ids, what: str) -> np.ndarray:
-    """``ids`` as an int64 array; ValueError at the first that is not a whole number."""
+    """``ids`` as an int64 array; ValueError at the first that is not a whole number or lies beyond int64."""
     try:
         values = np.asarray(ids, dtype=np.float64)
     except OverflowError:
@@ -40,7 +40,15 @@ def _whole_ids(ids, what: str) -> np.ndarray:
     bad = ~(np.isfinite(values) & (values == np.floor(values)))
     if bad.any():
         raise ValueError(f"{what} {values[bad][0]:g} is not a whole number")
-    return np.asarray(ids, dtype=np.int64)
+    try:
+        with np.errstate(invalid="ignore"):  # a float beyond int64 casts to another value, refused below
+            whole = np.asarray(ids, dtype=np.int64)
+        bad = whole != values
+    except OverflowError:  # a Python int beyond int64
+        bad = np.abs(values) >= 2.0**63
+    if bad.any():
+        raise ValueError(f"{what} {values[bad][0]:g} lies beyond the 64-bit integer range")
+    return whole
 
 
 def _whole_id(value, what: str) -> int:
@@ -249,16 +257,19 @@ class RelevanceTable:
         self.user_count = int(user_count)
         if not isinstance(entries, np.ndarray):
             entries = list(entries)
-        triples = np.asarray(entries, dtype=np.float64)
+        try:
+            triples = np.asarray(entries, dtype=np.float64)
+        except OverflowError:
+            raise _too_large("a relevance entry") from None
         if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
             raise ValueError("entries must be (user, item, value) triples")
         triples = triples.reshape(-1, 3)
         users, items, values = triples.T
-        # checked as floats, so a NaN, infinite or fractional id is rejected before the cast
+        # checked as floats, so a NaN, infinite, fractional or int64-overflowing id is rejected before the cast
         bad = ~((users >= 0) & (users < self.user_count) & (users == np.floor(users)))
         if bad.any():
             raise ValueError(f"user id {users[bad][0]:g} out of range or not a whole number")
-        bad = ~((items >= 0) & np.isfinite(items) & (items == np.floor(items)))
+        bad = ~((items >= 0) & (items < 2.0**63) & (items == np.floor(items)))
         if bad.any():
             raise ValueError(f"item id {items[bad][0]:g} out of range or not a whole number")
         bad = ~((values >= 0.0) & (values <= 1.0))

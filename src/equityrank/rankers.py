@@ -14,63 +14,15 @@ online estimator), a gain ledger snapshot and ``provider_arrays``' weights, and 
 * ``EquityRankV``-- EquityRank with vertical allocation: offline only, all
                     users' slot k is filled before any slot k+1.
 
-At alpha 0 every policy but PoorK and EquityRankV runs TopK's plan, and
-MMF* at alpha 1 runs PoorK's (``plan_of``).
-
-A ``PolicyPlan`` ranks one list's entries from raw gains: a candidate row in
-slot order (online runs, and the public rankers but ``offline_rank_user``)
-or a user's segment of an ``OfflineField`` in greedy order (offline PoorK
-and MMF* runs). Ties go by score, then relevance, descending, then id
-ascending: in *greedy order* (relevance descending, then id ascending), the
-first of equal scores. TopK, FairCo* and EquityRank score every entry once
-and take the top K by score and relevance, then position, the same items in
-either order. An online run resolves its plan once for all its candidate
-rows (``PolicyPlan.row_ranker``): the policy, the row width against K, the
-top-K selection, and EquityRank's y, v_b and v_e gathered at every row, so
-that a step scores its row by array-by-array operations into buffers
-allocated once, computing minus the scores, which is exact, as the sort
-key. ``score`` gathers the same operands for one row at each call and runs
-the same operations, so the two give the same bits.
-
-``serve_offline`` serves every offline run (``sim.run_offline_batch``;
-``allocate_vertical`` and ``offline_rank_user`` serve runs of one), and it
-alone picks a run's engine, from its policy and alpha. A ledger-blind run
-(``ledger_blind``: TopK's plan, and EquityRankV at alpha 0) ranks by
-relevance alone, so it is served whole: one gather takes every user's first
-K segment entries, which in greedy order are the list ``PolicyPlan.rank``
-would take, and the run pays them in its own order, level by level for
-EquityRankV. PoorK and MMF* runs go list by list. Every other run goes
-through ``_lockstep``, the one offline fill of FairCo*, EquityRank and
-EquityRankV, in near-equal batches of at most ``BATCH_RUNS``, a batch of one
-included. The runs' current segments, padded with their last entry, form
-(R x L) rows, scored with each run's gains and alpha by one list's elementwise
-operations and one ``np.vecdot`` for the runs' G.y, which takes each row's
-dot by the kernel of ``row.dot`` (a matrix product rounds some rows
-differently); one matrix-vector product with zeros checks every row, so a
-run whose scores are not finite fails alone. So each run's scores, lists and
-ledger are the bits it gets alone. EquityRank takes ``argmax(axis=1)``'s
-first maximum among the entries left, paying p_k (v_e + r v_b) to a gains
-copy, or for EquityRankV, level by level, to the ledger; FairCo* takes the
-first K of one stable ``argsort(axis=-1)`` by score, the pads last: in
-greedy order that is the (score, relevance, position) order. Every engine
-pays a list's expected gains through ``GainLedger.pay``. PoorK and MMF* work
-in greedy order, where a segment is and a row gets by one stable sort, and
-pick among provider heads: MMF*'s score (1 - alpha) (r - lo) / (hi - lo) +
-alpha [provider is worst off], lo and hi spanning the entries left, is made
-of monotone float operations, so in greedy order it does not increase within
-the worst-off provider's entries or within the rest. The best entry left is
-A, the first one left, if score(A) >= score(W), else W, the worst-off
-provider's first one left (PoorK, alpha = 1: always W). So each pick is a
-provider's head and changes one entry of the gain-to-target ratios, kept
-with dead providers at +inf.
-
-An offline field (``offline_field``) holds every item stored for a user
-plus each provider's K lowest-id items of relevance 0, and gives the whole
-catalog's lists: every policy scores an item from its relevance, provider
-and the run state alone, so a (provider, relevance) class ties and its K
-lowest ids hold every pick of a K-item list; a larger class keeps an
-unpicked member in the field, so the relevance range and the live
-providers that MMF* reads do not change either.
+``plan_of`` says which plan a policy runs at an alpha: at alpha 0 every
+policy but PoorK and EquityRankV runs TopK's, and MMF* at alpha 1 PoorK's.
+A ``PolicyPlan`` ranks one list's entries from raw gains, a candidate row in
+slot order or a user's segment of an ``OfflineField`` in greedy order, by
+one tie rule; ``PolicyPlan.row_ranker`` resolves it once for an online
+run's rows. ``serve_offline`` serves every offline run and alone picks its
+engine, and each run's lists and ledger are the bits it gets alone. README:
+"Offline engines" for the engines and the offline field, "Exactness rules"
+for the tie rule and EquityRank's two kernels.
 """
 
 from __future__ import annotations
@@ -204,19 +156,13 @@ def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
 
 
 class PolicyPlan:
-    """One ranking policy resolved once (see the module docstring).
+    """One ranking policy resolved once, with every provider's v_e, v_b and y (``ve``,
+    ``vb`` and ``targets``: the ``provider_arrays`` it is given) and the gradient's constants.
 
-    It holds the policy, every provider's v_e, v_b and y (``ve``, ``vb`` and
-    ``targets``: the ``provider_arrays`` it is given) and the gradient's
-    constants. Entries come as relevance ``rel`` and provider ids ``provider``:
-    a candidate row in slot order, or a segment in greedy order with ``heads``,
-    its ``(by_provider, offsets)`` in an ``OfflineField``. ``score(rel, provider, gains)`` gives
-    their TopK, FairCo* or EquityRank scores, ``rank(rel, provider, gains,
-    probs, heads)`` one list's positions among them, top first; PoorK's and
-    MMF*'s picks pay a gains copy. ``row_ranker(providers, probs)`` is
-    ``rank`` resolved once for the (users x C) candidate rows of an online
-    run: it returns the run's step ranker, which ranks a user's row from the
-    operands gathered once for all rows, with the same bits.
+    Entries come as relevance ``rel`` and provider ids ``provider``: a candidate row in
+    slot order, or a segment in greedy order with ``heads``, its ``(by_provider, offsets)``
+    in an ``OfflineField``. ``score`` gives their TopK, FairCo* or EquityRank scores and
+    ``rank`` one list's positions among them, top first; PoorK's and MMF*'s picks pay a gains copy.
     """
 
     def __init__(self, policy: PolicyConfig, arrays: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
@@ -230,7 +176,6 @@ class PolicyPlan:
         self.kind, self.alpha = plan_of(kind, alpha)
         if self.kind == "EquityRank" and m < 2:
             raise ValueError("pairwise unfairness needs at least two providers")
-        # the fairness gradient's constants y . y and 4 / (m (m-1))
         self._target_sq, self._scale = float(y @ y), 4.0 / (m * (m - 1)) if m > 1 else math.nan
         self._zeros = np.zeros(0)  # grown to the longest list of entries checked
 
@@ -251,9 +196,9 @@ class PolicyPlan:
             raise ValueError(f"{self.kind} picks among provider heads and scores no slot")
         if self.kind == "TopK":
             return rel
-        # the operands of this one row, as row_ranker gathers them for a run's rows
-        y, operands = self.targets, (provider, self.targets[provider], self.vb[provider], self.ve[provider])
-        return _equity_row(rel, gains, y, operands, (self._target_sq, self._scale, self.alpha), np.empty((3, rel.size)), np.add)
+        # b at a provider outside the row may overflow; the callers' finite checks read the row's scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._equity(rel, provider, rel * self.vb[provider] + self.ve[provider], gains, self.alpha)
 
     def rank(self, rel: np.ndarray, provider: np.ndarray, gains: np.ndarray, probs, heads=None) -> list[int]:
         """One list's positions among the entries, top first (see the class docstring)."""
@@ -276,13 +221,9 @@ class PolicyPlan:
 
         Returns ``rank_row(user, rel, gains)``: ``rank(rel, providers[user],
         gains, probs)``, the same positions and the same ``ValueError``s, for a
-        row ``rel`` of C float64 relevances. Resolved here, once: the policy,
-        the check that a row holds at least K entries, whether the top-K
-        selection partitions (``top_k_order``), and for EquityRank the
-        gradient's operands, y, v_b and v_e gathered at every row's providers.
-        A call checks only that its scores are finite. TopK, FairCo* and
-        EquityRank compute minus the scores into buffers allocated here, as
-        ``score`` computes the scores; PoorK and MMF* take ``rank``'s row path.
+        row ``rel`` of C float64 relevances. What a step would resolve again
+        is resolved here (README, "The online loop"); a call checks only that
+        its scores are finite.
         """
         k, width = len(probs), providers.shape[1]
         if width < k:
@@ -298,15 +239,27 @@ class PolicyPlan:
         elif self.kind == "TopK":
             negated = lambda user, rel, gains: negative(rel, out=out)  # noqa: E731
         else:
-            # y, v_b and v_e gathered at every row's providers, and y . y, 4 / (m (m-1))
-            # and minus alpha held as C-long rows, so that each elementwise
-            # operation of a call takes two arrays
+            # the gather-first kernel (README, "Exactness rules"): y, v_b and v_e gathered at every row's
+            # providers, and y . y, 4 / (m (m-1)) and minus alpha held as C-long rows, so that each
+            # elementwise operation of a step takes two arrays
             y, rows = self.targets, list(providers)
             operands = list(zip(rows, *(list(a[providers]) for a in (y, self.vb, self.ve))))
             buffers = np.empty((6, width))
             buffers[:3].T[:] = self._target_sq, self._scale, -self.alpha
-            consts, scratch, subtract = tuple(buffers[:3]), tuple(buffers[3:]), np.subtract
-            negated = lambda user, rel, gains: _equity_row(rel, gains, y, operands[user], consts, scratch, subtract)  # noqa: E731
+            (target_sq, scale, alpha), (b, scaled, weight) = buffers[:3], buffers[3:]
+            multiply, subtract, add = np.multiply, np.subtract, np.add
+
+            def negated(user: int, rel: np.ndarray, gains: np.ndarray) -> np.ndarray:
+                own, target, vb, ve = operands[user]
+                multiply(target, gains.dot(y), out=b)
+                multiply(gains[own], target_sq, out=scaled)
+                subtract(b, scaled, out=b)
+                multiply(b, scale, out=b)
+                multiply(b, alpha, out=b)
+                multiply(rel, vb, out=weight)
+                add(weight, ve, out=weight)
+                multiply(b, weight, out=b)
+                return subtract(b, rel, out=b)
 
         def rank_row(user: int, rel: np.ndarray, gains: np.ndarray) -> list[int]:
             # rank's keys, (-rel, -scores), and its finite check, as _check's
@@ -339,15 +292,12 @@ class PolicyPlan:
             self._zeros = np.zeros(size)
         return scores.dot(self._zeros[:size])
 
-    def _equity(self, rel: np.ndarray, provider: np.ndarray, target, weight, gains: np.ndarray, alpha) -> np.ndarray:
-        # _equity_row's scores of (R x L) rows of lockstep runs, with the runs'
-        # (R x m) gains, an alpha column, every provider's ``target`` and
-        # ``provider`` as flat indices into the gains: alpha b for each (run,
-        # provider) first, by the same operations on the same operands, then
-        # read at the entries. vecdot takes each run's G.y by the row dot's
-        # own kernel (tests/test_lockstep.py pins it), where a matrix product
-        # or einsum rounds some rows differently
-        b = target * np.vecdot(gains, self.targets)[:, None]
+    def _equity(self, rel: np.ndarray, provider: np.ndarray, weight, gains: np.ndarray, alpha) -> np.ndarray:
+        """The provider-first kernel (README, "Exactness rules"): EquityRank's scores
+        rel + alpha b w of entries with item weights ``weight``, from (m,) gains, or (R x m)
+        gains with ``provider`` as flat indices and ``alpha`` a column. b is taken at every
+        provider first, by metrics.fairness_gradient's operations, then read at the entries."""
+        b = self.targets * np.vecdot(gains, self.targets)[..., None]
         b -= gains * self._target_sq
         b *= self._scale
         b *= alpha
@@ -388,34 +338,6 @@ class PolicyPlan:
             ratio[g] = paid / self.targets.item(g) if head[g] < end[g] else math.inf
             chosen.append(pick)
         return chosen
-
-
-def _equity_row(rel: np.ndarray, gains: np.ndarray, y: np.ndarray, operands, consts, out, last) -> np.ndarray:
-    """``last`` (``np.add``, or ``np.subtract`` with alpha negated) of alpha b w
-    and ``rel``: the EquityRank scores, or minus them, of one row of entries
-    with relevance ``rel``, in ``out[0]``.
-
-    ``operands`` are the row's providers and their y, v_b and v_e, ``consts``
-    y . y, 4 / (m (m-1)) and alpha, as floats or rows, and ``out`` three
-    buffers of the row's width. The item weight is w = v_e + rel v_b and the
-    fairness gradient b = scale (y G.y - G |y|^2) at the row's providers:
-    metrics.fairness_gradient's elementwise operations, so its bits. Round to
-    nearest is symmetric under negation, so a negated alpha gives minus the
-    scores exactly.
-    """
-    own, target, vb, ve = operands
-    target_sq, scale, alpha = consts
-    b, scaled, weight = out
-    multiply, subtract = np.multiply, np.subtract
-    multiply(target, gains.dot(y), out=b)
-    multiply(gains[own], target_sq, out=scaled)
-    subtract(b, scaled, out=b)
-    multiply(b, scale, out=b)
-    multiply(b, alpha, out=b)
-    multiply(rel, vb, out=weight)
-    np.add(weight, ve, out=weight)
-    multiply(b, weight, out=b)
-    return last(b, rel, out=b)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +506,7 @@ def offline_field(rel: RelevanceTable, catalog: Catalog, list_size: int) -> Offl
 
     User ``u``'s field holds every item stored for ``u`` in ``rel`` and each
     provider's ``list_size`` lowest-id items of relevance 0 for ``u`` (all,
-    if it has fewer). Built user by user and joined column by column, the
-    build peaks near 1.3 times the field's bytes.
+    if it has fewer).
     """
     n, m = catalog.item_count, catalog.provider_count
     if list_size < 1:
@@ -667,13 +588,8 @@ def allocate_vertical(
 def plan_of(policy: str, alpha: float) -> tuple[str, float]:
     """The (kind, alpha) of the plan that ``policy`` runs at ``alpha``: TopK's, PoorK's or its own.
 
-    At alpha 0 every policy but PoorK ranks by relevance alone and runs
-    TopK's plan. Where FairCo*'s or MMF*'s own plan finishes there, it is
-    TopK's run bit for bit: FairCo* adds 0 x shortfall = 0.0, and MMF*
-    scores A at span / span = 1 and every other entry at most 1; where 0
-    times an overflowing ratio, or a subnormal span, makes NaN, its own
-    plan fails and TopK's does not. EquityRankV keeps its own plan, as it
-    pays level by level. MMF* at alpha 1 runs PoorK's plan.
+    At alpha 0 every policy but PoorK and EquityRankV runs TopK's plan, and
+    MMF* at alpha 1 runs PoorK's (README, "Sweep classes", says why).
     """
     if policy == "PoorK" or (policy == "MMFStar" and alpha == 1.0):
         return "PoorK", 1.0
@@ -690,7 +606,7 @@ def ledger_blind(policy: str, alpha: float) -> bool:
 
 
 def serve_offline(policy: str, alphas, field: OfflineField, orders: np.ndarray, ledgers, arrays, probs):
-    """Serve R offline runs of ``policy``, each by the engine its alpha picks (module docstring).
+    """Serve R offline runs of ``policy``, each by the engine its alpha picks (README, "Offline engines").
 
     Run r visits users ``orders[r]``, a row of the (R x users) ``orders``, at
     ``alphas[r]``, and pays ``ledgers[r]``; the caller counts the lists. A
@@ -761,7 +677,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
 
     Run r visits users ``orders[r]`` at ``alpha[r]`` and pays ``ledgers[r]`` by ``GainLedger.pay``,
     each pick of EquityRankV at once, each other list once it is filled; the caller counts the lists.
-    At each step every run scores its list's segment, padded with its last entry (module docstring).
+    At each step every run scores its list's segment, padded with its last entry (README, "Offline engines").
     Returns the picks (R x users x K, in the field's index dtype), the positions of run r's
     j-th user's list in its segment, top first, and by run the failure of each run whose scores
     were not finite: it stops paying there, and its later picks mean nothing.
@@ -802,7 +718,7 @@ def _lockstep(plan: PolicyPlan, field: OfflineField, orders: np.ndarray, alpha: 
         return scores
 
     def pick(rel, flat, w, placed, gains):
-        scores = checked(plan._equity(rel, flat, plan.targets, w, gains, column))
+        scores = checked(plan._equity(rel, flat, w, gains, column))
         scores += placed
         return scores.argmax(axis=1)
 

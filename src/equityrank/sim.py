@@ -7,52 +7,17 @@ step: the ranker sees only relevance estimated from past feedback
 samples of examination probability times true relevance, and exposure gain
 accrues deterministically from the expected examination mass.
 
-Every driver call stacks the weights once (``provider_arrays``); its runs
-rank, pay and report from those arrays. An offline run is served by
-``rankers.serve_offline`` from the user's segments of the dataset's offline
-field, with their provider heads. An online run builds its ``PolicyPlan``,
-position model and ideal DCGs before any draw, then fixes each user's
-prefiltered candidate set in an ``OnlineState``, plain data holding only what
-feedback writes. The candidate sets, the true relevance and provider at each
-candidate, and the generator's state after the prefilter depend on the
-dataset, the seed, the prefilter size and the noise alone: the first run of
-an integer seed keeps them, read-only, in the dataset's ``derived`` slot
-``"online_rows"`` (``_OnlineRows``, the last key built), and a later run of
-that key starts from them with no prefilter draw and no relevance read. The
-run resolves the plan once for those candidate rows
-(``PolicyPlan.row_ranker``): the policy, the row width against K, the top-K
-selection, and EquityRank's gradient operands gathered at every row. Each
-step of the run's loop (estimate -> score -> top-K -> feedback -> DCG) gives
-that step ranker the user's candidate row in slot order (ids ascending),
-with the estimates and raw gains the state keeps current. The
-id-level ``RankList``, ``apply_feedback``, ``apply_expected_feedback`` and
-``metrics.andcg`` are the checked boundary; no run goes through them.
-``RankList.items_for`` checks each served list, and the two feedback calls
-stack only the served providers' weights, as dicts keyed by provider id.
-
-Every run owns its own seeded random generator and gain ledger, so runs are
+``run_offline_batch`` and ``run_online_batch`` are the drivers;
+``run_offline`` and ``run_online`` are their calls with one run. A driver
+checks the dataset once and stacks the weights once (``provider_arrays``),
+and returns per run its outcome or the exception it raised: a run fails
+alone. Every run owns its seeded generator and gain ledger, so runs are
 reproducible bit for bit and can execute concurrently: what they share, the
-dataset's derived arrays, no run writes.
-An online step's randomness is one user, ``int(rng.integers(users))``, then
-K purchase uniforms, ``rng.random(K)``. ``run_online`` does not make those
-calls: ``step_draws`` hands it up to ``DRAW_BLOCK`` steps' users and
-uniforms at a time, taken from one ``random_raw`` block of the run's PCG64
-generator, with the same bits and leaving the generator in the same state.
-This follows numpy's PCG64 and Lemire internals (``_pcg64_block``); the
-property in ``tests/test_step_draws.py`` matches blocks to the calls, and
-fails first if a numpy release changes them. Any other bit generator, and
-a run from its first rejected user draw on, makes the calls themselves.
-``run_offline_batch`` is the one offline driver; ``run_offline`` is its
-call with one run. It checks the dataset and builds the field and the ideal
-DCGs once, checks each run, and serves the runs that pass through one
-``rankers.serve_offline`` call, which picks each run's engine from its
-policy and alpha and gives every run the lists and ledger it gets alone. A
-run's NDCGs are taken in one pass over its (users x K) served relevances,
-by ``discounted_sum``'s and ``ndcg_from``'s operations in their order, and
-averaged by Python's ``sum``. ``run_online_batch`` is the online driver
-beside it; ``run_online`` is its call with one run. It checks the dataset
-once and serves each run alone, one after another, by the step loop above.
-Either driver returns each run's outcome or the exception it raised.
+dataset's derived arrays, no run writes. The id-level ``RankList``,
+``apply_feedback``, ``apply_expected_feedback`` and ``metrics.andcg`` are
+the checked boundary for callers holding item ids; no run goes through
+them. README: "Offline engines" and "The online loop" for the mechanism,
+"Exactness rules" for the bits.
 """
 
 from __future__ import annotations
@@ -165,17 +130,12 @@ class OnlineState:
     that owns it keeps its plan, position model, ideal DCGs and cNDCG.
 
     The feedback stage keeps two derived arrays current at the slots and
-    providers it touches, so a step reads them without recomputing:
-    ``estimate``, every slot's ``relevance_of``, and ``gains``, the ledger's
-    ``raw_gains``. Writing the counters or the ledger directly bypasses them.
-    The state is plain data: the feedback stage writes these four arrays
-    through flat views of them built per ``apply_feedback`` call and per run,
-    so a caller may replace one with a C-contiguous array of its shape and
-    dtype, and later feedback writes into the replacement. A state copies
-    and pickles as a dataclass does, and equals only itself.
-
-    Item-to-slot lookups (``slots``) search the user's sorted row, for
-    callers holding item ids; the online step uses slots.
+    providers it touches: ``estimate``, every slot's ``relevance_of``, and
+    ``gains``, the ledger's ``raw_gains``. Writing the counters or the
+    ledger directly bypasses them. A caller may replace any of these four
+    arrays with a C-contiguous array of its shape and dtype; later feedback
+    writes into the replacement. A state copies and pickles as a dataclass
+    does, and equals only itself. ``slots`` maps item ids to slots.
     """
 
     ledger: GainLedger
@@ -265,11 +225,8 @@ def _feedback(state: OnlineState, views, user: int, slots, truth, weights, probs
     """
     (exposure, purchases, estimate, gains), (relevance, provider), (ve, vb) = views, truth, weights
     accrue, base, served, bought = state.ledger.accrue, user * state.candidate_sets.shape[1], [], []
-    # a few positions per list: scalar updates in position order beat
-    # vectorised ones here, and add repeated providers' gains in list order.
-    # Entries are read and written as Python floats and ints, through the
-    # state's views and the truth's: the same IEEE operations as numpy's,
-    # without the cost of item() and numpy's scalar setitem.
+    # a few positions per list: scalar updates in position order, on Python floats and ints
+    # through the views (README, "Exactness rules"), beat vectorised ones here
     for slot, p_k, draw in zip(slots, probs, draws):
         i = base + slot
         g, r = provider[i], relevance[i]
@@ -451,15 +408,10 @@ def run_offline_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], c
     engine ``rankers.serve_offline`` picks for it, with the lists, ledger and result it
     gets alone.
 
-    Each list is ranked from the user's segment of the dataset's offline
-    field (``rankers.offline_field``), whose lists are the whole catalog's.
-    The field and the users' ideal DCGs are built on the first call on a
-    dataset object and shared by its later calls with the same list size
-    (and cutoff). Returns, per run, its ``RunResult`` or the exception it
-    raised, such as a ``ValueError`` for a seed it refuses: a run fails
-    alone. A run's wall time is that of its serving by ``serve_offline``: a
-    run of a lockstep batch, a batch of one included, reads the batch's
-    divided by its runs. A dataset that no run can use raises.
+    Returns, per run, its ``RunResult`` or the exception it raised, such as
+    a ``ValueError`` for a seed it refuses: a run fails alone. A dataset
+    that no run can use raises. README, "Offline engines", says how the runs
+    are served and what a dataset object keeps for later calls.
     """
     catalog, profiles, rel = _check_dataset(dataset, cfg)
     if not runs:
@@ -520,89 +472,60 @@ def make_online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
     """Initialize an online run's state: its seeded rng, prefiltered candidate sets and empty ledger.
 
     The prefilter size is capped at the catalog size so small datasets can
-    run with the protocol defaults. The prefilter draws candidates from the
-    catalog's own ids, so the step loop trusts them without rechecking. The
-    candidate sets of an integer seed are kept on the dataset object and
-    shared by later states and runs of that seed (``_OnlineRows``); each
-    state still gets its own arrays and generator.
+    run with the protocol defaults. The candidate sets of an integer seed
+    are kept on the dataset object and shared by later states and runs of
+    that seed (``_OnlineRows``); each state gets its own arrays and generator.
     """
     _check_dataset(dataset, cfg)
-    return _online_state(dataset, seed, cfg)
+    return _online_state(dataset, seed, cfg)[0]
 
 
 @dataclass(frozen=True)
 class _OnlineRows:
-    """The set-up of the online runs of one (seed, prefilter size, noise) on a dataset object.
+    """The set-up of an online run, the same for every run of its ``key``: (seed, capped
+    prefilter size, noise), or None for a seed that is not an integer, whose rows are never kept.
 
-    ``candidate_sets`` are the prefiltered rows, sorted; ``relevance`` and
-    ``providers`` the true relevance and the provider at each of their
-    entries; ``rng_state`` the ``bit_generator.state`` of ``default_rng(seed)``
-    after the prefilter. The arrays are read-only. It depends on no policy,
-    so every run of its key starts from it: one is kept in
-    ``dataset.derived["online_rows"]``, that of the last key built,
-    users x C x 24 bytes.
+    ``candidate_sets`` are the prefiltered rows, sorted; ``relevance`` and ``providers`` the
+    true relevance and the provider at each of their entries; ``rng_state`` the generator's
+    ``bit_generator.state`` after the prefilter. The arrays are read-only.
     """
 
-    key: tuple
+    key: tuple | None
     candidate_sets: np.ndarray
     relevance: np.ndarray
     providers: np.ndarray
     rng_state: dict
 
 
-def _rows_key(dataset, seed, cfg: SimConfig) -> tuple | None:
-    """The ``_OnlineRows`` key of a run of ``seed`` under ``cfg``; None unless ``seed`` is an integer.
-
-    ``default_rng`` hands a ``Generator`` seed back itself, so restoring a
-    kept state would rewind the caller's generator: a seed that
-    ``operator.index`` refuses builds its rows each run.
-    """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        return None
-    return seed, min(cfg.prefilter_size, dataset.catalog.item_count), cfg.prefilter_noise
-
-
-def _kept_rows(dataset, key: tuple | None) -> _OnlineRows | None:
-    """The dataset's kept ``_OnlineRows`` if they are those of ``key``."""
-    kept = dataset.derived.get("online_rows")
-    return kept if key is not None and kept is not None and kept.key == key else None
-
-
-def _truth(dataset, candidate_sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The true relevance and the provider at every entry of ``candidate_sets``, sorted rows one per user."""
-    rel = dataset.relevance
-    true_rel = np.array([rel.relevance_of(u, row) for u, row in enumerate(candidate_sets)])
-    return true_rel, dataset.catalog.group_of[candidate_sets]
-
-
-def _online_state(dataset, seed: int, cfg: SimConfig) -> OnlineState:
-    """``make_online_state`` on a dataset already checked.
-
-    Rows kept for the run's key give its candidate sets, and its generator
-    is restored to their state: no prefilter is drawn. Otherwise the
-    prefilter draws them, and an integer seed's rows are kept.
-    """
+def _online_state(dataset, seed: int, cfg: SimConfig) -> tuple[OnlineState, _OnlineRows]:
+    """``make_online_state`` on a dataset already checked, beside the run's ``_OnlineRows``: the
+    rows kept for its key, its generator restored to their state and no prefilter drawn, or
+    else rows drawn and read here, kept for an integer seed."""
     catalog, rel = dataset.catalog, dataset.relevance
-    key, rng = _rows_key(dataset, seed, cfg), np.random.default_rng(seed)
-    kept = _kept_rows(dataset, key)
-    if kept is not None:
-        rng.bit_generator.state = kept.rng_state
-        candidate_sets = kept.candidate_sets
+    size, rows = min(cfg.prefilter_size, catalog.item_count), dataset.derived.get("online_rows")
+    try:
+        key = operator.index(seed), size, cfg.prefilter_noise
+    except TypeError:  # default_rng hands a Generator seed back itself, which a restore would rewind
+        key = None
+    rng = np.random.default_rng(seed)
+    if key is not None and rows is not None and rows.key == key:
+        rng.bit_generator.state = rows.rng_state
+        candidate_sets = rows.candidate_sets
     else:
-        size = min(cfg.prefilter_size, catalog.item_count)
-        candidate_sets = [
+        rows, candidate_sets = None, [
             prefilter_candidates(u, rel, catalog.item_count, size, cfg.prefilter_noise, rng)
             for u in range(rel.user_count)
         ]
     state = OnlineState(ledger=GainLedger.empty(catalog.provider_count), candidate_sets=candidate_sets, rng=rng)
-    if kept is None and key is not None:
-        arrays = (state.candidate_sets.copy(), *_truth(dataset, state.candidate_sets))
+    if rows is None:
+        sets = state.candidate_sets
+        arrays = sets.copy(), np.array([rel.relevance_of(u, row) for u, row in enumerate(sets)]), catalog.group_of[sets]
         for a in arrays:
             a.flags.writeable = False
-        dataset.derived["online_rows"] = _OnlineRows(key, *arrays, rng.bit_generator.state)
-    return state
+        rows = _OnlineRows(key, *arrays, rng.bit_generator.state)
+        if key is not None:
+            dataset.derived["online_rows"] = rows
+    return state, rows
 
 
 def step_draws(rng: np.random.Generator, users: int, k: int, steps: int):
@@ -611,12 +534,9 @@ def step_draws(rng: np.random.Generator, users: int, k: int, steps: int):
     A block is a pair of lists: each step's user, and its ``k`` purchase
     uniforms. They are bit for bit what the alternating calls
     ``int(rng.integers(users))`` and ``rng.random(k).tolist()`` return, and
-    after each block ``rng`` is where those calls leave it, so the blocks
-    can be drawn as the run consumes them. A PCG64 generator draws a block
-    from one ``random_raw`` call (``_pcg64_block``). Any other bit
-    generator, ``users`` 1 (whose draw takes nothing) or beyond 32 bits,
-    and every step from a rejected user draw on, go through the calls
-    themselves.
+    after each block ``rng`` is where those calls leave it (README, "The
+    online loop"; ``_pcg64_block``). ``users`` 1, whose draw takes nothing,
+    goes through the calls.
     """
     bitgen = rng.bit_generator
     from_raw = type(bitgen) is np.random.PCG64 and 2 <= users < 2**32
@@ -683,9 +603,7 @@ def run_online(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig) ->
     Each step samples a user uniformly, ranks their prefiltered candidates
     with estimated relevance, applies sampled feedback, and updates the
     discounted cumulative NDCG (computed against true relevance). Emits the
-    final result plus the checkpoint time series. The users and purchase
-    uniforms come from ``step_draws``, a block at a time, and are those the
-    step-by-step calls on the run's generator give.
+    final result plus the checkpoint time series.
 
     This is ``run_online_batch`` of the one run, and raises the exception
     that its outcome holds.
@@ -714,34 +632,20 @@ def run_online_batch(dataset, policy: str, runs: Sequence[tuple[float, int]], cf
 
 
 def _online_run(dataset, policy: str, alpha: float, seed: int, cfg: SimConfig, arrays: tuple) -> tuple[RunResult, OnlineTrace]:
-    """One run of ``run_online_batch``, given the ``provider_arrays`` its plan and feedback read.
-
-    Its wall time starts before its plan, the run's one policy check. The
-    plan is resolved once for the run's candidate rows
-    (``PolicyPlan.row_ranker``), the only check a step repeats being that
-    its scores are finite. A step ranks the user's candidate row, in slot
-    order, with that step ranker from the state's estimate row and raw
-    gains, serves the list with sampled feedback (``_feedback``), takes its
-    DCG at the cutoff and adds it to cNDCG by ``cndcg_update``'s recurrence,
-    whose gamma ``SimConfig`` has checked.
-    """
+    """One run of ``run_online_batch``, given the ``provider_arrays`` its plan and feedback
+    read (README, "The online loop"). Its wall time starts before its plan, the run's one
+    policy check, and its cNDCG follows ``cndcg_update``'s recurrence."""
     start = time.perf_counter()
     rel, plan = dataset.relevance, PolicyPlan(PolicyConfig(kind=policy, alpha=alpha), arrays)
     pm, cutoff = PositionModel.logarithmic(cfg.list_size), cfg.eval_cutoff
     # as Python floats, so that each step's NDCG and the running cndcg are floats too, as is each gain paid
     probs, weights = pm.probs.tolist(), (plan.ve.tolist(), plan.vb.tolist())
     ideal_dcgs = _derived(dataset, ("ideal_dcg", cfg.list_size, cutoff), lambda: _ideal_dcgs(rel, cutoff, pm)).tolist()
-    state = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
+    state, rows = _online_state(dataset, seed, cfg)  # run_online_batch has checked the dataset
     ledger, estimate, gains = state.ledger, state.estimate, state.gains
-    # true relevance and providers over every user's candidate row, read
-    # once per seed's kept rows, else once per run: a step takes them by
-    # candidate slot, with no table lookup, and its feedback reads them, and
-    # writes the state, through flat views built here
-    kept = _kept_rows(dataset, _rows_key(dataset, seed, cfg))
-    true_rel, providers = (kept.relevance, kept.providers) if kept is not None else _truth(dataset, state.candidate_sets)
-    truth, views = (_flat_view(true_rel), _flat_view(providers)), _feedback_views(state)
-    # the plan resolved once for these rows; each step hands it a view of the user's estimate row
-    rank_row, estimates = plan.row_ranker(providers, probs), list(estimate)
+    truth, views = (_flat_view(rows.relevance), _flat_view(rows.providers)), _feedback_views(state)
+    # each step hands the step ranker a view of the user's estimate row
+    rank_row, estimates = plan.row_ranker(rows.providers, probs), list(estimate)
     trace = OnlineTrace()
     ndcg_series = np.empty(cfg.total_steps, dtype=np.float64) if cfg.record_ndcg else None
 

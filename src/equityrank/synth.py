@@ -6,32 +6,15 @@ exposure values around 10 and purchase values around 100; Exp1st draws both
 from the purchase-scale distribution (exposure-hungry providers); Sale1st
 inflates purchase values tenfold (sale-season providers). Relevance comes
 from a latent-factor model squashed through a logistic, sparsified per user.
-Generation holds one full (users x items) array, the latent factors' score
-product, and frees it once each user's kept entries are gathered from it; the
-logistic runs on the kept entries alone.
 
-Datasets round-trip through a three-file CSV directory::
-
-    catalog.csv     item_id,provider_id
-    providers.csv   provider_id,v_e,v_b,y
-    relevance.csv   user_id,item_id,relevance
-
-External ids may be arbitrary strings; they are mapped to dense 0-based ids
-in file order and kept in a side lookup for reporting. Loading streams
-relevance.csv a block at a time: it keeps each row's (user, item, value) in
-one float64 array and its row number in an int array, so it holds the id
-maps, about 32 bytes a row and one block's text.
-
-Every table the package writes or reads, these three and the CLI's sweep,
-run and report tables, goes through ``_write_rows`` and ``_iter_rows`` (or
-``_read_rows``, its list form; ``load_dataset`` reads relevance.csv by
-``_iter_blocks``): UTF-8 CSV, fields quoted only where needed, floats
-written by ``metrics.format_float`` with 17 significant digits so save ->
-load reproduces every value bit for bit. Both work ``BLOCK_ROWS`` rows at a
-time. A block written is one %-template over its values; a block of lines
-read holds each line's fields, column by column, split at its commas unless
-it holds a quote, a carriage return or a NUL, from where ``csv.reader``
-reads the rest of the file.
+Datasets round-trip through a three-file CSV directory (``catalog.csv``,
+``providers.csv``, ``relevance.csv``) whose ids may be arbitrary strings,
+densified in file order and kept in ``DatasetLabels`` for reporting. Every
+table the package writes or reads goes through ``_write_rows`` and
+``_iter_rows`` (or ``_read_rows``, its list form; ``load_dataset`` reads
+relevance.csv by ``_iter_blocks``), ``BLOCK_ROWS`` rows at a time, and
+save -> load reproduces every value bit for bit. README, "Dataset directory
+format", states the format and what generation and loading hold in memory.
 """
 
 from __future__ import annotations

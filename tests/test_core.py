@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from equityrank import (
     run_online,
     save_dataset,
 )
+from equityrank.sim import OnlineState
 
 
 class TestExaminationProb:
@@ -241,6 +244,39 @@ def test_a_whole_number_beyond_every_float_is_refused_by_name(make, field):
     # it used to escape as an OverflowError
     with pytest.raises(ValueError, match=f"^{field} is too large, beyond every float$"):
         make()
+
+
+BEYOND_INT64 = "lies beyond the 64-bit integer range"
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: RelevanceTable(2, [(0, 1e20, 0.5)]), "item id 1e+20 out of range or not a whole number"),
+        (lambda: RelevanceTable(2, [(0, 2.0**63, 0.5)]), "item id 9.22337e+18 out of range or not a whole number"),
+        (lambda: RelevanceTable(2, [(0, 10**400, 0.5)]), "a relevance entry is too large, beyond every float"),
+        (lambda: Catalog.from_assignments([0, 10**20]), f"provider id 1e+20 {BEYOND_INT64}"),
+        (lambda: Catalog.from_assignments([0, 1e20]), f"provider id 1e+20 {BEYOND_INT64}"),
+        (lambda: Catalog.from_assignments(np.array([0.0, 2.0**63])), f"provider id 9.22337e+18 {BEYOND_INT64}"),
+        (lambda: Catalog.from_assignments(np.array([0, 2**63], dtype=np.uint64)), f"provider id 9.22337e+18 {BEYOND_INT64}"),
+        (lambda: Catalog.from_assignments([0, -(2**63) - 1]), f"provider id -9.22337e+18 {BEYOND_INT64}"),
+        (lambda: OnlineState(GainLedger.empty(2), [[0, 2**63]], np.random.default_rng(0)), f"item id 9.22337e+18 {BEYOND_INT64}"),
+    ],
+    ids=["table-float", "table-2**63", "table-beyond-floats", "catalog-int", "catalog-float", "catalog-array",
+         "catalog-uint64", "catalog-negative", "online-state"],
+)
+def test_an_id_at_or_beyond_2_to_the_63_is_refused_by_name(make, message):
+    # it used to wrap to -2**63 with only a numpy RuntimeWarning, or escape as an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_the_largest_int64_id_is_taken_exactly():
+    # 2**63 - 1 reads as the float 2**63, yet it fits in int64
+    state = OnlineState(GainLedger.empty(2), [[2**63 - 1, 0]], np.random.default_rng(0))
+    assert state.candidate_sets.tolist() == [[0, 2**63 - 1]]
 
 
 def test_whole_number_ids_given_as_floats_are_taken():

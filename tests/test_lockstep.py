@@ -139,7 +139,7 @@ def test_lockstep_scores_are_each_runs_own_scores_bit_for_bit(m, runs, length, s
     alpha = 10.0 ** rng.integers(-8, 2, runs)
     weight = rel * plan.vb[provider] + plan.ve[provider]
     flat = provider + m * np.arange(runs)[:, None]
-    got = plan._equity(rel, flat, plan.targets, weight, gains, alpha[:, None])
+    got = plan._equity(rel, flat, weight, gains, alpha[:, None])
     for r in range(runs):
         alone = PolicyPlan(PolicyConfig("EquityRank", float(alpha[r])), provider_arrays(profiles))
         want = alone.score(rel[r], provider[r], gains[r].copy())

@@ -44,8 +44,9 @@ def observed_run(dataset, policy, alpha, seed, cfg):
     states, served = [], []
 
     def capture_state(*args, **kwargs):
-        states.append(make_state(*args, **kwargs))
-        return states[-1]
+        state, rows = make_state(*args, **kwargs)
+        states.append(state)
+        return state, rows
 
     def record(state, views, user, slots, *args):
         served.append((user, tuple(state.candidate_sets[user][slots].tolist())))
