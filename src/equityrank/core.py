@@ -44,8 +44,9 @@ def _whole_ids(ids, what: str) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # a float beyond int64 casts to another value, refused below
             whole = np.asarray(ids, dtype=np.int64)
         bad = whole != values
-    except OverflowError:  # a Python int beyond int64
-        bad = np.abs(values) >= 2.0**63
+    except OverflowError:  # a Python int beyond int64, compared exactly: -2**63 - 1 reads as the float -2**63
+        values = np.asarray(ids, dtype=object)
+        bad = (values < -(2**63)) | (values >= 2**63)
     if bad.any():
         raise ValueError(f"{what} {values[bad][0]:g} lies beyond the 64-bit integer range")
     return whole

@@ -260,10 +260,12 @@ BEYOND_INT64 = "lies beyond the 64-bit integer range"
         (lambda: Catalog.from_assignments(np.array([0.0, 2.0**63])), f"provider id 9.22337e+18 {BEYOND_INT64}"),
         (lambda: Catalog.from_assignments(np.array([0, 2**63], dtype=np.uint64)), f"provider id 9.22337e+18 {BEYOND_INT64}"),
         (lambda: Catalog.from_assignments([0, -(2**63) - 1]), f"provider id -9.22337e+18 {BEYOND_INT64}"),
+        # -2**63 fits, though it reads as the same float as -2**63 - 1
+        (lambda: Catalog.from_assignments([-(2**63), 2**64]), f"provider id 1.84467e+19 {BEYOND_INT64}"),
         (lambda: OnlineState(GainLedger.empty(2), [[0, 2**63]], np.random.default_rng(0)), f"item id 9.22337e+18 {BEYOND_INT64}"),
     ],
     ids=["table-float", "table-2**63", "table-beyond-floats", "catalog-int", "catalog-float", "catalog-array",
-         "catalog-uint64", "catalog-negative", "online-state"],
+         "catalog-uint64", "catalog-negative", "catalog-int64-min", "online-state"],
 )
 def test_an_id_at_or_beyond_2_to_the_63_is_refused_by_name(make, message):
     # it used to wrap to -2**63 with only a numpy RuntimeWarning, or escape as an OverflowError
