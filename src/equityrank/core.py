@@ -107,9 +107,12 @@ class Catalog:
         groups = groups.astype(np.int64)  # the catalog's own copy, as RelevanceTable's arrays
         groups.flags.writeable = False
         object.__setattr__(self, "group_of", groups)
-        empty = np.flatnonzero(self.group_sizes == 0)
-        if empty.size:
-            raise ValueError(f"provider {empty[0]} owns no items")
+        # n items own at most n ids, so one of 0..n is unowned when m exceeds n: no array
+        # longer than the catalog is built for a sparse provider id
+        owned = np.zeros(min(m, groups.size + 1), dtype=bool)
+        owned[groups[groups < owned.size]] = True
+        if not owned.all():
+            raise ValueError(f"provider {owned.argmin()} owns no items")
 
     @classmethod
     def from_assignments(cls, group_of: Iterable[int], provider_count: int | None = None) -> Catalog:

@@ -59,10 +59,6 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("TopK", "PoorK", "FairCoStar", "MMFStar", "EquityRank", "EquityRankV")
-# Below this many candidates one full sort is cheaper than narrowing the
-# field with a partition first (measured for k = 5: the two cost the same
-# near 200 candidates); both select the same list.
-PARTITION_MIN_CANDIDATES = 200
 # serve_offline advances the offline runs that go in lockstep in batches of
 # at most BATCH_RUNS, which bounds a batch's (runs x segment) arrays
 BATCH_RUNS = 64
@@ -119,26 +115,9 @@ def top_k_order(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
     """Indices of the first ``k`` entries in ``np.lexsort(keys)`` order.
 
     As for ``np.lexsort``, the keys are listed least significant first and
-    ties on every key keep index order. When k is small relative to a large
-    count, an O(n) partition narrows the field to the entries at or below
-    the k-th value of the last key (ties included) before the sort, without
-    changing the result.
+    ties on every key keep index order.
     """
-    if _partitions(keys[-1].size, k):
-        return _partitioned(keys, k)
     return np.lexsort(keys)[:k]
-
-
-def _partitions(count: int, k: int) -> bool:
-    """Whether ``top_k_order`` narrows ``count`` entries with a partition before it sorts."""
-    return count >= PARTITION_MIN_CANDIDATES and 4 * k <= count
-
-
-def _partitioned(keys: Sequence[np.ndarray], k: int) -> np.ndarray:
-    primary = keys[-1]
-    kth = np.partition(primary, k - 1)[k - 1]
-    keep = np.flatnonzero(primary <= kth)
-    return keep[np.lexsort([key[keep] for key in keys])[:k]]
 
 
 def rank_by_scores(sv: ScoreVector, k: int) -> np.ndarray:
@@ -232,7 +211,7 @@ class PolicyPlan:
             pick_row, rows = self._pick_row, list(providers)
             return lambda user, rel, gains: pick_row(rel, rows[user], gains, probs)
         out, neg_rel, zeros = np.empty(width), np.empty(width), np.zeros(width)
-        negative, lexsort, partition = np.negative, np.lexsort, _partitions(width, k)
+        negative, lexsort = np.negative, np.lexsort
         if self.kind == "FairCoStar":
             score, rows = self.score, list(providers)
             negated = lambda user, rel, gains: negative(score(rel, rows[user], gains), out=out)  # noqa: E731
@@ -267,7 +246,7 @@ class PolicyPlan:
             if key.dot(zeros) != 0.0:
                 raise _not_finite()
             keys = negative(rel, out=neg_rel), key
-            return (_partitioned(keys, k) if partition else lexsort(keys)[:k]).tolist()
+            return lexsort(keys)[:k].tolist()
 
         return rank_row
 

@@ -346,7 +346,8 @@ def _iter_blocks(path: Path, expected_header: Sequence[str]) -> Iterator[tuple[n
     carriage return, a NUL (which ``csv.reader`` refuses before Python 3.11)
     or a line longer than ``csv.field_size_limit()`` holds one row a line,
     split at its commas. From the first block with one, ``csv.reader`` reads
-    the rest of the file, since a quoted field can span lines.
+    the rest of the file, ``BLOCK_ROWS`` nonblank rows at a time, since a
+    quoted field can span lines.
     """
     if not path.is_file():
         raise DatasetError(f"missing file {path}")
@@ -362,8 +363,8 @@ def _iter_blocks(path: Path, expected_header: Sequence[str]) -> Iterator[tuple[n
         while lines := list(islice(fh, BLOCK_ROWS)):
             block = _split_lines(lines, lineno, width)
             if block is None:
-                records = enumerate(csv.reader(chain(lines, fh)), start=lineno)
-                while kept := [(n, row) for n, row in islice(records, BLOCK_ROWS) if row]:
+                records = ((n, row) for n, row in enumerate(csv.reader(chain(lines, fh)), start=lineno) if row)
+                while kept := list(islice(records, BLOCK_ROWS)):
                     numbers, rows = np.array([n for n, _ in kept], dtype=np.int64), [row for _, row in kept]
                     size = _count_before(list(map(len, rows)), width)
                     yield from _up_to_wrong_width(path, width, numbers, size, list(zip(*rows[:size])))

@@ -106,6 +106,11 @@ class TestCatalog:
         with pytest.raises(ValueError, match="provider 1 owns no items"):
             Catalog.from_assignments([0, 0, 2, 3, 2], provider_count=5)
 
+    def test_a_sparse_provider_id_is_refused_before_an_array_of_the_provider_count(self):
+        # a provider count of 2**63 would be the length of group_sizes' counts
+        with pytest.raises(ValueError, match="^provider 1 owns no items$"):
+            Catalog.from_assignments([0, 2**63 - 1])
+
     def test_rejects_unknown_provider(self):
         with pytest.raises(ValueError):
             Catalog.from_assignments([0, 5], provider_count=2)

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equityrank import RelevanceTable, prefilter_candidates
-from equityrank.rankers import PARTITION_MIN_CANDIDATES
 from oracles import reference_prefilter
 
 ITEM_COUNTS = st.one_of(
     st.integers(1, 40),
-    # both sides of the size where the selection narrows with a partition
-    st.integers(PARTITION_MIN_CANDIDATES - 3, PARTITION_MIN_CANDIDATES + 3),
-    st.integers(PARTITION_MIN_CANDIDATES, 1000),
+    st.integers(197, 203),
+    st.integers(200, 1000),
+    st.just(4000),  # the online-providers catalog
 )
 
 

@@ -24,7 +24,7 @@ from equityrank import (
     rank_mmf_star,
     rank_poork,
 )
-from equityrank.rankers import PARTITION_MIN_CANDIDATES, PolicyPlan, offline_field
+from equityrank.rankers import PolicyPlan, offline_field
 from oracles import reference_poork, reference_slotwise_equityrank, reference_vertical
 
 PM2 = PositionModel.logarithmic(2)
@@ -127,9 +127,9 @@ class TestRankByScores:
         with pytest.raises(ValueError):
             ScoreVector(np.array([0, 1]), np.array([1.0, np.nan]), np.zeros(2))
 
-    def test_partition_path_matches_full_sort_with_ties(self):
+    def test_top_k_of_many_tied_candidates_matches_full_sort(self):
         rng = np.random.default_rng(5)
-        for n in (PARTITION_MIN_CANDIDATES, 1000):
+        for n in (200, 1000):
             ids = rng.permutation(n)
             scores = np.round(rng.random(n), 1)  # many candidates tie at the k-th score
             rel = np.round(rng.random(n), 1)

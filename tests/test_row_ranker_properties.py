@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equityrank import PolicyConfig, PositionModel, ProviderProfile, provider_arrays
-from equityrank.rankers import PARTITION_MIN_CANDIDATES, PolicyPlan
+from equityrank.rankers import PolicyPlan
 
 POLICIES = (
     [("TopK", 0.0), ("PoorK", 0.0)]
@@ -33,8 +33,8 @@ def _outcome(call):
 @st.composite
 def runs(draw):
     m, k = draw(st.integers(2, 8)), draw(st.integers(1, 6))
-    # widths from K up, and past PARTITION_MIN_CANDIDATES, where the top-K selection partitions
-    width = draw(st.one_of(st.integers(k, 30), st.integers(max(k, PARTITION_MIN_CANDIDATES - 5), PARTITION_MIN_CANDIDATES + 60)))
+    # widths from K up, and rows about 200 wide
+    width = draw(st.one_of(st.integers(k, 30), st.integers(195, 260)))
     users, steps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # few providers among many entries: providers repeat within a row

@@ -457,9 +457,10 @@ class TestTableBlocks:
     def test_rows_read_are_the_csv_readers_with_their_row_numbers(self, tmp_path_factory, table, data):
         header, rows = table
         text = reference_table_text(header, rows)
-        # blank lines, carriage returns and stray fields at drawn line ends after the header's
+        # blank lines, a run of them that fills a whole block, carriage returns and stray fields
+        # at drawn line ends after the header's
         ends = [at for at, char in enumerate(text) if char == "\n"][1:]
-        edit = st.sampled_from(["\n", "\n\n\n", "\r\n", ",\n"])
+        edit = st.sampled_from(["\n", "\n\n\n", "\n" * (2 * BLOCK_ROWS), "\r\n", ",\n"])
         edits = data.draw(st.dictionaries(st.sampled_from(ends), edit, max_size=6)) if ends else {}
         for at in sorted(edits, reverse=True):
             text = text[:at] + edits[at] + text[at + 1 :]
@@ -570,6 +571,12 @@ class TestLoadErrorsAcrossBlocks:
         lines.remove("w,x,oops")
         (d / "relevance.csv").write_text("user_id,item_id,relevance\n" + "".join(line + "\n" for line in lines))
         assert 'q,"1"' in load_dataset(d).labels.users
+
+    def test_rows_after_more_blank_lines_than_a_block_are_read_after_a_quoted_field(self, tmp_path):
+        d = write_dataset_dir(tmp_path, ["a,1,1,5"], ["i0,a", "i1,a"], ['"u,0",i0,0.5', *[""] * 3000, "u1,i1,0.25"])
+        dataset = load_dataset(d)
+        assert dataset.labels.users == ("u,0", "u1")
+        assert len(dataset.relevance) == 2
 
     def test_streaming_holds_32_bytes_a_row_and_one_block(self, tmp_path, monkeypatch):
         # a row streams into 24 bytes of (user, item, value) and an 8-byte row
