@@ -33,7 +33,6 @@ def _outcome(call):
 @st.composite
 def runs(draw):
     m, k = draw(st.integers(2, 8)), draw(st.integers(1, 6))
-    # widths from K up, and rows about 200 wide
     width = draw(st.one_of(st.integers(k, 30), st.integers(195, 260)))
     users, steps = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
